@@ -821,8 +821,7 @@ class Connection:
         # transcript restart: ClientHello1 collapses into message_hash
         ch1 = self.transcript[0]
         digest = crypto.hash_data(self.params.hash_alg, ch1)
-        synthetic = bytes([crypto.MESSAGE_HASH_TYPE, 0, 0, len(digest)]) + digest
-        self.transcript = [synthetic, raw]
+        self.transcript = [crypto.message_hash(digest), raw]
         self.ks = None
         self.epochs.pop(EPOCH_EARLY, None)  # 0-RTT does not survive an HRR
         out = self._client_hello_flight(now, cookie=cookie)
@@ -1247,8 +1246,8 @@ class ServerListener:
             secret = self.prev_cookie_secret
         else:
             return None
-        expect = crypto.hmac_digest(crypto.HashAlg.SHA256, secret, address.encode() + ch_hash)
-        return ch_hash if expect == mac else None
+        ok = crypto.hmac_verify(crypto.HashAlg.SHA256, secret, address.encode() + ch_hash, mac)
+        return ch_hash if ok else None
 
     @property
     def allocated(self) -> int:
@@ -1344,11 +1343,10 @@ class ServerListener:
             ch1_hash = self.check_cookie(cookie, source, suite.hash_len)
             if ch1_hash is None:
                 return []  # bad-cookie: silently dropped, nothing allocated
-            synthetic = bytes([crypto.MESSAGE_HASH_TYPE, 0, 0, len(ch1_hash)]) + ch1_hash
             hrr = messages.build_hello_retry_request(
                 int(suite.suite), cookie, ch.legacy_session_id
             )
-            retry_transcript = [synthetic, messages.tls_form(hrr)]
+            retry_transcript = [crypto.message_hash(ch1_hash), messages.tls_form(hrr)]
 
         conn = self._fresh_connection(source)
         try:

@@ -211,6 +211,12 @@ def block_encrypt(key: bytes, block: bytes) -> bytes:
 MESSAGE_HASH_TYPE = 254
 
 
+def message_hash(digest: bytes) -> bytes:
+    """The synthetic message_hash message standing in for ClientHello1
+    after a HelloRetryRequest (RFC 8446 section 4.4.1)."""
+    return bytes([MESSAGE_HASH_TYPE, 0, 0, len(digest)]) + digest
+
+
 class TranscriptHash:
     """Running hash over TLS-form handshake messages.
 
@@ -231,8 +237,7 @@ class TranscriptHash:
 
     def replace_with_message_hash(self) -> bytes:
         """Collapse everything hashed so far into a message_hash message."""
-        inner = self._h.digest()
-        synthetic = bytes([MESSAGE_HASH_TYPE, 0, 0, len(inner)]) + inner
+        synthetic = message_hash(self._h.digest())
         self._h = hash_new(self.alg)
         self._h.update(synthetic)
         return synthetic

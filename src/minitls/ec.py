@@ -1,58 +1,27 @@
 """ECDHE key agreement and deterministic ECDSA over P-256 / P-521.
 
-Key generation, point validation, Diffie-Hellman and signature
-verification are delegated to the OpenSSL backend.  Signing is done
-here with an RFC 6979 derived nonce, because the backend only offers
-randomized ECDSA and the wire tests need byte-identical signatures
-across runs and processes.
+Everything is delegated to the OpenSSL backend: key generation from an
+injected scalar, point validation, Diffie-Hellman, verification, and
+signing in OpenSSL's RFC 6979 deterministic mode, which the wire tests
+need for byte-identical signatures across runs and processes.
 """
 
-import hashlib
-import hmac
 from dataclasses import dataclass
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives import hashes
 from cryptography.hazmat.primitives.asymmetric import ec as _ec
-from cryptography.hazmat.primitives.asymmetric.utils import (
-    decode_dss_signature,
-    encode_dss_signature,
-)
+from cryptography.hazmat.primitives.asymmetric.utils import decode_dss_signature
 from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
 
 from .crypto import NamedGroup, SignatureScheme
 from .errors import InvalidPoint
 
-
-@dataclass(frozen=True)
-class CurveParams:
-    p: int
-    b: int
-    gx: int
-    gy: int
-    n: int
-    field_len: int
-
-
-_P256 = CurveParams(
-    p=0xFFFFFFFF00000001000000000000000000000000FFFFFFFFFFFFFFFFFFFFFFFF,
-    b=0x5AC635D8AA3A93E7B3EBBD55769886BC651D06B0CC53B0F63BCE3C3E27D2604B,
-    gx=0x6B17D1F2E12C4247F8BCE6E563A440F277037D812DEB33A0F4A13945D898C296,
-    gy=0x4FE342E2FE1A7F9B8EE7EB4A7C0F9E162BCE33576B315ECECBB6406837BF51F5,
-    n=0xFFFFFFFF00000000FFFFFFFFFFFFFFFFBCE6FAADA7179E84F3B9CAC2FC632551,
-    field_len=32,
-)
-
-_P521 = CurveParams(
-    p=(1 << 521) - 1,
-    b=0x0051953EB9618E1C9A1F929A21A0B68540EEA2DA725B99B315F3B8B489918EF109E156193951EC7E937B1652C0BD3BB1BF073573DF883D2C34F1EF451FD46B503F00,
-    gx=0x00C6858E06B70404E9CD9E3ECB662395B4429C648139053FB521F828AF606B4D3DBAA14B5E77EFE75928FE1DC127A2FFA8DE3348B3C1856A429BF97E7E31C2E5BD66,
-    gy=0x011839296A789A3BC0045C8A5FB42C7D1BD998F54449579B446817AFBD17273E662C97EE72995EF42640C550B9013FAD0761353C7086A272C24088BE94769FD16650,
-    n=0x01FFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFA51868783BF2F966B7FCC0148F709A5D03BB5C9B8899C47AEBB6FB71E91386409,
-    field_len=66,
-)
-
-_CURVES = {NamedGroup.SECP256R1: _P256, NamedGroup.SECP521R1: _P521}
+# Group orders; private scalars are drawn from [1, n).
+_ORDER = {
+    NamedGroup.SECP256R1: 0xFFFFFFFF00000000FFFFFFFFFFFFFFFFBCE6FAADA7179E84F3B9CAC2FC632551,
+    NamedGroup.SECP521R1: 0x01FFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFA51868783BF2F966B7FCC0148F709A5D03BB5C9B8899C47AEBB6FB71E91386409,
+}
 _BACKEND_CURVES = {
     NamedGroup.SECP256R1: _ec.SECP256R1,
     NamedGroup.SECP521R1: _ec.SECP521R1,
@@ -60,10 +29,6 @@ _BACKEND_CURVES = {
 SCHEME_GROUP = {
     SignatureScheme.ECDSA_SECP256R1_SHA256: NamedGroup.SECP256R1,
     SignatureScheme.ECDSA_SECP521R1_SHA512: NamedGroup.SECP521R1,
-}
-_SCHEME_HASH = {
-    SignatureScheme.ECDSA_SECP256R1_SHA256: "sha256",
-    SignatureScheme.ECDSA_SECP521R1_SHA512: "sha512",
 }
 _SCHEME_BACKEND_HASH = {
     SignatureScheme.ECDSA_SECP256R1_SHA256: hashes.SHA256,
@@ -97,8 +62,7 @@ def _backend_public(group: NamedGroup, point: bytes):
 
 def keypair(group: NamedGroup, rng) -> tuple[EcPrivateKey, bytes]:
     """Fresh keypair with the private scalar drawn from the injected RNG."""
-    cp = _CURVES[group]
-    priv = EcPrivateKey(group, rng.randrange(1, cp.n))
+    priv = EcPrivateKey(group, rng.randrange(1, _ORDER[group]))
     return priv, priv.public_bytes()
 
 
@@ -108,135 +72,13 @@ def shared_secret(priv: EcPrivateKey, peer_public: bytes) -> bytes:
     return _backend_private(priv).exchange(_ec.ECDH(), peer)
 
 
-# --- Jacobian arithmetic, only for the fixed-base multiply in signing -------
-
-
-def _jac_double(P, p):
-    X1, Y1, Z1 = P
-    if not Z1 or not Y1:
-        return (0, 1, 0)
-    delta = Z1 * Z1 % p
-    gamma = Y1 * Y1 % p
-    beta = X1 * gamma % p
-    alpha = 3 * (X1 - delta) * (X1 + delta) % p
-    X3 = (alpha * alpha - 8 * beta) % p
-    Z3 = ((Y1 + Z1) ** 2 - gamma - delta) % p
-    Y3 = (alpha * (4 * beta - X3) - 8 * gamma * gamma) % p
-    return (X3, Y3, Z3)
-
-
-def _jac_add_affine(P, q, p):
-    X1, Y1, Z1 = P
-    x2, y2 = q
-    if not Z1:
-        return (x2, y2, 1)
-    Z1Z1 = Z1 * Z1 % p
-    U2 = x2 * Z1Z1 % p
-    S2 = y2 * Z1 * Z1Z1 % p
-    H = (U2 - X1) % p
-    r = (S2 - Y1) % p
-    if H == 0:
-        if r == 0:
-            return _jac_double(P, p)
-        return (0, 1, 0)
-    H2 = H * H % p
-    H3 = H * H2 % p
-    X3 = (r * r - H3 - 2 * X1 * H2) % p
-    Y3 = (r * (X1 * H2 - X3) - Y1 * H3) % p
-    Z3 = Z1 * H % p
-    return (X3, Y3, Z3)
-
-
-_BASE_TABLES: dict[NamedGroup, list] = {}
-
-
-def _base_table(group: NamedGroup):
-    # [0..15]*G as affine points; 16 entries make the 4-bit window below.
-    table = _BASE_TABLES.get(group)
-    if table is None:
-        cp = _CURVES[group]
-        table = [None, (cp.gx, cp.gy)]
-        for i in range(2, 16):
-            table.append(_to_affine(_jac_add_affine((*table[i - 1], 1), table[1], cp.p), cp.p))
-        _BASE_TABLES[group] = table
-    return table
-
-
-def _to_affine(P, p):
-    X, Y, Z = P
-    zinv = pow(Z, -1, p)
-    zinv2 = zinv * zinv % p
-    return (X * zinv2 % p, Y * zinv2 * zinv % p)
-
-
-def _scalar_base_mult(group: NamedGroup, k: int) -> tuple[int, int]:
-    cp = _CURVES[group]
-    table = _base_table(group)
-    acc = (0, 1, 0)
-    top = (cp.n.bit_length() + 3) & ~3
-    for shift in range(top, -1, -4):
-        for _ in range(4):
-            acc = _jac_double(acc, cp.p)
-        nibble = (k >> shift) & 0xF
-        if nibble:
-            acc = _jac_add_affine(acc, table[nibble], cp.p)
-    return _to_affine(acc, cp.p)
-
-
-# --- RFC 6979 nonce derivation ----------------------------------------------
-
-
-def _bits2int(data: bytes, qlen: int) -> int:
-    v = int.from_bytes(data, "big")
-    excess = len(data) * 8 - qlen
-    return v >> excess if excess > 0 else v
-
-
-def _int2octets(v: int, rolen: int) -> bytes:
-    return v.to_bytes(rolen, "big")
-
-
-def _deterministic_nonces(d: int, h1: bytes, q: int, hashname: str):
-    qlen = q.bit_length()
-    rolen = (qlen + 7) // 8
-    holen = hashlib.new(hashname).digest_size
-    z1 = _bits2int(h1, qlen)
-    bx = _int2octets(d, rolen) + _int2octets(z1 % q, rolen)
-    V = b"\x01" * holen
-    K = b"\x00" * holen
-    K = hmac.new(K, V + b"\x00" + bx, hashname).digest()
-    V = hmac.new(K, V, hashname).digest()
-    K = hmac.new(K, V + b"\x01" + bx, hashname).digest()
-    V = hmac.new(K, V, hashname).digest()
-    while True:
-        T = b""
-        while len(T) < rolen:
-            V = hmac.new(K, V, hashname).digest()
-            T += V
-        k = _bits2int(T, qlen)
-        if 1 <= k < q:
-            yield k
-        K = hmac.new(K, V + b"\x00", hashname).digest()
-        V = hmac.new(K, V, hashname).digest()
-
-
 def sign(priv: EcPrivateKey, scheme: SignatureScheme, message: bytes) -> bytes:
     """Deterministic ECDSA, DER-encoded; identical inputs give identical bytes."""
     if SCHEME_GROUP[scheme] != priv.group:
         raise ValueError("signature scheme does not match the key's curve")
-    cp = _CURVES[priv.group]
-    hashname = _SCHEME_HASH[scheme]
-    h1 = hashlib.new(hashname, message).digest()
-    z = _bits2int(h1, cp.n.bit_length()) % cp.n
-    for k in _deterministic_nonces(priv.d, h1, cp.n, hashname):
-        rx, _ = _scalar_base_mult(priv.group, k)
-        r = rx % cp.n
-        if r == 0:
-            continue
-        s = pow(k, -1, cp.n) * (z + r * priv.d) % cp.n
-        if s == 0:
-            continue
-        return encode_dss_signature(r, s)
+    return _backend_private(priv).sign(
+        message, _ec.ECDSA(_SCHEME_BACKEND_HASH[scheme](), deterministic_signing=True)
+    )
 
 
 def verify(

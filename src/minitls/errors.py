@@ -66,14 +66,6 @@ class ReplayedRecord(ProtocolError):
     alert = "replayed_record"
 
 
-class UnknownCid(ProtocolError):
-    alert = "unknown_cid"
-
-
-class UnknownEpoch(ProtocolError):
-    alert = "unknown_epoch"
-
-
 class FragmentGap(ProtocolError):
     alert = "fragment_gap"
 
@@ -100,19 +92,11 @@ class BadSignature(ProtocolError):
     alert = "bad_certificate_verify"
 
 
-class BadCookie(ProtocolError):
-    alert = "bad_cookie"
-
-
 class NoCommonSuite(ProtocolError):
     alert = "handshake_failure"
 
 
 class NoCommonGroup(ProtocolError):
-    alert = "handshake_failure"
-
-
-class MissingCredential(ProtocolError):
     alert = "handshake_failure"
 
 

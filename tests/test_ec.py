@@ -6,28 +6,50 @@ from minitls import ec
 from minitls.crypto import NamedGroup, SignatureScheme
 from minitls.errors import InvalidPoint
 
-# Deterministic-ECDSA known answers (RFC 6979 appendix, P-256 key).
+# Deterministic-ECDSA known answers (RFC 6979 appendix A.2.5 and A.2.7):
+# (group, scheme, private x, message, r, s).
 P256_X = 0xC9AFA9D845BA75166B5C215767B1D6934E50C3DB36E89B127B8A622B120F6721
-P256_KNOWN = [
+P521_X = 0x0FAD06DAA62BA3B25D2FB40133DA757205DE67F5BB0018FEE8C86E1B68C7E75CAA896EB32F1F47C70855836A6D16FCC1466F6D8FBEC67DB89EC0C08B0E996B83538
+P256 = (NamedGroup.SECP256R1, SignatureScheme.ECDSA_SECP256R1_SHA256, P256_X)
+P521 = (NamedGroup.SECP521R1, SignatureScheme.ECDSA_SECP521R1_SHA512, P521_X)
+KNOWN_ANSWERS = [
     (
+        *P256,
         b"sample",
         0xEFD48B2AACB6A8FD1140DD9CD45E81D69D2C877B56AAF991C34D0EA84EAF3716,
         0xF7CB1C942D657C41D436C7A1B6E29F65F3E900DBB9AFF4064DC4AB2F843ACDA8,
     ),
     (
+        *P256,
         b"test",
         0xF1ABB023518351CD71D881567B1EA663ED3EFCF6C5132B354F28D3B0B7D38367,
         0x019F4113742A2B14BD25926B49C649155F267E60D3814B4C0CC84250E46F0083,
     ),
+    (
+        *P521,
+        b"sample",
+        0x0C328FAFCBD79DD77850370C46325D987CB525569FB63C5D3BC53950E6D4C5F174E25A1EE9017B5D450606ADD152B534931D7D4E8455CC91F9B15BF05EC36E377FA,
+        0x0617CCE7CF5064806C467F678D3B4080D6F1CC50AF26CA209417308281B68AF282623EAA63E5B5C0723D8B8C37FF0777B1A20F8CCB1DCCC43997F1EE0E44DA4A67A,
+    ),
+    (
+        *P521,
+        b"test",
+        0x13E99020ABF5CEE7525D16B69B229652AB6BDF2AFFCAEF38773B4B7D08725F10CDB93482FDCC54EDCEE91ECA4166B2A7C6265EF0CE2BD7051B7CEF945BABD47EE6D,
+        0x1FBD0013C674AA79CB39849527916CE301C66EA7CE8B80682786AD60F98F7E78A19CA69EFF5C57400E3B3A0AD66CE0978214D13BAF4E9AC60752F7B155E2DE4DCE3,
+    ),
 ]
 
 
-@pytest.mark.parametrize("message,r,s", P256_KNOWN)
-def test_deterministic_ecdsa_published_vectors(message, r, s):
-    priv = ec.EcPrivateKey(NamedGroup.SECP256R1, P256_X)
-    sig = ec.sign(priv, SignatureScheme.ECDSA_SECP256R1_SHA256, message)
+@pytest.mark.parametrize(
+    "group,scheme,x,message,r,s",
+    KNOWN_ANSWERS,
+    ids=[f"{m.decode()}-{r}-{s}" for *_, m, r, s in KNOWN_ANSWERS],
+)
+def test_deterministic_ecdsa_published_vectors(group, scheme, x, message, r, s):
+    priv = ec.EcPrivateKey(group, x)
+    sig = ec.sign(priv, scheme, message)
     assert ec.signature_parts(sig) == (r, s)
-    assert ec.verify(priv.public_bytes(), SignatureScheme.ECDSA_SECP256R1_SHA256, message, sig)
+    assert ec.verify(priv.public_bytes(), scheme, message, sig)
 
 
 @pytest.mark.parametrize(
