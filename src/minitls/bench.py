@@ -224,7 +224,7 @@ class Driver:
 
 
 def _public_half(cred: EcCredential) -> EcCredential:
-    return EcCredential(cred.group, 0, cred.public_point, cred.cert_der)
+    return dataclasses.replace(cred, private=None)
 
 
 def build_configs(scenario: Scenario):

@@ -315,8 +315,7 @@ class Connection:
 
     def _sign(self, cred: EcCredential, content: bytes) -> bytes:
         self.counters.sign_ops += 1
-        priv = ec.EcPrivateKey(cred.group, cred.private_value)
-        sig = ec.sign(priv, cred.scheme, content)
+        sig = ec.sign(cred.private, cred.scheme, content)
         # verify-after-sign: never emit a signature that fails locally
         if not self._verify(cred.public_point, cred.scheme, content, sig):
             raise BadSignature("self-check of fresh signature failed")

@@ -44,6 +44,7 @@ class HashAlg(IntEnum):
 
 
 _HASH_NAMES = {HashAlg.SHA256: "sha256", HashAlg.SHA384: "sha384"}
+_HASH_LENS = {HashAlg.SHA256: 32, HashAlg.SHA384: 48}
 
 
 @dataclass(frozen=True)
@@ -105,7 +106,7 @@ def hash_data(alg: HashAlg, data: bytes) -> bytes:
 
 
 def hash_len(alg: HashAlg) -> int:
-    return hashlib.new(_HASH_NAMES[alg]).digest_size
+    return _HASH_LENS[alg]
 
 
 def hmac_digest(alg: HashAlg, key: bytes, data: bytes) -> bytes:
@@ -171,7 +172,8 @@ def hkdf_expand_label(
 # --- AEAD ------------------------------------------------------------------
 
 
-def _aead(params: SuiteParams, key: bytes):
+def aead_cipher(params: SuiteParams, key: bytes):
+    """The suite's AEAD object under ``key``; build once per key and reuse."""
     if len(key) != params.key_len:
         raise ValueError(f"key must be {params.key_len} bytes")
     if params.aead_alg == AeadAlg.AES_CCM:
@@ -179,31 +181,31 @@ def _aead(params: SuiteParams, key: bytes):
     return AESGCM(key)
 
 
-def aead_seal(
-    params: SuiteParams, key: bytes, nonce: bytes, aad: bytes, plaintext: bytes
-) -> bytes:
+def aead_seal(params: SuiteParams, aead, nonce: bytes, aad: bytes, plaintext: bytes) -> bytes:
     if len(nonce) != params.iv_len:
         raise ValueError(f"nonce must be {params.iv_len} bytes")
-    return _aead(params, key).encrypt(nonce, plaintext, aad)
+    return aead.encrypt(nonce, plaintext, aad)
 
 
-def aead_open(
-    params: SuiteParams, key: bytes, nonce: bytes, aad: bytes, ciphertext: bytes
-) -> bytes:
+def aead_open(params: SuiteParams, aead, nonce: bytes, aad: bytes, ciphertext: bytes) -> bytes:
     if len(nonce) != params.iv_len:
         raise ValueError(f"nonce must be {params.iv_len} bytes")
     try:
-        return _aead(params, key).decrypt(nonce, ciphertext, aad)
+        return aead.decrypt(nonce, ciphertext, aad)
     except InvalidTag:
         raise AuthenticationFailure("AEAD tag mismatch") from None
 
 
-def block_encrypt(key: bytes, block: bytes) -> bytes:
+def block_cipher(key: bytes):
+    """Raw AES encryptor; ECB keeps no state between whole blocks, so one serves many."""
+    return Cipher(algorithms.AES(key), modes.ECB()).encryptor()
+
+
+def block_encrypt(encryptor, block: bytes) -> bytes:
     """One raw AES block; used only for sequence-number masking."""
     if len(block) != 16:
         raise ValueError("block must be 16 bytes")
-    enc = Cipher(algorithms.AES(key), modes.ECB()).encryptor()
-    return enc.update(block) + enc.finalize()
+    return encryptor.update(block)
 
 
 # --- transcript hash -------------------------------------------------------

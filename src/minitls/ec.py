@@ -4,9 +4,13 @@ Everything is delegated to the OpenSSL backend: key generation from an
 injected scalar, point validation, Diffie-Hellman, verification, and
 signing in OpenSSL's RFC 6979 deterministic mode, which the wire tests
 need for byte-identical signatures across runs and processes.
+
+An ``EcPrivateKey`` derives its OpenSSL key once, at construction, and
+``shared_secret``/``sign`` reuse it; peer public keys are decoded and
+validated on every call.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives import hashes
@@ -38,17 +42,20 @@ _SCHEME_BACKEND_HASH = {
 
 @dataclass(frozen=True)
 class EcPrivateKey:
+    """A private scalar and the OpenSSL key derived from it at construction."""
+
     group: NamedGroup
-    d: int
+    d: int = field(repr=False)
+    _key: _ec.EllipticCurvePrivateKey = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        key = _ec.derive_private_key(self.d, _BACKEND_CURVES[self.group]())
+        object.__setattr__(self, "_key", key)
 
     def public_bytes(self) -> bytes:
-        return _backend_private(self).public_key().public_bytes(
+        return self._key.public_key().public_bytes(
             Encoding.X962, PublicFormat.UncompressedPoint
         )
-
-
-def _backend_private(priv: EcPrivateKey):
-    return _ec.derive_private_key(priv.d, _BACKEND_CURVES[priv.group]())
 
 
 def _backend_public(group: NamedGroup, point: bytes):
@@ -69,14 +76,14 @@ def keypair(group: NamedGroup, rng) -> tuple[EcPrivateKey, bytes]:
 def shared_secret(priv: EcPrivateKey, peer_public: bytes) -> bytes:
     """ECDH: x-coordinate of d*Q, field-length bytes."""
     peer = _backend_public(priv.group, peer_public)
-    return _backend_private(priv).exchange(_ec.ECDH(), peer)
+    return priv._key.exchange(_ec.ECDH(), peer)
 
 
 def sign(priv: EcPrivateKey, scheme: SignatureScheme, message: bytes) -> bytes:
     """Deterministic ECDSA, DER-encoded; identical inputs give identical bytes."""
     if SCHEME_GROUP[scheme] != priv.group:
         raise ValueError("signature scheme does not match the key's curve")
-    return _backend_private(priv).sign(
+    return priv._key.sign(
         message, _ec.ECDSA(_SCHEME_BACKEND_HASH[scheme](), deterministic_signing=True)
     )
 

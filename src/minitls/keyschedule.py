@@ -32,9 +32,11 @@ class TrafficKeys:
 
     sn_key exists only for DTLS (sequence-number masking).  Counters
     never decrease; hitting the 2^48 record ceiling is a hard error.
+    The OpenSSL AEAD object and sequence-number encryptor are built on
+    first use and live as long as these keys.
     """
 
-    __slots__ = ("secret", "key", "iv", "sn_key", "read_seq", "write_seq")
+    __slots__ = ("secret", "key", "iv", "sn_key", "read_seq", "write_seq", "_aead", "_sn_cipher")
 
     def __init__(self, secret: bytes, key: bytes, iv: bytes, sn_key: bytes | None):
         self.secret = secret
@@ -43,6 +45,18 @@ class TrafficKeys:
         self.sn_key = sn_key
         self.read_seq = 0
         self.write_seq = 0
+        self._aead = None
+        self._sn_cipher = None
+
+    def aead(self, params: crypto.SuiteParams):
+        if self._aead is None:
+            self._aead = crypto.aead_cipher(params, self.key)
+        return self._aead
+
+    def sn_cipher(self):
+        if self._sn_cipher is None:
+            self._sn_cipher = crypto.block_cipher(self.sn_key)
+        return self._sn_cipher
 
     def next_write_seq(self) -> int:
         if self.write_seq >= SEQ_LIMIT:

@@ -620,14 +620,18 @@ def fragment(msg_bytes: bytes, mtu_budget: int) -> list:
 
 
 class FragmentBuffer:
-    """Collects fragments of one message; order-insensitive, duplicate-tolerant."""
+    """Collects fragments of one message; order-insensitive, duplicate-tolerant.
+
+    ``covered`` lists the received byte ranges as sorted ``(start, end)``
+    pairs, merged wherever they overlap or touch.
+    """
 
     def __init__(self, msg_type: int, length: int, message_seq: int):
         self.msg_type = msg_type
         self.length = length
         self.message_seq = message_seq
         self.buf = bytearray(length)
-        self.have = [False] * length
+        self.covered: list = []
 
     def add(self, frag: DtlsFragment) -> None:
         if (frag.msg_type, frag.length, frag.message_seq) != (
@@ -636,19 +640,31 @@ class FragmentBuffer:
             self.message_seq,
         ):
             raise InconsistentDuplicate("fragment header fields disagree")
-        for i, b in enumerate(frag.body, start=frag.fragment_offset):
-            if self.have[i] and self.buf[i] != b:
+        start, body = frag.fragment_offset, frag.body
+        end = start + len(body)
+        for lo, hi in self.covered:
+            lo, hi = max(lo, start), min(hi, end)
+            if lo < hi and self.buf[lo:hi] != body[lo - start : hi - start]:
+                i = next(i for i in range(lo, hi) if self.buf[i] != body[i - start])
                 raise InconsistentDuplicate(f"byte {i} differs between fragments")
-            self.buf[i] = b
-            self.have[i] = True
+        self.buf[start:end] = body
+        merged = []
+        for lo, hi in self.covered:
+            if hi < start or lo > end:
+                merged.append((lo, hi))
+            else:
+                start, end = min(lo, start), max(hi, end)
+        merged.append((start, end))
+        merged.sort()
+        self.covered = merged
 
     @property
     def complete(self) -> bool:
-        return all(self.have)
+        return self.length == 0 or self.covered == [(0, self.length)]
 
     def assemble(self) -> bytes:
         if not self.complete:
-            missing = self.have.index(False)
+            missing = self.covered[0][1] if self.covered and self.covered[0][0] == 0 else 0
             raise FragmentGap(f"gap-on-flush: first missing byte {missing}")
         return DtlsFragment(
             self.msg_type, self.length, self.message_seq, 0, self.length, bytes(self.buf)

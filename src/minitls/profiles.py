@@ -11,6 +11,7 @@ import random
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
+from . import ec
 from .crypto import NamedGroup, SignatureScheme, SuiteId
 from .errors import CredentialParseError, IllegalOverride, UnknownProfile
 
@@ -157,7 +158,7 @@ class PskCredential:
 @dataclass(frozen=True)
 class EcCredential:
     group: NamedGroup
-    private_value: int  # 0 when only the public half is known
+    private: ec.EcPrivateKey | None = field(repr=False)  # None: public half only
     public_point: bytes
     cert_der: bytes = b""
 
@@ -209,10 +210,11 @@ def credential_store_load(path) -> CredentialStore:
                     if len(fields) != 4:
                         raise ValueError("eckey needs curve, private and public")
                     group = _CURVE_NAMES[fields[1]]
+                    d = int(fields[2], 16)
                     store.ec_keys.append(
                         EcCredential(
                             group,
-                            int(fields[2], 16),
+                            ec.EcPrivateKey(group, d) if d else None,
                             bytes.fromhex(fields[3]),
                         )
                     )
@@ -232,15 +234,11 @@ def synthetic_cert(rng: random.Random, cert_size: int) -> bytes:
 
 def make_deployment(seed: int, groups, cert_size: int) -> dict:
     """Deterministic credential material for one client/server pair."""
-    from . import ec as _ecmod
-
     rng = random.Random(f"minitls-creds-{seed}")
     psk = PskCredential(identity=b"bench-psk-" + rng.randbytes(6), secret=rng.randbytes(32))
     out = {"psk": psk, "client_ec": {}, "server_ec": {}}
     for group in groups:
         for side in ("client_ec", "server_ec"):
-            priv, pub = _ecmod.keypair(group, rng)
-            out[side][group] = EcCredential(
-                group, priv.d, pub, synthetic_cert(rng, cert_size)
-            )
+            priv, pub = ec.keypair(group, rng)
+            out[side][group] = EcCredential(group, priv, pub, synthetic_cert(rng, cert_size))
     return out

@@ -6,6 +6,9 @@ AES block over the first 16 ciphertext bytes under sn_key) is applied
 after sealing and removed before opening, so seal/open are exact
 inverses.  Epoch-0 flights use the 13-byte DTLS 1.2-style header since
 no keys exist yet.
+
+The OpenSSL AEAD object and sequence-number ECB encryptor live on the
+``TrafficKeys`` of one epoch, direction and peer, built on first use.
 """
 
 from dataclasses import dataclass
@@ -58,8 +61,7 @@ def nonce_for(iv: bytes, seq64: int) -> bytes:
     """Per-record nonce: iv XOR left-zero-padded big-endian sequence."""
     if len(iv) != 12:
         raise ValueError("iv must be 12 bytes")
-    pad = seq64.to_bytes(len(iv), "big")
-    return bytes(a ^ b for a, b in zip(iv, pad))
+    return (int.from_bytes(iv, "big") ^ seq64).to_bytes(12, "big")
 
 
 def _inner_plaintext(payload: bytes, true_type: int, pad_len: int) -> bytes:
@@ -85,7 +87,7 @@ def seal_tls(params: SuiteParams, keys: TrafficKeys, true_type: int, payload: by
         raise RecordOverflow(f"protected record of {total} bytes exceeds limit")
     header = bytes([ContentType.APPLICATION_DATA]) + TLS_LEGACY_VERSION.to_bytes(2, "big") + total.to_bytes(2, "big")
     seq = keys.next_write_seq()
-    ct = crypto.aead_seal(params, keys.key, nonce_for(keys.iv, seq), header, inner)
+    ct = crypto.aead_seal(params, keys.aead(params), nonce_for(keys.iv, seq), header, inner)
     return header + ct
 
 
@@ -99,7 +101,7 @@ def open_tls(params: SuiteParams, keys: TrafficKeys, record: bytes) -> tuple:
         raise DecodeError("record length mismatch")
     header, body = record[:5], record[5:]
     seq = keys.read_seq
-    inner = crypto.aead_open(params, keys.key, nonce_for(keys.iv, seq), header, body)
+    inner = crypto.aead_open(params, keys.aead(params), nonce_for(keys.iv, seq), header, body)
     keys.note_read(seq)
     true_type, payload = _strip_inner(inner)
     return true_type, payload
@@ -190,8 +192,8 @@ def seal_dtls(
         length_present=length_present,
     )
     aad = header.encode(ct_len)
-    ct = crypto.aead_seal(params, keys.key, nonce_for(keys.iv, seq), aad, inner)
-    mask = crypto.block_encrypt(keys.sn_key, ct[:16])[:seq_len]
+    ct = crypto.aead_seal(params, keys.aead(params), nonce_for(keys.iv, seq), aad, inner)
+    mask = crypto.block_encrypt(keys.sn_cipher(), ct[:16])[:seq_len]
     seq_off = 1 + len(cid)
     wire = bytearray(aad)
     for i in range(seq_len):
@@ -300,7 +302,7 @@ def open_dtls(
 ) -> tuple:
     """Returns (full_seq, true_type, payload); replay window advances only
     after the tag verifies."""
-    mask = crypto.block_encrypt(keys.sn_key, parsed.ciphertext[:16])[: parsed.seq_len]
+    mask = crypto.block_encrypt(keys.sn_cipher(), parsed.ciphertext[:16])[: parsed.seq_len]
     aad = bytearray(parsed.header)
     for i in range(parsed.seq_len):
         aad[parsed.seq_off + i] ^= mask[i]
@@ -309,7 +311,7 @@ def open_dtls(
     if window.seen(full_seq):
         raise ReplayedRecord(f"sequence {full_seq} already accepted")
     inner = crypto.aead_open(
-        params, keys.key, nonce_for(keys.iv, full_seq), bytes(aad), parsed.ciphertext
+        params, keys.aead(params), nonce_for(keys.iv, full_seq), bytes(aad), parsed.ciphertext
     )
     window.add(full_seq)
     keys.note_read(full_seq)

@@ -13,7 +13,7 @@ DEFAULT_SUITE = SuiteId.AES_128_CCM_SHA256
 
 
 def public_half(cred: EcCredential) -> EcCredential:
-    return EcCredential(cred.group, 0, cred.public_point, cred.cert_der)
+    return replace(cred, private=None)
 
 
 def make_configs(

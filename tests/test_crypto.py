@@ -90,25 +90,25 @@ def test_aead_round_trip_all_suites():
     for sid in ALL_SUITES:
         params = crypto.suite_params(sid)
         for _ in range(100):
-            key = rng.randbytes(params.key_len)
+            aead = crypto.aead_cipher(params, rng.randbytes(params.key_len))
             nonce = rng.randbytes(params.iv_len)
             aad = rng.randbytes(rng.randrange(0, 32))
             pt = rng.randbytes(rng.randrange(0, 200))
-            ct = crypto.aead_seal(params, key, nonce, aad, pt)
+            ct = crypto.aead_seal(params, aead, nonce, aad, pt)
             assert len(ct) == len(pt) + params.tag_len
-            assert crypto.aead_open(params, key, nonce, aad, ct) == pt
+            assert crypto.aead_open(params, aead, nonce, aad, ct) == pt
 
 
 def test_aead_empty_plaintext_is_tag_only():
     params = crypto.suite_params(SuiteId.AES_128_CCM_SHA256)
-    ct = crypto.aead_seal(params, b"k" * 16, b"n" * 12, b"", b"")
+    ct = crypto.aead_seal(params, crypto.aead_cipher(params, b"k" * 16), b"n" * 12, b"", b"")
     assert len(ct) == params.tag_len
 
 
 def test_aead_tamper_detection():
     rng = random.Random(99)
     params = crypto.suite_params(SuiteId.AES_128_CCM_SHA256)
-    key, nonce, aad = b"k" * 16, b"n" * 12, b"associated"
+    key, nonce, aad = crypto.aead_cipher(params, b"k" * 16), b"n" * 12, b"associated"
     pt = b"payload bytes"
     ct = crypto.aead_seal(params, key, nonce, aad, pt)
     for _ in range(1000):

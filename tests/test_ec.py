@@ -1,8 +1,9 @@
 import random
 
 import pytest
+from cryptography.hazmat.primitives.asymmetric import ec as backend_ec
 
-from minitls import ec
+from minitls import bench, ec
 from minitls.crypto import NamedGroup, SignatureScheme
 from minitls.errors import InvalidPoint
 
@@ -112,3 +113,28 @@ def test_public_bytes_are_uncompressed_points():
     _, pub521 = ec.keypair(NamedGroup.SECP521R1, random.Random(10))
     assert len(pub256) == 65 and pub256[0] == 0x04
     assert len(pub521) == 133 and pub521[0] == 0x04
+
+
+@pytest.mark.parametrize(
+    "profile, protocol, mode, suite",
+    [
+        ("ecdsa128_256", "dtls", "pk_mutual", 0x13A4),  # P-521
+        ("ecdsa128", "tls", "pk_server_only", None),  # P-256
+    ],
+)
+def test_each_private_key_is_derived_once(monkeypatch, profile, protocol, mode, suite):
+    derived = []
+    derive = backend_ec.derive_private_key
+
+    def counting_derive(*args):
+        derived.append(args)
+        return derive(*args)
+
+    monkeypatch.setattr(backend_ec, "derive_private_key", counting_derive)
+    report = bench.run_scenario(
+        bench.Scenario(profile=profile, protocol=protocol, mode=mode, suite=suite)
+    )
+    assert report.ok
+    # Two credential keys (one per side) and two ephemeral ECDHE keys;
+    # signing and ECDH reuse them.
+    assert len(derived) == 4

@@ -241,6 +241,74 @@ def test_fragment_gap_and_inconsistency():
         m.reassemble([frags[0], bad])
 
 
+def _bytewise_reassembly(length, pieces):
+    """Per-byte reference for FragmentBuffer: the error text or the body."""
+    buf, have = bytearray(length), [False] * length
+    for lo, data in pieces:
+        for i, b in enumerate(data, start=lo):
+            if have[i] and buf[i] != b:
+                return f"byte {i} differs between fragments"
+            buf[i], have[i] = b, True
+    if not all(have):
+        return f"gap-on-flush: first missing byte {have.index(False)}"
+    return bytes(buf)
+
+
+def _interval_reassembly(length, pieces):
+    buf = m.FragmentBuffer(11, length, 0)
+    try:
+        for lo, data in pieces:
+            buf.add(m.DtlsFragment(11, length, 0, lo, len(data), data))
+        return m.decode_dtls_fragment(buf.assemble()).body
+    except (InconsistentDuplicate, FragmentGap) as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize(
+    "spans, expected",
+    [
+        ([(60, 100), (0, 30), (30, 60)], None),  # out of order
+        ([(10, 50), (40, 80), (0, 20), (70, 100), (0, 100)], None),  # overlapping, consistent
+        ([(0, 20), (30, 50), (10, 40, {35, 15})], "byte 15 differs between fragments"),
+        ([(0, 50), (40, 60, {55, 45})], "byte 45 differs between fragments"),
+        ([(0, 30), (50, 100)], "gap-on-flush: first missing byte 30"),
+        ([(10, 100)], "gap-on-flush: first missing byte 0"),
+    ],
+)
+def test_fragment_buffer_intervals(spans, expected):
+    body = bytes(range(100))
+    pieces = []
+    for lo, hi, *flipped in spans:
+        data = bytearray(body[lo:hi])
+        for i in flipped[0] if flipped else ():
+            data[i - lo] ^= 0xFF
+        pieces.append((lo, bytes(data)))
+    assert _interval_reassembly(100, pieces) == _bytewise_reassembly(100, pieces)
+    assert _interval_reassembly(100, pieces) == (expected or body)
+
+
+def test_fragment_buffer_matches_bytewise_reference():
+    rng = random.Random(12)
+    for _ in range(500):
+        length = rng.randrange(0, 60)
+        body = rng.randbytes(length)
+        pieces = []
+        for _ in range(rng.randrange(0, 8)):
+            lo = rng.randrange(0, length + 1)
+            data = bytearray(body[lo : rng.randrange(lo, length + 1)])
+            if data and rng.random() < 0.15:
+                data[rng.randrange(len(data))] ^= 1
+            pieces.append((lo, bytes(data)))
+        assert _interval_reassembly(length, pieces) == _bytewise_reassembly(length, pieces)
+
+
+def test_zero_length_message_is_complete():
+    buf = m.FragmentBuffer(11, 0, 0)
+    assert buf.complete
+    buf.add(m.DtlsFragment(11, 0, 0, 0, 0, b""))
+    assert buf.complete and m.decode_dtls_fragment(buf.assemble()).body == b""
+
+
 def test_fragment_range_validation():
     with pytest.raises(DecodeError):
         m.decode_dtls_fragment(

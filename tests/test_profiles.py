@@ -85,7 +85,7 @@ def test_credential_file_round_trip(tmp_path):
     assert len(store.psks) == 1
     assert store.psks[0].identity == b"psk-id"
     assert store.ec_keys[0].group == NamedGroup.SECP256R1
-    assert store.ec_keys[0].private_value == 0x1234
+    assert store.ec_keys[0].private.d == 0x1234
     assert store.cert_size == 800
 
 
@@ -112,3 +112,11 @@ def test_make_deployment_deterministic():
     assert d1["psk"] == d2["psk"]
     assert d1["client_ec"] == d2["client_ec"]
     assert len(d1["server_ec"][NamedGroup.SECP256R1].cert_der) == 500
+
+
+def test_reprs_hide_private_scalars():
+    cred = profiles.make_deployment(3, [NamedGroup.SECP256R1], 100)["client_ec"][NamedGroup.SECP256R1]
+    d = cred.private.d
+    for text in (repr(cred), repr(cred.private)):
+        assert f"{d:x}" not in text.lower()
+        assert str(d) not in text

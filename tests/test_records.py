@@ -91,7 +91,7 @@ def test_tls_all_zero_inner():
     w, r = tls_keys(), tls_keys()
     inner = bytes(5)
     header = bytes([0x17, 0x03, 0x03]) + (len(inner) + 16).to_bytes(2, "big")
-    ct = crypto.aead_seal(P128, w.key, records.nonce_for(w.iv, 0), header, inner)
+    ct = crypto.aead_seal(P128, w.aead(P128), records.nonce_for(w.iv, 0), header, inner)
     with pytest.raises(AllZeroInner):
         records.open_tls(P128, r, header + ct)
 
@@ -278,3 +278,43 @@ def test_dtls_plaintext_records():
     _, _, _, used = records.parse_dtls_plaintext(two, 0)
     ctype2, seq2, payload2, _ = records.parse_dtls_plaintext(two, used)
     assert (ctype2, seq2, payload2) == (ContentType.ALERT, 8, b"\x02\x28")
+
+
+def test_dtls_epoch_builds_one_aead_and_one_sn_encryptor(monkeypatch):
+    built = {"aead": 0, "ecb": 0}
+    aesccm, cipher = crypto.AESCCM, crypto.Cipher
+
+    def counting_aesccm(*args, **kwargs):
+        built["aead"] += 1
+        return aesccm(*args, **kwargs)
+
+    def counting_cipher(*args, **kwargs):
+        built["ecb"] += 1
+        return cipher(*args, **kwargs)
+
+    monkeypatch.setattr(crypto, "AESCCM", counting_aesccm)
+    monkeypatch.setattr(crypto, "Cipher", counting_cipher)
+    keys, window = dtls_keys(), ReplayWindow()
+    recs = [records.seal_dtls(P128, keys, 3, ContentType.APPLICATION_DATA, bytes([i])) for i in range(10)]
+    for i, rec in enumerate(recs):
+        seq, _, payload = records.open_dtls(P128, keys, window, records.parse_unified(rec, 0, 0))
+        assert (seq, payload) == (i, bytes([i]))
+    assert built == {"aead": 1, "ecb": 1}
+
+
+def test_reused_record_ciphers_keep_every_check():
+    short_key = TrafficKeys(b"s" * 32, b"k" * 15, b"i" * 12, b"n" * 16)
+    with pytest.raises(ValueError):
+        records.seal_dtls(P128, short_key, 3, ContentType.APPLICATION_DATA, b"x")
+    w, r = dtls_keys(), dtls_keys()
+    window = ReplayWindow()
+    first, second = (records.seal_dtls(P128, w, 3, ContentType.APPLICATION_DATA, b"x") for _ in range(2))
+    records.open_dtls(P128, r, window, records.parse_unified(first, 0, 0))  # builds r's ciphers
+    flipped = bytearray(second)
+    flipped[-1] ^= 1  # a tag bit
+    with pytest.raises(AuthenticationFailure):
+        records.open_dtls(P128, r, window, records.parse_unified(bytes(flipped), 0, 0))
+    with pytest.raises(ReplayedRecord):
+        records.open_dtls(P128, r, window, records.parse_unified(first, 0, 0))
+    seq, _, payload = records.open_dtls(P128, r, window, records.parse_unified(second, 0, 0))
+    assert (seq, payload) == (1, b"x")
