@@ -127,12 +127,13 @@ class Report:
 class Driver:
     """Event loop shuttling records between one client and one listener."""
 
-    def __init__(self, client: Connection, listener: ServerListener, link, *, packing=False, mtu=1280):
+    def __init__(self, client: Connection, listener: ServerListener, link):
         self.client = client
         self.listener = listener
         self.link = link
-        self.packing = packing
-        self.mtu = mtu
+        # only DTLS packs records into datagrams; a TLS stream sends each record
+        self.packing = client.cfg.packing and client.protocol == Protocol.DTLS
+        self.mtu = link.config.mtu
         self.per_message: list = []
         self.actions: list = []  # (time_ms, fn(driver, now))
         self.send_filter = None  # fn(endpoint, OutRecord, now) -> keep?
@@ -149,7 +150,7 @@ class Driver:
         if self.send_filter is not None:
             outs = [r for r in outs if self.send_filter(endpoint, r, now)]
         direction = "c2s" if endpoint == CLIENT else "s2c"
-        if self.packing and isinstance(self.link, DatagramLink):
+        if self.packing:
             batch: list = []
             size = 0
             for rec in outs:
@@ -263,7 +264,6 @@ def build_configs(scenario: Scenario):
         suites=suites,
         groups=groups if mode in (AuthMode.PK_MUTUAL, AuthMode.PK_SERVER_ONLY, AuthMode.PSK_ECDHE) else (),
         compat=prof.compat_mode and protocol == Protocol.TLS,
-        cert_size=prof.cert_size,
         pad_len=scenario.pad_len,
         mtu=scenario.net.mtu,
         packing=scenario.packing,
@@ -308,8 +308,7 @@ def run_scenario(scenario: Scenario) -> Report:
         # warm leg issues a ticket; the measured leg resumes with it
         warm_server_cfg = dataclasses.replace(server_cfg, tickets=True)
         listener = ServerListener(warm_server_cfg, server_rng)
-        warm = Driver(client, listener, link_cls(scenario.net),
-                      packing=scenario.packing, mtu=scenario.net.mtu)
+        warm = Driver(client, listener, link_cls(scenario.net))
         warm_end = warm.run()
         if not client.client_tickets:
             raise ProtocolError("warm handshake issued no ticket to resume")
@@ -323,9 +322,7 @@ def run_scenario(scenario: Scenario) -> Report:
         start_ms = warm_end + 100
     else:
         listener = ServerListener(server_cfg, server_rng)
-    driver = Driver(
-        client, listener, link, packing=scenario.packing, mtu=scenario.net.mtu
-    )
+    driver = Driver(client, listener, link)
     if scenario.app_payload:
         driver.app_payload = bytes(scenario.app_payload)
     finished_at = driver.run(start_ms=start_ms)
@@ -372,15 +369,13 @@ def run_scenario(scenario: Scenario) -> Report:
         **legacy_kwargs,
     )
 
-    stats = link.stats.to_dict()
-    stats.pop("per_message")  # the driver's table below is authoritative
     return Report(
         scenario=scenario,
         ok=ok,
         failure=None if ok else failure,
         failed_phase=failed_phase,
         flights=flights,
-        wire=stats,
+        wire=link.stats.to_dict(),
         per_message=driver.per_message,
         counters_client=client.counters.to_dict(),
         counters_server=(server.counters.to_dict() if server else OpCounters().to_dict()),
@@ -400,6 +395,11 @@ def paper_reference(report: Report):
     return None
 
 
+def deviation_pct(report: Report, ref_13: int) -> float:
+    """Measured 1.3 total against a published 1.3 total, in percent."""
+    return 100.0 * (report.total() - ref_13) / ref_13
+
+
 def compare_paper(reports) -> list:
     """Rows of (label, modeled_12, measured_13, diff, ref_12, ref_13, deviation_pct)."""
     rows = []
@@ -410,8 +410,8 @@ def compare_paper(reports) -> list:
             rows.append((rep.scenario.key(), rep.legacy12_total, total, total - rep.legacy12_total, None, None, None))
             continue
         label, v12, v13 = ref
-        deviation = 100.0 * (total - v13) / v13
-        rows.append((label, rep.legacy12_total, total, total - rep.legacy12_total, v12, v13, round(deviation, 1)))
+        rows.append((label, rep.legacy12_total, total, total - rep.legacy12_total, v12, v13,
+                     round(deviation_pct(rep, v13), 1)))
     return rows
 
 
@@ -424,7 +424,7 @@ def emit(reports, fmt: str = "text") -> str:
         for r in reports:
             ref = paper_reference(r)
             paper_ref = ref[2] if ref else ""
-            deviation = f"{100.0 * (r.total() - ref[2]) / ref[2]:.1f}" if ref else ""
+            deviation = f"{deviation_pct(r, ref[2]):.1f}" if ref else ""
             out.write(
                 ",".join(
                     str(x)
@@ -460,7 +460,7 @@ def emit(reports, fmt: str = "text") -> str:
                 ref = paper_reference(r)
                 if ref:
                     _, v12, v13 = ref
-                    row += f" {v12:>9} {v13:>9} {100.0 * (total - v13) / v13:>+6.1f}"
+                    row += f" {v12:>9} {v13:>9} {deviation_pct(r, v13):>+6.1f}"
                 else:
                     row += f" {'-':>9} {'-':>9} {'-':>6}"
             if not r.ok:

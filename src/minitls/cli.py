@@ -8,7 +8,7 @@ import argparse
 import json
 import sys
 
-from .bench import Scenario, emit, paper_reference, run_scenario
+from .bench import Scenario, deviation_pct, emit, paper_reference, run_scenario
 from .profiles import profile_names, resolve
 from .simnet import NetConfig
 
@@ -107,7 +107,7 @@ def _finish(reports, args) -> int:
             if ref is None or not rep.ok:
                 continue
             label, v12, v13 = ref
-            deviation = 100.0 * (rep.total() - v13) / v13
+            deviation = deviation_pct(rep, v13)
             if abs(deviation) > DEVIATION_WARN_PCT:
                 print(
                     f"warning: {label}: measured {rep.total()} deviates "

@@ -139,7 +139,6 @@ class ConnConfig:
     sni: str | None = None
     compat: bool = False
     early_payload: bytes = b""
-    cert_size: int = 500
     cid_len: int = 0  # length of the CID this endpoint asks peers to send
     offer_cid: bool = False  # send the extension even with an empty CID
     pad_len: int = 0
@@ -173,7 +172,6 @@ class Connection:
         self.protocol = cfg.protocol
         self.phase = Phase.START
         self.counters = OpCounters()
-        self.events: list = []
         self.event_log: list = []
         self.failure: str | None = None
         self.failed_from: str | None = None
@@ -214,7 +212,6 @@ class Connection:
         self.psk_in_use: PskCredential | None = None
         self.psk_kind_in_use = cfg.psk_kind
         self.obfuscated_age = 0
-        self.negotiated_mode: AuthMode | None = None
         self.client_tickets: list = []
         self.ticket_nonce_counter = 0
         self.auth_reads = 0  # records that decrypted successfully
@@ -228,13 +225,7 @@ class Connection:
     # ------------------------------------------------------------------ util
 
     def _event(self, now: int, kind: EventKind, **detail) -> None:
-        ev = Event(now, kind, detail)
-        self.events.append(ev)
-        self.event_log.append(ev)
-
-    def poll_events(self) -> list:
-        out, self.events = self.events, []
-        return out
+        self.event_log.append(Event(now, kind, detail))
 
     @property
     def connected(self) -> bool:
@@ -244,25 +235,22 @@ class Connection:
     def failed(self) -> bool:
         return self.phase == Phase.FAILED
 
-    def _fail(self, now: int, exc: ProtocolError) -> list:
+    def _teardown(self, now: int, alert: str, **detail) -> None:
         self.failed_from = self.phase.value
         self.phase = Phase.FAILED
-        self.failure = exc.alert
+        self.failure = alert
         self.retransmit_at = None  # a dead connection keeps no timers
         self.ack_at = None
         self.sent_unacked.clear()
-        self._event(now, EventKind.ALERT, alert=exc.alert, fatal=True)
+        self._event(now, EventKind.ALERT, alert=alert, **detail)
+
+    def _fail(self, now: int, exc: ProtocolError) -> list:
+        self._teardown(now, exc.alert, fatal=True)
         log.debug("%s failed: %s (%s)", self.conn_id, exc.alert, exc)
         return self._emit_alert(_ALERT_CODES.get(exc.alert, 80))
 
-    def _peer_alert(self, now: int, code: int = -1) -> None:
-        self.failed_from = self.phase.value
-        self.phase = Phase.FAILED
-        self.failure = "peer_alert"
-        self.retransmit_at = None
-        self.ack_at = None
-        self.sent_unacked.clear()
-        self._event(now, EventKind.ALERT, alert="peer_alert", code=code)
+    def _peer_alert(self, now: int, body: bytes) -> None:
+        self._teardown(now, "peer_alert", code=body[1] if len(body) > 1 else -1)
 
     def _emit_alert(self, code: int) -> list:
         body = bytes([2, code])
@@ -561,7 +549,7 @@ class Connection:
         if outer == ContentType.CHANGE_CIPHER_SPEC:
             return []  # compat artifact: ignored, zero crypto operations
         if outer == ContentType.ALERT:
-            self._peer_alert(now, payload[1] if len(payload) > 1 else -1)
+            self._peer_alert(now, payload)
             return []
         if outer == ContentType.HANDSHAKE:
             return self._feed_handshake_stream(payload, now)
@@ -599,7 +587,7 @@ class Connection:
                     break
                 offset += used
                 if ctype == ContentType.ALERT:
-                    self._peer_alert(now, payload[1] if len(payload) > 1 else -1)
+                    self._peer_alert(now, payload)
                     continue
                 if ctype == ContentType.CHANGE_CIPHER_SPEC:
                     continue
@@ -644,7 +632,7 @@ class Connection:
             self._process_ack(messages.parse_ack(payload))
             return []
         if true_type == ContentType.ALERT:
-            self._peer_alert(now, payload[1] if len(payload) > 1 else -1)
+            self._peer_alert(now, payload)
             return []
         if true_type == ContentType.APPLICATION_DATA:
             return self._handle_app_payload(epoch, payload, now)
@@ -730,10 +718,7 @@ class Connection:
     def _implicit_ack(self) -> None:
         """An in-order message from the peer's next flight proves our
         previous flight arrived whole."""
-        self.sent_unacked.clear()
-        self.retransmit_at = None
-        self.rto_ms = RTO_INITIAL_MS
-        self.retries = 0
+        self._process_ack(list(self.sent_unacked))
 
     def _process_ack(self, record_numbers) -> None:
         for rn in record_numbers:
@@ -753,11 +738,7 @@ class Connection:
         if self.phase == Phase.FAILED:
             return []
         self._now = now
-        out = []
-        if self.ack_at is not None and now >= self.ack_at:
-            self.ack_at = None
-            out.extend(self._send_ack(list(self.recv_flight) + self.stale_records))
-            self.stale_records = []
+        out = self._flush_acks(now)
         if self.retransmit_at is not None and now >= self.retransmit_at:
             if self.retries >= RTO_MAX_RETRIES:
                 out.extend(self._fail(now, HandshakeTimeout("retransmission cap reached")))
@@ -1023,7 +1004,6 @@ class Connection:
 
         psk = self._server_select_psk(ch, raw, now, fallback_possible=share is not None)
         mode = self._server_mode(psk, share)
-        self.negotiated_mode = mode
 
         cid_ext = messages.find_extension(ch.extensions, ExtensionType.CONNECTION_ID)
         if cid_ext is not None:
@@ -1191,11 +1171,6 @@ class Connection:
         if not self.connected:
             raise NotReady("application data before the handshake allows it")
         return [OutRecord(self._seal(EPOCH_APP, ContentType.APPLICATION_DATA, payload), "app_data")]
-
-
-def client_start(cfg: ConnConfig, rng: random.Random, now: int = 0):
-    conn = Connection(cfg, "client", rng, conn_id="C")
-    return conn, conn.start(now)
 
 
 def resume_config(cfg: ConnConfig, ticket: TicketState) -> ConnConfig:

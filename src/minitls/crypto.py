@@ -86,7 +86,6 @@ class NamedGroup(IntEnum):
 
 # Uncompressed point: 0x04 || X || Y, i.e. 2 * field_len + 1.
 GROUP_PUBKEY_LEN = {NamedGroup.SECP256R1: 65, NamedGroup.SECP521R1: 133}
-GROUP_FIELD_LEN = {NamedGroup.SECP256R1: 32, NamedGroup.SECP521R1: 66}
 
 
 class SignatureScheme(IntEnum):
@@ -95,10 +94,6 @@ class SignatureScheme(IntEnum):
 
 
 # --- hash / HMAC -----------------------------------------------------------
-
-
-def hash_new(alg: HashAlg):
-    return hashlib.new(_HASH_NAMES[alg])
 
 
 def hash_data(alg: HashAlg, data: bytes) -> bytes:
@@ -219,51 +214,6 @@ def message_hash(digest: bytes) -> bytes:
     return bytes([MESSAGE_HASH_TYPE, 0, 0, len(digest)]) + digest
 
 
-class TranscriptHash:
-    """Running hash over TLS-form handshake messages.
-
-    Incremental and one-shot use agree; after a HelloRetryRequest the
-    accumulated transcript collapses into a synthetic message_hash
-    message so both sides keep hashing from the same point.
-    """
-
-    def __init__(self, alg: HashAlg):
-        self.alg = alg
-        self._h = hash_new(alg)
-
-    def update(self, message: bytes) -> None:
-        self._h.update(message)
-
-    def digest(self) -> bytes:
-        return self._h.copy().digest()
-
-    def replace_with_message_hash(self) -> bytes:
-        """Collapse everything hashed so far into a message_hash message."""
-        synthetic = message_hash(self._h.digest())
-        self._h = hash_new(self.alg)
-        self._h.update(synthetic)
-        return synthetic
-
-
 def transcript_hash(messages, alg: HashAlg) -> bytes:
     """One-shot transcript hash over an ordered message sequence."""
-    t = TranscriptHash(alg)
-    for m in messages:
-        t.update(m)
-    return t.digest()
-
-
-# --- test-vector files -----------------------------------------------------
-
-
-def load_hex_vectors(path) -> list:
-    """Parse a vector file: one record per line, whitespace-separated hex
-    fields, ``#`` starts a comment."""
-    records = []
-    with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            records.append([bytes.fromhex(f) if f != "-" else b"" for f in line.split()])
-    return records
+    return hash_data(alg, b"".join(messages))

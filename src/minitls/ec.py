@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives import hashes
 from cryptography.hazmat.primitives.asymmetric import ec as _ec
-from cryptography.hazmat.primitives.asymmetric.utils import decode_dss_signature
 from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
 
 from .crypto import NamedGroup, SignatureScheme
@@ -98,7 +97,3 @@ def verify(
         return True
     except (InvalidSignature, InvalidPoint, ValueError):
         return False
-
-
-def signature_parts(signature: bytes) -> tuple[int, int]:
-    return decode_dss_signature(signature)

@@ -124,15 +124,5 @@ class IllegalOverride(ProtocolError):
     alert = "illegal_override"
 
 
-class CredentialParseError(ProtocolError):
-    """Credential file rejected; carries the 1-based line number."""
-
-    alert = "parse_error"
-
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
-        self.line_no = line_no
-
-
 class OversizedDatagram(ProtocolError):
     alert = "oversized_datagram"

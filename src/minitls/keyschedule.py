@@ -268,8 +268,3 @@ class KeySchedule:
     def resumption_psk(self, ticket_nonce: bytes) -> bytes:
         base = self.resumption_master
         return self.expand_label(base, b"resumption", ticket_nonce, self.params.hash_len)
-
-    def discard(self) -> None:
-        """Drop all secrets; the instance is unusable afterwards."""
-        self._secrets = {}
-        self.stage = KsStage.FRESH

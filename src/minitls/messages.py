@@ -11,7 +11,6 @@ import struct
 from dataclasses import dataclass, field
 from enum import IntEnum
 
-from .crypto import Protocol
 from .errors import (
     ConfigConflict,
     DecodeError,
@@ -27,7 +26,6 @@ HRR_RANDOM = bytes.fromhex(
     "cf21ad74e59a6111be1d8c021e65b891c2a211167abb8c5e079e09e2c8a8339c"
 )
 
-TLS_HANDSHAKE_HEADER_LEN = 4
 DTLS_HANDSHAKE_HEADER_LEN = 12
 
 
@@ -169,29 +167,8 @@ def ext_server_name(host: str) -> Extension:
     return Extension(ExtensionType.SERVER_NAME, _vec(2, entry))
 
 
-def parse_server_name(data: bytes) -> str:
-    r = Reader(data)
-    lst = Reader(r.vec(2))
-    r.expect_end("server_name")
-    if lst.u8() != 0:
-        raise DecodeError("unknown server_name type")
-    host = lst.vec(2)
-    lst.expect_end("server_name entry")
-    return host.decode("ascii")
-
-
 def ext_supported_groups(groups) -> Extension:
     return Extension(ExtensionType.SUPPORTED_GROUPS, _vec(2, _u16list(groups)))
-
-
-def parse_u16_vec2(data: bytes) -> list:
-    r = Reader(data)
-    body = Reader(r.vec(2))
-    r.expect_end("u16 list")
-    out = []
-    while body.remaining:
-        out.append(body.u16())
-    return out
 
 
 def ext_signature_algorithms(schemes) -> Extension:
@@ -200,13 +177,6 @@ def ext_signature_algorithms(schemes) -> Extension:
 
 def ext_psk_modes(modes) -> Extension:
     return Extension(ExtensionType.PSK_KEY_EXCHANGE_MODES, _vec(1, bytes(modes)))
-
-
-def parse_psk_modes(data: bytes) -> list:
-    r = Reader(data)
-    modes = list(r.vec(1))
-    r.expect_end("psk_key_exchange_modes")
-    return modes
 
 
 def ext_key_share_client(entries) -> Extension:
@@ -523,20 +493,8 @@ def tls_form(msg) -> bytes:
     return bytes([msg.MSG_TYPE]) + len(body).to_bytes(3, "big") + body
 
 
-def encode_handshake(msg, protocol: Protocol, message_seq: int = 0) -> bytes:
-    """Wire encoding: 4-byte TLS framing or 12-byte DTLS fragment header."""
-    body = msg.encode_body()
-    if protocol == Protocol.TLS:
-        return bytes([msg.MSG_TYPE]) + len(body).to_bytes(3, "big") + body
-    return DtlsFragment(
-        msg.MSG_TYPE, len(body), message_seq, 0, len(body), body
-    ).encode()
-
-
-def decode_handshake(data: bytes, protocol: Protocol = Protocol.TLS):
-    if protocol == Protocol.DTLS:
-        frag = decode_dtls_fragment(data)
-        return decode_handshake(frag.to_tls_form())
+def decode_handshake(data: bytes):
+    """Decode one TLS-form handshake message (4-byte header)."""
     r = Reader(data)
     msg_type = r.u8()
     body = r.vec(3)
@@ -669,17 +627,6 @@ class FragmentBuffer:
         return DtlsFragment(
             self.msg_type, self.length, self.message_seq, 0, self.length, bytes(self.buf)
         ).encode()
-
-
-def reassemble(fragments) -> bytes:
-    fragments = list(fragments)
-    if not fragments:
-        raise FragmentGap("no fragments")
-    first = fragments[0]
-    buf = FragmentBuffer(first.msg_type, first.length, first.message_seq)
-    for f in fragments:
-        buf.add(f)
-    return buf.assemble()
 
 
 # --- builders ---------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Named test profiles and credential handling.
+"""Named test profiles and deterministic credentials.
 
 The five profiles mirror the benchmark configurations: two PSK-only
 builds, two certificate builds, and a ``full`` build with every feature
@@ -13,7 +13,7 @@ from enum import Enum
 
 from . import ec
 from .crypto import NamedGroup, SignatureScheme, SuiteId
-from .errors import CredentialParseError, IllegalOverride, UnknownProfile
+from .errors import IllegalOverride, UnknownProfile
 
 
 class AuthMode(str, Enum):
@@ -45,7 +45,6 @@ class Profile:
     tickets: bool = False
     sni_hostname: str | None = None
     cert_size: int = 500
-    max_key_shares: int = 1
     mutual_auth: bool = False
 
 
@@ -165,66 +164,6 @@ class EcCredential:
     @property
     def scheme(self) -> SignatureScheme:
         return GROUP_SCHEME[self.group]
-
-
-@dataclass
-class CredentialStore:
-    psks: list = field(default_factory=list)
-    ec_keys: list = field(default_factory=list)
-    cert_size: int = 500
-
-    def find_psk(self, identity: bytes):
-        for cred in self.psks:
-            if cred.identity == identity:
-                return cred
-        return None
-
-    def ec_for_group(self, group: NamedGroup):
-        for cred in self.ec_keys:
-            if cred.group == group:
-                return cred
-        return None
-
-
-_CURVE_NAMES = {"p256": NamedGroup.SECP256R1, "p521": NamedGroup.SECP521R1}
-
-
-def credential_store_load(path) -> CredentialStore:
-    """Parse a credential file; any malformed line fails with its number."""
-    store = CredentialStore()
-    with open(path, "r", encoding="ascii") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            fields = line.split()
-            kind = fields[0]
-            try:
-                if kind == "psk":
-                    if len(fields) != 3:
-                        raise ValueError("psk needs identity and key")
-                    store.psks.append(
-                        PskCredential(bytes.fromhex(fields[1]), bytes.fromhex(fields[2]))
-                    )
-                elif kind == "eckey":
-                    if len(fields) != 4:
-                        raise ValueError("eckey needs curve, private and public")
-                    group = _CURVE_NAMES[fields[1]]
-                    d = int(fields[2], 16)
-                    store.ec_keys.append(
-                        EcCredential(
-                            group,
-                            ec.EcPrivateKey(group, d) if d else None,
-                            bytes.fromhex(fields[3]),
-                        )
-                    )
-                elif kind == "certsize":
-                    store.cert_size = int(fields[1])
-                else:
-                    raise ValueError(f"unknown record kind {kind!r}")
-            except (ValueError, KeyError, IndexError) as exc:
-                raise CredentialParseError(line_no, str(exc)) from None
-    return store
 
 
 def synthetic_cert(rng: random.Random, cert_size: int) -> bytes:

@@ -1,16 +1,18 @@
 """Deterministic in-memory transports.
 
-Two link flavors: a lossy, reordering, duplicating, MTU-bounded datagram
-link for DTLS and a reliable in-order byte stream for TLS.  All
-randomness comes from one seeded stream, so a (seed, config, scenario)
-triple fully determines every delivery and every counter.  Time is an
-integer millisecond clock advanced by the caller; nothing here reads a
-wall clock.
+``DatagramLink`` is the lossy, reordering, duplicating, MTU-bounded link
+DTLS runs over; it holds the byte accounting, the delivery queue and the
+endpoint addresses.  ``StreamLink`` is the reliable in-order byte stream
+TLS runs over: the same link with a ``send`` that skips the loss,
+duplication, reordering and MTU knobs.  All randomness comes from one
+seeded stream, so a (seed, config, scenario) triple fully determines
+every delivery and every counter.  Time is an integer millisecond clock
+advanced by the caller; nothing here reads a wall clock.
 """
 
 import heapq
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import OversizedDatagram
 
@@ -55,7 +57,6 @@ class WireStats:
     retransmitted_bytes: int = 0
     dropped: int = 0
     duplicated: int = 0
-    per_message: list = field(default_factory=list)  # (name, direction, bytes)
 
     @property
     def total(self) -> int:
@@ -72,7 +73,6 @@ class WireStats:
             "retransmitted_bytes": self.retransmitted_bytes,
             "dropped": self.dropped,
             "duplicated": self.duplicated,
-            "per_message": [list(row) for row in self.per_message],
         }
 
 
@@ -151,50 +151,17 @@ class DatagramLink:
         self.addresses[endpoint] = new_address
 
 
-class StreamLink:
+class StreamLink(DatagramLink):
     """Reliable in-order byte stream; loss knobs do not apply."""
 
-    def __init__(self, config: NetConfig, trace: bool = False):
-        self.config = config
-        self._queue = []
-        self._order = 0
-        self.addresses = {CLIENT: "client:0", SERVER: "server:0"}
-        self.stats = WireStats()
-        self.trace_lines: list = [] if trace else None
-
     def send(self, endpoint: str, data: bytes, now: int, retransmit: bool = False) -> None:
-        size = len(data)
-        if endpoint == CLIENT:
-            self.stats.bytes_c2s += size
-            self.stats.framed_c2s += size + self.config.framing_overhead
-            self.stats.datagrams_c2s += 1
-        else:
-            self.stats.bytes_s2c += size
-            self.stats.framed_s2c += size + self.config.framing_overhead
-            self.stats.datagrams_s2c += 1
-        if retransmit:
-            self.stats.retransmitted_bytes += size
+        self._count_send(endpoint, len(data), retransmit)
         heapq.heappush(
             self._queue,
             (now + self.config.latency_ms, self._order, _peer(endpoint), self.addresses[endpoint], data),
         )
         self._order += 1
-        if self.trace_lines is not None:
-            self.trace_lines.append(f"{now} {endpoint} send {size}")
+        self._trace(f"{now} {endpoint} send {len(data)}")
 
-    def poll(self, now: int) -> list:
-        out = []
-        while self._queue and self._queue[0][0] <= now:
-            _, _, dest, source, data = heapq.heappop(self._queue)
-            out.append((dest, source, data))
-        return out
-
-    def next_time(self):
-        return self._queue[0][0] if self._queue else None
-
-    def rebind(self, endpoint: str, new_address: str) -> None:
-        self.addresses[endpoint] = new_address
-
-
-def link_new(config: NetConfig, datagram: bool = True, trace: bool = False):
-    return DatagramLink(config, trace) if datagram else StreamLink(config, trace)
+    # Own attribute: perfbench/tracer.py wraps each link class's send and poll.
+    poll = DatagramLink.poll

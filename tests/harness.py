@@ -1,5 +1,6 @@
-"""Shared scaffolding for driving client/server pairs in tests."""
+"""Shared test scaffolding: client/server pairs and vector files."""
 
+import pathlib
 import random
 from dataclasses import replace
 
@@ -10,6 +11,20 @@ from minitls.profiles import AuthMode, EcCredential, make_deployment
 from minitls.simnet import DatagramLink, NetConfig, StreamLink
 
 DEFAULT_SUITE = SuiteId.AES_128_CCM_SHA256
+VECTOR_DIR = pathlib.Path(__file__).parent / "vectors"
+
+
+def load_hex_vectors(path) -> list:
+    """Parse a vector file: one record per line, whitespace-separated hex
+    fields, ``-`` for an empty field, ``#`` starts a comment."""
+    records = []
+    with open(path, "r", encoding="ascii") as fh:
+        for line in fh:
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            records.append([bytes.fromhex(f) if f != "-" else b"" for f in line.split()])
+    return records
 
 
 def public_half(cred: EcCredential) -> EcCredential:
@@ -71,8 +86,7 @@ class Pair:
         self.link = link_cls(net)
         self.client = Connection(client_cfg, "client", random.Random(f"c{seed}"), conn_id="C")
         self.listener = ServerListener(server_cfg, random.Random(f"s{seed}"))
-        self.driver = Driver(self.client, self.listener, self.link,
-                             packing=client_cfg.packing, mtu=net.mtu)
+        self.driver = Driver(self.client, self.listener, self.link)
 
     def run(self, until_ms: int = 60_000) -> int:
         return self.driver.run(until_ms)

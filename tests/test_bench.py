@@ -271,6 +271,15 @@ def test_packing_reduces_datagram_count():
     assert total_framed(framed_packed) < total_framed(framed_base)
 
 
+def test_tls_packing_sends_one_record_per_link_send():
+    # packing batches DTLS records into datagrams; a TLS stream is never batched
+    dtls = run_scenario(scenario(profile="ecdsa128", protocol="dtls", mode="pk_mutual", packing=True))
+    assert dtls.wire["datagrams_c2s"] + dtls.wire["datagrams_s2c"] < len(dtls.per_message)
+    tls = run_scenario(scenario(profile="ecdsa128", protocol="tls", mode="pk_mutual", packing=True))
+    assert tls.ok
+    assert tls.wire["datagrams_c2s"] + tls.wire["datagrams_s2c"] == len(tls.per_message)
+
+
 def test_cid_scenario_through_bench():
     r = run_scenario(scenario(profile="psk128", protocol="dtls", mode="psk", cid=4))
     assert r.ok

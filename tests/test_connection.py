@@ -590,10 +590,8 @@ def test_first_flight_shapes():
     assert flight[0].data[0] == 22  # handshake content type
     assert flight[0].data[3:5] == b"\x00\x00"  # epoch 0
 
-    from minitls.connection import client_start
-
     pk_cfg, _, _ = make_configs(Protocol.TLS, AuthMode.PK_MUTUAL, seed=50)
-    conn2, flight2 = client_start(pk_cfg, random.Random(51))
+    flight2 = Connection(pk_cfg, "client", random.Random(51)).start(0)
     assert [r.name for r in flight2] == ["client_hello"]
     assert flight2[0].data[0] == 22 and flight2[0].data[1:3] == b"\x03\x03"
 

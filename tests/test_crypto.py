@@ -1,5 +1,4 @@
 import hashlib
-import pathlib
 import random
 
 import pytest
@@ -8,9 +7,9 @@ from minitls import crypto
 from minitls.crypto import HashAlg, Protocol, SuiteId
 from minitls.errors import AuthenticationFailure, LengthOverflow, UnknownSuite
 
+from .harness import VECTOR_DIR, load_hex_vectors
 from .oracles import raw_expand_label, raw_hkdf_extract, raw_hmac
 
-VECTOR_DIR = pathlib.Path(__file__).parent / "vectors"
 
 ALL_SUITES = [
     SuiteId.AES_128_CCM_SHA256,
@@ -36,7 +35,7 @@ def test_unknown_suite():
 
 
 def test_hkdf_extract_published_vectors():
-    for salt, ikm, info, prk, okm in crypto.load_hex_vectors(VECTOR_DIR / "hkdf_sha256.txt"):
+    for salt, ikm, info, prk, okm in load_hex_vectors(VECTOR_DIR / "hkdf_sha256.txt"):
         assert crypto.hkdf_extract(salt, ikm, HashAlg.SHA256) == prk
         assert crypto.hkdf_expand(prk, info, len(okm), HashAlg.SHA256) == okm
 
@@ -137,28 +136,25 @@ def test_transcript_empty_sha256():
 
 def test_transcript_incremental_matches_oneshot():
     ch, sh = b"\x01\x00\x00\x02ab", b"\x02\x00\x00\x02cd"
-    t = crypto.TranscriptHash(HashAlg.SHA256)
-    t.update(ch)
-    t.update(sh)
-    assert t.digest() == hashlib.sha256(ch + sh).digest()
-    assert t.digest() == crypto.transcript_hash([ch, sh], HashAlg.SHA256)
+    h = hashlib.sha256()
+    h.update(ch)
+    h.update(sh)
+    assert h.digest() == hashlib.sha256(ch + sh).digest()
+    assert h.digest() == crypto.transcript_hash([ch, sh], HashAlg.SHA256)
 
 
 def test_transcript_hello_retry_replacement():
     ch1 = b"\x01\x00\x00\x05hello"
     hrr = b"\x02\x00\x00\x03hrr"
     ch2 = b"\x01\x00\x00\x05again"
-    t = crypto.TranscriptHash(HashAlg.SHA256)
-    t.update(ch1)
-    synthetic = t.replace_with_message_hash()
-    t.update(hrr)
-    t.update(ch2)
+    synthetic = crypto.message_hash(crypto.hash_data(HashAlg.SHA256, ch1))
     expected_synth = bytes([254, 0, 0, 32]) + hashlib.sha256(ch1).digest()
     assert synthetic == expected_synth
-    assert t.digest() == hashlib.sha256(expected_synth + hrr + ch2).digest()
+    digest = crypto.transcript_hash([synthetic, hrr, ch2], HashAlg.SHA256)
+    assert digest == hashlib.sha256(expected_synth + hrr + ch2).digest()
 
 
 def test_vector_loader_skips_comments(tmp_path):
     f = tmp_path / "v.txt"
     f.write_text("# comment\n\naabb - cc # trailing\n")
-    assert crypto.load_hex_vectors(f) == [[b"\xaa\xbb", b"", b"\xcc"]]
+    assert load_hex_vectors(f) == [[b"\xaa\xbb", b"", b"\xcc"]]

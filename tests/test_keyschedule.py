@@ -249,9 +249,3 @@ def test_keylog_lines():
     assert crand == "ab" * 32
     assert bytes.fromhex(secret) == ks.client_early_traffic_secret
 
-
-def test_discard_wipes():
-    ks = _at_stage(KsStage.MASTER)
-    ks.discard()
-    with pytest.raises(WrongStage):
-        _ = ks.master_secret

@@ -56,31 +56,54 @@ def sample_messages():
     ]
 
 
+def wire_form(msg, protocol, message_seq=0) -> bytes:
+    """The message as sent: TLS form, or one unfragmented DTLS fragment."""
+    raw = m.tls_form(msg)
+    if protocol == Protocol.TLS:
+        return raw
+    body = raw[4:]
+    return m.DtlsFragment(raw[0], len(body), message_seq, 0, len(body), body).encode()
+
+
+def decode_wire(wire: bytes, protocol):
+    if protocol == Protocol.DTLS:
+        wire = m.decode_dtls_fragment(wire).to_tls_form()
+    return m.decode_handshake(wire)
+
+
+def reassemble(frags) -> bytes:
+    frags = list(frags)
+    buf = m.FragmentBuffer(frags[0].msg_type, frags[0].length, frags[0].message_seq)
+    for f in frags:
+        buf.add(f)
+    return buf.assemble()
+
+
 @pytest.mark.parametrize("protocol", [Protocol.TLS, Protocol.DTLS])
 def test_round_trip_all_messages(protocol):
     for msg in sample_messages():
-        wire = m.encode_handshake(msg, protocol, message_seq=3)
-        decoded = m.decode_handshake(wire, protocol)
+        wire = wire_form(msg, protocol, message_seq=3)
+        decoded = decode_wire(wire, protocol)
         assert decoded == msg
-        assert m.encode_handshake(decoded, protocol, message_seq=3) == wire
+        assert wire_form(decoded, protocol, message_seq=3) == wire
 
 
 def test_header_arithmetic():
     fin = m.build_finished(bytes(32))
-    assert len(m.encode_handshake(fin, Protocol.TLS)) == 4 + 32
-    assert len(m.encode_handshake(fin, Protocol.DTLS, message_seq=0)) == 12 + 32
+    assert len(wire_form(fin, Protocol.TLS)) == 4 + 32
+    assert len(wire_form(fin, Protocol.DTLS, message_seq=0)) == 12 + 32
 
 
 def test_decode_rejects_every_truncation():
     for msg in sample_messages():
-        wire = m.encode_handshake(msg, Protocol.TLS)
+        wire = m.tls_form(msg)
         for cut in range(len(wire)):
             with pytest.raises(DecodeError):
                 m.decode_handshake(wire[:cut])
 
 
 def test_decode_rejects_trailing_garbage():
-    wire = m.encode_handshake(m.build_finished(bytes(32)), Protocol.TLS)
+    wire = m.tls_form(m.build_finished(bytes(32)))
     with pytest.raises(DecodeError):
         m.decode_handshake(wire + b"\x00")
 
@@ -97,7 +120,7 @@ def test_decoder_total_on_random_bytes(data):
         msg = m.decode_handshake(data)
     except DecodeError:
         return
-    assert m.encode_handshake(msg, Protocol.TLS) == data
+    assert m.tls_form(msg) == data
 
 
 def test_psk_extension_must_be_last():
@@ -105,7 +128,7 @@ def test_psk_extension_must_be_last():
     ch = m.build_client_hello(rng, [SuiteId.AES_128_CCM_SHA256], psk_identity=b"id", binder_len=32)
     ch.extensions.append(m.ext_early_data())
     with pytest.raises(DecodeError):
-        m.decode_handshake(m.encode_handshake(ch, Protocol.TLS))
+        m.decode_handshake(m.tls_form(ch))
 
 
 def test_duplicate_extension_rejected():
@@ -113,7 +136,7 @@ def test_duplicate_extension_rejected():
     ch = m.build_client_hello(rng, [SuiteId.AES_128_CCM_SHA256])
     ch.extensions.append(m.ext_supported_versions_client())
     with pytest.raises(DecodeError):
-        m.decode_handshake(m.encode_handshake(ch, Protocol.TLS))
+        m.decode_handshake(m.tls_form(ch))
 
 
 def test_client_hello_builder_rules():
@@ -142,10 +165,8 @@ def test_client_hello_builder_rules():
     )
     assert len(shares) == 1
     assert len(shares[0][1]) == 65
-    assert (
-        m.parse_server_name(m.find_extension(pk.extensions, m.ExtensionType.SERVER_NAME).data)
-        == "iot.example"
-    )
+    sni = m.find_extension(pk.extensions, m.ExtensionType.SERVER_NAME).data
+    assert sni == b"\x00\x0e" + b"\x00" + b"\x00\x0b" + b"iot.example"  # host_name entry
 
     with pytest.raises(ConfigConflict):
         m.build_client_hello(rng, [SuiteId.AES_128_CCM_SHA256], early_data=True)
@@ -197,18 +218,18 @@ def test_server_hello_psk_selection_zero():
 def test_fragmentation_three_parts_reverse_reassembly():
     rng = random.Random(3)
     cert = m.build_certificate(b"", [rng.randbytes(3000 - 11)])
-    wire = m.encode_handshake(cert, Protocol.DTLS, message_seq=2)
+    wire = wire_form(cert, Protocol.DTLS, message_seq=2)
     frags = m.fragment(wire, 1200)
     assert len(frags) == 3
     assert all(len(f.encode()) <= 1200 for f in frags)
-    assert m.reassemble(reversed(frags)) == wire
+    assert reassemble(reversed(frags)) == wire
 
 
 def test_fragment_single_identity():
-    wire = m.encode_handshake(m.build_finished(bytes(32)), Protocol.DTLS, message_seq=0)
+    wire = wire_form(m.build_finished(bytes(32)), Protocol.DTLS, message_seq=0)
     frags = m.fragment(wire, 1200)
     assert len(frags) == 1
-    assert m.reassemble(frags) == wire
+    assert reassemble(frags) == wire
 
 
 def test_fragment_random_split_points():
@@ -216,19 +237,19 @@ def test_fragment_random_split_points():
     for _ in range(500):
         body = rng.randbytes(rng.randrange(1, 400))
         cert = m.build_certificate(b"", [body])
-        wire = m.encode_handshake(cert, Protocol.DTLS, message_seq=1)
+        wire = wire_form(cert, Protocol.DTLS, message_seq=1)
         budget = rng.randrange(13, 200)
         frags = m.fragment(wire, budget)
         rng.shuffle(frags)
         frags += [frags[0]]  # duplicate tolerated
-        assert m.reassemble(frags) == wire
+        assert reassemble(frags) == wire
 
 
 def test_fragment_gap_and_inconsistency():
-    wire = m.encode_handshake(m.build_certificate(b"", [bytes(100)]), Protocol.DTLS, message_seq=0)
+    wire = wire_form(m.build_certificate(b"", [bytes(100)]), Protocol.DTLS, message_seq=0)
     frags = m.fragment(wire, 50)
     with pytest.raises(FragmentGap):
-        m.reassemble(frags[:-1])
+        reassemble(frags[:-1])
     bad = m.DtlsFragment(
         frags[0].msg_type,
         frags[0].length,
@@ -238,7 +259,7 @@ def test_fragment_gap_and_inconsistency():
         b"\xff" * frags[0].fragment_length,
     )
     with pytest.raises(InconsistentDuplicate):
-        m.reassemble([frags[0], bad])
+        reassemble([frags[0], bad])
 
 
 def _bytewise_reassembly(length, pieces):

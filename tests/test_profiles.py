@@ -1,7 +1,7 @@
 import pytest
 
 from minitls.crypto import NamedGroup, SuiteId
-from minitls.errors import CredentialParseError, IllegalOverride, UnknownProfile
+from minitls.errors import IllegalOverride, UnknownProfile
 from minitls import profiles
 from minitls.profiles import AuthMode, resolve
 
@@ -11,7 +11,6 @@ def test_psk128_profile():
     assert p.suites == (SuiteId.AES_128_CCM_SHA256,)
     assert p.modes == {AuthMode.PSK}
     assert p.sni_hostname is None
-    assert p.max_key_shares == 1
 
 
 def test_ecdsa128_256_profile():
@@ -71,31 +70,6 @@ def test_psk_ecdhe_reachable_by_override():
 def test_zero_rtt_override_on_psk_profile_is_legal():
     p = resolve("psk128", {"zero_rtt": True})
     assert p.zero_rtt
-
-
-def test_credential_file_round_trip(tmp_path):
-    path = tmp_path / "creds.txt"
-    path.write_text(
-        "# deployment credentials\n"
-        "psk 70736b2d6964 " + "ab" * 32 + "\n"
-        "eckey p256 1234 04" + "00" * 64 + "\n"
-        "certsize 800\n"
-    )
-    store = profiles.credential_store_load(path)
-    assert len(store.psks) == 1
-    assert store.psks[0].identity == b"psk-id"
-    assert store.ec_keys[0].group == NamedGroup.SECP256R1
-    assert store.ec_keys[0].private.d == 0x1234
-    assert store.cert_size == 800
-
-
-def test_credential_parse_error_names_line(tmp_path):
-    path = tmp_path / "creds.txt"
-    path.write_text("psk 70736b 00ff\n\npsk zznothex 00\n")
-    with pytest.raises(CredentialParseError) as exc_info:
-        profiles.credential_store_load(path)
-    assert exc_info.value.line_no == 3
-    assert "line 3" in str(exc_info.value)
 
 
 def test_cert_size_changes_blob_by_exact_delta():

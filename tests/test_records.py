@@ -1,5 +1,4 @@
 import itertools
-import pathlib
 import random
 
 import pytest
@@ -17,7 +16,8 @@ from minitls.errors import (
 from minitls.keyschedule import TrafficKeys
 from minitls.records import ContentType, ReplayWindow
 
-VECTOR_DIR = pathlib.Path(__file__).parent / "vectors"
+from .harness import VECTOR_DIR, load_hex_vectors
+
 P128 = crypto.suite_params(SuiteId.AES_128_CCM_SHA256)
 
 
@@ -146,7 +146,7 @@ def test_dtls_round_trip_all_flag_combos(cid, seq16, lenp):
 
 
 def test_dtls_seal_matches_golden_fixtures():
-    vectors = crypto.load_hex_vectors(VECTOR_DIR / "dtls_headers.txt")
+    vectors = load_hex_vectors(VECTOR_DIR / "dtls_headers.txt")
     assert len(vectors) == 8
     for flags, cid, payload, wire in vectors:
         keys = dtls_keys()

@@ -1,7 +1,7 @@
 import pytest
 
 from minitls.errors import OversizedDatagram
-from minitls.simnet import CLIENT, SERVER, DatagramLink, NetConfig, StreamLink, link_new
+from minitls.simnet import CLIENT, SERVER, DatagramLink, NetConfig, StreamLink
 
 
 def drain(link, until=10_000):
@@ -126,7 +126,3 @@ def test_trace_lines_optional():
     untraced = DatagramLink(NetConfig())
     assert untraced.trace_lines is None
 
-
-def test_link_new_dispatch():
-    assert isinstance(link_new(NetConfig(), datagram=True), DatagramLink)
-    assert isinstance(link_new(NetConfig(), datagram=False), StreamLink)
