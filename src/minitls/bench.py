@@ -24,7 +24,15 @@ from .connection import (
 from .crypto import Protocol, SuiteId
 from .errors import ProtocolError
 from .keyschedule import PskKind
-from .profiles import AuthMode, EcCredential, make_deployment, resolve
+from .profiles import (
+    ECDHE_FAMILY,
+    PK_FAMILY,
+    PSK_FAMILY,
+    AuthMode,
+    EcCredential,
+    make_deployment,
+    resolve,
+)
 from .simnet import CLIENT, SERVER, DatagramLink, NetConfig, StreamLink
 
 MAX_SIM_MS = 300_000  # outlasts the full 8-step retransmission backoff ladder
@@ -256,13 +264,13 @@ def build_configs(scenario: Scenario):
 
     deployment = make_deployment(scenario.net.seed, groups, prof.cert_size)
     psk = deployment["psk"]
-    needs_cert = mode in (AuthMode.PK_MUTUAL, AuthMode.PK_SERVER_ONLY)
+    needs_cert = mode in PK_FAMILY
     group = groups[0] if groups else None
 
     common = dict(
         protocol=protocol,
         suites=suites,
-        groups=groups if mode in (AuthMode.PK_MUTUAL, AuthMode.PK_SERVER_ONLY, AuthMode.PSK_ECDHE) else (),
+        groups=groups if mode in ECDHE_FAMILY else (),
         compat=prof.compat_mode and protocol == Protocol.TLS,
         pad_len=scenario.pad_len,
         mtu=scenario.net.mtu,
@@ -271,7 +279,7 @@ def build_configs(scenario: Scenario):
     )
     client_cfg = ConnConfig(
         mode=mode,
-        psk=psk if mode in (AuthMode.PSK, AuthMode.PSK_ECDHE, AuthMode.ZERO_RTT) else None,
+        psk=psk if mode in PSK_FAMILY else None,
         psk_kind=PskKind.EXTERNAL,
         local_ec=deployment["client_ec"].get(group) if needs_cert and prof.mutual_auth else None,
         peer_ec=_public_half(deployment["server_ec"][group]) if needs_cert else None,
@@ -281,7 +289,7 @@ def build_configs(scenario: Scenario):
     )
     server_cfg = ConnConfig(
         mode=mode,
-        psk=psk if mode in (AuthMode.PSK, AuthMode.PSK_ECDHE, AuthMode.ZERO_RTT) else None,
+        psk=psk if mode in PSK_FAMILY else None,
         local_ec=deployment["server_ec"].get(group) if needs_cert else None,
         peer_ec=_public_half(deployment["client_ec"][group]) if needs_cert and prof.mutual_auth else None,
         mutual=prof.mutual_auth and mode == AuthMode.PK_MUTUAL,
@@ -358,16 +366,13 @@ def run_scenario(scenario: Scenario) -> Report:
     legacy_kwargs = dict(
         cert_size=prof.cert_size,
         psk_id_len=len(client_cfg.psk.identity) if client_cfg.psk else 16,
-        sni_len=len(prof.sni_hostname) if prof.sni_hostname and scenario.mode.startswith("pk") else None,
+        sni_len=len(prof.sni_hostname) if prof.sni_hostname and family(scenario.mode) == "pk" else None,
         n_suites=len(client_cfg.suites),
         group=client_cfg.groups[0] if client_cfg.groups else legacy12.NamedGroup.SECP256R1,
         mutual=server_cfg.mutual,
         suite=client.suite,
     )
-    legacy_total = legacy12.model_total(
-        scenario.protocol, "psk" if scenario.mode in ("psk", "psk_ecdhe", "zero_rtt") else "pk",
-        **legacy_kwargs,
-    )
+    legacy_total = legacy12.model_total(scenario.protocol, family(scenario.mode), **legacy_kwargs)
 
     return Report(
         scenario=scenario,
@@ -387,10 +392,16 @@ def run_scenario(scenario: Scenario) -> Report:
     )
 
 
+def family(mode: str) -> str:
+    """``"psk"`` or ``"pk"``: the mode family that the 1.2 model and the
+    reference table key on."""
+    return "psk" if AuthMode(mode) in PSK_FAMILY else "pk"
+
+
 def paper_reference(report: Report):
-    family = "psk" if report.scenario.mode in ("psk", "psk_ecdhe", "zero_rtt") else "pk"
-    for label, protocol, fam, suite, v12, v13 in REFERENCE_TABLE:
-        if protocol == report.scenario.protocol and fam == family and int(suite) == report.suite:
+    fam = family(report.scenario.mode)
+    for label, protocol, ref_fam, suite, v12, v13 in REFERENCE_TABLE:
+        if protocol == report.scenario.protocol and ref_fam == fam and int(suite) == report.suite:
             return label, v12, v13
     return None
 
@@ -398,21 +409,6 @@ def paper_reference(report: Report):
 def deviation_pct(report: Report, ref_13: int) -> float:
     """Measured 1.3 total against a published 1.3 total, in percent."""
     return 100.0 * (report.total() - ref_13) / ref_13
-
-
-def compare_paper(reports) -> list:
-    """Rows of (label, modeled_12, measured_13, diff, ref_12, ref_13, deviation_pct)."""
-    rows = []
-    for rep in reports:
-        ref = paper_reference(rep)
-        total = rep.total()
-        if ref is None:
-            rows.append((rep.scenario.key(), rep.legacy12_total, total, total - rep.legacy12_total, None, None, None))
-            continue
-        label, v12, v13 = ref
-        rows.append((label, rep.legacy12_total, total, total - rep.legacy12_total, v12, v13,
-                     round(deviation_pct(rep, v13), 1)))
-    return rows
 
 
 def emit(reports, fmt: str = "text") -> str:

@@ -56,7 +56,6 @@ def _scenario_from_args(args) -> Scenario:
         if args.zero_rtt:
             mode = "zero_rtt"
         else:
-            prof = resolve(args.profile)
             mode = "psk" if args.profile.startswith("psk") else "pk_mutual"
             if args.profile == "full":
                 mode = "psk"
@@ -133,17 +132,13 @@ def main(argv=None) -> int:
 
     run_p = sub.add_parser("run", help="run one scenario")
     _add_scenario_args(run_p)
-    run_p.add_argument("--format", default="text", choices=["text", "csv", "json"])
-    run_p.add_argument("--compare-paper", action="store_true")
-    run_p.add_argument("--strict", action="store_true")
-    run_p.add_argument("--out", default=None, metavar="PATH")
-
     matrix_p = sub.add_parser("matrix", help="run a scenario matrix from JSON")
     matrix_p.add_argument("--config", required=True, metavar="JSON")
-    matrix_p.add_argument("--format", default="text", choices=["text", "csv", "json"])
-    matrix_p.add_argument("--compare-paper", action="store_true")
-    matrix_p.add_argument("--strict", action="store_true")
-    matrix_p.add_argument("--out", default=None, metavar="PATH")
+    for p in (run_p, matrix_p):
+        p.add_argument("--format", default="text", choices=["text", "csv", "json"])
+        p.add_argument("--compare-paper", action="store_true")
+        p.add_argument("--strict", action="store_true")
+        p.add_argument("--out", default=None, metavar="PATH")
 
     args = parser.parse_args(argv)
     if args.command == "run":

@@ -30,7 +30,15 @@ from .errors import (
 )
 from .keyschedule import KeySchedule, PskKind
 from .messages import ExtensionType, HandshakeType
-from .profiles import GROUP_SCHEME, AuthMode, EcCredential, PskCredential
+from .profiles import (
+    ECDHE_FAMILY,
+    GROUP_SCHEME,
+    PK_FAMILY,
+    PSK_FAMILY,
+    AuthMode,
+    EcCredential,
+    PskCredential,
+)
 from .records import ContentType, ReplayWindow
 
 log = logging.getLogger(__name__)
@@ -162,11 +170,12 @@ class Connection:
     def __init__(self, cfg: ConnConfig, role: str, rng: random.Random, conn_id: str = ""):
         if cfg.mode == AuthMode.ZERO_RTT and cfg.psk is None and cfg.resume is None and role == "client":
             raise ConfigConflict("0-RTT requires PSK or resumption material")
-        if role == "server" and cfg.mode in (AuthMode.PK_MUTUAL, AuthMode.PK_SERVER_ONLY):
+        if role == "server" and cfg.mode in PK_FAMILY:
             if cfg.local_ec is None:
                 raise ConfigConflict("certificate mode without a server credential")
         self.cfg = cfg
         self.role = role
+        self.peer_role = "server" if role == "client" else "client"
         self.rng = rng
         self.conn_id = conn_id or role[0].upper()
         self.protocol = cfg.protocol
@@ -253,18 +262,8 @@ class Connection:
         self._teardown(now, "peer_alert", code=body[1] if len(body) > 1 else -1)
 
     def _emit_alert(self, code: int) -> list:
-        body = bytes([2, code])
         try:
-            epoch = self._current_write_epoch()
-            if epoch == EPOCH_PLAIN:
-                if self.protocol == Protocol.TLS:
-                    data = records.encode_tls_plaintext(ContentType.ALERT, body)
-                else:
-                    data = records.encode_dtls_plaintext(
-                        ContentType.ALERT, self._next_plain_seq(), body
-                    )
-            else:
-                data = self._seal(epoch, ContentType.ALERT, body)
+            _, data = self._frame(self._current_write_epoch(), ContentType.ALERT, bytes([2, code]))
             return [OutRecord(data, "alert")]
         except (ProtocolError, KeyError):
             return []
@@ -275,21 +274,18 @@ class Connection:
                 return epoch
         return EPOCH_PLAIN
 
-    def _next_plain_seq(self) -> int:
-        seq = self.plain_write_seq
-        self.plain_write_seq += 1
-        return seq
-
     def _install(self, epoch: int, direction: str, secret: bytes) -> None:
         keys = self.ks.traffic_keys(secret)
         self.epochs.setdefault(epoch, {})[direction] = keys
         if direction == "read":
             self.windows[epoch] = ReplayWindow()
 
-    def _th(self, extra=()) -> bytes:
-        msgs = self.transcript + list(extra)
-        self.counters.hash_blocks += (sum(map(len, msgs)) + 63) // 64
-        return crypto.transcript_hash(msgs, self.params.hash_alg)
+    def _th(self) -> bytes:
+        self.counters.hash_blocks += (sum(map(len, self.transcript)) + 63) // 64
+        return crypto.transcript_hash(self.transcript, self.params.hash_alg)
+
+    def _new_schedule(self, psk: bytes | None = None, kind: PskKind = PskKind.EXTERNAL) -> None:
+        self.ks = KeySchedule(self.suite, self.protocol, self.counters).init_early(psk, kind)
 
     # ------------------------------------------------------------- crypto ops
 
@@ -313,15 +309,24 @@ class Connection:
         self.counters.verify_ops += 1
         return ec.verify(pub, scheme, content, sig)
 
-    def _seal(self, epoch: int, true_type: int, payload: bytes) -> bytes:
+    # ------------------------------------------------------------ sending side
+
+    def _frame(self, epoch: int, true_type: int, payload: bytes):
+        """(record sequence number, wire bytes) of one outgoing record:
+        plaintext in epoch 0, sealed under the epoch's write keys after."""
+        if epoch == EPOCH_PLAIN:
+            seq = self.plain_write_seq
+            if self.protocol == Protocol.TLS:
+                return seq, records.encode_tls_plaintext(true_type, payload)
+            self.plain_write_seq += 1
+            return seq, records.encode_dtls_plaintext(true_type, seq, payload)
         keys = self.epochs[epoch]["write"]
+        seq = keys.write_seq  # consumed by the seal
         self.counters.aead_seal += 1
         if self.protocol == Protocol.TLS:
-            return records.seal_tls(self.params, keys, true_type, payload, self.cfg.pad_len)
-        cid = b""
-        if true_type == ContentType.APPLICATION_DATA and self.cid_peer:
-            cid = self.cid_peer
-        return records.seal_dtls(
+            return seq, records.seal_tls(self.params, keys, true_type, payload, self.cfg.pad_len)
+        cid = self.cid_peer if true_type == ContentType.APPLICATION_DATA and self.cid_peer else b""
+        return seq, records.seal_dtls(
             self.params,
             keys,
             epoch,
@@ -332,37 +337,27 @@ class Connection:
             pad_len=self.cfg.pad_len,
         )
 
-    # ------------------------------------------------------------ sending side
+    def _emit(self, msg, epoch: int) -> list:
+        """Append one handshake message to the transcript, then send it.
 
-    def _emit_handshake(self, msgs_with_epochs, now: int) -> list:
-        out = []
-        for msg, epoch in msgs_with_epochs:
-            raw = messages.tls_form(msg)
-            name = HandshakeType(raw[0]).name.lower()
-            if self.cfg.debug_tamper is not None:
-                raw = self.cfg.debug_tamper(name, raw) or raw
-            if msg.MSG_TYPE != HandshakeType.NEW_SESSION_TICKET:
-                self.transcript.append(raw)
-            out.extend(self._send_raw_handshake(raw, name, epoch))
-        return out
-
-    def _send_raw_handshake(self, raw_tls_form: bytes, name: str, epoch: int) -> list:
+        ``debug_tamper`` changes only the copy on the wire, so the peer sees
+        a message this side never hashed."""
+        raw = messages.tls_form(msg)
+        if msg.MSG_TYPE != HandshakeType.NEW_SESSION_TICKET:
+            self.transcript.append(raw)
+        name = HandshakeType(raw[0]).name.lower()
+        if self.cfg.debug_tamper is not None:
+            raw = self.cfg.debug_tamper(name, raw) or raw
         if self.protocol == Protocol.TLS:
-            if epoch == EPOCH_PLAIN:
-                rec = records.encode_tls_plaintext(ContentType.HANDSHAKE, raw_tls_form)
-            else:
-                rec = self._seal(epoch, ContentType.HANDSHAKE, raw_tls_form)
-            return [OutRecord(rec, name)]
-        body = raw_tls_form[4:]
+            return [OutRecord(self._frame(epoch, ContentType.HANDSHAKE, raw)[1], name)]
+        body = raw[4:]
         msg_seq = self.next_send_msg_seq
         self.next_send_msg_seq += 1
-        full = messages.DtlsFragment(
-            raw_tls_form[0], len(body), msg_seq, 0, len(body), body
-        ).encode()
-        out = []
-        for frag in messages.fragment(full, self._fragment_budget(epoch)):
-            out.append(self._send_dtls_fragment(frag.encode(), name, epoch, msg_seq, track=True))
-        return out
+        full = messages.DtlsFragment(raw[0], len(body), msg_seq, 0, len(body), body).encode()
+        return [
+            self._send_dtls_fragment(frag.encode(), name, epoch, msg_seq)
+            for frag in messages.fragment(full, self._fragment_budget(epoch))
+        ]
 
     def _fragment_budget(self, epoch: int) -> int:
         if epoch == EPOCH_PLAIN:
@@ -379,23 +374,17 @@ class Connection:
         return budget
 
     def _send_dtls_fragment(
-        self, frag_bytes: bytes, name: str, epoch: int, msg_seq: int, track: bool, retransmit: bool = False
+        self, frag_bytes: bytes, name: str, epoch: int, msg_seq: int, retransmit: bool = False
     ) -> OutRecord:
-        if epoch == EPOCH_PLAIN:
-            rec_seq = self._next_plain_seq()
-            data = records.encode_dtls_plaintext(ContentType.HANDSHAKE, rec_seq, frag_bytes)
-        else:
-            rec_seq = self.epochs[epoch]["write"].write_seq  # consumed by the seal
-            data = self._seal(epoch, ContentType.HANDSHAKE, frag_bytes)
-        if track:
-            self.sent_unacked[(epoch, rec_seq)] = {
-                "msg_seq": msg_seq,
-                "name": name,
-                "frag": frag_bytes,
-                "epoch": epoch,
-            }
-            if self.retransmit_at is None:
-                self.retransmit_at = self._now + self.rto_ms
+        rec_seq, data = self._frame(epoch, ContentType.HANDSHAKE, frag_bytes)
+        self.sent_unacked[(epoch, rec_seq)] = {
+            "msg_seq": msg_seq,
+            "name": name,
+            "frag": frag_bytes,
+            "epoch": epoch,
+        }
+        if self.retransmit_at is None:
+            self.retransmit_at = self._now + self.rto_ms
         return OutRecord(data, name, retransmit=retransmit)
 
     def _send_ack(self, record_numbers) -> list:
@@ -405,13 +394,57 @@ class Connection:
         if epoch == EPOCH_PLAIN:
             return []  # ACKs only exist under record protection
         body = messages.build_ack(sorted(set(record_numbers)))
-        return [OutRecord(self._seal(epoch, ContentType.ACK, body), "ack")]
+        return [OutRecord(self._frame(epoch, ContentType.ACK, body)[1], "ack")]
 
-    def _fake_ccs(self) -> OutRecord:
-        # compat mode artifact: legacy type 20, body 0x01, ignored on receipt
-        return OutRecord(
-            records.encode_tls_plaintext(ContentType.CHANGE_CIPHER_SPEC, b"\x01"), "ccs"
-        )
+    def _fake_ccs(self) -> list:
+        # compat mode artifact: legacy type 20, body 0x01, sent once, ignored on receipt
+        if self.protocol != Protocol.TLS or not self.cfg.compat or self._ccs_sent:
+            return []
+        self._ccs_sent = True
+        return [OutRecord(self._frame(EPOCH_PLAIN, ContentType.CHANGE_CIPHER_SPEC, b"\x01")[1], "ccs")]
+
+    # ------------------------------------------ authentication (RFC 8446 §4.4)
+
+    def _hs_traffic(self, role: str) -> bytes:
+        return self.ks.client_hs_traffic if role == "client" else self.ks.server_hs_traffic
+
+    def _own_flight(self, with_cert: bool) -> list:
+        """This side's Certificate and CertificateVerify when ``with_cert``,
+        then its Finished."""
+        out = []
+        if with_cert:
+            cred = self.cfg.local_ec
+            if cred is None:
+                raise ConfigConflict(f"{self.role} certificate requested but not configured")
+            out += self._emit(messages.build_certificate(b"", [cred.cert_der]), EPOCH_HANDSHAKE)
+            content = messages.certificate_verify_content(self.role, self._th())
+            cv = messages.CertificateVerify(int(cred.scheme), self._sign(cred, content))
+            out += self._emit(cv, EPOCH_HANDSHAKE)
+        mac = self.ks.finished_mac(self._hs_traffic(self.role), self._th())
+        return out + self._emit(messages.Finished(mac), EPOCH_HANDSHAKE)
+
+    def _peer_certificate(self, cert, raw: bytes) -> list:
+        if not cert.entries:
+            raise UnexpectedMessage(f"{self.peer_role} sent an empty Certificate")
+        self.transcript.append(raw)
+        self.phase = Phase.WAIT_CV
+        return []
+
+    def _peer_certificate_verify(self, cv, raw: bytes) -> list:
+        content = messages.certificate_verify_content(self.peer_role, self._th())
+        anchor = self.cfg.peer_ec
+        if anchor is None or not self._verify(
+            anchor.public_point, crypto.SignatureScheme(cv.scheme), content, cv.signature
+        ):
+            raise BadSignature(f"{self.peer_role} CertificateVerify did not verify")
+        self.transcript.append(raw)
+        self.phase = Phase.WAIT_FINISHED
+        return []
+
+    def _peer_finished(self, fin, raw: bytes) -> None:
+        if not self.ks.verify_finished(self._hs_traffic(self.peer_role), self._th(), fin.verify_data):
+            raise BadFinished(f"{self.peer_role} Finished MAC mismatch")
+        self.transcript.append(raw)
 
     # -------------------------------------------------------------- client side
 
@@ -432,11 +465,7 @@ class Connection:
             self.psk_kind_in_use = PskKind.RESUMPTION
             self.psk_in_use = PskCredential(tk.ticket, tk.psk)
             return self.psk_in_use
-        if self.cfg.psk is not None and self.cfg.mode in (
-            AuthMode.PSK,
-            AuthMode.PSK_ECDHE,
-            AuthMode.ZERO_RTT,
-        ):
+        if self.cfg.psk is not None and self.cfg.mode in PSK_FAMILY:
             self.obfuscated_age = 0
             self.psk_kind_in_use = self.cfg.psk_kind
             self.psk_in_use = self.cfg.psk
@@ -446,8 +475,8 @@ class Connection:
     def _client_hello_flight(self, now: int, cookie: bytes | None) -> list:
         cfg = self.cfg
         psk = self._psk_offer(now)
-        offer_share = cfg.mode in (AuthMode.PK_MUTUAL, AuthMode.PK_SERVER_ONLY, AuthMode.PSK_ECDHE)
-        cert_mode = cfg.mode in (AuthMode.PK_MUTUAL, AuthMode.PK_SERVER_ONLY)
+        offer_share = cfg.mode in ECDHE_FAMILY
+        cert_mode = cfg.mode in PK_FAMILY
         share_entries = None
         if offer_share:
             if not cfg.groups:
@@ -478,16 +507,12 @@ class Connection:
             cookie=cookie,
             cid=self._advertised_cid(),
         )
+        self._new_schedule(psk.secret if psk else None, self.psk_kind_in_use)
         if psk is not None:
-            self.ks = KeySchedule(self.suite, self.protocol, self.counters)
-            self.ks.init_early(psk.secret, self.psk_kind_in_use)
             trunc = messages.truncated_tls_form(ch, self.params.hash_len)
             th = crypto.transcript_hash(self.transcript + [trunc], self.params.hash_alg)
             messages.patch_binder(ch, self.ks.compute_binder(th))
-        else:
-            self.ks = KeySchedule(self.suite, self.protocol, self.counters)
-            self.ks.init_early()
-        out = self._emit_handshake([(ch, EPOCH_PLAIN)], now)
+        out = self._emit(ch, EPOCH_PLAIN)
         self.phase = Phase.WAIT_SH
         if cfg.mode == AuthMode.ZERO_RTT and cfg.early_payload:
             out.extend(self._send_early_data())
@@ -512,7 +537,7 @@ class Connection:
     def _send_early_data(self) -> list:
         secret = self.ks.derive_early_traffic(self._th())
         self._install(EPOCH_EARLY, "write", secret)
-        rec = self._seal(EPOCH_EARLY, ContentType.APPLICATION_DATA, self.cfg.early_payload)
+        _, rec = self._frame(EPOCH_EARLY, ContentType.APPLICATION_DATA, self.cfg.early_payload)
         return [OutRecord(rec, "early_data")]
 
     # -------------------------------------------------------------- receive path
@@ -751,8 +776,7 @@ class Connection:
                 del self.sent_unacked[old_key]
                 out.append(
                     self._send_dtls_fragment(
-                        entry["frag"], entry["name"], entry["epoch"], entry["msg_seq"],
-                        track=True, retransmit=True,
+                        entry["frag"], entry["name"], entry["epoch"], entry["msg_seq"], retransmit=True
                     )
                 )
         return out
@@ -781,9 +805,9 @@ class Connection:
             self.phase = Phase.WAIT_CV
             return []
         if self.phase in (Phase.WAIT_CERT_CR, Phase.WAIT_CV) and t == HandshakeType.CERTIFICATE:
-            return self._client_handle_certificate(msg, raw, now)
+            return self._peer_certificate(msg, raw)
         if self.phase == Phase.WAIT_CV and t == HandshakeType.CERTIFICATE_VERIFY:
-            return self._client_handle_cv(msg, raw, now)
+            return self._peer_certificate_verify(msg, raw)
         if self.phase == Phase.WAIT_FINISHED and t == HandshakeType.FINISHED:
             return self._client_handle_finished(msg, raw, now)
         if self.connected and t == HandshakeType.NEW_SESSION_TICKET:
@@ -826,8 +850,7 @@ class Connection:
                 raise UnexpectedMessage("0-RTT offer requires PSK acceptance")
             self.ks = None
         if self.ks is None:
-            self.ks = KeySchedule(self.suite, self.protocol, self.counters)
-            self.ks.init_early()
+            self._new_schedule()
 
         dh = None
         share_ext = messages.find_extension(sh.extensions, ExtensionType.KEY_SHARE)
@@ -837,7 +860,7 @@ class Connection:
                 raise NoCommonGroup("server share for a group we did not offer")
             dh = self._shared(self.dh_priv, server_pub)
             self.dh_secret = dh
-        elif self.cfg.mode in (AuthMode.PK_MUTUAL, AuthMode.PK_SERVER_ONLY, AuthMode.PSK_ECDHE):
+        elif self.cfg.mode in ECDHE_FAMILY:
             raise UnexpectedMessage("expected a key_share in ServerHello")
 
         cid_ext = messages.find_extension(sh.extensions, ExtensionType.CONNECTION_ID)
@@ -861,44 +884,14 @@ class Connection:
         self.phase = Phase.WAIT_FINISHED if self.psk_in_use is not None else Phase.WAIT_CERT_CR
         return []
 
-    def _client_handle_certificate(self, cert, raw: bytes, now: int) -> list:
-        if not cert.entries:
-            raise UnexpectedMessage("empty server Certificate")
-        self.transcript.append(raw)
-        self.phase = Phase.WAIT_CV
-        return []
-
-    def _client_handle_cv(self, cv, raw: bytes, now: int) -> list:
-        content = messages.certificate_verify_content("server", self._th())
-        anchor = self.cfg.peer_ec
-        if anchor is None or not self._verify(
-            anchor.public_point, crypto.SignatureScheme(cv.scheme), content, cv.signature
-        ):
-            raise BadSignature("server CertificateVerify did not verify")
-        self.transcript.append(raw)
-        self.phase = Phase.WAIT_FINISHED
-        return []
-
     def _client_handle_finished(self, fin, raw: bytes, now: int) -> list:
-        if not self.ks.verify_finished(self.ks.server_hs_traffic, self._th(), fin.verify_data):
-            raise BadFinished("server Finished MAC mismatch")
-        self.transcript.append(raw)
+        self._peer_finished(fin, raw)
         self.ks.advance_master(self._th())
         self._install(EPOCH_APP, "read", self.ks.server_ap_traffic)
-
-        out = []
-        if self.protocol == Protocol.TLS and self.cfg.compat and not self._ccs_sent:
-            out.append(self._fake_ccs())
-            self._ccs_sent = True
+        out = self._fake_ccs()
         if self.early_accepted and self.protocol == Protocol.TLS:
-            out.extend(self._emit_handshake([(messages.build_end_of_early_data(), EPOCH_EARLY)], now))
-        flight = []
-        if self.client_cert_requested:
-            flight.extend(self._client_cert_flight())
-        mac_input = self._th([messages.tls_form(m) for m, _ in flight])
-        fin_msg = messages.build_finished(self.ks.finished_mac(self.ks.client_hs_traffic, mac_input))
-        flight.append((fin_msg, EPOCH_HANDSHAKE))
-        out.extend(self._emit_handshake(flight, now))
+            out += self._emit(messages.EndOfEarlyData(), EPOCH_EARLY)
+        out += self._own_flight(with_cert=self.client_cert_requested)
         self._install(EPOCH_APP, "write", self.ks.client_ap_traffic)
         self.ks.derive_resumption(self._th())
         self._tls_read_epoch = EPOCH_APP
@@ -907,17 +900,6 @@ class Connection:
         self._event(now, EventKind.FLIGHT_READY, flight="client_second")
         self._event(now, EventKind.HANDSHAKE_COMPLETE)
         return out
-
-    def _client_cert_flight(self) -> list:
-        cred = self.cfg.local_ec
-        if cred is None:
-            raise ConfigConflict("client certificate requested but not configured")
-        cert = messages.build_certificate(b"", [cred.cert_der])
-        th = self._th([messages.tls_form(cert)])
-        cv = messages.build_certificate_verify(
-            int(cred.scheme), self._sign(cred, messages.certificate_verify_content("client", th))
-        )
-        return [(cert, EPOCH_HANDSHAKE), (cv, EPOCH_HANDSHAKE)]
 
     def _client_handle_ticket(self, nst, now: int) -> list:
         ext = messages.find_extension(nst.extensions, ExtensionType.EARLY_DATA)
@@ -946,21 +928,9 @@ class Connection:
             return self.server_handle_client_hello(msg, raw, now)
         if self.phase == Phase.WAIT_CERT_CR and t == HandshakeType.CERTIFICATE:
             self._implicit_ack()
-            if not msg.entries:
-                raise UnexpectedMessage("client sent an empty Certificate")
-            self.transcript.append(raw)
-            self.phase = Phase.WAIT_CV
-            return []
+            return self._peer_certificate(msg, raw)
         if self.phase == Phase.WAIT_CV and t == HandshakeType.CERTIFICATE_VERIFY:
-            content = messages.certificate_verify_content("client", self._th())
-            anchor = self.cfg.peer_ec
-            if anchor is None or not self._verify(
-                anchor.public_point, crypto.SignatureScheme(msg.scheme), content, msg.signature
-            ):
-                raise BadSignature("client CertificateVerify did not verify")
-            self.transcript.append(raw)
-            self.phase = Phase.WAIT_FINISHED
-            return []
+            return self._peer_certificate_verify(msg, raw)
         if self.phase == Phase.WAIT_FINISHED and t == HandshakeType.END_OF_EARLY_DATA:
             if not (self.early_accepted and self.protocol == Protocol.TLS):
                 raise UnexpectedMessage("EndOfEarlyData without accepted 0-RTT")
@@ -1012,7 +982,7 @@ class Connection:
 
         dh = None
         key_share_entry = None
-        if mode in (AuthMode.PK_MUTUAL, AuthMode.PK_SERVER_ONLY, AuthMode.PSK_ECDHE):
+        if mode in ECDHE_FAMILY:
             group, client_pub = share
             priv, pub = self._keypair(group)
             dh = self._shared(priv, client_pub)
@@ -1020,8 +990,7 @@ class Connection:
             key_share_entry = (int(group), pub)
 
         if psk is None:
-            self.ks = KeySchedule(self.suite, self.protocol, self.counters)
-            self.ks.init_early()
+            self._new_schedule()
 
         sh = messages.build_server_hello(
             self.rng.randbytes(32),
@@ -1031,36 +1000,18 @@ class Connection:
             selected_psk=0 if psk is not None else None,
             cid=self._advertised_cid() if self.peer_offered_cid else None,
         )
-        out = self._emit_handshake([(sh, EPOCH_PLAIN)], now)
+        out = self._emit(sh, EPOCH_PLAIN)
         self.ks.advance_handshake(dh, self._th())
         self._install(EPOCH_HANDSHAKE, "write", self.ks.server_hs_traffic)
         self._install(EPOCH_HANDSHAKE, "read", self.ks.client_hs_traffic)
-        if self.protocol == Protocol.TLS and self.cfg.compat:
-            out.append(self._fake_ccs())
-            self._ccs_sent = True
-
-        flight = []
+        out += self._fake_ccs()
         ee_exts = [messages.ext_early_data()] if self.early_accepted else []
-        flight.append((messages.EncryptedExtensions(ee_exts), EPOCH_HANDSHAKE))
+        out += self._emit(messages.EncryptedExtensions(ee_exts), EPOCH_HANDSHAKE)
         if mode == AuthMode.PK_MUTUAL:
-            flight.append(
-                (messages.build_certificate_request([int(s) for s in self._scheme_list()]), EPOCH_HANDSHAKE)
-            )
+            cr = messages.build_certificate_request([int(s) for s in self._scheme_list()])
+            out += self._emit(cr, EPOCH_HANDSHAKE)
             self.client_cert_requested = True
-        if mode in (AuthMode.PK_MUTUAL, AuthMode.PK_SERVER_ONLY):
-            cred = self.cfg.local_ec
-            cert = messages.build_certificate(b"", [cred.cert_der])
-            flight.append((cert, EPOCH_HANDSHAKE))
-            th = self._th([messages.tls_form(m) for m, _ in flight])
-            cv = messages.build_certificate_verify(
-                int(cred.scheme),
-                self._sign(cred, messages.certificate_verify_content("server", th)),
-            )
-            flight.append((cv, EPOCH_HANDSHAKE))
-        mac_input = self._th([messages.tls_form(m) for m, _ in flight])
-        fin = messages.build_finished(self.ks.finished_mac(self.ks.server_hs_traffic, mac_input))
-        flight.append((fin, EPOCH_HANDSHAKE))
-        out.extend(self._emit_handshake(flight, now))
+        out += self._own_flight(with_cert=mode in PK_FAMILY)
 
         self.ks.advance_master(self._th())
         self._install(EPOCH_APP, "write", self.ks.server_ap_traffic)
@@ -1093,8 +1044,7 @@ class Connection:
                 return None  # fall back to the certificate path
             raise
 
-        self.ks = KeySchedule(self.suite, self.protocol, self.counters)
-        self.ks.init_early(psk_secret, kind)
+        self._new_schedule(psk_secret, kind)
         trunc = raw_ch[: len(raw_ch) - messages.psk_binders_trailer_len(self.params.hash_len)]
         th = crypto.transcript_hash(self.transcript[:-1] + [trunc], self.params.hash_alg)
         if not crypto.hmac_verify(
@@ -1127,9 +1077,7 @@ class Connection:
 
     def _server_handle_finished(self, fin, raw: bytes, now: int) -> list:
         self._implicit_ack()
-        if not self.ks.verify_finished(self.ks.client_hs_traffic, self._th(), fin.verify_data):
-            raise BadFinished("client Finished MAC mismatch")
-        self.transcript.append(raw)
+        self._peer_finished(fin, raw)
         self._install(EPOCH_APP, "read", self.ks.client_ap_traffic)
         self.ks.derive_resumption(self._th())
         self._tls_read_epoch = EPOCH_APP
@@ -1162,7 +1110,7 @@ class Connection:
             TICKET_LIFETIME_S, age_add, nonce, ticket_id, max_early_data=1 << 14
         )
         self._event(now, EventKind.TICKET, ticket=ticket_id.hex())
-        return self._emit_handshake([(nst, EPOCH_APP)], now)
+        return self._emit(nst, EPOCH_APP)
 
     # ----------------------------------------------------------------- app data
 
@@ -1170,7 +1118,7 @@ class Connection:
         self._now = now
         if not self.connected:
             raise NotReady("application data before the handshake allows it")
-        return [OutRecord(self._seal(EPOCH_APP, ContentType.APPLICATION_DATA, payload), "app_data")]
+        return [OutRecord(self._frame(EPOCH_APP, ContentType.APPLICATION_DATA, payload)[1], "app_data")]
 
 
 def resume_config(cfg: ConnConfig, ticket: TicketState) -> ConnConfig:

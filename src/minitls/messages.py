@@ -733,23 +733,11 @@ def build_certificate_request(sig_algs, request_context: bytes = b"") -> Certifi
     return CertificateRequest(request_context, [ext_signature_algorithms(sig_algs)])
 
 
-def build_certificate_verify(scheme: int, signature: bytes) -> CertificateVerify:
-    return CertificateVerify(scheme, signature)
-
-
-def build_finished(mac: bytes) -> Finished:
-    return Finished(mac)
-
-
 def build_new_session_ticket(
     lifetime: int, age_add: int, nonce: bytes, ticket: bytes, max_early_data: int | None = None
 ) -> NewSessionTicket:
     exts = [] if max_early_data is None else [ext_early_data_ticket(max_early_data)]
     return NewSessionTicket(lifetime, age_add, nonce, ticket, exts)
-
-
-def build_end_of_early_data() -> EndOfEarlyData:
-    return EndOfEarlyData()
 
 
 _CV_CONTEXT = {

@@ -26,6 +26,7 @@ class AuthMode(str, Enum):
 
 PSK_FAMILY = {AuthMode.PSK, AuthMode.PSK_ECDHE, AuthMode.ZERO_RTT}
 PK_FAMILY = {AuthMode.PK_MUTUAL, AuthMode.PK_SERVER_ONLY}
+ECDHE_FAMILY = PK_FAMILY | {AuthMode.PSK_ECDHE}  # the modes that send a key share
 
 GROUP_SCHEME = {
     NamedGroup.SECP256R1: SignatureScheme.ECDSA_SECP256R1_SHA256,
@@ -139,7 +140,7 @@ def _validate(base: Profile, prof: Profile) -> None:
         raise IllegalOverride("ecdsa profiles permit no PSK modes")
     if prof.zero_rtt and not (prof.modes & PSK_FAMILY):
         raise IllegalOverride("0-RTT requires a PSK-capable mode")
-    if (prof.modes & PK_FAMILY or prof.modes & {AuthMode.PSK_ECDHE}) and not prof.groups:
+    if prof.modes & ECDHE_FAMILY and not prof.groups:
         raise IllegalOverride("(EC)DHE modes need at least one named group")
     if prof.cid is not None and not 0 <= prof.cid <= 16:
         raise IllegalOverride("cid length must be 0..16")

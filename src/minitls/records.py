@@ -151,10 +151,6 @@ class UnifiedHeader:
             out += ct_len.to_bytes(2, "big")
         return out
 
-    @property
-    def size(self) -> int:
-        return 1 + len(self.cid) + self.seq_len + (2 if self.length_present else 0)
-
 
 def unified_header_size(cid_len: int, seq_16bit: bool, length_present: bool) -> int:
     return 1 + cid_len + (2 if seq_16bit else 1) + (2 if length_present else 0)

@@ -83,18 +83,13 @@ def _peer(endpoint: str) -> str:
 class DatagramLink:
     """Unreliable datagram channel between the two fixed endpoints."""
 
-    def __init__(self, config: NetConfig, trace: bool = False):
+    def __init__(self, config: NetConfig):
         self.config = config
         self.rng = random.Random(config.seed)
         self._queue = []  # (deliver_at, order, dest, source_addr, payload)
         self._order = 0
         self.addresses = {CLIENT: "client:0", SERVER: "server:0"}
         self.stats = WireStats()
-        self.trace_lines: list = [] if trace else None
-
-    def _trace(self, line: str) -> None:
-        if self.trace_lines is not None:
-            self.trace_lines.append(line)
 
     def _count_send(self, endpoint: str, size: int, retransmit: bool) -> None:
         framed = size + self.config.framing_overhead
@@ -109,17 +104,15 @@ class DatagramLink:
         if retransmit:
             self.stats.retransmitted_bytes += size
 
-    def _schedule(self, now: int, endpoint: str, data: bytes, tag: str) -> None:
+    def _schedule(self, now: int, endpoint: str, data: bytes) -> None:
         delay = self.config.latency_ms
         if self.config.reorder_rate and self.rng.random() < self.config.reorder_rate:
             delay += max(1, self.config.latency_ms) + self.rng.randrange(0, 4)
-            tag += "+reordered"
         heapq.heappush(
             self._queue,
             (now + delay, self._order, _peer(endpoint), self.addresses[endpoint], data),
         )
         self._order += 1
-        self._trace(f"{now} {endpoint} {tag} {len(data)}")
 
     def send(self, endpoint: str, data: bytes, now: int, retransmit: bool = False) -> None:
         if len(data) > self.config.mtu:
@@ -127,13 +120,12 @@ class DatagramLink:
         self._count_send(endpoint, len(data), retransmit)
         if self.config.loss_rate and self.rng.random() < self.config.loss_rate:
             self.stats.dropped += 1
-            self._trace(f"{now} {endpoint} drop {len(data)}")
             return
-        self._schedule(now, endpoint, data, "send")
+        self._schedule(now, endpoint, data)
         if self.config.dup_rate and self.rng.random() < self.config.dup_rate:
             self.stats.duplicated += 1
             self._count_send(endpoint, len(data), retransmit=False)
-            self._schedule(now, endpoint, data, "dup")
+            self._schedule(now, endpoint, data)
 
     def poll(self, now: int) -> list:
         """Deliveries due at or before ``now``: (dest, source_address, bytes)."""
@@ -161,7 +153,6 @@ class StreamLink(DatagramLink):
             (now + self.config.latency_ms, self._order, _peer(endpoint), self.addresses[endpoint], data),
         )
         self._order += 1
-        self._trace(f"{now} {endpoint} send {len(data)}")
 
     # Own attribute: perfbench/tracer.py wraps each link class's send and poll.
     poll = DatagramLink.poll

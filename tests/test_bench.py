@@ -1,3 +1,6 @@
+import contextlib
+import hashlib
+import io
 import json
 
 import pytest
@@ -7,7 +10,7 @@ from minitls.bench import (
     CSV_HEADER,
     REFERENCE_TABLE,
     Scenario,
-    compare_paper,
+    deviation_pct,
     emit,
     paper_reference,
     run_scenario,
@@ -165,9 +168,7 @@ def test_compare_paper_deviation_against_467():
     r = run_scenario(scenario(profile="psk128", protocol="dtls", mode="psk"))
     label, v12, v13 = paper_reference(r)
     assert (v12, v13) == (627, 467)
-    rows = compare_paper([r])
-    assert rows[0][5] == 467
-    assert rows[0][6] == round(100.0 * (r.total() - 467) / 467, 1)
+    assert deviation_pct(r, v13) == 100.0 * (r.total() - 467) / 467
 
 
 def test_text_emit_shape():
@@ -235,6 +236,45 @@ def test_cli_out_file_deterministic(tmp_path):
     assert cli.main(args + ["--out", str(out1)]) == 0
     assert cli.main(args + ["--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+# Commands whose combined output is pinned byte for byte: text, CSV and JSON
+# output, --compare-paper warnings, a lossy DTLS run, 0-RTT, CID, packing, the
+# cookie exchange, resumption through the matrix, and the --strict row that
+# exits 3. Only a change meant to move bench output may update the constant.
+GOLDEN_COMMANDS = [
+    ["run", "--profile", "psk128", "--protocol", "dtls", "--seed", "1"],
+    ["run", "--profile", "psk128_256", "--protocol", "tls", "--format", "csv", "--compare-paper"],
+    ["run", "--profile", "ecdsa128", "--protocol", "dtls", "--mode", "pk_mutual", "--format", "json"],
+    ["run", "--profile", "ecdsa128", "--protocol", "tls", "--mode", "pk_server_only", "--compat",
+     "--compare-paper"],
+    ["run", "--profile", "ecdsa128", "--protocol", "dtls", "--mode", "pk_mutual", "--mtu", "400",
+     "--loss", "0.2", "--dup", "0.1", "--reorder", "0.2", "--seed", "7", "--format", "json"],
+    ["run", "--profile", "full", "--protocol", "tls", "--zero-rtt", "--format", "json"],
+    ["run", "--profile", "full", "--protocol", "dtls", "--zero-rtt", "--cid", "4", "--packing",
+     "--dos", "--format", "csv"],
+    ["run", "--profile", "ecdsa128_256", "--protocol", "tls", "--mode", "pk_mutual", "--suite",
+     "0x13A4", "--compare-paper", "--strict"],
+    ["matrix", "--config", "{matrix}", "--format", "json", "--compare-paper"],
+]
+GOLDEN_MATRIX = {"scenarios": [
+    {"profile": "full", "protocol": "tls", "mode": "psk", "resume": True},
+    {"profile": "full", "protocol": "dtls", "mode": "zero_rtt", "resume": True},
+    {"profile": "ecdsa128", "protocol": "tls", "mode": "pk_mutual", "pad_len": 3},
+]}
+GOLDEN_SHA256 = "e347831acf3e184c9bcbbfb7492052216be0bd348f490706b804d01e6b1ac0a3"
+
+
+def test_cli_output_golden(tmp_path):
+    matrix = tmp_path / "matrix.json"
+    matrix.write_text(json.dumps(GOLDEN_MATRIX))
+    digest = hashlib.sha256()
+    for argv in GOLDEN_COMMANDS:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([a.format(matrix=matrix) for a in argv])
+        digest.update(f"{argv}\n{code}\n{out.getvalue()}\n{err.getvalue()}\n".encode())
+    assert digest.hexdigest() == GOLDEN_SHA256
 
 
 @pytest.mark.parametrize("protocol", ["dtls", "tls"])

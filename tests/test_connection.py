@@ -92,6 +92,9 @@ def test_event_log_line_format():
     [
         ("finished", "decrypt_error"),
         ("certificate_verify", "bad_certificate_verify"),
+        # the transcript keeps what was built, so a changed CertificateRequest
+        # breaks the server's own CertificateVerify as the client sees it
+        ("certificate_request", "bad_certificate_verify"),
     ],
 )
 def test_server_flight_corruption_detected(target, alert):

@@ -49,10 +49,10 @@ def sample_messages():
         m.EncryptedExtensions([]),
         m.build_certificate(b"", [b"\x30\x82" + bytes(500)]),
         m.build_certificate_request([SignatureScheme.ECDSA_SECP256R1_SHA256]),
-        m.build_certificate_verify(SignatureScheme.ECDSA_SECP256R1_SHA256, b"\x30\x44" + bytes(68)),
-        m.build_finished(bytes(range(32))),
+        m.CertificateVerify(SignatureScheme.ECDSA_SECP256R1_SHA256, b"\x30\x44" + bytes(68)),
+        m.Finished(bytes(range(32))),
         m.build_new_session_ticket(7200, 0xDEADBEEF, b"\x00", b"ticket-id-16byte", 1024),
-        m.build_end_of_early_data(),
+        m.EndOfEarlyData(),
     ]
 
 
@@ -89,7 +89,7 @@ def test_round_trip_all_messages(protocol):
 
 
 def test_header_arithmetic():
-    fin = m.build_finished(bytes(32))
+    fin = m.Finished(bytes(32))
     assert len(wire_form(fin, Protocol.TLS)) == 4 + 32
     assert len(wire_form(fin, Protocol.DTLS, message_seq=0)) == 12 + 32
 
@@ -103,7 +103,7 @@ def test_decode_rejects_every_truncation():
 
 
 def test_decode_rejects_trailing_garbage():
-    wire = m.tls_form(m.build_finished(bytes(32)))
+    wire = m.tls_form(m.Finished(bytes(32)))
     with pytest.raises(DecodeError):
         m.decode_handshake(wire + b"\x00")
 
@@ -226,7 +226,7 @@ def test_fragmentation_three_parts_reverse_reassembly():
 
 
 def test_fragment_single_identity():
-    wire = wire_form(m.build_finished(bytes(32)), Protocol.DTLS, message_seq=0)
+    wire = wire_form(m.Finished(bytes(32)), Protocol.DTLS, message_seq=0)
     frags = m.fragment(wire, 1200)
     assert len(frags) == 1
     assert reassemble(frags) == wire
@@ -355,7 +355,7 @@ def test_certificate_verify_content_shape():
 
 
 def test_dump_line_format():
-    raw = m.tls_form(m.build_finished(bytes(32)))
+    raw = m.tls_form(m.Finished(bytes(32)))
     line = m.dump_line("c2s", raw)
     direction, name, length, hexpart = line.split()
     assert (direction, name, int(length)) == ("c2s", "finished", 36)

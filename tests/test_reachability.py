@@ -1,10 +1,13 @@
 """Every public module-level function and class in ``src/minitls`` is
-named by some other line of ``src/minitls``.
+referred to from some line of ``src/minitls``.
 
 What neither the ``bench`` command nor the protocol reaches gets wired
 in or deleted; tests exercise the production path, not helpers kept for
-them.  Names count wherever they appear as a name, an attribute or an
-import, so the check is a static over-approximation of reachability.
+them.  References are resolved with ``ast``, not matched by word: a
+definition counts as reached when another module reads it as ``m.name``
+after ``from . import m``, imports it with ``from .m import name``, or
+when its own module loads it by bare name.  An attribute or field that
+merely shares the name does not count.
 """
 
 import ast
@@ -20,7 +23,7 @@ ALLOWED = {
 
 
 def _parse_src() -> dict:
-    return {p.name: ast.parse(p.read_text(), str(p)) for p in sorted(SRC.glob("*.py"))}
+    return {p.stem: ast.parse(p.read_text(), str(p)) for p in sorted(SRC.glob("*.py"))}
 
 
 def _public_definitions(trees: dict) -> list:
@@ -32,18 +35,33 @@ def _public_definitions(trees: dict) -> list:
     ]
 
 
+def _references(module: str, tree: ast.Module) -> set:
+    """(module, name) pairs that ``tree`` refers to."""
+    refs = set()
+    aliases = {}  # local name -> sibling module, from ``from . import m``
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                if node.module is None:
+                    aliases[alias.asname or alias.name] = alias.name
+                else:
+                    refs.add((node.module, alias.name))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            refs.add((module, node.id))
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in aliases
+        ):
+            refs.add((aliases[node.value.id], node.attr))
+    return refs
+
+
 def _unreached(trees: dict) -> set:
-    named = set()
-    for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                named.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                named.add(node.attr)
-            elif isinstance(node, ast.alias):
-                named.add(node.name)
-    return {f"{module}:{node.lineno} {node.name}"
-            for module, node in _public_definitions(trees) if node.name not in named}
+    refs = set().union(*(_references(module, tree) for module, tree in trees.items()))
+    return {f"{module}.py:{node.lineno} {node.name}"
+            for module, node in _public_definitions(trees) if (module, node.name) not in refs}
 
 
 def test_every_public_definition_is_named_in_src():

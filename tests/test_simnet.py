@@ -117,12 +117,3 @@ def test_stream_link_reliable_in_order_despite_loss_config():
         link.send(CLIENT, c, now=i)
     got = [d[2] for d in drain(link)]
     assert got == chunks
-
-
-def test_trace_lines_optional():
-    link = DatagramLink(NetConfig(loss_rate=1.0, seed=10), trace=True)
-    link.send(CLIENT, b"x", now=3)
-    assert link.trace_lines == ["3 client drop 1"]
-    untraced = DatagramLink(NetConfig())
-    assert untraced.trace_lines is None
-
