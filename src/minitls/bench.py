@@ -181,9 +181,6 @@ class Driver:
             self.per_message.append((rec.name, direction, len(rec.data), rec.retransmit))
         self.link.send(endpoint, b"".join(r.data for r in batch), now, retransmit=retransmit)
 
-    def _server_conns(self):
-        return self.listener.connections()
-
     def _next_event_time(self):
         times = []
         if self.link.next_time() is not None:
@@ -191,7 +188,7 @@ class Driver:
         t = self.client.next_timeout()
         if t is not None:
             times.append(t)
-        for conn in self._server_conns():
+        for conn in self.listener.connections():
             t = conn.next_timeout()
             if t is not None:
                 times.append(t)
@@ -219,14 +216,14 @@ class Driver:
                     self.send(SERVER, self.listener.receive(data, source, now), now)
             if self.client.next_timeout() is not None and self.client.next_timeout() <= now:
                 self.send(CLIENT, self.client.on_timeout(now), now)
-            for conn in self._server_conns():
+            for conn in self.listener.connections():
                 if conn.next_timeout() is not None and conn.next_timeout() <= now:
                     self.send(SERVER, conn.on_timeout(now), now)
             if self.app_payload and not self._app_sent and self.client.connected:
                 self._app_sent = True
                 self.send(CLIENT, self.client.send_app_data(self.app_payload, now), now)
             if self.client.failed:
-                server_active = any(not c.failed for c in self._server_conns())
+                server_active = any(not c.failed for c in self.listener.connections())
                 if not server_active or self.link.next_time() is None:
                     break
         return now

@@ -1,9 +1,10 @@
 """Client and server connection state machines.
 
 One Connection per endpoint, driven by explicit simulated time.  The
-DTLS side adds per-message retransmission with explicit ACK records,
-stateless cookie DoS protection, CID demultiplexing and anti-replay;
-the TLS side runs the same flows over a reliable stream.
+DTLS side adds per-message retransmission with explicit ACK records
+(``reliability.DtlsReliability``), stateless cookie DoS protection, CID
+demultiplexing and anti-replay; the TLS side runs the same flows over a
+reliable stream.
 """
 
 import logging
@@ -39,13 +40,11 @@ from .profiles import (
     EcCredential,
     PskCredential,
 )
-from .records import ContentType, ReplayWindow
+from .records import ContentType, OutRecord, ReplayWindow
+from .reliability import DtlsReliability
 
 log = logging.getLogger(__name__)
 
-RTO_INITIAL_MS = 400
-RTO_MAX_RETRIES = 8
-ACK_DELAY_MS = 150
 TICKET_LIFETIME_S = 7200
 TICKET_AGE_TOLERANCE_MS = 10_000
 
@@ -60,6 +59,7 @@ class Phase(Enum):
     WAIT_SH = "wait_sh"
     WAIT_EE = "wait_ee"
     WAIT_CERT_CR = "wait_cert_cr"
+    WAIT_CERT = "wait_cert"
     WAIT_CV = "wait_cv"
     WAIT_FINISHED = "wait_finished"
     CONNECTED = "connected"
@@ -99,13 +99,6 @@ class OpCounters:
 
     def to_dict(self) -> dict:
         return dict(self.__dict__)
-
-
-@dataclass
-class OutRecord:
-    data: bytes
-    name: str
-    retransmit: bool = False
 
 
 @dataclass
@@ -195,17 +188,9 @@ class Connection:
         self.plain_write_seq = 0
         self.plain_window = ReplayWindow()
 
-        self.next_send_msg_seq = 0
-        self.next_recv_msg_seq = 0
-        self.inbound_frags: dict = {}
-        self.recv_flight: list = []  # record numbers of the inbound flight
-        self.stale_records: list = []
-
-        self.sent_unacked: dict = {}  # (epoch, rec_seq) -> dict(msg_seq,name,frag,epoch)
-        self.rto_ms = RTO_INITIAL_MS
-        self.retries = 0
-        self.retransmit_at: int | None = None
-        self.ack_at: int | None = None
+        self.reliability = (
+            DtlsReliability(self._frame, self._current_write_epoch) if self.protocol == Protocol.DTLS else None
+        )
 
         self.cid_local: bytes | None = None  # peers put this in records they send us
         self.cid_peer: bytes | None = None  # we put this in records we send
@@ -248,9 +233,8 @@ class Connection:
         self.failed_from = self.phase.value
         self.phase = Phase.FAILED
         self.failure = alert
-        self.retransmit_at = None  # a dead connection keeps no timers
-        self.ack_at = None
-        self.sent_unacked.clear()
+        if self.reliability is not None:
+            self.reliability.stop()
         self._event(now, EventKind.ALERT, alert=alert, **detail)
 
     def _fail(self, now: int, exc: ProtocolError) -> list:
@@ -350,14 +334,7 @@ class Connection:
             raw = self.cfg.debug_tamper(name, raw) or raw
         if self.protocol == Protocol.TLS:
             return [OutRecord(self._frame(epoch, ContentType.HANDSHAKE, raw)[1], name)]
-        body = raw[4:]
-        msg_seq = self.next_send_msg_seq
-        self.next_send_msg_seq += 1
-        full = messages.DtlsFragment(raw[0], len(body), msg_seq, 0, len(body), body).encode()
-        return [
-            self._send_dtls_fragment(frag.encode(), name, epoch, msg_seq)
-            for frag in messages.fragment(full, self._fragment_budget(epoch))
-        ]
+        return self.reliability.send(raw[0], raw[4:], name, epoch, self._fragment_budget(epoch), self._now)
 
     def _fragment_budget(self, epoch: int) -> int:
         if epoch == EPOCH_PLAIN:
@@ -366,35 +343,13 @@ class Connection:
             overhead = (
                 records.unified_header_size(0, False, self.cfg.packing)
                 + 1
+                + self.cfg.pad_len
                 + self.params.tag_len
             )
         budget = self.cfg.mtu - overhead
         if budget <= messages.DTLS_HANDSHAKE_HEADER_LEN:
             raise ConfigConflict("mtu too small for any handshake fragment")
         return budget
-
-    def _send_dtls_fragment(
-        self, frag_bytes: bytes, name: str, epoch: int, msg_seq: int, retransmit: bool = False
-    ) -> OutRecord:
-        rec_seq, data = self._frame(epoch, ContentType.HANDSHAKE, frag_bytes)
-        self.sent_unacked[(epoch, rec_seq)] = {
-            "msg_seq": msg_seq,
-            "name": name,
-            "frag": frag_bytes,
-            "epoch": epoch,
-        }
-        if self.retransmit_at is None:
-            self.retransmit_at = self._now + self.rto_ms
-        return OutRecord(data, name, retransmit=retransmit)
-
-    def _send_ack(self, record_numbers) -> list:
-        if self.protocol != Protocol.DTLS or not record_numbers:
-            return []
-        epoch = self._current_write_epoch()
-        if epoch == EPOCH_PLAIN:
-            return []  # ACKs only exist under record protection
-        body = messages.build_ack(sorted(set(record_numbers)))
-        return [OutRecord(self._frame(epoch, ContentType.ACK, body)[1], "ack")]
 
     def _fake_ccs(self) -> list:
         # compat mode artifact: legacy type 20, body 0x01, sent once, ignored on receipt
@@ -617,13 +572,13 @@ class Connection:
                 if ctype == ContentType.CHANGE_CIPHER_SPEC:
                     continue
                 if self.plain_window.seen(seq):
-                    self._note_stale(now, (EPOCH_PLAIN, seq))
+                    self.reliability.ack_now(now, (EPOCH_PLAIN, seq))
                     continue
                 self.plain_window.add(seq)
-                out.extend(self._feed_dtls_fragments(payload, now, rec_num=(EPOCH_PLAIN, seq)))
+                out.extend(self.reliability.receive(payload, (EPOCH_PLAIN, seq), now, self._dispatch_message))
             else:
                 break  # unknown first byte: not a record, drop remainder
-        out.extend(self._flush_acks(now))
+        out.extend(self.reliability.flush_acks(now))
         return out
 
     def _handle_unified(self, parsed, now: int) -> list:
@@ -652,9 +607,9 @@ class Connection:
         if true_type == ContentType.HANDSHAKE:
             if self.protocol == Protocol.TLS:
                 return self._feed_handshake_stream(payload, now)
-            return self._feed_dtls_fragments(payload, now, rec_num)
-        if true_type == ContentType.ACK:
-            self._process_ack(messages.parse_ack(payload))
+            return self.reliability.receive(payload, rec_num, now, self._dispatch_message)
+        if true_type == ContentType.ACK and self.protocol == Protocol.DTLS:
+            self.reliability.process_ack(messages.parse_ack(payload))
             return []
         if true_type == ContentType.ALERT:
             self._peer_alert(now, payload)
@@ -692,94 +647,20 @@ class Connection:
             out.extend(self._dispatch_message(msg, raw, now))
         return out
 
-    def _feed_dtls_fragments(self, payload: bytes, now: int, rec_num) -> list:
-        out = []
-        offset = 0
-        got_new = False
-        while offset < len(payload):
-            frag, used = messages.parse_dtls_fragment(payload[offset:])
-            offset += used
-            if frag.message_seq < self.next_recv_msg_seq:
-                self._note_stale(now, rec_num)
-                continue
-            buf = self.inbound_frags.get(frag.message_seq)
-            if buf is None:
-                buf = messages.FragmentBuffer(frag.msg_type, frag.length, frag.message_seq)
-                self.inbound_frags[frag.message_seq] = buf
-            buf.add(frag)
-            got_new = True
-            if rec_num is not None and rec_num not in self.recv_flight:
-                self.recv_flight.append(rec_num)
-        while self.phase != Phase.FAILED:
-            buf = self.inbound_frags.get(self.next_recv_msg_seq)
-            if buf is None or not buf.complete:
-                break
-            full = buf.assemble()
-            del self.inbound_frags[self.next_recv_msg_seq]
-            self.next_recv_msg_seq += 1
-            raw = messages.decode_dtls_fragment(full).to_tls_form()
-            msg = messages.decode_handshake(raw)
-            out.extend(self._dispatch_message(msg, raw, now))
-        if got_new and self.inbound_frags and self.ack_at is None:
-            self.ack_at = now + ACK_DELAY_MS  # incomplete flight: delayed ACK
-        return out
-
-    def _note_stale(self, now: int, rec_num) -> None:
-        # Peer retransmitted something we already processed; re-ACK promptly
-        # so it stops resending.
-        if self.protocol == Protocol.DTLS:
-            if rec_num is not None and rec_num not in self.stale_records:
-                self.stale_records.append(rec_num)
-            self.ack_at = now
-
-    def _flush_acks(self, now: int) -> list:
-        if self.ack_at is None or now < self.ack_at:
-            return []
-        self.ack_at = None
-        acks = list(self.recv_flight) + self.stale_records
-        self.stale_records = []
-        return self._send_ack(acks)
-
-    def _implicit_ack(self) -> None:
-        """An in-order message from the peer's next flight proves our
-        previous flight arrived whole."""
-        self._process_ack(list(self.sent_unacked))
-
-    def _process_ack(self, record_numbers) -> None:
-        for rn in record_numbers:
-            self.sent_unacked.pop(tuple(rn), None)  # unknown numbers ignored
-        if not self.sent_unacked:
-            self.retransmit_at = None
-            self.rto_ms = RTO_INITIAL_MS
-            self.retries = 0
-
     # ---------------------------------------------------------- timers
 
     def next_timeout(self):
-        candidates = [t for t in (self.retransmit_at, self.ack_at) if t is not None]
-        return min(candidates) if candidates else None
+        return None if self.reliability is None else self.reliability.next_timeout()
 
     def on_timeout(self, now: int) -> list:
-        if self.phase == Phase.FAILED:
+        if self.phase == Phase.FAILED or self.reliability is None:
             return []
         self._now = now
-        out = self._flush_acks(now)
-        if self.retransmit_at is not None and now >= self.retransmit_at:
-            if self.retries >= RTO_MAX_RETRIES:
-                out.extend(self._fail(now, HandshakeTimeout("retransmission cap reached")))
-                return out
-            self.retries += 1
-            self.rto_ms *= 2
-            self.retransmit_at = now + self.rto_ms
-            pending = sorted(self.sent_unacked.items(), key=lambda kv: kv[1]["msg_seq"])
-            for old_key, entry in pending:
-                del self.sent_unacked[old_key]
-                out.append(
-                    self._send_dtls_fragment(
-                        entry["frag"], entry["name"], entry["epoch"], entry["msg_seq"], retransmit=True
-                    )
-                )
-        return out
+        out = self.reliability.flush_acks(now)
+        try:
+            return out + self.reliability.retransmit(now)
+        except HandshakeTimeout as exc:
+            return out + self._fail(now, exc)
 
     # ---------------------------------------------------------- dispatch table
 
@@ -793,7 +674,8 @@ class Connection:
     def _client_message(self, msg, raw: bytes, now: int) -> list:
         t = msg.MSG_TYPE
         if self.phase == Phase.WAIT_SH and t == HandshakeType.SERVER_HELLO:
-            self._implicit_ack()
+            if self.reliability is not None:
+                self.reliability.implicit_ack()
             if messages.is_hello_retry_request(msg):
                 return self._client_handle_hrr(msg, raw, now)
             return self._client_handle_sh(msg, raw, now)
@@ -802,9 +684,9 @@ class Connection:
         if self.phase == Phase.WAIT_CERT_CR and t == HandshakeType.CERTIFICATE_REQUEST:
             self.client_cert_requested = True
             self.transcript.append(raw)
-            self.phase = Phase.WAIT_CV
+            self.phase = Phase.WAIT_CERT
             return []
-        if self.phase in (Phase.WAIT_CERT_CR, Phase.WAIT_CV) and t == HandshakeType.CERTIFICATE:
+        if self.phase in (Phase.WAIT_CERT_CR, Phase.WAIT_CERT) and t == HandshakeType.CERTIFICATE:
             return self._peer_certificate(msg, raw)
         if self.phase == Phase.WAIT_CV and t == HandshakeType.CERTIFICATE_VERIFY:
             return self._peer_certificate_verify(msg, raw)
@@ -895,7 +777,8 @@ class Connection:
         self._install(EPOCH_APP, "write", self.ks.client_ap_traffic)
         self.ks.derive_resumption(self._th())
         self._tls_read_epoch = EPOCH_APP
-        self.recv_flight = []
+        if self.reliability is not None:
+            self.reliability.end_flight(ack=False)
         self.phase = Phase.CONNECTED
         self._event(now, EventKind.FLIGHT_READY, flight="client_second")
         self._event(now, EventKind.HANDSHAKE_COMPLETE)
@@ -914,8 +797,8 @@ class Connection:
         )
         self.client_tickets.append(state)
         self._event(now, EventKind.TICKET, ticket=nst.ticket.hex())
-        if self.protocol == Protocol.DTLS:
-            self.ack_at = now  # no responding flight: explicit ACK
+        if self.reliability is not None:
+            self.reliability.ack_now(now)  # no responding flight: explicit ACK
         return []
 
     # ---------------------------------------------------------------- server side
@@ -927,7 +810,8 @@ class Connection:
                 raise UnexpectedMessage("ClientHello at the wrong time")
             return self.server_handle_client_hello(msg, raw, now)
         if self.phase == Phase.WAIT_CERT_CR and t == HandshakeType.CERTIFICATE:
-            self._implicit_ack()
+            if self.reliability is not None:
+                self.reliability.implicit_ack()
             return self._peer_certificate(msg, raw)
         if self.phase == Phase.WAIT_CV and t == HandshakeType.CERTIFICATE_VERIFY:
             return self._peer_certificate_verify(msg, raw)
@@ -946,16 +830,12 @@ class Connection:
         self._now = now
         if retry_transcript is not None:
             self.transcript = list(retry_transcript)
-            self.next_send_msg_seq = 1  # the HelloRetryRequest consumed seq 0
-            self.next_recv_msg_seq = 2  # ClientHello1 and the retry
             self.plain_write_seq = 1  # the stateless HRR used record seq 0
             self.plain_window.add(0)
-        elif self.protocol == Protocol.DTLS:
-            self.next_recv_msg_seq = 1
-        if self.protocol == Protocol.DTLS:
+        if self.reliability is not None:
+            self.reliability.after_client_hello(retried=retry_transcript is not None)
             self.plain_window.add(ch_rec_seq)
         self.transcript.append(raw)
-        self.recv_flight = []
 
         self.suite = SuiteId(
             _negotiate([int(s) for s in self.cfg.suites], ch.cipher_suites, NoCommonSuite, "cipher suite")
@@ -1076,7 +956,6 @@ class Connection:
         return AuthMode.PK_MUTUAL if self.cfg.mutual else AuthMode.PK_SERVER_ONLY
 
     def _server_handle_finished(self, fin, raw: bytes, now: int) -> list:
-        self._implicit_ack()
         self._peer_finished(fin, raw)
         self._install(EPOCH_APP, "read", self.ks.client_ap_traffic)
         self.ks.derive_resumption(self._th())
@@ -1084,10 +963,9 @@ class Connection:
         self.phase = Phase.CONNECTED
         self._event(now, EventKind.HANDSHAKE_COMPLETE)
         out = []
-        if self.protocol == Protocol.DTLS:
-            out.extend(self._send_ack(list(self.recv_flight)))
-            self.recv_flight = []
-            self.ack_at = None
+        if self.reliability is not None:
+            self.reliability.implicit_ack()
+            out += self.reliability.end_flight(ack=True)
         if self.cfg.tickets:
             out.extend(self._issue_ticket(now))
         return out

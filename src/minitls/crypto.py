@@ -43,7 +43,7 @@ class HashAlg(IntEnum):
     SHA384 = 2
 
 
-_HASH_NAMES = {HashAlg.SHA256: "sha256", HashAlg.SHA384: "sha384"}
+_HASHES = {HashAlg.SHA256: hashlib.sha256, HashAlg.SHA384: hashlib.sha384}
 _HASH_LENS = {HashAlg.SHA256: 32, HashAlg.SHA384: 48}
 
 
@@ -97,7 +97,7 @@ class SignatureScheme(IntEnum):
 
 
 def hash_data(alg: HashAlg, data: bytes) -> bytes:
-    return hashlib.new(_HASH_NAMES[alg], data).digest()
+    return _HASHES[alg](data).digest()
 
 
 def hash_len(alg: HashAlg) -> int:
@@ -105,7 +105,7 @@ def hash_len(alg: HashAlg) -> int:
 
 
 def hmac_digest(alg: HashAlg, key: bytes, data: bytes) -> bytes:
-    return _hmac.new(key, data, _HASH_NAMES[alg]).digest()
+    return _hmac.digest(key, data, _HASHES[alg])
 
 
 def hmac_verify(alg: HashAlg, key: bytes, data: bytes, mac: bytes) -> bool:
@@ -124,6 +124,8 @@ def hkdf_extract(salt: bytes, ikm: bytes, alg: HashAlg) -> bytes:
 
 def hkdf_expand(prk: bytes, info: bytes, out_len: int, alg: HashAlg) -> bytes:
     n = hash_len(alg)
+    if out_len <= n:  # one block: every TLS 1.3 label output
+        return hmac_digest(alg, prk, info + b"\x01")[:out_len]
     if out_len > 255 * n:
         raise LengthOverflow(f"HKDF-Expand output {out_len} exceeds 255*{n}")
     out = b""
@@ -191,9 +193,13 @@ def aead_open(params: SuiteParams, aead, nonce: bytes, aad: bytes, ciphertext: b
         raise AuthenticationFailure("AEAD tag mismatch") from None
 
 
+_AES = algorithms.AES  # looked up once: the module attribute goes through a __getattr__
+_ECB = modes.ECB()
+
+
 def block_cipher(key: bytes):
     """Raw AES encryptor; ECB keeps no state between whole blocks, so one serves many."""
-    return Cipher(algorithms.AES(key), modes.ECB()).encryptor()
+    return Cipher(_AES(key), _ECB).encryptor()
 
 
 def block_encrypt(encryptor, block: bytes) -> bytes:

@@ -538,13 +538,6 @@ class DtlsFragment:
         return bytes([self.msg_type]) + self.length.to_bytes(3, "big") + self.body
 
 
-def decode_dtls_fragment(data: bytes) -> DtlsFragment:
-    frag, consumed = parse_dtls_fragment(data)
-    if consumed != len(data):
-        raise DecodeError("length-mismatch: trailing bytes after fragment")
-    return frag
-
-
 def parse_dtls_fragment(data: bytes) -> tuple:
     """Parse one fragment from the front of ``data``; returns (fragment, consumed)."""
     r = Reader(data)
@@ -559,21 +552,16 @@ def parse_dtls_fragment(data: bytes) -> tuple:
     return DtlsFragment(msg_type, length, message_seq, offset, frag_len, body), r.pos
 
 
-def fragment(msg_bytes: bytes, mtu_budget: int) -> list:
-    """Split a complete DTLS handshake message into encodable fragments,
-    each at most ``mtu_budget`` bytes."""
+def fragment(msg_type: int, message_seq: int, body: bytes, mtu_budget: int) -> list:
+    """Split one handshake message body into DTLS fragments, each at most
+    ``mtu_budget`` bytes encoded."""
     if mtu_budget <= DTLS_HANDSHAKE_HEADER_LEN:
         raise ValueError("mtu budget leaves no room for fragment bodies")
-    whole = decode_dtls_fragment(msg_bytes)
-    if not whole.complete:
-        raise ValueError("input must be an unfragmented message")
     chunk = mtu_budget - DTLS_HANDSHAKE_HEADER_LEN
     frags = []
-    for off in range(0, whole.length, chunk) or [0]:  # zero-length body: one carrier
-        part = whole.body[off : off + chunk]
-        frags.append(
-            DtlsFragment(whole.msg_type, whole.length, whole.message_seq, off, len(part), part)
-        )
+    for off in range(0, len(body), chunk) or [0]:  # zero-length body: one carrier
+        part = body[off : off + chunk]
+        frags.append(DtlsFragment(msg_type, len(body), message_seq, off, len(part), part))
     return frags
 
 
@@ -620,13 +608,12 @@ class FragmentBuffer:
     def complete(self) -> bool:
         return self.length == 0 or self.covered == [(0, self.length)]
 
-    def assemble(self) -> bytes:
+    def assemble(self) -> DtlsFragment:
+        """The whole message as one complete fragment."""
         if not self.complete:
             missing = self.covered[0][1] if self.covered and self.covered[0][0] == 0 else 0
             raise FragmentGap(f"gap-on-flush: first missing byte {missing}")
-        return DtlsFragment(
-            self.msg_type, self.length, self.message_seq, 0, self.length, bytes(self.buf)
-        ).encode()
+        return DtlsFragment(self.msg_type, self.length, self.message_seq, 0, self.length, bytes(self.buf))
 
 
 # --- builders ---------------------------------------------------------------------

@@ -34,6 +34,13 @@ class ContentType(IntEnum):
     ACK = 26
 
 
+@dataclass
+class OutRecord:
+    data: bytes
+    name: str
+    retransmit: bool = False
+
+
 TLS_RECORD_HEADER_LEN = 5
 DTLS12_RECORD_HEADER_LEN = 13  # type 1 + version 2 + epoch 2 + seq 6 + length 2
 TLS_LEGACY_VERSION = 0x0303

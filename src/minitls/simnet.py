@@ -31,15 +31,7 @@ class NetConfig:
     framing_overhead: int = 0  # constant per-datagram encapsulation cost
 
     def to_dict(self) -> dict:
-        return {
-            "loss_rate": self.loss_rate,
-            "dup_rate": self.dup_rate,
-            "reorder_rate": self.reorder_rate,
-            "latency_ms": self.latency_ms,
-            "mtu": self.mtu,
-            "seed": self.seed,
-            "framing_overhead": self.framing_overhead,
-        }
+        return dict(self.__dict__)
 
     @classmethod
     def from_dict(cls, d: dict):
@@ -63,17 +55,7 @@ class WireStats:
         return self.bytes_c2s + self.bytes_s2c
 
     def to_dict(self) -> dict:
-        return {
-            "bytes_c2s": self.bytes_c2s,
-            "bytes_s2c": self.bytes_s2c,
-            "framed_c2s": self.framed_c2s,
-            "framed_s2c": self.framed_s2c,
-            "datagrams_c2s": self.datagrams_c2s,
-            "datagrams_s2c": self.datagrams_s2c,
-            "retransmitted_bytes": self.retransmitted_bytes,
-            "dropped": self.dropped,
-            "duplicated": self.duplicated,
-        }
+        return dict(self.__dict__)
 
 
 def _peer(endpoint: str) -> str:

@@ -240,7 +240,7 @@ def test_07_retransmission_granularity():
             net=NetConfig(loss_rate=0.2, latency_ms=10, seed=seed),
         )
         if p.client.connected and p.server and p.server.connected:
-            assert p.client.retries <= 8
+            assert p.client.reliability.retries <= 8
             completed += 1
     assert completed >= 9, f"only {completed}/10 lossy seeds completed"
     ok(7, f"single drop retransmits exactly one message; {completed}/10 seeds complete at 20% loss")
@@ -277,14 +277,14 @@ def test_09_cid_continuity():
     hs_bytes_before = sum(
         s for n, _, s, _ in pair.driver.per_message if n not in ("app_data", "ack")
     )
-    hs_msgs_before = server.next_send_msg_seq
+    hs_msgs_before = server.reliability.next_send_msg_seq
     [rec] = pair.client.send_app_data(b"post-rebind-data", now=20_000)
     pair.listener.receive(rec.data, "client:4711", 20_010)
     assert any(e.kind == EventKind.ADDRESS_MIGRATED for e in server.event_log)
     assert any(
         e.kind == EventKind.APP_DATA and e.detail["bytes"] == 16 for e in server.event_log
     )
-    assert server.next_send_msg_seq == hs_msgs_before  # no new handshake messages
+    assert server.reliability.next_send_msg_seq == hs_msgs_before  # no new handshake messages
     hs_bytes_after = sum(
         s for n, _, s, _ in pair.driver.per_message if n not in ("app_data", "ack")
     )

@@ -114,6 +114,23 @@ def test_server_flight_corruption_detected(target, alert):
     assert not any(e.kind == EventKind.HANDSHAKE_COMPLETE for e in pair.client.event_log)
 
 
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_certificate_verify_without_certificate_rejected(protocol, monkeypatch):
+    # after a CertificateRequest the server's Certificate must come next
+    # (RFC 8446 section 4.4.2); here the server neither hashes nor sends it
+    emit = Connection._emit
+
+    def skip_server_certificate(self, msg, epoch):
+        if self.role == "server" and msg.MSG_TYPE == HandshakeType.CERTIFICATE:
+            return []
+        return emit(self, msg, epoch)
+
+    monkeypatch.setattr(Connection, "_emit", skip_server_certificate)
+    pair = run_handshake(protocol, AuthMode.PK_MUTUAL, seed=3)
+    assert pair.client.failed
+    assert pair.client.failure == "unexpected_message"
+
+
 def test_client_finished_corruption_detected():
     def tamper(name, raw):
         if name == "finished":
@@ -182,8 +199,8 @@ def test_no_retransmissions_in_clean_runs():
     pair = run_handshake(Protocol.DTLS, AuthMode.PK_MUTUAL, seed=9)
     pair.assert_complete()
     assert pair.link.stats.retransmitted_bytes == 0
-    assert not pair.client.sent_unacked
-    assert not pair.server.sent_unacked
+    assert not pair.client.reliability.sent_unacked
+    assert not pair.server.reliability.sent_unacked
 
 
 def test_total_loss_fails_after_backoff_cap():
@@ -192,7 +209,7 @@ def test_total_loss_fails_after_backoff_cap():
     pair.run(until_ms=600_000)
     assert pair.client.failed
     assert pair.client.failure == "handshake_timeout"
-    assert pair.client.retries == 8
+    assert pair.client.reliability.retries == 8
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -204,18 +221,18 @@ def test_handshakes_survive_20pct_loss(seed):
         net=NetConfig(loss_rate=0.2, latency_ms=10, seed=seed),
     )
     server = pair.assert_complete()
-    assert not pair.client.sent_unacked and not server.sent_unacked
+    assert not pair.client.reliability.sent_unacked and not server.reliability.sent_unacked
 
 
 def test_duplicate_ack_idempotent_and_unknown_ignored():
     pair = run_handshake(Protocol.DTLS, AuthMode.PSK, seed=11)
     server = pair.assert_complete()
     client = pair.client
-    before = dict(client.sent_unacked)
-    client._process_ack([(9, 999)])  # never-sent record number
-    assert client.sent_unacked == before
-    client._process_ack([(2, 0)])
-    client._process_ack([(2, 0)])  # duplicate is a no-op
+    before = dict(client.reliability.sent_unacked)
+    client.reliability.process_ack([(9, 999)])  # never-sent record number
+    assert client.reliability.sent_unacked == before
+    client.reliability.process_ack([(2, 0)])
+    client.reliability.process_ack([(2, 0)])  # duplicate is a no-op
     assert not client.failed
 
 
@@ -268,7 +285,7 @@ def test_flipped_cookie_dropped_without_allocation():
     [hrr_rec] = listener.receive(outs[0].data, "client:0", 0)
     assert listener.allocated == 0
     _, _, payload, _ = parse_dtls_plaintext(hrr_rec.data, 0)
-    hrr = m.decode_handshake(m.decode_dtls_fragment(payload).to_tls_form())
+    hrr = m.decode_handshake(m.parse_dtls_fragment(payload)[0].to_tls_form())
     cookie = m.parse_cookie(m.find_extension(hrr.extensions, m.ExtensionType.COOKIE).data)
 
     retry = client.handle(hrr_rec.data, 10)
@@ -432,14 +449,14 @@ def cid_session(seed=23):
 def test_cid_survives_address_rebind():
     pair = cid_session()
     server = pair.server
-    hs_msgs_before = server.next_send_msg_seq
+    hs_msgs_before = server.reliability.next_send_msg_seq
     [rec] = pair.client.send_app_data(b"after-nat-rebinding", now=10_000)
     out = pair.listener.receive(rec.data, "client:9999", 10_010)  # new source
     migrated = [e for e in server.event_log if e.kind == EventKind.ADDRESS_MIGRATED]
     delivered = [e for e in server.event_log if e.kind == EventKind.APP_DATA]
     assert len(migrated) == 1 and migrated[0].detail["address"] == "client:9999"
     assert delivered and delivered[-1].detail["bytes"] == len(b"after-nat-rebinding")
-    assert server.next_send_msg_seq == hs_msgs_before  # zero handshake messages
+    assert server.reliability.next_send_msg_seq == hs_msgs_before  # zero handshake messages
     assert pair.listener.by_addr.get("client:9999") is server
 
 
@@ -527,6 +544,20 @@ def test_dtls_handshake_records_fit_mtu():
     pair = run_handshake(Protocol.DTLS, AuthMode.PK_MUTUAL, seed=31)
     pair.assert_complete()
     assert all(size <= 1280 for _, _, size, _ in pair.driver.per_message)
+
+
+def test_padded_handshake_records_fit_mtu():
+    # the fragment budget leaves room for the record padding as well
+    pair = run_handshake(
+        Protocol.DTLS,
+        AuthMode.PK_MUTUAL,
+        seed=31,
+        net=NetConfig(mtu=500, latency_ms=10, seed=31),
+        client_over={"mtu": 500, "pad_len": 5},
+        server_over={"mtu": 500, "pad_len": 5},
+    )
+    pair.assert_complete()
+    assert all(size <= 500 for _, _, size, _ in pair.driver.per_message)
 
 
 # --- resumed 0-RTT freshness --------------------------------------------------------

@@ -67,8 +67,15 @@ def wire_form(msg, protocol, message_seq=0) -> bytes:
 
 def decode_wire(wire: bytes, protocol):
     if protocol == Protocol.DTLS:
-        wire = m.decode_dtls_fragment(wire).to_tls_form()
+        frag, used = m.parse_dtls_fragment(wire)
+        assert used == len(wire)
+        wire = frag.to_tls_form()
     return m.decode_handshake(wire)
+
+
+def split(msg, message_seq, budget) -> list:
+    raw = m.tls_form(msg)
+    return m.fragment(raw[0], message_seq, raw[4:], budget)
 
 
 def reassemble(frags) -> bytes:
@@ -76,7 +83,7 @@ def reassemble(frags) -> bytes:
     buf = m.FragmentBuffer(frags[0].msg_type, frags[0].length, frags[0].message_seq)
     for f in frags:
         buf.add(f)
-    return buf.assemble()
+    return buf.assemble().encode()
 
 
 @pytest.mark.parametrize("protocol", [Protocol.TLS, Protocol.DTLS])
@@ -219,15 +226,16 @@ def test_fragmentation_three_parts_reverse_reassembly():
     rng = random.Random(3)
     cert = m.build_certificate(b"", [rng.randbytes(3000 - 11)])
     wire = wire_form(cert, Protocol.DTLS, message_seq=2)
-    frags = m.fragment(wire, 1200)
+    frags = split(cert, 2, 1200)
     assert len(frags) == 3
     assert all(len(f.encode()) <= 1200 for f in frags)
     assert reassemble(reversed(frags)) == wire
 
 
 def test_fragment_single_identity():
-    wire = wire_form(m.Finished(bytes(32)), Protocol.DTLS, message_seq=0)
-    frags = m.fragment(wire, 1200)
+    fin = m.Finished(bytes(32))
+    wire = wire_form(fin, Protocol.DTLS, message_seq=0)
+    frags = split(fin, 0, 1200)
     assert len(frags) == 1
     assert reassemble(frags) == wire
 
@@ -239,15 +247,14 @@ def test_fragment_random_split_points():
         cert = m.build_certificate(b"", [body])
         wire = wire_form(cert, Protocol.DTLS, message_seq=1)
         budget = rng.randrange(13, 200)
-        frags = m.fragment(wire, budget)
+        frags = split(cert, 1, budget)
         rng.shuffle(frags)
         frags += [frags[0]]  # duplicate tolerated
         assert reassemble(frags) == wire
 
 
 def test_fragment_gap_and_inconsistency():
-    wire = wire_form(m.build_certificate(b"", [bytes(100)]), Protocol.DTLS, message_seq=0)
-    frags = m.fragment(wire, 50)
+    frags = split(m.build_certificate(b"", [bytes(100)]), 0, 50)
     with pytest.raises(FragmentGap):
         reassemble(frags[:-1])
     bad = m.DtlsFragment(
@@ -280,7 +287,7 @@ def _interval_reassembly(length, pieces):
     try:
         for lo, data in pieces:
             buf.add(m.DtlsFragment(11, length, 0, lo, len(data), data))
-        return m.decode_dtls_fragment(buf.assemble()).body
+        return buf.assemble().body
     except (InconsistentDuplicate, FragmentGap) as exc:
         return str(exc)
 
@@ -327,12 +334,12 @@ def test_zero_length_message_is_complete():
     buf = m.FragmentBuffer(11, 0, 0)
     assert buf.complete
     buf.add(m.DtlsFragment(11, 0, 0, 0, 0, b""))
-    assert buf.complete and m.decode_dtls_fragment(buf.assemble()).body == b""
+    assert buf.complete and buf.assemble().body == b""
 
 
 def test_fragment_range_validation():
     with pytest.raises(DecodeError):
-        m.decode_dtls_fragment(
+        m.parse_dtls_fragment(
             bytes([20]) + (5).to_bytes(3, "big") + b"\x00\x00" + (3).to_bytes(3, "big") + (4).to_bytes(3, "big") + bytes(4)
         )
 
