@@ -188,9 +188,7 @@ class Connection:
         self.plain_write_seq = 0
         self.plain_window = ReplayWindow()
 
-        self.reliability = (
-            DtlsReliability(self._frame, self._current_write_epoch) if self.protocol == Protocol.DTLS else None
-        )
+        self.reliability = DtlsReliability() if self.protocol == Protocol.DTLS else None
 
         self.cid_local: bytes | None = None  # peers put this in records they send us
         self.cid_peer: bytes | None = None  # we put this in records we send
@@ -334,7 +332,7 @@ class Connection:
             raw = self.cfg.debug_tamper(name, raw) or raw
         if self.protocol == Protocol.TLS:
             return [OutRecord(self._frame(epoch, ContentType.HANDSHAKE, raw)[1], name)]
-        return self.reliability.send(raw[0], raw[4:], name, epoch, self._fragment_budget(epoch), self._now)
+        return self.reliability.send(self._frame, raw[0], raw[4:], name, epoch, self._fragment_budget(epoch), self._now)
 
     def _fragment_budget(self, epoch: int) -> int:
         if epoch == EPOCH_PLAIN:
@@ -578,7 +576,7 @@ class Connection:
                 out.extend(self.reliability.receive(payload, (EPOCH_PLAIN, seq), now, self._dispatch_message))
             else:
                 break  # unknown first byte: not a record, drop remainder
-        out.extend(self.reliability.flush_acks(now))
+        out.extend(self.reliability.flush_acks(now, self._frame, self._current_write_epoch))
         return out
 
     def _handle_unified(self, parsed, now: int) -> list:
@@ -656,9 +654,9 @@ class Connection:
         if self.phase == Phase.FAILED or self.reliability is None:
             return []
         self._now = now
-        out = self.reliability.flush_acks(now)
+        out = self.reliability.flush_acks(now, self._frame, self._current_write_epoch)
         try:
-            return out + self.reliability.retransmit(now)
+            return out + self.reliability.retransmit(now, self._frame)
         except HandshakeTimeout as exc:
             return out + self._fail(now, exc)
 
@@ -778,7 +776,7 @@ class Connection:
         self.ks.derive_resumption(self._th())
         self._tls_read_epoch = EPOCH_APP
         if self.reliability is not None:
-            self.reliability.end_flight(ack=False)
+            self.reliability.end_flight()
         self.phase = Phase.CONNECTED
         self._event(now, EventKind.FLIGHT_READY, flight="client_second")
         self._event(now, EventKind.HANDSHAKE_COMPLETE)
@@ -965,7 +963,7 @@ class Connection:
         out = []
         if self.reliability is not None:
             self.reliability.implicit_ack()
-            out += self.reliability.end_flight(ack=True)
+            out += self.reliability.end_flight(self._frame, self._current_write_epoch)
         if self.cfg.tickets:
             out.extend(self._issue_ticket(now))
         return out

@@ -124,8 +124,6 @@ def hkdf_extract(salt: bytes, ikm: bytes, alg: HashAlg) -> bytes:
 
 def hkdf_expand(prk: bytes, info: bytes, out_len: int, alg: HashAlg) -> bytes:
     n = hash_len(alg)
-    if out_len <= n:  # one block: every TLS 1.3 label output
-        return hmac_digest(alg, prk, info + b"\x01")[:out_len]
     if out_len > 255 * n:
         raise LengthOverflow(f"HKDF-Expand output {out_len} exceeds 255*{n}")
     out = b""

@@ -1,7 +1,10 @@
 """DTLS 1.3 handshake reliability (RFC 9147 section 5.8 timers, section 7 ACKs):
 message sequence numbers, reassembly, sent-record table, RTO ladder and ACK
-scheduling of one DTLS connection.  The connection's ``frame`` callback
-protects each record, so no key reaches this class."""
+scheduling of one DTLS connection.  Each method that sends takes the
+connection's ``frame`` callback, (epoch, true_type, payload) -> (record seq,
+wire bytes), which protects the record, so no key reaches this class; ACK
+senders also take ``write_epoch``, () -> the connection's write epoch.  Neither
+is stored, so a connection and its state form no reference cycle."""
 
 from . import messages
 from .errors import HandshakeTimeout
@@ -13,9 +16,7 @@ ACK_DELAY_MS = 150
 
 
 class DtlsReliability:
-    def __init__(self, frame, write_epoch):
-        self.frame = frame  # (epoch, true_type, payload) -> (record seq, wire bytes)
-        self.write_epoch = write_epoch  # () -> the connection's current write epoch
+    def __init__(self):
         self.next_send_msg_seq = 0
         self.next_recv_msg_seq = 0
         self.inbound_frags: dict = {}  # message_seq -> FragmentBuffer
@@ -27,28 +28,28 @@ class DtlsReliability:
         self.retransmit_at: int | None = None
         self.ack_at: int | None = None
 
-    def send(self, msg_type: int, body: bytes, name: str, epoch: int, budget: int, now: int) -> list:
+    def send(self, frame, msg_type: int, body: bytes, name: str, epoch: int, budget: int, now: int) -> list:
         """Send one handshake message as fragments of at most ``budget`` bytes."""
         msg_seq = self.next_send_msg_seq
         self.next_send_msg_seq += 1
         return [
-            self._send_fragment(frag.encode(), name, epoch, msg_seq, now)
+            self._send_fragment(frame, frag.encode(), name, epoch, msg_seq, now)
             for frag in messages.fragment(msg_type, msg_seq, body, budget)
         ]
 
-    def _send_fragment(self, frag: bytes, name: str, epoch: int, msg_seq: int, now: int, retransmit=False):
-        rec_seq, data = self.frame(epoch, ContentType.HANDSHAKE, frag)
+    def _send_fragment(self, frame, frag: bytes, name: str, epoch: int, msg_seq: int, now: int, retransmit=False):
+        rec_seq, data = frame(epoch, ContentType.HANDSHAKE, frag)
         self.sent_unacked[(epoch, rec_seq)] = (msg_seq, name, frag)
         if self.retransmit_at is None:
             self.retransmit_at = now + self.rto_ms
         return OutRecord(data, name, retransmit=retransmit)
 
-    def _send_ack(self, record_numbers: set) -> list:
-        epoch = self.write_epoch() if record_numbers else 0
+    def _send_ack(self, frame, write_epoch, record_numbers: set) -> list:
+        epoch = write_epoch() if record_numbers else 0
         if epoch == 0:
             return []  # nothing to ACK, or no record protection yet
         body = messages.build_ack(sorted(record_numbers))
-        return [OutRecord(self.frame(epoch, ContentType.ACK, body)[1], "ack")]
+        return [OutRecord(frame(epoch, ContentType.ACK, body)[1], "ack")]
 
     def receive(self, payload: bytes, rec_num, now: int, deliver) -> list:
         """Take one handshake record's fragments; pass each message completed in
@@ -93,20 +94,20 @@ class DtlsReliability:
             self.stale_records.add(stale)
         self.ack_at = now
 
-    def flush_acks(self, now: int) -> list:
+    def flush_acks(self, now: int, frame, write_epoch) -> list:
         if self.ack_at is None or now < self.ack_at:
             return []
         self.ack_at = None
         acks = self.recv_flight | self.stale_records
         self.stale_records = set()
-        return self._send_ack(acks)
+        return self._send_ack(frame, write_epoch, acks)
 
-    def end_flight(self, ack: bool) -> list:
+    def end_flight(self, frame=None, write_epoch=None) -> list:
         """The peer's flight is complete: forget its records, ACKing them
-        first when ``ack``; otherwise our next flight acknowledges it."""
+        first when given ``frame``; otherwise our next flight acknowledges it."""
         out = []
-        if ack:
-            out = self._send_ack(self.recv_flight)
+        if frame is not None:
+            out = self._send_ack(frame, write_epoch, self.recv_flight)
             self.ack_at = None
         self.recv_flight = set()
         return out
@@ -128,7 +129,7 @@ class DtlsReliability:
             return self.ack_at
         return self.retransmit_at
 
-    def retransmit(self, now: int) -> list:
+    def retransmit(self, now: int, frame) -> list:
         """When due, resend all unacknowledged fragments in message_seq order and
         double the timeout; HandshakeTimeout after RTO_MAX_RETRIES resends."""
         if self.retransmit_at is None or now < self.retransmit_at:
@@ -141,7 +142,7 @@ class DtlsReliability:
         pending = sorted(self.sent_unacked.items(), key=lambda kv: kv[1][0])
         self.sent_unacked.clear()
         return [
-            self._send_fragment(frag, name, epoch, msg_seq, now, retransmit=True)
+            self._send_fragment(frame, frag, name, epoch, msg_seq, now, retransmit=True)
             for (epoch, _), (msg_seq, name, frag) in pending
         ]
 

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -131,6 +133,22 @@ def test_certificate_verify_without_certificate_rejected(protocol, monkeypatch):
     assert pair.client.failure == "unexpected_message"
 
 
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_bad_certificate_after_request_fails_in_wait_cert(protocol):
+    # between CertificateRequest and Certificate the client is in wait_cert,
+    # which reports carry as failed_phase
+    def tamper(name, raw):
+        if name == "certificate":
+            return raw[:-1] + bytes([raw[-1] ^ 0x01])
+        return raw
+
+    client_cfg, server_cfg, _ = make_configs(protocol, AuthMode.PK_MUTUAL, seed=4)
+    pair = Pair(client_cfg, replace(server_cfg, debug_tamper=tamper), seed=4)
+    pair.run(until_ms=5_000)
+    assert pair.client.failed
+    assert pair.client.failed_from == "wait_cert"
+
+
 def test_client_finished_corruption_detected():
     def tamper(name, raw):
         if name == "finished":
@@ -201,6 +219,20 @@ def test_no_retransmissions_in_clean_runs():
     assert pair.link.stats.retransmitted_bytes == 0
     assert not pair.client.reliability.sent_unacked
     assert not pair.server.reliability.sent_unacked
+
+
+def test_dtls_client_freed_without_cycle_collector():
+    # the reliability state keeps no reference back to its connection, so a
+    # finished DTLS client is freed as soon as its last reference goes
+    pair = run_handshake(Protocol.DTLS, AuthMode.PSK_ECDHE, seed=3)
+    assert pair.client.connected
+    client = weakref.ref(pair.client)
+    gc.disable()
+    try:
+        del pair
+        assert client() is None
+    finally:
+        gc.enable()
 
 
 def test_total_loss_fails_after_backoff_cap():
