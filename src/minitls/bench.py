@@ -23,7 +23,6 @@ from .connection import (
 )
 from .crypto import Protocol, SuiteId
 from .errors import ProtocolError
-from .keyschedule import PskKind
 from .profiles import (
     ECDHE_FAMILY,
     PK_FAMILY,
@@ -143,15 +142,9 @@ class Driver:
         self.packing = client.cfg.packing and client.protocol == Protocol.DTLS
         self.mtu = link.config.mtu
         self.per_message: list = []
-        self.actions: list = []  # (time_ms, fn(driver, now))
         self.send_filter = None  # fn(endpoint, OutRecord, now) -> keep?
         self.app_payload = b""
         self._app_sent = False
-        self.now = 0
-
-    def schedule(self, t: int, fn) -> None:
-        self.actions.append((t, fn))
-        self.actions.sort(key=lambda a: a[0])
 
     def send(self, endpoint: str, outs, now: int) -> None:
         outs = list(outs)
@@ -192,8 +185,6 @@ class Driver:
             t = conn.next_timeout()
             if t is not None:
                 times.append(t)
-        if self.actions:
-            times.append(self.actions[0][0])
         return min(times) if times else None
 
     def run(self, until_ms: int = MAX_SIM_MS, start_ms: int = 0) -> int:
@@ -205,10 +196,6 @@ class Driver:
             if nxt is None or nxt > until_ms:
                 break
             now = max(now, nxt)
-            self.now = now
-            while self.actions and self.actions[0][0] <= now:
-                _, fn = self.actions.pop(0)
-                fn(self, now)
             for dest, source, data in self.link.poll(now):
                 if dest == CLIENT:
                     self.send(CLIENT, self.client.handle(data, now), now)
@@ -277,7 +264,6 @@ def build_configs(scenario: Scenario):
     client_cfg = ConnConfig(
         mode=mode,
         psk=psk if mode in PSK_FAMILY else None,
-        psk_kind=PskKind.EXTERNAL,
         local_ec=deployment["client_ec"].get(group) if needs_cert and prof.mutual_auth else None,
         peer_ec=_public_half(deployment["server_ec"][group]) if needs_cert else None,
         early_payload=bytes(scenario.early_payload) if mode == AuthMode.ZERO_RTT else b"",

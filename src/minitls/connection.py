@@ -7,7 +7,6 @@ demultiplexing and anti-replay; the TLS side runs the same flows over a
 reliable stream.
 """
 
-import logging
 import random
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -42,8 +41,6 @@ from .profiles import (
 )
 from .records import ContentType, OutRecord, ReplayWindow
 from .reliability import DtlsReliability
-
-log = logging.getLogger(__name__)
 
 TICKET_LIFETIME_S = 7200
 TICKET_AGE_TOLERANCE_MS = 10_000
@@ -133,7 +130,6 @@ class ConnConfig:
     suites: tuple
     groups: tuple = ()
     psk: PskCredential | None = None
-    psk_kind: PskKind = PskKind.EXTERNAL
     local_ec: EcCredential | None = None
     peer_ec: EcCredential | None = None  # pinned peer public key (trust anchor)
     mutual: bool = False
@@ -148,7 +144,6 @@ class ConnConfig:
     mtu: int = 1280
     packing: bool = False
     resume: TicketState | None = None
-    accept_early: bool = True
     debug_tamper: object = None  # test hook: fn(name, tls_form) -> tls_form
 
 
@@ -193,7 +188,7 @@ class Connection:
         self.cid_local: bytes | None = None  # peers put this in records they send us
         self.cid_peer: bytes | None = None  # we put this in records we send
         self.peer_offered_cid = False
-        self.listener = None  # backref for server connections
+        self.ticket_db: dict = {}  # server: the listener's resumption ticket table
 
         self.dh_priv = None
         self.dh_secret: bytes | None = None  # retained for schedule audits
@@ -202,7 +197,7 @@ class Connection:
         self.early_rejected = False
         self.hrr_done = False
         self.psk_in_use: PskCredential | None = None
-        self.psk_kind_in_use = cfg.psk_kind
+        self.psk_kind_in_use = PskKind.EXTERNAL
         self.obfuscated_age = 0
         self.client_tickets: list = []
         self.ticket_nonce_counter = 0
@@ -237,7 +232,6 @@ class Connection:
 
     def _fail(self, now: int, exc: ProtocolError) -> list:
         self._teardown(now, exc.alert, fatal=True)
-        log.debug("%s failed: %s (%s)", self.conn_id, exc.alert, exc)
         return self._emit_alert(_ALERT_CODES.get(exc.alert, 80))
 
     def _peer_alert(self, now: int, body: bytes) -> None:
@@ -420,7 +414,6 @@ class Connection:
             return self.psk_in_use
         if self.cfg.psk is not None and self.cfg.mode in PSK_FAMILY:
             self.obfuscated_age = 0
-            self.psk_kind_in_use = self.cfg.psk_kind
             self.psk_in_use = self.cfg.psk
             return self.psk_in_use
         return None
@@ -708,6 +701,8 @@ class Connection:
         self.transcript = [crypto.message_hash(digest), raw]
         self.ks = None
         self.epochs.pop(EPOCH_EARLY, None)  # 0-RTT does not survive an HRR
+        if self.reliability is not None:
+            self.reliability.end_flight()  # the retried ClientHello answers the HRR
         out = self._client_hello_flight(now, cookie=cookie)
         self._event(now, EventKind.FLIGHT_READY, flight="client_hello_retry")
         return out
@@ -906,11 +901,11 @@ class Connection:
         if ext is None:
             return None
         identity, obf_age, binder = messages.parse_pre_shared_key_offer(ext.data)
-        resumed = self.listener.ticket_db.get(identity) if self.listener else None
+        resumed = self.ticket_db.get(identity)
         try:
             if resumed is not None:
                 if now - resumed["issued_at"] > resumed["lifetime_s"] * 1000:
-                    del self.listener.ticket_db[identity]
+                    del self.ticket_db[identity]
                     raise ExpiredTicket("resumption ticket past its lifetime")
                 psk_secret, kind = resumed["psk"], PskKind.RESUMPTION
             elif self.cfg.psk is not None and identity == self.cfg.psk.identity:
@@ -933,7 +928,7 @@ class Connection:
         self.psk_kind_in_use = kind
 
         wants_early = messages.find_extension(ch.extensions, ExtensionType.EARLY_DATA) is not None
-        if wants_early and self.cfg.accept_early:
+        if wants_early:
             fresh = True
             if resumed is not None:
                 real_age = (obf_age - resumed["age_add"]) & 0xFFFFFFFF
@@ -974,14 +969,13 @@ class Connection:
         ticket_id = self.rng.randbytes(16)
         age_add = self.rng.getrandbits(32)
         psk = self.ks.resumption_psk(nonce)
-        if self.listener is not None:
-            self.listener.ticket_db[ticket_id] = {
-                "psk": psk,
-                "suite": self.suite,
-                "issued_at": now,
-                "age_add": age_add,
-                "lifetime_s": TICKET_LIFETIME_S,
-            }
+        self.ticket_db[ticket_id] = {
+            "psk": psk,
+            "suite": self.suite,
+            "issued_at": now,
+            "age_add": age_add,
+            "lifetime_s": TICKET_LIFETIME_S,
+        }
         nst = messages.build_new_session_ticket(
             TICKET_LIFETIME_S, age_add, nonce, ticket_id, max_early_data=1 << 14
         )
@@ -1003,14 +997,12 @@ def resume_config(cfg: ConnConfig, ticket: TicketState) -> ConnConfig:
 
 
 class ServerListener:
-    """Owns the accept path: cookie secrets, ticket table, demux tables."""
+    """Owns the accept path: cookie secret, ticket table, demux tables."""
 
     def __init__(self, cfg: ConnConfig, rng: random.Random):
         self.cfg = cfg
         self.rng = rng
         self.cookie_secret = rng.randbytes(32)
-        self.prev_cookie_secret: bytes | None = None
-        self.rotation_epoch = 0
         self.ticket_db: dict = {}
         self.by_addr: dict = {}
         self.by_cid: dict = {}
@@ -1019,32 +1011,23 @@ class ServerListener:
 
     # -- cookie machinery ------------------------------------------------------
 
-    def rotate_cookie_secret(self) -> None:
-        self.prev_cookie_secret = self.cookie_secret
-        self.cookie_secret = self.rng.randbytes(32)
-        self.rotation_epoch = (self.rotation_epoch + 1) & 0xFF
-
     def mint_cookie(self, address: str, ch_hash: bytes) -> bytes:
-        # rotation byte + Hash(ClientHello1) + MAC(address || Hash(ClientHello1));
+        # 0x00 + Hash(ClientHello1) + MAC(address || Hash(ClientHello1));
         # embedding the hash keeps the retry transcript reconstructible with
         # zero server-side state.
         mac = crypto.hmac_digest(
             crypto.HashAlg.SHA256, self.cookie_secret, address.encode() + ch_hash
         )
-        return bytes([self.rotation_epoch]) + ch_hash + mac
+        return b"\x00" + ch_hash + mac
 
     def check_cookie(self, cookie: bytes, address: str, hash_len: int):
         """Returns the embedded Hash(ClientHello1) when valid, else None."""
-        if len(cookie) != 1 + hash_len + 32:
+        if len(cookie) != 1 + hash_len + 32 or cookie[0] != 0:
             return None
-        rot, ch_hash, mac = cookie[0], cookie[1 : 1 + hash_len], cookie[1 + hash_len :]
-        if rot == self.rotation_epoch:
-            secret = self.cookie_secret
-        elif self.prev_cookie_secret is not None and rot == (self.rotation_epoch - 1) & 0xFF:
-            secret = self.prev_cookie_secret
-        else:
-            return None
-        ok = crypto.hmac_verify(crypto.HashAlg.SHA256, secret, address.encode() + ch_hash, mac)
+        ch_hash, mac = cookie[1 : 1 + hash_len], cookie[1 + hash_len :]
+        ok = crypto.hmac_verify(
+            crypto.HashAlg.SHA256, self.cookie_secret, address.encode() + ch_hash, mac
+        )
         return ch_hash if ok else None
 
     @property
@@ -1104,7 +1087,7 @@ class ServerListener:
     def _fresh_connection(self, source: str):
         self._conn_counter += 1
         conn = Connection(self.cfg, "server", self.rng, conn_id=f"S{self._conn_counter}")
-        conn.listener = self
+        conn.ticket_db = self.ticket_db
         self.by_addr[source] = conn
         if self.cfg.cid_len:
             conn.cid_local = self.rng.randbytes(self.cfg.cid_len)

