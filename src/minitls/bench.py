@@ -141,38 +141,63 @@ class Driver:
         # only DTLS packs records into datagrams; a TLS stream sends each record
         self.packing = client.cfg.packing and client.protocol == Protocol.DTLS
         self.mtu = link.config.mtu
-        self.per_message: list = []
+        # one row per datagram sent: (direction, size, ((name, size, retransmit), ...),
+        # copies the link queued, any record retransmitted); wire and per_message fold it
+        self.ledger: list = []
         self.send_filter = None  # fn(endpoint, OutRecord, now) -> keep?
         self.app_payload = b""
         self._app_sent = False
 
     def send(self, endpoint: str, outs, now: int) -> None:
-        outs = list(outs)
+        """Pack ``outs`` into datagrams (one record each unless packing) and book each."""
         if self.send_filter is not None:
             outs = [r for r in outs if self.send_filter(endpoint, r, now)]
-        direction = "c2s" if endpoint == CLIENT else "s2c"
-        if self.packing:
-            batch: list = []
-            size = 0
-            for rec in outs:
-                if batch and size + len(rec.data) > self.mtu:
-                    self._send_batch(endpoint, batch, now)
-                    batch, size = [], 0
-                batch.append(rec)
-                size += len(rec.data)
-            if batch:
-                self._send_batch(endpoint, batch, now)
-        else:
-            for rec in outs:
-                self.per_message.append((rec.name, direction, len(rec.data), rec.retransmit))
-                self.link.send(endpoint, rec.data, now, retransmit=rec.retransmit)
+        records, data, retransmit = (), b"", False
+        for rec in outs:
+            size = len(rec.data)
+            if records and (not self.packing or len(data) + size > self.mtu):
+                self._book(endpoint, records, data, retransmit, now)
+                records, data, retransmit = (), b"", False
+            records += ((rec.name, size, rec.retransmit),)
+            data += rec.data
+            retransmit = retransmit or rec.retransmit
+        if records:
+            self._book(endpoint, records, data, retransmit, now)
 
-    def _send_batch(self, endpoint: str, batch, now: int) -> None:
+    def _book(self, endpoint: str, records: tuple, data: bytes, retransmit: bool, now: int) -> None:
+        copies = self.link.send(endpoint, data, now)
         direction = "c2s" if endpoint == CLIENT else "s2c"
-        retransmit = any(r.retransmit for r in batch)
-        for rec in batch:
-            self.per_message.append((rec.name, direction, len(rec.data), rec.retransmit))
-        self.link.send(endpoint, b"".join(r.data for r in batch), now, retransmit=retransmit)
+        self.ledger.append((direction, len(data), records, copies, retransmit))
+
+    @property
+    def wire(self) -> dict:
+        """Per-direction totals.  A lost datagram still counts its bytes; a
+        duplicate counts twice except in ``retransmitted_bytes``; a packed
+        datagram counts whole as retransmitted when any record in it is."""
+        w = dict.fromkeys(("bytes_c2s", "bytes_s2c", "framed_c2s", "framed_s2c", "datagrams_c2s",
+                           "datagrams_s2c", "retransmitted_bytes", "dropped", "duplicated"), 0)
+        framing = self.link.config.framing_overhead
+        for d, size, _, copies, retransmit in self.ledger:
+            n = copies or 1
+            w["bytes_" + d] += n * size
+            w["framed_" + d] += n * (size + framing)
+            w["datagrams_" + d] += n
+            if retransmit:
+                w["retransmitted_bytes"] += size
+            if copies == 0:
+                w["dropped"] += 1
+            elif copies == 2:
+                w["duplicated"] += 1
+        return w
+
+    @property
+    def per_message(self) -> list:
+        """(name, direction, size, retransmit) per record, in send order."""
+        return [
+            (name, direction, size, retransmit)
+            for direction, _, records, _, _ in self.ledger
+            for name, size, retransmit in records
+        ]
 
     def _next_event_time(self):
         times = []
@@ -363,7 +388,7 @@ def run_scenario(scenario: Scenario) -> Report:
         failure=None if ok else failure,
         failed_phase=failed_phase,
         flights=flights,
-        wire=link.stats.to_dict(),
+        wire=driver.wire,
         per_message=driver.per_message,
         counters_client=client.counters.to_dict(),
         counters_server=(server.counters.to_dict() if server else OpCounters().to_dict()),

@@ -154,6 +154,17 @@ def _negotiate(server_pref, client_offer, exc, what):
     raise exc(f"no common {what}")
 
 
+def _hellos_only(payload: bytes) -> bool:
+    """Whether each fragment of a plaintext DTLS record is a ClientHello or ServerHello/HRR;
+    a fragment header ends with its 3-byte fragment_length at offset 9."""
+    offset = 0
+    while offset < len(payload):
+        if payload[offset] not in (HandshakeType.CLIENT_HELLO, HandshakeType.SERVER_HELLO):
+            return False
+        offset += messages.DTLS_HANDSHAKE_HEADER_LEN + int.from_bytes(payload[offset + 9 : offset + 12], "big")
+    return True
+
+
 class Connection:
     def __init__(self, cfg: ConnConfig, role: str, rng: random.Random, conn_id: str = ""):
         if cfg.mode == AuthMode.ZERO_RTT and cfg.psk is None and cfg.resume is None and role == "client":
@@ -523,7 +534,7 @@ class Connection:
             self._peer_alert(now, payload)
             return []
         if outer == ContentType.HANDSHAKE:
-            return self._feed_handshake_stream(payload, now)
+            return self._feed_handshake_stream(payload, EPOCH_PLAIN, now)
         if outer != ContentType.APPLICATION_DATA:
             raise DecodeError(f"unexpected outer type {outer}")
         epoch = self._tls_read_epoch
@@ -560,8 +571,8 @@ class Connection:
                 if ctype == ContentType.ALERT:
                     self._peer_alert(now, payload)
                     continue
-                if ctype == ContentType.CHANGE_CIPHER_SPEC:
-                    continue
+                if ctype == ContentType.CHANGE_CIPHER_SPEC or not _hellos_only(payload):
+                    continue  # an invalid record is dropped silently (RFC 9147 section 4.5.2)
                 if self.plain_window.seen(seq):
                     self.reliability.ack_now(now, (EPOCH_PLAIN, seq))
                     continue
@@ -597,7 +608,7 @@ class Connection:
     def _dispatch_record_payload(self, epoch, true_type, payload, now, rec_num) -> list:
         if true_type == ContentType.HANDSHAKE:
             if self.protocol == Protocol.TLS:
-                return self._feed_handshake_stream(payload, now)
+                return self._feed_handshake_stream(payload, epoch, now)
             return self.reliability.receive(payload, rec_num, now, self._dispatch_message)
         if true_type == ContentType.ACK and self.protocol == Protocol.DTLS:
             self.reliability.process_ack(messages.parse_ack(payload))
@@ -625,7 +636,10 @@ class Connection:
 
     # --------------------------------------------------- handshake msg plumbing
 
-    def _feed_handshake_stream(self, data: bytes, now: int) -> list:
+    def _feed_handshake_stream(self, data: bytes, epoch: int, now: int) -> list:
+        """Handshake bytes of one TLS record read under ``epoch`` (RFC 8446 sections 5, 5.1)."""
+        if epoch != self._tls_read_epoch:  # only the hellos travel in plaintext
+            raise UnexpectedMessage("plaintext handshake record after the key change")
         self._hs_buf += data
         out = []
         while len(self._hs_buf) >= 4 and self.phase != Phase.FAILED:
@@ -636,6 +650,8 @@ class Connection:
             self._hs_buf = self._hs_buf[total:]
             msg = messages.decode_handshake(raw)
             out.extend(self._dispatch_message(msg, raw, now))
+            if self._hs_buf and self._tls_read_epoch != epoch:
+                raise UnexpectedMessage("handshake message spans a key change")
         return out
 
     # ---------------------------------------------------------- timers

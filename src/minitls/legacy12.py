@@ -41,15 +41,9 @@ def _sni_ext(sni_len: int) -> int:
     return _ext(2 + 1 + 2 + sni_len)
 
 
-def _groups_ext(n_groups: int) -> int:
-    return _ext(2 + 2 * n_groups)
-
-
-def _sig_algs_ext(n_schemes: int) -> int:
-    return _ext(2 + 2 * n_schemes)
-
-
+GROUPS_EXT = _ext(2 + 2)  # list length 2 + one named group
 EC_POINT_FORMATS_EXT = _ext(1 + 1)  # list length 1 + uncompressed(0)
+SIG_ALGS_EXT = _ext(2 + 2)  # list length 2 + one signature scheme
 
 
 def _plain(protocol: str, body: int) -> int:
@@ -87,15 +81,13 @@ def model_messages(
     sni_len: int | None = None,
     n_suites: int = 1,
     group: NamedGroup = NamedGroup.SECP256R1,
-    n_schemes: int = 1,
     mutual: bool = True,
     suite=None,
-    hello_verify: bool = True,
 ) -> list:
     """Modeled 1.2 handshake: list of (message, direction, bytes) rows.
 
     ``mode`` is "psk" or "pk"; DTLS includes the HelloVerifyRequest
-    exchange by default, matching stacks that enforce cookies.
+    exchange, matching stacks that enforce cookies.
     """
     tag_len = suite_params(suite).tag_len if suite is not None else 16
     point_len = GROUP_PUBKEY_LEN[group]
@@ -105,14 +97,14 @@ def model_messages(
     if mode == "psk":
         ch_exts = 0
     else:
-        ch_exts = _groups_ext(1) + EC_POINT_FORMATS_EXT + _sig_algs_ext(n_schemes)
+        ch_exts = GROUPS_EXT + EC_POINT_FORMATS_EXT + SIG_ALGS_EXT
         if sni_len:
             ch_exts += _sni_ext(sni_len)
 
     def add(name, direction, size):
         rows.append((name, direction, size))
 
-    if protocol == "dtls" and hello_verify:
+    if protocol == "dtls":
         ch1 = _client_hello_body(protocol, n_suites=n_suites, cookie_len=0, exts=ch_exts)
         add("client_hello", "c2s", _plain(protocol, ch1))
         add("hello_verify_request", "s2c", _plain(protocol, 2 + 1 + HVR_COOKIE))
@@ -133,8 +125,8 @@ def model_messages(
         ske = 1 + 2 + 1 + point_len + 2 + 2 + sig_len
         add("server_key_exchange", "s2c", _plain(protocol, ske))
         if mutual:
-            # cert types vector 1+1 + sig algs 2+2n + CA list 2 (empty)
-            add("certificate_request", "s2c", _plain(protocol, 1 + 1 + 2 + 2 * n_schemes + 2))
+            # cert types vector 1+1 + sig algs 2+2 (one scheme) + CA list 2 (empty)
+            add("certificate_request", "s2c", _plain(protocol, 1 + 1 + 2 + 2 + 2))
     add("server_hello_done", "s2c", _plain(protocol, 0))
 
     if mode == "pk" and mutual:

@@ -1,13 +1,14 @@
 """Deterministic in-memory transports.
 
 ``DatagramLink`` is the lossy, reordering, duplicating, MTU-bounded link
-DTLS runs over; it holds the byte accounting, the delivery queue and the
-endpoint addresses.  ``StreamLink`` is the reliable in-order byte stream
-TLS runs over: the same link with a ``send`` that skips the loss,
-duplication, reordering and MTU knobs.  All randomness comes from one
-seeded stream, so a (seed, config, scenario) triple fully determines
-every delivery and every counter.  Time is an integer millisecond clock
-advanced by the caller; nothing here reads a wall clock.
+DTLS runs over; it holds the delivery queue and the endpoint addresses and
+only moves bytes: ``send`` returns how many copies it queued, and the
+caller books them.  ``StreamLink`` is the reliable in-order byte stream TLS
+runs over: the same link with a ``send`` that skips the loss, duplication,
+reordering and MTU knobs.  All randomness comes from one seeded stream, so
+a (seed, config, scenario) triple fully determines every delivery.  Time
+is an integer millisecond clock advanced by the caller; nothing here reads
+a wall clock.
 """
 
 import heapq
@@ -38,26 +39,6 @@ class NetConfig:
         return cls(**d)
 
 
-@dataclass
-class WireStats:
-    bytes_c2s: int = 0
-    bytes_s2c: int = 0
-    framed_c2s: int = 0  # payload plus per-datagram framing overhead
-    framed_s2c: int = 0
-    datagrams_c2s: int = 0
-    datagrams_s2c: int = 0
-    retransmitted_bytes: int = 0
-    dropped: int = 0
-    duplicated: int = 0
-
-    @property
-    def total(self) -> int:
-        return self.bytes_c2s + self.bytes_s2c
-
-    def to_dict(self) -> dict:
-        return dict(self.__dict__)
-
-
 def _peer(endpoint: str) -> str:
     return SERVER if endpoint == CLIENT else CLIENT
 
@@ -72,20 +53,6 @@ class DatagramLink:
         self._order = 0
         # assigning an address moves an endpoint; queued datagrams keep their source
         self.addresses = {CLIENT: "client:0", SERVER: "server:0"}
-        self.stats = WireStats()
-
-    def _count_send(self, endpoint: str, size: int, retransmit: bool) -> None:
-        framed = size + self.config.framing_overhead
-        if endpoint == CLIENT:
-            self.stats.bytes_c2s += size
-            self.stats.framed_c2s += framed
-            self.stats.datagrams_c2s += 1
-        else:
-            self.stats.bytes_s2c += size
-            self.stats.framed_s2c += framed
-            self.stats.datagrams_s2c += 1
-        if retransmit:
-            self.stats.retransmitted_bytes += size
 
     def _schedule(self, now: int, endpoint: str, data: bytes) -> None:
         delay = self.config.latency_ms
@@ -97,18 +64,17 @@ class DatagramLink:
         )
         self._order += 1
 
-    def send(self, endpoint: str, data: bytes, now: int, retransmit: bool = False) -> None:
+    def send(self, endpoint: str, data: bytes, now: int) -> int:
+        """Queue one datagram; returns the copies queued: 0 lost, 1, or 2 duplicated."""
         if len(data) > self.config.mtu:
             raise OversizedDatagram(f"{len(data)} bytes exceeds mtu {self.config.mtu}")
-        self._count_send(endpoint, len(data), retransmit)
         if self.config.loss_rate and self.rng.random() < self.config.loss_rate:
-            self.stats.dropped += 1
-            return
+            return 0
         self._schedule(now, endpoint, data)
         if self.config.dup_rate and self.rng.random() < self.config.dup_rate:
-            self.stats.duplicated += 1
-            self._count_send(endpoint, len(data), retransmit=False)
             self._schedule(now, endpoint, data)
+            return 2
+        return 1
 
     def poll(self, now: int) -> list:
         """Deliveries due at or before ``now``: (dest, source_address, bytes)."""
@@ -125,13 +91,13 @@ class DatagramLink:
 class StreamLink(DatagramLink):
     """Reliable in-order byte stream; loss knobs do not apply."""
 
-    def send(self, endpoint: str, data: bytes, now: int, retransmit: bool = False) -> None:
-        self._count_send(endpoint, len(data), retransmit)
+    def send(self, endpoint: str, data: bytes, now: int) -> int:
         heapq.heappush(
             self._queue,
             (now + self.config.latency_ms, self._order, _peer(endpoint), self.addresses[endpoint], data),
         )
         self._order += 1
+        return 1
 
     # Own attribute: perfbench/tracer.py wraps each link class's send and poll.
     poll = DatagramLink.poll

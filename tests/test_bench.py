@@ -2,6 +2,9 @@ import contextlib
 import hashlib
 import io
 import json
+import pathlib
+import re
+import shlex
 
 import pytest
 
@@ -236,6 +239,24 @@ def test_cli_out_file_deterministic(tmp_path):
     assert cli.main(args + ["--out", str(out1)]) == 0
     assert cli.main(args + ["--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_bench_lines_exit_zero(tmp_path, monkeypatch):
+    # every command in README's "Running the bench" block runs as written;
+    # the matrix line reads README's JSON example as scenarios.json
+    text = README.read_text()
+    block = re.search(r"## Running the bench\n\n```\n(.*?)```", text, re.S).group(1)
+    lines = [line for line in block.splitlines() if line.startswith("bench ")]
+    example = re.search(r"```json\n(.*?)```", text, re.S).group(1)
+    (tmp_path / "scenarios.json").write_text(example)
+    monkeypatch.chdir(tmp_path)
+    assert lines
+    for line in lines:
+        assert (line, cli.main(shlex.split(line)[1:])) == (line, 0)
+    assert (tmp_path / "results.csv").read_text().startswith(CSV_HEADER)
 
 
 # Commands whose combined output is pinned byte for byte: text, CSV and JSON

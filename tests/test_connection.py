@@ -5,11 +5,13 @@ from dataclasses import replace
 
 import pytest
 
+from minitls import messages, records
 from minitls.connection import Connection, EventKind, resume_config
 from minitls.crypto import Protocol
 from minitls.errors import ConfigConflict, NotReady
 from minitls.messages import HandshakeType
 from minitls.profiles import AuthMode
+from minitls.records import ContentType
 from minitls.simnet import CLIENT, NetConfig
 
 from .harness import Pair, make_configs, run_handshake, secrets_of, transcript_types
@@ -149,6 +151,65 @@ def test_bad_certificate_after_request_fails_in_wait_cert(protocol):
     assert pair.client.failed_from == "wait_cert"
 
 
+def plaintext_handshake(protocol, raw: bytes) -> bytes:
+    """An epoch-0 record carrying the TLS-form handshake messages ``raw``;
+    on DTLS one message, as the server's msg_seq 1 in record seq 1."""
+    if protocol == Protocol.TLS:
+        return records.encode_tls_plaintext(ContentType.HANDSHAKE, raw)
+    frag = messages.DtlsFragment(raw[0], len(raw) - 4, 1, 0, len(raw) - 4, raw[4:])
+    return records.encode_dtls_plaintext(ContentType.HANDSHAKE, 1, frag.encode())
+
+
+def server_message(pair, msg_type) -> bytes:
+    return next(raw for raw in pair.server.transcript if raw[0] == msg_type)
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_plaintext_handshake_record_carries_only_hellos(protocol):
+    # the server's protected EncryptedExtensions goes out as a plaintext
+    # record: TLS must fail (RFC 8446 section 5), DTLS drops the record
+    # (RFC 9147 section 4.5.2) and completes from the retransmitted copy
+    client_cfg, server_cfg, _ = make_configs(protocol, AuthMode.PSK, seed=61)
+    pair = Pair(client_cfg, server_cfg, seed=61)
+    swapped = []
+
+    def unprotect_ee(endpoint, rec, now):
+        if endpoint != CLIENT and rec.name == "encrypted_extensions" and not swapped:
+            swapped.append(rec.data)
+            rec.data = plaintext_handshake(protocol, server_message(pair, HandshakeType.ENCRYPTED_EXTENSIONS))
+        return True
+
+    pair.driver.send_filter = unprotect_ee
+    pair.run(until_ms=10_000)
+    assert swapped
+    if protocol == Protocol.TLS:
+        assert pair.client.failure == "unexpected_message"
+        assert pair.client.failed_from == "wait_ee"
+    else:
+        pair.assert_complete()
+        assert any(d == "s2c" and rt for _, d, _, rt in pair.driver.per_message)
+
+
+def test_tls_handshake_message_spanning_key_change_rejected():
+    # ServerHello and EncryptedExtensions in one plaintext record: EE would
+    # span the switch to handshake keys (RFC 8446 section 5.1)
+    client_cfg, server_cfg, _ = make_configs(Protocol.TLS, AuthMode.PSK, seed=62)
+    pair = Pair(client_cfg, server_cfg, seed=62)
+
+    def coalesce(endpoint, rec, now):
+        if endpoint == CLIENT:
+            return True
+        if rec.name == "server_hello":
+            raws = [server_message(pair, t) for t in (HandshakeType.SERVER_HELLO, HandshakeType.ENCRYPTED_EXTENSIONS)]
+            rec.data = plaintext_handshake(Protocol.TLS, b"".join(raws))
+        return rec.name != "encrypted_extensions"
+
+    pair.driver.send_filter = coalesce
+    pair.run(until_ms=10_000)
+    assert pair.client.failure == "unexpected_message"
+    assert pair.client.failed_from == "wait_ee"  # raised once ServerHello switched keys
+
+
 def test_client_finished_corruption_detected():
     def tamper(name, raw):
         if name == "finished":
@@ -216,7 +277,7 @@ def test_scripted_single_drop_retransmits_only_missing_message():
 def test_no_retransmissions_in_clean_runs():
     pair = run_handshake(Protocol.DTLS, AuthMode.PK_MUTUAL, seed=9)
     pair.assert_complete()
-    assert pair.link.stats.retransmitted_bytes == 0
+    assert pair.driver.wire["retransmitted_bytes"] == 0
     assert not pair.client.reliability.sent_unacked
     assert not pair.server.reliability.sent_unacked
 
@@ -519,7 +580,8 @@ def test_compat_mode_adds_session_id_and_ccs():
             server_over={"compat": compat},
         )
         pair.assert_complete()
-        return pair.link.stats.total, pair.driver.per_message
+        wire = pair.driver.wire
+        return wire["bytes_c2s"] + wire["bytes_s2c"], pair.driver.per_message
 
     plain_total, _ = total(False)
     compat_total, per_message = total(True)
@@ -689,4 +751,5 @@ def test_record_padding_grows_wire_size():
     )
     plain.assert_complete()
     padded.assert_complete()
-    assert padded.link.stats.total > plain.link.stats.total
+    padded_wire, plain_wire = padded.driver.wire, plain.driver.wire
+    assert padded_wire["bytes_c2s"] + padded_wire["bytes_s2c"] > plain_wire["bytes_c2s"] + plain_wire["bytes_s2c"]

@@ -1,6 +1,11 @@
+from types import SimpleNamespace
+
 import pytest
 
+from minitls.bench import Driver
+from minitls.crypto import Protocol
 from minitls.errors import OversizedDatagram
+from minitls.records import OutRecord
 from minitls.simnet import CLIENT, SERVER, DatagramLink, NetConfig, StreamLink
 
 
@@ -16,6 +21,16 @@ def drain(link, until=10_000):
     return out
 
 
+def booking_driver(net: NetConfig, packing: bool = False) -> Driver:
+    """A Driver over a fresh DatagramLink and no connections: enough to book sends."""
+    client = SimpleNamespace(cfg=SimpleNamespace(packing=packing), protocol=Protocol.DTLS)
+    return Driver(client, None, DatagramLink(net))
+
+
+def book(driver: Driver, size: int, now: int = 0, retransmit: bool = False) -> None:
+    driver.send(CLIENT, [OutRecord(bytes(size), "msg", retransmit)], now)
+
+
 def test_identity_channel_preserves_order():
     link = DatagramLink(NetConfig(latency_ms=5, seed=1))
     for i in range(20):
@@ -27,11 +42,13 @@ def test_identity_channel_preserves_order():
 
 def test_total_loss():
     link = DatagramLink(NetConfig(loss_rate=1.0, seed=2))
-    for i in range(10):
-        link.send(CLIENT, b"x", now=0)
+    assert [link.send(CLIENT, b"x", now=0) for _ in range(10)] == [0] * 10
     assert drain(link) == []
-    assert link.stats.dropped == 10
-    assert link.stats.bytes_c2s == 10  # wire-count semantics: sent bytes count
+    driver = booking_driver(NetConfig(loss_rate=1.0, seed=2))
+    for _ in range(10):
+        book(driver, 1)
+    assert driver.wire["dropped"] == 10
+    assert driver.wire["bytes_c2s"] == 10  # wire-count semantics: sent bytes count
 
 
 def test_seeded_loss_pattern_reproducible():
@@ -48,23 +65,28 @@ def test_seeded_loss_pattern_reproducible():
 
 def test_duplication_counted_on_wire():
     link = DatagramLink(NetConfig(dup_rate=1.0, seed=3))
-    link.send(CLIENT, bytes(100), now=0)
+    assert link.send(CLIENT, bytes(100), now=0) == 2
     got = drain(link)
     assert len(got) == 2
-    assert link.stats.bytes_c2s == 200
-    assert link.stats.duplicated == 1
+    driver = booking_driver(NetConfig(dup_rate=1.0, seed=3))
+    book(driver, 100)
+    assert driver.wire["bytes_c2s"] == 200
+    assert driver.wire["duplicated"] == 1
 
 
 def test_framing_overhead_reported_separately():
     link = DatagramLink(NetConfig(framing_overhead=10, seed=4))
-    link.send(CLIENT, bytes(100), now=0)
-    assert link.stats.bytes_c2s == 100
-    assert link.stats.framed_c2s == 110
+    assert link.send(CLIENT, bytes(100), now=0) == 1
+    driver = booking_driver(NetConfig(framing_overhead=10, seed=4))
+    book(driver, 100)
+    assert driver.wire["bytes_c2s"] == 100
+    assert driver.wire["framed_c2s"] == 110
 
 
 def test_no_traffic_all_zeros():
-    stats = DatagramLink(NetConfig()).stats
-    assert stats.total == 0 and stats.datagrams_c2s == 0 and stats.retransmitted_bytes == 0
+    wire = booking_driver(NetConfig()).wire
+    assert wire["bytes_c2s"] + wire["bytes_s2c"] == 0
+    assert wire["datagrams_c2s"] == 0 and wire["retransmitted_bytes"] == 0
 
 
 def test_oversized_datagram_rejected():
@@ -75,10 +97,20 @@ def test_oversized_datagram_rejected():
 
 def test_retransmit_accounting():
     link = DatagramLink(NetConfig(seed=5))
-    link.send(CLIENT, bytes(50), now=0)
-    link.send(CLIENT, bytes(50), now=10, retransmit=True)
-    assert link.stats.retransmitted_bytes == 50
-    assert link.stats.bytes_c2s == 100
+    assert [link.send(CLIENT, bytes(50), now=t) for t in (0, 10)] == [1, 1]
+    driver = booking_driver(NetConfig(seed=5))
+    book(driver, 50, now=0)
+    book(driver, 50, now=10, retransmit=True)
+    assert driver.wire["retransmitted_bytes"] == 50
+    assert driver.wire["bytes_c2s"] == 100
+
+
+def test_packed_datagram_counts_whole_as_retransmitted():
+    driver = booking_driver(NetConfig(seed=6), packing=True)
+    driver.send(CLIENT, [OutRecord(bytes(50), "a"), OutRecord(bytes(30), "b", retransmit=True)], now=0)
+    assert driver.wire["datagrams_c2s"] == 1
+    assert driver.wire["retransmitted_bytes"] == 80
+    assert driver.per_message == [("a", "c2s", 50, False), ("b", "c2s", 30, True)]
 
 
 def test_reordering_changes_arrival_order():
@@ -100,13 +132,14 @@ def test_rebind_changes_source_address():
 
 
 def test_conservation_with_clean_channel():
-    link = DatagramLink(NetConfig(seed=8))
+    driver = booking_driver(NetConfig(seed=8))
     sent = 0
     for i in range(100):
-        link.send(CLIENT, bytes(i + 1), now=i)
+        book(driver, i + 1, now=i)
         sent += i + 1
-    delivered = sum(len(d[2]) for d in drain(link))
-    assert delivered == sent == link.stats.bytes_c2s
+    assert [copies for _, _, _, copies, _ in driver.ledger] == [1] * 100
+    delivered = sum(len(d[2]) for d in drain(driver.link))
+    assert delivered == sent == driver.wire["bytes_c2s"]
 
 
 def test_stream_link_reliable_in_order_despite_loss_config():
