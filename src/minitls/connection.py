@@ -5,11 +5,21 @@ DTLS side adds per-message retransmission with explicit ACK records
 (``reliability.DtlsReliability``), stateless cookie DoS protection, CID
 demultiplexing and anti-replay; the TLS side runs the same flows over a
 reliable stream.
+
+Which handshake message each side accepts is one table per role,
+``Connection.TRANSITIONS``: (phase, handshake type) -> the read epoch the
+message must arrive in, its handler, and whether it implicitly acknowledges
+this side's last DTLS flight.  The table's epochs give the types each role
+reads in each epoch (``Connection.ACCEPTS``), checked on every DTLS fragment
+header and every TLS message.  A message outside the table is
+``unexpected_message``, except in a DTLS plaintext (epoch 0) record: that is
+unauthenticated, so it is dropped silently.
 """
 
 import random
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from typing import NamedTuple
 
 from . import crypto, ec, messages, records
 from .crypto import Protocol, SuiteId
@@ -154,15 +164,10 @@ def _negotiate(server_pref, client_offer, exc, what):
     raise exc(f"no common {what}")
 
 
-def _hellos_only(payload: bytes) -> bool:
-    """Whether each fragment of a plaintext DTLS record is a ClientHello or ServerHello/HRR;
-    a fragment header ends with its 3-byte fragment_length at offset 9."""
-    offset = 0
-    while offset < len(payload):
-        if payload[offset] not in (HandshakeType.CLIENT_HELLO, HandshakeType.SERVER_HELLO):
-            return False
-        offset += messages.DTLS_HANDSHAKE_HEADER_LEN + int.from_bytes(payload[offset + 9 : offset + 12], "big")
-    return True
+class Edge(NamedTuple):
+    epoch: int  # the read epoch the message must arrive in (RFC 9147 section 6.1)
+    handler: object  # Connection method (self, msg, tls_form, now) -> list of OutRecord
+    implicit_ack: bool = False  # it starts the peer's next flight (RFC 9147 section 7.2)
 
 
 class Connection:
@@ -175,6 +180,8 @@ class Connection:
         self.cfg = cfg
         self.role = role
         self.peer_role = "server" if role == "client" else "client"
+        self.transitions = self.TRANSITIONS[role]
+        self.accepts = self.ACCEPTS[role]
         self.rng = rng
         self.conn_id = conn_id or role[0].upper()
         self.protocol = cfg.protocol
@@ -343,12 +350,8 @@ class Connection:
         if epoch == EPOCH_PLAIN:
             overhead = records.DTLS12_RECORD_HEADER_LEN
         else:
-            overhead = (
-                records.unified_header_size(0, False, self.cfg.packing)
-                + 1
-                + self.cfg.pad_len
-                + self.params.tag_len
-            )
+            header = records.unified_header_size(0, False, self.cfg.packing)
+            overhead = header + 1 + self.cfg.pad_len + self.params.tag_len  # 1: the inner content type
         budget = self.cfg.mtu - overhead
         if budget <= messages.DTLS_HANDSHAKE_HEADER_LEN:
             raise ConfigConflict("mtu too small for any handshake fragment")
@@ -381,14 +384,14 @@ class Connection:
         mac = self.ks.finished_mac(self._hs_traffic(self.role), self._th())
         return out + self._emit(messages.Finished(mac), EPOCH_HANDSHAKE)
 
-    def _peer_certificate(self, cert, raw: bytes) -> list:
+    def _peer_certificate(self, cert, raw: bytes, now: int) -> list:
         if not cert.entries:
             raise UnexpectedMessage(f"{self.peer_role} sent an empty Certificate")
         self.transcript.append(raw)
         self.phase = Phase.WAIT_CV
         return []
 
-    def _peer_certificate_verify(self, cv, raw: bytes) -> list:
+    def _peer_certificate_verify(self, cv, raw: bytes, now: int) -> list:
         content = messages.certificate_verify_content(self.peer_role, self._th())
         anchor = self.cfg.peer_ec
         if anchor is None or not self._verify(
@@ -443,11 +446,6 @@ class Connection:
             else:
                 pub = self.dh_priv.public_bytes()
             share_entries = [(int(cfg.groups[0]), pub)]  # exactly one key share
-        psk_modes = None
-        if psk is not None:
-            psk_modes = [
-                messages.PskMode.PSK_DHE_KE if offer_share else messages.PskMode.PSK_KE
-            ]
         ch = messages.build_client_hello(
             self.rng,
             [int(s) for s in cfg.suites],
@@ -459,7 +457,7 @@ class Connection:
             psk_identity=psk.identity if psk else None,
             obfuscated_age=self.obfuscated_age,
             binder_len=self.params.hash_len if psk else 0,
-            psk_modes=psk_modes,
+            psk_modes=[messages.PskMode.PSK_DHE_KE if offer_share else messages.PskMode.PSK_KE],
             early_data=cfg.mode == AuthMode.ZERO_RTT and bool(cfg.early_payload),
             cookie=cookie,
             cid=self._advertised_cid(),
@@ -476,9 +474,7 @@ class Connection:
         return out
 
     def _scheme_list(self):
-        return [GROUP_SCHEME[g] for g in self.cfg.groups] or [
-            crypto.SignatureScheme.ECDSA_SECP256R1_SHA256
-        ]
+        return [GROUP_SCHEME[g] for g in self.cfg.groups] or [crypto.SignatureScheme.ECDSA_SECP256R1_SHA256]
 
     def _advertised_cid(self) -> bytes | None:
         if self.protocol != Protocol.DTLS:
@@ -514,9 +510,7 @@ class Connection:
     def _handle_stream(self, data: bytes, now: int) -> list:
         self._stream_buf += data
         out = []
-        while self.phase != Phase.FAILED:
-            if len(self._stream_buf) < records.TLS_RECORD_HEADER_LEN:
-                break
+        while self.phase != Phase.FAILED and len(self._stream_buf) >= records.TLS_RECORD_HEADER_LEN:
             total = records.TLS_RECORD_HEADER_LEN + records.tls_record_length(self._stream_buf)
             if len(self._stream_buf) < total:
                 break
@@ -558,11 +552,7 @@ class Connection:
                     break  # malformed tail: drop the rest of the datagram
                 offset += parsed.consumed
                 out.extend(self._handle_unified(parsed, now))
-            elif first in (
-                ContentType.HANDSHAKE,
-                ContentType.ALERT,
-                ContentType.CHANGE_CIPHER_SPEC,
-            ):
+            elif first in (ContentType.HANDSHAKE, ContentType.ALERT, ContentType.CHANGE_CIPHER_SPEC):
                 try:
                     ctype, seq, payload, used = records.parse_dtls_plaintext(data, offset)
                 except DecodeError:
@@ -571,13 +561,17 @@ class Connection:
                 if ctype == ContentType.ALERT:
                     self._peer_alert(now, payload)
                     continue
-                if ctype == ContentType.CHANGE_CIPHER_SPEC or not _hellos_only(payload):
-                    continue  # an invalid record is dropped silently (RFC 9147 section 4.5.2)
+                if ctype != ContentType.HANDSHAKE:
+                    continue  # CCS: ignored
+                try:
+                    frags = self._fragments(payload, EPOCH_PLAIN)
+                except ProtocolError:
+                    continue  # invalid and unauthenticated: dropped silently (RFC 9147 section 4.5.2)
                 if self.plain_window.seen(seq):
                     self.reliability.ack_now(now, (EPOCH_PLAIN, seq))
                     continue
                 self.plain_window.add(seq)
-                out.extend(self.reliability.receive(payload, (EPOCH_PLAIN, seq), now, self._dispatch_message))
+                out.extend(self.reliability.receive(frags, (EPOCH_PLAIN, seq), now, self._dispatch_message))
             else:
                 break  # unknown first byte: not a record, drop remainder
         out.extend(self.reliability.flush_acks(now, self._frame, self._current_write_epoch))
@@ -609,7 +603,7 @@ class Connection:
         if true_type == ContentType.HANDSHAKE:
             if self.protocol == Protocol.TLS:
                 return self._feed_handshake_stream(payload, epoch, now)
-            return self.reliability.receive(payload, rec_num, now, self._dispatch_message)
+            return self.reliability.receive(self._fragments(payload, epoch), rec_num, now, self._dispatch_message)
         if true_type == ContentType.ACK and self.protocol == Protocol.DTLS:
             self.reliability.process_ack(messages.parse_ack(payload))
             return []
@@ -637,22 +631,35 @@ class Connection:
     # --------------------------------------------------- handshake msg plumbing
 
     def _feed_handshake_stream(self, data: bytes, epoch: int, now: int) -> list:
-        """Handshake bytes of one TLS record read under ``epoch`` (RFC 8446 sections 5, 5.1)."""
-        if epoch != self._tls_read_epoch:  # only the hellos travel in plaintext
-            raise UnexpectedMessage("plaintext handshake record after the key change")
+        """Handshake bytes of one TLS record read under ``epoch``: each message must be
+        of a type this role reads in that epoch (RFC 8446 section 5), and no bytes
+        of a record may be left over once it is no longer the read epoch (section 5.1)."""
         self._hs_buf += data
         out = []
-        while len(self._hs_buf) >= 4 and self.phase != Phase.FAILED:
+        while len(self._hs_buf) >= 4:
             total = 4 + int.from_bytes(self._hs_buf[1:4], "big")
             if len(self._hs_buf) < total:
                 break
             raw = self._hs_buf[:total]
             self._hs_buf = self._hs_buf[total:]
-            msg = messages.decode_handshake(raw)
-            out.extend(self._dispatch_message(msg, raw, now))
-            if self._hs_buf and self._tls_read_epoch != epoch:
-                raise UnexpectedMessage("handshake message spans a key change")
+            if raw[0] not in self.accepts[epoch]:
+                raise UnexpectedMessage(f"handshake type {raw[0]} in epoch {epoch}")
+            out.extend(self._dispatch_message(messages.decode_handshake(raw), raw, now))
+        if self._hs_buf and epoch != self._tls_read_epoch:
+            raise UnexpectedMessage("handshake message spans a key change")
         return out
+
+    def _fragments(self, payload: bytes, epoch: int) -> list:
+        """The fragments of one DTLS handshake record read under ``epoch``; each must
+        parse and be of a type this role reads in that epoch."""
+        frags, offset = [], 0
+        while offset < len(payload):
+            frag, used = messages.parse_dtls_fragment(payload[offset:])
+            offset += used
+            if frag.msg_type not in self.accepts[epoch]:
+                raise UnexpectedMessage(f"handshake type {frag.msg_type} in epoch {epoch}")
+            frags.append(frag)
+        return frags
 
     # ---------------------------------------------------------- timers
 
@@ -672,36 +679,20 @@ class Connection:
     # ---------------------------------------------------------- dispatch table
 
     def _dispatch_message(self, msg, raw: bytes, now: int) -> list:
-        if self.role == "client":
-            return self._client_message(msg, raw, now)
-        return self._server_message(msg, raw, now)
+        """Take one complete, in-order handshake message by its ``TRANSITIONS`` edge.
+        Its read epoch was checked as its type arrived, so a DTLS message of an
+        epoch-0 type came in plaintext: out of phase it is dropped (RFC 9147 section 4.5.2)."""
+        t = msg.MSG_TYPE
+        edge = self.transitions.get((self.phase, t))
+        if edge is None:
+            if self.reliability is not None and t in self.accepts[EPOCH_PLAIN]:
+                return []
+            raise UnexpectedMessage(f"{HandshakeType(t).name} in phase {self.phase.value}")
+        if edge.implicit_ack and self.reliability is not None:
+            self.reliability.implicit_ack()
+        return edge.handler(self, msg, raw, now)
 
     # -- client message handling ------------------------------------------------
-
-    def _client_message(self, msg, raw: bytes, now: int) -> list:
-        t = msg.MSG_TYPE
-        if self.phase == Phase.WAIT_SH and t == HandshakeType.SERVER_HELLO:
-            if self.reliability is not None:
-                self.reliability.implicit_ack()
-            if messages.is_hello_retry_request(msg):
-                return self._client_handle_hrr(msg, raw, now)
-            return self._client_handle_sh(msg, raw, now)
-        if self.phase == Phase.WAIT_EE and t == HandshakeType.ENCRYPTED_EXTENSIONS:
-            return self._client_handle_ee(msg, raw, now)
-        if self.phase == Phase.WAIT_CERT_CR and t == HandshakeType.CERTIFICATE_REQUEST:
-            self.client_cert_requested = True
-            self.transcript.append(raw)
-            self.phase = Phase.WAIT_CERT
-            return []
-        if self.phase in (Phase.WAIT_CERT_CR, Phase.WAIT_CERT) and t == HandshakeType.CERTIFICATE:
-            return self._peer_certificate(msg, raw)
-        if self.phase == Phase.WAIT_CV and t == HandshakeType.CERTIFICATE_VERIFY:
-            return self._peer_certificate_verify(msg, raw)
-        if self.phase == Phase.WAIT_FINISHED and t == HandshakeType.FINISHED:
-            return self._client_handle_finished(msg, raw, now)
-        if self.connected and t == HandshakeType.NEW_SESSION_TICKET:
-            return self._client_handle_ticket(msg, now)
-        raise UnexpectedMessage(f"{HandshakeType(t).name} in phase {self.phase.value}")
 
     def _client_handle_hrr(self, hrr, raw: bytes, now: int) -> list:
         if self.hrr_done:
@@ -712,8 +703,7 @@ class Connection:
             raise UnexpectedMessage("HelloRetryRequest without a cookie")
         cookie = messages.parse_cookie(cookie_ext.data)
         # transcript restart: ClientHello1 collapses into message_hash
-        ch1 = self.transcript[0]
-        digest = crypto.hash_data(self.params.hash_alg, ch1)
+        digest = crypto.hash_data(self.params.hash_alg, self.transcript[0])
         self.transcript = [crypto.message_hash(digest), raw]
         self.ks = None
         self.epochs.pop(EPOCH_EARLY, None)  # 0-RTT does not survive an HRR
@@ -724,6 +714,8 @@ class Connection:
         return out
 
     def _client_handle_sh(self, sh, raw: bytes, now: int) -> list:
+        if messages.is_hello_retry_request(sh):
+            return self._client_handle_hrr(sh, raw, now)
         if sh.cipher_suite not in [int(s) for s in self.cfg.suites]:
             raise NoCommonSuite("server picked a suite we did not offer")
         psk_ext = messages.find_extension(sh.extensions, ExtensionType.PRE_SHARED_KEY)
@@ -775,6 +767,12 @@ class Connection:
         self.phase = Phase.WAIT_FINISHED if self.psk_in_use is not None else Phase.WAIT_CERT_CR
         return []
 
+    def _client_handle_cr(self, cr, raw: bytes, now: int) -> list:
+        self.client_cert_requested = True
+        self.transcript.append(raw)
+        self.phase = Phase.WAIT_CERT
+        return []
+
     def _client_handle_finished(self, fin, raw: bytes, now: int) -> list:
         self._peer_finished(fin, raw)
         self.ks.advance_master(self._th())
@@ -793,7 +791,7 @@ class Connection:
         self._event(now, EventKind.HANDSHAKE_COMPLETE)
         return out
 
-    def _client_handle_ticket(self, nst, now: int) -> list:
+    def _client_handle_ticket(self, nst, raw: bytes, now: int) -> list:
         ext = messages.find_extension(nst.extensions, ExtensionType.EARLY_DATA)
         state = TicketState(
             ticket=nst.ticket,
@@ -812,28 +810,6 @@ class Connection:
 
     # ---------------------------------------------------------------- server side
 
-    def _server_message(self, msg, raw: bytes, now: int) -> list:
-        t = msg.MSG_TYPE
-        if t == HandshakeType.CLIENT_HELLO:
-            if self.phase != Phase.START or self.protocol != Protocol.TLS:
-                raise UnexpectedMessage("ClientHello at the wrong time")
-            return self.server_handle_client_hello(msg, raw, now)
-        if self.phase == Phase.WAIT_CERT_CR and t == HandshakeType.CERTIFICATE:
-            if self.reliability is not None:
-                self.reliability.implicit_ack()
-            return self._peer_certificate(msg, raw)
-        if self.phase == Phase.WAIT_CV and t == HandshakeType.CERTIFICATE_VERIFY:
-            return self._peer_certificate_verify(msg, raw)
-        if self.phase == Phase.WAIT_FINISHED and t == HandshakeType.END_OF_EARLY_DATA:
-            if not (self.early_accepted and self.protocol == Protocol.TLS):
-                raise UnexpectedMessage("EndOfEarlyData without accepted 0-RTT")
-            self.transcript.append(raw)
-            self._tls_read_epoch = EPOCH_HANDSHAKE
-            return []
-        if self.phase == Phase.WAIT_FINISHED and t == HandshakeType.FINISHED:
-            return self._server_handle_finished(msg, raw, now)
-        raise UnexpectedMessage(f"{HandshakeType(t).name} in phase {self.phase.value}")
-
     def server_handle_client_hello(self, ch, raw: bytes, now: int, retry_transcript=None, ch_rec_seq: int = 0) -> list:
         """Entered once the listener's cookie policy has been satisfied."""
         self._now = now
@@ -846,9 +822,8 @@ class Connection:
             self.plain_window.add(ch_rec_seq)
         self.transcript.append(raw)
 
-        self.suite = SuiteId(
-            _negotiate([int(s) for s in self.cfg.suites], ch.cipher_suites, NoCommonSuite, "cipher suite")
-        )
+        server_pref = [int(s) for s in self.cfg.suites]
+        self.suite = SuiteId(_negotiate(server_pref, ch.cipher_suites, NoCommonSuite, "cipher suite"))
         self.params = crypto.suite_params(self.suite)
 
         share = None
@@ -964,6 +939,14 @@ class Connection:
             raise NoCommonGroup("certificate mode requires a client key share")
         return AuthMode.PK_MUTUAL if self.cfg.mutual else AuthMode.PK_SERVER_ONLY
 
+    def _server_handle_eoed(self, eoed, raw: bytes, now: int) -> list:
+        # DTLS 1.3 omits EndOfEarlyData (RFC 9147 section 5.6)
+        if not (self.early_accepted and self.protocol == Protocol.TLS):
+            raise UnexpectedMessage("EndOfEarlyData without accepted 0-RTT")
+        self.transcript.append(raw)
+        self._tls_read_epoch = EPOCH_HANDSHAKE
+        return []
+
     def _server_handle_finished(self, fin, raw: bytes, now: int) -> list:
         self._peer_finished(fin, raw)
         self._install(EPOCH_APP, "read", self.ks.client_ap_traffic)
@@ -973,7 +956,6 @@ class Connection:
         self._event(now, EventKind.HANDSHAKE_COMPLETE)
         out = []
         if self.reliability is not None:
-            self.reliability.implicit_ack()
             out += self.reliability.end_flight(self._frame, self._current_write_epoch)
         if self.cfg.tickets:
             out.extend(self._issue_ticket(now))
@@ -987,14 +969,11 @@ class Connection:
         psk = self.ks.resumption_psk(nonce)
         self.ticket_db[ticket_id] = {
             "psk": psk,
-            "suite": self.suite,
             "issued_at": now,
             "age_add": age_add,
             "lifetime_s": TICKET_LIFETIME_S,
         }
-        nst = messages.build_new_session_ticket(
-            TICKET_LIFETIME_S, age_add, nonce, ticket_id, max_early_data=1 << 14
-        )
+        nst = messages.build_new_session_ticket(TICKET_LIFETIME_S, age_add, nonce, ticket_id, max_early_data=1 << 14)
         self._event(now, EventKind.TICKET, ticket=ticket_id.hex())
         return self._emit(nst, EPOCH_APP)
 
@@ -1005,6 +984,37 @@ class Connection:
         if not self.connected:
             raise NotReady("application data before the handshake allows it")
         return [OutRecord(self._frame(EPOCH_APP, ContentType.APPLICATION_DATA, payload)[1], "app_data")]
+
+    # ------------------------------------------------------- transition tables
+
+    # role -> (phase, handshake type) -> Edge.  Each row cites its transition
+    # in RFC 8446 Appendix A.1 (client) or A.2 (server), or the RFC 8446 section
+    # that adds it; a HelloRetryRequest is a ServerHello its handler tells apart.
+    TRANSITIONS = {
+        "client": {
+            (Phase.WAIT_SH, HandshakeType.SERVER_HELLO): Edge(EPOCH_PLAIN, _client_handle_sh, True),  # A.1
+            (Phase.WAIT_EE, HandshakeType.ENCRYPTED_EXTENSIONS): Edge(EPOCH_HANDSHAKE, _client_handle_ee),  # A.1
+            (Phase.WAIT_CERT_CR, HandshakeType.CERTIFICATE_REQUEST): Edge(EPOCH_HANDSHAKE, _client_handle_cr),  # A.1
+            (Phase.WAIT_CERT_CR, HandshakeType.CERTIFICATE): Edge(EPOCH_HANDSHAKE, _peer_certificate),  # A.1
+            (Phase.WAIT_CERT, HandshakeType.CERTIFICATE): Edge(EPOCH_HANDSHAKE, _peer_certificate),  # A.1
+            (Phase.WAIT_CV, HandshakeType.CERTIFICATE_VERIFY): Edge(EPOCH_HANDSHAKE, _peer_certificate_verify),  # A.1
+            (Phase.WAIT_FINISHED, HandshakeType.FINISHED): Edge(EPOCH_HANDSHAKE, _client_handle_finished),  # A.1
+            (Phase.CONNECTED, HandshakeType.NEW_SESSION_TICKET): Edge(EPOCH_APP, _client_handle_ticket),  # 4.6.1
+        },
+        "server": {
+            # A.2; a DTLS ClientHello reaches server_handle_client_hello through ServerListener
+            (Phase.START, HandshakeType.CLIENT_HELLO): Edge(EPOCH_PLAIN, server_handle_client_hello),
+            (Phase.WAIT_CERT_CR, HandshakeType.CERTIFICATE): Edge(EPOCH_HANDSHAKE, _peer_certificate, True),  # A.2
+            (Phase.WAIT_CV, HandshakeType.CERTIFICATE_VERIFY): Edge(EPOCH_HANDSHAKE, _peer_certificate_verify),  # A.2
+            (Phase.WAIT_FINISHED, HandshakeType.END_OF_EARLY_DATA): Edge(EPOCH_EARLY, _server_handle_eoed),  # A.2
+            (Phase.WAIT_FINISHED, HandshakeType.FINISHED): Edge(EPOCH_HANDSHAKE, _server_handle_finished, True),  # A.2
+        },
+    }
+    # role -> read epoch -> the handshake types that role takes in that epoch
+    ACCEPTS = {
+        role: {epoch: {t for (_, t), edge in table.items() if edge.epoch == epoch} for epoch in range(EPOCH_APP + 1)}
+        for role, table in TRANSITIONS.items()
+    }
 
 
 def resume_config(cfg: ConnConfig, ticket: TicketState) -> ConnConfig:
@@ -1031,9 +1041,7 @@ class ServerListener:
         # 0x00 + Hash(ClientHello1) + MAC(address || Hash(ClientHello1));
         # embedding the hash keeps the retry transcript reconstructible with
         # zero server-side state.
-        mac = crypto.hmac_digest(
-            crypto.HashAlg.SHA256, self.cookie_secret, address.encode() + ch_hash
-        )
+        mac = crypto.hmac_digest(crypto.HashAlg.SHA256, self.cookie_secret, address.encode() + ch_hash)
         return b"\x00" + ch_hash + mac
 
     def check_cookie(self, cookie: bytes, address: str, hash_len: int):
@@ -1041,9 +1049,7 @@ class ServerListener:
         if len(cookie) != 1 + hash_len + 32 or cookie[0] != 0:
             return None
         ch_hash, mac = cookie[1 : 1 + hash_len], cookie[1 + hash_len :]
-        ok = crypto.hmac_verify(
-            crypto.HashAlg.SHA256, self.cookie_secret, address.encode() + ch_hash, mac
-        )
+        ok = crypto.hmac_verify(crypto.HashAlg.SHA256, self.cookie_secret, address.encode() + ch_hash, mac)
         return ch_hash if ok else None
 
     @property
@@ -1055,10 +1061,7 @@ class ServerListener:
         return self._stateless_hrr_count
 
     def connections(self) -> list:
-        seen = {}
-        for conn in self.by_addr.values():
-            seen[id(conn)] = conn
-        return list(seen.values())
+        return list(dict.fromkeys(self.by_addr.values()))  # one entry per connection
 
     # -- accept / demux -----------------------------------------------------------
 
@@ -1121,15 +1124,11 @@ class ServerListener:
                 return []
             raw = frag.to_tls_form()
             ch = messages.decode_handshake(raw)
-        except ProtocolError:
-            return []  # not a plausible first flight: silently dropped
-
-        try:
             suite = crypto.suite_params(
                 SuiteId(_negotiate([int(s) for s in self.cfg.suites], ch.cipher_suites, NoCommonSuite, "suite"))
             )
         except ProtocolError:
-            return []
+            return []  # not a plausible first flight, or no common suite: silently dropped
 
         retry_transcript = None
         if self.cfg.dos:
@@ -1140,9 +1139,7 @@ class ServerListener:
             ch1_hash = self.check_cookie(cookie, source, suite.hash_len)
             if ch1_hash is None:
                 return []  # bad-cookie: silently dropped, nothing allocated
-            hrr = messages.build_hello_retry_request(
-                int(suite.suite), cookie, ch.legacy_session_id
-            )
+            hrr = messages.build_hello_retry_request(int(suite.suite), cookie, ch.legacy_session_id)
             retry_transcript = [crypto.message_hash(ch1_hash), messages.tls_form(hrr)]
 
         conn = self._fresh_connection(source)

@@ -51,15 +51,12 @@ class DtlsReliability:
         body = messages.build_ack(sorted(record_numbers))
         return [OutRecord(frame(epoch, ContentType.ACK, body)[1], "ack")]
 
-    def receive(self, payload: bytes, rec_num, now: int, deliver) -> list:
-        """Take one handshake record's fragments; pass each message completed in
-        message_seq order to ``deliver(msg, tls_form, now)`` and return its output."""
+    def receive(self, frags, rec_num, now: int, deliver) -> list:
+        """Take the parsed fragments of one handshake record; pass each message completed
+        in message_seq order to ``deliver(msg, tls_form, now)`` and return its output."""
         out = []
-        offset = 0
         got_new = False
-        while offset < len(payload):
-            frag, used = messages.parse_dtls_fragment(payload[offset:])
-            offset += used
+        for frag in frags:
             if frag.message_seq < self.next_recv_msg_seq:
                 self.ack_now(now, rec_num)
                 continue

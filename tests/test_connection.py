@@ -6,7 +6,7 @@ from dataclasses import replace
 import pytest
 
 from minitls import messages, records
-from minitls.connection import Connection, EventKind, resume_config
+from minitls.connection import EPOCH_HANDSHAKE, Connection, EventKind, resume_config
 from minitls.crypto import Protocol
 from minitls.errors import ConfigConflict, NotReady
 from minitls.messages import HandshakeType
@@ -208,6 +208,111 @@ def test_tls_handshake_message_spanning_key_change_rejected():
     pair.run(until_ms=10_000)
     assert pair.client.failure == "unexpected_message"
     assert pair.client.failed_from == "wait_ee"  # raised once ServerHello switched keys
+
+
+def prepend_once(pair, sender: str, record_name: str, forge) -> list:
+    """Send filter: put the bytes ``forge()`` returns in front of the first
+    ``record_name`` record that ``sender`` ("client" or "server") sends, in
+    the same datagram; returns the list that records when it did."""
+    done = []
+
+    def send_filter(endpoint, rec, now):
+        if (endpoint == CLIENT) == (sender == "client") and rec.name == record_name and not done:
+            done.append(now)
+            rec.data = forge() + rec.data
+        return True
+
+    pair.driver.send_filter = send_filter
+    return done
+
+
+def test_malformed_plaintext_fragment_header_dropped():
+    # an epoch-0 record whose fragment header claims 50 bytes and carries 1 is
+    # unauthenticated: it is dropped before the replay window sees its record
+    # number, and the ServerHello behind it in the datagram is still read
+    client_cfg, server_cfg, _ = make_configs(Protocol.DTLS, AuthMode.PSK, seed=61)
+    pair = Pair(client_cfg, server_cfg, seed=61)
+    header = bytes([HandshakeType.SERVER_HELLO]) + (50).to_bytes(3, "big") + bytes(5) + (50).to_bytes(3, "big")
+    forged = records.encode_dtls_plaintext(ContentType.HANDSHAKE, 0, header + b"\x00")
+    done = prepend_once(pair, "server", "server_hello", lambda: forged)
+    pair.run(until_ms=10_000)
+    assert done
+    pair.assert_complete()
+    assert pair.driver.wire["retransmitted_bytes"] == 0
+
+
+@pytest.mark.parametrize(
+    "msg_type,msg_seq,sender,record_name",
+    [
+        # to the client: its own ClientHello, msg_seq 0, next to the ServerHello
+        (HandshakeType.CLIENT_HELLO, 0, "server", "server_hello"),
+        # to the server: its own ServerHello, msg_seq 1, next to the client's Finished
+        (HandshakeType.SERVER_HELLO, 1, "client", "finished"),
+    ],
+    ids=["client", "server"],
+)
+def test_plaintext_hello_of_the_other_role_dropped(msg_type, msg_seq, sender, record_name):
+    """In epoch 0 a client reads only ServerHello/HelloRetryRequest and a server
+    only ClientHello (RFC 9147 section 6.1), so a well-formed plaintext hello of
+    the other role's type is dropped.  A well-formed forged hello of the type
+    the role does read can still derail the exchange; that is out of scope."""
+    client_cfg, server_cfg, _ = make_configs(Protocol.DTLS, AuthMode.PSK, seed=61)
+    pair = Pair(client_cfg, server_cfg, seed=61)
+
+    def hello():
+        raw = server_message(pair, msg_type)
+        frag = messages.DtlsFragment(msg_type, len(raw) - 4, msg_seq, 0, len(raw) - 4, raw[4:])
+        return records.encode_dtls_plaintext(ContentType.HANDSHAKE, msg_seq, frag.encode())
+
+    done = prepend_once(pair, sender, record_name, hello)
+    pair.run(until_ms=10_000)
+    assert done
+    pair.assert_complete()
+    assert pair.driver.wire["retransmitted_bytes"] == 0
+
+
+def test_dtls_new_session_ticket_outside_application_epoch_rejected(monkeypatch):
+    # NewSessionTicket is a post-handshake message, so it travels under
+    # application keys (RFC 8446 section 4.6, RFC 9147 section 6.1)
+    emit = Connection._emit
+
+    def ticket_in_handshake_epoch(self, msg, epoch):
+        if msg.MSG_TYPE == HandshakeType.NEW_SESSION_TICKET:
+            epoch = EPOCH_HANDSHAKE
+        return emit(self, msg, epoch)
+
+    monkeypatch.setattr(Connection, "_emit", ticket_in_handshake_epoch)
+    client_cfg, server_cfg, _ = make_configs(Protocol.DTLS, AuthMode.PSK, seed=63)
+    pair = Pair(client_cfg, replace(server_cfg, tickets=True), seed=63)
+    pair.run(until_ms=10_000)
+    assert pair.client.failure == "unexpected_message"
+    assert pair.client.failed_from == "connected"
+    assert pair.client.client_tickets == []
+
+
+def test_retransmitted_client_hello_acked_by_server_connection():
+    # the server's first ServerHello is lost, so the client resends its
+    # ClientHello to a server connection past that phase; the plaintext
+    # ClientHello is still of a type the server reads in epoch 0, so the
+    # connection ACKs the stale record and resends its own flight on its timer
+    client_cfg, server_cfg, _ = make_configs(Protocol.DTLS, AuthMode.PSK, seed=64)
+    pair = Pair(client_cfg, server_cfg, seed=64)
+    dropped = []
+
+    def drop_first_server_hello(endpoint, rec, now):
+        if endpoint != CLIENT and rec.name == "server_hello" and not dropped:
+            dropped.append(now)
+            return False
+        return True
+
+    pair.driver.send_filter = drop_first_server_hello
+    pair.run()
+    assert dropped
+    pair.assert_complete()
+    rows = [(name, d, rt) for name, d, _, rt in pair.driver.per_message]
+    resent = rows.index(("client_hello", "c2s", True))
+    assert rows[resent + 1 : resent + 3] == [("ack", "s2c", False), ("server_hello", "s2c", True)]
+    assert len(pair.listener.connections()) == 1
 
 
 def test_client_finished_corruption_detected():
