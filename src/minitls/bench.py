@@ -71,9 +71,7 @@ class Scenario:
         return f"{self.profile}-{self.protocol}-{self.mode}-s{self.net.seed}"
 
     def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["net"] = self.net.to_dict()
-        return d
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict):
@@ -110,22 +108,7 @@ class Report:
         return self.wire["bytes_c2s"] + self.wire["bytes_s2c"]
 
     def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario.to_dict(),
-            "ok": self.ok,
-            "failure": self.failure,
-            "failed_phase": self.failed_phase,
-            "flights": self.flights,
-            "wire": self.wire,
-            "per_message": [list(r) for r in self.per_message],
-            "counters_client": self.counters_client,
-            "counters_server": self.counters_server,
-            "events": self.events,
-            "rtt_to_first_appdata_ms": self.rtt_to_first_appdata_ms,
-            "legacy12_total": self.legacy12_total,
-            "suite": self.suite,
-            "finished_at_ms": self.finished_at_ms,
-        }
+        return dataclasses.asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)

@@ -16,6 +16,7 @@ header and every TLS message.  A message outside the table is
 unauthenticated, so it is dropped silently.
 """
 
+import hmac
 import random
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -464,9 +465,9 @@ class Connection:
         )
         self._new_schedule(psk.secret if psk else None, self.psk_kind_in_use)
         if psk is not None:
-            trunc = messages.truncated_tls_form(ch, self.params.hash_len)
-            th = crypto.transcript_hash(self.transcript + [trunc], self.params.hash_alg)
-            messages.patch_binder(ch, self.ks.compute_binder(th))
+            prefix = messages.binder_prefix(messages.tls_form(ch), self.params.hash_len)
+            binder = self.ks.compute_binder(crypto.transcript_hash(self.transcript + [prefix], self.params.hash_alg))
+            ch.extensions[-1] = messages.ext_pre_shared_key_offer(psk.identity, self.obfuscated_age, binder)
         out = self._emit(ch, EPOCH_PLAIN)
         self.phase = Phase.WAIT_SH
         if cfg.mode == AuthMode.ZERO_RTT and cfg.early_payload:
@@ -909,11 +910,9 @@ class Connection:
             raise
 
         self._new_schedule(psk_secret, kind)
-        trunc = raw_ch[: len(raw_ch) - messages.psk_binders_trailer_len(self.params.hash_len)]
-        th = crypto.transcript_hash(self.transcript[:-1] + [trunc], self.params.hash_alg)
-        if not crypto.hmac_verify(
-            self.params.hash_alg, self.ks.finished_key(self.ks.binder_key), th, binder
-        ):
+        prefix = messages.binder_prefix(raw_ch, self.params.hash_len)
+        th = crypto.transcript_hash(self.transcript[:-1] + [prefix], self.params.hash_alg)
+        if not hmac.compare_digest(self.ks.compute_binder(th), binder):
             raise BadBinder("psk binder mismatch")
         self.psk_in_use = PskCredential(identity, psk_secret)
         self.psk_kind_in_use = kind
@@ -1002,7 +1001,8 @@ class Connection:
             (Phase.CONNECTED, HandshakeType.NEW_SESSION_TICKET): Edge(EPOCH_APP, _client_handle_ticket),  # 4.6.1
         },
         "server": {
-            # A.2; a DTLS ClientHello reaches server_handle_client_hello through ServerListener
+            # A.2; a whole DTLS ClientHello reaches server_handle_client_hello through
+            # ServerListener, one split across datagrams through this edge once reassembled
             (Phase.START, HandshakeType.CLIENT_HELLO): Edge(EPOCH_PLAIN, server_handle_client_hello),
             (Phase.WAIT_CERT_CR, HandshakeType.CERTIFICATE): Edge(EPOCH_HANDSHAKE, _peer_certificate, True),  # A.2
             (Phase.WAIT_CV, HandshakeType.CERTIFICATE_VERIFY): Edge(EPOCH_HANDSHAKE, _peer_certificate_verify),  # A.2
@@ -1023,7 +1023,10 @@ def resume_config(cfg: ConnConfig, ticket: TicketState) -> ConnConfig:
 
 
 class ServerListener:
-    """Owns the accept path: cookie secret, ticket table, demux tables."""
+    """Owns the accept path: cookie secret, ticket table, demux tables.  A first
+    ClientHello split across datagrams goes to a fresh connection, which
+    reassembles it; with ``dos`` the stateless cookie check needs the whole
+    ClientHello, so one that does not fit a datagram is dropped unallocated."""
 
     def __init__(self, cfg: ConnConfig, rng: random.Random):
         self.cfg = cfg
@@ -1120,8 +1123,12 @@ class ServerListener:
             if ctype != ContentType.HANDSHAKE:
                 return []
             frag, _ = messages.parse_dtls_fragment(payload)
-            if frag.msg_type != HandshakeType.CLIENT_HELLO or not frag.complete:
+            if frag.msg_type != HandshakeType.CLIENT_HELLO:
                 return []
+            if not frag.complete:
+                if self.cfg.dos or frag.message_seq != 0:
+                    return []  # the cookie check needs the whole ClientHello; seq > 0 is a retry
+                return self._fresh_connection(source).handle(data, now)  # its reliability reassembles it
             raw = frag.to_tls_form()
             ch = messages.decode_handshake(raw)
             suite = crypto.suite_params(

@@ -2,8 +2,8 @@
 
 The protocol core never touches an algorithm directly: everything goes
 through the registry defined here, so swapping AEAD/hash backends never
-leaks into handshake or record code.  Symmetric primitives are backed by
-the OpenSSL bindings; HKDF and the label scheme are implemented here
+leaks into handshake or record code.  HMAC, HKDF-Expand, the AEADs and
+raw AES come from OpenSSL; only the HkdfLabel scheme is implemented here,
 because the two wire protocols prefix labels differently.
 """
 
@@ -14,8 +14,10 @@ from dataclasses import dataclass
 from enum import Enum, IntEnum
 
 from cryptography.exceptions import InvalidTag
+from cryptography.hazmat.primitives import hashes
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 from cryptography.hazmat.primitives.ciphers.aead import AESCCM, AESGCM
+from cryptography.hazmat.primitives.kdf.hkdf import HKDFExpand
 
 from .errors import AuthenticationFailure, LengthOverflow, UnknownSuite
 
@@ -44,7 +46,7 @@ class HashAlg(IntEnum):
 
 
 _HASHES = {HashAlg.SHA256: hashlib.sha256, HashAlg.SHA384: hashlib.sha384}
-_HASH_LENS = {HashAlg.SHA256: 32, HashAlg.SHA384: 48}
+_HKDF_HASHES = {HashAlg.SHA256: hashes.SHA256(), HashAlg.SHA384: hashes.SHA384()}
 
 
 @dataclass(frozen=True)
@@ -100,10 +102,6 @@ def hash_data(alg: HashAlg, data: bytes) -> bytes:
     return _HASHES[alg](data).digest()
 
 
-def hash_len(alg: HashAlg) -> int:
-    return _HASH_LENS[alg]
-
-
 def hmac_digest(alg: HashAlg, key: bytes, data: bytes) -> bytes:
     return _hmac.digest(key, data, _HASHES[alg])
 
@@ -116,24 +114,16 @@ def hmac_verify(alg: HashAlg, key: bytes, data: bytes, mac: bytes) -> bool:
 
 
 def hkdf_extract(salt: bytes, ikm: bytes, alg: HashAlg) -> bytes:
-    """HKDF-Extract; an empty salt means a hash-length run of zero bytes."""
-    if not salt:
-        salt = bytes(hash_len(alg))
+    """HKDF-Extract; HMAC zero-pads the key, so an empty salt is the
+    hash-length run of zero bytes RFC 5869 asks for."""
     return hmac_digest(alg, salt, ikm)
 
 
 def hkdf_expand(prk: bytes, info: bytes, out_len: int, alg: HashAlg) -> bytes:
-    n = hash_len(alg)
-    if out_len > 255 * n:
-        raise LengthOverflow(f"HKDF-Expand output {out_len} exceeds 255*{n}")
-    out = b""
-    block = b""
-    counter = 1
-    while len(out) < out_len:
-        block = hmac_digest(alg, prk, block + info + bytes([counter]))
-        out += block
-        counter += 1
-    return out[:out_len]
+    try:
+        return HKDFExpand(_HKDF_HASHES[alg], out_len, info).derive(prk)
+    except ValueError as exc:  # more than 255 hash blocks
+        raise LengthOverflow(f"HKDF-Expand output {out_len}: {exc}") from None
 
 
 LABEL_PREFIX = {Protocol.TLS: b"tls13 ", Protocol.DTLS: b"dtls13"}

@@ -260,9 +260,9 @@ class KeySchedule:
         return crypto.hmac_verify(self.params.hash_alg, self.finished_key(base_secret), th, mac)
 
     def compute_binder(self, th_truncated_hello: bytes) -> bytes:
-        if self.stage < KsStage.EARLY:
-            raise WrongStage("binder requires stage early")
-        key = self.finished_key(self._secrets["binder"])
+        """The PSK binder over the hash of the transcript up to the binders
+        list; both roles compute it here (RFC 8446 section 4.2.11.2)."""
+        key = self.finished_key(self.binder_key)
         return crypto.hmac_digest(self.params.hash_alg, key, th_truncated_hello)
 
     def resumption_psk(self, ticket_nonce: bytes) -> bytes:

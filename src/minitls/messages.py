@@ -226,9 +226,11 @@ def parse_pre_shared_key_offer(data: bytes):
     return identity, age, binder
 
 
-def psk_binders_trailer_len(hash_len: int) -> int:
+def binder_prefix(raw_tls_form: bytes, hash_len: int) -> bytes:
+    """The ClientHello bytes a PSK binder covers (RFC 8446 section 4.2.11.2):
+    its TLS form up to the binders list, which ends the last extension."""
     # binders vector (2) + one length-prefixed binder (1 + hash_len)
-    return 2 + 1 + hash_len
+    return raw_tls_form[: len(raw_tls_form) - (2 + 1 + hash_len)]
 
 
 def ext_pre_shared_key_server(selected_identity: int) -> Extension:
@@ -637,7 +639,8 @@ def build_client_hello(
     cid: bytes | None = None,
 ) -> ClientHello:
     """Assemble a ClientHello in canonical extension order (pre_shared_key
-    last, zero-filled binder to be patched once the transcript is known)."""
+    last, with a zero-filled binder of ``binder_len`` bytes that the caller
+    replaces once the transcript is known)."""
     if early_data and psk_identity is None:
         raise ConfigConflict("0-RTT requires an offered PSK")
     exts = [ext_supported_versions_client()]
@@ -666,22 +669,6 @@ def build_client_hello(
         cipher_suites=list(suites),
         extensions=exts,
     )
-
-
-def truncated_tls_form(ch: ClientHello, hash_len: int) -> bytes:
-    """TLS-form ClientHello bytes up to (excluding) the binders list."""
-    full = tls_form(ch)
-    return full[: len(full) - psk_binders_trailer_len(hash_len)]
-
-
-def patch_binder(ch: ClientHello, binder: bytes) -> None:
-    ext = find_extension(ch.extensions, ExtensionType.PRE_SHARED_KEY)
-    if ext is None:
-        raise ConfigConflict("no pre_shared_key extension to patch")
-    identity, age, old = parse_pre_shared_key_offer(ext.data)
-    if len(old) != len(binder):
-        raise ValueError("binder length mismatch")
-    ext.data = ext_pre_shared_key_offer(identity, age, binder).data
 
 
 def build_server_hello(

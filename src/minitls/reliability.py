@@ -84,6 +84,8 @@ class DtlsReliability:
         HelloRetryRequest took 0 and the retried ClientHello 1."""
         self.next_recv_msg_seq = 2 if retried else 1
         self.next_send_msg_seq = 1 if retried else 0
+        self.end_flight()  # a ClientHello reassembled here is answered by our first flight, never ACKed
+        self.ack_at = None
 
     def ack_now(self, now: int, stale=None) -> None:
         """ACK at ``now``; ``stale`` is a record the peer resent after we processed it."""

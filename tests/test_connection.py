@@ -6,8 +6,9 @@ from dataclasses import replace
 import pytest
 
 from minitls import messages, records
+from minitls.bench import Scenario, build_configs
 from minitls.connection import EPOCH_HANDSHAKE, Connection, EventKind, resume_config
-from minitls.crypto import Protocol
+from minitls.crypto import NamedGroup, Protocol, SuiteId
 from minitls.errors import ConfigConflict, NotReady
 from minitls.messages import HandshakeType
 from minitls.profiles import AuthMode
@@ -15,6 +16,7 @@ from minitls.records import ContentType
 from minitls.simnet import CLIENT, NetConfig
 
 from .harness import Pair, make_configs, run_handshake, secrets_of, transcript_types
+from .oracles import raw_binder_split, raw_psk_binder
 
 PROTOCOLS = [Protocol.TLS, Protocol.DTLS]
 ALL_MODES = [
@@ -344,6 +346,44 @@ def test_binder_corruption_detected():
     assert pair.server is not None and pair.server.failed
     assert pair.server.failure == "decrypt_error"
     assert not pair.client.connected
+
+
+def binder_case(case: str):
+    """A completed PSK handshake: (pair, psk secret, binder label, hash name)."""
+    if case == "psk128_256-0x13a4":
+        _, client_cfg, server_cfg = build_configs(Scenario(profile="psk128_256", suite=0x13A4))
+        pair = Pair(client_cfg, server_cfg, seed=8)
+        pair.run()
+        return pair, client_cfg.psk.secret, b"ext binder", "sha384"
+    if case == "dtls-resumption":
+        first = ticketed_pair(Protocol.DTLS, seed=8)
+        ticket = first.client.client_tickets[0]
+        pair = Pair(resume_config(first.client.cfg, ticket), first.listener.cfg, seed=9)
+        pair.listener.ticket_db = first.listener.ticket_db
+        pair.run()
+        return pair, ticket.psk, b"res binder", "sha256"
+    protocol = Protocol.TLS if case == "tls" else Protocol.DTLS
+    client_cfg, server_cfg, _ = make_configs(protocol, AuthMode.PSK, seed=8)
+    pair = Pair(client_cfg, replace(server_cfg, dos=case == "dtls-dos"), seed=8)
+    pair.run()
+    return pair, client_cfg.psk.secret, b"ext binder", "sha256"
+
+
+@pytest.mark.parametrize("case", ["tls", "dtls", "psk128_256-0x13a4", "dtls-resumption", "dtls-dos"])
+def test_binder_on_the_wire_matches_oracle(case):
+    # both roles take the binder from KeySchedule.compute_binder over
+    # messages.binder_prefix, so only an independent oracle catches a mistake
+    # they share; after a HelloRetryRequest the binder also covers
+    # message_hash(ClientHello1) and the HelloRetryRequest
+    pair, psk, label, hashname = binder_case(case)
+    server = pair.assert_complete()
+    at = [raw[0] for raw in pair.client.transcript].index(HandshakeType.CLIENT_HELLO)
+    assert at == (2 if case == "dtls-dos" else 0)
+    sent = pair.client.transcript[at]
+    assert server.transcript[at] == sent  # as the server read it off the wire
+    covered, binder = raw_binder_split(sent)
+    prefix = b"tls13 " if case == "tls" else b"dtls13"
+    assert binder == raw_psk_binder(hashname, prefix, psk, label, b"".join(pair.client.transcript[:at]) + covered)
 
 
 def test_wrong_psk_rejected():
@@ -731,6 +771,40 @@ def test_fragmentation_under_small_mtu():
     cert_rows = [r for r in pair.driver.per_message if r[0] == "certificate"]
     assert len(cert_rows) > 2  # the 500-byte certificates had to fragment
     assert secrets_of(pair.client) == secrets_of(server)
+
+
+@pytest.mark.parametrize("dos", [False, True], ids=["open", "dos"])
+@pytest.mark.parametrize("mtu", [1280, 300, 200])
+@pytest.mark.parametrize(
+    "suite,group",
+    [(SuiteId.AES_128_CCM_SHA256, NamedGroup.SECP256R1), (SuiteId.AES_256_CCM_SHA384, NamedGroup.SECP521R1)],
+    ids=["p256", "p521"],
+)
+@pytest.mark.parametrize("mode", [AuthMode.PSK, AuthMode.PSK_ECDHE, AuthMode.PK_SERVER_ONLY, AuthMode.PK_MUTUAL])
+def test_clean_link_sweep(mode, suite, group, mtu, dos, monkeypatch):
+    # at MTU 200 some first ClientHellos need two datagrams: a server connection
+    # reassembles them and answers with its first flight, so no ACK lists their
+    # epoch-0 records; the stateless cookie check needs the whole ClientHello,
+    # so with dos on a hello that does not fit one datagram is dropped unallocated
+    acked = []
+    build_ack = messages.build_ack
+
+    def recording_build_ack(record_numbers):
+        acked.extend(record_numbers)
+        return build_ack(record_numbers)
+
+    monkeypatch.setattr(messages, "build_ack", recording_build_ack)
+    client_cfg, server_cfg, _ = make_configs(Protocol.DTLS, mode, seed=5, suite=suite, group=group, mtu=mtu)
+    pair = Pair(client_cfg, replace(server_cfg, dos=dos), net=NetConfig(mtu=mtu, seed=5), seed=5)
+    pair.run(until_ms=600_000)
+    if dos and not pair.client.connected:
+        assert pair.client.failure == "handshake_timeout"
+        assert pair.listener.allocated == 0
+        return
+    server = pair.assert_complete()
+    assert secrets_of(pair.client) == secrets_of(server)
+    assert not any(retransmitted for _, _, _, retransmitted in pair.driver.per_message)
+    assert all(epoch != 0 for epoch, _ in acked)
 
 
 def test_dtls_handshake_records_fit_mtu():

@@ -190,21 +190,16 @@ def test_client_hello_deterministic_from_seed():
     assert m.tls_form(build()) == m.tls_form(build())
 
 
-def test_binder_truncation_and_patch():
-    rng = random.Random(2)
-    ch = m.build_client_hello(rng, [SuiteId.AES_128_CCM_SHA256], psk_identity=b"id", binder_len=32)
-    full = m.tls_form(ch)
-    trunc = m.truncated_tls_form(ch, 32)
-    assert full.startswith(trunc)
-    assert len(full) - len(trunc) == 2 + 1 + 32
-    m.patch_binder(ch, b"\xaa" * 32)
-    patched = m.tls_form(ch)
-    assert patched[: len(trunc)] == trunc
-    assert patched.endswith(b"\xaa" * 32)
-    _, _, binder = m.parse_pre_shared_key_offer(
-        m.find_extension(ch.extensions, m.ExtensionType.PRE_SHARED_KEY).data
-    )
-    assert binder == b"\xaa" * 32
+def test_binder_prefix():
+    for hash_len in (32, 48):
+        rng = random.Random(2)
+        ch = m.build_client_hello(rng, [SuiteId.AES_128_CCM_SHA256], psk_identity=b"id", binder_len=hash_len)
+        full = m.tls_form(ch)
+        prefix = m.binder_prefix(full, hash_len)
+        assert full.startswith(prefix)
+        assert len(full) - len(prefix) == 2 + 1 + hash_len
+        # what is cut is exactly the binders list: one zero-filled binder
+        assert full[len(prefix) :] == (1 + hash_len).to_bytes(2, "big") + bytes([hash_len]) + bytes(hash_len)
 
 
 def test_hrr_sentinel_detection():
