@@ -2,9 +2,11 @@
 
 The protocol core never touches an algorithm directly: everything goes
 through the registry defined here, so swapping AEAD/hash backends never
-leaks into handshake or record code.  HMAC, HKDF-Expand, the AEADs and
-raw AES come from OpenSSL; only the HkdfLabel scheme is implemented here,
-because the two wire protocols prefix labels differently.
+leaks into handshake or record code.  The hashes (through ``hashlib``),
+the AEADs and raw AES come from OpenSSL.  The RFC 2104 HMAC keying, the
+RFC 5869 HKDF chain and the HkdfLabel scheme are implemented here: the two
+wire protocols prefix labels differently, and OpenSSL's MAC and KDF objects
+cost a context per derivation that two hash objects do not.
 """
 
 import hashlib
@@ -14,10 +16,8 @@ from dataclasses import dataclass
 from enum import Enum, IntEnum
 
 from cryptography.exceptions import InvalidTag
-from cryptography.hazmat.primitives import hashes
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 from cryptography.hazmat.primitives.ciphers.aead import AESCCM, AESGCM
-from cryptography.hazmat.primitives.kdf.hkdf import HKDFExpand
 
 from .errors import AuthenticationFailure, LengthOverflow, UnknownSuite
 
@@ -46,7 +46,10 @@ class HashAlg(IntEnum):
 
 
 _HASHES = {HashAlg.SHA256: hashlib.sha256, HashAlg.SHA384: hashlib.sha384}
-_HKDF_HASHES = {HashAlg.SHA256: hashes.SHA256(), HashAlg.SHA384: hashes.SHA384()}
+_HASH_LENS = {alg: new().digest_size for alg, new in _HASHES.items()}
+# RFC 2104 pads: every key byte XORed with 0x36 (inner) or 0x5c (outer).
+_IPAD = bytes(b ^ 0x36 for b in range(256))
+_OPAD = bytes(b ^ 0x5C for b in range(256))
 
 
 @dataclass(frozen=True)
@@ -103,7 +106,17 @@ def hash_data(alg: HashAlg, data: bytes) -> bytes:
 
 
 def hmac_digest(alg: HashAlg, key: bytes, data: bytes) -> bytes:
-    return _hmac.digest(key, data, _HASHES[alg])
+    """RFC 2104: a key longer than the hash block is hashed first; the key,
+    zero-padded to the block, then keys an inner and an outer hash."""
+    new = _HASHES[alg]
+    inner = new()
+    block = inner.block_size
+    if len(key) > block:
+        key = new(key).digest()
+    key = key.ljust(block, b"\x00")
+    inner.update(key.translate(_IPAD))
+    inner.update(data)
+    return new(key.translate(_OPAD) + inner.digest()).digest()
 
 
 def hmac_verify(alg: HashAlg, key: bytes, data: bytes, mac: bytes) -> bool:
@@ -120,10 +133,17 @@ def hkdf_extract(salt: bytes, ikm: bytes, alg: HashAlg) -> bytes:
 
 
 def hkdf_expand(prk: bytes, info: bytes, out_len: int, alg: HashAlg) -> bytes:
-    try:
-        return HKDFExpand(_HKDF_HASHES[alg], out_len, info).derive(prk)
-    except ValueError as exc:  # more than 255 hash blocks
-        raise LengthOverflow(f"HKDF-Expand output {out_len}: {exc}") from None
+    """RFC 5869 section 2.3: T(i) = HMAC(PRK, T(i-1) | info | i), at most
+    255 blocks."""
+    hash_len = _HASH_LENS[alg]
+    blocks = -(-out_len // hash_len)
+    if blocks > 255:
+        raise LengthOverflow(f"HKDF-Expand output {out_len} exceeds 255 * {hash_len} bytes")
+    okm = t = b""
+    for i in range(1, blocks + 1):
+        t = hmac_digest(alg, prk, t + info + bytes((i,)))
+        okm += t
+    return okm[:out_len]
 
 
 LABEL_PREFIX = {Protocol.TLS: b"tls13 ", Protocol.DTLS: b"dtls13"}
@@ -131,8 +151,8 @@ LABEL_PREFIX = {Protocol.TLS: b"tls13 ", Protocol.DTLS: b"dtls13"}
 
 def hkdf_label(label: bytes, context: bytes, out_len: int, protocol: Protocol) -> bytes:
     full = LABEL_PREFIX[protocol] + label
-    if len(full) > 249:
-        raise LengthOverflow("label too long after prefixing")
+    if not 7 <= len(full) <= 255:  # RFC 8446 section 7.1: opaque label<7..255>
+        raise LengthOverflow(f"prefixed label of {len(full)} bytes outside 7..255")
     if len(context) > 255:
         raise LengthOverflow("context longer than 255 bytes")
     return (

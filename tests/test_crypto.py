@@ -1,15 +1,25 @@
 import hashlib
+import hmac
 import random
 
 import pytest
+from cryptography.hazmat.primitives import hashes
+from cryptography.hazmat.primitives.kdf.hkdf import HKDFExpand
 
 from minitls import crypto
 from minitls.crypto import HashAlg, Protocol, SuiteId
 from minitls.errors import AuthenticationFailure, LengthOverflow, UnknownSuite
 
 from .harness import VECTOR_DIR, load_hex_vectors
-from .oracles import raw_expand_label, raw_hkdf_extract, raw_hmac
+from .oracles import raw_expand_label, raw_hkdf_expand, raw_hkdf_extract, raw_hmac
 
+
+# (package enum, hashlib name, OpenSSL reference through cryptography)
+HASHES = [
+    (HashAlg.SHA256, "sha256", hashes.SHA256()),
+    (HashAlg.SHA384, "sha384", hashes.SHA384()),
+]
+PREFIXES = {Protocol.TLS: b"tls13 ", Protocol.DTLS: b"dtls13"}
 
 ALL_SUITES = [
     SuiteId.AES_128_CCM_SHA256,
@@ -34,6 +44,32 @@ def test_unknown_suite():
         crypto.suite_params(0x0000)
 
 
+def test_hmac_matches_openssl_and_raw_oracle():
+    """Key lengths around the block size take each keying branch of RFC 2104."""
+    rng = random.Random(0x2104)
+    for alg, name, _ in HASHES:
+        size, block = hashlib.new(name).digest_size, hashlib.new(name).block_size
+        for key_len in (0, 1, size, block - 1, block, block + 1, 200):
+            key = rng.randbytes(key_len)
+            for data_len in (0, 1, 55, 56, 63, 64, 65, 111, 112, 127, 128, 129, 255, 300):
+                data = rng.randbytes(data_len)
+                got = crypto.hmac_digest(alg, key, data)
+                assert got == hmac.digest(key, data, name) == raw_hmac(name, key, data)
+                assert crypto.hmac_verify(alg, key, data, got)
+
+
+def test_hkdf_expand_matches_openssl_and_raw_oracle():
+    rng = random.Random(0x5869)
+    for alg, name, reference in HASHES:
+        size = hashlib.new(name).digest_size
+        prk, info = rng.randbytes(size), rng.randbytes(20)
+        for out_len in (0, 1, size, size + 1, 255 * size):
+            got = crypto.hkdf_expand(prk, info, out_len, alg)
+            assert len(got) == out_len
+            assert got == HKDFExpand(reference, out_len, info).derive(prk)
+            assert got == raw_hkdf_expand(name, prk, info, out_len)
+
+
 def test_hkdf_extract_published_vectors():
     for salt, ikm, info, prk, okm in load_hex_vectors(VECTOR_DIR / "hkdf_sha256.txt"):
         assert crypto.hkdf_extract(salt, ikm, HashAlg.SHA256) == prk
@@ -56,15 +92,29 @@ def test_hkdf_extract_matches_raw_oracle():
 
 def test_expand_label_matches_raw_oracle():
     rng = random.Random(0xBEEF)
-    prefixes = {Protocol.TLS: b"tls13 ", Protocol.DTLS: b"dtls13"}
-    for _ in range(50):
-        prk = rng.randbytes(32)
-        label = bytes(rng.choices(b"abcdefgh", k=rng.randrange(1, 12)))
-        context = rng.randbytes(rng.randrange(0, 48))
-        out_len = rng.randrange(1, 64)
-        for proto, prefix in prefixes.items():
-            got = crypto.hkdf_expand_label(prk, label, context, out_len, HashAlg.SHA256, proto)
-            assert got == raw_expand_label("sha256", prk, prefix, label, context, out_len)
+    for alg, name, _ in HASHES:
+        size = hashlib.new(name).digest_size
+        for _ in range(50):
+            prk = rng.randbytes(size)
+            label = bytes(rng.choices(b"abcdefgh", k=rng.randrange(1, 12)))
+            context = rng.randbytes(rng.randrange(0, 48))
+            out_len = rng.randrange(1, 3 * size + 2)
+            for proto, prefix in PREFIXES.items():
+                got = crypto.hkdf_expand_label(prk, label, context, out_len, alg, proto)
+                assert got == raw_expand_label(name, prk, prefix, label, context, out_len)
+
+
+def test_expand_label_length_bounds():
+    """RFC 8446 section 7.1: the prefixed label is opaque<7..255>."""
+    prk = b"\x07" * 32
+    for proto, prefix in PREFIXES.items():
+        for n in (1, 243, 244, 249):
+            label = b"a" * n
+            got = crypto.hkdf_expand_label(prk, label, b"", 16, HashAlg.SHA256, proto)
+            assert got == raw_expand_label("sha256", prk, prefix, label, b"", 16)
+        for n in (0, 250):
+            with pytest.raises(LengthOverflow):
+                crypto.hkdf_expand_label(prk, b"a" * n, b"", 16, HashAlg.SHA256, proto)
 
 
 def test_expand_label_protocols_diverge():
@@ -80,8 +130,10 @@ def test_expand_zero_length():
 
 
 def test_expand_length_overflow():
-    with pytest.raises(LengthOverflow):
-        crypto.hkdf_expand(b"\x01" * 32, b"", 255 * 32 + 1, HashAlg.SHA256)
+    for alg, name, _ in HASHES:
+        size = hashlib.new(name).digest_size
+        with pytest.raises(LengthOverflow):
+            crypto.hkdf_expand(b"\x01" * size, b"", 255 * size + 1, alg)
 
 
 def test_aead_round_trip_all_suites():
