@@ -94,7 +94,7 @@ def test_expand_label_matches_raw_oracle():
     rng = random.Random(0xBEEF)
     for alg, name, _ in HASHES:
         size = hashlib.new(name).digest_size
-        for _ in range(50):
+        for _trial in range(50):
             prk = rng.randbytes(size)
             label = bytes(rng.choices(b"abcdefgh", k=rng.randrange(1, 12)))
             context = rng.randbytes(rng.randrange(0, 48))
