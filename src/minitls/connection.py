@@ -811,16 +811,18 @@ class Connection:
 
     # ---------------------------------------------------------------- server side
 
-    def server_handle_client_hello(self, ch, raw: bytes, now: int, retry_transcript=None, ch_rec_seq: int = 0) -> list:
-        """Entered once the listener's cookie policy has been satisfied."""
-        self._now = now
-        if retry_transcript is not None:
-            self.transcript = list(retry_transcript)
-            self.plain_write_seq = 1  # the stateless HRR used record seq 0
-            self.plain_window.add(0)
+    def after_stateless_hrr(self, transcript: list) -> None:
+        """Take up a DTLS handshake after the listener's stateless HelloRetryRequest,
+        which used record 0 and message_seq 0 each way; ``transcript`` is
+        message_hash(ClientHello1) and that HelloRetryRequest (RFC 8446 section 4.4.1)."""
+        self.transcript = list(transcript)
+        self.plain_write_seq = 1
+        self.plain_window.add(0)
+        self.reliability.next_send_msg_seq = self.reliability.next_recv_msg_seq = 1
+
+    def _server_handle_client_hello(self, ch, raw: bytes, now: int) -> list:
         if self.reliability is not None:
-            self.reliability.after_client_hello(retried=retry_transcript is not None)
-            self.plain_window.add(ch_rec_seq)
+            self.reliability.after_client_hello()
         self.transcript.append(raw)
 
         server_pref = [int(s) for s in self.cfg.suites]
@@ -1001,9 +1003,7 @@ class Connection:
             (Phase.CONNECTED, HandshakeType.NEW_SESSION_TICKET): Edge(EPOCH_APP, _client_handle_ticket),  # 4.6.1
         },
         "server": {
-            # A.2; a whole DTLS ClientHello reaches server_handle_client_hello through
-            # ServerListener, one split across datagrams through this edge once reassembled
-            (Phase.START, HandshakeType.CLIENT_HELLO): Edge(EPOCH_PLAIN, server_handle_client_hello),
+            (Phase.START, HandshakeType.CLIENT_HELLO): Edge(EPOCH_PLAIN, _server_handle_client_hello),  # A.2
             (Phase.WAIT_CERT_CR, HandshakeType.CERTIFICATE): Edge(EPOCH_HANDSHAKE, _peer_certificate, True),  # A.2
             (Phase.WAIT_CV, HandshakeType.CERTIFICATE_VERIFY): Edge(EPOCH_HANDSHAKE, _peer_certificate_verify),  # A.2
             (Phase.WAIT_FINISHED, HandshakeType.END_OF_EARLY_DATA): Edge(EPOCH_EARLY, _server_handle_eoed),  # A.2
@@ -1023,10 +1023,13 @@ def resume_config(cfg: ConnConfig, ticket: TicketState) -> ConnConfig:
 
 
 class ServerListener:
-    """Owns the accept path: cookie secret, ticket table, demux tables.  A first
-    ClientHello split across datagrams goes to a fresh connection, which
-    reassembles it; with ``dos`` the stateless cookie check needs the whole
-    ClientHello, so one that does not fit a datagram is dropped unallocated."""
+    """Owns the accept path: cookie secret, ticket table, demux tables.  It routes
+    each datagram or stream chunk by connection id or address and otherwise only
+    decides whether it gets a fresh connection, which reads its first ClientHello
+    itself through the (START, ClientHello) edge of ``Connection.TRANSITIONS``,
+    whole or split across datagrams.  With ``dos`` the stateless cookie check
+    needs the whole ClientHello, so one that does not fit a datagram is dropped
+    unallocated."""
 
     def __init__(self, cfg: ConnConfig, rng: random.Random):
         self.cfg = cfg
@@ -1069,26 +1072,20 @@ class ServerListener:
     # -- accept / demux -----------------------------------------------------------
 
     def receive(self, data: bytes, source: str, now: int) -> list:
-        if self.cfg.protocol == Protocol.TLS:
-            conn = self.by_addr.get(source)
-            if conn is not None and conn.connected and data[:1] == bytes([ContentType.HANDSHAKE]):
-                del self.by_addr[source]  # a fresh stream handshake starts over
-                conn = None
-            if conn is None:
-                conn = self._fresh_connection(source)
-            return conn.handle(data, now)
-        if data and records.is_unified_header(data[0]) and (data[0] & 0x10):
+        if self.cfg.protocol == Protocol.DTLS and data and records.is_unified_header(data[0]) and (data[0] & 0x10):
             return self._route_by_cid(data, source, now)
         conn = self.by_addr.get(source)
+        if conn is not None and conn.connected and data[:1] == bytes([ContentType.HANDSHAKE]):
+            # a plaintext flight from an established address starts over
+            # (e.g. a resumption attempt); retire the old binding
+            del self.by_addr[source]
+            if conn.cid_local:
+                self.by_cid.pop(conn.cid_local, None)
+            conn = None
         if conn is not None:
-            if conn.connected and data and data[0] == ContentType.HANDSHAKE:
-                # a plaintext flight from an established address starts over
-                # (e.g. a resumption attempt); retire the old binding
-                del self.by_addr[source]
-                if conn.cid_local:
-                    self.by_cid.pop(conn.cid_local, None)
-                return self._accept_datagram(data, source, now)
             return conn.handle(data, now)
+        if self.cfg.protocol == Protocol.TLS:
+            return self._fresh_connection(source).handle(data, now)
         return self._accept_datagram(data, source, now)
 
     def _route_by_cid(self, data: bytes, source: str, now: int) -> list:
@@ -1117,48 +1114,37 @@ class ServerListener:
         return conn
 
     def _accept_datagram(self, data: bytes, source: str, now: int) -> list:
-        """Datagram from an unknown address: DTLS cookie policy applies."""
+        """DTLS datagram from an unknown address: a connection is allocated only when
+        the first record carries a ClientHello fragment with message_seq 0, or with
+        ``dos`` a whole ClientHello with message_seq 1 whose cookie checks out
+        (RFC 9147 section 5.1).  The connection then reads the datagram itself."""
         try:
-            ctype, ch_rec_seq, payload, used = records.parse_dtls_plaintext(data, 0)
-            if ctype != ContentType.HANDSHAKE:
-                return []
+            ctype, _, payload, _ = records.parse_dtls_plaintext(data, 0)
             frag, _ = messages.parse_dtls_fragment(payload)
-            if frag.msg_type != HandshakeType.CLIENT_HELLO:
+            if ctype != ContentType.HANDSHAKE or frag.msg_type != HandshakeType.CLIENT_HELLO:
                 return []
+            if not self.cfg.dos:
+                return self._fresh_connection(source).handle(data, now) if frag.message_seq == 0 else []
             if not frag.complete:
-                if self.cfg.dos or frag.message_seq != 0:
-                    return []  # the cookie check needs the whole ClientHello; seq > 0 is a retry
-                return self._fresh_connection(source).handle(data, now)  # its reliability reassembles it
+                return []
             raw = frag.to_tls_form()
             ch = messages.decode_handshake(raw)
             suite = crypto.suite_params(
                 SuiteId(_negotiate([int(s) for s in self.cfg.suites], ch.cipher_suites, NoCommonSuite, "suite"))
             )
+            cookie_ext = messages.find_extension(ch.extensions, ExtensionType.COOKIE)
+            cookie = None if cookie_ext is None else messages.parse_cookie(cookie_ext.data)
         except ProtocolError:
             return []  # not a plausible first flight, or no common suite: silently dropped
-
-        retry_transcript = None
-        if self.cfg.dos:
-            cookie_ext = messages.find_extension(ch.extensions, ExtensionType.COOKIE)
-            if cookie_ext is None:
-                return [self._stateless_hrr(raw, ch, suite, source)]
-            cookie = messages.parse_cookie(cookie_ext.data)
-            ch1_hash = self.check_cookie(cookie, source, suite.hash_len)
-            if ch1_hash is None:
-                return []  # bad-cookie: silently dropped, nothing allocated
-            hrr = messages.build_hello_retry_request(int(suite.suite), cookie, ch.legacy_session_id)
-            retry_transcript = [crypto.message_hash(ch1_hash), messages.tls_form(hrr)]
-
+        if cookie is None:
+            return [self._stateless_hrr(raw, ch, suite, source)]
+        ch1_hash = self.check_cookie(cookie, source, suite.hash_len)
+        if ch1_hash is None or frag.message_seq != 1:
+            return []  # bad cookie, or not the retry's message_seq: silently dropped, nothing allocated
+        hrr = messages.build_hello_retry_request(int(suite.suite), cookie, ch.legacy_session_id)
         conn = self._fresh_connection(source)
-        try:
-            out = conn.server_handle_client_hello(
-                ch, raw, now, retry_transcript=retry_transcript, ch_rec_seq=ch_rec_seq
-            )
-        except ProtocolError as exc:
-            return conn._fail(now, exc)
-        if used < len(data):
-            out.extend(conn.handle(data[used:], now))  # e.g. 0-RTT in the same datagram
-        return out
+        conn.after_stateless_hrr([crypto.message_hash(ch1_hash), messages.tls_form(hrr)])
+        return conn.handle(data, now)
 
     def _stateless_hrr(self, raw_ch: bytes, ch, suite, source: str) -> OutRecord:
         ch_hash = crypto.hash_data(suite.hash_alg, raw_ch)

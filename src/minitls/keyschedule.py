@@ -125,10 +125,6 @@ class KeySchedule:
         self._keylog = writer
         self._client_random = client_random
 
-    @property
-    def hash_len(self) -> int:
-        return self.params.hash_len
-
     # -- named secrets (guarded by stage) ------------------------------------
 
     @property

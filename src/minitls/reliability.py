@@ -79,12 +79,9 @@ class DtlsReliability:
             self.ack_at = now + ACK_DELAY_MS  # incomplete flight: delayed ACK
         return out
 
-    def after_client_hello(self, retried: bool) -> None:
-        """Server: ClientHello took message_seq 0; after a stateless retry the
-        HelloRetryRequest took 0 and the retried ClientHello 1."""
-        self.next_recv_msg_seq = 2 if retried else 1
-        self.next_send_msg_seq = 1 if retried else 0
-        self.end_flight()  # a ClientHello reassembled here is answered by our first flight, never ACKed
+    def after_client_hello(self) -> None:
+        """Server: our first flight answers the ClientHello, so none of its records is ACKed."""
+        self.end_flight()
         self.ack_at = None
 
     def ack_now(self, now: int, stale=None) -> None:

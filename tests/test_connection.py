@@ -153,6 +153,78 @@ def test_bad_certificate_after_request_fails_in_wait_cert(protocol):
     assert pair.client.failed_from == "wait_cert"
 
 
+def flip_legacy_version(target):
+    """debug_tamper: flip a bit of the ``target`` hello's legacy_version, the
+    first two body bytes, so its body no longer decodes."""
+
+    def tamper(name, raw):
+        return raw[:4] + bytes([raw[4] ^ 0x01]) + raw[5:] if name == target else raw
+
+    return tamper
+
+
+def client_hello_message_seq(seq):
+    """Send filter: every ClientHello fragment the client sends claims ``seq``."""
+
+    def send_filter(endpoint, rec, now):
+        if endpoint == CLIENT and rec.name == "client_hello":
+            at = records.DTLS12_RECORD_HEADER_LEN + 4  # the fragment's message_seq
+            rec.data = rec.data[:at] + seq.to_bytes(2, "big") + rec.data[at + 2 :]
+        return True
+
+    return send_filter
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["whole", "split"])
+@pytest.mark.parametrize(
+    "case,alert,code",
+    [
+        ("no_common_suite", "handshake_failure", 40),
+        ("bad_legacy_version", "decode_error", 50),
+        ("message_seq_3", None, None),
+    ],
+    ids=["no_common_suite", "bad_legacy_version", "message_seq_3"],
+)
+def test_first_client_hello_outcome_does_not_depend_on_fragmentation(case, alert, code, split):
+    # every first ClientHello reaches a fresh server connection through the
+    # (START, ClientHello) edge, so a hello that needs two datagrams ends as one
+    # that fits: no common suite is handshake_failure (RFC 8446 section 4.1.1), an
+    # undecodable body decode_error, and a first fragment past message_seq 0 is
+    # not a first flight, so nothing is allocated
+    client_cfg, server_cfg, _ = make_configs(Protocol.DTLS, AuthMode.PSK, seed=65)
+    client_cfg = replace(client_cfg, mtu=120 if split else 1280)
+    if case == "no_common_suite":
+        server_cfg = replace(server_cfg, suites=(SuiteId.AES_256_GCM_SHA384,))
+    if case == "bad_legacy_version":
+        client_cfg = replace(client_cfg, debug_tamper=flip_legacy_version("client_hello"))
+    pair = Pair(client_cfg, server_cfg, seed=65)
+    if case == "message_seq_3":
+        pair.driver.send_filter = client_hello_message_seq(3)
+    pair.run(until_ms=5_000)
+    first_flight = [row for row in pair.driver.per_message if row[0] == "client_hello" and not row[3]]
+    assert len(first_flight) == (2 if split else 1)
+    if alert is None:
+        assert pair.listener.allocated == 0
+        assert not any(d == "s2c" for _, d, _, _ in pair.driver.per_message)
+        return
+    assert pair.listener.allocated == 1
+    assert pair.server.failure == alert and pair.server.failed_from == "start"
+    assert pair.client.failure == "peer_alert"
+    assert pair.client.event_log[-1].detail["code"] == code
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_undecodable_server_hello_is_decode_error(protocol):
+    # an in-order epoch-0 hello whose body does not decode is answered with
+    # decode_error by either role; dropping it would buy nothing, since a
+    # well-formed forged hello derails epoch 0 anyway
+    client_cfg, server_cfg, _ = make_configs(protocol, AuthMode.PSK, seed=66)
+    pair = Pair(client_cfg, replace(server_cfg, debug_tamper=flip_legacy_version("server_hello")), seed=66)
+    pair.run(until_ms=5_000)
+    assert pair.client.failure == "decode_error" and pair.client.failed_from == "wait_sh"
+    assert pair.server.failure == "peer_alert"
+
+
 def plaintext_handshake(protocol, raw: bytes) -> bytes:
     """An epoch-0 record carrying the TLS-form handshake messages ``raw``;
     on DTLS one message, as the server's msg_seq 1 in record seq 1."""
@@ -540,6 +612,32 @@ def test_flipped_cookie_dropped_without_allocation():
     # the untampered retry still works
     assert listener.receive(retry[0].data, "client:0", 30)
     assert listener.allocated == 1
+
+
+def ch_cookie(datagram) -> bytes:
+    """The cookie echoed by the ClientHello in the first record of ``datagram``."""
+    _, _, payload, _ = records.parse_dtls_plaintext(bytes(datagram), 0)
+    ch = messages.decode_handshake(messages.parse_dtls_fragment(payload)[0].to_tls_form())
+    return messages.parse_cookie(messages.find_extension(ch.extensions, messages.ExtensionType.COOKIE).data)
+
+
+@pytest.mark.parametrize("case", ["malformed_cookie_body", "message_seq_0", "message_seq_3"])
+def test_misnumbered_or_malformed_cookie_retry_dropped_without_allocation(case):
+    # the retried ClientHello answers the HelloRetryRequest, which took
+    # message_seq 0, so it must carry message_seq 1 (RFC 9147 section 5.2);
+    # a cookie whose vector does not parse is not a cookie; neither may raise
+    pair = dos_pair(seed=14)
+    client, listener = pair.client, pair.listener
+    [hrr_rec] = listener.receive(client.start(0)[0].data, "client:0", 0)
+    retry = bytearray(client.handle(hrr_rec.data, 10)[0].data)
+    if case == "malformed_cookie_body":
+        at = bytes(retry).index(ch_cookie(retry)) - 2  # the cookie's two-byte vector length
+        retry[at : at + 2] = b"\xff\xff"
+    else:
+        at = records.DTLS12_RECORD_HEADER_LEN + 4  # the fragment's message_seq
+        retry[at : at + 2] = int(case[-1]).to_bytes(2, "big")
+    assert listener.receive(bytes(retry), "client:0", 20) == []
+    assert listener.allocated == 0
 
 
 def test_client_forgets_hrr_record_after_retry():

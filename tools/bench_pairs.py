@@ -12,7 +12,12 @@ flag. Standard library only; it imports nothing from the checkouts.
 A pair is a win for the change when its value is better in the metric's
 ``better`` direction; a tie counts for neither side. ``claim_holds`` is the
 gain rule: wins in at least nine tenths of the pairs, and medians further
-apart than the parent's interquartile range.
+apart than the parent's interquartile range. The two no-regression verdicts
+use the metric's ``bound``, a fraction of the parent's median:
+``within_bound`` holds when the change's median is no worse than the
+parent's by more than that, and ``resolved`` when the parent's
+interquartile range is at most that, or every change run beats every
+parent run.
 """
 
 import argparse
@@ -62,6 +67,11 @@ def commit_of(checkout: Path):
     return proc.stdout.strip() or None
 
 
+def beats(change: float, parent: float, lower_better: bool) -> bool:
+    """Whether the change's value is better; a tie is not."""
+    return change < parent if lower_better else change > parent
+
+
 def summarise(runs: dict, end_to_end: list, pairs: int) -> dict:
     workloads = sorted(set(runs["parent"][0]) & set(runs["change"][0]))
     out = {}
@@ -78,12 +88,10 @@ def summarise(runs: dict, end_to_end: list, pairs: int) -> dict:
             name, lower_better = spec["name"], spec["better"] == "lower"
             values = {side: [r[workload]["metrics"][name] for r in runs[side]] for side in SIDES}
             q = {side: quartiles(values[side]) for side in SIDES}
-            wins = sum(
-                (c < p) if lower_better else (c > p)
-                for p, c in zip(values["parent"], values["change"])
-            )
+            wins = sum(beats(c, p, lower_better) for p, c in zip(values["parent"], values["change"]))
             gap = q["change"][1] - q["parent"][1]
             parent_iqr = q["parent"][2] - q["parent"][0]
+            allowed = spec["bound"] * abs(q["parent"][1])
             row["metrics"][name] = {
                 "unit": spec["unit"],
                 "better": spec["better"],
@@ -97,6 +105,9 @@ def summarise(runs: dict, end_to_end: list, pairs: int) -> dict:
                 "parent_iqr": parent_iqr,
                 "claim_holds": wins * 10 >= 9 * pairs and abs(gap) > parent_iqr
                 and (gap < 0) == lower_better,
+                "within_bound": (gap if lower_better else -gap) <= allowed,
+                "resolved": parent_iqr <= allowed
+                or all(beats(c, p, lower_better) for c in values["change"] for p in values["parent"]),
             }
         out[workload] = row
     return out
