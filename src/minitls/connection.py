@@ -23,7 +23,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from . import crypto, ec, messages, records
-from .crypto import Protocol, SuiteId
+from .crypto import GROUP_SCHEME, Protocol, SuiteId
 from .errors import (
     BadBinder,
     BadFinished,
@@ -43,7 +43,6 @@ from .keyschedule import KeySchedule, PskKind
 from .messages import ExtensionType, HandshakeType
 from .profiles import (
     ECDHE_FAMILY,
-    GROUP_SCHEME,
     PK_FAMILY,
     PSK_FAMILY,
     AuthMode,
@@ -1075,9 +1074,10 @@ class ServerListener:
         if self.cfg.protocol == Protocol.DTLS and data and records.is_unified_header(data[0]) and (data[0] & 0x10):
             return self._route_by_cid(data, source, now)
         conn = self.by_addr.get(source)
-        if conn is not None and conn.connected and data[:1] == bytes([ContentType.HANDSHAKE]):
-            # a plaintext flight from an established address starts over
-            # (e.g. a resumption attempt); retire the old binding
+        if conn is not None and (conn.connected or conn.failed) and data[:1] == bytes([ContentType.HANDSHAKE]):
+            # a plaintext flight from an established address starts over (e.g. a
+            # resumption attempt), as does a retransmission to a failed connection
+            # whose alert was lost; retire the old binding
             del self.by_addr[source]
             if conn.cid_local:
                 self.by_cid.pop(conn.cid_local, None)

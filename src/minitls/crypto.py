@@ -47,6 +47,7 @@ class HashAlg(IntEnum):
 
 _HASHES = {HashAlg.SHA256: hashlib.sha256, HashAlg.SHA384: hashlib.sha384}
 _HASH_LENS = {alg: new().digest_size for alg, new in _HASHES.items()}
+_BLOCK_SIZES = {alg: new().block_size for alg, new in _HASHES.items()}
 # RFC 2104 pads: every key byte XORed with 0x36 (inner) or 0x5c (outer).
 _IPAD = bytes(b ^ 0x36 for b in range(256))
 _OPAD = bytes(b ^ 0x5C for b in range(256))
@@ -98,6 +99,13 @@ class SignatureScheme(IntEnum):
     ECDSA_SECP521R1_SHA512 = 0x0603
 
 
+# The one ECDSA scheme each curve signs with.
+GROUP_SCHEME = {
+    NamedGroup.SECP256R1: SignatureScheme.ECDSA_SECP256R1_SHA256,
+    NamedGroup.SECP521R1: SignatureScheme.ECDSA_SECP521R1_SHA512,
+}
+
+
 # --- hash / HMAC -----------------------------------------------------------
 
 
@@ -109,13 +117,11 @@ def hmac_digest(alg: HashAlg, key: bytes, data: bytes) -> bytes:
     """RFC 2104: a key longer than the hash block is hashed first; the key,
     zero-padded to the block, then keys an inner and an outer hash."""
     new = _HASHES[alg]
-    inner = new()
-    block = inner.block_size
+    block = _BLOCK_SIZES[alg]
     if len(key) > block:
         key = new(key).digest()
     key = key.ljust(block, b"\x00")
-    inner.update(key.translate(_IPAD))
-    inner.update(data)
+    inner = new(key.translate(_IPAD) + data)
     return new(key.translate(_OPAD) + inner.digest()).digest()
 
 
@@ -136,17 +142,19 @@ def hkdf_expand(prk: bytes, info: bytes, out_len: int, alg: HashAlg) -> bytes:
     """RFC 5869 section 2.3: T(i) = HMAC(PRK, T(i-1) | info | i), at most
     255 blocks."""
     hash_len = _HASH_LENS[alg]
-    blocks = -(-out_len // hash_len)
-    if blocks > 255:
+    if out_len > 255 * hash_len:
         raise LengthOverflow(f"HKDF-Expand output {out_len} exceeds 255 * {hash_len} bytes")
     okm = t = b""
-    for i in range(1, blocks + 1):
+    i = 0
+    while i * hash_len < out_len:
+        i += 1
         t = hmac_digest(alg, prk, t + info + bytes((i,)))
         okm += t
     return okm[:out_len]
 
 
 LABEL_PREFIX = {Protocol.TLS: b"tls13 ", Protocol.DTLS: b"dtls13"}
+_LABEL_HEADER = struct.Struct("!HB")  # uint16 length, then the label's length byte
 
 
 def hkdf_label(label: bytes, context: bytes, out_len: int, protocol: Protocol) -> bytes:
@@ -156,9 +164,9 @@ def hkdf_label(label: bytes, context: bytes, out_len: int, protocol: Protocol) -
     if len(context) > 255:
         raise LengthOverflow("context longer than 255 bytes")
     return (
-        struct.pack("!HB", out_len, len(full))
+        _LABEL_HEADER.pack(out_len, len(full))
         + full
-        + struct.pack("!B", len(context))
+        + bytes((len(context),))
         + context
     )
 

@@ -17,7 +17,7 @@ from cryptography.hazmat.primitives import hashes
 from cryptography.hazmat.primitives.asymmetric import ec as _ec
 from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
 
-from .crypto import NamedGroup, SignatureScheme
+from .crypto import GROUP_SCHEME, NamedGroup, SignatureScheme
 from .errors import InvalidPoint
 
 # Group orders; private scalars are drawn from [1, n).
@@ -29,10 +29,7 @@ _BACKEND_CURVES = {
     NamedGroup.SECP256R1: _ec.SECP256R1,
     NamedGroup.SECP521R1: _ec.SECP521R1,
 }
-SCHEME_GROUP = {
-    SignatureScheme.ECDSA_SECP256R1_SHA256: NamedGroup.SECP256R1,
-    SignatureScheme.ECDSA_SECP521R1_SHA512: NamedGroup.SECP521R1,
-}
+SCHEME_GROUP = {scheme: group for group, scheme in GROUP_SCHEME.items()}
 _SCHEME_BACKEND_HASH = {
     SignatureScheme.ECDSA_SECP256R1_SHA256: hashes.SHA256,
     SignatureScheme.ECDSA_SECP521R1_SHA512: hashes.SHA512,

@@ -94,16 +94,14 @@ class KeySchedule:
 
     # -- plumbing -----------------------------------------------------------
 
-    def _count(self):
+    def _extract(self, salt: bytes, ikm: bytes) -> bytes:
         if self.counters is not None:
             self.counters.hkdf_ops += 1
-
-    def _extract(self, salt: bytes, ikm: bytes) -> bytes:
-        self._count()
         return crypto.hkdf_extract(salt, ikm, self.params.hash_alg)
 
     def expand_label(self, secret: bytes, label: bytes, context: bytes, out_len: int) -> bytes:
-        self._count()
+        if self.counters is not None:
+            self.counters.hkdf_ops += 1
         return crypto.hkdf_expand_label(
             secret, label, context, out_len, self.params.hash_alg, self.protocol
         )

@@ -80,21 +80,6 @@ class Reader:
     def uint(self, width: int) -> int:
         return int.from_bytes(self.take(width), "big")
 
-    def u8(self) -> int:
-        return self.uint(1)
-
-    def u16(self) -> int:
-        return self.uint(2)
-
-    def u24(self) -> int:
-        return self.uint(3)
-
-    def u32(self) -> int:
-        return self.uint(4)
-
-    def u64(self) -> int:
-        return self.uint(8)
-
     def vec(self, len_width: int) -> bytes:
         return self.take(self.uint(len_width))
 
@@ -134,7 +119,7 @@ def _decode_extensions(r: Reader) -> list:
     seen = set()
     block = Reader(r.vec(2))
     while block.remaining:
-        ext_type = block.u16()
+        ext_type = block.uint(2)
         data = block.vec(2)
         if ext_type in seen:
             raise DecodeError(f"duplicate extension {ext_type}")
@@ -190,7 +175,7 @@ def parse_key_share_client(data: bytes) -> list:
     r.expect_end("key_share")
     entries = []
     while body.remaining:
-        group = body.u16()
+        group = body.uint(2)
         entries.append((group, body.vec(2)))
     return entries
 
@@ -201,7 +186,7 @@ def ext_key_share_server(group: int, pub: bytes) -> Extension:
 
 def parse_key_share_server(data: bytes):
     r = Reader(data)
-    group = r.u16()
+    group = r.uint(2)
     pub = r.vec(2)
     r.expect_end("key_share")
     return group, pub
@@ -217,7 +202,7 @@ def parse_pre_shared_key_offer(data: bytes):
     r = Reader(data)
     ids = Reader(r.vec(2))
     identity = ids.vec(2)
-    age = ids.u32()
+    age = ids.uint(4)
     ids.expect_end("psk identity list")  # single PSK identity per hello
     binders = Reader(r.vec(2))
     binder = binders.vec(1)
@@ -291,14 +276,14 @@ class ClientHello:
     @classmethod
     def decode_body(cls, body: bytes):
         r = Reader(body)
-        if r.u16() != TLS_LEGACY_VERSION:
+        if r.uint(2) != TLS_LEGACY_VERSION:
             raise DecodeError("bad legacy_version")
         random = r.take(32)
         session_id = r.vec(1)
         suites = []
         sv = Reader(r.vec(2))
         while sv.remaining:
-            suites.append(sv.u16())
+            suites.append(sv.uint(2))
         if r.vec(1) != b"\x00":
             raise DecodeError("unsupported compression methods")
         exts = _decode_extensions(r)
@@ -330,12 +315,12 @@ class ServerHello:
     @classmethod
     def decode_body(cls, body: bytes):
         r = Reader(body)
-        if r.u16() != TLS_LEGACY_VERSION:
+        if r.uint(2) != TLS_LEGACY_VERSION:
             raise DecodeError("bad legacy_version")
         random = r.take(32)
         sid = r.vec(1)
-        suite = r.u16()
-        if r.u8() != 0:
+        suite = r.uint(2)
+        if r.uint(1) != 0:
             raise DecodeError("bad compression method")
         exts = _decode_extensions(r)
         r.expect_end("ServerHello")
@@ -410,7 +395,7 @@ class CertificateVerify:
     @classmethod
     def decode_body(cls, body: bytes):
         r = Reader(body)
-        scheme = r.u16()
+        scheme = r.uint(2)
         sig = r.vec(2)
         r.expect_end("CertificateVerify")
         return cls(scheme, sig)
@@ -449,8 +434,8 @@ class NewSessionTicket:
     @classmethod
     def decode_body(cls, body: bytes):
         r = Reader(body)
-        lifetime = r.u32()
-        age_add = r.u32()
+        lifetime = r.uint(4)
+        age_add = r.uint(4)
         nonce = r.vec(1)
         ticket = r.vec(2)
         exts = _decode_extensions(r)
@@ -498,7 +483,7 @@ def tls_form(msg) -> bytes:
 def decode_handshake(data: bytes):
     """Decode one TLS-form handshake message (4-byte header)."""
     r = Reader(data)
-    msg_type = r.u8()
+    msg_type = r.uint(1)
     body = r.vec(3)
     r.expect_end("handshake message")
     cls = _MESSAGE_TYPES.get(msg_type)
@@ -543,11 +528,11 @@ class DtlsFragment:
 def parse_dtls_fragment(data: bytes) -> tuple:
     """Parse one fragment from the front of ``data``; returns (fragment, consumed)."""
     r = Reader(data)
-    msg_type = r.u8()
-    length = r.u24()
-    message_seq = r.u16()
-    offset = r.u24()
-    frag_len = r.u24()
+    msg_type = r.uint(1)
+    length = r.uint(3)
+    message_seq = r.uint(2)
+    offset = r.uint(3)
+    frag_len = r.uint(3)
     if offset + frag_len > length:
         raise DecodeError("fragment range exceeds message length")
     body = r.take(frag_len)
@@ -741,7 +726,7 @@ def parse_ack(data: bytes) -> list:
         raise DecodeError("ack entries must be 16 bytes each")
     out = []
     while body.remaining:
-        out.append((body.u64(), body.u64()))
+        out.append((body.uint(8), body.uint(8)))
     return out
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 
 from . import ec
-from .crypto import NamedGroup, SignatureScheme, SuiteId
+from .crypto import GROUP_SCHEME, NamedGroup, SignatureScheme, SuiteId
 from .errors import IllegalOverride, UnknownProfile
 
 
@@ -27,12 +27,6 @@ class AuthMode(str, Enum):
 PSK_FAMILY = {AuthMode.PSK, AuthMode.PSK_ECDHE, AuthMode.ZERO_RTT}
 PK_FAMILY = {AuthMode.PK_MUTUAL, AuthMode.PK_SERVER_ONLY}
 ECDHE_FAMILY = PK_FAMILY | {AuthMode.PSK_ECDHE}  # the modes that send a key share
-
-GROUP_SCHEME = {
-    NamedGroup.SECP256R1: SignatureScheme.ECDSA_SECP256R1_SHA256,
-    NamedGroup.SECP521R1: SignatureScheme.ECDSA_SECP521R1_SHA512,
-}
-
 
 @dataclass(frozen=True)
 class Profile:

@@ -134,31 +134,6 @@ def encode_tls_plaintext(content_type: int, payload: bytes) -> bytes:
 _FIXED_BITS = 0b001
 
 
-@dataclass
-class UnifiedHeader:
-    epoch_low: int
-    seq_low: int
-    seq_len: int  # 1 or 2 bytes on the wire
-    cid: bytes = b""
-    length_present: bool = False
-
-    def first_byte(self) -> int:
-        return (
-            (_FIXED_BITS << 5)
-            | ((1 if self.cid else 0) << 4)
-            | ((1 if self.seq_len == 2 else 0) << 3)
-            | ((1 if self.length_present else 0) << 2)
-            | (self.epoch_low & 0x3)
-        )
-
-    def encode(self, ct_len: int) -> bytes:
-        out = bytes([self.first_byte()]) + self.cid
-        out += self.seq_low.to_bytes(self.seq_len, "big")
-        if self.length_present:
-            out += ct_len.to_bytes(2, "big")
-        return out
-
-
 def unified_header_size(cid_len: int, seq_16bit: bool, length_present: bool) -> int:
     return 1 + cid_len + (2 if seq_16bit else 1) + (2 if length_present else 0)
 
@@ -187,14 +162,7 @@ def seal_dtls(
         raise RecordOverflow(f"protected record of {ct_len} bytes exceeds limit")
     seq = keys.next_write_seq()
     seq_len = 2 if seq_16bit else 1
-    header = UnifiedHeader(
-        epoch_low=epoch & 0x3,
-        seq_low=seq & ((1 << (8 * seq_len)) - 1),
-        seq_len=seq_len,
-        cid=cid,
-        length_present=length_present,
-    )
-    aad = header.encode(ct_len)
+    aad = _unified_header(epoch, seq, seq_len, cid, length_present, ct_len)
     ct = crypto.aead_seal(params, keys.aead(params), nonce_for(keys.iv, seq), aad, inner)
     mask = crypto.block_encrypt(keys.sn_cipher(), ct[:16])[:seq_len]
     seq_off = 1 + len(cid)
@@ -257,6 +225,22 @@ class ParsedCiphertext:
     seq_off: int
     ciphertext: bytes
     consumed: int
+
+
+def _unified_header(epoch: int, seq: int, seq_len: int, cid: bytes, length_present: bool, ct_len: int) -> bytes:
+    """Header bytes with plaintext sequence bits, as AEAD additional data."""
+    first_byte = (
+        (_FIXED_BITS << 5)
+        | ((1 if cid else 0) << 4)
+        | ((1 if seq_len == 2 else 0) << 3)
+        | ((1 if length_present else 0) << 2)
+        | (epoch & 0x3)
+    )
+    out = bytes([first_byte]) + cid
+    out += (seq & ((1 << (8 * seq_len)) - 1)).to_bytes(seq_len, "big")
+    if length_present:
+        out += ct_len.to_bytes(2, "big")
+    return out
 
 
 def parse_unified(datagram: bytes, offset: int, cid_len: int) -> ParsedCiphertext:

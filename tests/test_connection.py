@@ -213,6 +213,29 @@ def test_first_client_hello_outcome_does_not_depend_on_fragmentation(case, alert
     assert pair.client.event_log[-1].detail["code"] == code
 
 
+def test_failed_server_connection_gives_up_its_address():
+    # the server's one fatal alert is lost; the client's retransmitted
+    # ClientHello reaches a fresh connection, whose alert ends the handshake
+    client_cfg, server_cfg, _ = make_configs(Protocol.DTLS, AuthMode.PSK, seed=67, suite=SuiteId.AES_256_CCM_SHA384)
+    server_cfg = replace(server_cfg, suites=(SuiteId.AES_128_CCM_SHA256,))
+    pair = Pair(client_cfg, server_cfg, seed=67)
+    dropped = []
+
+    def drop_first_alert(endpoint, rec, now):
+        if endpoint != CLIENT and rec.name == "alert" and not dropped:
+            dropped.append(now)
+            return False
+        return True
+
+    pair.driver.send_filter = drop_first_alert
+    pair.run(until_ms=300_000)
+    assert len(dropped) == 1
+    assert pair.client.failure == "peer_alert"
+    assert pair.listener.allocated == 2
+    hellos = [row for row in pair.driver.per_message if row[0] == "client_hello"]
+    assert [rt for _, _, _, rt in hellos] == [False, True]
+
+
 @pytest.mark.parametrize("protocol", PROTOCOLS)
 def test_undecodable_server_hello_is_decode_error(protocol):
     # an in-order epoch-0 hello whose body does not decode is answered with

@@ -1,0 +1,74 @@
+"""Deterministic Python call counts of the handshake benchmark's workloads.
+
+For each workload that ``BENCHMARK.json`` of the given checkout lists, one
+fresh interpreter makes one warm-up call (iteration ``WARMUP_BASE``), then
+runs iterations 0 .. N-1 at the default seed under cProfile and sums the
+call count (``nc``) of every profiled function, builtins included. Prints
+one JSON object, workload -> total. The totals repeat exactly for one
+checkout on one Python version, so they resolve changes too small for
+wall-clock pairs; compare two checkouts on the same interpreter.
+
+    python3 tools/call_counts.py [CHECKOUT] [--iterations N]
+
+Standard library only; like ``bench_pairs.py`` it imports nothing from the
+checkout in this process, so a parent checkout can be counted too.
+"""
+
+import argparse
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+
+def count_here(workload: str, iterations: int) -> int:
+    """Run in the checkout's directory: the summed ``nc`` for one workload."""
+    import cProfile
+    import pstats
+
+    sys.path.insert(0, str(Path.cwd() / "perfbench"))
+    import workloads
+
+    workloads.run_one(workloads.scenario(workload, workloads.DEFAULT_SEED, workloads.WARMUP_BASE))
+    profile = cProfile.Profile()
+    profile.enable()
+    for i in range(iterations):
+        workloads.run_one(workloads.scenario(workload, workloads.DEFAULT_SEED, i))
+    profile.disable()
+    return sum(nc for _, nc, _, _, _ in pstats.Stats(profile).stats.values())
+
+
+def count_in(checkout: Path, workload: str, iterations: int) -> int:
+    """``count_here`` in a fresh interpreter whose working directory is ``checkout``."""
+    proc = subprocess.run(
+        [sys.executable, str(Path(__file__).resolve()), "--workload", workload,
+         "--iterations", str(iterations)],
+        cwd=checkout, capture_output=True, text=True, check=False,
+    )
+    if proc.returncode:
+        raise RuntimeError(f"{checkout}: {workload}: exit {proc.returncode}:\n{proc.stderr}")
+    return int(proc.stdout)
+
+
+def count_calls(checkout: Path, iterations: int) -> dict:
+    """Workload -> summed call count, for every workload ``BENCHMARK.json`` lists."""
+    spec = json.loads((checkout / "BENCHMARK.json").read_text())
+    return {w["name"]: count_in(checkout, w["name"], iterations) for w in spec["workloads"]}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("checkout", type=Path, nargs="?", default=Path("."), help="checkout to count")
+    parser.add_argument("--iterations", type=int, default=60, help="profiled iterations per workload")
+    parser.add_argument("--workload", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+
+    if args.workload:
+        print(count_here(args.workload, args.iterations))
+    else:
+        print(json.dumps(count_calls(args.checkout.resolve(), args.iterations), sort_keys=True))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
