@@ -22,7 +22,7 @@ from .connection import (
     resume_config,
 )
 from .crypto import Protocol, SuiteId
-from .errors import ProtocolError
+from .errors import IllegalOverride, ProtocolError
 from .profiles import (
     ECDHE_FAMILY,
     PK_FAMILY,
@@ -183,17 +183,12 @@ class Driver:
         ]
 
     def _next_event_time(self):
-        times = []
-        if self.link.next_time() is not None:
-            times.append(self.link.next_time())
-        t = self.client.next_timeout()
-        if t is not None:
-            times.append(t)
-        for conn in self.listener.connections():
-            t = conn.next_timeout()
-            if t is not None:
-                times.append(t)
-        return min(times) if times else None
+        nxt = self.link.next_time()
+        for endpoint in (self.client, *self.listener.connections()):
+            t = endpoint.next_timeout()
+            if t is not None and (nxt is None or t < nxt):
+                nxt = t
+        return nxt
 
     def run(self, until_ms: int = MAX_SIM_MS, start_ms: int = 0) -> int:
         until_ms += start_ms
@@ -209,11 +204,10 @@ class Driver:
                     self.send(CLIENT, self.client.handle(data, now), now)
                 else:
                     self.send(SERVER, self.listener.receive(data, source, now), now)
-            if self.client.next_timeout() is not None and self.client.next_timeout() <= now:
-                self.send(CLIENT, self.client.on_timeout(now), now)
-            for conn in self.listener.connections():
-                if conn.next_timeout() is not None and conn.next_timeout() <= now:
-                    self.send(SERVER, conn.on_timeout(now), now)
+            for endpoint in (self.client, *self.listener.connections()):
+                t = endpoint.next_timeout()
+                if t is not None and t <= now:
+                    self.send(CLIENT if endpoint is self.client else SERVER, endpoint.on_timeout(now), now)
             if self.app_payload and not self._app_sent and self.client.connected:
                 self._app_sent = True
                 self.send(CLIENT, self.client.send_app_data(self.app_payload, now), now)
@@ -230,10 +224,9 @@ def _public_half(cred: EcCredential) -> EcCredential:
 
 def build_configs(scenario: Scenario):
     """Resolve the profile into concrete client/server ConnConfigs."""
-    overrides = dict(scenario.overrides)
-    if scenario.cid is not None:
-        overrides.setdefault("cid", scenario.cid)
-    prof = resolve(scenario.profile, overrides or None)
+    if scenario.cid is not None and not 0 <= scenario.cid <= 16:
+        raise IllegalOverride("cid length must be 0..16")
+    prof = resolve(scenario.profile, scenario.overrides)
     mode = AuthMode(scenario.mode)
     if mode not in prof.modes and mode != AuthMode.PSK_ECDHE:
         raise ProtocolError(f"mode {mode.value} not allowed by profile {prof.name}")
@@ -257,6 +250,7 @@ def build_configs(scenario: Scenario):
     deployment = make_deployment(scenario.net.seed, groups, prof.cert_size)
     psk = deployment["psk"]
     needs_cert = mode in PK_FAMILY
+    mutual = mode == AuthMode.PK_MUTUAL
     group = groups[0] if groups else None
 
     common = dict(
@@ -272,7 +266,7 @@ def build_configs(scenario: Scenario):
     client_cfg = ConnConfig(
         mode=mode,
         psk=psk if mode in PSK_FAMILY else None,
-        local_ec=deployment["client_ec"].get(group) if needs_cert and prof.mutual_auth else None,
+        local_ec=deployment["client_ec"].get(group) if mutual else None,
         peer_ec=_public_half(deployment["server_ec"][group]) if needs_cert else None,
         early_payload=bytes(scenario.early_payload) if mode == AuthMode.ZERO_RTT else b"",
         offer_cid=scenario.cid is not None and protocol == Protocol.DTLS,
@@ -282,11 +276,10 @@ def build_configs(scenario: Scenario):
         mode=mode,
         psk=psk if mode in PSK_FAMILY else None,
         local_ec=deployment["server_ec"].get(group) if needs_cert else None,
-        peer_ec=_public_half(deployment["client_ec"][group]) if needs_cert and prof.mutual_auth else None,
-        mutual=prof.mutual_auth and mode == AuthMode.PK_MUTUAL,
+        peer_ec=_public_half(deployment["client_ec"][group]) if mutual else None,
         tickets=prof.tickets,
         dos=scenario.dos,
-        cid_len=(prof.cid or scenario.cid or 0) if protocol == Protocol.DTLS and scenario.cid is not None else 0,
+        cid_len=(scenario.cid or 0) if protocol == Protocol.DTLS else 0,
         **common,
     )
     return prof, client_cfg, server_cfg
@@ -360,7 +353,7 @@ def run_scenario(scenario: Scenario) -> Report:
         sni_len=len(prof.sni_hostname) if prof.sni_hostname and family(scenario.mode) == "pk" else None,
         n_suites=len(client_cfg.suites),
         group=client_cfg.groups[0] if client_cfg.groups else legacy12.NamedGroup.SECP256R1,
-        mutual=server_cfg.mutual,
+        mutual=scenario.mode == AuthMode.PK_MUTUAL,
         suite=client.suite,
     )
     legacy_total = legacy12.model_total(scenario.protocol, family(scenario.mode), **legacy_kwargs)

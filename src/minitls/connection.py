@@ -142,7 +142,6 @@ class ConnConfig:
     psk: PskCredential | None = None
     local_ec: EcCredential | None = None
     peer_ec: EcCredential | None = None  # pinned peer public key (trust anchor)
-    mutual: bool = False
     sni: str | None = None
     compat: bool = False
     early_payload: bytes = b""
@@ -937,7 +936,7 @@ class Connection:
             raise NoCommonSuite("no PSK accepted and no certificate configured")
         if share is None:
             raise NoCommonGroup("certificate mode requires a client key share")
-        return AuthMode.PK_MUTUAL if self.cfg.mutual else AuthMode.PK_SERVER_ONLY
+        return AuthMode.PK_MUTUAL if self.cfg.mode == AuthMode.PK_MUTUAL else AuthMode.PK_SERVER_ONLY
 
     def _server_handle_eoed(self, eoed, raw: bytes, now: int) -> list:
         # DTLS 1.3 omits EndOfEarlyData (RFC 9147 section 5.6)
@@ -1037,8 +1036,8 @@ class ServerListener:
         self.ticket_db: dict = {}
         self.by_addr: dict = {}
         self.by_cid: dict = {}
-        self._conn_counter = 0
-        self._stateless_hrr_count = 0
+        self.allocated = 0
+        self.stateless_hrr_count = 0
 
     # -- cookie machinery ------------------------------------------------------
 
@@ -1056,14 +1055,6 @@ class ServerListener:
         ch_hash, mac = cookie[1 : 1 + hash_len], cookie[1 + hash_len :]
         ok = crypto.hmac_verify(crypto.HashAlg.SHA256, self.cookie_secret, address.encode() + ch_hash, mac)
         return ch_hash if ok else None
-
-    @property
-    def allocated(self) -> int:
-        return self._conn_counter
-
-    @property
-    def stateless_hrr_count(self) -> int:
-        return self._stateless_hrr_count
 
     def connections(self) -> list:
         return list(dict.fromkeys(self.by_addr.values()))  # one entry per connection
@@ -1104,8 +1095,8 @@ class ServerListener:
         return out
 
     def _fresh_connection(self, source: str):
-        self._conn_counter += 1
-        conn = Connection(self.cfg, "server", self.rng, conn_id=f"S{self._conn_counter}")
+        self.allocated += 1
+        conn = Connection(self.cfg, "server", self.rng, conn_id=f"S{self.allocated}")
         conn.ticket_db = self.ticket_db
         self.by_addr[source] = conn
         if self.cfg.cid_len:
@@ -1155,5 +1146,5 @@ class ServerListener:
             HandshakeType.SERVER_HELLO, len(body) - 4, 0, 0, len(body) - 4, body[4:]
         ).encode()
         record = records.encode_dtls_plaintext(ContentType.HANDSHAKE, 0, frag)
-        self._stateless_hrr_count += 1
+        self.stateless_hrr_count += 1
         return OutRecord(record, "hello_retry_request")

@@ -34,13 +34,11 @@ class Profile:
     suites: tuple
     modes: frozenset
     groups: tuple = ()
-    cid: int | None = None
     compat_mode: bool = False
     zero_rtt: bool = False
     tickets: bool = False
     sni_hostname: str | None = None
     cert_size: int = 500
-    mutual_auth: bool = False
 
 
 _PROFILES = {
@@ -60,7 +58,6 @@ _PROFILES = {
         modes=frozenset({AuthMode.PK_MUTUAL, AuthMode.PK_SERVER_ONLY}),
         groups=(NamedGroup.SECP256R1,),
         sni_hostname="iot.example",
-        mutual_auth=True,
     ),
     "ecdsa128_256": Profile(
         name="ecdsa128_256",
@@ -68,7 +65,6 @@ _PROFILES = {
         modes=frozenset({AuthMode.PK_MUTUAL, AuthMode.PK_SERVER_ONLY}),
         groups=(NamedGroup.SECP256R1, NamedGroup.SECP521R1),
         sni_hostname="iot.example",
-        mutual_auth=True,
     ),
     # psk_ecdhe stays out of the default mode set here; it remains
     # reachable through an explicit modes override.
@@ -83,7 +79,6 @@ _PROFILES = {
         zero_rtt=True,
         tickets=True,
         sni_hostname="iot.example",
-        mutual_auth=True,
     ),
 }
 
@@ -91,13 +86,11 @@ _OVERRIDABLE = {
     "suites",
     "modes",
     "groups",
-    "cid",
     "compat_mode",
     "zero_rtt",
     "tickets",
     "sni_hostname",
     "cert_size",
-    "mutual_auth",
 }
 
 
@@ -136,8 +129,6 @@ def _validate(base: Profile, prof: Profile) -> None:
         raise IllegalOverride("0-RTT requires a PSK-capable mode")
     if prof.modes & ECDHE_FAMILY and not prof.groups:
         raise IllegalOverride("(EC)DHE modes need at least one named group")
-    if prof.cid is not None and not 0 <= prof.cid <= 16:
-        raise IllegalOverride("cid length must be 0..16")
 
 
 # --- credentials -----------------------------------------------------------------

@@ -65,7 +65,6 @@ def make_configs(
         psk=deployment["psk"] if mode in psk_modes else None,
         local_ec=deployment["server_ec"][group],
         peer_ec=public_half(deployment["client_ec"][group]) if mutual else None,
-        mutual=mutual and mode == AuthMode.PK_MUTUAL,
         **common,
     )
     return client, server, deployment

@@ -18,6 +18,7 @@ from minitls.bench import (
     paper_reference,
     run_scenario,
 )
+from minitls.errors import IllegalOverride
 from minitls.simnet import NetConfig
 
 
@@ -344,6 +345,21 @@ def test_tls_packing_sends_one_record_per_link_send():
 def test_cid_scenario_through_bench():
     r = run_scenario(scenario(profile="psk128", protocol="dtls", mode="psk", cid=4))
     assert r.ok
+
+
+@pytest.mark.parametrize("cid", [17, -1])
+def test_cid_length_outside_0_to_16_is_rejected(cid):
+    with pytest.raises(IllegalOverride, match="cid length must be 0..16"):
+        run_scenario(scenario(profile="psk128", protocol="dtls", mode="psk", cid=cid))
+    with pytest.raises(IllegalOverride):
+        cli.main(["run", "--cid", str(cid)])
+
+
+def test_cid_length_16_completes():
+    short = run_scenario(scenario(profile="psk128", protocol="dtls", mode="psk", cid=4))
+    r = run_scenario(scenario(profile="psk128", protocol="dtls", mode="psk", cid=16))
+    assert r.ok
+    assert r.total() - short.total() == 16 - 4  # the server's connection_id extension
 
 
 def test_direction_holds_for_every_profile():

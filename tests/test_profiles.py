@@ -18,7 +18,7 @@ def test_ecdsa128_256_profile():
     assert set(p.suites) == {SuiteId.AES_128_CCM_SHA256, SuiteId.AES_256_CCM_SHA384}
     assert p.groups == (NamedGroup.SECP256R1, NamedGroup.SECP521R1)
     assert p.sni_hostname is not None
-    assert p.mutual_auth
+    assert AuthMode.PK_MUTUAL in p.modes
 
 
 def test_full_profile_flags():
@@ -60,6 +60,8 @@ def test_illegal_overrides():
         resolve("ecdsa128", {"zero_rtt": True})
     with pytest.raises(IllegalOverride):
         resolve("psk128", {"cid": 40})
+    with pytest.raises(IllegalOverride):
+        resolve("ecdsa128", {"mutual_auth": False})
 
 
 def test_psk_ecdhe_reachable_by_override():

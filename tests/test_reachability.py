@@ -38,7 +38,6 @@ ALLOWED = {
     "Scenario.to_json": "acceptance test_11 round-trips a scenario through JSON text",
     "Scenario.from_json": "acceptance test_11 round-trips a scenario through JSON text",
     "Report.to_json": "perfbench hashes each report's JSON text into its digest",
-    "ServerListener.allocated": "acceptance test_08 counts connections a cookie-less flood allocates",
     "ServerListener.stateless_hrr_count": "acceptance test_08 counts stateless HelloRetryRequests",
     "KeySchedule.early_secret": "acceptance test_05 and the RFC 8448 vectors check the secret tree",
     "KeySchedule.client_early_traffic_secret": "acceptance test_05 and the RFC 8448 vectors check the secret tree",
