@@ -21,8 +21,8 @@ from .connection import (
     ServerListener,
     resume_config,
 )
-from .crypto import Protocol, SuiteId
-from .errors import IllegalOverride, ProtocolError
+from .crypto import NamedGroup, Protocol, SuiteId, suite_params
+from .errors import IllegalOverride, ProtocolError, UnknownSuite
 from .profiles import (
     ECDHE_FAMILY,
     PK_FAMILY,
@@ -224,20 +224,23 @@ def _public_half(cred: EcCredential) -> EcCredential:
 
 def build_configs(scenario: Scenario):
     """Resolve the profile into concrete client/server ConnConfigs."""
+    protocol = Protocol(scenario.protocol)
     if scenario.cid is not None and not 0 <= scenario.cid <= 16:
         raise IllegalOverride("cid length must be 0..16")
+    if scenario.cid is not None and protocol != Protocol.DTLS:
+        raise IllegalOverride("a connection id needs dtls")
     prof = resolve(scenario.profile, scenario.overrides)
-    mode = AuthMode(scenario.mode)
+    try:
+        mode = AuthMode(scenario.mode)
+        suites = (suite_params(scenario.suite).suite,) if scenario.suite else prof.suites
+    except (ValueError, UnknownSuite) as exc:
+        raise IllegalOverride(str(exc)) from None
     if mode not in prof.modes and mode != AuthMode.PSK_ECDHE:
-        raise ProtocolError(f"mode {mode.value} not allowed by profile {prof.name}")
-    protocol = Protocol(scenario.protocol)
-    suites = (SuiteId(scenario.suite),) if scenario.suite else prof.suites
+        raise IllegalOverride(f"mode {mode.value} not allowed by profile {prof.name}")
     groups = prof.groups
     if groups:
         # pair symmetric strength with the matching curve: 128-bit AES with
         # P-256, 256-bit AES with P-521 (when the profile enables it)
-        from .crypto import NamedGroup, suite_params
-
         preferred = (
             NamedGroup.SECP521R1 if suite_params(suites[0]).key_len == 32 else NamedGroup.SECP256R1
         )
@@ -269,7 +272,7 @@ def build_configs(scenario: Scenario):
         local_ec=deployment["client_ec"].get(group) if mutual else None,
         peer_ec=_public_half(deployment["server_ec"][group]) if needs_cert else None,
         early_payload=bytes(scenario.early_payload) if mode == AuthMode.ZERO_RTT else b"",
-        offer_cid=scenario.cid is not None and protocol == Protocol.DTLS,
+        cid=0 if scenario.cid is not None else None,  # offer CIDs, ask for none
         **common,
     )
     server_cfg = ConnConfig(
@@ -279,7 +282,7 @@ def build_configs(scenario: Scenario):
         peer_ec=_public_half(deployment["client_ec"][group]) if mutual else None,
         tickets=prof.tickets,
         dos=scenario.dos,
-        cid_len=(scenario.cid or 0) if protocol == Protocol.DTLS else 0,
+        cid=scenario.cid or None,  # ask for scenario.cid bytes; at 0 send no extension
         **common,
     )
     return prof, client_cfg, server_cfg

@@ -1,7 +1,7 @@
 """bench: run wire-overhead scenarios and render comparison tables.
 
 Exit codes: 0 success, 2 any protocol failure, 3 reference-sign breach
-under --compare-paper --strict.
+under --compare-paper --strict, 4 a configuration error (one line on stderr).
 """
 
 import argparse
@@ -9,12 +9,14 @@ import json
 import sys
 
 from .bench import Scenario, deviation_pct, emit, paper_reference, run_scenario
+from .errors import IllegalOverride, UnknownProfile
 from .profiles import profile_names, resolve
 from .simnet import NetConfig
 
 EXIT_OK = 0
 EXIT_PROTOCOL_FAILURE = 2
 EXIT_THRESHOLD_BREACH = 3
+EXIT_CONFIG = 4
 
 DEVIATION_WARN_PCT = 25.0
 
@@ -142,16 +144,19 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     if args.command == "run":
-        scenario = _scenario_from_args(args)
-        return _finish([run_scenario(scenario)], args)
-
-    with open(args.config) as fh:
-        config = json.load(fh)
-    scenarios = [Scenario.from_dict(d) for d in config["scenarios"]]
-    if args.compare_paper:
-        for s in scenarios:
-            s.compare_paper = True
-    reports = [run_scenario(s) for s in scenarios]
+        scenarios = [_scenario_from_args(args)]
+    else:
+        with open(args.config) as fh:
+            config = json.load(fh)
+        scenarios = [Scenario.from_dict(d) for d in config["scenarios"]]
+        if args.compare_paper:
+            for s in scenarios:
+                s.compare_paper = True
+    try:
+        reports = [run_scenario(s) for s in scenarios]
+    except (IllegalOverride, UnknownProfile) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     return _finish(reports, args)
 
 

@@ -145,8 +145,7 @@ class ConnConfig:
     sni: str | None = None
     compat: bool = False
     early_payload: bytes = b""
-    cid_len: int = 0  # length of the CID this endpoint asks peers to send
-    offer_cid: bool = False  # send the extension even with an empty CID
+    cid: int | None = None  # RFC 9146 CID length asked of the peer: 0 asks none, None sends no extension
     pad_len: int = 0
     tickets: bool = False
     dos: bool = False
@@ -202,16 +201,14 @@ class Connection:
 
         self.reliability = DtlsReliability() if self.protocol == Protocol.DTLS else None
 
-        self.cid_local: bytes | None = None  # peers put this in records they send us
+        self.cid_local = rng.randbytes(cfg.cid) if cfg.cid else None  # peers put this in records they send us
         self.cid_peer: bytes | None = None  # we put this in records we send
-        self.peer_offered_cid = False
         self.ticket_db: dict = {}  # server: the listener's resumption ticket table
 
         self.dh_priv = None
         self.dh_secret: bytes | None = None  # retained for schedule audits
         self.client_cert_requested = False
         self.early_accepted = False
-        self.early_rejected = False
         self.hrr_done = False
         self.psk_in_use: PskCredential | None = None
         self.psk_kind_in_use = PskKind.EXTERNAL
@@ -476,15 +473,9 @@ class Connection:
         return [GROUP_SCHEME[g] for g in self.cfg.groups] or [crypto.SignatureScheme.ECDSA_SECP256R1_SHA256]
 
     def _advertised_cid(self) -> bytes | None:
-        if self.protocol != Protocol.DTLS:
+        if self.protocol != Protocol.DTLS or self.cfg.cid is None:
             return None
-        if self.cfg.cid_len:
-            if self.cid_local is None:
-                self.cid_local = self.rng.randbytes(self.cfg.cid_len)
-            return self.cid_local
-        if self.cfg.offer_cid:
-            return b""  # "I send CIDs but do not need to receive them"
-        return None
+        return self.cid_local or b""  # empty: "I send CIDs but do not need to receive them"
 
     def _send_early_data(self) -> list:
         secret = self.ks.derive_early_traffic(self._th())
@@ -762,7 +753,6 @@ class Connection:
         if accepted and self.cfg.mode != AuthMode.ZERO_RTT:
             raise UnexpectedMessage("server accepted early data we never sent")
         self.early_accepted = accepted
-        self.early_rejected = self.cfg.mode == AuthMode.ZERO_RTT and not accepted
         self.phase = Phase.WAIT_FINISHED if self.psk_in_use is not None else Phase.WAIT_CERT_CR
         return []
 
@@ -842,7 +832,6 @@ class Connection:
 
         cid_ext = messages.find_extension(ch.extensions, ExtensionType.CONNECTION_ID)
         if cid_ext is not None:
-            self.peer_offered_cid = True
             self.cid_peer = messages.parse_connection_id(cid_ext.data) or None
 
         dh = None
@@ -863,7 +852,7 @@ class Connection:
             int(self.suite),
             key_share_entry=key_share_entry,
             selected_psk=0 if psk is not None else None,
-            cid=self._advertised_cid() if self.peer_offered_cid else None,
+            cid=self._advertised_cid() if cid_ext is not None else None,
         )
         out = self._emit(sh, EPOCH_PLAIN)
         self.ks.advance_handshake(dh, self._th())
@@ -875,7 +864,6 @@ class Connection:
         if mode == AuthMode.PK_MUTUAL:
             cr = messages.build_certificate_request([int(s) for s in self._scheme_list()])
             out += self._emit(cr, EPOCH_HANDSHAKE)
-            self.client_cert_requested = True
         out += self._own_flight(with_cert=mode in PK_FAMILY)
 
         self.ks.advance_master(self._th())
@@ -1057,7 +1045,7 @@ class ServerListener:
         return ch_hash if ok else None
 
     def connections(self) -> list:
-        return list(dict.fromkeys(self.by_addr.values()))  # one entry per connection
+        return list(self.by_addr.values())  # _route_by_cid keeps one address per connection
 
     # -- accept / demux -----------------------------------------------------------
 
@@ -1080,7 +1068,7 @@ class ServerListener:
         return self._accept_datagram(data, source, now)
 
     def _route_by_cid(self, data: bytes, source: str, now: int) -> list:
-        cid = bytes(data[1 : 1 + self.cfg.cid_len])
+        cid = bytes(data[1 : 1 + (self.cfg.cid or 0)])
         conn = self.by_cid.get(cid)
         if conn is None:
             return []  # unknown-cid: dropped
@@ -1099,8 +1087,7 @@ class ServerListener:
         conn = Connection(self.cfg, "server", self.rng, conn_id=f"S{self.allocated}")
         conn.ticket_db = self.ticket_db
         self.by_addr[source] = conn
-        if self.cfg.cid_len:
-            conn.cid_local = self.rng.randbytes(self.cfg.cid_len)
+        if conn.cid_local:
             self.by_cid[conn.cid_local] = conn
         return conn
 

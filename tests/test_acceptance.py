@@ -271,7 +271,7 @@ def test_08_dos_statelessness():
 
 def test_09_cid_continuity():
     client_cfg, server_cfg, _ = make_configs(Protocol.DTLS, AuthMode.PSK, seed=88)
-    pair = Pair(replace(client_cfg, offer_cid=True), replace(server_cfg, cid_len=4), seed=88)
+    pair = Pair(replace(client_cfg, cid=0), replace(server_cfg, cid=4), seed=88)
     pair.run()
     server = pair.assert_complete()
     hs_bytes_before = sum(

@@ -13,6 +13,7 @@ from minitls.bench import (
     CSV_HEADER,
     REFERENCE_TABLE,
     Scenario,
+    build_configs,
     deviation_pct,
     emit,
     paper_reference,
@@ -217,6 +218,25 @@ def test_cli_deviation_warning(capsys):
     assert "deviates" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--cid", "40"],
+    ["run", "--protocol", "tls", "--cid", "4"],
+    ["run", "--profile", "psk128", "--mode", "pk_mutual"],
+    ["run", "--mode", "bogus"],
+    ["run", "--suite", "0x9999"],
+    ["matrix", "--config", "{matrix}"],
+], ids=["cid-range", "cid-on-tls", "mode-not-in-profile", "unknown-mode", "unknown-suite", "unknown-profile"])
+def test_cli_configuration_error_exit_code(argv, tmp_path, capsys):
+    matrix = tmp_path / "matrix.json"
+    matrix.write_text(json.dumps({"scenarios": [scenario(profile="nosuch").to_dict()]}))
+    code = cli.main([a.format(matrix=matrix) for a in argv])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_CONFIG == 4
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: ")
+
+
 def test_cli_matrix(tmp_path, capsys):
     config = {
         "scenarios": [
@@ -351,8 +371,28 @@ def test_cid_scenario_through_bench():
 def test_cid_length_outside_0_to_16_is_rejected(cid):
     with pytest.raises(IllegalOverride, match="cid length must be 0..16"):
         run_scenario(scenario(profile="psk128", protocol="dtls", mode="psk", cid=cid))
-    with pytest.raises(IllegalOverride):
-        cli.main(["run", "--cid", str(cid)])
+    assert cli.main(["run", "--cid", str(cid)]) == 4
+
+
+def test_cid_on_tls_is_rejected():
+    with pytest.raises(IllegalOverride, match="dtls"):
+        run_scenario(scenario(profile="psk128", protocol="tls", mode="psk", cid=4))
+
+
+def test_cid_0_offers_an_empty_cid_and_asks_for_none():
+    _, client_cfg, server_cfg = build_configs(scenario(profile="psk128", protocol="dtls", mode="psk", cid=0))
+    assert (client_cfg.cid, server_cfg.cid) == (0, None)
+    plain = run_scenario(scenario(profile="psk128", protocol="dtls", mode="psk"))
+    r = run_scenario(scenario(profile="psk128", protocol="dtls", mode="psk", cid=0))
+    assert r.ok
+
+    def hello_sizes(report):
+        return {name: size for name, _, size, _ in report.per_message if name.endswith("_hello")}
+
+    # an empty connection_id extension is 5 bytes: type, length and the CID's length byte
+    assert hello_sizes(r)["client_hello"] == hello_sizes(plain)["client_hello"] + 5
+    assert hello_sizes(r)["server_hello"] == hello_sizes(plain)["server_hello"]  # no extension back
+    assert r.total() == plain.total() + 5
 
 
 def test_cid_length_16_completes():

@@ -5,7 +5,9 @@ every option of ``bench run`` and ``bench matrix``.
 Adding or removing a knob means editing one list here, so the change
 shows in a reviewed diff. Each handshake property has one setting:
 mutual authentication is the ``pk_mutual`` mode, and the DTLS connection
-id length is ``Scenario.cid``.
+id is ``ConnConfig.cid`` (RFC 9146: the length asked of the peer, 0 to
+offer CIDs and ask for none, ``None`` for no extension), which
+``bench.build_configs`` alone sets from ``Scenario.cid``.
 """
 
 import contextlib
@@ -28,7 +30,7 @@ FIELDS = {
     ],
     ConnConfig: [
         "protocol", "mode", "suites", "groups", "psk", "local_ec", "peer_ec", "sni", "compat",
-        "early_payload", "cid_len", "offer_cid", "pad_len", "tickets", "dos", "mtu", "packing",
+        "early_payload", "cid", "pad_len", "tickets", "dos", "mtu", "packing",
         "resume", "debug_tamper",
     ],
     Scenario: [

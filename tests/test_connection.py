@@ -773,8 +773,8 @@ def test_app_record_sizes():
 
 def test_app_record_with_cid():
     client_cfg, server_cfg, _ = make_configs(Protocol.DTLS, AuthMode.PSK, seed=22)
-    client_cfg = replace(client_cfg, offer_cid=True)
-    server_cfg = replace(server_cfg, cid_len=4)
+    client_cfg = replace(client_cfg, cid=0)
+    server_cfg = replace(server_cfg, cid=4)
     pair = Pair(client_cfg, server_cfg, seed=22)
     pair.run()
     server = pair.assert_complete()
@@ -791,8 +791,8 @@ def test_app_record_with_cid():
 
 def cid_session(seed=23):
     client_cfg, server_cfg, _ = make_configs(Protocol.DTLS, AuthMode.PSK, seed=seed)
-    client_cfg = replace(client_cfg, offer_cid=True)
-    server_cfg = replace(server_cfg, cid_len=4)
+    client_cfg = replace(client_cfg, cid=0)
+    server_cfg = replace(server_cfg, cid=4)
     pair = Pair(client_cfg, server_cfg, seed=seed)
     pair.run()
     pair.assert_complete()
@@ -811,6 +811,7 @@ def test_cid_survives_address_rebind():
     assert delivered and delivered[-1].detail["bytes"] == len(b"after-nat-rebinding")
     assert server.reliability.next_send_msg_seq == hs_msgs_before  # zero handshake messages
     assert pair.listener.by_addr.get("client:9999") is server
+    assert list(pair.listener.by_addr) == ["client:9999"]
 
 
 def test_rebind_without_cid_drops_records():
@@ -987,7 +988,7 @@ def test_resumed_zero_rtt_age_policy():
     assert not server3.early_accepted
     assert not any(e.kind == EventKind.EARLY_DATA for e in server3.event_log)
     assert server3.psk_kind_in_use.value == "resumption"
-    assert pair3.client.early_rejected
+    assert pair3.client.cfg.mode == AuthMode.ZERO_RTT and not pair3.client.early_accepted
 
 
 def test_mid_handshake_rebind_without_cid_stalls():

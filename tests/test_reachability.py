@@ -45,7 +45,6 @@ ALLOWED = {
     "KeySchedule.master_secret": "acceptance test_05 and the RFC 8448 vectors check the secret tree",
     "KeySchedule.exporter_master": "acceptance test_05 and the RFC 8448 vectors check the secret tree",
     "Connection.dh_secret": "acceptance test_05 feeds the (EC)DHE secret to the reference schedule",
-    "Connection.early_rejected": "the client's only view of a rejected 0-RTT offer",
     "ConnConfig.debug_tamper": "acceptance test_06 corrupts one message on the wire",
     "KeySchedule.set_keylog": "the key log debug surface, to be wired into the bench command",
 }
