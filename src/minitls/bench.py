@@ -77,14 +77,10 @@ class Scenario:
     def from_dict(cls, d: dict):
         d = dict(d)
         d["net"] = NetConfig.from_dict(d.get("net", {}))
-        return cls(**d)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str):
-        return cls.from_dict(json.loads(text))
+        try:
+            return cls(**d)
+        except TypeError as exc:  # a key that is not a field
+            raise IllegalOverride(str(exc)) from None
 
 
 @dataclass
@@ -224,7 +220,10 @@ def _public_half(cred: EcCredential) -> EcCredential:
 
 def build_configs(scenario: Scenario):
     """Resolve the profile into concrete client/server ConnConfigs."""
-    protocol = Protocol(scenario.protocol)
+    try:
+        protocol = Protocol(scenario.protocol)
+    except ValueError as exc:
+        raise IllegalOverride(str(exc)) from None
     if scenario.cid is not None and not 0 <= scenario.cid <= 16:
         raise IllegalOverride("cid length must be 0..16")
     if scenario.cid is not None and protocol != Protocol.DTLS:
@@ -290,7 +289,7 @@ def build_configs(scenario: Scenario):
 
 def run_scenario(scenario: Scenario) -> Report:
     prof, client_cfg, server_cfg = build_configs(scenario)
-    protocol = Protocol(scenario.protocol)
+    protocol = client_cfg.protocol
     seed = scenario.net.seed
     link_cls = DatagramLink if protocol == Protocol.DTLS else StreamLink
     link = link_cls(scenario.net)

@@ -143,16 +143,16 @@ def main(argv=None) -> int:
         p.add_argument("--out", default=None, metavar="PATH")
 
     args = parser.parse_args(argv)
-    if args.command == "run":
-        scenarios = [_scenario_from_args(args)]
-    else:
-        with open(args.config) as fh:
-            config = json.load(fh)
-        scenarios = [Scenario.from_dict(d) for d in config["scenarios"]]
-        if args.compare_paper:
-            for s in scenarios:
-                s.compare_paper = True
     try:
+        if args.command == "run":
+            scenarios = [_scenario_from_args(args)]
+        else:
+            with open(args.config) as fh:
+                config = json.load(fh)
+            scenarios = [Scenario.from_dict(d) for d in config["scenarios"]]
+            if args.compare_paper:
+                for s in scenarios:
+                    s.compare_paper = True
         reports = [run_scenario(s) for s in scenarios]
     except (IllegalOverride, UnknownProfile) as exc:
         print(f"error: {exc}", file=sys.stderr)

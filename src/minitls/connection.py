@@ -195,7 +195,7 @@ class Connection:
         self.transcript: list = []  # TLS-form handshake bytes, in order
 
         self.epochs: dict = {}  # epoch -> {"read": TrafficKeys, "write": TrafficKeys}
-        self.windows: dict = {}  # epoch -> ReplayWindow (DTLS receive)
+        self.write_epoch = EPOCH_PLAIN  # the latest non-early write keys: alerts and ACKs go out in it
         self.plain_write_seq = 0
         self.plain_window = ReplayWindow()
 
@@ -253,22 +253,18 @@ class Connection:
 
     def _emit_alert(self, code: int) -> list:
         try:
-            _, data = self._frame(self._current_write_epoch(), ContentType.ALERT, bytes([2, code]))
+            _, data = self._frame(self.write_epoch, ContentType.ALERT, bytes([2, code]))
             return [OutRecord(data, "alert")]
-        except (ProtocolError, KeyError):
+        except ProtocolError:
             return []
-
-    def _current_write_epoch(self) -> int:
-        for epoch in (EPOCH_APP, EPOCH_HANDSHAKE):
-            if "write" in self.epochs.get(epoch, {}):
-                return epoch
-        return EPOCH_PLAIN
 
     def _install(self, epoch: int, direction: str, secret: bytes) -> None:
         keys = self.ks.traffic_keys(secret)
         self.epochs.setdefault(epoch, {})[direction] = keys
-        if direction == "read":
-            self.windows[epoch] = ReplayWindow()
+        if direction == "write" and epoch != EPOCH_EARLY:
+            self.write_epoch = epoch
+        elif direction == "read" and self.protocol == Protocol.DTLS:
+            keys.window = ReplayWindow()
 
     def _th(self) -> bytes:
         self.counters.hash_blocks += (sum(map(len, self.transcript)) + 63) // 64
@@ -522,9 +518,9 @@ class Connection:
         if outer != ContentType.APPLICATION_DATA:
             raise DecodeError(f"unexpected outer type {outer}")
         epoch = self._tls_read_epoch
-        if epoch == EPOCH_PLAIN or "read" not in self.epochs.get(epoch, {}):
+        keys = self.epochs.get(epoch, {}).get("read")
+        if keys is None:
             raise UnexpectedMessage("protected record before any keys")
-        keys = self.epochs[epoch]["read"]
         self.counters.aead_open += 1
         true_type, inner = records.open_tls(self.params, keys, record)
         self.auth_reads += 1
@@ -564,30 +560,23 @@ class Connection:
                 out.extend(self.reliability.receive(frags, (EPOCH_PLAIN, seq), now, self._dispatch_message))
             else:
                 break  # unknown first byte: not a record, drop remainder
-        out.extend(self.reliability.flush_acks(now, self._frame, self._current_write_epoch))
+        out.extend(self.reliability.flush_acks(now, self._frame, self.write_epoch))
         return out
 
     def _handle_unified(self, parsed, now: int) -> list:
-        epoch = self._match_epoch(parsed.epoch_low)
-        if epoch is None or "read" not in self.epochs.get(epoch, {}):
+        epoch = parsed.epoch_low  # the whole epoch: only epochs 1-3 exist, as there is no KeyUpdate
+        keys = self.epochs.get(epoch, {}).get("read")
+        if keys is None:
             return []  # no keys for that epoch (e.g. rejected early data)
         if parsed.cid and self.cid_local and parsed.cid != self.cid_local:
             return []  # not our connection id
-        keys = self.epochs[epoch]["read"]
-        window = self.windows[epoch]
         try:
             self.counters.aead_open += 1
-            seq, true_type, inner = records.open_dtls(self.params, keys, window, parsed)
+            seq, true_type, inner = records.open_dtls(self.params, keys, parsed)
         except ProtocolError:
             return []  # bad or replayed datagrams are dropped, never fatal
         self.auth_reads += 1
         return self._dispatch_record_payload(epoch, true_type, inner, now, rec_num=(epoch, seq))
-
-    def _match_epoch(self, epoch_low: int):
-        for epoch in self.epochs:
-            if epoch != EPOCH_PLAIN and epoch % 4 == epoch_low:
-                return epoch
-        return None
 
     def _dispatch_record_payload(self, epoch, true_type, payload, now, rec_num) -> list:
         if true_type == ContentType.HANDSHAKE:
@@ -660,7 +649,7 @@ class Connection:
         if self.phase == Phase.FAILED or self.reliability is None:
             return []
         self._now = now
-        out = self.reliability.flush_acks(now, self._frame, self._current_write_epoch)
+        out = self.reliability.flush_acks(now, self._frame, self.write_epoch)
         try:
             return out + self.reliability.retransmit(now, self._frame)
         except HandshakeTimeout as exc:
@@ -943,7 +932,7 @@ class Connection:
         self._event(now, EventKind.HANDSHAKE_COMPLETE)
         out = []
         if self.reliability is not None:
-            out += self.reliability.end_flight(self._frame, self._current_write_epoch)
+            out += self.reliability.end_flight(self._frame, self.write_epoch)
         if self.cfg.tickets:
             out.extend(self._issue_ticket(now))
         return out
@@ -1025,7 +1014,6 @@ class ServerListener:
         self.by_addr: dict = {}
         self.by_cid: dict = {}
         self.allocated = 0
-        self.stateless_hrr_count = 0
 
     # -- cookie machinery ------------------------------------------------------
 
@@ -1133,5 +1121,4 @@ class ServerListener:
             HandshakeType.SERVER_HELLO, len(body) - 4, 0, 0, len(body) - 4, body[4:]
         ).encode()
         record = records.encode_dtls_plaintext(ContentType.HANDSHAKE, 0, frag)
-        self.stateless_hrr_count += 1
         return OutRecord(record, "hello_retry_request")

@@ -30,13 +30,15 @@ class PskKind(str, Enum):
 class TrafficKeys:
     """Per-direction AEAD material for one epoch.
 
-    sn_key exists only for DTLS (sequence-number masking).  Counters
-    never decrease; hitting the 2^48 record ceiling is a hard error.
-    The OpenSSL AEAD object and sequence-number encryptor are built on
-    first use and live as long as these keys.
+    sn_key exists only for DTLS (sequence-number masking).  DTLS read keys
+    own a ``records.ReplayWindow``, their only record of the sequence numbers
+    read; other keys keep read_seq.  Counters never decrease; hitting the
+    2^48 record ceiling is a hard error.  The OpenSSL AEAD object and
+    sequence-number encryptor are built on first use and live as long as
+    these keys.
     """
 
-    __slots__ = ("secret", "key", "iv", "sn_key", "read_seq", "write_seq", "_aead", "_sn_cipher")
+    __slots__ = ("secret", "key", "iv", "sn_key", "read_seq", "write_seq", "window", "_aead", "_sn_cipher")
 
     def __init__(self, secret: bytes, key: bytes, iv: bytes, sn_key: bytes | None):
         self.secret = secret
@@ -45,6 +47,7 @@ class TrafficKeys:
         self.sn_key = sn_key
         self.read_seq = 0
         self.write_seq = 0
+        self.window = None
         self._aead = None
         self._sn_cipher = None
 
@@ -68,7 +71,9 @@ class TrafficKeys:
     def note_read(self, seq: int) -> None:
         if seq >= SEQ_LIMIT:
             raise SequenceOverflow("read sequence space exhausted")
-        if seq + 1 > self.read_seq:
+        if self.window is not None:
+            self.window.add(seq)
+        elif seq + 1 > self.read_seq:
             self.read_seq = seq + 1
 
 

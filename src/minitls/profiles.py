@@ -109,12 +109,15 @@ def resolve(name: str, overrides: dict | None = None) -> Profile:
     if unknown:
         raise IllegalOverride(f"not override knobs: {sorted(unknown)}")
     merged = dict(overrides)
-    if "modes" in merged:
-        merged["modes"] = frozenset(AuthMode(m) for m in merged["modes"])
-    if "suites" in merged:
-        merged["suites"] = tuple(SuiteId(s) for s in merged["suites"])
-    if "groups" in merged:
-        merged["groups"] = tuple(NamedGroup(g) for g in merged["groups"])
+    try:
+        if "modes" in merged:
+            merged["modes"] = frozenset(AuthMode(m) for m in merged["modes"])
+        if "suites" in merged:
+            merged["suites"] = tuple(SuiteId(s) for s in merged["suites"])
+        if "groups" in merged:
+            merged["groups"] = tuple(NamedGroup(g) for g in merged["groups"])
+    except ValueError as exc:
+        raise IllegalOverride(str(exc)) from None
     prof = replace(base, **merged)
     _validate(base, prof)
     return prof

@@ -8,7 +8,8 @@ inverses.  Epoch-0 flights use the 13-byte DTLS 1.2-style header since
 no keys exist yet.
 
 The OpenSSL AEAD object and sequence-number ECB encryptor live on the
-``TrafficKeys`` of one epoch, direction and peer, built on first use.
+``TrafficKeys`` of one epoch, direction and peer, built on first use; so
+does the replay window of a DTLS read epoch.
 """
 
 from dataclasses import dataclass
@@ -47,21 +48,6 @@ TLS_LEGACY_VERSION = 0x0303
 DTLS12_WIRE_VERSION = 0xFEFD
 
 _MAX_INNER = (1 << 14) + 256
-
-_LEGACY_HEADER_SIZES = {
-    "tls12": 5,
-    "dtls12": 13,
-    "tls13": 5,
-    "dtls13_min": 2,  # header byte + 8-bit sequence
-    "dtls13_max": 8,  # header byte + 4-byte CID + 8-bit sequence + length
-}
-
-
-def legacy_header_sizes(protocol_version: str) -> int:
-    try:
-        return _LEGACY_HEADER_SIZES[protocol_version]
-    except KeyError:
-        raise ValueError(f"unknown protocol version {protocol_version!r}") from None
 
 
 def nonce_for(iv: bytes, seq64: int) -> bytes:
@@ -284,23 +270,21 @@ def parse_unified(datagram: bytes, offset: int, cid_len: int) -> ParsedCiphertex
 def open_dtls(
     params: SuiteParams,
     keys: TrafficKeys,
-    window: ReplayWindow,
     parsed: ParsedCiphertext,
 ) -> tuple:
-    """Returns (full_seq, true_type, payload); replay window advances only
-    after the tag verifies."""
+    """Returns (full_seq, true_type, payload); the replay window of ``keys``
+    advances only after the tag verifies."""
     mask = crypto.block_encrypt(keys.sn_cipher(), parsed.ciphertext[:16])[: parsed.seq_len]
     aad = bytearray(parsed.header)
     for i in range(parsed.seq_len):
         aad[parsed.seq_off + i] ^= mask[i]
     seq_low = int.from_bytes(aad[parsed.seq_off : parsed.seq_off + parsed.seq_len], "big")
-    full_seq = reconstruct_seq(seq_low, parsed.seq_len, window.next_expected)
-    if window.seen(full_seq):
+    full_seq = reconstruct_seq(seq_low, parsed.seq_len, keys.window.next_expected)
+    if keys.window.seen(full_seq):
         raise ReplayedRecord(f"sequence {full_seq} already accepted")
     inner = crypto.aead_open(
         params, keys.aead(params), nonce_for(keys.iv, full_seq), bytes(aad), parsed.ciphertext
     )
-    window.add(full_seq)
     keys.note_read(full_seq)
     true_type, payload = _strip_inner(inner)
     return full_seq, true_type, payload

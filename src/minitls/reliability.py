@@ -3,8 +3,8 @@ message sequence numbers, reassembly, sent-record table, RTO ladder and ACK
 scheduling of one DTLS connection.  Each method that sends takes the
 connection's ``frame`` callback, (epoch, true_type, payload) -> (record seq,
 wire bytes), which protects the record, so no key reaches this class; ACK
-senders also take ``write_epoch``, () -> the connection's write epoch.  Neither
-is stored, so a connection and its state form no reference cycle."""
+senders also take ``write_epoch``, the connection's current write epoch.
+``frame`` is not stored, so a connection and its state form no reference cycle."""
 
 from . import messages
 from .errors import HandshakeTimeout
@@ -44,12 +44,11 @@ class DtlsReliability:
             self.retransmit_at = now + self.rto_ms
         return OutRecord(data, name, retransmit=retransmit)
 
-    def _send_ack(self, frame, write_epoch, record_numbers: set) -> list:
-        epoch = write_epoch() if record_numbers else 0
-        if epoch == 0:
+    def _send_ack(self, frame, write_epoch: int, record_numbers: set) -> list:
+        if not record_numbers or write_epoch == 0:
             return []  # nothing to ACK, or no record protection yet
         body = messages.build_ack(sorted(record_numbers))
-        return [OutRecord(frame(epoch, ContentType.ACK, body)[1], "ack")]
+        return [OutRecord(frame(write_epoch, ContentType.ACK, body)[1], "ack")]
 
     def receive(self, frags, rec_num, now: int, deliver) -> list:
         """Take the parsed fragments of one handshake record; pass each message completed
@@ -90,7 +89,7 @@ class DtlsReliability:
             self.stale_records.add(stale)
         self.ack_at = now
 
-    def flush_acks(self, now: int, frame, write_epoch) -> list:
+    def flush_acks(self, now: int, frame, write_epoch: int) -> list:
         if self.ack_at is None or now < self.ack_at:
             return []
         self.ack_at = None
@@ -98,7 +97,7 @@ class DtlsReliability:
         self.stale_records = set()
         return self._send_ack(frame, write_epoch, acks)
 
-    def end_flight(self, frame=None, write_epoch=None) -> list:
+    def end_flight(self, frame=None, write_epoch: int = 0) -> list:
         """The peer's flight is complete: forget its records, ACKing them
         first when given ``frame``; otherwise our next flight acknowledges it."""
         out = []

@@ -15,7 +15,7 @@ import heapq
 import random
 from dataclasses import dataclass
 
-from .errors import OversizedDatagram
+from .errors import IllegalOverride, OversizedDatagram
 
 CLIENT = "client"
 SERVER = "server"
@@ -36,7 +36,10 @@ class NetConfig:
 
     @classmethod
     def from_dict(cls, d: dict):
-        return cls(**d)
+        try:
+            return cls(**d)
+        except TypeError as exc:  # a key that is not a field
+            raise IllegalOverride(str(exc)) from None
 
 
 def _peer(endpoint: str) -> str:

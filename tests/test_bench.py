@@ -37,7 +37,7 @@ def test_scenario_json_round_trip():
         packing=True,
         overrides={"cert_size": 640},
     )
-    assert Scenario.from_json(s.to_json()) == s
+    assert Scenario.from_dict(json.loads(json.dumps(s.to_dict()))) == s
 
 
 def test_reference_table_values_frozen():
@@ -218,17 +218,25 @@ def test_cli_deviation_warning(capsys):
     assert "deviates" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", [
-    ["run", "--cid", "40"],
-    ["run", "--protocol", "tls", "--cid", "4"],
-    ["run", "--profile", "psk128", "--mode", "pk_mutual"],
-    ["run", "--mode", "bogus"],
-    ["run", "--suite", "0x9999"],
-    ["matrix", "--config", "{matrix}"],
-], ids=["cid-range", "cid-on-tls", "mode-not-in-profile", "unknown-mode", "unknown-suite", "unknown-profile"])
-def test_cli_configuration_error_exit_code(argv, tmp_path, capsys):
+MATRIX = ["matrix", "--config", "{matrix}"]
+
+
+@pytest.mark.parametrize("argv,entry", [
+    (["run", "--cid", "40"], None),
+    (["run", "--protocol", "tls", "--cid", "4"], None),
+    (["run", "--profile", "psk128", "--mode", "pk_mutual"], None),
+    (["run", "--mode", "bogus"], None),
+    (["run", "--suite", "0x9999"], None),
+    (MATRIX, scenario(profile="nosuch").to_dict()),
+    (MATRIX, {"protocol": "quic"}),
+    (MATRIX, {"protocl": "dtls"}),
+    (MATRIX, {"net": {"mtux": 400}}),
+    (MATRIX, {"overrides": {"suites": [0x9999]}}),
+], ids=["cid-range", "cid-on-tls", "mode-not-in-profile", "unknown-mode", "unknown-suite", "unknown-profile",
+        "matrix-unknown-protocol", "matrix-unknown-key", "matrix-unknown-net-key", "matrix-unknown-override-suite"])
+def test_cli_configuration_error_exit_code(argv, entry, tmp_path, capsys):
     matrix = tmp_path / "matrix.json"
-    matrix.write_text(json.dumps({"scenarios": [scenario(profile="nosuch").to_dict()]}))
+    matrix.write_text(json.dumps({"scenarios": [entry]}))
     code = cli.main([a.format(matrix=matrix) for a in argv])
     captured = capsys.readouterr()
     assert code == cli.EXIT_CONFIG == 4

@@ -33,12 +33,8 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "minitls"
 # Unreached on purpose, one reason each.  Module-level names are bare;
 # members are ``Class.name``.
 ALLOWED = {
-    "legacy_header_sizes": "records: the header-size ladder acceptance test_02 reads",
     "dump_line": "messages: the transcript-dump line, to be wired into the bench command",
-    "Scenario.to_json": "acceptance test_11 round-trips a scenario through JSON text",
-    "Scenario.from_json": "acceptance test_11 round-trips a scenario through JSON text",
     "Report.to_json": "perfbench hashes each report's JSON text into its digest",
-    "ServerListener.stateless_hrr_count": "acceptance test_08 counts stateless HelloRetryRequests",
     "KeySchedule.early_secret": "acceptance test_05 and the RFC 8448 vectors check the secret tree",
     "KeySchedule.client_early_traffic_secret": "acceptance test_05 and the RFC 8448 vectors check the secret tree",
     "KeySchedule.handshake_secret": "acceptance test_05 and the RFC 8448 vectors check the secret tree",

@@ -12,8 +12,9 @@ from minitls.errors import (
     DecodeError,
     RecordOverflow,
     ReplayedRecord,
+    SequenceOverflow,
 )
-from minitls.keyschedule import TrafficKeys
+from minitls.keyschedule import SEQ_LIMIT, TrafficKeys
 from minitls.records import ContentType, ReplayWindow
 
 from .harness import VECTOR_DIR, load_hex_vectors
@@ -27,6 +28,11 @@ def tls_keys():
 def dtls_keys():
     return TrafficKeys(b"s" * 32, b"k" * 16, b"i" * 12, b"n" * 16)
 
+def dtls_read_keys():
+    keys = dtls_keys()
+    keys.window = ReplayWindow()
+    return keys
+
 
 def test_nonce_for():
     iv = bytes(range(12))
@@ -38,13 +44,10 @@ def test_nonce_for():
 
 
 def test_legacy_header_ladder():
-    assert records.legacy_header_sizes("tls12") == 5
-    assert records.legacy_header_sizes("dtls12") == 13
-    assert records.legacy_header_sizes("tls13") == 5
-    assert records.legacy_header_sizes("dtls13_min") == 2
-    assert records.legacy_header_sizes("dtls13_max") == 8
-    with pytest.raises(ValueError):
-        records.legacy_header_sizes("sslv3")
+    assert records.TLS_RECORD_HEADER_LEN == 5  # TLS 1.2 and TLS 1.3
+    assert records.DTLS12_RECORD_HEADER_LEN == 13
+    assert records.unified_header_size(0, False, False) == 2  # header byte + 8-bit sequence
+    assert records.unified_header_size(4, False, True) == 8  # + 4-byte CID + length
 
 
 def test_tls_seal_length_arithmetic():
@@ -130,8 +133,7 @@ FLAG_COMBOS = list(itertools.product([b"", b"\xc1\xd2\xe3\xf4"], [False, True], 
 @pytest.mark.parametrize("cid,seq16,lenp", FLAG_COMBOS)
 def test_dtls_round_trip_all_flag_combos(cid, seq16, lenp):
     rng = random.Random(hash((cid, seq16, lenp)) & 0xFFFF)
-    w, r = dtls_keys(), dtls_keys()
-    window = ReplayWindow()
+    w, r = dtls_keys(), dtls_read_keys()
     for _ in range(30):
         payload = rng.randbytes(rng.randrange(0, 200))
         rec = records.seal_dtls(
@@ -140,7 +142,7 @@ def test_dtls_round_trip_all_flag_combos(cid, seq16, lenp):
         )
         parsed = records.parse_unified(rec, 0, len(cid))
         assert parsed.cid == cid
-        seq, true_type, got = records.open_dtls(P128, r, window, parsed)
+        seq, true_type, got = records.open_dtls(P128, r, parsed)
         assert (true_type, got) == (ContentType.APPLICATION_DATA, payload)
         assert parsed.consumed == len(rec)
 
@@ -168,25 +170,33 @@ def test_dtls_seq_reconstruction():
 
 
 def test_dtls_replay_rejected():
-    w, r = dtls_keys(), dtls_keys()
-    window = ReplayWindow()
+    w, r = dtls_keys(), dtls_read_keys()
     rec = records.seal_dtls(P128, w, 3, ContentType.APPLICATION_DATA, b"x")
-    records.open_dtls(P128, r, window, records.parse_unified(rec, 0, 0))
+    records.open_dtls(P128, r, records.parse_unified(rec, 0, 0))
     with pytest.raises(ReplayedRecord):
-        records.open_dtls(P128, r, window, records.parse_unified(rec, 0, 0))
+        records.open_dtls(P128, r, records.parse_unified(rec, 0, 0))
 
 
 def test_dtls_out_of_order_within_window():
-    w, r = dtls_keys(), dtls_keys()
-    window = ReplayWindow()
+    w, r = dtls_keys(), dtls_read_keys()
     recs = [
         records.seal_dtls(P128, w, 3, ContentType.APPLICATION_DATA, bytes([i]))
         for i in range(10)
     ]
     order = [3, 0, 1, 2, 9, 4, 5, 8, 6, 7]
     for i in order:
-        seq, _, payload = records.open_dtls(P128, r, window, records.parse_unified(recs[i], 0, 0))
+        seq, _, payload = records.open_dtls(P128, r, records.parse_unified(recs[i], 0, 0))
         assert seq == i and payload == bytes([i])
+
+
+def test_dtls_read_keeps_one_record_of_its_highest_sequence():
+    w, r = dtls_keys(), dtls_read_keys()
+    for rec in [records.seal_dtls(P128, w, 3, ContentType.APPLICATION_DATA, b"x") for _ in range(3)]:
+        records.open_dtls(P128, r, records.parse_unified(rec, 0, 0))
+    assert (r.window.max_seq, r.read_seq) == (2, 0)
+    with pytest.raises(SequenceOverflow):
+        r.note_read(SEQ_LIMIT)
+    assert r.window.max_seq == 2  # the sequence limit is checked before the window moves
 
 
 def test_replay_window_permutation_invariant():
@@ -219,12 +229,11 @@ def test_dtls_aad_binds_header_bits():
         for bit in range(8):
             mutated = bytearray(rec)
             mutated[byte_idx] ^= 1 << bit
-            r = dtls_keys()
-            window = ReplayWindow()
+            r = dtls_read_keys()
             try:
                 p = records.parse_unified(bytes(mutated), 0, 4)
                 with pytest.raises((AuthenticationFailure, AllZeroInner, DecodeError)):
-                    records.open_dtls(P128, r, window, p)
+                    records.open_dtls(P128, r, p)
             except (BadOuterType, DecodeError):
                 pass  # flag bits may make the header unparseable, also a rejection
 
@@ -240,23 +249,22 @@ def test_dtls_sequence_privacy():
         if rec[1] != 5:  # wire byte at the sequence position
             hidden += 1
         reader = TrafficKeys(b"s" * 32, keys.key, keys.iv, keys.sn_key)
-        window = ReplayWindow()
-        window.max_seq = 4
-        seq, _, _ = records.open_dtls(P128, reader, window, records.parse_unified(rec, 0, 0))
+        reader.window = ReplayWindow()
+        reader.window.max_seq = 4
+        seq, _, _ = records.open_dtls(P128, reader, records.parse_unified(rec, 0, 0))
         assert seq == 5  # demasking recovers the counter
     assert hidden >= trials * 0.99
 
 
 def test_dtls_two_records_one_datagram():
-    w, r = dtls_keys(), dtls_keys()
-    window = ReplayWindow()
+    w, r = dtls_keys(), dtls_read_keys()
     first = records.seal_dtls(P128, w, 3, ContentType.APPLICATION_DATA, b"first", length_present=True)
     last = records.seal_dtls(P128, w, 3, ContentType.APPLICATION_DATA, b"last")
     datagram = first + last
     p1 = records.parse_unified(datagram, 0, 0)
-    _, _, payload1 = records.open_dtls(P128, r, window, p1)
+    _, _, payload1 = records.open_dtls(P128, r, p1)
     p2 = records.parse_unified(datagram, p1.consumed, 0)
-    _, _, payload2 = records.open_dtls(P128, r, window, p2)
+    _, _, payload2 = records.open_dtls(P128, r, p2)
     assert (payload1, payload2) == (b"first", b"last")
     assert p1.consumed + p2.consumed == len(datagram)
 
@@ -265,8 +273,8 @@ def test_dtls_overhead_always_beats_dtls12():
     # every achievable header size from the minimal form to the ladder max
     for cid_len, seq16, lenp in itertools.product([0, 4], [False, True], [False, True]):
         size = records.unified_header_size(cid_len, seq16, lenp)
-        if size <= records.legacy_header_sizes("dtls13_max"):
-            assert 5 <= records.legacy_header_sizes("dtls12") - size <= 11
+        if size <= records.unified_header_size(4, False, True):
+            assert 5 <= records.DTLS12_RECORD_HEADER_LEN - size <= 11
 
 
 def test_dtls_plaintext_records():
@@ -294,10 +302,10 @@ def test_dtls_epoch_builds_one_aead_and_one_sn_encryptor(monkeypatch):
 
     monkeypatch.setattr(crypto, "AESCCM", counting_aesccm)
     monkeypatch.setattr(crypto, "Cipher", counting_cipher)
-    keys, window = dtls_keys(), ReplayWindow()
+    keys = dtls_read_keys()
     recs = [records.seal_dtls(P128, keys, 3, ContentType.APPLICATION_DATA, bytes([i])) for i in range(10)]
     for i, rec in enumerate(recs):
-        seq, _, payload = records.open_dtls(P128, keys, window, records.parse_unified(rec, 0, 0))
+        seq, _, payload = records.open_dtls(P128, keys, records.parse_unified(rec, 0, 0))
         assert (seq, payload) == (i, bytes([i]))
     assert built == {"aead": 1, "ecb": 1}
 
@@ -306,15 +314,14 @@ def test_reused_record_ciphers_keep_every_check():
     short_key = TrafficKeys(b"s" * 32, b"k" * 15, b"i" * 12, b"n" * 16)
     with pytest.raises(ValueError):
         records.seal_dtls(P128, short_key, 3, ContentType.APPLICATION_DATA, b"x")
-    w, r = dtls_keys(), dtls_keys()
-    window = ReplayWindow()
+    w, r = dtls_keys(), dtls_read_keys()
     first, second = (records.seal_dtls(P128, w, 3, ContentType.APPLICATION_DATA, b"x") for _ in range(2))
-    records.open_dtls(P128, r, window, records.parse_unified(first, 0, 0))  # builds r's ciphers
+    records.open_dtls(P128, r, records.parse_unified(first, 0, 0))  # builds r's ciphers
     flipped = bytearray(second)
     flipped[-1] ^= 1  # a tag bit
     with pytest.raises(AuthenticationFailure):
-        records.open_dtls(P128, r, window, records.parse_unified(bytes(flipped), 0, 0))
+        records.open_dtls(P128, r, records.parse_unified(bytes(flipped), 0, 0))
     with pytest.raises(ReplayedRecord):
-        records.open_dtls(P128, r, window, records.parse_unified(first, 0, 0))
-    seq, _, payload = records.open_dtls(P128, r, window, records.parse_unified(second, 0, 0))
+        records.open_dtls(P128, r, records.parse_unified(first, 0, 0))
+    seq, _, payload = records.open_dtls(P128, r, records.parse_unified(second, 0, 0))
     assert (seq, payload) == (1, b"x")
