@@ -32,7 +32,7 @@ from .profiles import (
     make_deployment,
     resolve,
 )
-from .simnet import CLIENT, SERVER, DatagramLink, NetConfig, StreamLink
+from .simnet import CLIENT, SERVER, DatagramLink, NetConfig, StreamLink, checked_from_dict
 
 MAX_SIM_MS = 300_000  # outlasts the full 8-step retransmission backoff ladder
 
@@ -75,12 +75,9 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, d: dict):
-        d = dict(d)
-        d["net"] = NetConfig.from_dict(d.get("net", {}))
-        try:
-            return cls(**d)
-        except TypeError as exc:  # a key that is not a field
-            raise IllegalOverride(str(exc)) from None
+        if isinstance(d, dict) and isinstance(d.get("net"), dict):
+            d = dict(d, net=NetConfig.from_dict(d["net"]))
+        return checked_from_dict(cls, d)
 
 
 @dataclass
@@ -228,6 +225,8 @@ def build_configs(scenario: Scenario):
         raise IllegalOverride("cid length must be 0..16")
     if scenario.cid is not None and protocol != Protocol.DTLS:
         raise IllegalOverride("a connection id needs dtls")
+    if scenario.pad_len < 0 or scenario.app_payload < 0 or scenario.early_payload < 0:
+        raise IllegalOverride("padding and payload sizes must not be negative")
     prof = resolve(scenario.profile, scenario.overrides)
     try:
         mode = AuthMode(scenario.mode)
@@ -317,8 +316,7 @@ def run_scenario(scenario: Scenario) -> Report:
     else:
         listener = ServerListener(server_cfg, server_rng)
     driver = Driver(client, listener, link)
-    if scenario.app_payload:
-        driver.app_payload = bytes(scenario.app_payload)
+    driver.app_payload = bytes(scenario.app_payload)
     finished_at = driver.run(start_ms=start_ms)
 
     server_conns = listener.connections()

@@ -9,7 +9,7 @@ import json
 import sys
 
 from .bench import Scenario, deviation_pct, emit, paper_reference, run_scenario
-from .errors import IllegalOverride, UnknownProfile
+from .errors import ConfigConflict, IllegalOverride, UnknownProfile
 from .profiles import profile_names, resolve
 from .simnet import NetConfig
 
@@ -55,13 +55,8 @@ def _scenario_from_args(args) -> Scenario:
         overrides["compat_mode"] = True
     mode = args.mode
     if mode is None:
-        if args.zero_rtt:
-            mode = "zero_rtt"
-        else:
-            mode = "psk" if args.profile.startswith("psk") else "pk_mutual"
-            if args.profile == "full":
-                mode = "psk"
-    if args.zero_rtt and mode != "zero_rtt":
+        mode = "psk" if args.profile.startswith("psk") or args.profile == "full" else "pk_mutual"
+    if args.zero_rtt:
         mode = "zero_rtt"
     if mode == "zero_rtt":
         overrides.setdefault("zero_rtt", True)
@@ -154,7 +149,7 @@ def main(argv=None) -> int:
                 for s in scenarios:
                     s.compare_paper = True
         reports = [run_scenario(s) for s in scenarios]
-    except (IllegalOverride, UnknownProfile) as exc:
+    except (ConfigConflict, IllegalOverride, UnknownProfile) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     return _finish(reports, args)

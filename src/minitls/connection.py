@@ -117,8 +117,6 @@ class TicketState:
     suite: SuiteId
     age_add: int
     received_at: int
-    lifetime_s: int
-    max_early_data: int
 
 
 _ALERT_CODES = {
@@ -217,7 +215,6 @@ class Connection:
         self.ticket_nonce_counter = 0
         self.auth_reads = 0  # records that decrypted successfully
 
-        self._now = 0
         self._stream_buf = b""
         self._hs_buf = b""  # reassembly buffer for the TLS handshake stream
         self._tls_read_epoch = EPOCH_PLAIN
@@ -323,7 +320,7 @@ class Connection:
             pad_len=self.cfg.pad_len,
         )
 
-    def _emit(self, msg, epoch: int) -> list:
+    def _emit(self, msg, epoch: int, now: int) -> list:
         """Append one handshake message to the transcript, then send it.
 
         ``debug_tamper`` changes only the copy on the wire, so the peer sees
@@ -336,7 +333,7 @@ class Connection:
             raw = self.cfg.debug_tamper(name, raw) or raw
         if self.protocol == Protocol.TLS:
             return [OutRecord(self._frame(epoch, ContentType.HANDSHAKE, raw)[1], name)]
-        return self.reliability.send(self._frame, raw[0], raw[4:], name, epoch, self._fragment_budget(epoch), self._now)
+        return self.reliability.send(self._frame, raw[0], raw[4:], name, epoch, self._fragment_budget(epoch), now)
 
     def _fragment_budget(self, epoch: int) -> int:
         if epoch == EPOCH_PLAIN:
@@ -361,7 +358,7 @@ class Connection:
     def _hs_traffic(self, role: str) -> bytes:
         return self.ks.client_hs_traffic if role == "client" else self.ks.server_hs_traffic
 
-    def _own_flight(self, with_cert: bool) -> list:
+    def _own_flight(self, with_cert: bool, now: int) -> list:
         """This side's Certificate and CertificateVerify when ``with_cert``,
         then its Finished."""
         out = []
@@ -369,12 +366,12 @@ class Connection:
             cred = self.cfg.local_ec
             if cred is None:
                 raise ConfigConflict(f"{self.role} certificate requested but not configured")
-            out += self._emit(messages.build_certificate(b"", [cred.cert_der]), EPOCH_HANDSHAKE)
+            out += self._emit(messages.build_certificate(b"", [cred.cert_der]), EPOCH_HANDSHAKE, now)
             content = messages.certificate_verify_content(self.role, self._th())
             cv = messages.CertificateVerify(int(cred.scheme), self._sign(cred, content))
-            out += self._emit(cv, EPOCH_HANDSHAKE)
+            out += self._emit(cv, EPOCH_HANDSHAKE, now)
         mac = self.ks.finished_mac(self._hs_traffic(self.role), self._th())
-        return out + self._emit(messages.Finished(mac), EPOCH_HANDSHAKE)
+        return out + self._emit(messages.Finished(mac), EPOCH_HANDSHAKE, now)
 
     def _peer_certificate(self, cert, raw: bytes, now: int) -> list:
         if not cert.entries:
@@ -405,7 +402,6 @@ class Connection:
         """Client only: build and emit the first flight."""
         if self.role != "client" or self.phase != Phase.START:
             raise NotReady("start() applies to a fresh client")
-        self._now = now
         out = self._client_hello_flight(now, cookie=None)
         self._event(now, EventKind.FLIGHT_READY, flight="client_hello")
         return out
@@ -459,7 +455,7 @@ class Connection:
             prefix = messages.binder_prefix(messages.tls_form(ch), self.params.hash_len)
             binder = self.ks.compute_binder(crypto.transcript_hash(self.transcript + [prefix], self.params.hash_alg))
             ch.extensions[-1] = messages.ext_pre_shared_key_offer(psk.identity, self.obfuscated_age, binder)
-        out = self._emit(ch, EPOCH_PLAIN)
+        out = self._emit(ch, EPOCH_PLAIN, now)
         self.phase = Phase.WAIT_SH
         if cfg.mode == AuthMode.ZERO_RTT and cfg.early_payload:
             out.extend(self._send_early_data())
@@ -483,7 +479,6 @@ class Connection:
 
     def handle(self, data: bytes, now: int) -> list:
         """Feed one datagram (DTLS) or stream chunk (TLS)."""
-        self._now = now
         if self.phase == Phase.FAILED:
             return []
         try:
@@ -502,29 +497,12 @@ class Connection:
                 break
             record = self._stream_buf[:total]
             self._stream_buf = self._stream_buf[total:]
-            out.extend(self._handle_tls_record(record, now))
+            epoch, content_type, payload = EPOCH_PLAIN, record[0], record[5:]
+            if content_type == ContentType.APPLICATION_DATA:
+                epoch = self._tls_read_epoch
+                content_type, payload = self._open(epoch, records.open_tls, record)
+            out.extend(self._read_record(epoch, content_type, payload, None, now))
         return out
-
-    def _handle_tls_record(self, record: bytes, now: int) -> list:
-        outer = record[0]
-        payload = record[5:]
-        if outer == ContentType.CHANGE_CIPHER_SPEC:
-            return []  # compat artifact: ignored, zero crypto operations
-        if outer == ContentType.ALERT:
-            self._peer_alert(now, payload)
-            return []
-        if outer == ContentType.HANDSHAKE:
-            return self._feed_handshake_stream(payload, EPOCH_PLAIN, now)
-        if outer != ContentType.APPLICATION_DATA:
-            raise DecodeError(f"unexpected outer type {outer}")
-        epoch = self._tls_read_epoch
-        keys = self.epochs.get(epoch, {}).get("read")
-        if keys is None:
-            raise UnexpectedMessage("protected record before any keys")
-        self.counters.aead_open += 1
-        true_type, inner = records.open_tls(self.params, keys, record)
-        self.auth_reads += 1
-        return self._dispatch_record_payload(epoch, true_type, inner, now, rec_num=None)
 
     def _handle_datagram(self, data: bytes, now: int) -> list:
         out = []
@@ -537,74 +515,73 @@ class Connection:
                 except DecodeError:
                     break  # malformed tail: drop the rest of the datagram
                 offset += parsed.consumed
-                out.extend(self._handle_unified(parsed, now))
+                epoch = parsed.epoch_low  # the whole epoch: only epochs 1-3 exist, as there is no KeyUpdate
+                if parsed.cid and self.cid_local and parsed.cid != self.cid_local:
+                    continue  # not our connection id
+                try:
+                    seq, content_type, payload = self._open(epoch, records.open_dtls, parsed)
+                except ProtocolError:
+                    continue  # no keys for the epoch (e.g. rejected early data), bad or replayed: dropped, never fatal
             elif first in (ContentType.HANDSHAKE, ContentType.ALERT, ContentType.CHANGE_CIPHER_SPEC):
                 try:
-                    ctype, seq, payload, used = records.parse_dtls_plaintext(data, offset)
+                    content_type, seq, payload, used = records.parse_dtls_plaintext(data, offset)
                 except DecodeError:
                     break
                 offset += used
-                if ctype == ContentType.ALERT:
-                    self._peer_alert(now, payload)
-                    continue
-                if ctype != ContentType.HANDSHAKE:
-                    continue  # CCS: ignored
-                try:
-                    frags = self._fragments(payload, EPOCH_PLAIN)
-                except ProtocolError:
-                    continue  # invalid and unauthenticated: dropped silently (RFC 9147 section 4.5.2)
-                if self.plain_window.seen(seq):
-                    self.reliability.ack_now(now, (EPOCH_PLAIN, seq))
-                    continue
-                self.plain_window.add(seq)
-                out.extend(self.reliability.receive(frags, (EPOCH_PLAIN, seq), now, self._dispatch_message))
+                epoch = EPOCH_PLAIN
             else:
                 break  # unknown first byte: not a record, drop remainder
+            out.extend(self._read_record(epoch, content_type, payload, (epoch, seq), now))
         out.extend(self.reliability.flush_acks(now, self._frame, self.write_epoch))
         return out
 
-    def _handle_unified(self, parsed, now: int) -> list:
-        epoch = parsed.epoch_low  # the whole epoch: only epochs 1-3 exist, as there is no KeyUpdate
-        keys = self.epochs.get(epoch, {}).get("read")
-        if keys is None:
-            return []  # no keys for that epoch (e.g. rejected early data)
-        if parsed.cid and self.cid_local and parsed.cid != self.cid_local:
-            return []  # not our connection id
+    def _open(self, epoch: int, open_record, record) -> tuple:
+        """``open_record(params, keys, record)`` under the read keys of ``epoch``: each try
+        counts in ``counters.aead_open``, each record that authenticates in ``auth_reads``."""
         try:
-            self.counters.aead_open += 1
-            seq, true_type, inner = records.open_dtls(self.params, keys, parsed)
-        except ProtocolError:
-            return []  # bad or replayed datagrams are dropped, never fatal
+            keys = self.epochs[epoch]["read"]
+        except KeyError:
+            raise UnexpectedMessage(f"protected record in epoch {epoch}, which has no read keys") from None
+        self.counters.aead_open += 1
+        opened = open_record(self.params, keys, record)
         self.auth_reads += 1
-        return self._dispatch_record_payload(epoch, true_type, inner, now, rec_num=(epoch, seq))
+        return opened
 
-    def _dispatch_record_payload(self, epoch, true_type, payload, now, rec_num) -> list:
-        if true_type == ContentType.HANDSHAKE:
-            if self.protocol == Protocol.TLS:
-                return self._feed_handshake_stream(payload, epoch, now)
-            return self.reliability.receive(self._fragments(payload, epoch), rec_num, now, self._dispatch_message)
-        if true_type == ContentType.ACK and self.protocol == Protocol.DTLS:
-            self.reliability.process_ack(messages.parse_ack(payload))
-            return []
-        if true_type == ContentType.ALERT:
+    def _read_record(self, epoch: int, content_type: int, payload: bytes, rec_num, now: int) -> list:
+        """The content of one record read in ``epoch``, plaintext in epoch 0 and deprotected
+        after; ``rec_num`` is its DTLS record number (None on TLS)."""
+        if content_type == ContentType.ALERT:
             self._peer_alert(now, payload)
             return []
-        if true_type == ContentType.APPLICATION_DATA:
-            return self._handle_app_payload(epoch, payload, now)
-        raise UnexpectedMessage(f"inner content type {true_type}")
-
-    def _handle_app_payload(self, epoch: int, payload: bytes, now: int) -> list:
-        if epoch == EPOCH_EARLY:
-            if self.role != "server":
-                raise UnexpectedMessage("early data sent to a client")
-            if not self.early_accepted:
-                return []  # rejected 0-RTT: deprotected and discarded
-            self._event(now, EventKind.EARLY_DATA, bytes=len(payload), replay_uncertain=True)
+        if content_type == ContentType.HANDSHAKE:
+            if self.reliability is None:
+                return self._feed_handshake_stream(payload, epoch, now)
+            if epoch != EPOCH_PLAIN:
+                return self.reliability.receive(self._fragments(payload, epoch), rec_num, now, self._dispatch_message)
+            try:
+                frags = self._fragments(payload, EPOCH_PLAIN)
+            except ProtocolError:
+                return []  # invalid and unauthenticated: dropped silently (RFC 9147 section 4.5.2)
+            if self.plain_window.seen(rec_num[1]):
+                self.reliability.ack_now(now, rec_num)
+                return []
+            self.plain_window.add(rec_num[1])
+            return self.reliability.receive(frags, rec_num, now, self._dispatch_message)
+        if epoch == EPOCH_PLAIN:
+            if content_type == ContentType.CHANGE_CIPHER_SPEC:
+                return []  # compat artifact: ignored, zero crypto operations
+            raise DecodeError(f"unexpected outer type {content_type}")
+        if content_type == ContentType.ACK and self.reliability is not None:
+            self.reliability.process_ack(messages.parse_ack(payload))
             return []
-        allowed = self.connected or (self.role == "server" and self.phase == Phase.WAIT_FINISHED)
-        if not allowed:
+        if content_type != ContentType.APPLICATION_DATA:
+            raise UnexpectedMessage(f"inner content type {content_type}")
+        if epoch == EPOCH_EARLY:  # only a server that accepted 0-RTT holds early read keys
+            self._event(now, EventKind.EARLY_DATA, bytes=len(payload), replay_uncertain=True)
+        elif self.connected or (self.role == "server" and self.phase == Phase.WAIT_FINISHED):
+            self._event(now, EventKind.APP_DATA, bytes=len(payload))
+        else:
             raise UnexpectedMessage("application data before the handshake allows it")
-        self._event(now, EventKind.APP_DATA, bytes=len(payload))
         return []
 
     # --------------------------------------------------- handshake msg plumbing
@@ -648,7 +625,6 @@ class Connection:
     def on_timeout(self, now: int) -> list:
         if self.phase == Phase.FAILED or self.reliability is None:
             return []
-        self._now = now
         out = self.reliability.flush_acks(now, self._frame, self.write_epoch)
         try:
             return out + self.reliability.retransmit(now, self._frame)
@@ -757,8 +733,8 @@ class Connection:
         self._install(EPOCH_APP, "read", self.ks.server_ap_traffic)
         out = self._fake_ccs()
         if self.early_accepted and self.protocol == Protocol.TLS:
-            out += self._emit(messages.EndOfEarlyData(), EPOCH_EARLY)
-        out += self._own_flight(with_cert=self.client_cert_requested)
+            out += self._emit(messages.EndOfEarlyData(), EPOCH_EARLY, now)
+        out += self._own_flight(with_cert=self.client_cert_requested, now=now)
         self._install(EPOCH_APP, "write", self.ks.client_ap_traffic)
         self.ks.derive_resumption(self._th())
         self._tls_read_epoch = EPOCH_APP
@@ -770,15 +746,12 @@ class Connection:
         return out
 
     def _client_handle_ticket(self, nst, raw: bytes, now: int) -> list:
-        ext = messages.find_extension(nst.extensions, ExtensionType.EARLY_DATA)
         state = TicketState(
             ticket=nst.ticket,
             psk=self.ks.resumption_psk(nst.nonce),
             suite=self.suite,
             age_add=nst.age_add,
             received_at=now,
-            lifetime_s=nst.lifetime,
-            max_early_data=int.from_bytes(ext.data, "big") if ext else 0,
         )
         self.client_tickets.append(state)
         self._event(now, EventKind.TICKET, ticket=nst.ticket.hex())
@@ -843,17 +816,17 @@ class Connection:
             selected_psk=0 if psk is not None else None,
             cid=self._advertised_cid() if cid_ext is not None else None,
         )
-        out = self._emit(sh, EPOCH_PLAIN)
+        out = self._emit(sh, EPOCH_PLAIN, now)
         self.ks.advance_handshake(dh, self._th())
         self._install(EPOCH_HANDSHAKE, "write", self.ks.server_hs_traffic)
         self._install(EPOCH_HANDSHAKE, "read", self.ks.client_hs_traffic)
         out += self._fake_ccs()
         ee_exts = [messages.ext_early_data()] if self.early_accepted else []
-        out += self._emit(messages.EncryptedExtensions(ee_exts), EPOCH_HANDSHAKE)
+        out += self._emit(messages.EncryptedExtensions(ee_exts), EPOCH_HANDSHAKE, now)
         if mode == AuthMode.PK_MUTUAL:
             cr = messages.build_certificate_request([int(s) for s in self._scheme_list()])
-            out += self._emit(cr, EPOCH_HANDSHAKE)
-        out += self._own_flight(with_cert=mode in PK_FAMILY)
+            out += self._emit(cr, EPOCH_HANDSHAKE, now)
+        out += self._own_flight(with_cert=mode in PK_FAMILY, now=now)
 
         self.ks.advance_master(self._th())
         self._install(EPOCH_APP, "write", self.ks.server_ap_traffic)
@@ -951,15 +924,24 @@ class Connection:
         }
         nst = messages.build_new_session_ticket(TICKET_LIFETIME_S, age_add, nonce, ticket_id, max_early_data=1 << 14)
         self._event(now, EventKind.TICKET, ticket=ticket_id.hex())
-        return self._emit(nst, EPOCH_APP)
+        return self._emit(nst, EPOCH_APP, now)
 
     # ----------------------------------------------------------------- app data
 
     def send_app_data(self, payload: bytes, now: int) -> list:
-        self._now = now
+        """``payload`` split into records that fit: each inner plaintext at most 2^14 + 1
+        bytes (RFC 8446 section 5.4) and, on DTLS, each record one datagram of the MTU."""
         if not self.connected:
             raise NotReady("application data before the handshake allows it")
-        return [OutRecord(self._frame(EPOCH_APP, ContentType.APPLICATION_DATA, payload)[1], "app_data")]
+        size = (1 << 14) - self.cfg.pad_len
+        if self.reliability is not None:  # a handshake fragment's room, less the CID the peer asked for
+            size = min(size, self._fragment_budget(EPOCH_APP) - len(self.cid_peer or b""))
+        if size < 1:
+            raise ConfigConflict("padding and mtu leave no room for application data")
+        return [
+            OutRecord(self._frame(EPOCH_APP, ContentType.APPLICATION_DATA, payload[i : i + size])[1], "app_data")
+            for i in range(0, len(payload) or 1, size)
+        ]
 
     # ------------------------------------------------------- transition tables
 

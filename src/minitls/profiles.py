@@ -132,6 +132,8 @@ def _validate(base: Profile, prof: Profile) -> None:
         raise IllegalOverride("0-RTT requires a PSK-capable mode")
     if prof.modes & ECDHE_FAMILY and not prof.groups:
         raise IllegalOverride("(EC)DHE modes need at least one named group")
+    if type(prof.cert_size) is not int or prof.cert_size < 0:
+        raise IllegalOverride(f"cert_size must be a byte count, not {prof.cert_size!r}")
 
 
 # --- credentials -----------------------------------------------------------------

@@ -11,8 +11,11 @@ is an integer millisecond clock advanced by the caller; nothing here reads
 a wall clock.
 """
 
+import dataclasses
+import functools
 import heapq
 import random
+import typing
 from dataclasses import dataclass
 
 from .errors import IllegalOverride, OversizedDatagram
@@ -36,10 +39,29 @@ class NetConfig:
 
     @classmethod
     def from_dict(cls, d: dict):
-        try:
-            return cls(**d)
-        except TypeError as exc:  # a key that is not a field
-            raise IllegalOverride(str(exc)) from None
+        return checked_from_dict(cls, d)
+
+
+def checked_from_dict(cls, d: dict):
+    """``cls(**d)`` once each key of ``d`` names a field of the dataclass ``cls`` and its
+    value has the field's declared type: an int passes for a float, a bool only for a bool."""
+    accepted = _field_types(cls)
+    if type(d) is not dict:
+        raise IllegalOverride(f"{cls.__name__} takes a JSON object, not {d!r}")
+    for key in d:
+        if key not in accepted:
+            raise IllegalOverride(f"{cls.__name__} has no field {key!r}")
+        value, types = d[key], accepted[key]
+        if type(value) not in types and (type(value) is bool or not isinstance(value, types)):
+            raise IllegalOverride(f"{cls.__name__}.{key} cannot be {value!r}")
+    return cls(**d)
+
+
+@functools.cache
+def _field_types(cls) -> dict:
+    """Field name -> the value types that field of the dataclass ``cls`` takes."""
+    declared = {f.name: typing.get_args(f.type) or (f.type,) for f in dataclasses.fields(cls)}
+    return {name: types + (int,) if float in types else types for name, types in declared.items()}
 
 
 def _peer(endpoint: str) -> str:

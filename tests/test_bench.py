@@ -232,8 +232,20 @@ MATRIX = ["matrix", "--config", "{matrix}"]
     (MATRIX, {"protocl": "dtls"}),
     (MATRIX, {"net": {"mtux": 400}}),
     (MATRIX, {"overrides": {"suites": [0x9999]}}),
+    (["run", "--profile", "psk128", "--mode", "psk_ecdhe"], None),
+    (["run", "--mtu", "20"], None),
+    (["run", "--mtu", "0"], None),
+    (["run", "--padding", "-1"], None),
+    (["run", "--app-payload", "-1"], None),
+    (["run", "--profile", "ecdsa128", "--cert-size", "-5"], None),
+    (MATRIX, {"net": {"mtu": "x"}}),
+    (MATRIX, {"cid": "4"}),
+    (MATRIX, {"net": {"loss_rate": "0.1"}}),
+    (MATRIX, {"net": {"mtu": True}}),
 ], ids=["cid-range", "cid-on-tls", "mode-not-in-profile", "unknown-mode", "unknown-suite", "unknown-profile",
-        "matrix-unknown-protocol", "matrix-unknown-key", "matrix-unknown-net-key", "matrix-unknown-override-suite"])
+        "matrix-unknown-protocol", "matrix-unknown-key", "matrix-unknown-net-key", "matrix-unknown-override-suite",
+        "key-share-mode-without-group", "mtu-20", "mtu-0", "negative-padding", "negative-app-payload",
+        "negative-cert-size", "matrix-str-mtu", "matrix-str-cid", "matrix-str-loss-rate", "matrix-bool-mtu"])
 def test_cli_configuration_error_exit_code(argv, entry, tmp_path, capsys):
     matrix = tmp_path / "matrix.json"
     matrix.write_text(json.dumps({"scenarios": [entry]}))
@@ -243,6 +255,12 @@ def test_cli_configuration_error_exit_code(argv, entry, tmp_path, capsys):
     assert captured.out == ""
     [line] = captured.err.splitlines()
     assert line.startswith("error: ")
+
+
+def test_cli_matrix_takes_a_json_int_for_a_float(tmp_path):
+    matrix = tmp_path / "matrix.json"
+    matrix.write_text(json.dumps({"scenarios": [{"net": {"loss_rate": 0, "seed": 1}}]}))
+    assert cli.main(["matrix", "--config", str(matrix)]) == cli.EXIT_OK
 
 
 def test_cli_matrix(tmp_path, capsys):

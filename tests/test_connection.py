@@ -127,10 +127,10 @@ def test_certificate_verify_without_certificate_rejected(protocol, monkeypatch):
     # (RFC 8446 section 4.4.2); here the server neither hashes nor sends it
     emit = Connection._emit
 
-    def skip_server_certificate(self, msg, epoch):
+    def skip_server_certificate(self, msg, epoch, now):
         if self.role == "server" and msg.MSG_TYPE == HandshakeType.CERTIFICATE:
             return []
-        return emit(self, msg, epoch)
+        return emit(self, msg, epoch, now)
 
     monkeypatch.setattr(Connection, "_emit", skip_server_certificate)
     pair = run_handshake(protocol, AuthMode.PK_MUTUAL, seed=3)
@@ -401,15 +401,80 @@ def test_record_for_an_epoch_without_read_keys_dropped(bits, sender, record_name
     assert pair.driver.wire["retransmitted_bytes"] == 0
 
 
+def server_record(pair, protocol, protected: bool, content_type: int, body: bytes) -> bytes:
+    """One record as the server would send it: plaintext, or sealed under a fresh
+    copy of its handshake write keys, so it takes the record number of the first
+    handshake-epoch record, the one it is put in front of."""
+    if not protected:
+        if protocol == Protocol.TLS:
+            return records.encode_tls_plaintext(content_type, body)
+        return records.encode_dtls_plaintext(content_type, 0, body)
+    keys = pair.server.epochs[EPOCH_HANDSHAKE]["write"]
+    copy = TrafficKeys(keys.secret, keys.key, keys.iv, keys.sn_key)
+    if protocol == Protocol.TLS:
+        return records.seal_tls(pair.server.params, copy, content_type, body)
+    return records.seal_dtls(pair.server.params, copy, EPOCH_HANDSHAKE, content_type, body, length_present=True)
+
+
+ALERT_40 = bytes([2, 40])
+
+
+@pytest.mark.parametrize(
+    "protocol,protected,content_type,body,outcome",
+    [
+        # epoch 0 takes alerts, handshake messages and a compat CCS; any other
+        # outer type is malformed (RFC 8446 section 5)
+        (Protocol.TLS, False, ContentType.ACK, b"\x00\x00", "decode_error"),
+        (Protocol.TLS, False, 99, b"\x00", "decode_error"),
+        # a protected record carries no CCS (RFC 8446 section 5), and ACK is DTLS only
+        (Protocol.TLS, True, ContentType.CHANGE_CIPHER_SPEC, b"\x01", "unexpected_message"),
+        (Protocol.TLS, True, ContentType.ACK, b"\x00\x00", "unexpected_message"),
+        (Protocol.DTLS, True, ContentType.CHANGE_CIPHER_SPEC, b"\x01", "unexpected_message"),
+        # a plaintext CCS in the middle of the handshake is ignored
+        (Protocol.TLS, False, ContentType.CHANGE_CIPHER_SPEC, b"\x01", None),
+        (Protocol.DTLS, False, ContentType.CHANGE_CIPHER_SPEC, b"\x01", None),
+        # an alert ends the connection, plaintext or protected
+        (Protocol.TLS, False, ContentType.ALERT, ALERT_40, "peer_alert"),
+        (Protocol.DTLS, False, ContentType.ALERT, ALERT_40, "peer_alert"),
+        (Protocol.TLS, True, ContentType.ALERT, ALERT_40, "peer_alert"),
+        (Protocol.DTLS, True, ContentType.ALERT, ALERT_40, "peer_alert"),
+    ],
+    ids=[
+        "tls-plain-26", "tls-plain-99", "tls-protected-ccs", "tls-protected-ack", "dtls-protected-ccs",
+        "tls-plain-ccs", "dtls-plain-ccs", "tls-plain-alert", "dtls-plain-alert", "tls-protected-alert",
+        "dtls-protected-alert",
+    ],
+)
+def test_record_content_type_classification(protocol, protected, content_type, body, outcome):
+    """Each record's content type, read in epoch 0 or under protection, ends in one
+    outcome; the record rides in front of the server's EncryptedExtensions."""
+    client_cfg, server_cfg, _ = make_configs(protocol, AuthMode.PSK, seed=67)
+    pair = Pair(client_cfg, server_cfg, seed=67)
+    done = prepend_once(
+        pair, "server", "encrypted_extensions",
+        lambda: server_record(pair, protocol, protected, content_type, body),
+    )
+    pair.run(until_ms=10_000)
+    assert done
+    if outcome is None:
+        pair.assert_complete()
+        assert pair.driver.wire["retransmitted_bytes"] == 0
+        return
+    assert pair.client.failure == outcome and pair.client.failed_from == "wait_ee"
+    if outcome == "peer_alert":
+        [alert] = [e for e in pair.client.event_log if e.kind == EventKind.ALERT]
+        assert alert.detail["code"] == 40
+
+
 def test_dtls_new_session_ticket_outside_application_epoch_rejected(monkeypatch):
     # NewSessionTicket is a post-handshake message, so it travels under
     # application keys (RFC 8446 section 4.6, RFC 9147 section 6.1)
     emit = Connection._emit
 
-    def ticket_in_handshake_epoch(self, msg, epoch):
+    def ticket_in_handshake_epoch(self, msg, epoch, now):
         if msg.MSG_TYPE == HandshakeType.NEW_SESSION_TICKET:
             epoch = EPOCH_HANDSHAKE
-        return emit(self, msg, epoch)
+        return emit(self, msg, epoch, now)
 
     monkeypatch.setattr(Connection, "_emit", ticket_in_handshake_epoch)
     client_cfg, server_cfg, _ = make_configs(Protocol.DTLS, AuthMode.PSK, seed=63)
@@ -816,6 +881,33 @@ def test_app_record_with_cid():
     # server accepts it
     out = pair.listener.receive(rec.data, "client:0", 9_100)
     assert any(e.kind == EventKind.APP_DATA for e in server.event_log)
+
+
+@pytest.mark.parametrize(
+    "kw,records_sent",
+    [
+        (dict(protocol="dtls", app_payload=2000), 2),
+        (dict(protocol="dtls", app_payload=300, net=NetConfig(mtu=200)), 2),
+        (dict(protocol="dtls", app_payload=2000, cid=4, packing=True), 2),
+        (dict(protocol="tls", app_payload=40_000), 3),
+        (dict(protocol="dtls", app_payload=512, cid=4, dos=True), 1),
+    ],
+    ids=["dtls-2000", "dtls-300-mtu-200", "dtls-2000-cid-packing", "tls-40000", "dtls-512-cid-dos"],
+)
+def test_app_payload_split_into_records_that_fit(kw, records_sent):
+    sc = Scenario(**kw)
+    _, client_cfg, server_cfg = build_configs(sc)
+    pair = Pair(client_cfg, server_cfg, net=sc.net)
+    pair.driver.app_payload = bytes(sc.app_payload)
+    pair.run()
+    server = pair.assert_complete()
+    sizes = [size for name, _, size, _ in pair.driver.per_message if name == "app_data"]
+    assert len(sizes) == records_sent
+    if sc.protocol == "dtls":
+        assert max(size for _, size, *_ in pair.driver.ledger) <= sc.net.mtu
+    else:
+        assert max(sizes) <= records.TLS_RECORD_HEADER_LEN + (1 << 14) + 256
+    assert sum(e.detail["bytes"] for e in server.event_log if e.kind == EventKind.APP_DATA) == sc.app_payload
 
 
 # --- CID migration -----------------------------------------------------------------

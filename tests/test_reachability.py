@@ -20,8 +20,11 @@ them.  References are resolved with ``ast``, not matched by word.
   differs from the default, a positional argument in a call to the
   class, a store to an attribute of that name, or the name as a string
   constant (as in ``profiles._OVERRIDABLE``).
+- A dataclass field counts as read when some line loads an attribute of
+  that name, or when its class serialises itself whole, through
+  ``dataclasses.asdict(self)`` or ``self.__dict__``.
 
-The last three axes match attribute names, not types: the receiver of
+The last four axes match attribute names, not types: the receiver of
 ``x.name`` is not resolved.
 """
 
@@ -145,6 +148,23 @@ def _called_name(call: ast.Call):
     return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
 
 
+def _fields(cls: ast.ClassDef) -> list:
+    return [node for node in cls.body if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)]
+
+
+def _is_self(node) -> bool:
+    return isinstance(node, ast.Name) and node.id == "self"
+
+
+def _serialises_whole(cls: ast.ClassDef) -> bool:
+    """The class hands all its fields on at once: ``asdict(self)`` or ``self.__dict__``."""
+    return any(
+        (isinstance(node, ast.Call) and _called_name(node) == "asdict" and node.args and _is_self(node.args[0]))
+        or (isinstance(node, ast.Attribute) and node.attr == "__dict__" and _is_self(node.value))
+        for node in ast.walk(cls)
+    )
+
+
 def _unset_fields(trees: dict) -> set:
     calls = _nodes(trees, ast.Call)
     stored = _attribute_names(trees, ast.Store)
@@ -153,10 +173,7 @@ def _unset_fields(trees: dict) -> set:
     for module, cls in _classes(trees):
         if not _is_dataclass(cls):
             continue
-        fields = [
-            node for node in cls.body
-            if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
-        ]
+        fields = _fields(cls)
         max_positional = max(
             (len(call.args) for call in calls if _called_name(call) == cls.name), default=0
         )
@@ -175,7 +192,18 @@ def _unset_fields(trees: dict) -> set:
     return unset
 
 
-AXES = [_unreached, _unreached_methods, _unread_attributes, _unset_fields]
+def _unread_fields(trees: dict) -> set:
+    loaded = _attribute_names(trees, ast.Load)
+    return {
+        f"{module}.py:{node.lineno} {cls.name}.{node.target.id}"
+        for module, cls in _classes(trees)
+        if _is_dataclass(cls) and not _serialises_whole(cls)
+        for node in _fields(cls)
+        if node.target.id not in loaded
+    }
+
+
+AXES = [_unreached, _unreached_methods, _unread_attributes, _unset_fields, _unread_fields]
 
 
 def _not_allowed(entries: set) -> list:
@@ -200,6 +228,11 @@ def test_every_attribute_stored_on_self_is_read_in_src():
 def test_every_defaulted_field_is_set_in_src():
     unset = _not_allowed(_unset_fields(_parse_src()))
     assert unset == [], "only tests set these fields: use the default, or wire them in"
+
+
+def test_every_dataclass_field_is_read_in_src():
+    unread = _not_allowed(_unread_fields(_parse_src()))
+    assert unread == [], "dead fields: read these in src, or delete them"
 
 
 def test_allow_list_is_not_stale():
