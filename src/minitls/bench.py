@@ -120,14 +120,11 @@ class Driver:
         # one row per datagram sent: (direction, size, ((name, size, retransmit), ...),
         # copies the link queued, any record retransmitted); wire and per_message fold it
         self.ledger: list = []
-        self.send_filter = None  # fn(endpoint, OutRecord, now) -> keep?
         self.app_payload = b""
         self._app_sent = False
 
     def send(self, endpoint: str, outs, now: int) -> None:
         """Pack ``outs`` into datagrams (one record each unless packing) and book each."""
-        if self.send_filter is not None:
-            outs = [r for r in outs if self.send_filter(endpoint, r, now)]
         records, data, retransmit = (), b"", False
         for rec in outs:
             size = len(rec.data)

@@ -150,7 +150,6 @@ class ConnConfig:
     mtu: int = 1280
     packing: bool = False
     resume: TicketState | None = None
-    debug_tamper: object = None  # test hook: fn(name, tls_form) -> tls_form
 
 
 def _negotiate(server_pref, client_offer, exc, what):
@@ -198,13 +197,14 @@ class Connection:
         self.plain_window = ReplayWindow()
 
         self.reliability = DtlsReliability() if self.protocol == Protocol.DTLS else None
+        if self.reliability is not None:
+            self._fragment_budget(EPOCH_HANDSHAKE)  # ConfigConflict before any send when no fragment fits
 
         self.cid_local = rng.randbytes(cfg.cid) if cfg.cid else None  # peers put this in records they send us
         self.cid_peer: bytes | None = None  # we put this in records we send
         self.ticket_db: dict = {}  # server: the listener's resumption ticket table
 
         self.dh_priv = None
-        self.dh_secret: bytes | None = None  # retained for schedule audits
         self.client_cert_requested = False
         self.early_accepted = False
         self.hrr_done = False
@@ -321,16 +321,11 @@ class Connection:
         )
 
     def _emit(self, msg, epoch: int, now: int) -> list:
-        """Append one handshake message to the transcript, then send it.
-
-        ``debug_tamper`` changes only the copy on the wire, so the peer sees
-        a message this side never hashed."""
+        """Append one handshake message to the transcript, then send it."""
         raw = messages.tls_form(msg)
         if msg.MSG_TYPE != HandshakeType.NEW_SESSION_TICKET:
             self.transcript.append(raw)
         name = HandshakeType(raw[0]).name.lower()
-        if self.cfg.debug_tamper is not None:
-            raw = self.cfg.debug_tamper(name, raw) or raw
         if self.protocol == Protocol.TLS:
             return [OutRecord(self._frame(epoch, ContentType.HANDSHAKE, raw)[1], name)]
         return self.reliability.send(self._frame, raw[0], raw[4:], name, epoch, self._fragment_budget(epoch), now)
@@ -578,7 +573,7 @@ class Connection:
             raise UnexpectedMessage(f"inner content type {content_type}")
         if epoch == EPOCH_EARLY:  # only a server that accepted 0-RTT holds early read keys
             self._event(now, EventKind.EARLY_DATA, bytes=len(payload), replay_uncertain=True)
-        elif self.connected or (self.role == "server" and self.phase == Phase.WAIT_FINISHED):
+        elif self.connected:
             self._event(now, EventKind.APP_DATA, bytes=len(payload))
         else:
             raise UnexpectedMessage("application data before the handshake allows it")
@@ -697,7 +692,6 @@ class Connection:
             if self.dh_priv is None or group != int(self.dh_priv.group):
                 raise NoCommonGroup("server share for a group we did not offer")
             dh = self._shared(self.dh_priv, server_pub)
-            self.dh_secret = dh
         elif self.cfg.mode in ECDHE_FAMILY:
             raise UnexpectedMessage("expected a key_share in ServerHello")
 
@@ -802,7 +796,6 @@ class Connection:
             group, client_pub = share
             priv, pub = self._keypair(group)
             dh = self._shared(priv, client_pub)
-            self.dh_secret = dh
             key_share_entry = (int(group), pub)
 
         if psk is None:
@@ -846,7 +839,7 @@ class Connection:
         resumed = self.ticket_db.get(identity)
         try:
             if resumed is not None:
-                if now - resumed["issued_at"] > resumed["lifetime_s"] * 1000:
+                if now - resumed["issued_at"] > TICKET_LIFETIME_S * 1000:
                     del self.ticket_db[identity]
                     raise ExpiredTicket("resumption ticket past its lifetime")
                 psk_secret, kind = resumed["psk"], PskKind.RESUMPTION
@@ -916,12 +909,7 @@ class Connection:
         ticket_id = self.rng.randbytes(16)
         age_add = self.rng.getrandbits(32)
         psk = self.ks.resumption_psk(nonce)
-        self.ticket_db[ticket_id] = {
-            "psk": psk,
-            "issued_at": now,
-            "age_add": age_add,
-            "lifetime_s": TICKET_LIFETIME_S,
-        }
+        self.ticket_db[ticket_id] = {"psk": psk, "issued_at": now, "age_add": age_add}
         nst = messages.build_new_session_ticket(TICKET_LIFETIME_S, age_add, nonce, ticket_id, max_early_data=1 << 14)
         self._event(now, EventKind.TICKET, ticket=ticket_id.hex())
         return self._emit(nst, EPOCH_APP, now)

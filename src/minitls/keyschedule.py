@@ -38,10 +38,9 @@ class TrafficKeys:
     these keys.
     """
 
-    __slots__ = ("secret", "key", "iv", "sn_key", "read_seq", "write_seq", "window", "_aead", "_sn_cipher")
+    __slots__ = ("key", "iv", "sn_key", "read_seq", "write_seq", "window", "_aead", "_sn_cipher")
 
-    def __init__(self, secret: bytes, key: bytes, iv: bytes, sn_key: bytes | None):
-        self.secret = secret
+    def __init__(self, key: bytes, iv: bytes, sn_key: bytes | None):
         self.key = key
         self.iv = iv
         self.sn_key = sn_key
@@ -87,7 +86,7 @@ KEYLOG_EXPORTER = "EXPORTER_SECRET"
 
 
 class KeySchedule:
-    def __init__(self, suite_id, protocol: Protocol, counters=None):
+    def __init__(self, suite_id, protocol: Protocol, counters):
         self.params = crypto.suite_params(suite_id)
         self.protocol = protocol
         self.stage = KsStage.FRESH
@@ -100,13 +99,11 @@ class KeySchedule:
     # -- plumbing -----------------------------------------------------------
 
     def _extract(self, salt: bytes, ikm: bytes) -> bytes:
-        if self.counters is not None:
-            self.counters.hkdf_ops += 1
+        self.counters.hkdf_ops += 1
         return crypto.hkdf_extract(salt, ikm, self.params.hash_alg)
 
     def expand_label(self, secret: bytes, label: bytes, context: bytes, out_len: int) -> bytes:
-        if self.counters is not None:
-            self.counters.hkdf_ops += 1
+        self.counters.hkdf_ops += 1
         return crypto.hkdf_expand_label(
             secret, label, context, out_len, self.params.hash_alg, self.protocol
         )
@@ -247,7 +244,7 @@ class KeySchedule:
         sn_key = None
         if self.protocol == Protocol.DTLS:
             sn_key = self.expand_label(secret, b"sn", b"", self.params.key_len)
-        return TrafficKeys(secret, key, iv, sn_key)
+        return TrafficKeys(key, iv, sn_key)
 
     def finished_key(self, base_secret: bytes) -> bytes:
         return self.expand_label(base_secret, b"finished", b"", self.params.hash_len)

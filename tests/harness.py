@@ -7,7 +7,10 @@ from dataclasses import replace
 from minitls.bench import Driver
 from minitls.connection import ConnConfig, Connection, ServerListener
 from minitls.crypto import NamedGroup, Protocol, SuiteId
+from minitls.messages import HandshakeType
 from minitls.profiles import AuthMode, EcCredential, make_deployment
+from minitls.records import ContentType
+from minitls.reliability import DtlsReliability
 from minitls.simnet import DatagramLink, NetConfig, StreamLink
 
 DEFAULT_SUITE = SuiteId.AES_128_CCM_SHA256
@@ -129,3 +132,39 @@ def secrets_of(conn):
 
 def transcript_types(conn):
     return [raw[0] for raw in conn.transcript]
+
+
+def tamper_on_wire(monkeypatch, role: str, tamper) -> None:
+    """Change the handshake messages that ``role`` ("client" or "server") sends
+    on the wire: ``tamper(name, tls_form)`` returns the TLS form to send in
+    place of each one, or None to send it unchanged.  The sender's transcript
+    still holds the message it built.
+
+    Patches ``Connection._frame`` (TLS: one handshake message per record) and
+    ``DtlsReliability.send`` (DTLS: the whole message body before it is
+    fragmented, so a split message is tampered too) by name; a rename of
+    either must be made here as well."""
+    frame, send = Connection._frame, DtlsReliability.send
+
+    def tampered_frame(self, epoch, true_type, payload):
+        if self.role == role and self.protocol == Protocol.TLS and true_type == ContentType.HANDSHAKE:
+            payload = tamper(HandshakeType(payload[0]).name.lower(), payload) or payload
+        return frame(self, epoch, true_type, payload)
+
+    def tampered_send(self, frame_cb, msg_type, body, name, epoch, budget, now):
+        if frame_cb.__self__.role == role:
+            raw = bytes([msg_type]) + len(body).to_bytes(3, "big") + body
+            raw = tamper(name, raw) or raw
+            msg_type, body = raw[0], raw[4:]
+        return send(self, frame_cb, msg_type, body, name, epoch, budget, now)
+
+    monkeypatch.setattr(Connection, "_frame", tampered_frame)
+    monkeypatch.setattr(DtlsReliability, "send", tampered_send)
+
+
+def filter_sends(driver: Driver, keep) -> None:
+    """Wrap ``driver.send`` on this one driver: ``keep(endpoint, OutRecord, now)``
+    sees every record before it is packed into a datagram, may rewrite its
+    ``data``, and drops it by returning False."""
+    send = driver.send
+    driver.send = lambda endpoint, outs, now: send(endpoint, [r for r in outs if keep(endpoint, r, now)], now)

@@ -18,7 +18,7 @@ from minitls.profiles import AuthMode
 from minitls.records import ContentType
 from minitls.simnet import CLIENT, NetConfig
 
-from .harness import Pair, make_configs, run_handshake, secrets_of
+from .harness import Pair, filter_sends, make_configs, run_handshake, secrets_of, tamper_on_wire
 from .oracles import (
     raw_expand_label,
     raw_hkdf_extract,
@@ -33,7 +33,7 @@ def ok(n: int, text: str) -> None:
 
 
 def test_01_minimal_dtls_record():
-    keys = TrafficKeys(b"s" * 32, b"k" * 16, b"i" * 12, b"n" * 16)
+    keys = TrafficKeys(b"k" * 16, b"i" * 12, b"n" * 16)
     rec = records.seal_dtls(P128, keys, 3, ContentType.APPLICATION_DATA, b"A")
     assert len(rec) == 20  # 2 header + 1 payload + 1 inner type + 16 tag
     assert rec[0] == 0x23  # 001|C=0|S=0|L=0|EE=11
@@ -112,7 +112,7 @@ def test_04_mode_ranking():
     ok(4, "byte ranking plain-PSK <= PSK+ECDHE < PK; 0-RTT sends with 1st msg, others after 1 RT")
 
 
-def test_05_key_schedule_oracle_equivalence():
+def test_05_key_schedule_oracle_equivalence(monkeypatch):
     # published extract vector first
     prk = crypto.hkdf_extract(
         bytes.fromhex("000102030405060708090a0b0c"), b"\x0b" * 22, HashAlg.SHA256
@@ -126,6 +126,15 @@ def test_05_key_schedule_oracle_equivalence():
         (Protocol.DTLS, AuthMode.PSK_ECDHE, 42),
         (Protocol.TLS, AuthMode.PK_MUTUAL, 43),
     ]
+    # each connection's (EC)DHE secret, as Connection._shared returns it
+    shared = {}
+    connection_shared = Connection._shared
+
+    def capture_shared(self, priv, peer_pub):
+        shared[self] = connection_shared(self, priv, peer_pub)
+        return shared[self]
+
+    monkeypatch.setattr(Connection, "_shared", capture_shared)
     for protocol, mode, seed in fixed_inputs:
         pair = run_handshake(protocol, mode, seed=seed)
         server = pair.assert_complete()
@@ -142,7 +151,7 @@ def test_05_key_schedule_oracle_equivalence():
         th = lambda i: crypto.hash_data(HashAlg.SHA256, b"".join(transcript[: i + 1]))
 
         psk = conn.psk_in_use.secret if conn.psk_in_use else None
-        dh = conn.dh_secret
+        dh = shared.get(conn)
         early = raw_hkdf_extract(hashname, b"", psk or zeros)
         derived0 = raw_expand_label(
             hashname, early, prefix, b"derived",
@@ -181,7 +190,7 @@ ALL_MODES = [AuthMode.PSK, AuthMode.PSK_ECDHE, AuthMode.PK_SERVER_ONLY,
              AuthMode.PK_MUTUAL, AuthMode.ZERO_RTT]
 
 
-def test_06_handshake_correctness_suite():
+def test_06_handshake_correctness_suite(monkeypatch):
     t0 = time.perf_counter()
     for protocol in (Protocol.DTLS, Protocol.TLS):
         for mode in ALL_MODES:
@@ -206,12 +215,10 @@ def test_06_handshake_correctness_suite():
     ]
     for target, mode, side, alert in cases:
         client_cfg, server_cfg, _ = make_configs(Protocol.DTLS, mode, seed=55)
-        if side == "server":
-            server_cfg = replace(server_cfg, debug_tamper=tamper_for(target))
-        else:
-            client_cfg = replace(client_cfg, debug_tamper=tamper_for(target))
-        pair = Pair(client_cfg, server_cfg, seed=55)
-        pair.run(until_ms=5_000)
+        with monkeypatch.context() as patch:
+            tamper_on_wire(patch, side, tamper_for(target))
+            pair = Pair(client_cfg, server_cfg, seed=55)
+            pair.run(until_ms=5_000)
         victim = pair.client if side == "server" else pair.server
         assert victim.failed and victim.failure == alert, (target, victim.failure)
         assert not any(
@@ -227,13 +234,13 @@ def test_07_retransmission_granularity():
     pair = Pair(client_cfg, server_cfg, seed=66)
     dropped = {"done": False}
 
-    def send_filter(endpoint, rec, now):
+    def keep(endpoint, rec, now):
         if endpoint != CLIENT and rec.name == "certificate_verify" and not dropped["done"]:
             dropped["done"] = True
             return False
         return True
 
-    pair.driver.send_filter = send_filter
+    filter_sends(pair.driver, keep)
     pair.run()
     pair.assert_complete()
     retransmitted = [(n, d) for n, d, _, rt in pair.driver.per_message if rt]

@@ -242,10 +242,12 @@ MATRIX = ["matrix", "--config", "{matrix}"]
     (MATRIX, {"cid": "4"}),
     (MATRIX, {"net": {"loss_rate": "0.1"}}),
     (MATRIX, {"net": {"mtu": True}}),
+    (["run", "--padding", "300", "--mtu", "200"], None),
 ], ids=["cid-range", "cid-on-tls", "mode-not-in-profile", "unknown-mode", "unknown-suite", "unknown-profile",
         "matrix-unknown-protocol", "matrix-unknown-key", "matrix-unknown-net-key", "matrix-unknown-override-suite",
         "key-share-mode-without-group", "mtu-20", "mtu-0", "negative-padding", "negative-app-payload",
-        "negative-cert-size", "matrix-str-mtu", "matrix-str-cid", "matrix-str-loss-rate", "matrix-bool-mtu"])
+        "negative-cert-size", "matrix-str-mtu", "matrix-str-cid", "matrix-str-loss-rate", "matrix-bool-mtu",
+        "padding-300-mtu-200"])
 def test_cli_configuration_error_exit_code(argv, entry, tmp_path, capsys):
     matrix = tmp_path / "matrix.json"
     matrix.write_text(json.dumps({"scenarios": [entry]}))

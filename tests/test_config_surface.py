@@ -31,7 +31,7 @@ FIELDS = {
     ConnConfig: [
         "protocol", "mode", "suites", "groups", "psk", "local_ec", "peer_ec", "sni", "compat",
         "early_payload", "cid", "pad_len", "tickets", "dos", "mtu", "packing",
-        "resume", "debug_tamper",
+        "resume",
     ],
     Scenario: [
         "profile", "protocol", "mode", "suite", "net", "overrides", "app_payload",

@@ -7,7 +7,7 @@ import pytest
 
 from minitls import messages, records
 from minitls.bench import Scenario, build_configs
-from minitls.connection import EPOCH_HANDSHAKE, Connection, EventKind, resume_config
+from minitls.connection import EPOCH_HANDSHAKE, TICKET_LIFETIME_S, Connection, EventKind, resume_config
 from minitls.crypto import NamedGroup, Protocol, SuiteId
 from minitls.errors import ConfigConflict, NotReady
 from minitls.keyschedule import TrafficKeys
@@ -16,7 +16,7 @@ from minitls.profiles import AuthMode
 from minitls.records import ContentType
 from minitls.simnet import CLIENT, NetConfig
 
-from .harness import Pair, make_configs, run_handshake, secrets_of, transcript_types
+from .harness import Pair, filter_sends, make_configs, run_handshake, secrets_of, tamper_on_wire, transcript_types
 from .oracles import raw_binder_split, raw_psk_binder
 
 PROTOCOLS = [Protocol.TLS, Protocol.DTLS]
@@ -104,7 +104,7 @@ def test_event_log_line_format():
         ("certificate_request", "bad_certificate_verify"),
     ],
 )
-def test_server_flight_corruption_detected(target, alert):
+def test_server_flight_corruption_detected(target, alert, monkeypatch):
     # flip one bit inside the named message body; the record seals fine but
     # verification on the peer must fail with the distinct classification
     def tamper(name, raw):
@@ -112,8 +112,8 @@ def test_server_flight_corruption_detected(target, alert):
             return raw[:-1] + bytes([raw[-1] ^ 0x01])
         return raw
 
+    tamper_on_wire(monkeypatch, "server", tamper)
     client_cfg, server_cfg, _ = make_configs(Protocol.DTLS, AuthMode.PK_MUTUAL, seed=4)
-    server_cfg = replace(server_cfg, debug_tamper=tamper)
     pair = Pair(client_cfg, server_cfg, seed=4)
     pair.run(until_ms=5_000)
     assert pair.client.failed
@@ -139,7 +139,7 @@ def test_certificate_verify_without_certificate_rejected(protocol, monkeypatch):
 
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)
-def test_bad_certificate_after_request_fails_in_wait_cert(protocol):
+def test_bad_certificate_after_request_fails_in_wait_cert(protocol, monkeypatch):
     # between CertificateRequest and Certificate the client is in wait_cert,
     # which reports carry as failed_phase
     def tamper(name, raw):
@@ -147,15 +147,16 @@ def test_bad_certificate_after_request_fails_in_wait_cert(protocol):
             return raw[:-1] + bytes([raw[-1] ^ 0x01])
         return raw
 
+    tamper_on_wire(monkeypatch, "server", tamper)
     client_cfg, server_cfg, _ = make_configs(protocol, AuthMode.PK_MUTUAL, seed=4)
-    pair = Pair(client_cfg, replace(server_cfg, debug_tamper=tamper), seed=4)
+    pair = Pair(client_cfg, server_cfg, seed=4)
     pair.run(until_ms=5_000)
     assert pair.client.failed
     assert pair.client.failed_from == "wait_cert"
 
 
 def flip_legacy_version(target):
-    """debug_tamper: flip a bit of the ``target`` hello's legacy_version, the
+    """A ``tamper_on_wire`` tamper: flip a bit of the ``target`` hello's legacy_version, the
     first two body bytes, so its body no longer decodes."""
 
     def tamper(name, raw):
@@ -165,15 +166,15 @@ def flip_legacy_version(target):
 
 
 def client_hello_message_seq(seq):
-    """Send filter: every ClientHello fragment the client sends claims ``seq``."""
+    """A ``filter_sends`` filter: every ClientHello fragment the client sends claims ``seq``."""
 
-    def send_filter(endpoint, rec, now):
+    def keep(endpoint, rec, now):
         if endpoint == CLIENT and rec.name == "client_hello":
             at = records.DTLS12_RECORD_HEADER_LEN + 4  # the fragment's message_seq
             rec.data = rec.data[:at] + seq.to_bytes(2, "big") + rec.data[at + 2 :]
         return True
 
-    return send_filter
+    return keep
 
 
 @pytest.mark.parametrize("split", [False, True], ids=["whole", "split"])
@@ -186,7 +187,7 @@ def client_hello_message_seq(seq):
     ],
     ids=["no_common_suite", "bad_legacy_version", "message_seq_3"],
 )
-def test_first_client_hello_outcome_does_not_depend_on_fragmentation(case, alert, code, split):
+def test_first_client_hello_outcome_does_not_depend_on_fragmentation(case, alert, code, split, monkeypatch):
     # every first ClientHello reaches a fresh server connection through the
     # (START, ClientHello) edge, so a hello that needs two datagrams ends as one
     # that fits: no common suite is handshake_failure (RFC 8446 section 4.1.1), an
@@ -197,10 +198,10 @@ def test_first_client_hello_outcome_does_not_depend_on_fragmentation(case, alert
     if case == "no_common_suite":
         server_cfg = replace(server_cfg, suites=(SuiteId.AES_256_GCM_SHA384,))
     if case == "bad_legacy_version":
-        client_cfg = replace(client_cfg, debug_tamper=flip_legacy_version("client_hello"))
+        tamper_on_wire(monkeypatch, "client", flip_legacy_version("client_hello"))
     pair = Pair(client_cfg, server_cfg, seed=65)
     if case == "message_seq_3":
-        pair.driver.send_filter = client_hello_message_seq(3)
+        filter_sends(pair.driver, client_hello_message_seq(3))
     pair.run(until_ms=5_000)
     first_flight = [row for row in pair.driver.per_message if row[0] == "client_hello" and not row[3]]
     assert len(first_flight) == (2 if split else 1)
@@ -228,7 +229,7 @@ def test_failed_server_connection_gives_up_its_address():
             return False
         return True
 
-    pair.driver.send_filter = drop_first_alert
+    filter_sends(pair.driver, drop_first_alert)
     pair.run(until_ms=300_000)
     assert len(dropped) == 1
     assert pair.client.failure == "peer_alert"
@@ -238,12 +239,13 @@ def test_failed_server_connection_gives_up_its_address():
 
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)
-def test_undecodable_server_hello_is_decode_error(protocol):
+def test_undecodable_server_hello_is_decode_error(protocol, monkeypatch):
     # an in-order epoch-0 hello whose body does not decode is answered with
     # decode_error by either role; dropping it would buy nothing, since a
     # well-formed forged hello derails epoch 0 anyway
+    tamper_on_wire(monkeypatch, "server", flip_legacy_version("server_hello"))
     client_cfg, server_cfg, _ = make_configs(protocol, AuthMode.PSK, seed=66)
-    pair = Pair(client_cfg, replace(server_cfg, debug_tamper=flip_legacy_version("server_hello")), seed=66)
+    pair = Pair(client_cfg, server_cfg, seed=66)
     pair.run(until_ms=5_000)
     assert pair.client.failure == "decode_error" and pair.client.failed_from == "wait_sh"
     assert pair.server.failure == "peer_alert"
@@ -277,7 +279,7 @@ def test_plaintext_handshake_record_carries_only_hellos(protocol):
             rec.data = plaintext_handshake(protocol, server_message(pair, HandshakeType.ENCRYPTED_EXTENSIONS))
         return True
 
-    pair.driver.send_filter = unprotect_ee
+    filter_sends(pair.driver, unprotect_ee)
     pair.run(until_ms=10_000)
     assert swapped
     if protocol == Protocol.TLS:
@@ -302,25 +304,25 @@ def test_tls_handshake_message_spanning_key_change_rejected():
             rec.data = plaintext_handshake(Protocol.TLS, b"".join(raws))
         return rec.name != "encrypted_extensions"
 
-    pair.driver.send_filter = coalesce
+    filter_sends(pair.driver, coalesce)
     pair.run(until_ms=10_000)
     assert pair.client.failure == "unexpected_message"
     assert pair.client.failed_from == "wait_ee"  # raised once ServerHello switched keys
 
 
 def prepend_once(pair, sender: str, record_name: str, forge) -> list:
-    """Send filter: put the bytes ``forge()`` returns in front of the first
-    ``record_name`` record that ``sender`` ("client" or "server") sends, in
+    """Through ``filter_sends``, put the bytes ``forge()`` returns in front of the
+    first ``record_name`` record that ``sender`` ("client" or "server") sends, in
     the same datagram; returns the list that records when it did."""
     done = []
 
-    def send_filter(endpoint, rec, now):
+    def keep(endpoint, rec, now):
         if (endpoint == CLIENT) == (sender == "client") and rec.name == record_name and not done:
             done.append(now)
             rec.data = forge() + rec.data
         return True
 
-    pair.driver.send_filter = send_filter
+    filter_sends(pair.driver, keep)
     return done
 
 
@@ -391,7 +393,7 @@ def test_record_for_an_epoch_without_read_keys_dropped(bits, sender, record_name
     def alert_under_handshake_keys():
         conn = pair.client if sender == "client" else pair.server
         keys = conn.epochs[EPOCH_HANDSHAKE]["write"]
-        copy = TrafficKeys(keys.secret, keys.key, keys.iv, keys.sn_key)
+        copy = TrafficKeys(keys.key, keys.iv, keys.sn_key)
         return records.seal_dtls(conn.params, copy, bits, ContentType.ALERT, bytes([2, 40]), length_present=True)
 
     done = prepend_once(pair, sender, record_name, alert_under_handshake_keys)
@@ -410,7 +412,7 @@ def server_record(pair, protocol, protected: bool, content_type: int, body: byte
             return records.encode_tls_plaintext(content_type, body)
         return records.encode_dtls_plaintext(content_type, 0, body)
     keys = pair.server.epochs[EPOCH_HANDSHAKE]["write"]
-    copy = TrafficKeys(keys.secret, keys.key, keys.iv, keys.sn_key)
+    copy = TrafficKeys(keys.key, keys.iv, keys.sn_key)
     if protocol == Protocol.TLS:
         return records.seal_tls(pair.server.params, copy, content_type, body)
     return records.seal_dtls(pair.server.params, copy, EPOCH_HANDSHAKE, content_type, body, length_present=True)
@@ -466,6 +468,30 @@ def test_record_content_type_classification(protocol, protected, content_type, b
         assert alert.detail["code"] == 40
 
 
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_server_rejects_application_data_under_handshake_keys(protocol):
+    # the client seals application data under its handshake keys and sends it
+    # in front of its Finished; only application traffic keys may carry it
+    # (RFC 8446 section 2), so the server in wait_finished fails
+    client_cfg, server_cfg, _ = make_configs(protocol, AuthMode.PSK, seed=68)
+    pair = Pair(client_cfg, server_cfg, seed=68)
+
+    def app_data_under_handshake_keys():
+        keys = pair.client.epochs[EPOCH_HANDSHAKE]["write"]
+        copy = TrafficKeys(keys.key, keys.iv, keys.sn_key)  # record 0: the Finished's number
+        if protocol == Protocol.TLS:
+            return records.seal_tls(pair.client.params, copy, ContentType.APPLICATION_DATA, b"too soon")
+        return records.seal_dtls(
+            pair.client.params, copy, EPOCH_HANDSHAKE, ContentType.APPLICATION_DATA, b"too soon", length_present=True
+        )
+
+    done = prepend_once(pair, "client", "finished", app_data_under_handshake_keys)
+    pair.run(until_ms=10_000)
+    assert done
+    assert pair.server.failure == "unexpected_message" and pair.server.failed_from == "wait_finished"
+    assert not any(e.kind == EventKind.APP_DATA for e in pair.server.event_log)
+
+
 def test_dtls_new_session_ticket_outside_application_epoch_rejected(monkeypatch):
     # NewSessionTicket is a post-handshake message, so it travels under
     # application keys (RFC 8446 section 4.6, RFC 9147 section 6.1)
@@ -500,7 +526,7 @@ def test_retransmitted_client_hello_acked_by_server_connection():
             return False
         return True
 
-    pair.driver.send_filter = drop_first_server_hello
+    filter_sends(pair.driver, drop_first_server_hello)
     pair.run()
     assert dropped
     pair.assert_complete()
@@ -510,21 +536,21 @@ def test_retransmitted_client_hello_acked_by_server_connection():
     assert len(pair.listener.connections()) == 1
 
 
-def test_client_finished_corruption_detected():
+def test_client_finished_corruption_detected(monkeypatch):
     def tamper(name, raw):
         if name == "finished":
             return raw[:-1] + bytes([raw[-1] ^ 0x80])
         return raw
 
+    tamper_on_wire(monkeypatch, "client", tamper)
     client_cfg, server_cfg, _ = make_configs(Protocol.DTLS, AuthMode.PSK, seed=5)
-    client_cfg = replace(client_cfg, debug_tamper=tamper)
     pair = Pair(client_cfg, server_cfg, seed=5)
     pair.run(until_ms=5_000)
     assert pair.server.failed
     assert pair.server.failure == "decrypt_error"
 
 
-def test_binder_corruption_detected():
+def test_binder_corruption_detected(monkeypatch):
     from minitls import messages as m
 
     def tamper(name, raw):
@@ -532,8 +558,8 @@ def test_binder_corruption_detected():
             return raw[:-1] + bytes([raw[-1] ^ 0x01])  # last binder byte
         return raw
 
+    tamper_on_wire(monkeypatch, "client", tamper)
     client_cfg, server_cfg, _ = make_configs(Protocol.DTLS, AuthMode.PSK, seed=6)
-    client_cfg = replace(client_cfg, debug_tamper=tamper)
     pair = Pair(client_cfg, server_cfg, seed=6)
     pair.run(until_ms=5_000)
     assert pair.server is not None and pair.server.failed
@@ -596,13 +622,13 @@ def test_scripted_single_drop_retransmits_only_missing_message():
     pair = Pair(client_cfg, server_cfg, seed=8)
     dropped = {"done": False}
 
-    def send_filter(endpoint, rec, now):
+    def keep(endpoint, rec, now):
         if endpoint != CLIENT and rec.name == "certificate" and not dropped["done"]:
             dropped["done"] = True
             return False
         return True
 
-    pair.driver.send_filter = send_filter
+    filter_sends(pair.driver, keep)
     pair.run()
     server = pair.assert_complete()
     retransmitted = [
@@ -806,7 +832,7 @@ def test_expired_ticket_falls_back_or_fails():
     pair.assert_complete()
     ticket = pair.client.client_tickets[0]
     entry = pair.listener.ticket_db[ticket.ticket]
-    entry["issued_at"] = -(entry["lifetime_s"] * 1000 + 60_000)  # long expired
+    entry["issued_at"] = -(TICKET_LIFETIME_S * 1000 + 60_000)  # long expired
 
     resumed_cfg = resume_config(pair.client.cfg, ticket)
     pair2 = Pair(resumed_cfg, pair.listener.cfg, seed=100)
@@ -1125,7 +1151,7 @@ def test_mid_handshake_rebind_without_cid_stalls():
             pair.link.addresses[CLIENT] = "client:777"
         return True
 
-    pair.driver.send_filter = rebind
+    filter_sends(pair.driver, rebind)
     pair.run(until_ms=400_000)
     assert not pair.server.connected  # records from the new address are unassociated
     # whichever side gives up first, the handshake never completes

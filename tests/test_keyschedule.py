@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from minitls.connection import OpCounters
 from minitls.crypto import Protocol, SuiteId, hash_data, HashAlg
 from minitls.errors import SequenceOverflow, WrongStage
 from minitls.keyschedule import SEQ_LIMIT, KeySchedule, KsStage, PskKind, TrafficKeys
@@ -65,7 +66,7 @@ def test_full_chain_matches_scripted_oracle(psk, dh, kind, protocol, prefix):
     th_sh = hash_data(HashAlg.SHA256, b"through server hello")
     th_sfin = hash_data(HashAlg.SHA256, b"through server finished")
 
-    ks = KeySchedule(SuiteId.AES_128_CCM_SHA256, protocol)
+    ks = KeySchedule(SuiteId.AES_128_CCM_SHA256, protocol, OpCounters())
     ks.init_early(psk, kind)
     ks.derive_early_traffic(th_ch)
     ks.advance_handshake(dh, th_sh)
@@ -86,15 +87,15 @@ def test_full_chain_matches_scripted_oracle(psk, dh, kind, protocol, prefix):
 
 
 def test_absent_psk_uses_zero_fill():
-    ks = KeySchedule(SuiteId.AES_128_CCM_SHA256, Protocol.TLS).init_early()
+    ks = KeySchedule(SuiteId.AES_128_CCM_SHA256, Protocol.TLS, OpCounters()).init_early()
     assert ks.early_secret == raw_hkdf_extract("sha256", b"", b"\x00" * 32)
 
 
 def test_binder_label_selection():
-    ext = KeySchedule(SuiteId.AES_128_CCM_SHA256, Protocol.TLS).init_early(
+    ext = KeySchedule(SuiteId.AES_128_CCM_SHA256, Protocol.TLS, OpCounters()).init_early(
         b"p" * 16, PskKind.EXTERNAL
     )
-    res = KeySchedule(SuiteId.AES_128_CCM_SHA256, Protocol.TLS).init_early(
+    res = KeySchedule(SuiteId.AES_128_CCM_SHA256, Protocol.TLS, OpCounters()).init_early(
         b"p" * 16, PskKind.RESUMPTION
     )
     assert ext.binder_key != res.binder_key
@@ -102,7 +103,7 @@ def test_binder_label_selection():
 
 
 def test_binder_matches_raw_hmac_oracle():
-    ks = KeySchedule(SuiteId.AES_128_CCM_SHA256, Protocol.TLS).init_early(b"q" * 16)
+    ks = KeySchedule(SuiteId.AES_128_CCM_SHA256, Protocol.TLS, OpCounters()).init_early(b"q" * 16)
     th = hash_data(HashAlg.SHA256, b"truncated client hello")
     fk = raw_expand_label("sha256", ks.binder_key, TLS_PREFIX, b"finished", b"", 32)
     assert ks.compute_binder(th) == raw_hmac("sha256", fk, th)
@@ -110,8 +111,8 @@ def test_binder_matches_raw_hmac_oracle():
 
 def test_traffic_keys_shape_and_oracle():
     secret = bytes(range(32))
-    tls = KeySchedule(SuiteId.AES_128_CCM_SHA256, Protocol.TLS)
-    dtls = KeySchedule(SuiteId.AES_128_CCM_SHA256, Protocol.DTLS)
+    tls = KeySchedule(SuiteId.AES_128_CCM_SHA256, Protocol.TLS, OpCounters())
+    dtls = KeySchedule(SuiteId.AES_128_CCM_SHA256, Protocol.DTLS, OpCounters())
     kt = tls.traffic_keys(secret)
     kd = dtls.traffic_keys(secret)
     assert kt.sn_key is None
@@ -123,7 +124,7 @@ def test_traffic_keys_shape_and_oracle():
 
 
 def test_sequence_counters():
-    keys = TrafficKeys(b"s" * 32, b"k" * 16, b"i" * 12, None)
+    keys = TrafficKeys(b"k" * 16, b"i" * 12, None)
     assert keys.next_write_seq() == 0
     assert keys.next_write_seq() == 1
     keys.write_seq = SEQ_LIMIT
@@ -137,7 +138,7 @@ def test_sequence_counters():
 
 
 def _fresh():
-    return KeySchedule(SuiteId.AES_128_CCM_SHA256, Protocol.TLS)
+    return KeySchedule(SuiteId.AES_128_CCM_SHA256, Protocol.TLS, OpCounters())
 
 
 TH = hash_data(HashAlg.SHA256, b"x")
@@ -187,7 +188,7 @@ def test_stage_machine_exhaustive(stage, op):
 
 def test_nine_secrets_pairwise_distinct():
     rng = random.Random(2024)
-    ks = KeySchedule(SuiteId.AES_128_CCM_SHA256, Protocol.TLS)
+    ks = KeySchedule(SuiteId.AES_128_CCM_SHA256, Protocol.TLS, OpCounters())
     ks.init_early(rng.randbytes(32))
     ks.derive_early_traffic(rng.randbytes(32))
     ks.advance_handshake(rng.randbytes(32), rng.randbytes(32))
@@ -212,8 +213,8 @@ def test_nine_secrets_pairwise_distinct():
 
 def test_protocol_separation():
     args = (b"p" * 16, PskKind.EXTERNAL)
-    tls = KeySchedule(SuiteId.AES_128_CCM_SHA256, Protocol.TLS).init_early(*args)
-    dtls = KeySchedule(SuiteId.AES_128_CCM_SHA256, Protocol.DTLS).init_early(*args)
+    tls = KeySchedule(SuiteId.AES_128_CCM_SHA256, Protocol.TLS, OpCounters()).init_early(*args)
+    dtls = KeySchedule(SuiteId.AES_128_CCM_SHA256, Protocol.DTLS, OpCounters()).init_early(*args)
     tls.advance_handshake(b"d" * 32, TH)
     dtls.advance_handshake(b"d" * 32, TH)
     assert tls.early_secret == dtls.early_secret  # raw extract, no label yet
@@ -237,7 +238,7 @@ def test_finished_mac_round_trip():
 
 def test_keylog_lines():
     lines = []
-    ks = KeySchedule(SuiteId.AES_128_CCM_SHA256, Protocol.TLS)
+    ks = KeySchedule(SuiteId.AES_128_CCM_SHA256, Protocol.TLS, OpCounters())
     ks.set_keylog(lines.append, b"\xab" * 32)
     ks.init_early(b"p" * 16)
     ks.derive_early_traffic(TH)

@@ -15,6 +15,9 @@ them.  References are resolved with ``ast``, not matched by word.
   attribute of that name.
 - An attribute stored on ``self`` counts as reached when some line loads
   an attribute of that name.
+- An attribute that ``__init__`` sets to a constant counts as set when
+  some other line stores an attribute of that name; otherwise it is a
+  constant in disguise, or a knob only tests turn.
 - A dataclass field with a default counts as reached when some line
   gives it a value: a keyword argument of that name whose expression
   differs from the default, a positional argument in a call to the
@@ -24,7 +27,7 @@ them.  References are resolved with ``ast``, not matched by word.
   that name, or when its class serialises itself whole, through
   ``dataclasses.asdict(self)`` or ``self.__dict__``.
 
-The last four axes match attribute names, not types: the receiver of
+The last five axes match attribute names, not types: the receiver of
 ``x.name`` is not resolved.
 """
 
@@ -43,8 +46,6 @@ ALLOWED = {
     "KeySchedule.handshake_secret": "acceptance test_05 and the RFC 8448 vectors check the secret tree",
     "KeySchedule.master_secret": "acceptance test_05 and the RFC 8448 vectors check the secret tree",
     "KeySchedule.exporter_master": "acceptance test_05 and the RFC 8448 vectors check the secret tree",
-    "Connection.dh_secret": "acceptance test_05 feeds the (EC)DHE secret to the reference schedule",
-    "ConnConfig.debug_tamper": "acceptance test_06 corrupts one message on the wire",
     "KeySchedule.set_keylog": "the key log debug surface, to be wired into the bench command",
 }
 
@@ -134,6 +135,21 @@ def _unread_attributes(trees: dict) -> set:
     }
 
 
+def _constant_attributes(trees: dict) -> set:
+    """Attributes ``__init__`` sets to a constant and no other line stores."""
+    stores = [node.attr for node in _nodes(trees, ast.Attribute) if isinstance(node.ctx, ast.Store)]
+    return {
+        f"{module}.py:{node.lineno} {cls.name}.{target.attr}"
+        for module, cls in _classes(trees)
+        for init in cls.body
+        if isinstance(init, ast.FunctionDef) and init.name == "__init__"
+        for node in ast.walk(init)
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and isinstance(node.value, ast.Constant)
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Attribute) and _is_self(target.value) and stores.count(target.attr) == 1
+    }
+
+
 def _is_dataclass(cls: ast.ClassDef) -> bool:
     for dec in cls.decorator_list:
         target = dec.func if isinstance(dec, ast.Call) else dec
@@ -203,7 +219,7 @@ def _unread_fields(trees: dict) -> set:
     }
 
 
-AXES = [_unreached, _unreached_methods, _unread_attributes, _unset_fields, _unread_fields]
+AXES = [_unreached, _unreached_methods, _unread_attributes, _constant_attributes, _unset_fields, _unread_fields]
 
 
 def _not_allowed(entries: set) -> list:
@@ -223,6 +239,11 @@ def test_every_public_method_is_loaded_in_src():
 def test_every_attribute_stored_on_self_is_read_in_src():
     unread = _not_allowed(_unread_attributes(_parse_src()))
     assert unread == [], "dead stores: read these in src, or stop storing them"
+
+
+def test_every_attribute_set_to_a_constant_is_set_again_in_src():
+    unset = _not_allowed(_constant_attributes(_parse_src()))
+    assert unset == [], "only tests change these attributes: make them constants, or wire them in"
 
 
 def test_every_defaulted_field_is_set_in_src():

@@ -13,7 +13,7 @@ from minitls import errors
 from minitls.crypto import Protocol
 from minitls.profiles import AuthMode
 
-from .harness import Pair, make_configs
+from .harness import Pair, filter_sends, make_configs
 
 NAMED_ALERTS = {
     cls.alert
@@ -59,7 +59,7 @@ def test_one_mutated_record_ends_connected_failed_or_waiting(protocol, mode, vic
         sent[0] += 1
         return True
 
-    pair.driver.send_filter = mutate_one
+    filter_sends(pair.driver, mutate_one)
     pair.run()
     for conn in (pair.client, pair.server):
         if conn is not None and conn.failed:

@@ -23,10 +23,10 @@ P128 = crypto.suite_params(SuiteId.AES_128_CCM_SHA256)
 
 
 def tls_keys():
-    return TrafficKeys(b"s" * 32, b"k" * 16, b"i" * 12, None)
+    return TrafficKeys(b"k" * 16, b"i" * 12, None)
 
 def dtls_keys():
-    return TrafficKeys(b"s" * 32, b"k" * 16, b"i" * 12, b"n" * 16)
+    return TrafficKeys(b"k" * 16, b"i" * 12, b"n" * 16)
 
 def dtls_read_keys():
     keys = dtls_keys()
@@ -243,12 +243,12 @@ def test_dtls_sequence_privacy():
     hidden = 0
     trials = 300
     for _ in range(trials):
-        keys = TrafficKeys(b"s" * 32, rng.randbytes(16), rng.randbytes(12), rng.randbytes(16))
+        keys = TrafficKeys(rng.randbytes(16), rng.randbytes(12), rng.randbytes(16))
         keys.write_seq = 5
         rec = records.seal_dtls(P128, keys, 3, ContentType.APPLICATION_DATA, b"hello")
         if rec[1] != 5:  # wire byte at the sequence position
             hidden += 1
-        reader = TrafficKeys(b"s" * 32, keys.key, keys.iv, keys.sn_key)
+        reader = TrafficKeys(keys.key, keys.iv, keys.sn_key)
         reader.window = ReplayWindow()
         reader.window.max_seq = 4
         seq, _, _ = records.open_dtls(P128, reader, records.parse_unified(rec, 0, 0))
@@ -311,7 +311,7 @@ def test_dtls_epoch_builds_one_aead_and_one_sn_encryptor(monkeypatch):
 
 
 def test_reused_record_ciphers_keep_every_check():
-    short_key = TrafficKeys(b"s" * 32, b"k" * 15, b"i" * 12, b"n" * 16)
+    short_key = TrafficKeys(b"k" * 15, b"i" * 12, b"n" * 16)
     with pytest.raises(ValueError):
         records.seal_dtls(P128, short_key, 3, ContentType.APPLICATION_DATA, b"x")
     w, r = dtls_keys(), dtls_read_keys()
