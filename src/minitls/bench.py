@@ -70,9 +70,6 @@ class Scenario:
     def key(self) -> str:
         return f"{self.profile}-{self.protocol}-{self.mode}-s{self.net.seed}"
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
     @classmethod
     def from_dict(cls, d: dict):
         if isinstance(d, dict) and isinstance(d.get("net"), dict):

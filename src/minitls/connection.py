@@ -351,7 +351,7 @@ class Connection:
     # ------------------------------------------ authentication (RFC 8446 §4.4)
 
     def _hs_traffic(self, role: str) -> bytes:
-        return self.ks.client_hs_traffic if role == "client" else self.ks.server_hs_traffic
+        return self.ks.secret("c_hs" if role == "client" else "s_hs")
 
     def _own_flight(self, with_cert: bool, now: int) -> list:
         """This side's Certificate and CertificateVerify when ``with_cert``,
@@ -700,8 +700,8 @@ class Connection:
             self.cid_peer = messages.parse_connection_id(cid_ext.data) or None
 
         self.ks.advance_handshake(dh, self._th())
-        self._install(EPOCH_HANDSHAKE, "read", self.ks.server_hs_traffic)
-        self._install(EPOCH_HANDSHAKE, "write", self.ks.client_hs_traffic)
+        self._install(EPOCH_HANDSHAKE, "read", self.ks.secret("s_hs"))
+        self._install(EPOCH_HANDSHAKE, "write", self.ks.secret("c_hs"))
         self._tls_read_epoch = EPOCH_HANDSHAKE
         self.phase = Phase.WAIT_EE
         return []
@@ -724,12 +724,12 @@ class Connection:
     def _client_handle_finished(self, fin, raw: bytes, now: int) -> list:
         self._peer_finished(fin, raw)
         self.ks.advance_master(self._th())
-        self._install(EPOCH_APP, "read", self.ks.server_ap_traffic)
+        self._install(EPOCH_APP, "read", self.ks.secret("s_ap"))
         out = self._fake_ccs()
         if self.early_accepted and self.protocol == Protocol.TLS:
             out += self._emit(messages.EndOfEarlyData(), EPOCH_EARLY, now)
         out += self._own_flight(with_cert=self.client_cert_requested, now=now)
-        self._install(EPOCH_APP, "write", self.ks.client_ap_traffic)
+        self._install(EPOCH_APP, "write", self.ks.secret("c_ap"))
         self.ks.derive_resumption(self._th())
         self._tls_read_epoch = EPOCH_APP
         if self.reliability is not None:
@@ -811,8 +811,8 @@ class Connection:
         )
         out = self._emit(sh, EPOCH_PLAIN, now)
         self.ks.advance_handshake(dh, self._th())
-        self._install(EPOCH_HANDSHAKE, "write", self.ks.server_hs_traffic)
-        self._install(EPOCH_HANDSHAKE, "read", self.ks.client_hs_traffic)
+        self._install(EPOCH_HANDSHAKE, "write", self.ks.secret("s_hs"))
+        self._install(EPOCH_HANDSHAKE, "read", self.ks.secret("c_hs"))
         out += self._fake_ccs()
         ee_exts = [messages.ext_early_data()] if self.early_accepted else []
         out += self._emit(messages.EncryptedExtensions(ee_exts), EPOCH_HANDSHAKE, now)
@@ -822,7 +822,7 @@ class Connection:
         out += self._own_flight(with_cert=mode in PK_FAMILY, now=now)
 
         self.ks.advance_master(self._th())
-        self._install(EPOCH_APP, "write", self.ks.server_ap_traffic)
+        self._install(EPOCH_APP, "write", self.ks.secret("s_ap"))
         if self.early_accepted and self.protocol == Protocol.TLS:
             self._tls_read_epoch = EPOCH_EARLY
         else:
@@ -836,6 +836,8 @@ class Connection:
         if ext is None:
             return None
         identity, obf_age, binder = messages.parse_pre_shared_key_offer(ext.data)
+        if len(binder) != self.params.hash_len:
+            return None  # keyed for another hash: not selectable with this suite (RFC 8446 section 4.2.11)
         resumed = self.ticket_db.get(identity)
         try:
             if resumed is not None:
@@ -891,7 +893,7 @@ class Connection:
 
     def _server_handle_finished(self, fin, raw: bytes, now: int) -> list:
         self._peer_finished(fin, raw)
-        self._install(EPOCH_APP, "read", self.ks.client_ap_traffic)
+        self._install(EPOCH_APP, "read", self.ks.secret("c_ap"))
         self.ks.derive_resumption(self._th())
         self._tls_read_epoch = EPOCH_APP
         self.phase = Phase.CONNECTED

@@ -76,13 +76,16 @@ class TrafficKeys:
             self.read_seq = seq + 1
 
 
-# Standard keylog labels understood by external dissectors.
-KEYLOG_EARLY = "CLIENT_EARLY_TRAFFIC_SECRET"
-KEYLOG_CLIENT_HS = "CLIENT_HANDSHAKE_TRAFFIC_SECRET"
-KEYLOG_SERVER_HS = "SERVER_HANDSHAKE_TRAFFIC_SECRET"
-KEYLOG_CLIENT_AP = "CLIENT_TRAFFIC_SECRET_0"
-KEYLOG_SERVER_AP = "SERVER_TRAFFIC_SECRET_0"
-KEYLOG_EXPORTER = "EXPORTER_SECRET"
+# SSLKEYLOGFILE labels (draft-ietf-tls-keylogfile) of the secrets the key
+# log covers, by their name in the secret tree.
+_KEYLOG_LABELS = {
+    "c_early": "CLIENT_EARLY_TRAFFIC_SECRET",
+    "c_hs": "CLIENT_HANDSHAKE_TRAFFIC_SECRET",
+    "s_hs": "SERVER_HANDSHAKE_TRAFFIC_SECRET",
+    "c_ap": "CLIENT_TRAFFIC_SECRET_0",
+    "s_ap": "SERVER_TRAFFIC_SECRET_0",
+    "exporter": "EXPORTER_SECRET",
+}
 
 
 class KeySchedule:
@@ -111,65 +114,25 @@ class KeySchedule:
     def derive_secret(self, secret: bytes, label: bytes, transcript_digest: bytes) -> bytes:
         return self.expand_label(secret, label, transcript_digest, self.params.hash_len)
 
-    def _need(self, name: str, stage: KsStage) -> bytes:
-        if self.stage < stage or name not in self._secrets:
-            raise WrongStage(f"{name} not available at stage {self.stage.name}")
-        return self._secrets[name]
-
-    def _log(self, label: str, secret: bytes) -> None:
-        if self._keylog is not None:
-            self._keylog(f"{label} {self._client_random.hex()} {secret.hex()}")
+    def _store(self, name: str, secret: bytes) -> bytes:
+        self._secrets[name] = secret
+        if self._keylog is not None and name in _KEYLOG_LABELS:
+            self._keylog(f"{_KEYLOG_LABELS[name]} {self._client_random.hex()} {secret.hex()}")
+        return secret
 
     def set_keylog(self, writer, client_random: bytes) -> None:
         """Enable the debug keylog emitter (off by default)."""
         self._keylog = writer
         self._client_random = client_random
 
-    # -- named secrets (guarded by stage) ------------------------------------
-
-    @property
-    def early_secret(self) -> bytes:
-        return self._need("early", KsStage.EARLY)
-
-    @property
-    def binder_key(self) -> bytes:
-        return self._need("binder", KsStage.EARLY)
-
-    @property
-    def client_early_traffic_secret(self) -> bytes:
-        return self._need("c_early", KsStage.EARLY)
-
-    @property
-    def handshake_secret(self) -> bytes:
-        return self._need("handshake", KsStage.HANDSHAKE)
-
-    @property
-    def client_hs_traffic(self) -> bytes:
-        return self._need("c_hs", KsStage.HANDSHAKE)
-
-    @property
-    def server_hs_traffic(self) -> bytes:
-        return self._need("s_hs", KsStage.HANDSHAKE)
-
-    @property
-    def master_secret(self) -> bytes:
-        return self._need("master", KsStage.MASTER)
-
-    @property
-    def client_ap_traffic(self) -> bytes:
-        return self._need("c_ap", KsStage.MASTER)
-
-    @property
-    def server_ap_traffic(self) -> bytes:
-        return self._need("s_ap", KsStage.MASTER)
-
-    @property
-    def exporter_master(self) -> bytes:
-        return self._need("exporter", KsStage.MASTER)
-
-    @property
-    def resumption_master(self) -> bytes:
-        return self._need("res_master", KsStage.MASTER)
+    def secret(self, name: str) -> bytes:
+        """One secret of the tree by name: early, binder, c_early, handshake,
+        c_hs, s_hs, master, c_ap, s_ap, exporter or res_master.  A secret is
+        stored only once its stage derives it."""
+        try:
+            return self._secrets[name]
+        except KeyError:
+            raise WrongStage(f"{name} not available at stage {self.stage.name}") from None
 
     # -- stage transitions ----------------------------------------------------
 
@@ -178,34 +141,26 @@ class KeySchedule:
             raise WrongStage("init_early on a non-fresh schedule")
         if psk is not None and len(psk) > 64:
             raise ValueError("psk longer than 64 bytes")
-        ikm = psk if psk else bytes(self.params.hash_len)
-        early = self._extract(b"", ikm)
+        early = self._store("early", self._extract(b"", psk or bytes(self.params.hash_len)))
         label = b"ext binder" if psk_kind == PskKind.EXTERNAL else b"res binder"
-        self._secrets["early"] = early
-        self._secrets["binder"] = self.derive_secret(early, label, self._empty_digest)
+        self._store("binder", self.derive_secret(early, label, self._empty_digest))
         self.stage = KsStage.EARLY
         return self
 
     def derive_early_traffic(self, th_client_hello: bytes) -> bytes:
         if self.stage != KsStage.EARLY:
             raise WrongStage("early traffic secret requires stage early")
-        secret = self.derive_secret(self._secrets["early"], b"c e traffic", th_client_hello)
-        self._secrets["c_early"] = secret
-        self._log(KEYLOG_EARLY, secret)
-        return secret
+        early = self._secrets["early"]
+        return self._store("c_early", self.derive_secret(early, b"c e traffic", th_client_hello))
 
     def advance_handshake(self, dh_shared: bytes | None, th_through_server_hello: bytes):
         if self.stage != KsStage.EARLY:
             raise WrongStage("advance_handshake requires stage early")
         derived = self.derive_secret(self._secrets["early"], b"derived", self._empty_digest)
-        ikm = dh_shared if dh_shared else bytes(self.params.hash_len)
-        hs = self._extract(derived, ikm)
-        self._secrets["handshake"] = hs
+        hs = self._store("handshake", self._extract(derived, dh_shared or bytes(self.params.hash_len)))
         th = th_through_server_hello
-        self._secrets["c_hs"] = self.derive_secret(hs, b"c hs traffic", th)
-        self._secrets["s_hs"] = self.derive_secret(hs, b"s hs traffic", th)
-        self._log(KEYLOG_CLIENT_HS, self._secrets["c_hs"])
-        self._log(KEYLOG_SERVER_HS, self._secrets["s_hs"])
+        self._store("c_hs", self.derive_secret(hs, b"c hs traffic", th))
+        self._store("s_hs", self.derive_secret(hs, b"s hs traffic", th))
         self.stage = KsStage.HANDSHAKE
         return self
 
@@ -213,26 +168,19 @@ class KeySchedule:
         if self.stage != KsStage.HANDSHAKE:
             raise WrongStage("advance_master requires stage handshake")
         derived = self.derive_secret(self._secrets["handshake"], b"derived", self._empty_digest)
-        master = self._extract(derived, bytes(self.params.hash_len))
-        self._secrets["master"] = master
+        master = self._store("master", self._extract(derived, bytes(self.params.hash_len)))
         th = th_through_server_finished
-        self._secrets["c_ap"] = self.derive_secret(master, b"c ap traffic", th)
-        self._secrets["s_ap"] = self.derive_secret(master, b"s ap traffic", th)
-        self._secrets["exporter"] = self.derive_secret(master, b"exp master", th)
-        self._log(KEYLOG_CLIENT_AP, self._secrets["c_ap"])
-        self._log(KEYLOG_SERVER_AP, self._secrets["s_ap"])
-        self._log(KEYLOG_EXPORTER, self._secrets["exporter"])
+        self._store("c_ap", self.derive_secret(master, b"c ap traffic", th))
+        self._store("s_ap", self.derive_secret(master, b"s ap traffic", th))
+        self._store("exporter", self.derive_secret(master, b"exp master", th))
         self.stage = KsStage.MASTER
         return self
 
     def derive_resumption(self, th_through_client_finished: bytes) -> bytes:
         if self.stage != KsStage.MASTER:
             raise WrongStage("resumption master requires stage master")
-        secret = self.derive_secret(
-            self._secrets["master"], b"res master", th_through_client_finished
-        )
-        self._secrets["res_master"] = secret
-        return secret
+        master = self._secrets["master"]
+        return self._store("res_master", self.derive_secret(master, b"res master", th_through_client_finished))
 
     # -- derived material -------------------------------------------------------
 
@@ -258,9 +206,9 @@ class KeySchedule:
     def compute_binder(self, th_truncated_hello: bytes) -> bytes:
         """The PSK binder over the hash of the transcript up to the binders
         list; both roles compute it here (RFC 8446 section 4.2.11.2)."""
-        key = self.finished_key(self.binder_key)
+        key = self.finished_key(self.secret("binder"))
         return crypto.hmac_digest(self.params.hash_alg, key, th_truncated_hello)
 
     def resumption_psk(self, ticket_nonce: bytes) -> bytes:
-        base = self.resumption_master
+        base = self.secret("res_master")
         return self.expand_label(base, b"resumption", ticket_nonce, self.params.hash_len)

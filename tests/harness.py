@@ -119,15 +119,7 @@ def run_handshake(protocol, mode, *, seed=0, net=None, client_over=None, server_
 
 
 def secrets_of(conn):
-    ks = conn.ks
-    return {
-        "c_hs": ks.client_hs_traffic,
-        "s_hs": ks.server_hs_traffic,
-        "c_ap": ks.client_ap_traffic,
-        "s_ap": ks.server_ap_traffic,
-        "exporter": ks.exporter_master,
-        "resumption": ks.resumption_master,
-    }
+    return {name: conn.ks.secret(name) for name in ("c_hs", "s_hs", "c_ap", "s_ap", "exporter", "res_master")}
 
 
 def transcript_types(conn):

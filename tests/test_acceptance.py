@@ -7,7 +7,7 @@ import itertools
 import json
 import random
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 from minitls import crypto, records
 from minitls.bench import Scenario, paper_reference, run_scenario
@@ -168,13 +168,13 @@ def test_05_key_schedule_oracle_equivalence(monkeypatch):
         s_ap = raw_expand_label(hashname, master, prefix, b"s ap traffic", th(idx_sfin), hlen)
 
         ks = conn.ks
-        assert ks.early_secret == early
-        assert ks.handshake_secret == hs
-        assert ks.client_hs_traffic == c_hs
-        assert ks.server_hs_traffic == s_hs
-        assert ks.master_secret == master
-        assert ks.client_ap_traffic == c_ap
-        assert ks.server_ap_traffic == s_ap
+        assert ks.secret("early") == early
+        assert ks.secret("handshake") == hs
+        assert ks.secret("c_hs") == c_hs
+        assert ks.secret("s_hs") == s_hs
+        assert ks.secret("master") == master
+        assert ks.secret("c_ap") == c_ap
+        assert ks.secret("s_ap") == s_ap
 
         # traffic keys and both Finished MACs, byte for byte
         keys = conn.epochs[3]["write"]
@@ -327,8 +327,8 @@ def test_10_asymmetric_op_proxy():
 def test_11_scenario_determinism(tmp_path):
     s = Scenario(profile="ecdsa128", protocol="dtls", mode="pk_mutual",
                  net=NetConfig(seed=31, loss_rate=0.1))
-    blob1 = run_scenario(Scenario.from_dict(json.loads(json.dumps(s.to_dict())))).to_json().encode()
-    blob2 = run_scenario(Scenario.from_dict(json.loads(json.dumps(s.to_dict())))).to_json().encode()
+    blob1 = run_scenario(Scenario.from_dict(json.loads(json.dumps(asdict(s))))).to_json().encode()
+    blob2 = run_scenario(Scenario.from_dict(json.loads(json.dumps(asdict(s))))).to_json().encode()
     (tmp_path / "r1.json").write_bytes(blob1)
     (tmp_path / "r2.json").write_bytes(blob2)
     assert (tmp_path / "r1.json").read_bytes() == (tmp_path / "r2.json").read_bytes()

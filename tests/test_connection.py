@@ -251,6 +251,109 @@ def test_undecodable_server_hello_is_decode_error(protocol, monkeypatch):
     assert pair.server.failure == "peer_alert"
 
 
+def rewrite_server_message(target, edit):
+    """A ``tamper_on_wire`` tamper: decode the ``target`` message, let ``edit`` change
+    it in place, and send it re-encoded."""
+    def tamper(name, raw):
+        if name != target:
+            return None
+        msg = messages.decode_handshake(raw)
+        edit(msg)
+        return messages.tls_form(msg)
+
+    return tamper
+
+
+def set_extension(msg, ext):
+    msg.extensions = [e for e in msg.extensions if e.ext_type != ext.ext_type] + [ext]
+
+
+def drop_extension(msg, ext_type):
+    msg.extensions = [e for e in msg.extensions if e.ext_type != ext_type]
+
+
+TWO_SUITES = (SuiteId.AES_128_CCM_SHA256, SuiteId.AES_256_CCM_SHA384)
+
+# (mode, client suites, the server's edit of its ServerHello or EncryptedExtensions, alert)
+SERVER_HELLO_CHECKS = {
+    "suite-not-offered": (
+        AuthMode.PK_SERVER_ONLY, None,
+        rewrite_server_message("server_hello", lambda sh: setattr(sh, "cipher_suite", 0x1301)),
+        "handshake_failure",
+    ),
+    "psk-accepted-with-another-suite": (
+        AuthMode.PSK, TWO_SUITES,
+        rewrite_server_message("server_hello", lambda sh: setattr(sh, "cipher_suite", 0x13A4)),
+        "handshake_failure",
+    ),
+    "share-for-a-group-not-offered": (
+        AuthMode.PK_SERVER_ONLY, None,
+        rewrite_server_message("server_hello", lambda sh: set_extension(
+            sh, messages.ext_key_share_server(int(NamedGroup.SECP521R1), b"\x04" + bytes(132)))),
+        "handshake_failure",
+    ),
+    "no-key-share-in-ecdhe-mode": (
+        AuthMode.PK_SERVER_ONLY, None,
+        rewrite_server_message("server_hello", lambda sh: drop_extension(sh, messages.ExtensionType.KEY_SHARE)),
+        "unexpected_message",
+    ),
+    "early-data-never-sent": (
+        AuthMode.PSK, None,
+        rewrite_server_message("encrypted_extensions", lambda ee: set_extension(ee, messages.ext_early_data())),
+        "unexpected_message",
+    ),
+}
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+@pytest.mark.parametrize("case", sorted(SERVER_HELLO_CHECKS))
+def test_client_rejects_server_hello_or_extensions_it_did_not_ask_for(case, protocol, monkeypatch):
+    # RFC 8446 sections 4.1.3, 4.2.8 and 4.2.10: each is a server answer the
+    # client's own offer rules out
+    mode, suites, tamper, alert = SERVER_HELLO_CHECKS[case]
+    tamper_on_wire(monkeypatch, "server", tamper)
+    client_cfg, server_cfg, _ = make_configs(protocol, mode, seed=67)
+    if suites is not None:
+        client_cfg = replace(client_cfg, suites=suites)
+    pair = Pair(client_cfg, server_cfg, seed=67)
+    pair.run(until_ms=5_000)
+    assert pair.client.failed and pair.client.failure == alert
+    assert not pair.client.connected
+
+
+# (mode, server has a certificate, server alert or None when the handshake completes)
+MIXED_HASH_OUTCOMES = [
+    (AuthMode.PK_SERVER_ONLY, True, None),
+    (AuthMode.PK_MUTUAL, True, None),
+    (AuthMode.PSK, True, "handshake_failure"),
+    (AuthMode.PSK_ECDHE, True, None),
+    (AuthMode.PSK_ECDHE, False, "handshake_failure"),
+]
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+@pytest.mark.parametrize("mode,server_cert,alert", MIXED_HASH_OUTCOMES)
+def test_psk_keyed_for_another_hash_is_not_selected(protocol, mode, server_cert, alert):
+    # the client offers SHA-256 and SHA-384 suites and keys its binder under the
+    # first; the server prefers the SHA-384 suite, which that PSK cannot serve
+    # (RFC 8446 section 4.2.11), so it takes the certificate path or fails
+    client_cfg, server_cfg, _ = make_configs(protocol, mode, seed=68)
+    client_cfg = replace(client_cfg, suites=TWO_SUITES)
+    server_cfg = replace(
+        server_cfg, suites=TWO_SUITES[::-1], local_ec=server_cfg.local_ec if server_cert else None
+    )
+    pair = Pair(client_cfg, server_cfg, seed=68)
+    pair.run(until_ms=5_000)
+    if alert is not None:
+        assert pair.server.failed and pair.server.failure == alert
+        assert not pair.client.connected
+        return
+    server = pair.assert_complete()
+    assert pair.client.suite == server.suite == SuiteId.AES_256_CCM_SHA384
+    assert pair.client.psk_in_use is None and server.psk_in_use is None
+    assert secrets_of(pair.client) == secrets_of(server)
+
+
 def plaintext_handshake(protocol, raw: bytes) -> bytes:
     """An epoch-0 record carrying the TLS-form handshake messages ``raw``;
     on DTLS one message, as the server's msg_seq 1 in record seq 1."""

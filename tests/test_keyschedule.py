@@ -74,21 +74,12 @@ def test_full_chain_matches_scripted_oracle(psk, dh, kind, protocol, prefix):
 
     label = b"ext binder" if kind == PskKind.EXTERNAL else b"res binder"
     want = scripted_chain("sha256", prefix, psk, dh, label, th_ch, th_sh, th_sfin)
-    assert ks.early_secret == want["early"]
-    assert ks.binder_key == want["binder"]
-    assert ks.client_early_traffic_secret == want["c_early"]
-    assert ks.handshake_secret == want["handshake"]
-    assert ks.client_hs_traffic == want["c_hs"]
-    assert ks.server_hs_traffic == want["s_hs"]
-    assert ks.master_secret == want["master"]
-    assert ks.client_ap_traffic == want["c_ap"]
-    assert ks.server_ap_traffic == want["s_ap"]
-    assert ks.exporter_master == want["exporter"]
+    assert {name: ks.secret(name) for name in want} == want
 
 
 def test_absent_psk_uses_zero_fill():
     ks = KeySchedule(SuiteId.AES_128_CCM_SHA256, Protocol.TLS, OpCounters()).init_early()
-    assert ks.early_secret == raw_hkdf_extract("sha256", b"", b"\x00" * 32)
+    assert ks.secret("early") == raw_hkdf_extract("sha256", b"", b"\x00" * 32)
 
 
 def test_binder_label_selection():
@@ -98,14 +89,14 @@ def test_binder_label_selection():
     res = KeySchedule(SuiteId.AES_128_CCM_SHA256, Protocol.TLS, OpCounters()).init_early(
         b"p" * 16, PskKind.RESUMPTION
     )
-    assert ext.binder_key != res.binder_key
-    assert ext.early_secret == res.early_secret
+    assert ext.secret("binder") != res.secret("binder")
+    assert ext.secret("early") == res.secret("early")
 
 
 def test_binder_matches_raw_hmac_oracle():
     ks = KeySchedule(SuiteId.AES_128_CCM_SHA256, Protocol.TLS, OpCounters()).init_early(b"q" * 16)
     th = hash_data(HashAlg.SHA256, b"truncated client hello")
-    fk = raw_expand_label("sha256", ks.binder_key, TLS_PREFIX, b"finished", b"", 32)
+    fk = raw_expand_label("sha256", ks.secret("binder"), TLS_PREFIX, b"finished", b"", 32)
     assert ks.compute_binder(th) == raw_hmac("sha256", fk, th)
 
 
@@ -153,6 +144,16 @@ OPS = {
     "resumption_psk": lambda ks: ks.resumption_psk(b"\x00"),
 }
 
+# Each step of a handshake, in order, and the secrets it derives.
+STEPS = [
+    ("init_early", ("early", "binder")),
+    ("derive_early_traffic", ("c_early",)),
+    ("advance_handshake", ("handshake", "c_hs", "s_hs")),
+    ("advance_master", ("master", "c_ap", "s_ap", "exporter")),
+    ("derive_resumption", ("res_master",)),
+]
+SECRET_NAMES = [name for _, names in STEPS for name in names]
+
 # Which operations are legal at each stage.
 LEGAL = {
     KsStage.FRESH: {"init_early"},
@@ -186,7 +187,19 @@ def test_stage_machine_exhaustive(stage, op):
             OPS[op](ks)
 
 
-def test_nine_secrets_pairwise_distinct():
+@pytest.mark.parametrize("name", SECRET_NAMES)
+def test_each_secret_guarded_until_its_stage(name):
+    ks = _fresh()
+    for op, derived in STEPS:
+        with pytest.raises(WrongStage, match=f"{name} not available at stage {ks.stage.name}"):
+            ks.secret(name)
+        OPS[op](ks)
+        if name in derived:
+            break
+    assert len(ks.secret(name)) == 32
+
+
+def test_every_secret_pairwise_distinct():
     rng = random.Random(2024)
     ks = KeySchedule(SuiteId.AES_128_CCM_SHA256, Protocol.TLS, OpCounters())
     ks.init_early(rng.randbytes(32))
@@ -194,19 +207,8 @@ def test_nine_secrets_pairwise_distinct():
     ks.advance_handshake(rng.randbytes(32), rng.randbytes(32))
     ks.advance_master(rng.randbytes(32))
     ks.derive_resumption(rng.randbytes(32))
-    secrets = [
-        ks.early_secret,
-        ks.binder_key,
-        ks.client_early_traffic_secret,
-        ks.handshake_secret,
-        ks.client_hs_traffic,
-        ks.server_hs_traffic,
-        ks.master_secret,
-        ks.client_ap_traffic,
-        ks.server_ap_traffic,
-        ks.exporter_master,
-        ks.resumption_master,
-    ]
+    secrets = [ks.secret(name) for name in SECRET_NAMES]
+    assert len(secrets) == 11
     for a, b in itertools.combinations(secrets, 2):
         assert a != b
 
@@ -217,9 +219,9 @@ def test_protocol_separation():
     dtls = KeySchedule(SuiteId.AES_128_CCM_SHA256, Protocol.DTLS, OpCounters()).init_early(*args)
     tls.advance_handshake(b"d" * 32, TH)
     dtls.advance_handshake(b"d" * 32, TH)
-    assert tls.early_secret == dtls.early_secret  # raw extract, no label yet
-    assert tls.binder_key != dtls.binder_key
-    assert tls.client_hs_traffic != dtls.client_hs_traffic
+    assert tls.secret("early") == dtls.secret("early")  # raw extract, no label yet
+    assert tls.secret("binder") != dtls.secret("binder")
+    assert tls.secret("c_hs") != dtls.secret("c_hs")
     assert tls.traffic_keys(b"t" * 32).key != dtls.traffic_keys(b"t" * 32).key
 
 
@@ -230,10 +232,10 @@ def test_resumption_psks_distinct_by_nonce():
 
 def test_finished_mac_round_trip():
     ks = _at_stage(KsStage.HANDSHAKE)
-    mac = ks.finished_mac(ks.server_hs_traffic, TH)
+    mac = ks.finished_mac(ks.secret("s_hs"), TH)
     assert len(mac) == 32
-    assert ks.verify_finished(ks.server_hs_traffic, TH, mac)
-    assert not ks.verify_finished(ks.server_hs_traffic, TH, mac[:-1] + b"\x00")
+    assert ks.verify_finished(ks.secret("s_hs"), TH, mac)
+    assert not ks.verify_finished(ks.secret("s_hs"), TH, mac[:-1] + b"\x00")
 
 
 def test_keylog_lines():
@@ -248,5 +250,5 @@ def test_keylog_lines():
     label, crand, secret = lines[0].split()
     assert label == "CLIENT_EARLY_TRAFFIC_SECRET"
     assert crand == "ab" * 32
-    assert bytes.fromhex(secret) == ks.client_early_traffic_secret
+    assert bytes.fromhex(secret) == ks.secret("c_early")
 

@@ -41,11 +41,6 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "minitls"
 ALLOWED = {
     "dump_line": "messages: the transcript-dump line, to be wired into the bench command",
     "Report.to_json": "perfbench hashes each report's JSON text into its digest",
-    "KeySchedule.early_secret": "acceptance test_05 and the RFC 8448 vectors check the secret tree",
-    "KeySchedule.client_early_traffic_secret": "acceptance test_05 and the RFC 8448 vectors check the secret tree",
-    "KeySchedule.handshake_secret": "acceptance test_05 and the RFC 8448 vectors check the secret tree",
-    "KeySchedule.master_secret": "acceptance test_05 and the RFC 8448 vectors check the secret tree",
-    "KeySchedule.exporter_master": "acceptance test_05 and the RFC 8448 vectors check the secret tree",
     "KeySchedule.set_keylog": "the key log debug surface, to be wired into the bench command",
 }
 
