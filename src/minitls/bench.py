@@ -221,6 +221,11 @@ def build_configs(scenario: Scenario):
         raise IllegalOverride("a connection id needs dtls")
     if scenario.pad_len < 0 or scenario.app_payload < 0 or scenario.early_payload < 0:
         raise IllegalOverride("padding and payload sizes must not be negative")
+    net = scenario.net
+    if not (0 <= net.loss_rate <= 1 and 0 <= net.dup_rate <= 1 and 0 <= net.reorder_rate <= 1):
+        raise IllegalOverride("loss, dup and reorder rates must lie in [0, 1]")
+    if net.latency_ms < 0 or net.framing_overhead < 0:
+        raise IllegalOverride("latency and framing overhead must not be negative")
     prof = resolve(scenario.profile, scenario.overrides)
     try:
         mode = AuthMode(scenario.mode)
@@ -242,7 +247,7 @@ def build_configs(scenario: Scenario):
                 (preferred,) + tuple(g for g in groups if g != preferred)
             )
 
-    deployment = make_deployment(scenario.net.seed, groups, prof.cert_size)
+    deployment = make_deployment(net.seed, groups, prof.cert_size)
     psk = deployment["psk"]
     needs_cert = mode in PK_FAMILY
     mutual = mode == AuthMode.PK_MUTUAL
@@ -254,7 +259,7 @@ def build_configs(scenario: Scenario):
         groups=groups if mode in ECDHE_FAMILY else (),
         compat=prof.compat_mode and protocol == Protocol.TLS,
         pad_len=scenario.pad_len,
-        mtu=scenario.net.mtu,
+        mtu=net.mtu,
         packing=scenario.packing,
         sni=prof.sni_hostname if needs_cert else None,
     )

@@ -42,7 +42,6 @@ def _add_scenario_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--packing", action="store_true")
     p.add_argument("--padding", type=int, default=0, metavar="N")
     p.add_argument("--compat", action="store_true")
-    p.add_argument("--zero-rtt", action="store_true")
     p.add_argument("--dos", action="store_true",
                    help="require the DTLS cookie exchange before allocating state")
 
@@ -56,8 +55,6 @@ def _scenario_from_args(args) -> Scenario:
     mode = args.mode
     if mode is None:
         mode = "psk" if args.profile.startswith("psk") or args.profile == "full" else "pk_mutual"
-    if args.zero_rtt:
-        mode = "zero_rtt"
     if mode == "zero_rtt":
         overrides.setdefault("zero_rtt", True)
         overrides.setdefault("modes", sorted({mode} | {m.value for m in resolve(args.profile).modes}))

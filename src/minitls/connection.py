@@ -40,7 +40,7 @@ from .errors import (
     UnknownTicket,
 )
 from .keyschedule import KeySchedule, PskKind
-from .messages import ExtensionType, HandshakeType
+from .messages import ExtensionType, HandshakeType, PskMode
 from .profiles import (
     ECDHE_FAMILY,
     PK_FAMILY,
@@ -361,7 +361,7 @@ class Connection:
             cred = self.cfg.local_ec
             if cred is None:
                 raise ConfigConflict(f"{self.role} certificate requested but not configured")
-            out += self._emit(messages.build_certificate(b"", [cred.cert_der]), EPOCH_HANDSHAKE, now)
+            out += self._emit(messages.Certificate(b"", [(cred.cert_der, b"")]), EPOCH_HANDSHAKE, now)
             content = messages.certificate_verify_content(self.role, self._th())
             cv = messages.CertificateVerify(int(cred.scheme), self._sign(cred, content))
             out += self._emit(cv, EPOCH_HANDSHAKE, now)
@@ -416,11 +416,12 @@ class Connection:
         return None
 
     def _client_hello_flight(self, now: int, cookie: bytes | None) -> list:
+        """Extensions in canonical order; pre_shared_key last, its binder zero-filled until computed."""
         cfg = self.cfg
         psk = self._psk_offer(now)
         offer_share = cfg.mode in ECDHE_FAMILY
-        cert_mode = cfg.mode in PK_FAMILY
-        share_entries = None
+        early_data = cfg.mode == AuthMode.ZERO_RTT and bool(cfg.early_payload)
+        exts = [messages.ext_supported_versions_client()]
         if offer_share:
             if not cfg.groups:
                 raise ConfigConflict("key-share modes need a named group")
@@ -428,23 +429,27 @@ class Connection:
                 self.dh_priv, pub = self._keypair(cfg.groups[0])
             else:
                 pub = self.dh_priv.public_bytes()
-            share_entries = [(int(cfg.groups[0]), pub)]  # exactly one key share
-        ch = messages.build_client_hello(
-            self.rng,
-            [int(s) for s in cfg.suites],
-            compat_session=cfg.compat and self.protocol == Protocol.TLS,
-            key_share_entries=share_entries,
-            groups=[int(g) for g in cfg.groups] if offer_share else None,
-            sig_algs=[int(s) for s in self._scheme_list()] if cert_mode else None,
-            server_name=cfg.sni if cert_mode else None,
-            psk_identity=psk.identity if psk else None,
-            obfuscated_age=self.obfuscated_age,
-            binder_len=self.params.hash_len if psk else 0,
-            psk_modes=[messages.PskMode.PSK_DHE_KE if offer_share else messages.PskMode.PSK_KE],
-            early_data=cfg.mode == AuthMode.ZERO_RTT and bool(cfg.early_payload),
-            cookie=cookie,
-            cid=self._advertised_cid(),
-        )
+            exts.append(messages.ext_supported_groups([int(g) for g in cfg.groups]))
+        if cfg.mode in PK_FAMILY:
+            exts.append(messages.ext_signature_algorithms([int(s) for s in self._scheme_list()]))
+            if cfg.sni is not None:
+                exts.append(messages.ext_server_name(cfg.sni))
+        cid = self._advertised_cid()
+        if cid is not None:
+            exts.append(messages.ext_connection_id(cid))
+        if cookie is not None:
+            exts.append(messages.ext_cookie(cookie))
+        if offer_share:
+            exts.append(messages.ext_key_share_client([(int(cfg.groups[0]), pub)]))  # exactly one key share
+        if early_data:
+            exts.append(messages.ext_early_data())
+        if psk is not None:
+            exts.append(messages.ext_psk_modes([PskMode.PSK_DHE_KE if offer_share else PskMode.PSK_KE]))
+            zero_binder = bytes(self.params.hash_len)
+            exts.append(messages.ext_pre_shared_key_offer(psk.identity, self.obfuscated_age, zero_binder))
+        ch = messages.ClientHello(self.rng.randbytes(32), b"", [int(s) for s in cfg.suites], exts)
+        if cfg.compat and self.protocol == Protocol.TLS:
+            ch.legacy_session_id = self.rng.randbytes(32)
         self._new_schedule(psk.secret if psk else None, self.psk_kind_in_use)
         if psk is not None:
             prefix = messages.binder_prefix(messages.tls_form(ch), self.params.hash_len)
@@ -452,7 +457,7 @@ class Connection:
             ch.extensions[-1] = messages.ext_pre_shared_key_offer(psk.identity, self.obfuscated_age, binder)
         out = self._emit(ch, EPOCH_PLAIN, now)
         self.phase = Phase.WAIT_SH
-        if cfg.mode == AuthMode.ZERO_RTT and cfg.early_payload:
+        if early_data:
             out.extend(self._send_early_data())
         return out
 
@@ -786,29 +791,27 @@ class Connection:
         psk = self._server_select_psk(ch, raw, now, fallback_possible=share is not None)
         mode = self._server_mode(psk, share)
 
+        exts = [messages.ext_supported_versions_server()]
         cid_ext = messages.find_extension(ch.extensions, ExtensionType.CONNECTION_ID)
         if cid_ext is not None:
             self.cid_peer = messages.parse_connection_id(cid_ext.data) or None
+            cid = self._advertised_cid()
+            if cid is not None:
+                exts.append(messages.ext_connection_id(cid))
 
         dh = None
-        key_share_entry = None
         if mode in ECDHE_FAMILY:
             group, client_pub = share
             priv, pub = self._keypair(group)
             dh = self._shared(priv, client_pub)
-            key_share_entry = (int(group), pub)
+            exts.append(messages.ext_key_share_server(int(group), pub))
 
         if psk is None:
             self._new_schedule()
+        else:
+            exts.append(messages.ext_pre_shared_key_server(0))
 
-        sh = messages.build_server_hello(
-            self.rng.randbytes(32),
-            ch.legacy_session_id,
-            int(self.suite),
-            key_share_entry=key_share_entry,
-            selected_psk=0 if psk is not None else None,
-            cid=self._advertised_cid() if cid_ext is not None else None,
-        )
+        sh = messages.ServerHello(self.rng.randbytes(32), ch.legacy_session_id, int(self.suite), exts)
         out = self._emit(sh, EPOCH_PLAIN, now)
         self.ks.advance_handshake(dh, self._th())
         self._install(EPOCH_HANDSHAKE, "write", self.ks.secret("s_hs"))
@@ -817,8 +820,8 @@ class Connection:
         ee_exts = [messages.ext_early_data()] if self.early_accepted else []
         out += self._emit(messages.EncryptedExtensions(ee_exts), EPOCH_HANDSHAKE, now)
         if mode == AuthMode.PK_MUTUAL:
-            cr = messages.build_certificate_request([int(s) for s in self._scheme_list()])
-            out += self._emit(cr, EPOCH_HANDSHAKE, now)
+            sig_algs = messages.ext_signature_algorithms([int(s) for s in self._scheme_list()])
+            out += self._emit(messages.CertificateRequest(b"", [sig_algs]), EPOCH_HANDSHAKE, now)
         out += self._own_flight(with_cert=mode in PK_FAMILY, now=now)
 
         self.ks.advance_master(self._th())
@@ -912,7 +915,9 @@ class Connection:
         age_add = self.rng.getrandbits(32)
         psk = self.ks.resumption_psk(nonce)
         self.ticket_db[ticket_id] = {"psk": psk, "issued_at": now, "age_add": age_add}
-        nst = messages.build_new_session_ticket(TICKET_LIFETIME_S, age_add, nonce, ticket_id, max_early_data=1 << 14)
+        nst = messages.NewSessionTicket(
+            TICKET_LIFETIME_S, age_add, nonce, ticket_id, [messages.ext_early_data_ticket(1 << 14)]
+        )
         self._event(now, EventKind.TICKET, ticket=ticket_id.hex())
         return self._emit(nst, EPOCH_APP, now)
 

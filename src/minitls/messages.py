@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from enum import IntEnum
 
 from .errors import (
-    ConfigConflict,
     DecodeError,
     FragmentGap,
     InconsistentDuplicate,
@@ -606,75 +605,6 @@ class FragmentBuffer:
 # --- builders ---------------------------------------------------------------------
 
 
-def build_client_hello(
-    rng,
-    suites,
-    *,
-    compat_session: bool = False,
-    key_share_entries=None,
-    groups=None,
-    sig_algs=None,
-    server_name: str | None = None,
-    psk_identity: bytes | None = None,
-    obfuscated_age: int = 0,
-    binder_len: int = 0,
-    psk_modes=None,
-    early_data: bool = False,
-    cookie: bytes | None = None,
-    cid: bytes | None = None,
-) -> ClientHello:
-    """Assemble a ClientHello in canonical extension order (pre_shared_key
-    last, with a zero-filled binder of ``binder_len`` bytes that the caller
-    replaces once the transcript is known)."""
-    if early_data and psk_identity is None:
-        raise ConfigConflict("0-RTT requires an offered PSK")
-    exts = [ext_supported_versions_client()]
-    if groups:
-        exts.append(ext_supported_groups(groups))
-    if sig_algs:
-        exts.append(ext_signature_algorithms(sig_algs))
-    if server_name is not None:
-        exts.append(ext_server_name(server_name))
-    if cid is not None:
-        exts.append(ext_connection_id(cid))
-    if cookie is not None:
-        exts.append(ext_cookie(cookie))
-    if key_share_entries is not None:
-        exts.append(ext_key_share_client(key_share_entries))
-    if early_data:
-        exts.append(ext_early_data())
-    if psk_identity is not None:
-        exts.append(ext_psk_modes(psk_modes or [PskMode.PSK_KE]))
-        exts.append(
-            ext_pre_shared_key_offer(psk_identity, obfuscated_age, bytes(binder_len))
-        )
-    return ClientHello(
-        random=rng.randbytes(32),
-        legacy_session_id=rng.randbytes(32) if compat_session else b"",
-        cipher_suites=list(suites),
-        extensions=exts,
-    )
-
-
-def build_server_hello(
-    random32: bytes,
-    session_id_echo: bytes,
-    suite: int,
-    *,
-    key_share_entry=None,
-    selected_psk: int | None = None,
-    cid: bytes | None = None,
-) -> ServerHello:
-    exts = [ext_supported_versions_server()]
-    if cid is not None:
-        exts.append(ext_connection_id(cid))
-    if key_share_entry is not None:
-        exts.append(ext_key_share_server(*key_share_entry))
-    if selected_psk is not None:
-        exts.append(ext_pre_shared_key_server(selected_psk))
-    return ServerHello(random32, session_id_echo, suite, exts)
-
-
 def build_hello_retry_request(suite: int, cookie: bytes, session_id_echo: bytes = b"") -> ServerHello:
     exts = [ext_supported_versions_server(), ext_cookie(cookie)]
     return ServerHello(HRR_RANDOM, session_id_echo, suite, exts)
@@ -682,21 +612,6 @@ def build_hello_retry_request(suite: int, cookie: bytes, session_id_echo: bytes 
 
 def is_hello_retry_request(sh: ServerHello) -> bool:
     return sh.random == HRR_RANDOM
-
-
-def build_certificate(request_context: bytes, cert_blobs) -> Certificate:
-    return Certificate(request_context, [(blob, b"") for blob in cert_blobs])
-
-
-def build_certificate_request(sig_algs, request_context: bytes = b"") -> CertificateRequest:
-    return CertificateRequest(request_context, [ext_signature_algorithms(sig_algs)])
-
-
-def build_new_session_ticket(
-    lifetime: int, age_add: int, nonce: bytes, ticket: bytes, max_early_data: int | None = None
-) -> NewSessionTicket:
-    exts = [] if max_early_data is None else [ext_early_data_ticket(max_early_data)]
-    return NewSessionTicket(lifetime, age_add, nonce, ticket, exts)
 
 
 _CV_CONTEXT = {

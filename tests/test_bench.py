@@ -244,11 +244,23 @@ MATRIX = ["matrix", "--config", "{matrix}"]
     (MATRIX, {"net": {"loss_rate": "0.1"}}),
     (MATRIX, {"net": {"mtu": True}}),
     (["run", "--padding", "300", "--mtu", "200"], None),
+    (["run", "--loss", "1.5"], None),
+    (["run", "--dup", "-1"], None),
+    (["run", "--reorder", "2"], None),
+    (["run", "--latency", "-5"], None),
+    (["run", "--framing", "-3"], None),
+    (MATRIX, {"net": {"loss_rate": -0.1}}),
+    (MATRIX, {"net": {"dup_rate": 1.01}}),
+    (MATRIX, {"net": {"reorder_rate": -1}}),
+    (MATRIX, {"net": {"latency_ms": -1}}),
+    (MATRIX, {"net": {"framing_overhead": -3}}),
 ], ids=["cid-range", "cid-on-tls", "mode-not-in-profile", "unknown-mode", "unknown-suite", "unknown-profile",
         "matrix-unknown-protocol", "matrix-unknown-key", "matrix-unknown-net-key", "matrix-unknown-override-suite",
         "key-share-mode-without-group", "mtu-20", "mtu-0", "negative-padding", "negative-app-payload",
         "negative-cert-size", "matrix-str-mtu", "matrix-str-cid", "matrix-str-loss-rate", "matrix-bool-mtu",
-        "padding-300-mtu-200"])
+        "padding-300-mtu-200", "loss-1.5", "dup-minus-1", "reorder-2", "negative-latency", "negative-framing",
+        "matrix-negative-loss-rate", "matrix-dup-rate-above-1", "matrix-negative-reorder-rate",
+        "matrix-negative-latency", "matrix-negative-framing"])
 def test_cli_configuration_error_exit_code(argv, entry, tmp_path, capsys):
     matrix = tmp_path / "matrix.json"
     matrix.write_text(json.dumps({"scenarios": [entry]}))
@@ -312,7 +324,8 @@ def test_readme_bench_lines_exit_zero(tmp_path, monkeypatch):
 # Commands whose combined output is pinned byte for byte: text, CSV and JSON
 # output, --compare-paper warnings, a lossy DTLS run, 0-RTT, CID, packing, the
 # cookie exchange, resumption through the matrix, and the --strict row that
-# exits 3. Only a change meant to move bench output may update the constant.
+# exits 3. Only a change meant to move bench output, or one that edits an argv
+# here (each argv is hashed with its output), may update the constant.
 GOLDEN_COMMANDS = [
     ["run", "--profile", "psk128", "--protocol", "dtls", "--seed", "1"],
     ["run", "--profile", "psk128_256", "--protocol", "tls", "--format", "csv", "--compare-paper"],
@@ -321,9 +334,9 @@ GOLDEN_COMMANDS = [
      "--compare-paper"],
     ["run", "--profile", "ecdsa128", "--protocol", "dtls", "--mode", "pk_mutual", "--mtu", "400",
      "--loss", "0.2", "--dup", "0.1", "--reorder", "0.2", "--seed", "7", "--format", "json"],
-    ["run", "--profile", "full", "--protocol", "tls", "--zero-rtt", "--format", "json"],
-    ["run", "--profile", "full", "--protocol", "dtls", "--zero-rtt", "--cid", "4", "--packing",
-     "--dos", "--format", "csv"],
+    ["run", "--profile", "full", "--protocol", "tls", "--mode", "zero_rtt", "--format", "json"],
+    ["run", "--profile", "full", "--protocol", "dtls", "--mode", "zero_rtt", "--cid", "4",
+     "--packing", "--dos", "--format", "csv"],
     ["run", "--profile", "ecdsa128_256", "--protocol", "tls", "--mode", "pk_mutual", "--suite",
      "0x13A4", "--compare-paper", "--strict"],
     ["matrix", "--config", "{matrix}", "--format", "json", "--compare-paper"],
@@ -333,7 +346,7 @@ GOLDEN_MATRIX = {"scenarios": [
     {"profile": "full", "protocol": "dtls", "mode": "zero_rtt", "resume": True},
     {"profile": "ecdsa128", "protocol": "tls", "mode": "pk_mutual", "pad_len": 3},
 ]}
-GOLDEN_SHA256 = "e347831acf3e184c9bcbbfb7492052216be0bd348f490706b804d01e6b1ac0a3"
+GOLDEN_SHA256 = "8b6497d06c747bdc81dcaa8b7e001a65b0211f89cf78520d6b79bfc693b837cb"
 
 
 def test_cli_output_golden(tmp_path):

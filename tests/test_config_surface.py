@@ -51,7 +51,7 @@ OPTIONS = {
     "run": sorted([
         "-h", "--help", "--profile", "--protocol", "--mode", "--suite", "--cid", "--loss",
         "--dup", "--reorder", "--mtu", "--latency", "--seed", "--cert-size", "--framing",
-        "--app-payload", "--packing", "--padding", "--compat", "--zero-rtt", "--dos",
+        "--app-payload", "--packing", "--padding", "--compat", "--dos",
         *_REPORT_OPTIONS,
     ]),
     "matrix": sorted(["-h", "--help", "--config", *_REPORT_OPTIONS]),

@@ -50,6 +50,70 @@ def test_honest_handshake_completes_with_shared_keys(protocol, mode):
     assert pair.client.transcript == server.transcript
 
 
+SV, GROUPS, SIG_ALGS, SNI, CID, COOKIE, SHARE, EARLY, PSK_MODES, PSK = (
+    messages.ExtensionType.SUPPORTED_VERSIONS,
+    messages.ExtensionType.SUPPORTED_GROUPS,
+    messages.ExtensionType.SIGNATURE_ALGORITHMS,
+    messages.ExtensionType.SERVER_NAME,
+    messages.ExtensionType.CONNECTION_ID,
+    messages.ExtensionType.COOKIE,
+    messages.ExtensionType.KEY_SHARE,
+    messages.ExtensionType.EARLY_DATA,
+    messages.ExtensionType.PSK_KEY_EXCHANGE_MODES,
+    messages.ExtensionType.PRE_SHARED_KEY,
+)
+# mode -> (ClientHello extension types, ServerHello extension types), in wire order
+HELLO_EXTENSIONS = {
+    AuthMode.PSK: ([SV, PSK_MODES, PSK], [SV, PSK]),
+    AuthMode.PSK_ECDHE: ([SV, GROUPS, SHARE, PSK_MODES, PSK], [SV, SHARE, PSK]),
+    AuthMode.PK_SERVER_ONLY: ([SV, GROUPS, SIG_ALGS, SNI, SHARE], [SV, SHARE]),
+    AuthMode.PK_MUTUAL: ([SV, GROUPS, SIG_ALGS, SNI, SHARE], [SV, SHARE]),
+    AuthMode.ZERO_RTT: ([SV, EARLY, PSK_MODES, PSK], [SV, PSK]),
+}
+
+
+def sent_hellos(conn) -> list:
+    """The ClientHellos and ServerHellos (HelloRetryRequests included) in ``conn``'s transcript."""
+    hellos = (HandshakeType.CLIENT_HELLO, HandshakeType.SERVER_HELLO)
+    return [messages.decode_handshake(raw) for raw in conn.transcript if raw[0] in hellos]
+
+
+def extension_types(msg) -> list:
+    return [ext.ext_type for ext in msg.extensions]
+
+
+@pytest.mark.parametrize("compat", [False, True], ids=["plain", "compat"])
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+@pytest.mark.parametrize("mode", ALL_MODES)
+def test_hellos_each_side_sends(mode, protocol, compat):
+    kw = {"early_payload": b"x" * 16} if mode == AuthMode.ZERO_RTT else {}
+    pair = run_handshake(protocol, mode, seed=3, client_over={"compat": compat}, **kw)
+    pair.assert_complete()
+    ch, sh = sent_hellos(pair.client)
+    assert (extension_types(ch), extension_types(sh)) == HELLO_EXTENSIONS[mode]
+    assert len(ch.legacy_session_id) == (32 if compat and protocol == Protocol.TLS else 0)
+    assert sh.legacy_session_id_echo == ch.legacy_session_id
+    if mode in (AuthMode.PK_SERVER_ONLY, AuthMode.PK_MUTUAL):
+        [(_, share)] = messages.parse_key_share_client(messages.find_extension(ch.extensions, SHARE).data)
+        assert len(share) == 65
+        sni = messages.find_extension(ch.extensions, SNI).data
+        assert sni == b"\x00\x0e" + b"\x00" + b"\x00\x0b" + b"iot.example"  # one host_name entry
+
+
+def test_hellos_with_connection_ids_after_a_cookie_exchange():
+    pair = run_handshake(
+        Protocol.DTLS, AuthMode.PK_MUTUAL, seed=3, client_over={"cid": 0}, server_over={"cid": 4, "dos": True}
+    )
+    pair.assert_complete()
+    hrr, ch, sh = sent_hellos(pair.client)
+    assert messages.is_hello_retry_request(hrr)
+    assert extension_types(hrr) == [SV, COOKIE]
+    assert extension_types(ch) == [SV, GROUPS, SIG_ALGS, SNI, CID, COOKIE, SHARE]
+    assert extension_types(sh) == [SV, CID, SHARE]
+    assert messages.parse_connection_id(messages.find_extension(ch.extensions, CID).data) == b""
+    assert len(messages.parse_connection_id(messages.find_extension(sh.extensions, CID).data)) == 4
+
+
 @pytest.mark.parametrize("protocol", PROTOCOLS)
 def test_mode_message_set_invariant(protocol):
     psk = run_handshake(protocol, AuthMode.PSK, seed=1)

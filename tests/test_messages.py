@@ -5,40 +5,66 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minitls import messages as m
+from minitls.connection import Connection
 from minitls.crypto import NamedGroup, Protocol, SignatureScheme, SuiteId
 from minitls.errors import (
-    ConfigConflict,
     DecodeError,
     FragmentGap,
     InconsistentDuplicate,
 )
+from minitls.profiles import AuthMode
+
+from .harness import make_configs
+
+
+def psk_client_hello(rng, binder_len: int = 32) -> m.ClientHello:
+    """A psk-mode ClientHello before its binder is computed: the binder is zero-filled."""
+    exts = [
+        m.ext_supported_versions_client(),
+        m.ext_psk_modes([m.PskMode.PSK_KE]),
+        m.ext_pre_shared_key_offer(b"id", 0, bytes(binder_len)),
+    ]
+    return m.ClientHello(rng.randbytes(32), b"", [SuiteId.AES_128_CCM_SHA256], exts)
+
+
+def certificate(der: bytes) -> m.Certificate:
+    return m.Certificate(b"", [(der, b"")])
 
 
 def sample_messages():
     rng = random.Random(11)
-    ch_psk = m.build_client_hello(
-        rng,
+    ch_psk = m.ClientHello(
+        rng.randbytes(32),
+        b"",
         [SuiteId.AES_128_CCM_SHA256],
-        psk_identity=b"client-psk-1",
-        obfuscated_age=0x11223344,
-        binder_len=32,
+        [
+            m.ext_supported_versions_client(),
+            m.ext_psk_modes([m.PskMode.PSK_KE]),
+            m.ext_pre_shared_key_offer(b"client-psk-1", 0x11223344, bytes(32)),
+        ],
     )
-    ch_pk = m.build_client_hello(
-        rng,
+    ch_pk = m.ClientHello(
+        rng.randbytes(32),
+        rng.randbytes(32),
         [SuiteId.AES_128_CCM_SHA256, SuiteId.AES_256_CCM_SHA384],
-        compat_session=True,
-        key_share_entries=[(NamedGroup.SECP256R1, b"\x04" + bytes(64))],
-        groups=[NamedGroup.SECP256R1],
-        sig_algs=[SignatureScheme.ECDSA_SECP256R1_SHA256],
-        server_name="iot.example",
-        cid=b"\xca\xfe\x00\x01",
+        [
+            m.ext_supported_versions_client(),
+            m.ext_supported_groups([NamedGroup.SECP256R1]),
+            m.ext_signature_algorithms([SignatureScheme.ECDSA_SECP256R1_SHA256]),
+            m.ext_server_name("iot.example"),
+            m.ext_connection_id(b"\xca\xfe\x00\x01"),
+            m.ext_key_share_client([(NamedGroup.SECP256R1, b"\x04" + bytes(64))]),
+        ],
     )
-    sh = m.build_server_hello(
+    sh = m.ServerHello(
         rng.randbytes(32),
         b"",
         SuiteId.AES_128_CCM_SHA256,
-        key_share_entry=(NamedGroup.SECP256R1, b"\x04" + bytes(64)),
-        selected_psk=0,
+        [
+            m.ext_supported_versions_server(),
+            m.ext_key_share_server(NamedGroup.SECP256R1, b"\x04" + bytes(64)),
+            m.ext_pre_shared_key_server(0),
+        ],
     )
     return [
         ch_psk,
@@ -47,11 +73,11 @@ def sample_messages():
         m.build_hello_retry_request(SuiteId.AES_128_CCM_SHA256, b"cookie-bytes"),
         m.EncryptedExtensions([m.ext_early_data()]),
         m.EncryptedExtensions([]),
-        m.build_certificate(b"", [b"\x30\x82" + bytes(500)]),
-        m.build_certificate_request([SignatureScheme.ECDSA_SECP256R1_SHA256]),
+        certificate(b"\x30\x82" + bytes(500)),
+        m.CertificateRequest(b"", [m.ext_signature_algorithms([SignatureScheme.ECDSA_SECP256R1_SHA256])]),
         m.CertificateVerify(SignatureScheme.ECDSA_SECP256R1_SHA256, b"\x30\x44" + bytes(68)),
         m.Finished(bytes(range(32))),
-        m.build_new_session_ticket(7200, 0xDEADBEEF, b"\x00", b"ticket-id-16byte", 1024),
+        m.NewSessionTicket(7200, 0xDEADBEEF, b"\x00", b"ticket-id-16byte", [m.ext_early_data_ticket(1024)]),
         m.EndOfEarlyData(),
     ]
 
@@ -131,8 +157,7 @@ def test_decoder_total_on_random_bytes(data):
 
 
 def test_psk_extension_must_be_last():
-    rng = random.Random(0)
-    ch = m.build_client_hello(rng, [SuiteId.AES_128_CCM_SHA256], psk_identity=b"id", binder_len=32)
+    ch = psk_client_hello(random.Random(0))
     ch.extensions.append(m.ext_early_data())
     with pytest.raises(DecodeError):
         m.decode_handshake(m.tls_form(ch))
@@ -140,60 +165,21 @@ def test_psk_extension_must_be_last():
 
 def test_duplicate_extension_rejected():
     rng = random.Random(0)
-    ch = m.build_client_hello(rng, [SuiteId.AES_128_CCM_SHA256])
+    ch = m.ClientHello(rng.randbytes(32), b"", [SuiteId.AES_128_CCM_SHA256], [m.ext_supported_versions_client()])
     ch.extensions.append(m.ext_supported_versions_client())
     with pytest.raises(DecodeError):
         m.decode_handshake(m.tls_form(ch))
 
 
-def test_client_hello_builder_rules():
-    rng = random.Random(1)
-    ch = m.build_client_hello(
-        rng,
-        [SuiteId.AES_128_CCM_SHA256],
-        psk_identity=b"psk-id",
-        binder_len=32,
-    )
-    assert ch.extensions[-1].ext_type == m.ExtensionType.PRE_SHARED_KEY
-    assert m.find_extension(ch.extensions, m.ExtensionType.KEY_SHARE) is None
-    assert m.find_extension(ch.extensions, m.ExtensionType.SERVER_NAME) is None
-    assert ch.legacy_session_id == b""
-
-    pk = m.build_client_hello(
-        rng,
-        [SuiteId.AES_128_CCM_SHA256],
-        key_share_entries=[(NamedGroup.SECP256R1, b"\x04" + bytes(64))],
-        groups=[NamedGroup.SECP256R1],
-        sig_algs=[SignatureScheme.ECDSA_SECP256R1_SHA256],
-        server_name="iot.example",
-    )
-    shares = m.parse_key_share_client(
-        m.find_extension(pk.extensions, m.ExtensionType.KEY_SHARE).data
-    )
-    assert len(shares) == 1
-    assert len(shares[0][1]) == 65
-    sni = m.find_extension(pk.extensions, m.ExtensionType.SERVER_NAME).data
-    assert sni == b"\x00\x0e" + b"\x00" + b"\x00\x0b" + b"iot.example"  # host_name entry
-
-    with pytest.raises(ConfigConflict):
-        m.build_client_hello(rng, [SuiteId.AES_128_CCM_SHA256], early_data=True)
-
-
 def test_client_hello_deterministic_from_seed():
-    build = lambda: m.build_client_hello(
-        random.Random(77),
-        [SuiteId.AES_128_CCM_SHA256],
-        compat_session=True,
-        psk_identity=b"id",
-        binder_len=32,
-    )
-    assert m.tls_form(build()) == m.tls_form(build())
+    cfg, _, _ = make_configs(Protocol.TLS, AuthMode.PSK, compat=True)
+    first_flight = lambda: [rec.data for rec in Connection(cfg, "client", random.Random(77)).start(0)]
+    assert first_flight() == first_flight()
 
 
 def test_binder_prefix():
     for hash_len in (32, 48):
-        rng = random.Random(2)
-        ch = m.build_client_hello(rng, [SuiteId.AES_128_CCM_SHA256], psk_identity=b"id", binder_len=hash_len)
+        ch = psk_client_hello(random.Random(2), binder_len=hash_len)
         full = m.tls_form(ch)
         prefix = m.binder_prefix(full, hash_len)
         assert full.startswith(prefix)
@@ -206,12 +192,14 @@ def test_hrr_sentinel_detection():
     hrr = m.build_hello_retry_request(SuiteId.AES_128_CCM_SHA256, b"c" * 33)
     assert m.is_hello_retry_request(hrr)
     assert m.parse_cookie(m.find_extension(hrr.extensions, m.ExtensionType.COOKIE).data) == b"c" * 33
-    sh = m.build_server_hello(bytes(32), b"", SuiteId.AES_128_CCM_SHA256, selected_psk=0)
+    exts = [m.ext_supported_versions_server(), m.ext_pre_shared_key_server(0)]
+    sh = m.ServerHello(bytes(32), b"", SuiteId.AES_128_CCM_SHA256, exts)
     assert not m.is_hello_retry_request(sh)
 
 
 def test_server_hello_psk_selection_zero():
-    sh = m.build_server_hello(bytes(32), b"sid", SuiteId.AES_128_CCM_SHA256, selected_psk=0)
+    exts = [m.ext_supported_versions_server(), m.ext_pre_shared_key_server(0)]
+    sh = m.ServerHello(bytes(32), b"sid", SuiteId.AES_128_CCM_SHA256, exts)
     ext = m.find_extension(sh.extensions, m.ExtensionType.PRE_SHARED_KEY)
     assert ext.data == b"\x00\x00"
     assert sh.legacy_session_id_echo == b"sid"
@@ -219,7 +207,7 @@ def test_server_hello_psk_selection_zero():
 
 def test_fragmentation_three_parts_reverse_reassembly():
     rng = random.Random(3)
-    cert = m.build_certificate(b"", [rng.randbytes(3000 - 11)])
+    cert = certificate(rng.randbytes(3000 - 11))
     wire = wire_form(cert, Protocol.DTLS, message_seq=2)
     frags = split(cert, 2, 1200)
     assert len(frags) == 3
@@ -239,7 +227,7 @@ def test_fragment_random_split_points():
     rng = random.Random(4)
     for _ in range(500):
         body = rng.randbytes(rng.randrange(1, 400))
-        cert = m.build_certificate(b"", [body])
+        cert = certificate(body)
         wire = wire_form(cert, Protocol.DTLS, message_seq=1)
         budget = rng.randrange(13, 200)
         frags = split(cert, 1, budget)
@@ -249,7 +237,7 @@ def test_fragment_random_split_points():
 
 
 def test_fragment_gap_and_inconsistency():
-    frags = split(m.build_certificate(b"", [bytes(100)]), 0, 50)
+    frags = split(certificate(bytes(100)), 0, 50)
     with pytest.raises(FragmentGap):
         reassemble(frags[:-1])
     bad = m.DtlsFragment(

@@ -29,13 +29,15 @@ SCHEME = int(SignatureScheme.ECDSA_SECP256R1_SHA256)
 def sample_messages() -> dict:
     """handshake type -> one well-formed message of that type, in TLS form."""
     built = [
-        messages.build_client_hello(random.Random(0), [int(DEFAULT_SUITE)]),
-        messages.build_server_hello(bytes(32), b"", int(DEFAULT_SUITE)),
-        messages.build_new_session_ticket(7200, 0, bytes(8), bytes(16)),
+        messages.ClientHello(
+            random.Random(0).randbytes(32), b"", [int(DEFAULT_SUITE)], [messages.ext_supported_versions_client()]
+        ),
+        messages.ServerHello(bytes(32), b"", int(DEFAULT_SUITE), [messages.ext_supported_versions_server()]),
+        messages.NewSessionTicket(7200, 0, bytes(8), bytes(16)),
         messages.EndOfEarlyData(),
         messages.EncryptedExtensions([]),
-        messages.build_certificate(b"", [bytes(8)]),
-        messages.build_certificate_request([SCHEME]),
+        messages.Certificate(b"", [(bytes(8), b"")]),
+        messages.CertificateRequest(b"", [messages.ext_signature_algorithms([SCHEME])]),
         messages.CertificateVerify(SCHEME, bytes(8)),
         messages.Finished(bytes(32)),
     ]
