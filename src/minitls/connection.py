@@ -152,11 +152,30 @@ class ConnConfig:
     resume: TicketState | None = None
 
 
-def _negotiate(server_pref, client_offer, exc, what):
-    for item in server_pref:
-        if item in client_offer:
-            return item
-    raise exc(f"no common {what}")
+def _expired(ticket: dict, now: int) -> bool:
+    return now - ticket["issued_at"] > TICKET_LIFETIME_S * 1000
+
+
+def _choose_suite(cfg: ConnConfig, ticket_db: dict, ch, now: int) -> SuiteId:
+    """The server's most-preferred suite that the client offers. When the
+    ClientHello offers a PSK this server accepts (its external PSK or a live
+    ticket), the most-preferred such suite with the hash the binder is keyed
+    with, if there is one (RFC 8446 section 4.2.11)."""
+    shared = [suite for suite in cfg.suites if suite in ch.cipher_suites]
+    if not shared:
+        raise NoCommonSuite("no common cipher suite")
+    ext = messages.find_extension(ch.extensions, ExtensionType.PRE_SHARED_KEY)
+    if ext is not None and len(shared) > 1:
+        identity, _, binder = messages.parse_pre_shared_key_offer(ext.data)
+        ticket = ticket_db.get(identity)
+        if ticket is None:
+            accepted = cfg.psk is not None and identity == cfg.psk.identity
+        else:
+            accepted = not _expired(ticket, now)
+        keyed = [suite for suite in shared if crypto.suite_params(suite).hash_len == len(binder)]
+        if accepted and keyed:
+            return SuiteId(keyed[0])
+    return SuiteId(shared[0])
 
 
 class Edge(NamedTuple):
@@ -774,8 +793,7 @@ class Connection:
             self.reliability.after_client_hello()
         self.transcript.append(raw)
 
-        server_pref = [int(s) for s in self.cfg.suites]
-        self.suite = SuiteId(_negotiate(server_pref, ch.cipher_suites, NoCommonSuite, "cipher suite"))
+        self.suite = _choose_suite(self.cfg, self.ticket_db, ch, now)
         self.params = crypto.suite_params(self.suite)
 
         share = None
@@ -844,7 +862,7 @@ class Connection:
         resumed = self.ticket_db.get(identity)
         try:
             if resumed is not None:
-                if now - resumed["issued_at"] > TICKET_LIFETIME_S * 1000:
+                if _expired(resumed, now):
                     del self.ticket_db[identity]
                     raise ExpiredTicket("resumption ticket past its lifetime")
                 psk_secret, kind = resumed["psk"], PskKind.RESUMPTION
@@ -1072,9 +1090,7 @@ class ServerListener:
                 return []
             raw = frag.to_tls_form()
             ch = messages.decode_handshake(raw)
-            suite = crypto.suite_params(
-                SuiteId(_negotiate([int(s) for s in self.cfg.suites], ch.cipher_suites, NoCommonSuite, "suite"))
-            )
+            suite = crypto.suite_params(_choose_suite(self.cfg, self.ticket_db, ch, now))
             cookie_ext = messages.find_extension(ch.extensions, ExtensionType.COOKIE)
             cookie = None if cookie_ext is None else messages.parse_cookie(cookie_ext.data)
         except ProtocolError:

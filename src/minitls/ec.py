@@ -8,8 +8,21 @@ need for byte-identical signatures across runs and processes.
 An ``EcPrivateKey`` derives its OpenSSL key once, at construction, and
 ``shared_secret``/``sign`` reuse it; peer public keys are decoded and
 validated on every call.
+
+``verify`` is memoized, bounded to ``VERIFY_MEMO_SIZE`` entries, on its
+full input (public point, scheme, message, signature). ECDSA verification
+is a pure function of those four values, so a repeated check is answered
+from the table and a change to any byte of any of them misses it and is
+verified in full. Both endpoints of one process verify every
+CertificateVerify over identical bytes: the signer's verify-after-sign
+self-check is still computed by OpenSSL, and the peer's check of the same
+signature under its pinned anchor is the repeat. The table holds only
+public inputs and a bool, no key material. ECDH results and anything the
+key schedule derives are secrets and are never memoized: a process-global
+table must not hold them.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 from cryptography.exceptions import InvalidSignature
@@ -29,6 +42,8 @@ _BACKEND_CURVES = {
     NamedGroup.SECP256R1: _ec.SECP256R1,
     NamedGroup.SECP521R1: _ec.SECP521R1,
 }
+# Entries of the ``verify`` memo; one handshake adds at most two.
+VERIFY_MEMO_SIZE = 64
 SCHEME_GROUP = {scheme: group for group, scheme in GROUP_SCHEME.items()}
 _SCHEME_BACKEND_HASH = {
     SignatureScheme.ECDSA_SECP256R1_SHA256: hashes.SHA256,
@@ -84,10 +99,12 @@ def sign(priv: EcPrivateKey, scheme: SignatureScheme, message: bytes) -> bytes:
     )
 
 
+@functools.lru_cache(maxsize=VERIFY_MEMO_SIZE)
 def verify(
     public: bytes, scheme: SignatureScheme, message: bytes, signature: bytes
 ) -> bool:
-    """Signature check; returns False (never raises) on any invalid input."""
+    """Signature check; returns False (never raises) on any invalid input.
+    Memoized on all four arguments (see the module docstring)."""
     try:
         key = _backend_public(SCHEME_GROUP[scheme], public)
         key.verify(signature, message, _ec.ECDSA(_SCHEME_BACKEND_HASH[scheme]()))

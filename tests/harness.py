@@ -4,6 +4,7 @@ import pathlib
 import random
 from dataclasses import replace
 
+from minitls import ec
 from minitls.bench import Driver
 from minitls.connection import ConnConfig, Connection, ServerListener
 from minitls.crypto import NamedGroup, Protocol, SuiteId
@@ -160,3 +161,19 @@ def filter_sends(driver: Driver, keep) -> None:
     ``data``, and drops it by returning False."""
     send = driver.send
     driver.send = lambda endpoint, outs, now: send(endpoint, [r for r in outs if keep(endpoint, r, now)], now)
+
+
+def count_backend_keys(monkeypatch) -> list:
+    """Empty the ``ec.verify`` memo and record the point of every OpenSSL public
+    key built from here on: one per signature verified in the backend and one
+    per ECDH."""
+    ec.verify.cache_clear()
+    built = []
+    backend_public = ec._backend_public
+
+    def counting(group, point):
+        built.append(point)
+        return backend_public(group, point)
+
+    monkeypatch.setattr(ec, "_backend_public", counting)
+    return built

@@ -324,8 +324,8 @@ def test_readme_bench_lines_exit_zero(tmp_path, monkeypatch):
 # Commands whose combined output is pinned byte for byte: text, CSV and JSON
 # output, --compare-paper warnings, a lossy DTLS run, 0-RTT, CID, packing, the
 # cookie exchange, resumption through the matrix, and the --strict row that
-# exits 3. Only a change meant to move bench output, or one that edits an argv
-# here (each argv is hashed with its output), may update the constant.
+# exits 3. Each command's exit code, stdout and stderr are hashed, not its
+# argv, so only a change meant to move bench output may update the constant.
 GOLDEN_COMMANDS = [
     ["run", "--profile", "psk128", "--protocol", "dtls", "--seed", "1"],
     ["run", "--profile", "psk128_256", "--protocol", "tls", "--format", "csv", "--compare-paper"],
@@ -346,7 +346,7 @@ GOLDEN_MATRIX = {"scenarios": [
     {"profile": "full", "protocol": "dtls", "mode": "zero_rtt", "resume": True},
     {"profile": "ecdsa128", "protocol": "tls", "mode": "pk_mutual", "pad_len": 3},
 ]}
-GOLDEN_SHA256 = "8b6497d06c747bdc81dcaa8b7e001a65b0211f89cf78520d6b79bfc693b837cb"
+GOLDEN_SHA256 = "136b0dcc6d06cc2bd1a2a14ae27c1145dc35a3b908c7380a96e51772bcfdec52"
 
 
 def test_cli_output_golden(tmp_path):
@@ -357,7 +357,7 @@ def test_cli_output_golden(tmp_path):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main([a.format(matrix=matrix) for a in argv])
-        digest.update(f"{argv}\n{code}\n{out.getvalue()}\n{err.getvalue()}\n".encode())
+        digest.update(f"{code}\n{out.getvalue()}\n{err.getvalue()}\n".encode())
     assert digest.hexdigest() == GOLDEN_SHA256
 
 

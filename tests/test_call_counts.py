@@ -20,5 +20,8 @@ def test_counts_repeat_exactly_per_workload():
     first = call_counts.count_calls(ROOT, 3)
     second = call_counts.count_calls(ROOT, 3)
     assert set(first) == {"psk_clean", "ecdhe_clean", "dtls_lossy"}
-    assert all(total > 0 for total in first.values())
+    assert all(counts["calls"] > 0 for counts in first.values())
+    # psk_clean makes no ec call; every ecdhe_clean scenario verifies a signature
+    assert first["psk_clean"]["openssl_verifies"] == 0
+    assert first["ecdhe_clean"]["openssl_verifies"] >= 3
     assert first == second

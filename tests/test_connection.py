@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from minitls import messages, records
+from minitls import ec, messages, records
 from minitls.bench import Scenario, build_configs
 from minitls.connection import EPOCH_HANDSHAKE, TICKET_LIFETIME_S, Connection, EventKind, resume_config
 from minitls.crypto import NamedGroup, Protocol, SuiteId
@@ -16,7 +16,16 @@ from minitls.profiles import AuthMode
 from minitls.records import ContentType
 from minitls.simnet import CLIENT, NetConfig
 
-from .harness import Pair, filter_sends, make_configs, run_handshake, secrets_of, tamper_on_wire, transcript_types
+from .harness import (
+    Pair,
+    count_backend_keys,
+    filter_sends,
+    make_configs,
+    run_handshake,
+    secrets_of,
+    tamper_on_wire,
+    transcript_types,
+)
 from .oracles import raw_binder_split, raw_psk_binder
 
 PROTOCOLS = [Protocol.TLS, Protocol.DTLS]
@@ -141,6 +150,70 @@ def test_op_counter_invariants(protocol):
         assert c.sign_ops >= 1
         assert c.verify_ops >= 2
 
+
+# (mode, suite, group): P-256 on the default suite, and P-521 on 0x13A4 as
+# the benchmark's ecdhe_clean rows pin it
+VERIFY_MEMO_CASES = [
+    (AuthMode.PK_MUTUAL, SuiteId.AES_128_CCM_SHA256, NamedGroup.SECP256R1),
+    (AuthMode.PK_MUTUAL, SuiteId.AES_256_CCM_SHA384, NamedGroup.SECP521R1),
+    (AuthMode.PK_SERVER_ONLY, SuiteId.AES_128_CCM_SHA256, NamedGroup.SECP256R1),
+]
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+@pytest.mark.parametrize("mode,suite,group", VERIFY_MEMO_CASES)
+def test_each_signature_verified_once_in_the_backend(protocol, mode, suite, group, monkeypatch):
+    # the signer's verify-after-sign self-check reaches OpenSSL; the peer's
+    # check of the same bytes under its pinned anchor is answered by the memo
+    client_cfg, server_cfg, deployment = make_configs(protocol, mode, seed=69, suite=suite, group=group)
+    built = count_backend_keys(monkeypatch)
+    pair = Pair(client_cfg, server_cfg, seed=69)
+    pair.run()
+    server = pair.assert_complete()
+    signers = 2 if mode == AuthMode.PK_MUTUAL else 1
+    credentials = {deployment[side][group].public_point for side in ("client_ec", "server_ec")}
+    assert sum(point in credentials for point in built) == signers
+    assert len(built) == signers + 2  # and one ECDH on each side
+    assert ec.verify.cache_info().hits == signers
+    # each side still counts every check it asks for
+    assert pair.client.counters.verify_ops == server.counters.verify_ops == signers
+    assert (pair.client.counters.sign_ops, server.counters.sign_ops) == (signers - 1, 1)
+
+
+# (mode, suite, group, the side whose CertificateVerify is tampered)
+CV_TAMPER_CASES = [
+    (*case, signer)
+    for case in VERIFY_MEMO_CASES
+    for signer in ("server", "client")
+    if signer == "server" or case[0] == AuthMode.PK_MUTUAL
+]
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+@pytest.mark.parametrize("mode,suite,group,signer", CV_TAMPER_CASES)
+def test_tampered_certificate_verify_fails_with_the_genuine_one_memoized(
+    protocol, mode, suite, group, signer, monkeypatch
+):
+    # the genuine run with the same seed leaves the genuine signature's tuple
+    # in the memo; the signer's self-check finds it, the peer's check of the
+    # flipped bit misses it and fails
+    client_cfg, server_cfg, _ = make_configs(protocol, mode, seed=70, suite=suite, group=group)
+    ec.verify.cache_clear()
+    Pair(client_cfg, server_cfg, seed=70).run()
+    hits = ec.verify.cache_info().hits
+
+    def tamper(name, raw):
+        return raw[:-1] + bytes([raw[-1] ^ 0x01]) if name == "certificate_verify" else None
+
+    tamper_on_wire(monkeypatch, signer, tamper)
+    pair = Pair(client_cfg, server_cfg, seed=70)
+    pair.run(until_ms=5_000)
+    verifier = pair.client if signer == "server" else pair.server
+    assert verifier.failed and verifier.failure == "bad_certificate_verify"
+    assert not pair.client.connected
+    # the server's self-check; before the client's flight, its check of the
+    # server's signature and its own self-check too
+    assert ec.verify.cache_info().hits == hits + (1 if signer == "server" else 3)
 
 def test_handshake_complete_fires_exactly_once():
     pair = run_handshake(Protocol.DTLS, AuthMode.PSK, seed=3)
@@ -385,27 +458,48 @@ def test_client_rejects_server_hello_or_extensions_it_did_not_ask_for(case, prot
     assert not pair.client.connected
 
 
-# (mode, server has a certificate, server alert or None when the handshake completes)
+# (mode, server has a certificate, the suite both sides settle on, the PSK is used)
 MIXED_HASH_OUTCOMES = [
-    (AuthMode.PK_SERVER_ONLY, True, None),
-    (AuthMode.PK_MUTUAL, True, None),
-    (AuthMode.PSK, True, "handshake_failure"),
-    (AuthMode.PSK_ECDHE, True, None),
-    (AuthMode.PSK_ECDHE, False, "handshake_failure"),
+    (AuthMode.PK_SERVER_ONLY, True, SuiteId.AES_256_CCM_SHA384, False),
+    (AuthMode.PK_MUTUAL, True, SuiteId.AES_256_CCM_SHA384, False),
+    (AuthMode.PSK, True, SuiteId.AES_128_CCM_SHA256, True),
+    (AuthMode.PSK_ECDHE, True, SuiteId.AES_128_CCM_SHA256, True),
+    (AuthMode.PSK_ECDHE, False, SuiteId.AES_128_CCM_SHA256, True),
 ]
 
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)
-@pytest.mark.parametrize("mode,server_cert,alert", MIXED_HASH_OUTCOMES)
-def test_psk_keyed_for_another_hash_is_not_selected(protocol, mode, server_cert, alert):
+@pytest.mark.parametrize("mode,server_cert,suite,with_psk", MIXED_HASH_OUTCOMES)
+def test_psk_keyed_for_another_hash_picks_a_suite_of_its_hash(protocol, mode, server_cert, suite, with_psk):
     # the client offers SHA-256 and SHA-384 suites and keys its binder under the
-    # first; the server prefers the SHA-384 suite, which that PSK cannot serve
-    # (RFC 8446 section 4.2.11), so it takes the certificate path or fails
+    # first; the server prefers the SHA-384 suite, yet for a PSK it accepts it
+    # picks its most-preferred shared suite of the binder's hash (RFC 8446
+    # section 4.2.11); with no PSK offered its preference stands
     client_cfg, server_cfg, _ = make_configs(protocol, mode, seed=68)
     client_cfg = replace(client_cfg, suites=TWO_SUITES)
     server_cfg = replace(
         server_cfg, suites=TWO_SUITES[::-1], local_ec=server_cfg.local_ec if server_cert else None
     )
+    pair = Pair(client_cfg, server_cfg, seed=68)
+    pair.run(until_ms=5_000)
+    server = pair.assert_complete()
+    assert pair.client.suite == server.suite == suite
+    assert (pair.client.psk_in_use is not None) == (server.psk_in_use is not None) == with_psk
+    assert secrets_of(pair.client) == secrets_of(server)
+
+
+# (mode, server alert or None when the handshake completes without the PSK)
+UNSERVABLE_PSK_OUTCOMES = [(AuthMode.PSK, "handshake_failure"), (AuthMode.PSK_ECDHE, None)]
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+@pytest.mark.parametrize("mode,alert", UNSERVABLE_PSK_OUTCOMES)
+def test_psk_keyed_for_a_hash_the_server_lacks_is_not_selected(protocol, mode, alert):
+    # the server enables only the SHA-384 suite, which a binder keyed under
+    # SHA-256 cannot serve: it takes the certificate path or fails
+    client_cfg, server_cfg, _ = make_configs(protocol, mode, seed=68)
+    client_cfg = replace(client_cfg, suites=TWO_SUITES)
+    server_cfg = replace(server_cfg, suites=TWO_SUITES[1:])
     pair = Pair(client_cfg, server_cfg, seed=68)
     pair.run(until_ms=5_000)
     if alert is not None:
@@ -415,7 +509,22 @@ def test_psk_keyed_for_another_hash_is_not_selected(protocol, mode, server_cert,
     server = pair.assert_complete()
     assert pair.client.suite == server.suite == SuiteId.AES_256_CCM_SHA384
     assert pair.client.psk_in_use is None and server.psk_in_use is None
-    assert secrets_of(pair.client) == secrets_of(server)
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_ticket_keyed_for_another_hash_picks_a_suite_of_its_hash(protocol):
+    # a live ticket from a SHA-256 session, offered with both suites to a
+    # server that prefers SHA-384, resumes on the SHA-256 suite
+    first = ticketed_pair(protocol)
+    first.assert_complete()
+    ticket = first.client.client_tickets[0]
+    resumed_cfg = replace(resume_config(first.client.cfg, ticket), suites=TWO_SUITES)
+    pair = Pair(resumed_cfg, replace(first.listener.cfg, suites=TWO_SUITES[::-1]), seed=17)
+    pair.listener.ticket_db = first.listener.ticket_db
+    pair.run(until_ms=5_000)
+    server = pair.assert_complete()
+    assert pair.client.suite == server.suite == SuiteId.AES_128_CCM_SHA256
+    assert server.psk_in_use is not None and server.psk_in_use.secret == ticket.psk
 
 
 def plaintext_handshake(protocol, raw: bytes) -> bytes:

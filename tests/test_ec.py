@@ -8,6 +8,8 @@ from minitls import bench, ec
 from minitls.crypto import NamedGroup, SignatureScheme
 from minitls.errors import InvalidPoint
 
+from .harness import count_backend_keys
+
 # Deterministic-ECDSA known answers (RFC 6979 appendix A.2.5 and A.2.7):
 # (group, scheme, private x, message, r, s).
 P256_X = 0xC9AFA9D845BA75166B5C215767B1D6934E50C3DB36E89B127B8A622B120F6721
@@ -139,3 +141,47 @@ def test_each_private_key_is_derived_once(monkeypatch, profile, protocol, mode, 
     # Two credential keys (one per side) and two ephemeral ECDHE keys;
     # signing and ECDH reuse them.
     assert len(derived) == 4
+
+
+def test_verify_memo_answers_identical_inputs_once(monkeypatch):
+    priv, pub = ec.keypair(NamedGroup.SECP256R1, random.Random(11))
+    scheme = SignatureScheme.ECDSA_SECP256R1_SHA256
+    sig = ec.sign(priv, scheme, b"content")
+    built = count_backend_keys(monkeypatch)
+    assert all(ec.verify(pub, scheme, b"content", sig) for _ in range(3))
+    assert len(built) == 1
+    assert ec.verify.cache_info().hits == 2
+
+
+def test_verify_memo_misses_on_any_changed_input(monkeypatch):
+    # each tampered form is verified in full, after the genuine tuple is cached
+    priv, pub = ec.keypair(NamedGroup.SECP256R1, random.Random(12))
+    _, other_pub = ec.keypair(NamedGroup.SECP256R1, random.Random(13))
+    scheme = SignatureScheme.ECDSA_SECP256R1_SHA256
+    sig = ec.sign(priv, scheme, b"content")
+    built = count_backend_keys(monkeypatch)
+    assert ec.verify(pub, scheme, b"content", sig)
+    tampered = [
+        (other_pub, scheme, b"content", sig),
+        (pub, SignatureScheme.ECDSA_SECP521R1_SHA512, b"content", sig),
+        (pub, scheme, b"contenu", sig),
+        (pub, scheme, b"content", sig[:-1] + bytes([sig[-1] ^ 1])),
+    ]
+    for args in tampered:
+        assert not ec.verify(*args)
+    # the P-521 scheme's key build rejects the P-256 point
+    assert built == [pub, other_pub, pub, pub, pub]
+    assert ec.verify.cache_info().hits == 0
+
+
+def test_verify_memo_is_bounded(monkeypatch):
+    priv, pub = ec.keypair(NamedGroup.SECP256R1, random.Random(14))
+    scheme = SignatureScheme.ECDSA_SECP256R1_SHA256
+    sig = ec.sign(priv, scheme, b"content")
+    built = count_backend_keys(monkeypatch)
+    for i in range(1000):
+        assert not ec.verify(pub, scheme, b"content %d" % i, sig)
+    assert len(built) == 1000
+    info = ec.verify.cache_info()
+    assert info.maxsize == ec.VERIFY_MEMO_SIZE
+    assert info.currsize <= info.maxsize

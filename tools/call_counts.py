@@ -2,11 +2,14 @@
 
 For each workload that ``BENCHMARK.json`` of the given checkout lists, one
 fresh interpreter makes one warm-up call (iteration ``WARMUP_BASE``), then
-runs iterations 0 .. N-1 at the default seed under cProfile and sums the
-call count (``nc``) of every profiled function, builtins included. Prints
-one JSON object, workload -> total. The totals repeat exactly for one
-checkout on one Python version, so they resolve changes too small for
-wall-clock pairs; compare two checkouts on the same interpreter.
+runs iterations 0 .. N-1 at the default seed under cProfile. ``calls`` sums
+the call count (``nc``) of every profiled function, builtins included;
+``openssl_verifies`` is the count of OpenSSL's ECDSA verify, the
+``verify`` method of ``cryptography``'s ``ECPublicKey``. Prints one JSON
+object, workload -> {"calls": ..., "openssl_verifies": ...}. The counts
+repeat exactly for one checkout on one Python version, so they resolve
+changes too small for wall-clock pairs; compare two checkouts on the same
+interpreter.
 
     python3 tools/call_counts.py [CHECKOUT] [--iterations N]
 
@@ -21,8 +24,14 @@ import sys
 from pathlib import Path
 
 
-def count_here(workload: str, iterations: int) -> int:
-    """Run in the checkout's directory: the summed ``nc`` for one workload."""
+def is_openssl_verify(function: tuple) -> bool:
+    """Whether a cProfile function key is ``ECPublicKey.verify``."""
+    _, _, name = function
+    return name.startswith("<method 'verify' of ") and name.endswith(".ECPublicKey' objects>")
+
+
+def count_here(workload: str, iterations: int) -> dict:
+    """Run in the checkout's directory: the counts of one workload."""
     import cProfile
     import pstats
 
@@ -35,10 +44,14 @@ def count_here(workload: str, iterations: int) -> int:
     for i in range(iterations):
         workloads.run_one(workloads.scenario(workload, workloads.DEFAULT_SEED, i))
     profile.disable()
-    return sum(nc for _, nc, _, _, _ in pstats.Stats(profile).stats.values())
+    stats = pstats.Stats(profile).stats
+    return {
+        "calls": sum(nc for _, nc, _, _, _ in stats.values()),
+        "openssl_verifies": sum(nc for function, (_, nc, _, _, _) in stats.items() if is_openssl_verify(function)),
+    }
 
 
-def count_in(checkout: Path, workload: str, iterations: int) -> int:
+def count_in(checkout: Path, workload: str, iterations: int) -> dict:
     """``count_here`` in a fresh interpreter whose working directory is ``checkout``."""
     proc = subprocess.run(
         [sys.executable, str(Path(__file__).resolve()), "--workload", workload,
@@ -47,11 +60,11 @@ def count_in(checkout: Path, workload: str, iterations: int) -> int:
     )
     if proc.returncode:
         raise RuntimeError(f"{checkout}: {workload}: exit {proc.returncode}:\n{proc.stderr}")
-    return int(proc.stdout)
+    return json.loads(proc.stdout)
 
 
 def count_calls(checkout: Path, iterations: int) -> dict:
-    """Workload -> summed call count, for every workload ``BENCHMARK.json`` lists."""
+    """Workload -> its counts, for every workload ``BENCHMARK.json`` lists."""
     spec = json.loads((checkout / "BENCHMARK.json").read_text())
     return {w["name"]: count_in(checkout, w["name"], iterations) for w in spec["workloads"]}
 
@@ -64,7 +77,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.workload:
-        print(count_here(args.workload, args.iterations))
+        print(json.dumps(count_here(args.workload, args.iterations)))
     else:
         print(json.dumps(count_calls(args.checkout.resolve(), args.iterations), sort_keys=True))
     return 0
