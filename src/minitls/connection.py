@@ -25,15 +25,14 @@ from typing import NamedTuple
 from . import crypto, ec, messages, records
 from .crypto import GROUP_SCHEME, Protocol, SuiteId
 from .errors import (
-    BadBinder,
-    BadFinished,
     BadSignature,
     ConfigConflict,
     DecodeError,
+    DecryptError,
     ExpiredTicket,
+    HandshakeFailure,
     HandshakeTimeout,
-    NoCommonGroup,
-    NoCommonSuite,
+    IllegalParameter,
     NotReady,
     ProtocolError,
     UnexpectedMessage,
@@ -163,7 +162,7 @@ def _choose_suite(cfg: ConnConfig, ticket_db: dict, ch, now: int) -> SuiteId:
     with, if there is one (RFC 8446 section 4.2.11)."""
     shared = [suite for suite in cfg.suites if suite in ch.cipher_suites]
     if not shared:
-        raise NoCommonSuite("no common cipher suite")
+        raise HandshakeFailure("no common cipher suite")
     ext = messages.find_extension(ch.extensions, ExtensionType.PRE_SHARED_KEY)
     if ext is not None and len(shared) > 1:
         identity, _, binder = messages.parse_pre_shared_key_offer(ext.data)
@@ -395,6 +394,8 @@ class Connection:
         return []
 
     def _peer_certificate_verify(self, cv, raw: bytes, now: int) -> list:
+        if cv.scheme not in self._scheme_list():  # RFC 8446 section 4.4.3
+            raise IllegalParameter(f"{self.peer_role} CertificateVerify scheme {cv.scheme:#06x} was not offered")
         content = messages.certificate_verify_content(self.peer_role, self._th())
         anchor = self.cfg.peer_ec
         if anchor is None or not self._verify(
@@ -407,7 +408,7 @@ class Connection:
 
     def _peer_finished(self, fin, raw: bytes) -> None:
         if not self.ks.verify_finished(self._hs_traffic(self.peer_role), self._th(), fin.verify_data):
-            raise BadFinished(f"{self.peer_role} Finished MAC mismatch")
+            raise DecryptError(f"{self.peer_role} Finished MAC mismatch")
         self.transcript.append(raw)
 
     # -------------------------------------------------------------- client side
@@ -678,7 +679,7 @@ class Connection:
         cookie = messages.parse_cookie(cookie_ext.data)
         # transcript restart: ClientHello1 collapses into message_hash
         digest = crypto.hash_data(self.params.hash_alg, self.transcript[0])
-        self.transcript = [crypto.message_hash(digest), raw]
+        self.transcript = [messages.message_hash(digest), raw]
         self.ks = None
         self.epochs.pop(EPOCH_EARLY, None)  # 0-RTT does not survive an HRR
         if self.reliability is not None:
@@ -691,11 +692,11 @@ class Connection:
         if messages.is_hello_retry_request(sh):
             return self._client_handle_hrr(sh, raw, now)
         if sh.cipher_suite not in [int(s) for s in self.cfg.suites]:
-            raise NoCommonSuite("server picked a suite we did not offer")
+            raise HandshakeFailure("server picked a suite we did not offer")
         psk_ext = messages.find_extension(sh.extensions, ExtensionType.PRE_SHARED_KEY)
         if sh.cipher_suite != int(self.suite):
             if psk_ext is not None:
-                raise NoCommonSuite("PSK acceptance requires the PSK's suite")
+                raise HandshakeFailure("PSK acceptance requires the PSK's suite")
             self.suite = SuiteId(sh.cipher_suite)
             self.params = crypto.suite_params(self.suite)
             self.ks = None
@@ -714,7 +715,7 @@ class Connection:
         if share_ext is not None:
             group, server_pub = messages.parse_key_share_server(share_ext.data)
             if self.dh_priv is None or group != int(self.dh_priv.group):
-                raise NoCommonGroup("server share for a group we did not offer")
+                raise HandshakeFailure("server share for a group we did not offer")
             dh = self._shared(self.dh_priv, server_pub)
         elif self.cfg.mode in ECDHE_FAMILY:
             raise UnexpectedMessage("expected a key_share in ServerHello")
@@ -804,7 +805,7 @@ class Connection:
                     share = (crypto.NamedGroup(group), pub)
                     break
             if share is None:
-                raise NoCommonGroup("no offered key-share group is enabled here")
+                raise HandshakeFailure("no offered key-share group is enabled here")
 
         psk = self._server_select_psk(ch, raw, now, fallback_possible=share is not None)
         mode = self._server_mode(psk, share)
@@ -879,7 +880,7 @@ class Connection:
         prefix = messages.binder_prefix(raw_ch, self.params.hash_len)
         th = crypto.transcript_hash(self.transcript[:-1] + [prefix], self.params.hash_alg)
         if not hmac.compare_digest(self.ks.compute_binder(th), binder):
-            raise BadBinder("psk binder mismatch")
+            raise DecryptError("psk binder mismatch")
         self.psk_in_use = PskCredential(identity, psk_secret)
         self.psk_kind_in_use = kind
 
@@ -899,9 +900,9 @@ class Connection:
         if psk is not None:
             return AuthMode.PSK_ECDHE if share is not None else AuthMode.PSK
         if self.cfg.local_ec is None:
-            raise NoCommonSuite("no PSK accepted and no certificate configured")
+            raise HandshakeFailure("no PSK accepted and no certificate configured")
         if share is None:
-            raise NoCommonGroup("certificate mode requires a client key share")
+            raise HandshakeFailure("certificate mode requires a client key share")
         return AuthMode.PK_MUTUAL if self.cfg.mode == AuthMode.PK_MUTUAL else AuthMode.PK_SERVER_ONLY
 
     def _server_handle_eoed(self, eoed, raw: bytes, now: int) -> list:
@@ -1102,7 +1103,7 @@ class ServerListener:
             return []  # bad cookie, or not the retry's message_seq: silently dropped, nothing allocated
         hrr = messages.build_hello_retry_request(int(suite.suite), cookie, ch.legacy_session_id)
         conn = self._fresh_connection(source)
-        conn.after_stateless_hrr([crypto.message_hash(ch1_hash), messages.tls_form(hrr)])
+        conn.after_stateless_hrr([messages.message_hash(ch1_hash), messages.tls_form(hrr)])
         return conn.handle(data, now)
 
     def _stateless_hrr(self, raw_ch: bytes, ch, suite, source: str) -> OutRecord:
@@ -1110,8 +1111,6 @@ class ServerListener:
         cookie = self.mint_cookie(source, ch_hash)
         hrr = messages.build_hello_retry_request(int(suite.suite), cookie, ch.legacy_session_id)
         body = messages.tls_form(hrr)
-        frag = messages.DtlsFragment(
-            HandshakeType.SERVER_HELLO, len(body) - 4, 0, 0, len(body) - 4, body[4:]
-        ).encode()
+        frag = messages.DtlsFragment(HandshakeType.SERVER_HELLO, len(body) - 4, 0, 0, body[4:]).encode()
         record = records.encode_dtls_plaintext(ContentType.HANDSHAKE, 0, frag)
         return OutRecord(record, "hello_retry_request")

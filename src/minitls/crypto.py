@@ -227,15 +227,6 @@ def block_encrypt(encryptor, block: bytes) -> bytes:
 
 # --- transcript hash -------------------------------------------------------
 
-MESSAGE_HASH_TYPE = 254
-
-
-def message_hash(digest: bytes) -> bytes:
-    """The synthetic message_hash message standing in for ClientHello1
-    after a HelloRetryRequest (RFC 8446 section 4.4.1)."""
-    return bytes([MESSAGE_HASH_TYPE, 0, 0, len(digest)]) + digest
-
-
 def transcript_hash(messages, alg: HashAlg) -> bytes:
     """One-shot transcript hash over an ordered message sequence."""
     return hash_data(alg, b"".join(messages))

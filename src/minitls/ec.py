@@ -31,7 +31,7 @@ from cryptography.hazmat.primitives.asymmetric import ec as _ec
 from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
 
 from .crypto import GROUP_SCHEME, NamedGroup, SignatureScheme
-from .errors import InvalidPoint
+from .errors import IllegalParameter
 
 # Group orders; private scalars are drawn from [1, n).
 _ORDER = {
@@ -75,7 +75,7 @@ def _backend_public(group: NamedGroup, point: bytes):
             _BACKEND_CURVES[group](), point
         )
     except ValueError as exc:
-        raise InvalidPoint(str(exc)) from None
+        raise IllegalParameter(str(exc)) from None
 
 
 def keypair(group: NamedGroup, rng) -> tuple[EcPrivateKey, bytes]:
@@ -109,5 +109,5 @@ def verify(
         key = _backend_public(SCHEME_GROUP[scheme], public)
         key.verify(signature, message, _ec.ECDSA(_SCHEME_BACKEND_HASH[scheme]()))
         return True
-    except (InvalidSignature, InvalidPoint, ValueError):
+    except (InvalidSignature, IllegalParameter, ValueError):
         return False

@@ -1,8 +1,9 @@
 """Exception hierarchy shared by all protocol modules.
 
-Every failure mode that a peer or the bench harness needs to tell apart
-gets its own class; the ``alert`` attribute is the short classification
-string that ends up in event logs and alert records.
+One class per alert: two classes share an alert only where an ``except``
+clause or a test tells them apart (``WrongStage``, ``BadOuterType``).  The
+``alert`` attribute is the short classification string that ends up in
+event logs and alert records.
 """
 
 
@@ -24,7 +25,10 @@ class AuthenticationFailure(ProtocolError):
     alert = "bad_record_mac"
 
 
-class InvalidPoint(ProtocolError):
+class IllegalParameter(ProtocolError):
+    """A field the peer chose outside what this side allows: an invalid curve
+    point, a CertificateVerify scheme this side did not offer."""
+
     alert = "illegal_parameter"
 
 
@@ -52,12 +56,6 @@ class RecordOverflow(ProtocolError):
     alert = "record_overflow"
 
 
-class AllZeroInner(ProtocolError):
-    """Protected record whose inner plaintext was entirely padding."""
-
-    alert = "unexpected_message"
-
-
 class BadOuterType(ProtocolError):
     alert = "decode_error"
 
@@ -80,11 +78,9 @@ class UnexpectedMessage(ProtocolError):
     alert = "unexpected_message"
 
 
-class BadFinished(ProtocolError):
-    alert = "decrypt_error"
+class DecryptError(ProtocolError):
+    """A Finished MAC or PSK binder that does not verify."""
 
-
-class BadBinder(ProtocolError):
     alert = "decrypt_error"
 
 
@@ -92,11 +88,9 @@ class BadSignature(ProtocolError):
     alert = "bad_certificate_verify"
 
 
-class NoCommonSuite(ProtocolError):
-    alert = "handshake_failure"
+class HandshakeFailure(ProtocolError):
+    """No cipher suite, key-share group or authentication both sides accept."""
 
-
-class NoCommonGroup(ProtocolError):
     alert = "handshake_failure"
 
 

@@ -479,6 +479,12 @@ def tls_form(msg) -> bytes:
     return bytes([msg.MSG_TYPE]) + len(body).to_bytes(3, "big") + body
 
 
+def message_hash(digest: bytes) -> bytes:
+    """The synthetic message_hash message standing in for ClientHello1
+    after a HelloRetryRequest (RFC 8446 section 4.4.1)."""
+    return bytes([HandshakeType.MESSAGE_HASH, 0, 0, len(digest)]) + digest
+
+
 def decode_handshake(data: bytes):
     """Decode one TLS-form handshake message (4-byte header)."""
     r = Reader(data)
@@ -500,7 +506,6 @@ class DtlsFragment:
     length: int
     message_seq: int
     fragment_offset: int
-    fragment_length: int
     body: bytes
 
     def encode(self) -> bytes:
@@ -509,13 +514,13 @@ class DtlsFragment:
             + self.length.to_bytes(3, "big")
             + struct.pack("!H", self.message_seq)
             + self.fragment_offset.to_bytes(3, "big")
-            + self.fragment_length.to_bytes(3, "big")
+            + len(self.body).to_bytes(3, "big")
             + self.body
         )
 
     @property
     def complete(self) -> bool:
-        return self.fragment_offset == 0 and self.fragment_length == self.length
+        return self.fragment_offset == 0 and len(self.body) == self.length
 
     def to_tls_form(self) -> bytes:
         """Drop message_seq/fragment fields so DTLS and TLS hash alike."""
@@ -535,7 +540,7 @@ def parse_dtls_fragment(data: bytes) -> tuple:
     if offset + frag_len > length:
         raise DecodeError("fragment range exceeds message length")
     body = r.take(frag_len)
-    return DtlsFragment(msg_type, length, message_seq, offset, frag_len, body), r.pos
+    return DtlsFragment(msg_type, length, message_seq, offset, body), r.pos
 
 
 def fragment(msg_type: int, message_seq: int, body: bytes, mtu_budget: int) -> list:
@@ -544,26 +549,25 @@ def fragment(msg_type: int, message_seq: int, body: bytes, mtu_budget: int) -> l
     if mtu_budget <= DTLS_HANDSHAKE_HEADER_LEN:
         raise ValueError("mtu budget leaves no room for fragment bodies")
     chunk = mtu_budget - DTLS_HANDSHAKE_HEADER_LEN
-    frags = []
-    for off in range(0, len(body), chunk) or [0]:  # zero-length body: one carrier
-        part = body[off : off + chunk]
-        frags.append(DtlsFragment(msg_type, len(body), message_seq, off, len(part), part))
-    return frags
+    return [
+        DtlsFragment(msg_type, len(body), message_seq, off, body[off : off + chunk])
+        for off in range(0, len(body), chunk) or [0]  # zero-length body: one carrier
+    ]
 
 
 class FragmentBuffer:
     """Collects fragments of one message; order-insensitive, duplicate-tolerant.
 
-    ``covered`` lists the received byte ranges as sorted ``(start, end)``
-    pairs, merged wherever they overlap or touch.
+    ``runs`` holds the bytes received as sorted ``(start, bytes)`` pairs,
+    merged wherever they overlap or touch, so the buffer grows with the
+    bytes that arrive, never with the length a header claims.
     """
 
     def __init__(self, msg_type: int, length: int, message_seq: int):
         self.msg_type = msg_type
         self.length = length
         self.message_seq = message_seq
-        self.buf = bytearray(length)
-        self.covered: list = []
+        self.runs: list = []
 
     def add(self, frag: DtlsFragment) -> None:
         if (frag.msg_type, frag.length, frag.message_seq) != (
@@ -574,32 +578,35 @@ class FragmentBuffer:
             raise InconsistentDuplicate("fragment header fields disagree")
         start, body = frag.fragment_offset, frag.body
         end = start + len(body)
-        for lo, hi in self.covered:
-            lo, hi = max(lo, start), min(hi, end)
-            if lo < hi and self.buf[lo:hi] != body[lo - start : hi - start]:
-                i = next(i for i in range(lo, hi) if self.buf[i] != body[i - start])
-                raise InconsistentDuplicate(f"byte {i} differs between fragments")
-        self.buf[start:end] = body
-        merged = []
-        for lo, hi in self.covered:
-            if hi < start or lo > end:
-                merged.append((lo, hi))
+        before, after = [], []
+        for lo, run in self.runs:
+            hi = lo + len(run)
+            if hi < start:
+                before.append((lo, run))
+            elif lo > end:
+                after.append((lo, run))
             else:
-                start, end = min(lo, start), max(hi, end)
-        merged.append((start, end))
-        merged.sort()
-        self.covered = merged
+                a, b = max(lo, start), min(hi, end)
+                if run[a - lo : b - lo] != body[a - start : b - start]:
+                    i = next(i for i in range(a, b) if run[i - lo] != body[i - start])
+                    raise InconsistentDuplicate(f"byte {i} differs between fragments")
+                if lo < start:
+                    start, body = lo, run[: start - lo] + body
+                if hi > end:
+                    end, body = hi, body + run[end - lo :]
+        self.runs = before + [(start, body)] + after
 
     @property
     def complete(self) -> bool:
-        return self.length == 0 or self.covered == [(0, self.length)]
+        # a run as long as the message starts at 0, and any other run would touch it and merge
+        return len(self.runs[0][1]) == self.length if self.runs else self.length == 0
 
     def assemble(self) -> DtlsFragment:
         """The whole message as one complete fragment."""
         if not self.complete:
-            missing = self.covered[0][1] if self.covered and self.covered[0][0] == 0 else 0
+            missing = len(self.runs[0][1]) if self.runs and self.runs[0][0] == 0 else 0
             raise FragmentGap(f"gap-on-flush: first missing byte {missing}")
-        return DtlsFragment(self.msg_type, self.length, self.message_seq, 0, self.length, bytes(self.buf))
+        return DtlsFragment(self.msg_type, self.length, self.message_seq, 0, self.runs[0][1] if self.runs else b"")
 
 
 # --- builders ---------------------------------------------------------------------

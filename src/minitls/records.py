@@ -18,13 +18,14 @@ from enum import IntEnum
 from . import crypto
 from .crypto import SuiteParams
 from .errors import (
-    AllZeroInner,
     BadOuterType,
     DecodeError,
     RecordOverflow,
     ReplayedRecord,
+    UnexpectedMessage,
 )
 from .keyschedule import TrafficKeys
+from .messages import TLS_LEGACY_VERSION
 
 
 class ContentType(IntEnum):
@@ -44,7 +45,6 @@ class OutRecord:
 
 TLS_RECORD_HEADER_LEN = 5
 DTLS12_RECORD_HEADER_LEN = 13  # type 1 + version 2 + epoch 2 + seq 6 + length 2
-TLS_LEGACY_VERSION = 0x0303
 DTLS12_WIRE_VERSION = 0xFEFD
 
 _MAX_INNER = (1 << 14) + 256
@@ -66,7 +66,7 @@ def _strip_inner(plaintext: bytes) -> tuple:
     while i >= 0 and plaintext[i] == 0:
         i -= 1
     if i < 0:
-        raise AllZeroInner("record deprotected to padding only")
+        raise UnexpectedMessage("record deprotected to padding only")
     return plaintext[i], plaintext[:i]
 
 

@@ -13,6 +13,9 @@ from .records import ContentType, OutRecord
 RTO_INITIAL_MS = 400
 RTO_MAX_RETRIES = 8
 ACK_DELAY_MS = 150
+# Messages buffered ahead of the next expected one: the longest flight, the server's
+# ServerHello .. Finished. Fragments of later messages are dropped (RFC 9147 section 5.2).
+RECV_WINDOW_MSGS = 6
 
 
 class DtlsReliability:
@@ -58,6 +61,8 @@ class DtlsReliability:
         for frag in frags:
             if frag.message_seq < self.next_recv_msg_seq:
                 self.ack_now(now, rec_num)
+                continue
+            if frag.message_seq >= self.next_recv_msg_seq + RECV_WINDOW_MSGS:
                 continue
             buf = self.inbound_frags.get(frag.message_seq)
             if buf is None:

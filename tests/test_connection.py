@@ -1,5 +1,6 @@
 import gc
 import random
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -7,13 +8,21 @@ import pytest
 
 from minitls import ec, messages, records
 from minitls.bench import Scenario, build_configs
-from minitls.connection import EPOCH_HANDSHAKE, TICKET_LIFETIME_S, Connection, EventKind, resume_config
-from minitls.crypto import NamedGroup, Protocol, SuiteId
+from minitls.connection import (
+    EPOCH_HANDSHAKE,
+    TICKET_LIFETIME_S,
+    Connection,
+    EventKind,
+    ServerListener,
+    resume_config,
+)
+from minitls.crypto import NamedGroup, Protocol, SignatureScheme, SuiteId
 from minitls.errors import ConfigConflict, NotReady
 from minitls.keyschedule import TrafficKeys
 from minitls.messages import HandshakeType
 from minitls.profiles import AuthMode
 from minitls.records import ContentType
+from minitls.reliability import RECV_WINDOW_MSGS
 from minitls.simnet import CLIENT, NetConfig
 
 from .harness import (
@@ -458,6 +467,66 @@ def test_client_rejects_server_hello_or_extensions_it_did_not_ask_for(case, prot
     assert not pair.client.connected
 
 
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+@pytest.mark.parametrize(
+    "mode,signer",
+    [(AuthMode.PK_SERVER_ONLY, "server"), (AuthMode.PK_MUTUAL, "server"), (AuthMode.PK_MUTUAL, "client")],
+)
+@pytest.mark.parametrize(
+    "scheme", [0x0807, SignatureScheme.ECDSA_SECP521R1_SHA512], ids=["unknown_ed25519", "p521_not_offered"]
+)
+def test_certificate_verify_scheme_not_offered_is_illegal_parameter(protocol, mode, signer, scheme, monkeypatch):
+    # RFC 8446 section 4.4.3: the scheme must be one the verifier offered, here
+    # only P-256's; 0x0807 is a scheme this package does not know at all
+    def tamper(name, raw):
+        return raw[:4] + scheme.to_bytes(2, "big") + raw[6:] if name == "certificate_verify" else None
+
+    tamper_on_wire(monkeypatch, signer, tamper)
+    pair = run_handshake(protocol, mode, seed=71)
+    verifier = pair.client if signer == "server" else pair.server
+    assert (verifier.failure, verifier.failed_from) == ("illegal_parameter", "wait_cv")
+
+
+def test_second_hello_retry_request_is_unexpected(monkeypatch):
+    # the listener's stateless HelloRetryRequest was the one a handshake may
+    # have (RFC 8446 section 4.1.4); the server's ServerHello is sent as another
+    def tamper(name, raw):
+        if name == "server_hello":
+            return messages.tls_form(messages.build_hello_retry_request(int(SuiteId.AES_128_CCM_SHA256), bytes(8)))
+        return None
+
+    tamper_on_wire(monkeypatch, "server", tamper)
+    pair = dos_pair(seed=72)
+    pair.run(until_ms=5_000)
+    assert pair.client.hrr_done
+    assert (pair.client.failure, pair.client.failed_from) == ("unexpected_message", "wait_sh")
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_zero_rtt_offer_whose_psk_is_declined_fails(protocol, monkeypatch):
+    # a 0-RTT client offers no key share, so a ServerHello without
+    # pre_shared_key leaves it no way to key the handshake
+    tamper = rewrite_server_message("server_hello", lambda sh: drop_extension(sh, messages.ExtensionType.PRE_SHARED_KEY))
+    tamper_on_wire(monkeypatch, "server", tamper)
+    pair = run_handshake(protocol, AuthMode.ZERO_RTT, seed=73, early_payload=b"early")
+    assert (pair.client.failure, pair.client.failed_from) == ("unexpected_message", "wait_sh")
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+@pytest.mark.parametrize(
+    "server_over",
+    [
+        {"groups": (NamedGroup.SECP521R1,)},  # the client's only key share is P-256
+        {"mode": AuthMode.PSK_ECDHE, "local_ec": None},  # no PSK offered, no certificate to fall back on
+    ],
+    ids=["no_common_group", "neither_psk_nor_certificate"],
+)
+def test_server_without_a_common_key_share_or_authentication_fails(protocol, server_over):
+    pair = run_handshake(protocol, AuthMode.PK_SERVER_ONLY, seed=74, server_over=server_over)
+    assert (pair.server.failure, pair.server.failed_from) == ("handshake_failure", "start")
+    assert pair.client.failure == "peer_alert"
+
+
 # (mode, server has a certificate, the suite both sides settle on, the PSK is used)
 MIXED_HASH_OUTCOMES = [
     (AuthMode.PK_SERVER_ONLY, True, SuiteId.AES_256_CCM_SHA384, False),
@@ -532,7 +601,7 @@ def plaintext_handshake(protocol, raw: bytes) -> bytes:
     on DTLS one message, as the server's msg_seq 1 in record seq 1."""
     if protocol == Protocol.TLS:
         return records.encode_tls_plaintext(ContentType.HANDSHAKE, raw)
-    frag = messages.DtlsFragment(raw[0], len(raw) - 4, 1, 0, len(raw) - 4, raw[4:])
+    frag = messages.DtlsFragment(raw[0], len(raw) - 4, 1, 0, raw[4:])
     return records.encode_dtls_plaintext(ContentType.HANDSHAKE, 1, frag.encode())
 
 
@@ -637,7 +706,7 @@ def test_plaintext_hello_of_the_other_role_dropped(msg_type, msg_seq, sender, re
 
     def hello():
         raw = server_message(pair, msg_type)
-        frag = messages.DtlsFragment(msg_type, len(raw) - 4, msg_seq, 0, len(raw) - 4, raw[4:])
+        frag = messages.DtlsFragment(msg_type, len(raw) - 4, msg_seq, 0, raw[4:])
         return records.encode_dtls_plaintext(ContentType.HANDSHAKE, msg_seq, frag.encode())
 
     done = prepend_once(pair, sender, record_name, hello)
@@ -1073,6 +1142,55 @@ def test_client_forgets_hrr_record_after_retry():
     assert client.reliability.recv_flight == set()
 
 
+def forged_fragments(msg_type, seqs, body: bytes, claimed: int) -> bytes:
+    """One plaintext DTLS datagram of one fragment per message_seq in ``seqs``,
+    each carrying ``body`` and claiming a message of ``claimed`` bytes."""
+    frags = b"".join(messages.DtlsFragment(msg_type, claimed, seq, 0, body).encode() for seq in seqs)
+    return records.encode_dtls_plaintext(ContentType.HANDSHAKE, 0, frags)
+
+
+def forgery_receiver(case):
+    """(receive(datagram), datagram, reliability()) for one forged first datagram."""
+    client_cfg, server_cfg, _ = make_configs(Protocol.DTLS, AuthMode.PSK, seed=17)
+    if case == "server_one_fragment":  # a fresh server connection per spoofed address
+        listener = ServerListener(server_cfg, random.Random(17))
+        datagram = forged_fragments(HandshakeType.CLIENT_HELLO, [0], bytes(40), (1 << 24) - 1)
+        return (lambda d: listener.receive(d, "forger:1", 0)), datagram, lambda: listener.connections()[0].reliability
+    client = Connection(client_cfg, "client", random.Random(17))
+    client.start(0)
+    if case == "client_three_fragments":
+        datagram = forged_fragments(HandshakeType.SERVER_HELLO, [1, 2, 3], b"", (1 << 24) - 1)
+    else:  # claims 2^16 - 1 each: megabytes, not gigabytes, where every message_seq is buffered
+        datagram = forged_fragments(HandshakeType.SERVER_HELLO, range(1, 98), b"\x00", (1 << 16) - 1)
+    return (lambda d: client.handle(d, 0)), datagram, lambda: client.reliability
+
+
+@pytest.mark.parametrize(
+    "case,datagram_len",
+    [("server_one_fragment", 65), ("client_three_fragments", 49), ("client_97_fragments", 1274)],
+)
+def test_forged_fragment_lengths_allocate_nothing_they_claim(case, datagram_len):
+    # what the receiver holds follows the bytes that arrived, and it buffers no
+    # message_seq beyond its window (RFC 9147 section 5.2); the bound is far
+    # below any one claimed message
+    bound = 16 * 1024
+    receive, datagram, _ = forgery_receiver(case)
+    receive(datagram)  # warm-up: lazy caches and first-call allocations
+    receive, datagram, reliability = forgery_receiver(case)
+    assert len(datagram) == datagram_len
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert receive(datagram) == []
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < bound
+    state = reliability()
+    assert state.next_recv_msg_seq == 0
+    assert 0 < len(state.inbound_frags) <= RECV_WINDOW_MSGS
+
+
 # --- tickets and resumption --------------------------------------------------------
 
 
@@ -1238,6 +1356,25 @@ def test_cid_survives_address_rebind():
     assert server.reliability.next_send_msg_seq == hs_msgs_before  # zero handshake messages
     assert pair.listener.by_addr.get("client:9999") is server
     assert list(pair.listener.by_addr) == ["client:9999"]
+
+
+def test_record_with_another_connections_cid_dropped():
+    # the client reads only records carrying its own CID; one naming another
+    # connection is dropped before any decryption
+    client_cfg, server_cfg, _ = make_configs(Protocol.DTLS, AuthMode.PSK, seed=75)
+    pair = Pair(replace(client_cfg, cid=4), replace(server_cfg, cid=4), seed=75)
+    pair.run()
+    server = pair.assert_complete()
+    [rec] = server.send_app_data(b"not yours", now=10_000)
+    assert rec.data[1:5] == pair.client.cid_local
+    forged = rec.data[:1] + bytes(b ^ 0xFF for b in rec.data[1:5]) + rec.data[5:]
+    opens = pair.client.counters.aead_open
+    assert pair.client.handle(forged, 10_010) == []
+    assert pair.client.counters.aead_open == opens
+    assert not any(e.kind == EventKind.APP_DATA for e in pair.client.event_log)
+    assert (pair.client.failure, pair.client.failed_from) == (None, None)
+    assert pair.client.handle(rec.data, 10_020) == []
+    assert pair.client.event_log[-1].kind == EventKind.APP_DATA
 
 
 def test_rebind_without_cid_drops_records():

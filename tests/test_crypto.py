@@ -6,7 +6,7 @@ import pytest
 from cryptography.hazmat.primitives import hashes
 from cryptography.hazmat.primitives.kdf.hkdf import HKDFExpand
 
-from minitls import crypto
+from minitls import crypto, messages
 from minitls.crypto import HashAlg, Protocol, SuiteId
 from minitls.errors import AuthenticationFailure, LengthOverflow, UnknownSuite
 
@@ -199,7 +199,7 @@ def test_transcript_hello_retry_replacement():
     ch1 = b"\x01\x00\x00\x05hello"
     hrr = b"\x02\x00\x00\x03hrr"
     ch2 = b"\x01\x00\x00\x05again"
-    synthetic = crypto.message_hash(crypto.hash_data(HashAlg.SHA256, ch1))
+    synthetic = messages.message_hash(crypto.hash_data(HashAlg.SHA256, ch1))
     expected_synth = bytes([254, 0, 0, 32]) + hashlib.sha256(ch1).digest()
     assert synthetic == expected_synth
     digest = crypto.transcript_hash([synthetic, hrr, ch2], HashAlg.SHA256)

@@ -6,7 +6,7 @@ from cryptography.hazmat.primitives.asymmetric.utils import decode_dss_signature
 
 from minitls import bench, ec
 from minitls.crypto import NamedGroup, SignatureScheme
-from minitls.errors import InvalidPoint
+from minitls.errors import IllegalParameter
 
 from .harness import count_backend_keys
 
@@ -103,11 +103,11 @@ def test_ecdh_symmetry(group, secret_len):
 
 def test_invalid_points_rejected():
     priv, _ = ec.keypair(NamedGroup.SECP256R1, random.Random(9))
-    with pytest.raises(InvalidPoint):
+    with pytest.raises(IllegalParameter):
         ec.shared_secret(priv, bytes(65))
-    with pytest.raises(InvalidPoint):
+    with pytest.raises(IllegalParameter):
         ec.shared_secret(priv, b"\x04" + b"\x01" * 64)
-    with pytest.raises(InvalidPoint):
+    with pytest.raises(IllegalParameter):
         ec.shared_secret(priv, b"")
 
 

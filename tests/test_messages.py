@@ -88,7 +88,7 @@ def wire_form(msg, protocol, message_seq=0) -> bytes:
     if protocol == Protocol.TLS:
         return raw
     body = raw[4:]
-    return m.DtlsFragment(raw[0], len(body), message_seq, 0, len(body), body).encode()
+    return m.DtlsFragment(raw[0], len(body), message_seq, 0, body).encode()
 
 
 def decode_wire(wire: bytes, protocol):
@@ -245,8 +245,7 @@ def test_fragment_gap_and_inconsistency():
         frags[0].length,
         frags[0].message_seq,
         frags[0].fragment_offset,
-        frags[0].fragment_length,
-        b"\xff" * frags[0].fragment_length,
+        b"\xff" * len(frags[0].body),
     )
     with pytest.raises(InconsistentDuplicate):
         reassemble([frags[0], bad])
@@ -269,7 +268,7 @@ def _interval_reassembly(length, pieces):
     buf = m.FragmentBuffer(11, length, 0)
     try:
         for lo, data in pieces:
-            buf.add(m.DtlsFragment(11, length, 0, lo, len(data), data))
+            buf.add(m.DtlsFragment(11, length, 0, lo, data))
         return buf.assemble().body
     except (InconsistentDuplicate, FragmentGap) as exc:
         return str(exc)
@@ -316,7 +315,7 @@ def test_fragment_buffer_matches_bytewise_reference():
 def test_zero_length_message_is_complete():
     buf = m.FragmentBuffer(11, 0, 0)
     assert buf.complete
-    buf.add(m.DtlsFragment(11, 0, 0, 0, 0, b""))
+    buf.add(m.DtlsFragment(11, 0, 0, 0, b""))
     assert buf.complete and buf.assemble().body == b""
 
 

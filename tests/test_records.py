@@ -6,13 +6,13 @@ import pytest
 from minitls import crypto, records
 from minitls.crypto import SuiteId
 from minitls.errors import (
-    AllZeroInner,
     AuthenticationFailure,
     BadOuterType,
     DecodeError,
     RecordOverflow,
     ReplayedRecord,
     SequenceOverflow,
+    UnexpectedMessage,
 )
 from minitls.keyschedule import SEQ_LIMIT, TrafficKeys
 from minitls.records import ContentType, ReplayWindow
@@ -95,7 +95,7 @@ def test_tls_all_zero_inner():
     inner = bytes(5)
     header = bytes([0x17, 0x03, 0x03]) + (len(inner) + 16).to_bytes(2, "big")
     ct = crypto.aead_seal(P128, w.aead(P128), records.nonce_for(w.iv, 0), header, inner)
-    with pytest.raises(AllZeroInner):
+    with pytest.raises(UnexpectedMessage):
         records.open_tls(P128, r, header + ct)
 
 
@@ -232,7 +232,7 @@ def test_dtls_aad_binds_header_bits():
             r = dtls_read_keys()
             try:
                 p = records.parse_unified(bytes(mutated), 0, 4)
-                with pytest.raises((AuthenticationFailure, AllZeroInner, DecodeError)):
+                with pytest.raises((AuthenticationFailure, UnexpectedMessage, DecodeError)):
                     records.open_dtls(P128, r, p)
             except (BadOuterType, DecodeError):
                 pass  # flag bits may make the header unparseable, also a rejection

@@ -75,7 +75,7 @@ def feed(cfg, role: str, phase: Phase, epoch: int, raw: bytes):
         else:
             record = records.seal_tls(conn.params, keys, ContentType.HANDSHAKE, raw)
     else:
-        frag = messages.DtlsFragment(raw[0], len(raw) - 4, 0, 0, len(raw) - 4, raw[4:]).encode()
+        frag = messages.DtlsFragment(raw[0], len(raw) - 4, 0, 0, raw[4:]).encode()
         if epoch == EPOCH_PLAIN:
             record = records.encode_dtls_plaintext(ContentType.HANDSHAKE, 0, frag)
         else:
