@@ -22,7 +22,7 @@ from .connection import (
     resume_config,
 )
 from .crypto import NamedGroup, Protocol, SuiteId, suite_params
-from .errors import IllegalOverride, ProtocolError, UnknownSuite
+from .errors import IllegalOverride, UnknownSuite
 from .profiles import (
     ECDHE_FAMILY,
     PK_FAMILY,
@@ -296,36 +296,40 @@ def run_scenario(scenario: Scenario) -> Report:
 
     client = Connection(client_cfg, "client", client_rng, conn_id="C")
     start_ms = 0
+    warm_failed = False
     if scenario.resume:
         # warm leg issues a ticket; the measured leg resumes with it
         warm_server_cfg = dataclasses.replace(server_cfg, tickets=True)
         listener = ServerListener(warm_server_cfg, server_rng)
-        warm = Driver(client, listener, link_cls(scenario.net))
-        warm_end = warm.run()
-        if not client.client_tickets:
-            raise ProtocolError("warm handshake issued no ticket to resume")
-        ticket = client.client_tickets[0]
-        client = Connection(
-            resume_config(client_cfg, ticket),
-            "client",
-            random.Random(f"client-resumed-{seed}"),
-            conn_id="C2",
-        )
-        start_ms = warm_end + 100
+        driver = Driver(client, listener, link_cls(scenario.net))
+        finished_at = driver.run()
+        # with no ticket (the warm leg failed, or its ticket was lost), the warm leg is the report
+        warm_failed = not client.client_tickets
+        if not warm_failed:
+            client = Connection(
+                resume_config(client_cfg, client.client_tickets[0]),
+                "client",
+                random.Random(f"client-resumed-{seed}"),
+                conn_id="C2",
+            )
+            start_ms = finished_at + 100
     else:
         listener = ServerListener(server_cfg, server_rng)
-    driver = Driver(client, listener, link)
-    driver.app_payload = bytes(scenario.app_payload)
-    finished_at = driver.run(start_ms=start_ms)
+    if not warm_failed:
+        driver = Driver(client, listener, link)
+        driver.app_payload = bytes(scenario.app_payload)
+        finished_at = driver.run(start_ms=start_ms)
 
     server_conns = listener.connections()
     server = server_conns[0] if server_conns else None
-    ok = client.connected and server is not None and server.connected
+    ok = client.connected and server is not None and server.connected and not warm_failed
     failure = client.failure or (server.failure if server else "no-server-connection")
     failed_phase = None
     if not ok:
         victim = client if client.failure else server
         failed_phase = (victim.failed_from or victim.phase.value) if victim is not None else "accept"
+    if warm_failed:
+        failure, failed_phase = failure or "no-ticket", f"warm:{failed_phase}"
     rtt = None
     if scenario.mode == AuthMode.ZERO_RTT.value:
         rtt = 0

@@ -107,6 +107,33 @@ class OpCounters:
         return dict(self.__dict__)
 
 
+class Transcript:
+    """The handshake messages in TLS form, in order, and the only code that hashes them
+    (RFC 8446 section 4.4.1).  Only ``digest`` counts its blocks in ``hash_blocks``."""
+
+    def __init__(self, counters: OpCounters):
+        self.messages: list = []
+        self.counters = counters
+
+    def append(self, raw: bytes) -> None:
+        self.messages.append(raw)
+
+    def digest(self, alg) -> bytes:
+        self.counters.hash_blocks += (sum(map(len, self.messages)) + 63) // 64
+        return crypto.transcript_hash(self.messages, alg)
+
+    def binder_digest(self, raw: bytes, params) -> bytes:
+        """The hash a PSK binder covers: the messages before the ClientHello ``raw``,
+        then ``raw`` up to its binders list (RFC 8446 section 4.2.11.2)."""
+        return crypto.transcript_hash(self.messages + [messages.binder_prefix(raw, params.hash_len)], params.hash_alg)
+
+    def restart(self, alg, hrr_raw: bytes, ch1_digest: bytes | None = None) -> None:
+        """After a HelloRetryRequest ``hrr_raw``, ClientHello1 (the one message held, or
+        ``ch1_digest`` from a stateless server's cookie) collapses into message_hash."""
+        ch1_digest = ch1_digest or crypto.transcript_hash(self.messages, alg)
+        self.messages = [messages.message_hash(ch1_digest), hrr_raw]
+
+
 @dataclass
 class TicketState:
     """Client-side resumption material from one NewSessionTicket."""
@@ -207,7 +234,7 @@ class Connection:
         self.suite = cfg.suites[0]
         self.params = crypto.suite_params(self.suite)
         self.ks: KeySchedule | None = None
-        self.transcript: list = []  # TLS-form handshake bytes, in order
+        self.transcript = Transcript(self.counters)
 
         self.epochs: dict = {}  # epoch -> {"read": TrafficKeys, "write": TrafficKeys}
         self.write_epoch = EPOCH_PLAIN  # the latest non-early write keys: alerts and ACKs go out in it
@@ -280,10 +307,6 @@ class Connection:
             self.write_epoch = epoch
         elif direction == "read" and self.protocol == Protocol.DTLS:
             keys.window = ReplayWindow()
-
-    def _th(self) -> bytes:
-        self.counters.hash_blocks += (sum(map(len, self.transcript)) + 63) // 64
-        return crypto.transcript_hash(self.transcript, self.params.hash_alg)
 
     def _new_schedule(self, psk: bytes | None = None, kind: PskKind = PskKind.EXTERNAL) -> None:
         self.ks = KeySchedule(self.suite, self.protocol, self.counters).init_early(psk, kind)
@@ -380,10 +403,10 @@ class Connection:
             if cred is None:
                 raise ConfigConflict(f"{self.role} certificate requested but not configured")
             out += self._emit(messages.Certificate(b"", [(cred.cert_der, b"")]), EPOCH_HANDSHAKE, now)
-            content = messages.certificate_verify_content(self.role, self._th())
+            content = messages.certificate_verify_content(self.role, self.transcript.digest(self.params.hash_alg))
             cv = messages.CertificateVerify(int(cred.scheme), self._sign(cred, content))
             out += self._emit(cv, EPOCH_HANDSHAKE, now)
-        mac = self.ks.finished_mac(self._hs_traffic(self.role), self._th())
+        mac = self.ks.finished_mac(self._hs_traffic(self.role), self.transcript.digest(self.params.hash_alg))
         return out + self._emit(messages.Finished(mac), EPOCH_HANDSHAKE, now)
 
     def _peer_certificate(self, cert, raw: bytes, now: int) -> list:
@@ -396,7 +419,7 @@ class Connection:
     def _peer_certificate_verify(self, cv, raw: bytes, now: int) -> list:
         if cv.scheme not in self._scheme_list():  # RFC 8446 section 4.4.3
             raise IllegalParameter(f"{self.peer_role} CertificateVerify scheme {cv.scheme:#06x} was not offered")
-        content = messages.certificate_verify_content(self.peer_role, self._th())
+        content = messages.certificate_verify_content(self.peer_role, self.transcript.digest(self.params.hash_alg))
         anchor = self.cfg.peer_ec
         if anchor is None or not self._verify(
             anchor.public_point, crypto.SignatureScheme(cv.scheme), content, cv.signature
@@ -407,7 +430,8 @@ class Connection:
         return []
 
     def _peer_finished(self, fin, raw: bytes) -> None:
-        if not self.ks.verify_finished(self._hs_traffic(self.peer_role), self._th(), fin.verify_data):
+        th = self.transcript.digest(self.params.hash_alg)
+        if not self.ks.verify_finished(self._hs_traffic(self.peer_role), th, fin.verify_data):
             raise DecryptError(f"{self.peer_role} Finished MAC mismatch")
         self.transcript.append(raw)
 
@@ -472,8 +496,7 @@ class Connection:
             ch.legacy_session_id = self.rng.randbytes(32)
         self._new_schedule(psk.secret if psk else None, self.psk_kind_in_use)
         if psk is not None:
-            prefix = messages.binder_prefix(messages.tls_form(ch), self.params.hash_len)
-            binder = self.ks.compute_binder(crypto.transcript_hash(self.transcript + [prefix], self.params.hash_alg))
+            binder = self.ks.compute_binder(self.transcript.binder_digest(messages.tls_form(ch), self.params))
             ch.extensions[-1] = messages.ext_pre_shared_key_offer(psk.identity, self.obfuscated_age, binder)
         out = self._emit(ch, EPOCH_PLAIN, now)
         self.phase = Phase.WAIT_SH
@@ -490,7 +513,7 @@ class Connection:
         return self.cid_local or b""  # empty: "I send CIDs but do not need to receive them"
 
     def _send_early_data(self) -> list:
-        secret = self.ks.derive_early_traffic(self._th())
+        secret = self.ks.derive_early_traffic(self.transcript.digest(self.params.hash_alg))
         self._install(EPOCH_EARLY, "write", secret)
         _, rec = self._frame(EPOCH_EARLY, ContentType.APPLICATION_DATA, self.cfg.early_payload)
         return [OutRecord(rec, "early_data")]
@@ -677,9 +700,11 @@ class Connection:
         if cookie_ext is None:
             raise UnexpectedMessage("HelloRetryRequest without a cookie")
         cookie = messages.parse_cookie(cookie_ext.data)
-        # transcript restart: ClientHello1 collapses into message_hash
-        digest = crypto.hash_data(self.params.hash_alg, self.transcript[0])
-        self.transcript = [messages.message_hash(digest), raw]
+        if hrr.cipher_suite not in [int(s) for s in self.cfg.suites]:
+            raise IllegalParameter("HelloRetryRequest picked a suite we did not offer")
+        self.suite = SuiteId(hrr.cipher_suite)  # ClientHello1 is hashed with it (RFC 8446 section 4.4.1)
+        self.params = crypto.suite_params(self.suite)
+        self.transcript.restart(self.params.hash_alg, raw)
         self.ks = None
         self.epochs.pop(EPOCH_EARLY, None)  # 0-RTT does not survive an HRR
         if self.reliability is not None:
@@ -724,7 +749,7 @@ class Connection:
         if cid_ext is not None:
             self.cid_peer = messages.parse_connection_id(cid_ext.data) or None
 
-        self.ks.advance_handshake(dh, self._th())
+        self.ks.advance_handshake(dh, self.transcript.digest(self.params.hash_alg))
         self._install(EPOCH_HANDSHAKE, "read", self.ks.secret("s_hs"))
         self._install(EPOCH_HANDSHAKE, "write", self.ks.secret("c_hs"))
         self._tls_read_epoch = EPOCH_HANDSHAKE
@@ -748,14 +773,14 @@ class Connection:
 
     def _client_handle_finished(self, fin, raw: bytes, now: int) -> list:
         self._peer_finished(fin, raw)
-        self.ks.advance_master(self._th())
+        self.ks.advance_master(self.transcript.digest(self.params.hash_alg))
         self._install(EPOCH_APP, "read", self.ks.secret("s_ap"))
         out = self._fake_ccs()
         if self.early_accepted and self.protocol == Protocol.TLS:
             out += self._emit(messages.EndOfEarlyData(), EPOCH_EARLY, now)
         out += self._own_flight(with_cert=self.client_cert_requested, now=now)
         self._install(EPOCH_APP, "write", self.ks.secret("c_ap"))
-        self.ks.derive_resumption(self._th())
+        self.ks.derive_resumption(self.transcript.digest(self.params.hash_alg))
         self._tls_read_epoch = EPOCH_APP
         if self.reliability is not None:
             self.reliability.end_flight()
@@ -780,11 +805,10 @@ class Connection:
 
     # ---------------------------------------------------------------- server side
 
-    def after_stateless_hrr(self, transcript: list) -> None:
-        """Take up a DTLS handshake after the listener's stateless HelloRetryRequest,
-        which used record 0 and message_seq 0 each way; ``transcript`` is
-        message_hash(ClientHello1) and that HelloRetryRequest (RFC 8446 section 4.4.1)."""
-        self.transcript = list(transcript)
+    def after_stateless_hrr(self, ch1_digest: bytes, hrr_raw: bytes) -> None:
+        """Take up a DTLS handshake after the listener's stateless HelloRetryRequest ``hrr_raw``
+        (record 0 and message_seq 0 each way), its cookie carrying ClientHello1's ``ch1_digest``."""
+        self.transcript.restart(self.params.hash_alg, hrr_raw, ch1_digest)
         self.plain_write_seq = 1
         self.plain_window.add(0)
         self.reliability.next_send_msg_seq = self.reliability.next_recv_msg_seq = 1
@@ -792,8 +816,6 @@ class Connection:
     def _server_handle_client_hello(self, ch, raw: bytes, now: int) -> list:
         if self.reliability is not None:
             self.reliability.after_client_hello()
-        self.transcript.append(raw)
-
         self.suite = _choose_suite(self.cfg, self.ticket_db, ch, now)
         self.params = crypto.suite_params(self.suite)
 
@@ -808,6 +830,10 @@ class Connection:
                 raise HandshakeFailure("no offered key-share group is enabled here")
 
         psk = self._server_select_psk(ch, raw, now, fallback_possible=share is not None)
+        self.transcript.append(raw)  # after the binder check, which covers the messages before it
+        if self.early_accepted:
+            secret = self.ks.derive_early_traffic(self.transcript.digest(self.params.hash_alg))
+            self._install(EPOCH_EARLY, "read", secret)
         mode = self._server_mode(psk, share)
 
         exts = [messages.ext_supported_versions_server()]
@@ -832,7 +858,7 @@ class Connection:
 
         sh = messages.ServerHello(self.rng.randbytes(32), ch.legacy_session_id, int(self.suite), exts)
         out = self._emit(sh, EPOCH_PLAIN, now)
-        self.ks.advance_handshake(dh, self._th())
+        self.ks.advance_handshake(dh, self.transcript.digest(self.params.hash_alg))
         self._install(EPOCH_HANDSHAKE, "write", self.ks.secret("s_hs"))
         self._install(EPOCH_HANDSHAKE, "read", self.ks.secret("c_hs"))
         out += self._fake_ccs()
@@ -843,7 +869,7 @@ class Connection:
             out += self._emit(messages.CertificateRequest(b"", [sig_algs]), EPOCH_HANDSHAKE, now)
         out += self._own_flight(with_cert=mode in PK_FAMILY, now=now)
 
-        self.ks.advance_master(self._th())
+        self.ks.advance_master(self.transcript.digest(self.params.hash_alg))
         self._install(EPOCH_APP, "write", self.ks.secret("s_ap"))
         if self.early_accepted and self.protocol == Protocol.TLS:
             self._tls_read_epoch = EPOCH_EARLY
@@ -877,23 +903,15 @@ class Connection:
             raise
 
         self._new_schedule(psk_secret, kind)
-        prefix = messages.binder_prefix(raw_ch, self.params.hash_len)
-        th = crypto.transcript_hash(self.transcript[:-1] + [prefix], self.params.hash_alg)
-        if not hmac.compare_digest(self.ks.compute_binder(th), binder):
+        if not hmac.compare_digest(self.ks.compute_binder(self.transcript.binder_digest(raw_ch, self.params)), binder):
             raise DecryptError("psk binder mismatch")
         self.psk_in_use = PskCredential(identity, psk_secret)
         self.psk_kind_in_use = kind
-
-        wants_early = messages.find_extension(ch.extensions, ExtensionType.EARLY_DATA) is not None
-        if wants_early:
-            fresh = True
+        if messages.find_extension(ch.extensions, ExtensionType.EARLY_DATA) is not None:
+            self.early_accepted = True
             if resumed is not None:
                 real_age = (obf_age - resumed["age_add"]) & 0xFFFFFFFF
-                fresh = abs(real_age - (now - resumed["issued_at"])) <= TICKET_AGE_TOLERANCE_MS
-            if fresh:
-                self.early_accepted = True
-                secret = self.ks.derive_early_traffic(self._th())
-                self._install(EPOCH_EARLY, "read", secret)
+                self.early_accepted = abs(real_age - (now - resumed["issued_at"])) <= TICKET_AGE_TOLERANCE_MS
         return self.psk_in_use
 
     def _server_mode(self, psk, share) -> AuthMode:
@@ -916,7 +934,7 @@ class Connection:
     def _server_handle_finished(self, fin, raw: bytes, now: int) -> list:
         self._peer_finished(fin, raw)
         self._install(EPOCH_APP, "read", self.ks.secret("c_ap"))
-        self.ks.derive_resumption(self._th())
+        self.ks.derive_resumption(self.transcript.digest(self.params.hash_alg))
         self._tls_read_epoch = EPOCH_APP
         self.phase = Phase.CONNECTED
         self._event(now, EventKind.HANDSHAKE_COMPLETE)
@@ -1013,13 +1031,6 @@ class ServerListener:
 
     # -- cookie machinery ------------------------------------------------------
 
-    def mint_cookie(self, address: str, ch_hash: bytes) -> bytes:
-        # 0x00 + Hash(ClientHello1) + MAC(address || Hash(ClientHello1));
-        # embedding the hash keeps the retry transcript reconstructible with
-        # zero server-side state.
-        mac = crypto.hmac_digest(crypto.HashAlg.SHA256, self.cookie_secret, address.encode() + ch_hash)
-        return b"\x00" + ch_hash + mac
-
     def check_cookie(self, cookie: bytes, address: str, hash_len: int):
         """Returns the embedded Hash(ClientHello1) when valid, else None."""
         if len(cookie) != 1 + hash_len + 32 or cookie[0] != 0:
@@ -1103,13 +1114,15 @@ class ServerListener:
             return []  # bad cookie, or not the retry's message_seq: silently dropped, nothing allocated
         hrr = messages.build_hello_retry_request(int(suite.suite), cookie, ch.legacy_session_id)
         conn = self._fresh_connection(source)
-        conn.after_stateless_hrr([messages.message_hash(ch1_hash), messages.tls_form(hrr)])
+        conn.after_stateless_hrr(ch1_hash, messages.tls_form(hrr))
         return conn.handle(data, now)
 
     def _stateless_hrr(self, raw_ch: bytes, ch, suite, source: str) -> OutRecord:
+        # cookie: 0x00 + Hash(ClientHello1) + MAC(address || Hash(ClientHello1)); embedding the
+        # hash keeps the retry transcript reconstructible with zero server-side state
         ch_hash = crypto.hash_data(suite.hash_alg, raw_ch)
-        cookie = self.mint_cookie(source, ch_hash)
-        hrr = messages.build_hello_retry_request(int(suite.suite), cookie, ch.legacy_session_id)
+        mac = crypto.hmac_digest(crypto.HashAlg.SHA256, self.cookie_secret, source.encode() + ch_hash)
+        hrr = messages.build_hello_retry_request(int(suite.suite), b"\x00" + ch_hash + mac, ch.legacy_session_id)
         body = messages.tls_form(hrr)
         frag = messages.DtlsFragment(HandshakeType.SERVER_HELLO, len(body) - 4, 0, 0, body[4:]).encode()
         record = records.encode_dtls_plaintext(ContentType.HANDSHAKE, 0, frag)

@@ -124,7 +124,7 @@ def secrets_of(conn):
 
 
 def transcript_types(conn):
-    return [raw[0] for raw in conn.transcript]
+    return [raw[0] for raw in conn.transcript.messages]
 
 
 def tamper_on_wire(monkeypatch, role: str, tamper) -> None:

@@ -145,7 +145,7 @@ def test_05_key_schedule_oracle_equivalence(monkeypatch):
         zeros = b"\x00" * hlen
 
         # replay the whole schedule with the scripted oracle
-        transcript = conn.transcript
+        transcript = conn.transcript.messages
         idx_sh = next(i for i, m in enumerate(transcript) if m[0] == 2)
         idx_sfin = next(i for i, m in enumerate(transcript) if m[0] == 20)
         th = lambda i: crypto.hash_data(HashAlg.SHA256, b"".join(transcript[: i + 1]))

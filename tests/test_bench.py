@@ -254,13 +254,14 @@ MATRIX = ["matrix", "--config", "{matrix}"]
     (MATRIX, {"net": {"reorder_rate": -1}}),
     (MATRIX, {"net": {"latency_ms": -1}}),
     (MATRIX, {"net": {"framing_overhead": -3}}),
+    (MATRIX, {"profile": "ecdsa128", "overrides": {"groups": []}}),
 ], ids=["cid-range", "cid-on-tls", "mode-not-in-profile", "unknown-mode", "unknown-suite", "unknown-profile",
         "matrix-unknown-protocol", "matrix-unknown-key", "matrix-unknown-net-key", "matrix-unknown-override-suite",
         "key-share-mode-without-group", "mtu-20", "mtu-0", "negative-padding", "negative-app-payload",
         "negative-cert-size", "matrix-str-mtu", "matrix-str-cid", "matrix-str-loss-rate", "matrix-bool-mtu",
         "padding-300-mtu-200", "loss-1.5", "dup-minus-1", "reorder-2", "negative-latency", "negative-framing",
         "matrix-negative-loss-rate", "matrix-dup-rate-above-1", "matrix-negative-reorder-rate",
-        "matrix-negative-latency", "matrix-negative-framing"])
+        "matrix-negative-latency", "matrix-negative-framing", "matrix-ecdhe-without-group"])
 def test_cli_configuration_error_exit_code(argv, entry, tmp_path, capsys):
     matrix = tmp_path / "matrix.json"
     matrix.write_text(json.dumps({"scenarios": [entry]}))
@@ -369,6 +370,21 @@ def test_resumed_scenario_runs_psk_flow(protocol):
     assert r.counters_client["dh_ops"] == 0
     names = [n for n, _, _, _ in r.per_message]
     assert "client_hello" in names and "certificate" not in names
+
+
+def test_resume_reports_a_warm_leg_that_issued_no_ticket(tmp_path, capsys):
+    # at loss 0.6 and seed 28 the warm leg times out in wait_sh, so there is no ticket to resume
+    entry = {"profile": "psk128", "protocol": "dtls", "mode": "psk", "resume": True,
+             "net": {"loss_rate": 0.6, "seed": 28}}
+    r = run_scenario(Scenario.from_dict(entry))
+    assert not r.ok
+    assert r.failure == "handshake_timeout"
+    assert r.failed_phase == "warm:wait_sh"
+    assert r.total() > 0  # the warm leg's bytes
+    matrix = tmp_path / "matrix.json"
+    matrix.write_text(json.dumps({"scenarios": [entry]}))
+    assert cli.main(["matrix", "--config", str(matrix)]) == cli.EXIT_PROTOCOL_FAILURE
+    assert "FAILED(handshake_timeout)" in capsys.readouterr().out
 
 
 def test_resumed_zero_rtt_scenario():

@@ -9,6 +9,7 @@ import pytest
 from minitls import ec, messages, records
 from minitls.bench import Scenario, build_configs
 from minitls.connection import (
+    EPOCH_EARLY,
     EPOCH_HANDSHAKE,
     TICKET_LIFETIME_S,
     Connection,
@@ -17,7 +18,7 @@ from minitls.connection import (
     resume_config,
 )
 from minitls.crypto import NamedGroup, Protocol, SignatureScheme, SuiteId
-from minitls.errors import ConfigConflict, NotReady
+from minitls.errors import ConfigConflict, DecodeError, NotReady
 from minitls.keyschedule import TrafficKeys
 from minitls.messages import HandshakeType
 from minitls.profiles import AuthMode
@@ -65,7 +66,7 @@ def test_honest_handshake_completes_with_shared_keys(protocol, mode):
     assert pair.client.epochs[3]["read"].key == server.epochs[3]["write"].key
     assert pair.client.epochs[3]["write"].iv == server.epochs[3]["read"].iv
     # transcripts agree
-    assert pair.client.transcript == server.transcript
+    assert pair.client.transcript.messages == server.transcript.messages
 
 
 SV, GROUPS, SIG_ALGS, SNI, CID, COOKIE, SHARE, EARLY, PSK_MODES, PSK = (
@@ -93,7 +94,7 @@ HELLO_EXTENSIONS = {
 def sent_hellos(conn) -> list:
     """The ClientHellos and ServerHellos (HelloRetryRequests included) in ``conn``'s transcript."""
     hellos = (HandshakeType.CLIENT_HELLO, HandshakeType.SERVER_HELLO)
-    return [messages.decode_handshake(raw) for raw in conn.transcript if raw[0] in hellos]
+    return [messages.decode_handshake(raw) for raw in conn.transcript.messages if raw[0] in hellos]
 
 
 def extension_types(msg) -> list:
@@ -503,6 +504,36 @@ def test_second_hello_retry_request_is_unexpected(monkeypatch):
 
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_hello_retry_request_with_a_suite_not_offered_rejected(protocol, monkeypatch):
+    # the client offers only AES-128-CCM (RFC 8446 section 4.1.4)
+    def tamper(name, raw):
+        if name == "server_hello":
+            return messages.tls_form(messages.build_hello_retry_request(int(SuiteId.AES_256_GCM_SHA384), bytes(8)))
+        return None
+
+    tamper_on_wire(monkeypatch, "server", tamper)
+    pair = run_handshake(protocol, AuthMode.PSK, seed=72)
+    assert (pair.client.failure, pair.client.failed_from) == ("illegal_parameter", "wait_sh")
+
+
+def test_client_hello1_hashed_with_the_hello_retry_request_suite():
+    # the listener's stateless HelloRetryRequest picks the server's SHA-384 suite,
+    # which the client offered second; both sides hash ClientHello1 into
+    # message_hash with SHA-384 (RFC 8446 section 4.4.1)
+    suites = (SuiteId.AES_128_CCM_SHA256, SuiteId.AES_256_CCM_SHA384)
+    client_cfg, server_cfg, _ = make_configs(Protocol.DTLS, AuthMode.PK_SERVER_ONLY, seed=74)
+    client_cfg = replace(client_cfg, suites=suites)
+    server_cfg = replace(server_cfg, suites=suites[::-1], dos=True)
+    pair = Pair(client_cfg, server_cfg, seed=74)
+    pair.run(until_ms=10_000)
+    server = pair.assert_complete()
+    assert pair.client.hrr_done and pair.client.suite == SuiteId.AES_256_CCM_SHA384
+    message_hash = pair.client.transcript.messages[0]
+    assert message_hash[0] == HandshakeType.MESSAGE_HASH and len(message_hash) == 4 + 48
+    assert pair.client.transcript.messages == server.transcript.messages
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
 def test_zero_rtt_offer_whose_psk_is_declined_fails(protocol, monkeypatch):
     # a 0-RTT client offers no key share, so a ServerHello without
     # pre_shared_key leaves it no way to key the handshake
@@ -606,7 +637,7 @@ def plaintext_handshake(protocol, raw: bytes) -> bytes:
 
 
 def server_message(pair, msg_type) -> bytes:
-    return next(raw for raw in pair.server.transcript if raw[0] == msg_type)
+    return next(raw for raw in pair.server.transcript.messages if raw[0] == msg_type)
 
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)
@@ -777,6 +808,8 @@ ALERT_40 = bytes([2, 40])
         (Protocol.TLS, True, ContentType.CHANGE_CIPHER_SPEC, b"\x01", "unexpected_message"),
         (Protocol.TLS, True, ContentType.ACK, b"\x00\x00", "unexpected_message"),
         (Protocol.DTLS, True, ContentType.CHANGE_CIPHER_SPEC, b"\x01", "unexpected_message"),
+        # a DTLS ACK lists 16-byte record numbers (RFC 9147 section 7)
+        (Protocol.DTLS, True, ContentType.ACK, b"\x00\x05" + bytes(5), "decode_error"),
         # a plaintext CCS in the middle of the handshake is ignored
         (Protocol.TLS, False, ContentType.CHANGE_CIPHER_SPEC, b"\x01", None),
         (Protocol.DTLS, False, ContentType.CHANGE_CIPHER_SPEC, b"\x01", None),
@@ -788,6 +821,7 @@ ALERT_40 = bytes([2, 40])
     ],
     ids=[
         "tls-plain-26", "tls-plain-99", "tls-protected-ccs", "tls-protected-ack", "dtls-protected-ccs",
+        "dtls-protected-ack-of-5-bytes",
         "tls-plain-ccs", "dtls-plain-ccs", "tls-plain-alert", "dtls-plain-alert", "tls-protected-alert",
         "dtls-protected-alert",
     ],
@@ -835,6 +869,97 @@ def test_server_rejects_application_data_under_handshake_keys(protocol):
     assert done
     assert pair.server.failure == "unexpected_message" and pair.server.failed_from == "wait_finished"
     assert not any(e.kind == EventKind.APP_DATA for e in pair.server.event_log)
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_empty_certificate_rejected(protocol, monkeypatch):
+    # a server Certificate must carry its certificate (RFC 8446 section 4.4.2)
+    empty = messages.tls_form(messages.Certificate(b"", []))
+    tamper_on_wire(monkeypatch, "server", lambda name, raw: empty if name == "certificate" else None)
+    pair = run_handshake(protocol, AuthMode.PK_SERVER_ONLY, seed=69)
+    assert pair.client.failure == "unexpected_message"
+    assert pair.client.failed_from == "wait_cert_cr"
+
+
+def test_dtls_end_of_early_data_rejected(monkeypatch):
+    # DTLS 1.3 omits EndOfEarlyData (RFC 9147 section 5.6): here the client sends
+    # one under its early keys before its Finished, and the server that took
+    # the 0-RTT data refuses it
+    own_flight = Connection._own_flight
+
+    def end_of_early_data_first(self, with_cert, now):
+        out = self._emit(messages.EndOfEarlyData(), EPOCH_EARLY, now) if self.role == "client" else []
+        return out + own_flight(self, with_cert, now)
+
+    monkeypatch.setattr(Connection, "_own_flight", end_of_early_data_first)
+    pair = run_handshake(Protocol.DTLS, AuthMode.ZERO_RTT, seed=18, early_payload=b"early")
+    assert pair.server.early_accepted
+    assert pair.server.failure == "unexpected_message"
+    assert pair.server.failed_from == "wait_finished"
+
+
+def test_end_of_early_data_with_a_body_rejected(monkeypatch):
+    def with_body(name, raw):
+        return bytes([HandshakeType.END_OF_EARLY_DATA, 0, 0, 1, 0]) if name == "end_of_early_data" else None
+
+    tamper_on_wire(monkeypatch, "client", with_body)
+    pair = run_handshake(Protocol.TLS, AuthMode.ZERO_RTT, seed=18, early_payload=b"early")
+    assert pair.server.early_accepted
+    assert pair.server.failure == "decode_error"
+    assert pair.server.failed_from == "wait_finished"
+
+
+def test_protected_fragments_whose_headers_disagree_rejected():
+    # two fragments of the server's message_seq 1 claim different message lengths;
+    # under handshake keys that is fatal, in front of the genuine EncryptedExtensions
+    client_cfg, server_cfg, _ = make_configs(Protocol.DTLS, AuthMode.PSK, seed=67)
+    pair = Pair(client_cfg, server_cfg, seed=67)
+    ee = HandshakeType.ENCRYPTED_EXTENSIONS
+    frags = messages.DtlsFragment(ee, 10, 1, 0, b"\x00\x00").encode() + messages.DtlsFragment(
+        ee, 11, 1, 2, b"\x00\x00"
+    ).encode()
+    done = prepend_once(
+        pair, "server", "encrypted_extensions",
+        lambda: server_record(pair, Protocol.DTLS, True, ContentType.HANDSHAKE, frags),
+    )
+    pair.run(until_ms=10_000)
+    assert done
+    assert pair.client.failure == "fragment_mismatch" and pair.client.failed_from == "wait_ee"
+
+
+EPOCH_2_HEADER = 0x20 | 0x08 | 0x04 | EPOCH_HANDSHAKE  # unified header: 16-bit sequence, length, epoch 2
+
+
+@pytest.mark.parametrize(
+    "tail,reason",
+    [
+        (bytes([EPOCH_2_HEADER | 0x10]) + b"\x01\x02", "truncated connection id"),  # 2 of 4 CID bytes
+        (bytes([EPOCH_2_HEADER, 0, 0, 5]), "truncated length field"),  # 1 of 2 length bytes
+    ],
+    ids=["cid", "length"],
+)
+def test_truncated_unified_header_at_the_end_of_a_datagram_dropped(tail, reason):
+    # the server's whole first flight is packed into one datagram with this tail;
+    # the records before it are read, and the tail is dropped silently
+    with pytest.raises(DecodeError, match=reason):
+        records.parse_unified(tail, 0, 4)
+    client_cfg, server_cfg, _ = make_configs(Protocol.DTLS, AuthMode.PSK, seed=70, cid=4, packing=True)
+    pair = Pair(client_cfg, server_cfg, seed=70)
+    done = []
+
+    def append_tail(endpoint, rec, now):
+        if endpoint != CLIENT and rec.name == "finished" and not done:
+            done.append(now)
+            rec.data += tail
+        return True
+
+    filter_sends(pair.driver, append_tail)
+    pair.run(until_ms=10_000)
+    assert done
+    pair.assert_complete()
+    assert pair.driver.wire["retransmitted_bytes"] == 0
+    first_flight = [name for name, _, _ in pair.driver.ledger[1][2]]
+    assert first_flight == ["server_hello", "encrypted_extensions", "finished"]
 
 
 def test_dtls_new_session_ticket_outside_application_epoch_rejected(monkeypatch):
@@ -941,13 +1066,14 @@ def test_binder_on_the_wire_matches_oracle(case):
     # message_hash(ClientHello1) and the HelloRetryRequest
     pair, psk, label, hashname = binder_case(case)
     server = pair.assert_complete()
-    at = [raw[0] for raw in pair.client.transcript].index(HandshakeType.CLIENT_HELLO)
+    at = [raw[0] for raw in pair.client.transcript.messages].index(HandshakeType.CLIENT_HELLO)
     assert at == (2 if case == "dtls-dos" else 0)
-    sent = pair.client.transcript[at]
-    assert server.transcript[at] == sent  # as the server read it off the wire
+    sent = pair.client.transcript.messages[at]
+    assert server.transcript.messages[at] == sent  # as the server read it off the wire
     covered, binder = raw_binder_split(sent)
     prefix = b"tls13 " if case == "tls" else b"dtls13"
-    assert binder == raw_psk_binder(hashname, prefix, psk, label, b"".join(pair.client.transcript[:at]) + covered)
+    before = b"".join(pair.client.transcript.messages[:at])
+    assert binder == raw_psk_binder(hashname, prefix, psk, label, before + covered)
 
 
 def test_wrong_psk_rejected():
