@@ -399,6 +399,7 @@ def deviation_pct(report: Report, ref_13: int) -> float:
 
 
 def emit(reports, fmt: str = "text") -> str:
+    """``reports`` as "json", "csv" or, for any other ``fmt``, "text"."""
     if fmt == "json":
         return json.dumps([r.to_dict() for r in reports], sort_keys=True, indent=2)
     if fmt == "csv":
@@ -428,26 +429,24 @@ def emit(reports, fmt: str = "text") -> str:
                 + "\n"
             )
         return out.getvalue()
-    if fmt == "text":
-        lines = []
-        header = f"{'configuration':38} {'1.2 model':>9} {'1.3 measured':>12} {'diff':>7}"
-        compare = any(r.scenario.compare_paper for r in reports)
+    lines = []
+    header = f"{'configuration':38} {'1.2 model':>9} {'1.3 measured':>12} {'diff':>7}"
+    compare = any(r.scenario.compare_paper for r in reports)
+    if compare:
+        header += f" {'paper 1.2':>9} {'paper 1.3':>9} {'dev%':>6}"
+    lines.append(header)
+    lines.append("-" * len(header))
+    for r in reports:
+        total = r.total()
+        row = f"{r.scenario.key():38} {r.legacy12_total:>9} {total:>12} {total - r.legacy12_total:>+7}"
         if compare:
-            header += f" {'paper 1.2':>9} {'paper 1.3':>9} {'dev%':>6}"
-        lines.append(header)
-        lines.append("-" * len(header))
-        for r in reports:
-            total = r.total()
-            row = f"{r.scenario.key():38} {r.legacy12_total:>9} {total:>12} {total - r.legacy12_total:>+7}"
-            if compare:
-                ref = paper_reference(r)
-                if ref:
-                    _, v12, v13 = ref
-                    row += f" {v12:>9} {v13:>9} {deviation_pct(r, v13):>+6.1f}"
-                else:
-                    row += f" {'-':>9} {'-':>9} {'-':>6}"
-            if not r.ok:
-                row += f"  FAILED({r.failure})"
-            lines.append(row)
-        return "\n".join(lines) + "\n"
-    raise ValueError(f"unknown format {fmt!r}")
+            ref = paper_reference(r)
+            if ref:
+                _, v12, v13 = ref
+                row += f" {v12:>9} {v13:>9} {deviation_pct(r, v13):>+6.1f}"
+            else:
+                row += f" {'-':>9} {'-':>9} {'-':>6}"
+        if not r.ok:
+            row += f"  FAILED({r.failure})"
+        lines.append(row)
+    return "\n".join(lines) + "\n"

@@ -214,9 +214,6 @@ class Connection:
     def __init__(self, cfg: ConnConfig, role: str, rng: random.Random, conn_id: str = ""):
         if cfg.mode == AuthMode.ZERO_RTT and cfg.psk is None and cfg.resume is None and role == "client":
             raise ConfigConflict("0-RTT requires PSK or resumption material")
-        if role == "server" and cfg.mode in PK_FAMILY:
-            if cfg.local_ec is None:
-                raise ConfigConflict("certificate mode without a server credential")
         self.cfg = cfg
         self.role = role
         self.peer_role = "server" if role == "client" else "client"
@@ -242,8 +239,10 @@ class Connection:
         self.plain_window = ReplayWindow()
 
         self.reliability = DtlsReliability() if self.protocol == Protocol.DTLS else None
-        if self.reliability is not None:
-            self._fragment_budget(EPOCH_HANDSHAKE)  # ConfigConflict before any send when no fragment fits
+        # a record holds a DTLS fragment header and a byte of its message, or a 2-byte alert
+        least = messages.DTLS_HANDSHAKE_HEADER_LEN + 1 if self.reliability is not None else 2
+        if self._record_room(EPOCH_HANDSHAKE) < least:
+            raise ConfigConflict("padding and mtu leave a record too little room")
 
         self.cid_local = rng.randbytes(cfg.cid) if cfg.cid else None  # peers put this in records they send us
         self.cid_peer: bytes | None = None  # we put this in records we send
@@ -367,20 +366,27 @@ class Connection:
         if msg.MSG_TYPE != HandshakeType.NEW_SESSION_TICKET:
             self.transcript.append(raw)
         name = HandshakeType(raw[0]).name.lower()
-        if self.protocol == Protocol.TLS:
-            return [OutRecord(self._frame(epoch, ContentType.HANDSHAKE, raw)[1], name)]
-        return self.reliability.send(self._frame, raw[0], raw[4:], name, epoch, self._fragment_budget(epoch), now)
+        room = self._record_room(epoch)
+        if self.protocol == Protocol.TLS:  # a message longer than one record spans several (RFC 8446 section 5.1)
+            return [
+                OutRecord(self._frame(epoch, ContentType.HANDSHAKE, raw[i : i + room])[1], name)
+                for i in range(0, len(raw), room)
+            ]
+        return self.reliability.send(self._frame, raw[0], raw[4:], name, epoch, room, now)
 
-    def _fragment_budget(self, epoch: int) -> int:
+    def _record_room(self, epoch: int) -> int:
+        """Content bytes one record of ``epoch`` carries: 2^14 less the padding (RFC 8446
+        section 5.4) and, on DTLS, no more than one datagram of the MTU holds (RFC 9147
+        section 4) with the record's header, inner content type, padding and tag."""
         if epoch == EPOCH_PLAIN:
-            overhead = records.DTLS12_RECORD_HEADER_LEN
+            room, overhead = records.MAX_PLAINTEXT, records.DTLS12_RECORD_HEADER_LEN
         else:
+            room = records.MAX_PLAINTEXT - self.cfg.pad_len
             header = records.unified_header_size(0, False, self.cfg.packing)
-            overhead = header + 1 + self.cfg.pad_len + self.params.tag_len  # 1: the inner content type
-        budget = self.cfg.mtu - overhead
-        if budget <= messages.DTLS_HANDSHAKE_HEADER_LEN:
-            raise ConfigConflict("mtu too small for any handshake fragment")
-        return budget
+            overhead = header + 1 + self.cfg.pad_len + self.params.tag_len
+        if self.reliability is not None:
+            room = min(room, self.cfg.mtu - overhead)
+        return room
 
     def _fake_ccs(self) -> list:
         # compat mode artifact: legacy type 20, body 0x01, sent once, ignored on receipt
@@ -399,13 +405,14 @@ class Connection:
         then its Finished."""
         out = []
         if with_cert:
+            # a client asked for a certificate it lacks sends an empty Certificate
+            # and no CertificateVerify (RFC 8446 section 4.4.2)
             cred = self.cfg.local_ec
-            if cred is None:
-                raise ConfigConflict(f"{self.role} certificate requested but not configured")
-            out += self._emit(messages.Certificate(b"", [(cred.cert_der, b"")]), EPOCH_HANDSHAKE, now)
-            content = messages.certificate_verify_content(self.role, self.transcript.digest(self.params.hash_alg))
-            cv = messages.CertificateVerify(int(cred.scheme), self._sign(cred, content))
-            out += self._emit(cv, EPOCH_HANDSHAKE, now)
+            out += self._emit(messages.Certificate(b"", [(cred.cert_der, b"")] if cred else []), EPOCH_HANDSHAKE, now)
+            if cred is not None:
+                content = messages.certificate_verify_content(self.role, self.transcript.digest(self.params.hash_alg))
+                cv = messages.CertificateVerify(int(cred.scheme), self._sign(cred, content))
+                out += self._emit(cv, EPOCH_HANDSHAKE, now)
         mac = self.ks.finished_mac(self._hs_traffic(self.role), self.transcript.digest(self.params.hash_alg))
         return out + self._emit(messages.Finished(mac), EPOCH_HANDSHAKE, now)
 
@@ -515,8 +522,7 @@ class Connection:
     def _send_early_data(self) -> list:
         secret = self.ks.derive_early_traffic(self.transcript.digest(self.params.hash_alg))
         self._install(EPOCH_EARLY, "write", secret)
-        _, rec = self._frame(EPOCH_EARLY, ContentType.APPLICATION_DATA, self.cfg.early_payload)
-        return [OutRecord(rec, "early_data")]
+        return self._app_records(EPOCH_EARLY, self.cfg.early_payload, "early_data")
 
     # -------------------------------------------------------------- receive path
 
@@ -924,9 +930,10 @@ class Connection:
         return AuthMode.PK_MUTUAL if self.cfg.mode == AuthMode.PK_MUTUAL else AuthMode.PK_SERVER_ONLY
 
     def _server_handle_eoed(self, eoed, raw: bytes, now: int) -> list:
-        # DTLS 1.3 omits EndOfEarlyData (RFC 9147 section 5.6)
-        if not (self.early_accepted and self.protocol == Protocol.TLS):
-            raise UnexpectedMessage("EndOfEarlyData without accepted 0-RTT")
+        # DTLS 1.3 omits EndOfEarlyData (RFC 9147 section 5.6); only a server that
+        # accepted 0-RTT holds the epoch-1 read keys it arrives under
+        if self.protocol != Protocol.TLS:
+            raise UnexpectedMessage("EndOfEarlyData on DTLS")
         self.transcript.append(raw)
         self._tls_read_epoch = EPOCH_HANDSHAKE
         return []
@@ -961,17 +968,18 @@ class Connection:
     # ----------------------------------------------------------------- app data
 
     def send_app_data(self, payload: bytes, now: int) -> list:
-        """``payload`` split into records that fit: each inner plaintext at most 2^14 + 1
-        bytes (RFC 8446 section 5.4) and, on DTLS, each record one datagram of the MTU."""
         if not self.connected:
             raise NotReady("application data before the handshake allows it")
-        size = (1 << 14) - self.cfg.pad_len
-        if self.reliability is not None:  # a handshake fragment's room, less the CID the peer asked for
-            size = min(size, self._fragment_budget(EPOCH_APP) - len(self.cid_peer or b""))
+        return self._app_records(EPOCH_APP, payload, "app_data")
+
+    def _app_records(self, epoch: int, payload: bytes, name: str) -> list:
+        """``payload`` split into application-data records of ``epoch`` that fit: each
+        ``_record_room`` less the CID the peer asked for."""
+        size = self._record_room(epoch) - len(self.cid_peer or b"")
         if size < 1:
             raise ConfigConflict("padding and mtu leave no room for application data")
         return [
-            OutRecord(self._frame(EPOCH_APP, ContentType.APPLICATION_DATA, payload[i : i + size])[1], "app_data")
+            OutRecord(self._frame(epoch, ContentType.APPLICATION_DATA, payload[i : i + size])[1], name)
             for i in range(0, len(payload) or 1, size)
         ]
 

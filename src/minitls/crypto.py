@@ -161,8 +161,6 @@ def hkdf_label(label: bytes, context: bytes, out_len: int, protocol: Protocol) -
     full = LABEL_PREFIX[protocol] + label
     if not 7 <= len(full) <= 255:  # RFC 8446 section 7.1: opaque label<7..255>
         raise LengthOverflow(f"prefixed label of {len(full)} bytes outside 7..255")
-    if len(context) > 255:
-        raise LengthOverflow("context longer than 255 bytes")
     return (
         _LABEL_HEADER.pack(out_len, len(full))
         + full
@@ -195,14 +193,10 @@ def aead_cipher(params: SuiteParams, key: bytes):
 
 
 def aead_seal(params: SuiteParams, aead, nonce: bytes, aad: bytes, plaintext: bytes) -> bytes:
-    if len(nonce) != params.iv_len:
-        raise ValueError(f"nonce must be {params.iv_len} bytes")
     return aead.encrypt(nonce, plaintext, aad)
 
 
 def aead_open(params: SuiteParams, aead, nonce: bytes, aad: bytes, ciphertext: bytes) -> bytes:
-    if len(nonce) != params.iv_len:
-        raise ValueError(f"nonce must be {params.iv_len} bytes")
     try:
         return aead.decrypt(nonce, ciphertext, aad)
     except InvalidTag:
@@ -220,8 +214,6 @@ def block_cipher(key: bytes):
 
 def block_encrypt(encryptor, block: bytes) -> bytes:
     """One raw AES block; used only for sequence-number masking."""
-    if len(block) != 16:
-        raise ValueError("block must be 16 bytes")
     return encryptor.update(block)
 
 

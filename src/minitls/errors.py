@@ -64,10 +64,6 @@ class ReplayedRecord(ProtocolError):
     alert = "replayed_record"
 
 
-class FragmentGap(ProtocolError):
-    alert = "fragment_gap"
-
-
 class InconsistentDuplicate(ProtocolError):
     """Two fragments claim the same range with different bytes."""
 

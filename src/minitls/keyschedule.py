@@ -139,8 +139,6 @@ class KeySchedule:
     def init_early(self, psk: bytes | None = None, psk_kind: PskKind = PskKind.EXTERNAL):
         if self.stage != KsStage.FRESH:
             raise WrongStage("init_early on a non-fresh schedule")
-        if psk is not None and len(psk) > 64:
-            raise ValueError("psk longer than 64 bytes")
         early = self._store("early", self._extract(b"", psk or bytes(self.params.hash_len)))
         label = b"ext binder" if psk_kind == PskKind.EXTERNAL else b"res binder"
         self._store("binder", self.derive_secret(early, label, self._empty_digest))
@@ -185,8 +183,6 @@ class KeySchedule:
     # -- derived material -------------------------------------------------------
 
     def traffic_keys(self, secret: bytes) -> TrafficKeys:
-        if len(secret) != self.params.hash_len:
-            raise ValueError("traffic secret has wrong length for suite")
         key = self.expand_label(secret, b"key", b"", self.params.key_len)
         iv = self.expand_label(secret, b"iv", b"", self.params.iv_len)
         sn_key = None

@@ -11,11 +11,7 @@ import struct
 from dataclasses import dataclass, field
 from enum import IntEnum
 
-from .errors import (
-    DecodeError,
-    FragmentGap,
-    InconsistentDuplicate,
-)
+from .errors import DecodeError, InconsistentDuplicate
 
 TLS_LEGACY_VERSION = 0x0303
 TLS13_VERSION = 0x0304
@@ -92,8 +88,6 @@ class Reader:
 
 
 def _vec(len_width: int, payload: bytes) -> bytes:
-    if len(payload) >= 1 << (8 * len_width):
-        raise ValueError("vector payload too long")
     return len(payload).to_bytes(len_width, "big") + payload
 
 
@@ -474,8 +468,6 @@ _MESSAGE_TYPES = {
 
 def tls_form(msg) -> bytes:
     body = msg.encode_body()
-    if len(body) >= 1 << 24:
-        raise ValueError("handshake body exceeds 24-bit length")
     return bytes([msg.MSG_TYPE]) + len(body).to_bytes(3, "big") + body
 
 
@@ -523,9 +515,7 @@ class DtlsFragment:
         return self.fragment_offset == 0 and len(self.body) == self.length
 
     def to_tls_form(self) -> bytes:
-        """Drop message_seq/fragment fields so DTLS and TLS hash alike."""
-        if not self.complete:
-            raise ValueError("cannot rewrite an incomplete fragment")
+        """Drop message_seq/fragment fields so DTLS and TLS hash alike; for a ``complete`` fragment."""
         return bytes([self.msg_type]) + self.length.to_bytes(3, "big") + self.body
 
 
@@ -545,9 +535,7 @@ def parse_dtls_fragment(data: bytes) -> tuple:
 
 def fragment(msg_type: int, message_seq: int, body: bytes, mtu_budget: int) -> list:
     """Split one handshake message body into DTLS fragments, each at most
-    ``mtu_budget`` bytes encoded."""
-    if mtu_budget <= DTLS_HANDSHAKE_HEADER_LEN:
-        raise ValueError("mtu budget leaves no room for fragment bodies")
+    ``mtu_budget`` bytes encoded; ``mtu_budget`` exceeds the fragment header."""
     chunk = mtu_budget - DTLS_HANDSHAKE_HEADER_LEN
     return [
         DtlsFragment(msg_type, len(body), message_seq, off, body[off : off + chunk])
@@ -602,10 +590,7 @@ class FragmentBuffer:
         return len(self.runs[0][1]) == self.length if self.runs else self.length == 0
 
     def assemble(self) -> DtlsFragment:
-        """The whole message as one complete fragment."""
-        if not self.complete:
-            missing = len(self.runs[0][1]) if self.runs and self.runs[0][0] == 0 else 0
-            raise FragmentGap(f"gap-on-flush: first missing byte {missing}")
+        """The whole message as one fragment; only a ``complete`` buffer holds it."""
         return DtlsFragment(self.msg_type, self.length, self.message_seq, 0, self.runs[0][1] if self.runs else b"")
 
 

@@ -82,6 +82,11 @@ _PROFILES = {
     ),
 }
 
+# The one certificate a Certificate message carries, with the 9 bytes that frame it
+# (request context, list and entry lengths, no extensions), fills a handshake body
+# of at most 2^24 - 1 bytes (RFC 8446 sections 4 and 4.4.2).
+MAX_CERT_SIZE = (1 << 24) - 1 - 9
+
 _OVERRIDABLE = {
     "suites",
     "modes",
@@ -132,8 +137,8 @@ def _validate(base: Profile, prof: Profile) -> None:
         raise IllegalOverride("0-RTT requires a PSK-capable mode")
     if prof.modes & ECDHE_FAMILY and not prof.groups:
         raise IllegalOverride("(EC)DHE modes need at least one named group")
-    if type(prof.cert_size) is not int or prof.cert_size < 0:
-        raise IllegalOverride(f"cert_size must be a byte count, not {prof.cert_size!r}")
+    if type(prof.cert_size) is not int or not 0 <= prof.cert_size <= MAX_CERT_SIZE:
+        raise IllegalOverride(f"cert_size must be a byte count up to {MAX_CERT_SIZE}, not {prof.cert_size!r}")
 
 
 # --- credentials -----------------------------------------------------------------

@@ -47,17 +47,18 @@ TLS_RECORD_HEADER_LEN = 5
 DTLS12_RECORD_HEADER_LEN = 13  # type 1 + version 2 + epoch 2 + seq 6 + length 2
 DTLS12_WIRE_VERSION = 0xFEFD
 
-_MAX_INNER = (1 << 14) + 256
+MAX_PLAINTEXT = 1 << 14  # content bytes one record carries (RFC 8446 section 5.1)
 
 
 def nonce_for(iv: bytes, seq64: int) -> bytes:
     """Per-record nonce: iv XOR left-zero-padded big-endian sequence."""
-    if len(iv) != 12:
-        raise ValueError("iv must be 12 bytes")
     return (int.from_bytes(iv, "big") ^ seq64).to_bytes(12, "big")
 
 
 def _inner_plaintext(payload: bytes, true_type: int, pad_len: int) -> bytes:
+    """TLSInnerPlaintext: content, type and padding, at most 2^14 + 1 bytes (RFC 8446 section 5.4)."""
+    if len(payload) + pad_len > MAX_PLAINTEXT:
+        raise RecordOverflow(f"{len(payload)} content and {pad_len} padding bytes exceed one record")
     return payload + bytes([true_type]) + bytes(pad_len)
 
 
@@ -76,8 +77,6 @@ def _strip_inner(plaintext: bytes) -> tuple:
 def seal_tls(params: SuiteParams, keys: TrafficKeys, true_type: int, payload: bytes, pad_len: int = 0) -> bytes:
     inner = _inner_plaintext(payload, true_type, pad_len)
     total = len(inner) + params.tag_len
-    if total > _MAX_INNER:
-        raise RecordOverflow(f"protected record of {total} bytes exceeds limit")
     header = bytes([ContentType.APPLICATION_DATA]) + TLS_LEGACY_VERSION.to_bytes(2, "big") + total.to_bytes(2, "big")
     seq = keys.next_write_seq()
     ct = crypto.aead_seal(params, keys.aead(params), nonce_for(keys.iv, seq), header, inner)
@@ -85,13 +84,9 @@ def seal_tls(params: SuiteParams, keys: TrafficKeys, true_type: int, payload: by
 
 
 def open_tls(params: SuiteParams, keys: TrafficKeys, record: bytes) -> tuple:
-    if len(record) < TLS_RECORD_HEADER_LEN:
-        raise DecodeError("truncated record header")
+    """``record`` is one whole record, header included, as its header's length frames it."""
     if record[0] != ContentType.APPLICATION_DATA:
         raise BadOuterType(f"outer content type {record[0]}")
-    length = int.from_bytes(record[3:5], "big")
-    if len(record) != TLS_RECORD_HEADER_LEN + length:
-        raise DecodeError("record length mismatch")
     header, body = record[:5], record[5:]
     seq = keys.read_seq
     inner = crypto.aead_open(params, keys.aead(params), nonce_for(keys.iv, seq), header, body)
@@ -101,8 +96,7 @@ def open_tls(params: SuiteParams, keys: TrafficKeys, record: bytes) -> tuple:
 
 
 def tls_record_length(header: bytes) -> int:
-    if len(header) < TLS_RECORD_HEADER_LEN:
-        raise DecodeError("truncated record header")
+    """The length field of ``header``, which holds at least a record header's 5 bytes."""
     return int.from_bytes(header[3:5], "big")
 
 
@@ -140,12 +134,8 @@ def seal_dtls(
     length_present: bool = False,
     pad_len: int = 0,
 ) -> bytes:
-    if keys.sn_key is None:
-        raise ValueError("DTLS keys carry no sequence-number key")
     inner = _inner_plaintext(payload, true_type, pad_len)
     ct_len = len(inner) + params.tag_len
-    if ct_len > _MAX_INNER:
-        raise RecordOverflow(f"protected record of {ct_len} bytes exceeds limit")
     seq = keys.next_write_seq()
     seq_len = 2 if seq_16bit else 1
     aad = _unified_header(epoch, seq, seq_len, cid, length_present, ct_len)
@@ -230,8 +220,7 @@ def _unified_header(epoch: int, seq: int, seq_len: int, cid: bytes, length_prese
 
 
 def parse_unified(datagram: bytes, offset: int, cid_len: int) -> ParsedCiphertext:
-    if offset >= len(datagram):
-        raise DecodeError("empty record slice")
+    """The record at ``offset``, which is inside ``datagram``."""
     b0 = datagram[offset]
     if not is_unified_header(b0):
         raise BadOuterType("not a DTLS 1.3 ciphertext record")

@@ -133,10 +133,10 @@ def tamper_on_wire(monkeypatch, role: str, tamper) -> None:
     place of each one, or None to send it unchanged.  The sender's transcript
     still holds the message it built.
 
-    Patches ``Connection._frame`` (TLS: one handshake message per record) and
-    ``DtlsReliability.send`` (DTLS: the whole message body before it is
-    fragmented, so a split message is tampered too) by name; a rename of
-    either must be made here as well."""
+    Patches ``Connection._frame`` (TLS: one handshake message per record, for a
+    message that fits one record) and ``DtlsReliability.send`` (DTLS: the whole
+    message body before it is fragmented, so a split message is tampered too)
+    by name; a rename of either must be made here as well."""
     frame, send = Connection._frame, DtlsReliability.send
 
     def tampered_frame(self, epoch, true_type, payload):

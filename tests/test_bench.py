@@ -9,7 +9,7 @@ import shlex
 
 import pytest
 
-from minitls import cli
+from minitls import cli, crypto
 from minitls.bench import (
     CSV_HEADER,
     REFERENCE_TABLE,
@@ -21,6 +21,7 @@ from minitls.bench import (
     run_scenario,
 )
 from minitls.errors import IllegalOverride
+from minitls.profiles import MAX_CERT_SIZE
 from minitls.simnet import NetConfig
 
 
@@ -255,13 +256,20 @@ MATRIX = ["matrix", "--config", "{matrix}"]
     (MATRIX, {"net": {"latency_ms": -1}}),
     (MATRIX, {"net": {"framing_overhead": -3}}),
     (MATRIX, {"profile": "ecdsa128", "overrides": {"groups": []}}),
+    (MATRIX, 5),
+    (["run", "--mtu", "34", "--cid", "16", "--app-payload", "1"], None),
+    (["run", "--protocol", "tls", "--padding", "16384", "--app-payload", "10"], None),
+    (["run", "--protocol", "tls", "--padding", "16383"], None),
+    (["run", "--profile", "ecdsa128", "--protocol", "tls", "--cert-size", str(MAX_CERT_SIZE + 1)], None),
 ], ids=["cid-range", "cid-on-tls", "mode-not-in-profile", "unknown-mode", "unknown-suite", "unknown-profile",
         "matrix-unknown-protocol", "matrix-unknown-key", "matrix-unknown-net-key", "matrix-unknown-override-suite",
         "key-share-mode-without-group", "mtu-20", "mtu-0", "negative-padding", "negative-app-payload",
         "negative-cert-size", "matrix-str-mtu", "matrix-str-cid", "matrix-str-loss-rate", "matrix-bool-mtu",
         "padding-300-mtu-200", "loss-1.5", "dup-minus-1", "reorder-2", "negative-latency", "negative-framing",
         "matrix-negative-loss-rate", "matrix-dup-rate-above-1", "matrix-negative-reorder-rate",
-        "matrix-negative-latency", "matrix-negative-framing", "matrix-ecdhe-without-group"])
+        "matrix-negative-latency", "matrix-negative-framing", "matrix-ecdhe-without-group",
+        "matrix-entry-not-an-object", "cid-16-leaves-no-room-for-app-data", "tls-padding-16384",
+        "tls-padding-16383-leaves-no-room-for-an-alert", "cert-size-over-one-certificate-entry"])
 def test_cli_configuration_error_exit_code(argv, entry, tmp_path, capsys):
     matrix = tmp_path / "matrix.json"
     matrix.write_text(json.dumps({"scenarios": [entry]}))
@@ -271,6 +279,35 @@ def test_cli_configuration_error_exit_code(argv, entry, tmp_path, capsys):
     assert captured.out == ""
     [line] = captured.err.splitlines()
     assert line.startswith("error: ")
+
+
+LIMIT = (1 << 14) + 1  # the longest inner plaintext (RFC 8446 section 5.4)
+
+
+@pytest.mark.parametrize("kw,largest", [
+    (dict(profile="ecdsa128", protocol="tls", mode="pk_mutual", overrides={"cert_size": 17000}), LIMIT),
+    (dict(profile="ecdsa128", protocol="dtls", mode="pk_mutual", overrides={"cert_size": 20000},
+          net=NetConfig(mtu=30000, seed=1)), LIMIT),
+    (dict(profile="full", protocol="tls", mode="zero_rtt", early_payload=20000), LIMIT),
+    (dict(profile="full", protocol="dtls", mode="zero_rtt", early_payload=20000,
+          net=NetConfig(mtu=30000, seed=1)), LIMIT),
+    (dict(profile="full", protocol="dtls", mode="zero_rtt", early_payload=2000), 1280 - 2 - 16),
+], ids=["tls-cert-17000", "dtls-mtu-30000-cert-20000", "tls-early-20000", "dtls-mtu-30000-early-20000",
+        "dtls-early-2000"])
+def test_records_fill_to_the_plaintext_limit_and_no_further(kw, largest, monkeypatch):
+    # a handshake message or 0-RTT payload longer than one record spans records
+    # (RFC 8446 section 5.1), each filled to the limit or, on DTLS, to one datagram
+    # of the MTU less the 2-byte header and the tag (RFC 9147 section 4)
+    sizes = []
+    seal = crypto.aead_seal
+
+    def recording(params, aead, nonce, aad, plaintext):
+        sizes.append(len(plaintext))
+        return seal(params, aead, nonce, aad, plaintext)
+
+    monkeypatch.setattr(crypto, "aead_seal", recording)
+    assert run_scenario(scenario(**kw)).ok
+    assert max(sizes) == largest
 
 
 def test_cli_matrix_takes_a_json_int_for_a_float(tmp_path):

@@ -881,6 +881,72 @@ def test_empty_certificate_rejected(protocol, monkeypatch):
     assert pair.client.failed_from == "wait_cert_cr"
 
 
+def sent_by(pair, direction: str) -> list:
+    return [name for name, d, _, _ in pair.driver.per_message if d == direction]
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_client_without_a_certificate_sends_an_empty_one(protocol):
+    # asked for a certificate it lacks, a client sends an empty Certificate and no
+    # CertificateVerify (RFC 8446 section 4.4.2); this server requires one
+    pair = run_handshake(protocol, AuthMode.PK_MUTUAL, seed=75, client_over={"local_ec": None})
+    assert messages.tls_form(messages.Certificate(b"", [])) in pair.client.transcript.messages
+    assert "certificate" in sent_by(pair, "c2s") and "certificate_verify" not in sent_by(pair, "c2s")
+    assert pair.server.failure == "unexpected_message" and pair.server.failed_from == "wait_cert_cr"
+    assert pair.client.failure == "peer_alert"
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_server_without_a_certificate_fails_the_handshake(protocol):
+    pair = run_handshake(protocol, AuthMode.PK_MUTUAL, seed=75, server_over={"local_ec": None})
+    assert pair.server.failure == "handshake_failure" and pair.server.failed_from == "start"
+    assert pair.client.failure == "peer_alert"
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_signature_failing_its_self_check_is_not_sent(protocol, monkeypatch):
+    sign = ec.sign
+
+    def corrupted(private, scheme, content):
+        sig = sign(private, scheme, content)
+        return sig[:-1] + bytes([sig[-1] ^ 1])  # still DER, but not this content's signature
+
+    monkeypatch.setattr(ec, "sign", corrupted)
+    pair = run_handshake(protocol, AuthMode.PK_SERVER_ONLY, seed=75)
+    assert pair.server.failure == "bad_certificate_verify" and pair.server.failed_from == "start"
+    assert "certificate_verify" not in sent_by(pair, "s2c")
+
+
+def compression_byte(raw: bytes) -> int:
+    """Offset of a ClientHello's first compression method or a ServerHello's compression
+    method in its TLS form: after the header, legacy_version, random and session id."""
+    pos = 4 + 2 + 32
+    pos += 1 + raw[pos]
+    if raw[0] == HandshakeType.CLIENT_HELLO:
+        return pos + 2 + int.from_bytes(raw[pos : pos + 2], "big") + 1
+    return pos + 2
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+@pytest.mark.parametrize(
+    "sender,name,reader_failed_from",
+    [("client", "client_hello", "start"), ("server", "server_hello", "wait_sh")],
+)
+def test_compression_method_other_than_null_rejected(protocol, sender, name, reader_failed_from, monkeypatch):
+    # TLS 1.3 hellos carry the null compression method alone (RFC 8446 sections 4.1.2, 4.1.3)
+    def compressed(msg_name, raw):
+        if msg_name != name:
+            return None
+        at = compression_byte(raw)
+        assert raw[at] == 0
+        return raw[:at] + b"\x01" + raw[at + 1 :]
+
+    tamper_on_wire(monkeypatch, sender, compressed)
+    pair = run_handshake(protocol, AuthMode.PSK, seed=75)
+    reader = pair.server if sender == "client" else pair.client
+    assert reader.failure == "decode_error" and reader.failed_from == reader_failed_from
+
+
 def test_dtls_end_of_early_data_rejected(monkeypatch):
     # DTLS 1.3 omits EndOfEarlyData (RFC 9147 section 5.6): here the client sends
     # one under its early keys before its Finished, and the server that took

@@ -7,11 +7,7 @@ from hypothesis import strategies as st
 from minitls import messages as m
 from minitls.connection import Connection
 from minitls.crypto import NamedGroup, Protocol, SignatureScheme, SuiteId
-from minitls.errors import (
-    DecodeError,
-    FragmentGap,
-    InconsistentDuplicate,
-)
+from minitls.errors import DecodeError, InconsistentDuplicate
 from minitls.profiles import AuthMode
 
 from .harness import make_configs
@@ -238,8 +234,10 @@ def test_fragment_random_split_points():
 
 def test_fragment_gap_and_inconsistency():
     frags = split(certificate(bytes(100)), 0, 50)
-    with pytest.raises(FragmentGap):
-        reassemble(frags[:-1])
+    buf = m.FragmentBuffer(frags[0].msg_type, frags[0].length, frags[0].message_seq)
+    for f in frags[:-1]:
+        buf.add(f)
+    assert not buf.complete
     bad = m.DtlsFragment(
         frags[0].msg_type,
         frags[0].length,
@@ -252,16 +250,14 @@ def test_fragment_gap_and_inconsistency():
 
 
 def _bytewise_reassembly(length, pieces):
-    """Per-byte reference for FragmentBuffer: the error text or the body."""
+    """Per-byte reference for FragmentBuffer: the error text, "incomplete" or the body."""
     buf, have = bytearray(length), [False] * length
     for lo, data in pieces:
         for i, b in enumerate(data, start=lo):
             if have[i] and buf[i] != b:
                 return f"byte {i} differs between fragments"
             buf[i], have[i] = b, True
-    if not all(have):
-        return f"gap-on-flush: first missing byte {have.index(False)}"
-    return bytes(buf)
+    return bytes(buf) if all(have) else "incomplete"
 
 
 def _interval_reassembly(length, pieces):
@@ -269,9 +265,9 @@ def _interval_reassembly(length, pieces):
     try:
         for lo, data in pieces:
             buf.add(m.DtlsFragment(11, length, 0, lo, data))
-        return buf.assemble().body
-    except (InconsistentDuplicate, FragmentGap) as exc:
+    except InconsistentDuplicate as exc:
         return str(exc)
+    return buf.assemble().body if buf.complete else "incomplete"
 
 
 @pytest.mark.parametrize(
@@ -281,8 +277,8 @@ def _interval_reassembly(length, pieces):
         ([(10, 50), (40, 80), (0, 20), (70, 100), (0, 100)], None),  # overlapping, consistent
         ([(0, 20), (30, 50), (10, 40, {35, 15})], "byte 15 differs between fragments"),
         ([(0, 50), (40, 60, {55, 45})], "byte 45 differs between fragments"),
-        ([(0, 30), (50, 100)], "gap-on-flush: first missing byte 30"),
-        ([(10, 100)], "gap-on-flush: first missing byte 0"),
+        ([(0, 30), (50, 100)], "incomplete"),
+        ([(10, 100)], "incomplete"),
     ],
 )
 def test_fragment_buffer_intervals(spans, expected):
