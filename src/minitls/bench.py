@@ -210,7 +210,8 @@ def _public_half(cred: EcCredential) -> EcCredential:
 
 
 def build_configs(scenario: Scenario):
-    """Resolve the profile into concrete client/server ConnConfigs."""
+    """Resolve the profile into concrete client/server ConnConfigs: the one place
+    that turns an auth mode into the credentials and settings each side holds."""
     try:
         protocol = Protocol(scenario.protocol)
     except ValueError as exc:
@@ -246,9 +247,10 @@ def build_configs(scenario: Scenario):
             groups = (preferred,) if scenario.suite else (
                 (preferred,) + tuple(g for g in groups if g != preferred)
             )
+    if mode in ECDHE_FAMILY and not groups:
+        raise IllegalOverride(f"mode {mode.value} sends a key share and needs a named group")
 
     deployment = make_deployment(net.seed, groups, prof.cert_size)
-    psk = deployment["psk"]
     needs_cert = mode in PK_FAMILY
     mutual = mode == AuthMode.PK_MUTUAL
     group = groups[0] if groups else None
@@ -257,24 +259,21 @@ def build_configs(scenario: Scenario):
         protocol=protocol,
         suites=suites,
         groups=groups if mode in ECDHE_FAMILY else (),
+        psk=deployment["psk"] if mode in PSK_FAMILY else None,
         compat=prof.compat_mode and protocol == Protocol.TLS,
         pad_len=scenario.pad_len,
         mtu=net.mtu,
         packing=scenario.packing,
-        sni=prof.sni_hostname if needs_cert else None,
     )
     client_cfg = ConnConfig(
-        mode=mode,
-        psk=psk if mode in PSK_FAMILY else None,
         local_ec=deployment["client_ec"].get(group) if mutual else None,
         peer_ec=_public_half(deployment["server_ec"][group]) if needs_cert else None,
+        sni=prof.sni_hostname if needs_cert else None,
         early_payload=bytes(scenario.early_payload) if mode == AuthMode.ZERO_RTT else b"",
         cid=0 if scenario.cid is not None else None,  # offer CIDs, ask for none
         **common,
     )
     server_cfg = ConnConfig(
-        mode=mode,
-        psk=psk if mode in PSK_FAMILY else None,
         local_ec=deployment["server_ec"].get(group) if needs_cert else None,
         peer_ec=_public_half(deployment["client_ec"][group]) if mutual else None,
         tickets=prof.tickets,
@@ -353,7 +352,7 @@ def run_scenario(scenario: Scenario) -> Report:
     legacy_kwargs = dict(
         cert_size=prof.cert_size,
         psk_id_len=len(client_cfg.psk.identity) if client_cfg.psk else 16,
-        sni_len=len(prof.sni_hostname) if prof.sni_hostname and family(scenario.mode) == "pk" else None,
+        sni=client_cfg.sni,
         n_suites=len(client_cfg.suites),
         group=client_cfg.groups[0] if client_cfg.groups else legacy12.NamedGroup.SECP256R1,
         mutual=scenario.mode == AuthMode.PK_MUTUAL,

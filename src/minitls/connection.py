@@ -26,6 +26,7 @@ from . import crypto, ec, messages, records
 from .crypto import GROUP_SCHEME, Protocol, SuiteId
 from .errors import (
     BadSignature,
+    CertificateRequired,
     ConfigConflict,
     DecodeError,
     DecryptError,
@@ -40,14 +41,7 @@ from .errors import (
 )
 from .keyschedule import KeySchedule, PskKind
 from .messages import ExtensionType, HandshakeType, PskMode
-from .profiles import (
-    ECDHE_FAMILY,
-    PK_FAMILY,
-    PSK_FAMILY,
-    AuthMode,
-    EcCredential,
-    PskCredential,
-)
+from .profiles import EcCredential, PskCredential
 from .records import ContentType, OutRecord, ReplayWindow
 from .reliability import DtlsReliability
 
@@ -154,16 +148,23 @@ _ALERT_CODES = {
     "illegal_parameter": 47,
     "decode_error": 50,
     "decrypt_error": 51,
+    "certificate_required": 116,
 }
 
 
 @dataclass
 class ConnConfig:
+    """What one endpoint holds and allows; ``Connection`` acts on each setting alone.
+    A client offers a key share iff ``groups``, a PSK iff ``psk`` (an external
+    credential, or the ticket ``resume_config`` puts there), early data iff
+    ``early_payload``, and asks for a signature iff it pins ``peer_ec``.  A server
+    signs with ``local_ec`` iff it accepts no PSK, and asks the client for a
+    certificate iff it pins ``peer_ec``."""
+
     protocol: Protocol
-    mode: AuthMode
     suites: tuple
     groups: tuple = ()
-    psk: PskCredential | None = None
+    psk: PskCredential | TicketState | None = None
     local_ec: EcCredential | None = None
     peer_ec: EcCredential | None = None  # pinned peer public key (trust anchor)
     sni: str | None = None
@@ -175,7 +176,6 @@ class ConnConfig:
     dos: bool = False
     mtu: int = 1280
     packing: bool = False
-    resume: TicketState | None = None
 
 
 def _expired(ticket: dict, now: int) -> bool:
@@ -212,7 +212,7 @@ class Edge(NamedTuple):
 
 class Connection:
     def __init__(self, cfg: ConnConfig, role: str, rng: random.Random, conn_id: str = ""):
-        if cfg.mode == AuthMode.ZERO_RTT and cfg.psk is None and cfg.resume is None and role == "client":
+        if cfg.early_payload and cfg.psk is None and role == "client":
             raise ConfigConflict("0-RTT requires PSK or resumption material")
         self.cfg = cfg
         self.role = role
@@ -417,8 +417,10 @@ class Connection:
         return out + self._emit(messages.Finished(mac), EPOCH_HANDSHAKE, now)
 
     def _peer_certificate(self, cert, raw: bytes, now: int) -> list:
-        if not cert.entries:
-            raise UnexpectedMessage(f"{self.peer_role} sent an empty Certificate")
+        if not cert.entries:  # RFC 8446 section 4.4.2.4
+            if self.role == "client":
+                raise DecodeError("server sent an empty Certificate")
+            raise CertificateRequired("client sent an empty Certificate")
         self.transcript.append(raw)
         self.phase = Phase.WAIT_CV
         return []
@@ -453,49 +455,40 @@ class Connection:
         return out
 
     def _psk_offer(self, now: int):
-        if self.cfg.resume is not None:
-            tk = self.cfg.resume
-            age_ms = now - tk.received_at
-            self.obfuscated_age = (age_ms + tk.age_add) & 0xFFFFFFFF
+        psk = self.cfg.psk
+        if isinstance(psk, TicketState):
+            self.obfuscated_age = (now - psk.received_at + psk.age_add) & 0xFFFFFFFF
             self.psk_kind_in_use = PskKind.RESUMPTION
-            self.psk_in_use = PskCredential(tk.ticket, tk.psk)
-            return self.psk_in_use
-        if self.cfg.psk is not None and self.cfg.mode in PSK_FAMILY:
-            self.obfuscated_age = 0
-            self.psk_in_use = self.cfg.psk
-            return self.psk_in_use
-        return None
+            psk = PskCredential(psk.ticket, psk.psk)
+        self.psk_in_use = psk
+        return psk
 
     def _client_hello_flight(self, now: int, cookie: bytes | None) -> list:
         """Extensions in canonical order; pre_shared_key last, its binder zero-filled until computed."""
         cfg = self.cfg
         psk = self._psk_offer(now)
-        offer_share = cfg.mode in ECDHE_FAMILY
-        early_data = cfg.mode == AuthMode.ZERO_RTT and bool(cfg.early_payload)
         exts = [messages.ext_supported_versions_client()]
-        if offer_share:
-            if not cfg.groups:
-                raise ConfigConflict("key-share modes need a named group")
+        if cfg.groups:
             if self.dh_priv is None:
                 self.dh_priv, pub = self._keypair(cfg.groups[0])
             else:
                 pub = self.dh_priv.public_bytes()
             exts.append(messages.ext_supported_groups([int(g) for g in cfg.groups]))
-        if cfg.mode in PK_FAMILY:
+        if cfg.peer_ec is not None:
             exts.append(messages.ext_signature_algorithms([int(s) for s in self._scheme_list()]))
-            if cfg.sni is not None:
-                exts.append(messages.ext_server_name(cfg.sni))
+        if cfg.sni is not None:
+            exts.append(messages.ext_server_name(cfg.sni))
         cid = self._advertised_cid()
         if cid is not None:
             exts.append(messages.ext_connection_id(cid))
         if cookie is not None:
             exts.append(messages.ext_cookie(cookie))
-        if offer_share:
+        if cfg.groups:
             exts.append(messages.ext_key_share_client([(int(cfg.groups[0]), pub)]))  # exactly one key share
-        if early_data:
+        if cfg.early_payload:
             exts.append(messages.ext_early_data())
         if psk is not None:
-            exts.append(messages.ext_psk_modes([PskMode.PSK_DHE_KE if offer_share else PskMode.PSK_KE]))
+            exts.append(messages.ext_psk_modes([PskMode.PSK_DHE_KE if cfg.groups else PskMode.PSK_KE]))
             zero_binder = bytes(self.params.hash_len)
             exts.append(messages.ext_pre_shared_key_offer(psk.identity, self.obfuscated_age, zero_binder))
         ch = messages.ClientHello(self.rng.randbytes(32), b"", [int(s) for s in cfg.suites], exts)
@@ -507,7 +500,7 @@ class Connection:
             ch.extensions[-1] = messages.ext_pre_shared_key_offer(psk.identity, self.obfuscated_age, binder)
         out = self._emit(ch, EPOCH_PLAIN, now)
         self.phase = Phase.WAIT_SH
-        if early_data:
+        if cfg.early_payload:
             out.extend(self._send_early_data())
         return out
 
@@ -735,7 +728,7 @@ class Connection:
         if psk_ext is None and self.psk_in_use is not None:
             # server declined the PSK: continue as a pure (EC)DHE handshake
             self.psk_in_use = None
-            if self.cfg.mode == AuthMode.ZERO_RTT:
+            if self.cfg.early_payload:
                 raise UnexpectedMessage("0-RTT offer requires PSK acceptance")
             self.ks = None
         if self.ks is None:
@@ -748,7 +741,7 @@ class Connection:
             if self.dh_priv is None or group != int(self.dh_priv.group):
                 raise HandshakeFailure("server share for a group we did not offer")
             dh = self._shared(self.dh_priv, server_pub)
-        elif self.cfg.mode in ECDHE_FAMILY:
+        elif self.dh_priv is not None:
             raise UnexpectedMessage("expected a key_share in ServerHello")
 
         cid_ext = messages.find_extension(sh.extensions, ExtensionType.CONNECTION_ID)
@@ -765,7 +758,7 @@ class Connection:
     def _client_handle_ee(self, ee, raw: bytes, now: int) -> list:
         self.transcript.append(raw)
         accepted = messages.find_extension(ee.extensions, ExtensionType.EARLY_DATA) is not None
-        if accepted and self.cfg.mode != AuthMode.ZERO_RTT:
+        if accepted and not self.cfg.early_payload:
             raise UnexpectedMessage("server accepted early data we never sent")
         self.early_accepted = accepted
         self.phase = Phase.WAIT_FINISHED if self.psk_in_use is not None else Phase.WAIT_CERT_CR
@@ -840,7 +833,9 @@ class Connection:
         if self.early_accepted:
             secret = self.ks.derive_early_traffic(self.transcript.digest(self.params.hash_alg))
             self._install(EPOCH_EARLY, "read", secret)
-        mode = self._server_mode(psk, share)
+        if psk is None and (self.cfg.local_ec is None or share is None):
+            raise HandshakeFailure("no PSK accepted, and no certificate with a client key share to fall back on")
+        request_cert = psk is None and self.cfg.peer_ec is not None
 
         exts = [messages.ext_supported_versions_server()]
         cid_ext = messages.find_extension(ch.extensions, ExtensionType.CONNECTION_ID)
@@ -851,7 +846,7 @@ class Connection:
                 exts.append(messages.ext_connection_id(cid))
 
         dh = None
-        if mode in ECDHE_FAMILY:
+        if share is not None:
             group, client_pub = share
             priv, pub = self._keypair(group)
             dh = self._shared(priv, client_pub)
@@ -870,10 +865,10 @@ class Connection:
         out += self._fake_ccs()
         ee_exts = [messages.ext_early_data()] if self.early_accepted else []
         out += self._emit(messages.EncryptedExtensions(ee_exts), EPOCH_HANDSHAKE, now)
-        if mode == AuthMode.PK_MUTUAL:
+        if request_cert:
             sig_algs = messages.ext_signature_algorithms([int(s) for s in self._scheme_list()])
             out += self._emit(messages.CertificateRequest(b"", [sig_algs]), EPOCH_HANDSHAKE, now)
-        out += self._own_flight(with_cert=mode in PK_FAMILY, now=now)
+        out += self._own_flight(with_cert=psk is None, now=now)
 
         self.ks.advance_master(self.transcript.digest(self.params.hash_alg))
         self._install(EPOCH_APP, "write", self.ks.secret("s_ap"))
@@ -881,7 +876,7 @@ class Connection:
             self._tls_read_epoch = EPOCH_EARLY
         else:
             self._tls_read_epoch = EPOCH_HANDSHAKE
-        self.phase = Phase.WAIT_CERT_CR if mode == AuthMode.PK_MUTUAL else Phase.WAIT_FINISHED
+        self.phase = Phase.WAIT_CERT_CR if request_cert else Phase.WAIT_FINISHED
         self._event(now, EventKind.FLIGHT_READY, flight="server_first")
         return out
 
@@ -919,15 +914,6 @@ class Connection:
                 real_age = (obf_age - resumed["age_add"]) & 0xFFFFFFFF
                 self.early_accepted = abs(real_age - (now - resumed["issued_at"])) <= TICKET_AGE_TOLERANCE_MS
         return self.psk_in_use
-
-    def _server_mode(self, psk, share) -> AuthMode:
-        if psk is not None:
-            return AuthMode.PSK_ECDHE if share is not None else AuthMode.PSK
-        if self.cfg.local_ec is None:
-            raise HandshakeFailure("no PSK accepted and no certificate configured")
-        if share is None:
-            raise HandshakeFailure("certificate mode requires a client key share")
-        return AuthMode.PK_MUTUAL if self.cfg.mode == AuthMode.PK_MUTUAL else AuthMode.PK_SERVER_ONLY
 
     def _server_handle_eoed(self, eoed, raw: bytes, now: int) -> list:
         # DTLS 1.3 omits EndOfEarlyData (RFC 9147 section 5.6); only a server that
@@ -1016,7 +1002,7 @@ class Connection:
 
 def resume_config(cfg: ConnConfig, ticket: TicketState) -> ConnConfig:
     """Client config for a resumed handshake using a stored ticket."""
-    return replace(cfg, resume=ticket, psk=None, suites=(ticket.suite,))
+    return replace(cfg, psk=ticket, suites=(ticket.suite,))
 
 
 class ServerListener:

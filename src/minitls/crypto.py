@@ -192,11 +192,11 @@ def aead_cipher(params: SuiteParams, key: bytes):
     return AESGCM(key)
 
 
-def aead_seal(params: SuiteParams, aead, nonce: bytes, aad: bytes, plaintext: bytes) -> bytes:
+def aead_seal(aead, nonce: bytes, aad: bytes, plaintext: bytes) -> bytes:
     return aead.encrypt(nonce, plaintext, aad)
 
 
-def aead_open(params: SuiteParams, aead, nonce: bytes, aad: bytes, ciphertext: bytes) -> bytes:
+def aead_open(aead, nonce: bytes, aad: bytes, ciphertext: bytes) -> bytes:
     try:
         return aead.decrypt(nonce, ciphertext, aad)
     except InvalidTag:

@@ -84,6 +84,12 @@ class BadSignature(ProtocolError):
     alert = "bad_certificate_verify"
 
 
+class CertificateRequired(ProtocolError):
+    """A client answered a CertificateRequest with an empty Certificate."""
+
+    alert = "certificate_required"
+
+
 class HandshakeFailure(ProtocolError):
     """No cipher suite, key-share group or authentication both sides accept."""
 

@@ -4,10 +4,13 @@ No 1.2 cryptography lives here: every value is a per-message byte
 formula derived by summing wire field widths, so each line can be
 audited against the 1.2 message grammar.  The model is evaluated with
 the same certificate/PSK/SNI parameters as the live 1.3 runs so that
-deltas isolate protocol changes rather than configuration changes.
+deltas isolate protocol changes rather than configuration changes; a
+field both versions encode alike is sized by the ``messages`` encoder
+the 1.3 side sends it with.
 """
 
-from .crypto import GROUP_PUBKEY_LEN, NamedGroup, suite_params
+from . import messages
+from .crypto import GROUP_PUBKEY_LEN, GROUP_SCHEME, NamedGroup, suite_params
 
 TLS12_RECORD_HEADER = 5  # type 1 + version 2 + length 2
 DTLS12_RECORD_HEADER = 13  # type 1 + version 2 + epoch 2 + seq 6 + length 2
@@ -36,14 +39,7 @@ def _ext(body: int) -> int:
     return 4 + body  # extension type 2 + length 2
 
 
-def _sni_ext(sni_len: int) -> int:
-    # list length 2 + name type 1 + name length 2 + name
-    return _ext(2 + 1 + 2 + sni_len)
-
-
-GROUPS_EXT = _ext(2 + 2)  # list length 2 + one named group
 EC_POINT_FORMATS_EXT = _ext(1 + 1)  # list length 1 + uncompressed(0)
-SIG_ALGS_EXT = _ext(2 + 2)  # list length 2 + one signature scheme
 
 
 def _plain(protocol: str, body: int) -> int:
@@ -78,7 +74,7 @@ def model_messages(
     *,
     cert_size: int = 500,
     psk_id_len: int = 16,
-    sni_len: int | None = None,
+    sni: str | None = None,
     n_suites: int = 1,
     group: NamedGroup = NamedGroup.SECP256R1,
     mutual: bool = True,
@@ -87,7 +83,8 @@ def model_messages(
     """Modeled 1.2 handshake: list of (message, direction, bytes) rows.
 
     ``mode`` is "psk" or "pk"; DTLS includes the HelloVerifyRequest
-    exchange, matching stacks that enforce cookies.
+    exchange, matching stacks that enforce cookies.  A "pk" ClientHello
+    offers ``group`` and its signature scheme, and names ``sni`` if set.
     """
     tag_len = suite_params(suite).tag_len if suite is not None else 16
     point_len = GROUP_PUBKEY_LEN[group]
@@ -97,9 +94,13 @@ def model_messages(
     if mode == "psk":
         ch_exts = 0
     else:
-        ch_exts = GROUPS_EXT + EC_POINT_FORMATS_EXT + SIG_ALGS_EXT
-        if sni_len:
-            ch_exts += _sni_ext(sni_len)
+        shared = [
+            messages.ext_supported_groups([int(group)]),
+            messages.ext_signature_algorithms([int(GROUP_SCHEME[group])]),
+        ]
+        if sni:
+            shared.append(messages.ext_server_name(sni))
+        ch_exts = EC_POINT_FORMATS_EXT + sum(len(ext.encode()) for ext in shared)
 
     def add(name, direction, size):
         rows.append((name, direction, size))

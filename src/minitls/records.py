@@ -79,7 +79,7 @@ def seal_tls(params: SuiteParams, keys: TrafficKeys, true_type: int, payload: by
     total = len(inner) + params.tag_len
     header = bytes([ContentType.APPLICATION_DATA]) + TLS_LEGACY_VERSION.to_bytes(2, "big") + total.to_bytes(2, "big")
     seq = keys.next_write_seq()
-    ct = crypto.aead_seal(params, keys.aead(params), nonce_for(keys.iv, seq), header, inner)
+    ct = crypto.aead_seal(keys.aead(params), nonce_for(keys.iv, seq), header, inner)
     return header + ct
 
 
@@ -89,7 +89,7 @@ def open_tls(params: SuiteParams, keys: TrafficKeys, record: bytes) -> tuple:
         raise BadOuterType(f"outer content type {record[0]}")
     header, body = record[:5], record[5:]
     seq = keys.read_seq
-    inner = crypto.aead_open(params, keys.aead(params), nonce_for(keys.iv, seq), header, body)
+    inner = crypto.aead_open(keys.aead(params), nonce_for(keys.iv, seq), header, body)
     keys.note_read(seq)
     true_type, payload = _strip_inner(inner)
     return true_type, payload
@@ -139,7 +139,7 @@ def seal_dtls(
     seq = keys.next_write_seq()
     seq_len = 2 if seq_16bit else 1
     aad = _unified_header(epoch, seq, seq_len, cid, length_present, ct_len)
-    ct = crypto.aead_seal(params, keys.aead(params), nonce_for(keys.iv, seq), aad, inner)
+    ct = crypto.aead_seal(keys.aead(params), nonce_for(keys.iv, seq), aad, inner)
     mask = crypto.block_encrypt(keys.sn_cipher(), ct[:16])[:seq_len]
     seq_off = 1 + len(cid)
     wire = bytearray(aad)
@@ -271,9 +271,7 @@ def open_dtls(
     full_seq = reconstruct_seq(seq_low, parsed.seq_len, keys.window.next_expected)
     if keys.window.seen(full_seq):
         raise ReplayedRecord(f"sequence {full_seq} already accepted")
-    inner = crypto.aead_open(
-        params, keys.aead(params), nonce_for(keys.iv, full_seq), bytes(aad), parsed.ciphertext
-    )
+    inner = crypto.aead_open(keys.aead(params), nonce_for(keys.iv, full_seq), bytes(aad), parsed.ciphertext)
     keys.note_read(full_seq)
     true_type, payload = _strip_inner(inner)
     return full_seq, true_type, payload

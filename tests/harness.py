@@ -43,30 +43,32 @@ def make_configs(
     suite: SuiteId = DEFAULT_SUITE,
     group: NamedGroup = NamedGroup.SECP256R1,
     cert_size: int = 500,
-    mutual: bool | None = None,
     **both,
 ):
+    """Client and server configs for ``mode``, mapped to settings as
+    ``bench.build_configs`` maps them, except that the server always holds a
+    certificate to fall back on and ``zero_rtt`` sends ``b"early"`` unless told
+    otherwise.  ``both`` sets a field on both sides."""
     deployment = make_deployment(seed, [group], cert_size)
-    ec_modes = (AuthMode.PK_MUTUAL, AuthMode.PK_SERVER_ONLY, AuthMode.PSK_ECDHE)
-    psk_modes = (AuthMode.PSK, AuthMode.PSK_ECDHE, AuthMode.ZERO_RTT)
-    if mutual is None:
-        mutual = mode == AuthMode.PK_MUTUAL
+    certificate = mode in (AuthMode.PK_MUTUAL, AuthMode.PK_SERVER_ONLY)
+    mutual = mode == AuthMode.PK_MUTUAL
+    psk = deployment["psk"] if mode in (AuthMode.PSK, AuthMode.PSK_ECDHE, AuthMode.ZERO_RTT) else None
+    if mode == AuthMode.ZERO_RTT:
+        both.setdefault("early_payload", b"early")
     common = dict(
         protocol=protocol,
-        mode=mode,
         suites=(suite,),
-        groups=(group,) if mode in ec_modes else (),
+        groups=(group,) if certificate or mode == AuthMode.PSK_ECDHE else (),
+        psk=psk,
         **both,
     )
     client = ConnConfig(
-        psk=deployment["psk"] if mode in psk_modes else None,
         local_ec=deployment["client_ec"][group] if mutual else None,
-        peer_ec=public_half(deployment["server_ec"][group]),
-        sni="iot.example" if mode in (AuthMode.PK_MUTUAL, AuthMode.PK_SERVER_ONLY) else None,
+        peer_ec=public_half(deployment["server_ec"][group]) if certificate else None,
+        sni="iot.example" if certificate else None,
         **common,
     )
     server = ConnConfig(
-        psk=deployment["psk"] if mode in psk_modes else None,
         local_ec=deployment["server_ec"][group],
         peer_ec=public_half(deployment["client_ec"][group]) if mutual else None,
         **common,

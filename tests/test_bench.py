@@ -301,9 +301,9 @@ def test_records_fill_to_the_plaintext_limit_and_no_further(kw, largest, monkeyp
     sizes = []
     seal = crypto.aead_seal
 
-    def recording(params, aead, nonce, aad, plaintext):
+    def recording(aead, nonce, aad, plaintext):
         sizes.append(len(plaintext))
-        return seal(params, aead, nonce, aad, plaintext)
+        return seal(aead, nonce, aad, plaintext)
 
     monkeypatch.setattr(crypto, "aead_seal", recording)
     assert run_scenario(scenario(**kw)).ok

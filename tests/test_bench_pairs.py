@@ -1,8 +1,10 @@
-"""``tools/bench_pairs.py summarise``: the gain rule and the two no-regression
-verdicts, on synthetic runs.  The tool is a script, so it is loaded by path."""
+"""``tools/bench_pairs.py``: the gain rule and the two no-regression verdicts
+of ``summarise`` on synthetic runs, and the environment of each benchmark
+process.  The tool is a script, so it is loaded by path."""
 
 import importlib.util
 import pathlib
+import subprocess
 
 import pytest
 
@@ -90,3 +92,22 @@ def test_wide_parent_spread_resolved_when_every_change_run_wins(better, sign):
     assert summary(parent, [beyond] * 10, better)["resolved"]
     touching = [beyond] * 9 + [100.0 + sign * 50]  # one change run ties the parent's best
     assert not summary(parent, touching, better)["resolved"]
+
+
+def test_every_benchmark_process_runs_without_a_bytecode_cache(monkeypatch, tmp_path):
+    # each run writes no bytecode and reads it only from its own empty directory,
+    # so a __pycache__ left in one checkout cannot favour that side
+    seen = []
+    stdout = '# workload w\n{"correct": true, "attempted": 1, "failed": 0, "metrics": {}}\n'
+
+    def fake_run(argv, **kwargs):
+        env = kwargs["env"]
+        cache = pathlib.Path(env["PYTHONPYCACHEPREFIX"])
+        seen.append((env["PYTHONDONTWRITEBYTECODE"], cache, cache.is_dir() and not any(cache.iterdir())))
+        return subprocess.CompletedProcess(argv, 0, stdout=stdout, stderr="")
+
+    monkeypatch.setattr(subprocess, "run", fake_run)
+    for _ in range(3):
+        assert bench_pairs.run_once(tmp_path, seed=1)["w"]["correct"]
+    assert [(flag, empty) for flag, _, empty in seen] == [("1", True)] * 3
+    assert len({cache for _, cache, _ in seen}) == 3

@@ -4,10 +4,13 @@ every option of ``bench run`` and ``bench matrix``.
 
 Adding or removing a knob means editing one list here, so the change
 shows in a reviewed diff. Each handshake property has one setting:
-mutual authentication is the ``pk_mutual`` mode, and the DTLS connection
-id is ``ConnConfig.cid`` (RFC 9146: the length asked of the peer, 0 to
-offer CIDs and ask for none, ``None`` for no extension), which
-``bench.build_configs`` alone sets from ``Scenario.cid``.
+``ConnConfig`` holds no auth mode, only the credentials and settings a
+mode stands for (``bench.build_configs`` alone maps ``Scenario.mode`` to
+them); the PSK a client offers is ``ConnConfig.psk``, external or a
+resumption ticket; and the DTLS connection id is ``ConnConfig.cid``
+(RFC 9146: the length asked of the peer, 0 to offer CIDs and ask for
+none, ``None`` for no extension), which ``bench.build_configs`` alone
+sets from ``Scenario.cid``.
 """
 
 import contextlib
@@ -29,9 +32,8 @@ FIELDS = {
         "sni_hostname", "cert_size",
     ],
     ConnConfig: [
-        "protocol", "mode", "suites", "groups", "psk", "local_ec", "peer_ec", "sni", "compat",
+        "protocol", "suites", "groups", "psk", "local_ec", "peer_ec", "sni", "compat",
         "early_payload", "cid", "pad_len", "tickets", "dos", "mtu", "packing",
-        "resume",
     ],
     Scenario: [
         "profile", "protocol", "mode", "suite", "net", "overrides", "app_payload",

@@ -31,6 +31,7 @@ from .harness import (
     count_backend_keys,
     filter_sends,
     make_configs,
+    public_half,
     run_handshake,
     secrets_of,
     tamper_on_wire,
@@ -548,7 +549,7 @@ def test_zero_rtt_offer_whose_psk_is_declined_fails(protocol, monkeypatch):
     "server_over",
     [
         {"groups": (NamedGroup.SECP521R1,)},  # the client's only key share is P-256
-        {"mode": AuthMode.PSK_ECDHE, "local_ec": None},  # no PSK offered, no certificate to fall back on
+        {"local_ec": None},  # no PSK offered, no certificate to fall back on
     ],
     ids=["no_common_group", "neither_psk_nor_certificate"],
 )
@@ -596,9 +597,11 @@ UNSERVABLE_PSK_OUTCOMES = [(AuthMode.PSK, "handshake_failure"), (AuthMode.PSK_EC
 @pytest.mark.parametrize("mode,alert", UNSERVABLE_PSK_OUTCOMES)
 def test_psk_keyed_for_a_hash_the_server_lacks_is_not_selected(protocol, mode, alert):
     # the server enables only the SHA-384 suite, which a binder keyed under
-    # SHA-256 cannot serve: it takes the certificate path or fails
-    client_cfg, server_cfg, _ = make_configs(protocol, mode, seed=68)
-    client_cfg = replace(client_cfg, suites=TWO_SUITES)
+    # SHA-256 cannot serve: it takes the certificate path, which the client's
+    # pin of the server key accepts, or fails
+    client_cfg, server_cfg, deployment = make_configs(protocol, mode, seed=68)
+    pin = public_half(deployment["server_ec"][NamedGroup.SECP256R1])
+    client_cfg = replace(client_cfg, suites=TWO_SUITES, peer_ec=pin)
     server_cfg = replace(server_cfg, suites=TWO_SUITES[1:])
     pair = Pair(client_cfg, server_cfg, seed=68)
     pair.run(until_ms=5_000)
@@ -873,11 +876,11 @@ def test_server_rejects_application_data_under_handshake_keys(protocol):
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)
 def test_empty_certificate_rejected(protocol, monkeypatch):
-    # a server Certificate must carry its certificate (RFC 8446 section 4.4.2)
+    # a server Certificate must carry its certificate (RFC 8446 section 4.4.2.4)
     empty = messages.tls_form(messages.Certificate(b"", []))
     tamper_on_wire(monkeypatch, "server", lambda name, raw: empty if name == "certificate" else None)
     pair = run_handshake(protocol, AuthMode.PK_SERVER_ONLY, seed=69)
-    assert pair.client.failure == "unexpected_message"
+    assert pair.client.failure == "decode_error"
     assert pair.client.failed_from == "wait_cert_cr"
 
 
@@ -888,12 +891,14 @@ def sent_by(pair, direction: str) -> list:
 @pytest.mark.parametrize("protocol", PROTOCOLS)
 def test_client_without_a_certificate_sends_an_empty_one(protocol):
     # asked for a certificate it lacks, a client sends an empty Certificate and no
-    # CertificateVerify (RFC 8446 section 4.4.2); this server requires one
+    # CertificateVerify (RFC 8446 section 4.4.2); this server requires one and
+    # ends certificate_required, alert 116 (section 4.4.2.4)
     pair = run_handshake(protocol, AuthMode.PK_MUTUAL, seed=75, client_over={"local_ec": None})
     assert messages.tls_form(messages.Certificate(b"", [])) in pair.client.transcript.messages
     assert "certificate" in sent_by(pair, "c2s") and "certificate_verify" not in sent_by(pair, "c2s")
-    assert pair.server.failure == "unexpected_message" and pair.server.failed_from == "wait_cert_cr"
+    assert pair.server.failure == "certificate_required" and pair.server.failed_from == "wait_cert_cr"
     assert pair.client.failure == "peer_alert"
+    assert [e.detail["code"] for e in pair.client.event_log if e.kind == EventKind.ALERT] == [116]
 
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)
@@ -1632,7 +1637,7 @@ def test_fresh_client_start_guard():
 def test_zero_rtt_without_psk_conflicts():
     cfg, _, _ = make_configs(Protocol.DTLS, AuthMode.ZERO_RTT, seed=29)
     with pytest.raises(ConfigConflict):
-        Connection(replace(cfg, psk=None, resume=None), "client", random.Random(1))
+        Connection(replace(cfg, psk=None), "client", random.Random(1))
 
 
 def test_fragmentation_under_small_mtu():
@@ -1719,7 +1724,6 @@ def test_resumed_zero_rtt_age_policy():
     # honest resume with early data: accepted
     fresh_cfg = replace(
         resume_config(pair.client.cfg, ticket),
-        mode=AuthMode.ZERO_RTT,
         early_payload=b"resumed-early-data",
     )
     pair2 = Pair(fresh_cfg, pair.listener.cfg, seed=41)
@@ -1733,7 +1737,6 @@ def test_resumed_zero_rtt_age_policy():
     skewed_ticket = replace(ticket, received_at=-60_000)
     skewed_cfg = replace(
         resume_config(pair.client.cfg, skewed_ticket),
-        mode=AuthMode.ZERO_RTT,
         early_payload=b"stale-early-data",
     )
     pair3 = Pair(skewed_cfg, pair.listener.cfg, seed=42)
@@ -1743,7 +1746,7 @@ def test_resumed_zero_rtt_age_policy():
     assert not server3.early_accepted
     assert not any(e.kind == EventKind.EARLY_DATA for e in server3.event_log)
     assert server3.psk_kind_in_use.value == "resumption"
-    assert pair3.client.cfg.mode == AuthMode.ZERO_RTT and not pair3.client.early_accepted
+    assert pair3.client.cfg.early_payload and not pair3.client.early_accepted
 
 
 def test_mid_handshake_rebind_without_cid_stalls():

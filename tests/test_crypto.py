@@ -145,14 +145,14 @@ def test_aead_round_trip_all_suites():
             nonce = rng.randbytes(params.iv_len)
             aad = rng.randbytes(rng.randrange(0, 32))
             pt = rng.randbytes(rng.randrange(0, 200))
-            ct = crypto.aead_seal(params, aead, nonce, aad, pt)
+            ct = crypto.aead_seal(aead, nonce, aad, pt)
             assert len(ct) == len(pt) + params.tag_len
-            assert crypto.aead_open(params, aead, nonce, aad, ct) == pt
+            assert crypto.aead_open(aead, nonce, aad, ct) == pt
 
 
 def test_aead_empty_plaintext_is_tag_only():
     params = crypto.suite_params(SuiteId.AES_128_CCM_SHA256)
-    ct = crypto.aead_seal(params, crypto.aead_cipher(params, b"k" * 16), b"n" * 12, b"", b"")
+    ct = crypto.aead_seal(crypto.aead_cipher(params, b"k" * 16), b"n" * 12, b"", b"")
     assert len(ct) == params.tag_len
 
 
@@ -161,7 +161,7 @@ def test_aead_tamper_detection():
     params = crypto.suite_params(SuiteId.AES_128_CCM_SHA256)
     key, nonce, aad = crypto.aead_cipher(params, b"k" * 16), b"n" * 12, b"associated"
     pt = b"payload bytes"
-    ct = crypto.aead_seal(params, key, nonce, aad, pt)
+    ct = crypto.aead_seal(key, nonce, aad, pt)
     for _ in range(1000):
         target = rng.choice(["ct", "aad", "nonce"])
         if target == "ct":
@@ -177,7 +177,7 @@ def test_aead_tamper_detection():
             bad = nonce[:i] + bytes([nonce[i] ^ (1 << rng.randrange(8))]) + nonce[i + 1 :]
             args = (key, bad, aad, ct)
         with pytest.raises(AuthenticationFailure):
-            crypto.aead_open(params, *args)
+            crypto.aead_open(*args)
 
 
 def test_transcript_empty_sha256():

@@ -1,10 +1,14 @@
-from minitls import legacy12
-from minitls.crypto import NamedGroup
+from minitls import legacy12, messages
+from minitls.crypto import NamedGroup, Protocol
+from minitls.messages import ExtensionType
+from minitls.profiles import AuthMode
+
+from .harness import run_handshake
 
 
 def test_model_is_deterministic():
-    a = legacy12.model_messages("dtls", "pk", cert_size=500, sni_len=11)
-    b = legacy12.model_messages("dtls", "pk", cert_size=500, sni_len=11)
+    a = legacy12.model_messages("dtls", "pk", cert_size=500, sni="iot.example")
+    b = legacy12.model_messages("dtls", "pk", cert_size=500, sni="iot.example")
     assert a == b
 
 
@@ -77,3 +81,17 @@ def test_p521_grows_key_exchange():
     # point growth twice (SKE + CKE), signature growth twice (SKE + client CV)
     delta = (133 - 65) * 2 + (legacy12.DER_SIG_LEN[NamedGroup.SECP521R1] - 72) * 2
     assert p521 - p256 == delta
+
+
+def test_client_hello_fields_shared_with_1_3_are_priced_as_the_1_3_client_sends_them():
+    # the SNI, supported_groups and signature_algorithms extensions encode alike
+    # in 1.2 and 1.3; a "pk" 1.2 ClientHello adds them and ec_point_formats
+    pair = run_handshake(Protocol.TLS, AuthMode.PK_SERVER_ONLY, seed=1)
+    ch = messages.decode_handshake(pair.client.transcript.messages[0])
+    kinds = (ExtensionType.SERVER_NAME, ExtensionType.SUPPORTED_GROUPS, ExtensionType.SIGNATURE_ALGORITHMS)
+    sent = sum(len(ext.encode()) for ext in ch.extensions if ext.ext_type in kinds)
+
+    def client_hello(mode, **kw):
+        return legacy12.model_messages("tls", mode, **kw)[0][2]
+
+    assert client_hello("pk", sni=pair.client.cfg.sni) - client_hello("psk") == sent + legacy12.EC_POINT_FORMATS_EXT

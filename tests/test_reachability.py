@@ -42,6 +42,7 @@ ALLOWED = {
     "dump_line": "messages: the transcript-dump line, to be wired into the bench command",
     "Report.to_json": "perfbench hashes each report's JSON text into its digest",
     "KeySchedule.set_keylog": "the key log debug surface, to be wired into the bench command",
+    "Scenario.resume": "set only from JSON: `bench matrix` entries and perfbench scenarios",
 }
 
 

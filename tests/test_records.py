@@ -94,7 +94,7 @@ def test_tls_all_zero_inner():
     w, r = tls_keys(), tls_keys()
     inner = bytes(5)
     header = bytes([0x17, 0x03, 0x03]) + (len(inner) + 16).to_bytes(2, "big")
-    ct = crypto.aead_seal(P128, w.aead(P128), records.nonce_for(w.iv, 0), header, inner)
+    ct = crypto.aead_seal(w.aead(P128), records.nonce_for(w.iv, 0), header, inner)
     with pytest.raises(UnexpectedMessage):
         records.open_tls(P128, r, header + ct)
 

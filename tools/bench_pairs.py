@@ -10,7 +10,10 @@ flag. Standard library only; it imports nothing from the checkouts.
     python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR [PAIRS] --seed S --out BENCH_<n>.json
 
 A pair is a win for the change when its value is better in the metric's
-``better`` direction; a tie counts for neither side. ``claim_holds`` is the
+``better`` direction; a tie counts for neither side. Every process runs
+with ``PYTHONDONTWRITEBYTECODE=1`` and a fresh, empty ``PYTHONPYCACHEPREFIX``
+directory, so both sides compile every module from source and a
+``__pycache__`` left in one checkout cannot favour it. ``claim_holds`` is the
 gain rule: wins in at least nine tenths of the pairs, and medians further
 apart than the parent's interquartile range. The two no-regression verdicts
 use the metric's ``bound``, a fraction of the parent's median:
@@ -27,17 +30,21 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 SIDES = ("parent", "change")
 
 
 def run_once(checkout: Path, seed: int) -> dict:
-    """One benchmark process: {workload: {"correct", "attempted", "failed", "metrics"}}."""
-    proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--seed", str(seed)],
-        cwd=checkout, capture_output=True, text=True, check=False,
-    )
+    """One benchmark process, reading and writing no bytecode cache:
+    {workload: {"correct", "attempted", "failed", "metrics"}}."""
+    with tempfile.TemporaryDirectory(prefix="bench-pycache-") as cache:
+        proc = subprocess.run(
+            [sys.executable, "perfbench/run.py", "--seed", str(seed)],
+            cwd=checkout, capture_output=True, text=True, check=False,
+            env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPYCACHEPREFIX=cache),
+        )
     results, workload = {}, None
     for line in proc.stdout.splitlines():
         if line.startswith("# workload "):

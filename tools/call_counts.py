@@ -3,7 +3,7 @@
 For each workload that ``BENCHMARK.json`` of the given checkout lists, one
 fresh interpreter makes one warm-up call (iteration ``WARMUP_BASE``), then
 runs iterations 0 .. N-1 at the default seed under cProfile. ``calls`` sums
-the call count (``nc``) of every profiled function, builtins included;
+the call count of every profiled code object, builtins included;
 ``openssl_verifies`` is the count of OpenSSL's ECDSA verify, the
 ``verify`` method of ``cryptography``'s ``ECPublicKey``. Prints one JSON
 object, workload -> {"calls": ..., "openssl_verifies": ...}. The counts
@@ -24,16 +24,14 @@ import sys
 from pathlib import Path
 
 
-def is_openssl_verify(function: tuple) -> bool:
-    """Whether a cProfile function key is ``ECPublicKey.verify``."""
-    _, _, name = function
-    return name.startswith("<method 'verify' of ") and name.endswith(".ECPublicKey' objects>")
+def is_openssl_verify(code) -> bool:
+    """Whether a cProfile entry's code, a code object or a builtin's label, is ``ECPublicKey.verify``."""
+    return isinstance(code, str) and code.startswith("<method 'verify' of ") and code.endswith(".ECPublicKey' objects>")
 
 
 def count_here(workload: str, iterations: int) -> dict:
     """Run in the checkout's directory: the counts of one workload."""
     import cProfile
-    import pstats
 
     sys.path.insert(0, str(Path.cwd() / "perfbench"))
     import workloads
@@ -44,10 +42,12 @@ def count_here(workload: str, iterations: int) -> dict:
     for i in range(iterations):
         workloads.run_one(workloads.scenario(workload, workloads.DEFAULT_SEED, i))
     profile.disable()
-    stats = pstats.Stats(profile).stats
+    # one entry per code object: pstats keys functions by (file, line, name), so
+    # it keeps one of the dataclass __init__s that all read ("<string>", 2)
+    entries = profile.getstats()
     return {
-        "calls": sum(nc for _, nc, _, _, _ in stats.values()),
-        "openssl_verifies": sum(nc for function, (_, nc, _, _, _) in stats.items() if is_openssl_verify(function)),
+        "calls": sum(entry.callcount for entry in entries),
+        "openssl_verifies": sum(entry.callcount for entry in entries if is_openssl_verify(entry.code)),
     }
 
 
