@@ -28,7 +28,6 @@ from .profiles import (
     PK_FAMILY,
     PSK_FAMILY,
     AuthMode,
-    EcCredential,
     make_deployment,
     resolve,
 )
@@ -205,10 +204,6 @@ class Driver:
         return now
 
 
-def _public_half(cred: EcCredential) -> EcCredential:
-    return dataclasses.replace(cred, private=None)
-
-
 def build_configs(scenario: Scenario):
     """Resolve the profile into concrete client/server ConnConfigs: the one place
     that turns an auth mode into the credentials and settings each side holds."""
@@ -250,10 +245,11 @@ def build_configs(scenario: Scenario):
     if mode in ECDHE_FAMILY and not groups:
         raise IllegalOverride(f"mode {mode.value} sends a key share and needs a named group")
 
-    deployment = make_deployment(net.seed, groups, prof.cert_size)
     needs_cert = mode in PK_FAMILY
     mutual = mode == AuthMode.PK_MUTUAL
-    group = groups[0] if groups else None
+    holders = ("client", "server") if mutual else ("server",) if needs_cert else ()
+    deployment = make_deployment(net.seed, groups[0] if groups else None, prof.cert_size, holders)
+    client_ec, server_ec = deployment["client_ec"], deployment["server_ec"]
 
     common = dict(
         protocol=protocol,
@@ -266,16 +262,16 @@ def build_configs(scenario: Scenario):
         packing=scenario.packing,
     )
     client_cfg = ConnConfig(
-        local_ec=deployment["client_ec"].get(group) if mutual else None,
-        peer_ec=_public_half(deployment["server_ec"][group]) if needs_cert else None,
+        local_ec=client_ec,
+        peer_ec=server_ec.public_point if needs_cert else None,
         sni=prof.sni_hostname if needs_cert else None,
         early_payload=bytes(scenario.early_payload) if mode == AuthMode.ZERO_RTT else b"",
         cid=0 if scenario.cid is not None else None,  # offer CIDs, ask for none
         **common,
     )
     server_cfg = ConnConfig(
-        local_ec=deployment["server_ec"].get(group) if needs_cert else None,
-        peer_ec=_public_half(deployment["client_ec"][group]) if mutual else None,
+        local_ec=server_ec,
+        peer_ec=client_ec.public_point if mutual else None,
         tickets=prof.tickets,
         dos=scenario.dos,
         cid=scenario.cid or None,  # ask for scenario.cid bytes; at 0 send no extension

@@ -128,15 +128,14 @@ class Transcript:
         self.messages = [messages.message_hash(ch1_digest), hrr_raw]
 
 
-@dataclass
-class TicketState:
-    """Client-side resumption material from one NewSessionTicket."""
+@dataclass(frozen=True)
+class TicketState(PskCredential):
+    """A resumption PSK from one NewSessionTicket, as the server that issued it and the
+    client that received it each hold it: ``identity`` is the ticket, ``secret`` the PSK."""
 
-    ticket: bytes
-    psk: bytes
     suite: SuiteId
     age_add: int
-    received_at: int
+    issued_at: int  # when this side sent (server) or received (client) it, in ms
 
 
 _ALERT_CODES = {
@@ -166,7 +165,7 @@ class ConnConfig:
     groups: tuple = ()
     psk: PskCredential | TicketState | None = None
     local_ec: EcCredential | None = None
-    peer_ec: EcCredential | None = None  # pinned peer public key (trust anchor)
+    peer_ec: bytes | None = None  # pinned peer public point (trust anchor)
     sni: str | None = None
     compat: bool = False
     early_payload: bytes = b""
@@ -178,8 +177,8 @@ class ConnConfig:
     packing: bool = False
 
 
-def _expired(ticket: dict, now: int) -> bool:
-    return now - ticket["issued_at"] > TICKET_LIFETIME_S * 1000
+def _expired(ticket: TicketState, now: int) -> bool:
+    return now - ticket.issued_at > TICKET_LIFETIME_S * 1000
 
 
 def _choose_suite(cfg: ConnConfig, ticket_db: dict, ch, now: int) -> SuiteId:
@@ -252,8 +251,7 @@ class Connection:
         self.client_cert_requested = False
         self.early_accepted = False
         self.hrr_done = False
-        self.psk_in_use: PskCredential | None = None
-        self.psk_kind_in_use = PskKind.EXTERNAL
+        self.psk_in_use: PskCredential | None = None  # external, or a TicketState when resuming
         self.obfuscated_age = 0
         self.client_tickets: list = []
         self.ticket_nonce_counter = 0
@@ -307,8 +305,9 @@ class Connection:
         elif direction == "read" and self.protocol == Protocol.DTLS:
             keys.window = ReplayWindow()
 
-    def _new_schedule(self, psk: bytes | None = None, kind: PskKind = PskKind.EXTERNAL) -> None:
-        self.ks = KeySchedule(self.suite, self.protocol, self.counters).init_early(psk, kind)
+    def _new_schedule(self, psk: PskCredential | None = None) -> None:
+        kind = PskKind.RESUMPTION if isinstance(psk, TicketState) else PskKind.EXTERNAL
+        self.ks = KeySchedule(self.suite, self.protocol, self.counters).init_early(psk.secret if psk else None, kind)
 
     # ------------------------------------------------------------- crypto ops
 
@@ -430,9 +429,7 @@ class Connection:
             raise IllegalParameter(f"{self.peer_role} CertificateVerify scheme {cv.scheme:#06x} was not offered")
         content = messages.certificate_verify_content(self.peer_role, self.transcript.digest(self.params.hash_alg))
         anchor = self.cfg.peer_ec
-        if anchor is None or not self._verify(
-            anchor.public_point, crypto.SignatureScheme(cv.scheme), content, cv.signature
-        ):
+        if anchor is None or not self._verify(anchor, crypto.SignatureScheme(cv.scheme), content, cv.signature):
             raise BadSignature(f"{self.peer_role} CertificateVerify did not verify")
         self.transcript.append(raw)
         self.phase = Phase.WAIT_FINISHED
@@ -457,9 +454,7 @@ class Connection:
     def _psk_offer(self, now: int):
         psk = self.cfg.psk
         if isinstance(psk, TicketState):
-            self.obfuscated_age = (now - psk.received_at + psk.age_add) & 0xFFFFFFFF
-            self.psk_kind_in_use = PskKind.RESUMPTION
-            psk = PskCredential(psk.ticket, psk.psk)
+            self.obfuscated_age = (now - psk.issued_at + psk.age_add) & 0xFFFFFFFF
         self.psk_in_use = psk
         return psk
 
@@ -472,7 +467,7 @@ class Connection:
             if self.dh_priv is None:
                 self.dh_priv, pub = self._keypair(cfg.groups[0])
             else:
-                pub = self.dh_priv.public_bytes()
+                pub = ec.public_point(self.dh_priv)
             exts.append(messages.ext_supported_groups([int(g) for g in cfg.groups]))
         if cfg.peer_ec is not None:
             exts.append(messages.ext_signature_algorithms([int(s) for s in self._scheme_list()]))
@@ -494,7 +489,7 @@ class Connection:
         ch = messages.ClientHello(self.rng.randbytes(32), b"", [int(s) for s in cfg.suites], exts)
         if cfg.compat and self.protocol == Protocol.TLS:
             ch.legacy_session_id = self.rng.randbytes(32)
-        self._new_schedule(psk.secret if psk else None, self.psk_kind_in_use)
+        self._new_schedule(psk)
         if psk is not None:
             binder = self.ks.compute_binder(self.transcript.binder_digest(messages.tls_form(ch), self.params))
             ch.extensions[-1] = messages.ext_pre_shared_key_offer(psk.identity, self.obfuscated_age, binder)
@@ -738,7 +733,7 @@ class Connection:
         share_ext = messages.find_extension(sh.extensions, ExtensionType.KEY_SHARE)
         if share_ext is not None:
             group, server_pub = messages.parse_key_share_server(share_ext.data)
-            if self.dh_priv is None or group != int(self.dh_priv.group):
+            if self.dh_priv is None or group != int(self.cfg.groups[0]):
                 raise HandshakeFailure("server share for a group we did not offer")
             dh = self._shared(self.dh_priv, server_pub)
         elif self.dh_priv is not None:
@@ -789,14 +784,8 @@ class Connection:
         return out
 
     def _client_handle_ticket(self, nst, raw: bytes, now: int) -> list:
-        state = TicketState(
-            ticket=nst.ticket,
-            psk=self.ks.resumption_psk(nst.nonce),
-            suite=self.suite,
-            age_add=nst.age_add,
-            received_at=now,
-        )
-        self.client_tickets.append(state)
+        ticket = TicketState(nst.ticket, self.ks.resumption_psk(nst.nonce), self.suite, nst.age_add, now)
+        self.client_tickets.append(ticket)
         self._event(now, EventKind.TICKET, ticket=nst.ticket.hex())
         if self.reliability is not None:
             self.reliability.ack_now(now)  # no responding flight: explicit ACK
@@ -887,15 +876,14 @@ class Connection:
         identity, obf_age, binder = messages.parse_pre_shared_key_offer(ext.data)
         if len(binder) != self.params.hash_len:
             return None  # keyed for another hash: not selectable with this suite (RFC 8446 section 4.2.11)
-        resumed = self.ticket_db.get(identity)
+        psk = self.ticket_db.get(identity)
         try:
-            if resumed is not None:
-                if _expired(resumed, now):
+            if psk is not None:
+                if _expired(psk, now):
                     del self.ticket_db[identity]
                     raise ExpiredTicket("resumption ticket past its lifetime")
-                psk_secret, kind = resumed["psk"], PskKind.RESUMPTION
             elif self.cfg.psk is not None and identity == self.cfg.psk.identity:
-                psk_secret, kind = self.cfg.psk.secret, PskKind.EXTERNAL
+                psk = self.cfg.psk
             else:
                 raise UnknownTicket("psk identity is neither configured nor a ticket")
         except (ExpiredTicket, UnknownTicket):
@@ -903,17 +891,16 @@ class Connection:
                 return None  # fall back to the certificate path
             raise
 
-        self._new_schedule(psk_secret, kind)
+        self._new_schedule(psk)
         if not hmac.compare_digest(self.ks.compute_binder(self.transcript.binder_digest(raw_ch, self.params)), binder):
             raise DecryptError("psk binder mismatch")
-        self.psk_in_use = PskCredential(identity, psk_secret)
-        self.psk_kind_in_use = kind
+        self.psk_in_use = psk
         if messages.find_extension(ch.extensions, ExtensionType.EARLY_DATA) is not None:
             self.early_accepted = True
-            if resumed is not None:
-                real_age = (obf_age - resumed["age_add"]) & 0xFFFFFFFF
-                self.early_accepted = abs(real_age - (now - resumed["issued_at"])) <= TICKET_AGE_TOLERANCE_MS
-        return self.psk_in_use
+            if isinstance(psk, TicketState):
+                real_age = (obf_age - psk.age_add) & 0xFFFFFFFF
+                self.early_accepted = abs(real_age - (now - psk.issued_at)) <= TICKET_AGE_TOLERANCE_MS
+        return psk
 
     def _server_handle_eoed(self, eoed, raw: bytes, now: int) -> list:
         # DTLS 1.3 omits EndOfEarlyData (RFC 9147 section 5.6); only a server that
@@ -944,7 +931,7 @@ class Connection:
         ticket_id = self.rng.randbytes(16)
         age_add = self.rng.getrandbits(32)
         psk = self.ks.resumption_psk(nonce)
-        self.ticket_db[ticket_id] = {"psk": psk, "issued_at": now, "age_add": age_add}
+        self.ticket_db[ticket_id] = TicketState(ticket_id, psk, self.suite, age_add, now)
         nst = messages.NewSessionTicket(
             TICKET_LIFETIME_S, age_add, nonce, ticket_id, [messages.ext_early_data_ticket(1 << 14)]
         )

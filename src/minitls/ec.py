@@ -5,9 +5,9 @@ injected scalar, point validation, Diffie-Hellman, verification, and
 signing in OpenSSL's RFC 6979 deterministic mode, which the wire tests
 need for byte-identical signatures across runs and processes.
 
-An ``EcPrivateKey`` derives its OpenSSL key once, at construction, and
-``shared_secret``/``sign`` reuse it; peer public keys are decoded and
-validated on every call.
+A private key is OpenSSL's own key object, derived once from its scalar by
+``private_key`` (or ``keypair``); ``shared_secret``/``sign`` reuse it. Peer
+public keys are decoded and validated on every call.
 
 ``verify`` is memoized, bounded to ``VERIFY_MEMO_SIZE`` entries, on its
 full input (public point, scheme, message, signature). ECDSA verification
@@ -23,12 +23,10 @@ table must not hold them.
 """
 
 import functools
-from dataclasses import dataclass, field
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives import hashes
 from cryptography.hazmat.primitives.asymmetric import ec as _ec
-from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
 
 from .crypto import GROUP_SCHEME, NamedGroup, SignatureScheme
 from .errors import IllegalParameter
@@ -42,61 +40,58 @@ _BACKEND_CURVES = {
     NamedGroup.SECP256R1: _ec.SECP256R1,
     NamedGroup.SECP521R1: _ec.SECP521R1,
 }
-# Entries of the ``verify`` memo; one handshake adds at most two.
-VERIFY_MEMO_SIZE = 64
-SCHEME_GROUP = {scheme: group for group, scheme in GROUP_SCHEME.items()}
+_SCHEME_CURVE = {scheme: _BACKEND_CURVES[group] for group, scheme in GROUP_SCHEME.items()}
 _SCHEME_BACKEND_HASH = {
     SignatureScheme.ECDSA_SECP256R1_SHA256: hashes.SHA256,
     SignatureScheme.ECDSA_SECP521R1_SHA512: hashes.SHA512,
 }
+# Entries of the ``verify`` memo; one handshake adds at most two.
+VERIFY_MEMO_SIZE = 64
+
+# What ``private_key`` and ``keypair`` return: OpenSSL's key object itself.
+PrivateKey = _ec.EllipticCurvePrivateKey
 
 
-@dataclass(frozen=True)
-class EcPrivateKey:
-    """A private scalar and the OpenSSL key derived from it at construction."""
-
-    group: NamedGroup
-    d: int = field(repr=False)
-    _key: _ec.EllipticCurvePrivateKey = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        key = _ec.derive_private_key(self.d, _BACKEND_CURVES[self.group]())
-        object.__setattr__(self, "_key", key)
-
-    def public_bytes(self) -> bytes:
-        return self._key.public_key().public_bytes(
-            Encoding.X962, PublicFormat.UncompressedPoint
-        )
+def scalar(group: NamedGroup, rng) -> int:
+    """A private scalar in [1, n), drawn from the injected RNG."""
+    return rng.randrange(1, _ORDER[group])
 
 
-def _backend_public(group: NamedGroup, point: bytes):
+def private_key(group: NamedGroup, d: int) -> PrivateKey:
+    """The OpenSSL key of scalar ``d``: one derivation."""
+    return _ec.derive_private_key(d, _BACKEND_CURVES[group]())
+
+
+def public_point(priv: PrivateKey) -> bytes:
+    """The uncompressed point 0x04 || X || Y of the key's public half."""
+    numbers = priv.public_key().public_numbers()
+    size = (priv.curve.key_size + 7) // 8
+    return b"\x04" + numbers.x.to_bytes(size, "big") + numbers.y.to_bytes(size, "big")
+
+
+def _backend_public(curve, point: bytes):
     try:
-        return _ec.EllipticCurvePublicKey.from_encoded_point(
-            _BACKEND_CURVES[group](), point
-        )
+        return _ec.EllipticCurvePublicKey.from_encoded_point(curve, point)
     except ValueError as exc:
         raise IllegalParameter(str(exc)) from None
 
 
-def keypair(group: NamedGroup, rng) -> tuple[EcPrivateKey, bytes]:
+def keypair(group: NamedGroup, rng) -> tuple[PrivateKey, bytes]:
     """Fresh keypair with the private scalar drawn from the injected RNG."""
-    priv = EcPrivateKey(group, rng.randrange(1, _ORDER[group]))
-    return priv, priv.public_bytes()
+    priv = private_key(group, scalar(group, rng))
+    return priv, public_point(priv)
 
 
-def shared_secret(priv: EcPrivateKey, peer_public: bytes) -> bytes:
+def shared_secret(priv: PrivateKey, peer_public: bytes) -> bytes:
     """ECDH: x-coordinate of d*Q, field-length bytes."""
-    peer = _backend_public(priv.group, peer_public)
-    return priv._key.exchange(_ec.ECDH(), peer)
+    return priv.exchange(_ec.ECDH(), _backend_public(priv.curve, peer_public))
 
 
-def sign(priv: EcPrivateKey, scheme: SignatureScheme, message: bytes) -> bytes:
+def sign(priv: PrivateKey, scheme: SignatureScheme, message: bytes) -> bytes:
     """Deterministic ECDSA, DER-encoded; identical inputs give identical bytes."""
-    if SCHEME_GROUP[scheme] != priv.group:
+    if priv.curve.name != _SCHEME_CURVE[scheme].name:
         raise ValueError("signature scheme does not match the key's curve")
-    return priv._key.sign(
-        message, _ec.ECDSA(_SCHEME_BACKEND_HASH[scheme](), deterministic_signing=True)
-    )
+    return priv.sign(message, _ec.ECDSA(_SCHEME_BACKEND_HASH[scheme](), deterministic_signing=True))
 
 
 @functools.lru_cache(maxsize=VERIFY_MEMO_SIZE)
@@ -106,7 +101,7 @@ def verify(
     """Signature check; returns False (never raises) on any invalid input.
     Memoized on all four arguments (see the module docstring)."""
     try:
-        key = _backend_public(SCHEME_GROUP[scheme], public)
+        key = _backend_public(_SCHEME_CURVE[scheme](), public)
         key.verify(signature, message, _ec.ECDSA(_SCHEME_BACKEND_HASH[scheme]()))
         return True
     except (InvalidSignature, IllegalParameter, ValueError):

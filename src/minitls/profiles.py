@@ -153,7 +153,7 @@ class PskCredential:
 @dataclass(frozen=True)
 class EcCredential:
     group: NamedGroup
-    private: ec.EcPrivateKey | None = field(repr=False)  # None: public half only
+    private: ec.PrivateKey = field(repr=False, compare=False)  # public_point determines it
     public_point: bytes
     cert_der: bytes = b""
 
@@ -167,13 +167,17 @@ def synthetic_cert(rng: random.Random, cert_size: int) -> bytes:
     return rng.randbytes(cert_size)
 
 
-def make_deployment(seed: int, groups, cert_size: int) -> dict:
-    """Deterministic credential material for one client/server pair."""
+def make_deployment(seed: int, group, cert_size: int, holders=()) -> dict:
+    """Deterministic credential material for one client/server pair: the PSK, and
+    a credential on ``group`` for each role in ``holders`` ("client", "server").
+    Once any role holds one, both roles' scalars and certificates are drawn, in
+    one order, so a seed gives each role the same credential whoever else holds one."""
     rng = random.Random(f"minitls-creds-{seed}")
     psk = PskCredential(identity=b"bench-psk-" + rng.randbytes(6), secret=rng.randbytes(32))
-    out = {"psk": psk, "client_ec": {}, "server_ec": {}}
-    for group in groups:
-        for side in ("client_ec", "server_ec"):
-            priv, pub = ec.keypair(group, rng)
-            out[side][group] = EcCredential(group, priv, pub, synthetic_cert(rng, cert_size))
+    out = {"psk": psk, "client_ec": None, "server_ec": None}
+    for role in ("client", "server") if holders else ():
+        d, cert = ec.scalar(group, rng), synthetic_cert(rng, cert_size)
+        if role in holders:
+            priv = ec.private_key(group, d)
+            out[f"{role}_ec"] = EcCredential(group, priv, ec.public_point(priv), cert)
     return out

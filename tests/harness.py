@@ -9,7 +9,7 @@ from minitls.bench import Driver
 from minitls.connection import ConnConfig, Connection, ServerListener
 from minitls.crypto import NamedGroup, Protocol, SuiteId
 from minitls.messages import HandshakeType
-from minitls.profiles import AuthMode, EcCredential, make_deployment
+from minitls.profiles import AuthMode, make_deployment
 from minitls.records import ContentType
 from minitls.reliability import DtlsReliability
 from minitls.simnet import DatagramLink, NetConfig, StreamLink
@@ -31,10 +31,6 @@ def load_hex_vectors(path) -> list:
     return records
 
 
-def public_half(cred: EcCredential) -> EcCredential:
-    return replace(cred, private=None)
-
-
 def make_configs(
     protocol: Protocol,
     mode: AuthMode,
@@ -49,9 +45,10 @@ def make_configs(
     ``bench.build_configs`` maps them, except that the server always holds a
     certificate to fall back on and ``zero_rtt`` sends ``b"early"`` unless told
     otherwise.  ``both`` sets a field on both sides."""
-    deployment = make_deployment(seed, [group], cert_size)
     certificate = mode in (AuthMode.PK_MUTUAL, AuthMode.PK_SERVER_ONLY)
     mutual = mode == AuthMode.PK_MUTUAL
+    deployment = make_deployment(seed, group, cert_size, ("client", "server") if mutual else ("server",))
+    client_ec, server_ec = deployment["client_ec"], deployment["server_ec"]
     psk = deployment["psk"] if mode in (AuthMode.PSK, AuthMode.PSK_ECDHE, AuthMode.ZERO_RTT) else None
     if mode == AuthMode.ZERO_RTT:
         both.setdefault("early_payload", b"early")
@@ -63,14 +60,14 @@ def make_configs(
         **both,
     )
     client = ConnConfig(
-        local_ec=deployment["client_ec"][group] if mutual else None,
-        peer_ec=public_half(deployment["server_ec"][group]) if certificate else None,
+        local_ec=client_ec,
+        peer_ec=server_ec.public_point if certificate else None,
         sni="iot.example" if certificate else None,
         **common,
     )
     server = ConnConfig(
-        local_ec=deployment["server_ec"][group],
-        peer_ec=public_half(deployment["client_ec"][group]) if mutual else None,
+        local_ec=server_ec,
+        peer_ec=client_ec.public_point if mutual else None,
         **common,
     )
     return client, server, deployment

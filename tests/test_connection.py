@@ -15,6 +15,7 @@ from minitls.connection import (
     Connection,
     EventKind,
     ServerListener,
+    TicketState,
     resume_config,
 )
 from minitls.crypto import NamedGroup, Protocol, SignatureScheme, SuiteId
@@ -31,7 +32,6 @@ from .harness import (
     count_backend_keys,
     filter_sends,
     make_configs,
-    public_half,
     run_handshake,
     secrets_of,
     tamper_on_wire,
@@ -182,7 +182,7 @@ def test_each_signature_verified_once_in_the_backend(protocol, mode, suite, grou
     pair.run()
     server = pair.assert_complete()
     signers = 2 if mode == AuthMode.PK_MUTUAL else 1
-    credentials = {deployment[side][group].public_point for side in ("client_ec", "server_ec")}
+    credentials = {cred.public_point for cred in (deployment["client_ec"], deployment["server_ec"]) if cred}
     assert sum(point in credentials for point in built) == signers
     assert len(built) == signers + 2  # and one ECDH on each side
     assert ec.verify.cache_info().hits == signers
@@ -600,8 +600,7 @@ def test_psk_keyed_for_a_hash_the_server_lacks_is_not_selected(protocol, mode, a
     # SHA-256 cannot serve: it takes the certificate path, which the client's
     # pin of the server key accepts, or fails
     client_cfg, server_cfg, deployment = make_configs(protocol, mode, seed=68)
-    pin = public_half(deployment["server_ec"][NamedGroup.SECP256R1])
-    client_cfg = replace(client_cfg, suites=TWO_SUITES, peer_ec=pin)
+    client_cfg = replace(client_cfg, suites=TWO_SUITES, peer_ec=deployment["server_ec"].public_point)
     server_cfg = replace(server_cfg, suites=TWO_SUITES[1:])
     pair = Pair(client_cfg, server_cfg, seed=68)
     pair.run(until_ms=5_000)
@@ -627,7 +626,7 @@ def test_ticket_keyed_for_another_hash_picks_a_suite_of_its_hash(protocol):
     pair.run(until_ms=5_000)
     server = pair.assert_complete()
     assert pair.client.suite == server.suite == SuiteId.AES_128_CCM_SHA256
-    assert server.psk_in_use is not None and server.psk_in_use.secret == ticket.psk
+    assert server.psk_in_use is not None and server.psk_in_use.secret == ticket.secret
 
 
 def plaintext_handshake(protocol, raw: bytes) -> bytes:
@@ -1121,7 +1120,7 @@ def binder_case(case: str):
         pair = Pair(resume_config(first.client.cfg, ticket), first.listener.cfg, seed=9)
         pair.listener.ticket_db = first.listener.ticket_db
         pair.run()
-        return pair, ticket.psk, b"res binder", "sha256"
+        return pair, ticket.secret, b"res binder", "sha256"
     protocol = Protocol.TLS if case == "tls" else Protocol.DTLS
     client_cfg, server_cfg, _ = make_configs(protocol, AuthMode.PSK, seed=8)
     pair = Pair(client_cfg, replace(server_cfg, dos=case == "dtls-dos"), seed=8)
@@ -1405,15 +1404,16 @@ def test_ticket_issue_and_resume(protocol):
     server = pair.assert_complete()
     assert pair.client.client_tickets, "client never received a ticket"
     ticket = pair.client.client_tickets[0]
-    assert ticket.ticket in pair.listener.ticket_db
-    assert pair.listener.ticket_db[ticket.ticket]["psk"] == ticket.psk
+    # the server keeps the ticket as the client does, but for the time it was sent
+    issued = pair.listener.ticket_db[ticket.identity]
+    assert replace(issued, issued_at=ticket.issued_at) == ticket
 
     resumed_cfg = resume_config(pair.client.cfg, ticket)
     pair2 = Pair(resumed_cfg, pair.listener.cfg, seed=99)
     pair2.listener.ticket_db = pair.listener.ticket_db  # same server state
     pair2.run()
     server2 = pair2.assert_complete()
-    assert server2.psk_kind_in_use.value == "resumption"
+    assert server2.psk_in_use == pair.listener.ticket_db[ticket.identity]
     assert pair2.client.counters.sign_ops == 0
     assert server2.counters.sign_ops == 0
 
@@ -1422,8 +1422,8 @@ def test_expired_ticket_falls_back_or_fails():
     pair = ticketed_pair(Protocol.DTLS, seed=17)
     pair.assert_complete()
     ticket = pair.client.client_tickets[0]
-    entry = pair.listener.ticket_db[ticket.ticket]
-    entry["issued_at"] = -(TICKET_LIFETIME_S * 1000 + 60_000)  # long expired
+    entry = pair.listener.ticket_db[ticket.identity]
+    pair.listener.ticket_db[ticket.identity] = replace(entry, issued_at=-(TICKET_LIFETIME_S * 1000 + 60_000))  # long expired
 
     resumed_cfg = resume_config(pair.client.cfg, ticket)
     pair2 = Pair(resumed_cfg, pair.listener.cfg, seed=100)
@@ -1431,7 +1431,7 @@ def test_expired_ticket_falls_back_or_fails():
     pair2.run(until_ms=10_000)
     # plain-PSK resume offers no key share, so no certificate fallback exists
     assert not pair2.client.connected
-    assert ticket.ticket not in pair2.listener.ticket_db  # purged
+    assert ticket.identity not in pair2.listener.ticket_db  # purged
 
 
 # --- 0-RTT -------------------------------------------------------------------------
@@ -1718,8 +1718,8 @@ def test_resumed_zero_rtt_age_policy():
     ticket = pair.client.client_tickets[0]
     # each Pair restarts the millisecond clock at zero; realign the issue and
     # receipt timestamps so ages are computed on one timeline
-    pair.listener.ticket_db[ticket.ticket]["issued_at"] = 0
-    ticket = replace(ticket, received_at=0)
+    pair.listener.ticket_db[ticket.identity] = replace(pair.listener.ticket_db[ticket.identity], issued_at=0)
+    ticket = replace(ticket, issued_at=0)
 
     # honest resume with early data: accepted
     fresh_cfg = replace(
@@ -1734,7 +1734,7 @@ def test_resumed_zero_rtt_age_policy():
     assert server2.early_accepted
 
     # same ticket with the client clock off by 60 s: 0-RTT rejected, PSK still works
-    skewed_ticket = replace(ticket, received_at=-60_000)
+    skewed_ticket = replace(ticket, issued_at=-60_000)
     skewed_cfg = replace(
         resume_config(pair.client.cfg, skewed_ticket),
         early_payload=b"stale-early-data",
@@ -1745,7 +1745,7 @@ def test_resumed_zero_rtt_age_policy():
     server3 = pair3.assert_complete()  # PSK path still completes
     assert not server3.early_accepted
     assert not any(e.kind == EventKind.EARLY_DATA for e in server3.event_log)
-    assert server3.psk_kind_in_use.value == "resumption"
+    assert isinstance(server3.psk_in_use, TicketState)
     assert pair3.client.cfg.early_payload and not pair3.client.early_accepted
 
 

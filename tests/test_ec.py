@@ -50,10 +50,10 @@ KNOWN_ANSWERS = [
     ids=[f"{m.decode()}-{r}-{s}" for *_, m, r, s in KNOWN_ANSWERS],
 )
 def test_deterministic_ecdsa_published_vectors(group, scheme, x, message, r, s):
-    priv = ec.EcPrivateKey(group, x)
+    priv = ec.private_key(group, x)
     sig = ec.sign(priv, scheme, message)
     assert decode_dss_signature(sig) == (r, s)
-    assert ec.verify(priv.public_bytes(), scheme, message, sig)
+    assert ec.verify(ec.public_point(priv), scheme, message, sig)
 
 
 @pytest.mark.parametrize(
@@ -119,13 +119,16 @@ def test_public_bytes_are_uncompressed_points():
 
 
 @pytest.mark.parametrize(
-    "profile, protocol, mode, suite",
+    "profile, protocol, mode, suite, derivations",
     [
-        ("ecdsa128_256", "dtls", "pk_mutual", 0x13A4),  # P-521
-        ("ecdsa128", "tls", "pk_server_only", None),  # P-256
+        ("full", "dtls", "psk", None, 0),
+        ("full", "tls", "zero_rtt", None, 0),
+        ("ecdsa128_256", "tls", "pk_mutual", None, 4),  # P-256, with P-521 enabled too
+        ("ecdsa128", "tls", "pk_server_only", None, 3),  # P-256
+        ("ecdsa128_256", "dtls", "pk_mutual", 0x13A4, 4),  # P-521
     ],
 )
-def test_each_private_key_is_derived_once(monkeypatch, profile, protocol, mode, suite):
+def test_each_private_key_is_derived_once(monkeypatch, profile, protocol, mode, suite, derivations):
     derived = []
     derive = backend_ec.derive_private_key
 
@@ -138,9 +141,10 @@ def test_each_private_key_is_derived_once(monkeypatch, profile, protocol, mode, 
         bench.Scenario(profile=profile, protocol=protocol, mode=mode, suite=suite)
     )
     assert report.ok
-    # Two credential keys (one per side) and two ephemeral ECDHE keys;
-    # signing and ECDH reuse them.
-    assert len(derived) == 4
+    # One key per credential a side holds, on the handshake's one group, and one
+    # per ephemeral ECDHE key; signing and ECDH reuse them. No key is built for
+    # a group or a side that holds none.
+    assert len(derived) == derivations
 
 
 def test_verify_memo_answers_identical_inputs_once(monkeypatch):

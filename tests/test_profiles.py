@@ -2,7 +2,7 @@ import pytest
 
 from minitls.crypto import NamedGroup, SuiteId
 from minitls.errors import IllegalOverride, UnknownProfile
-from minitls import profiles
+from minitls import ec, profiles
 from minitls.profiles import AuthMode, resolve
 
 
@@ -83,16 +83,31 @@ def test_cert_size_changes_blob_by_exact_delta():
 
 
 def test_make_deployment_deterministic():
-    d1 = profiles.make_deployment(7, [NamedGroup.SECP256R1], 500)
-    d2 = profiles.make_deployment(7, [NamedGroup.SECP256R1], 500)
+    d1 = profiles.make_deployment(7, NamedGroup.SECP256R1, 500, ("client", "server"))
+    d2 = profiles.make_deployment(7, NamedGroup.SECP256R1, 500, ("client", "server"))
     assert d1["psk"] == d2["psk"]
     assert d1["client_ec"] == d2["client_ec"]
-    assert len(d1["server_ec"][NamedGroup.SECP256R1].cert_der) == 500
+    assert len(d1["server_ec"].cert_der) == 500
+
+
+def test_make_deployment_builds_only_the_credentials_held():
+    # each role's credential is the same whoever else holds one, and a role
+    # that holds none gets none
+    both = profiles.make_deployment(7, NamedGroup.SECP256R1, 500, ("client", "server"))
+    server = profiles.make_deployment(7, NamedGroup.SECP256R1, 500, ("server",))
+    client = profiles.make_deployment(7, NamedGroup.SECP256R1, 500, ("client",))
+    neither = profiles.make_deployment(7, None, 500, ())
+    assert (server["client_ec"], server["server_ec"]) == (None, both["server_ec"])
+    assert (client["client_ec"], client["server_ec"]) == (both["client_ec"], None)
+    assert neither["client_ec"] is neither["server_ec"] is None
+    assert neither["psk"] == server["psk"] == both["psk"]
+    cred = both["server_ec"]
+    assert cred.public_point == ec.public_point(cred.private)
 
 
 def test_reprs_hide_private_scalars():
-    cred = profiles.make_deployment(3, [NamedGroup.SECP256R1], 100)["client_ec"][NamedGroup.SECP256R1]
-    d = cred.private.d
+    cred = profiles.make_deployment(3, NamedGroup.SECP256R1, 100, ("client",))["client_ec"]
+    d = cred.private.private_numbers().private_value
     for text in (repr(cred), repr(cred.private)):
         assert f"{d:x}" not in text.lower()
         assert str(d) not in text
