@@ -25,19 +25,20 @@ from typing import NamedTuple
 from . import crypto, ec, messages, records
 from .crypto import GROUP_SCHEME, Protocol, SuiteId
 from .errors import (
+    AuthenticationFailure,
     BadSignature,
     CertificateRequired,
     ConfigConflict,
     DecodeError,
     DecryptError,
-    ExpiredTicket,
     HandshakeFailure,
     HandshakeTimeout,
     IllegalParameter,
     NotReady,
     ProtocolError,
+    RecordOverflow,
     UnexpectedMessage,
-    UnknownTicket,
+    UnknownPskIdentity,
 )
 from .keyschedule import KeySchedule, PskKind
 from .messages import ExtensionType, HandshakeType, PskMode
@@ -47,6 +48,8 @@ from .reliability import DtlsReliability
 
 TICKET_LIFETIME_S = 7200
 TICKET_AGE_TOLERANCE_MS = 10_000
+# max_early_data_size: the 0-RTT bytes a server advertises in its tickets and reads (RFC 8446 section 4.2.10)
+MAX_EARLY_DATA = 1 << 14
 
 EPOCH_PLAIN = 0
 EPOCH_EARLY = 1
@@ -142,11 +145,13 @@ _ALERT_CODES = {
     "close_notify": 0,
     "unexpected_message": 10,
     "bad_record_mac": 20,
+    "record_overflow": 22,
     "handshake_failure": 40,
-    "bad_certificate_verify": 42,
     "illegal_parameter": 47,
     "decode_error": 50,
     "decrypt_error": 51,
+    "bad_certificate_verify": 51,  # a CertificateVerify that fails is decrypt_error (RFC 8446 section 4.4.3)
+    "unknown_psk_identity": 115,
     "certificate_required": 116,
 }
 
@@ -250,6 +255,8 @@ class Connection:
         self.dh_priv = None
         self.client_cert_requested = False
         self.early_accepted = False
+        self.skip_early = False  # TLS server: records that fail to open may be 0-RTT data it declined
+        self.early_left = MAX_EARLY_DATA
         self.hrr_done = False
         self.psk_in_use: PskCredential | None = None  # external, or a TicketState when resuming
         self.obfuscated_age = 0
@@ -537,7 +544,15 @@ class Connection:
             epoch, content_type, payload = EPOCH_PLAIN, record[0], record[5:]
             if content_type == ContentType.APPLICATION_DATA:
                 epoch = self._tls_read_epoch
-                content_type, payload = self._open(epoch, records.open_tls, record)
+                try:
+                    content_type, payload = self._open(epoch, records.open_tls, record)
+                except AuthenticationFailure:
+                    if not self.skip_early:
+                        raise
+                    # 0-RTT data this server declined: skipped (RFC 8446 section 4.2.10)
+                    self._take_early(len(payload) - self.params.tag_len - 1)
+                    continue
+                self.skip_early = False
             out.extend(self._read_record(epoch, content_type, payload, None, now))
         return out
 
@@ -549,8 +564,8 @@ class Connection:
             if records.is_unified_header(first):
                 try:
                     parsed = records.parse_unified(data, offset, len(self.cid_local or b""))
-                except DecodeError:
-                    break  # malformed tail: drop the rest of the datagram
+                except (DecodeError, RecordOverflow):
+                    break  # malformed or oversized tail: drop the rest of the datagram (RFC 9147 section 4.5.2)
                 offset += parsed.consumed
                 epoch = parsed.epoch_low  # the whole epoch: only epochs 1-3 exist, as there is no KeyUpdate
                 if parsed.cid and self.cid_local and parsed.cid != self.cid_local:
@@ -562,7 +577,7 @@ class Connection:
             elif first in (ContentType.HANDSHAKE, ContentType.ALERT, ContentType.CHANGE_CIPHER_SPEC):
                 try:
                     content_type, seq, payload, used = records.parse_dtls_plaintext(data, offset)
-                except DecodeError:
+                except (DecodeError, RecordOverflow):
                     break
                 offset += used
                 epoch = EPOCH_PLAIN
@@ -571,6 +586,12 @@ class Connection:
             out.extend(self._read_record(epoch, content_type, payload, (epoch, seq), now))
         out.extend(self.reliability.flush_acks(now, self._frame, self.write_epoch))
         return out
+
+    def _take_early(self, size: int) -> None:
+        """Count ``size`` bytes of 0-RTT data against ``MAX_EARLY_DATA`` (RFC 8446 section 4.2.10)."""
+        self.early_left -= size
+        if self.early_left < 0:
+            raise UnexpectedMessage("early data past max_early_data_size")
 
     def _open(self, epoch: int, open_record, record) -> tuple:
         """``open_record(params, keys, record)`` under the read keys of ``epoch``: each try
@@ -614,6 +635,7 @@ class Connection:
         if content_type != ContentType.APPLICATION_DATA:
             raise UnexpectedMessage(f"inner content type {content_type}")
         if epoch == EPOCH_EARLY:  # only a server that accepted 0-RTT holds early read keys
+            self._take_early(len(payload))
             self._event(now, EventKind.EARLY_DATA, bytes=len(payload), replay_uncertain=True)
         elif self.connected:
             self._event(now, EventKind.APP_DATA, bytes=len(payload))
@@ -710,12 +732,12 @@ class Connection:
     def _client_handle_sh(self, sh, raw: bytes, now: int) -> list:
         if messages.is_hello_retry_request(sh):
             return self._client_handle_hrr(sh, raw, now)
-        if sh.cipher_suite not in [int(s) for s in self.cfg.suites]:
-            raise HandshakeFailure("server picked a suite we did not offer")
+        if sh.cipher_suite not in [int(s) for s in self.cfg.suites]:  # RFC 8446 section 4.1.3
+            raise IllegalParameter("server picked a suite we did not offer")
         psk_ext = messages.find_extension(sh.extensions, ExtensionType.PRE_SHARED_KEY)
         if sh.cipher_suite != int(self.suite):
-            if psk_ext is not None:
-                raise HandshakeFailure("PSK acceptance requires the PSK's suite")
+            if psk_ext is not None:  # RFC 8446 section 4.2.11
+                raise IllegalParameter("PSK acceptance requires the PSK's suite")
             self.suite = SuiteId(sh.cipher_suite)
             self.params = crypto.suite_params(self.suite)
             self.ks = None
@@ -817,8 +839,10 @@ class Connection:
             if share is None:
                 raise HandshakeFailure("no offered key-share group is enabled here")
 
-        psk = self._server_select_psk(ch, raw, now, fallback_possible=share is not None)
+        offered_early = messages.find_extension(ch.extensions, ExtensionType.EARLY_DATA) is not None
+        psk = self._server_select_psk(ch, raw, now, share is not None, offered_early)
         self.transcript.append(raw)  # after the binder check, which covers the messages before it
+        self.skip_early = offered_early and not self.early_accepted
         if self.early_accepted:
             secret = self.ks.derive_early_traffic(self.transcript.digest(self.params.hash_alg))
             self._install(EPOCH_EARLY, "read", secret)
@@ -869,7 +893,7 @@ class Connection:
         self._event(now, EventKind.FLIGHT_READY, flight="server_first")
         return out
 
-    def _server_select_psk(self, ch, raw_ch: bytes, now: int, fallback_possible: bool):
+    def _server_select_psk(self, ch, raw_ch: bytes, now: int, fallback_possible: bool, offered_early: bool):
         ext = messages.find_extension(ch.extensions, ExtensionType.PRE_SHARED_KEY)
         if ext is None:
             return None
@@ -877,25 +901,21 @@ class Connection:
         if len(binder) != self.params.hash_len:
             return None  # keyed for another hash: not selectable with this suite (RFC 8446 section 4.2.11)
         psk = self.ticket_db.get(identity)
-        try:
-            if psk is not None:
-                if _expired(psk, now):
-                    del self.ticket_db[identity]
-                    raise ExpiredTicket("resumption ticket past its lifetime")
-            elif self.cfg.psk is not None and identity == self.cfg.psk.identity:
-                psk = self.cfg.psk
-            else:
-                raise UnknownTicket("psk identity is neither configured nor a ticket")
-        except (ExpiredTicket, UnknownTicket):
+        if psk is not None and _expired(psk, now):
+            del self.ticket_db[identity]
+            psk = None
+        if psk is None and self.cfg.psk is not None and identity == self.cfg.psk.identity:
+            psk = self.cfg.psk
+        if psk is None:
             if fallback_possible and self.cfg.local_ec is not None:
                 return None  # fall back to the certificate path
-            raise
+            raise UnknownPskIdentity("psk identity is neither configured nor a live ticket")  # RFC 8446 section 6.2
 
         self._new_schedule(psk)
         if not hmac.compare_digest(self.ks.compute_binder(self.transcript.binder_digest(raw_ch, self.params)), binder):
             raise DecryptError("psk binder mismatch")
         self.psk_in_use = psk
-        if messages.find_extension(ch.extensions, ExtensionType.EARLY_DATA) is not None:
+        if offered_early:
             self.early_accepted = True
             if isinstance(psk, TicketState):
                 real_age = (obf_age - psk.age_add) & 0xFFFFFFFF
@@ -933,7 +953,7 @@ class Connection:
         psk = self.ks.resumption_psk(nonce)
         self.ticket_db[ticket_id] = TicketState(ticket_id, psk, self.suite, age_add, now)
         nst = messages.NewSessionTicket(
-            TICKET_LIFETIME_S, age_add, nonce, ticket_id, [messages.ext_early_data_ticket(1 << 14)]
+            TICKET_LIFETIME_S, age_add, nonce, ticket_id, [messages.ext_early_data_ticket(MAX_EARLY_DATA)]
         )
         self._event(now, EventKind.TICKET, ticket=ticket_id.hex())
         return self._emit(nst, EPOCH_APP, now)

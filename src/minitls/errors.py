@@ -1,9 +1,10 @@
 """Exception hierarchy shared by all protocol modules.
 
 One class per alert: two classes share an alert only where an ``except``
-clause or a test tells them apart (``WrongStage``, ``BadOuterType``).  The
-``alert`` attribute is the short classification string that ends up in
-event logs and alert records.
+clause or a test tells them apart (``WrongStage``, ``BadOuterType``, and
+``BadSignature``, whose wire code is ``DecryptError``'s).  The ``alert``
+attribute is the short classification string that ends up in event logs;
+``connection._ALERT_CODES`` maps it to the code of the alert record.
 """
 
 
@@ -81,6 +82,8 @@ class DecryptError(ProtocolError):
 
 
 class BadSignature(ProtocolError):
+    """A CertificateVerify signature that does not verify; sent as decrypt_error."""
+
     alert = "bad_certificate_verify"
 
 
@@ -104,12 +107,10 @@ class NotReady(ProtocolError):
     alert = "not_ready"
 
 
-class UnknownTicket(ProtocolError):
-    alert = "unknown_ticket"
+class UnknownPskIdentity(ProtocolError):
+    """An offered PSK identity that is neither the configured one nor a live ticket."""
 
-
-class ExpiredTicket(ProtocolError):
-    alert = "expired_ticket"
+    alert = "unknown_psk_identity"
 
 
 class UnknownProfile(ProtocolError):

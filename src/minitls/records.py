@@ -48,6 +48,7 @@ DTLS12_RECORD_HEADER_LEN = 13  # type 1 + version 2 + epoch 2 + seq 6 + length 2
 DTLS12_WIRE_VERSION = 0xFEFD
 
 MAX_PLAINTEXT = 1 << 14  # content bytes one record carries (RFC 8446 section 5.1)
+MAX_CIPHERTEXT = MAX_PLAINTEXT + 256  # the body of a protected record (RFC 8446 section 5.2)
 
 
 def nonce_for(iv: bytes, seq64: int) -> bytes:
@@ -64,6 +65,8 @@ def _inner_plaintext(payload: bytes, true_type: int, pad_len: int) -> bytes:
 
 def _strip_inner(plaintext: bytes) -> tuple:
     i = len(plaintext) - 1
+    if i > MAX_PLAINTEXT:  # the inner plaintext holds at most 2^14 + 1 bytes (RFC 8446 section 5.4)
+        raise RecordOverflow(f"{i + 1}-byte inner plaintext")
     while i >= 0 and plaintext[i] == 0:
         i -= 1
     if i < 0:
@@ -96,8 +99,12 @@ def open_tls(params: SuiteParams, keys: TrafficKeys, record: bytes) -> tuple:
 
 
 def tls_record_length(header: bytes) -> int:
-    """The length field of ``header``, which holds at least a record header's 5 bytes."""
-    return int.from_bytes(header[3:5], "big")
+    """The length field of ``header``, which holds at least a record header's 5 bytes: at most
+    2^14 for a plaintext record and 2^14 + 256 for a protected one (RFC 8446 sections 5.1, 5.2)."""
+    length = int.from_bytes(header[3:5], "big")
+    if length > (MAX_CIPHERTEXT if header[0] == ContentType.APPLICATION_DATA else MAX_PLAINTEXT):
+        raise RecordOverflow(f"{length}-byte record")
+    return length
 
 
 def encode_tls_plaintext(content_type: int, payload: bytes) -> bytes:
@@ -253,6 +260,8 @@ def parse_unified(datagram: bytes, offset: int, cid_len: int) -> ParsedCiphertex
         header += len(ct).to_bytes(2, "big")
     if len(ct) < 16:
         raise DecodeError("short-ciphertext: sequence mask needs 16 bytes")
+    if len(ct) > MAX_CIPHERTEXT:
+        raise RecordOverflow(f"{len(ct)}-byte ciphertext")
     return ParsedCiphertext(header, cid, epoch_low, seq_len, seq_off, bytes(ct), pos - offset)
 
 
@@ -304,6 +313,8 @@ def parse_dtls_plaintext(datagram: bytes, offset: int) -> tuple:
         raise DecodeError("plaintext records only exist in epoch 0")
     seq = int.from_bytes(datagram[offset + 5 : offset + 11], "big")
     length = int.from_bytes(datagram[offset + 11 : offset + 13], "big")
+    if length > MAX_PLAINTEXT:
+        raise RecordOverflow(f"{length}-byte plaintext record")
     start = offset + DTLS12_RECORD_HEADER_LEN
     payload = datagram[start : start + length]
     if len(payload) != length:

@@ -288,16 +288,17 @@ LIMIT = (1 << 14) + 1  # the longest inner plaintext (RFC 8446 section 5.4)
     (dict(profile="ecdsa128", protocol="tls", mode="pk_mutual", overrides={"cert_size": 17000}), LIMIT),
     (dict(profile="ecdsa128", protocol="dtls", mode="pk_mutual", overrides={"cert_size": 20000},
           net=NetConfig(mtu=30000, seed=1)), LIMIT),
-    (dict(profile="full", protocol="tls", mode="zero_rtt", early_payload=20000), LIMIT),
-    (dict(profile="full", protocol="dtls", mode="zero_rtt", early_payload=20000,
+    (dict(profile="full", protocol="tls", mode="zero_rtt", early_payload=1 << 14), LIMIT),
+    (dict(profile="full", protocol="dtls", mode="zero_rtt", early_payload=1 << 14,
           net=NetConfig(mtu=30000, seed=1)), LIMIT),
     (dict(profile="full", protocol="dtls", mode="zero_rtt", early_payload=2000), 1280 - 2 - 16),
-], ids=["tls-cert-17000", "dtls-mtu-30000-cert-20000", "tls-early-20000", "dtls-mtu-30000-early-20000",
+], ids=["tls-cert-17000", "dtls-mtu-30000-cert-20000", "tls-early-16384", "dtls-mtu-30000-early-16384",
         "dtls-early-2000"])
 def test_records_fill_to_the_plaintext_limit_and_no_further(kw, largest, monkeypatch):
-    # a handshake message or 0-RTT payload longer than one record spans records
-    # (RFC 8446 section 5.1), each filled to the limit or, on DTLS, to one datagram
-    # of the MTU less the 2-byte header and the tag (RFC 9147 section 4)
+    # a handshake message longer than one record spans records (RFC 8446 section
+    # 5.1), each filled to the limit or, on DTLS, to one datagram of the MTU less
+    # the 2-byte header and the tag (RFC 9147 section 4); a 0-RTT payload of the
+    # whole max_early_data_size fills one record to the limit
     sizes = []
     seal = crypto.aead_seal
 

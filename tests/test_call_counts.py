@@ -21,7 +21,9 @@ def test_counts_repeat_exactly_per_workload():
     second = call_counts.count_calls(ROOT, 3)
     assert set(first) == {"psk_clean", "ecdhe_clean", "dtls_lossy"}
     assert all(counts["calls"] > 0 for counts in first.values())
-    # psk_clean makes no ec call; every ecdhe_clean scenario verifies a signature
-    assert first["psk_clean"]["openssl_verifies"] == 0
+    # psk_clean makes no ec call and builds no EC key; every ecdhe_clean
+    # scenario verifies a signature and derives at least its two ECDHE keys
+    assert first["psk_clean"]["openssl_verifies"] == first["psk_clean"]["openssl_derivations"] == 0
     assert first["ecdhe_clean"]["openssl_verifies"] >= 3
+    assert first["ecdhe_clean"]["openssl_derivations"] >= 6
     assert first == second

@@ -11,6 +11,7 @@ from minitls.bench import Scenario, build_configs
 from minitls.connection import (
     EPOCH_EARLY,
     EPOCH_HANDSHAKE,
+    MAX_EARLY_DATA,
     TICKET_LIFETIME_S,
     Connection,
     EventKind,
@@ -23,7 +24,7 @@ from minitls.errors import ConfigConflict, DecodeError, NotReady
 from minitls.keyschedule import TrafficKeys
 from minitls.messages import HandshakeType
 from minitls.profiles import AuthMode
-from minitls.records import ContentType
+from minitls.records import MAX_PLAINTEXT, ContentType
 from minitls.reliability import RECV_WINDOW_MSGS
 from minitls.simnet import CLIENT, NetConfig
 
@@ -219,9 +220,11 @@ def test_tampered_certificate_verify_fails_with_the_genuine_one_memoized(
     tamper_on_wire(monkeypatch, signer, tamper)
     pair = Pair(client_cfg, server_cfg, seed=70)
     pair.run(until_ms=5_000)
-    verifier = pair.client if signer == "server" else pair.server
+    verifier, signed = (pair.client, pair.server) if signer == "server" else (pair.server, pair.client)
     assert verifier.failed and verifier.failure == "bad_certificate_verify"
     assert not pair.client.connected
+    # the signer reads decrypt_error (RFC 8446 section 4.4.3)
+    assert signed.failure == "peer_alert" and signed.event_log[-1].detail["code"] == 51
     # the server's self-check; before the client's flight, its check of the
     # server's signature and its own self-check too
     assert ec.verify.cache_info().hits == hits + (1 if signer == "server" else 3)
@@ -422,33 +425,34 @@ def drop_extension(msg, ext_type):
 
 TWO_SUITES = (SuiteId.AES_128_CCM_SHA256, SuiteId.AES_256_CCM_SHA384)
 
-# (mode, client suites, the server's edit of its ServerHello or EncryptedExtensions, alert)
+# (mode, client suites, the server's edit of its ServerHello or EncryptedExtensions,
+# alert, the alert code the server reads)
 SERVER_HELLO_CHECKS = {
-    "suite-not-offered": (
+    "suite-not-offered": (  # RFC 8446 section 4.1.3
         AuthMode.PK_SERVER_ONLY, None,
         rewrite_server_message("server_hello", lambda sh: setattr(sh, "cipher_suite", 0x1301)),
-        "handshake_failure",
+        "illegal_parameter", 47,
     ),
-    "psk-accepted-with-another-suite": (
+    "psk-accepted-with-another-suite": (  # RFC 8446 section 4.2.11
         AuthMode.PSK, TWO_SUITES,
         rewrite_server_message("server_hello", lambda sh: setattr(sh, "cipher_suite", 0x13A4)),
-        "handshake_failure",
+        "illegal_parameter", 47,
     ),
     "share-for-a-group-not-offered": (
         AuthMode.PK_SERVER_ONLY, None,
         rewrite_server_message("server_hello", lambda sh: set_extension(
             sh, messages.ext_key_share_server(int(NamedGroup.SECP521R1), b"\x04" + bytes(132)))),
-        "handshake_failure",
+        "handshake_failure", 40,
     ),
     "no-key-share-in-ecdhe-mode": (
         AuthMode.PK_SERVER_ONLY, None,
         rewrite_server_message("server_hello", lambda sh: drop_extension(sh, messages.ExtensionType.KEY_SHARE)),
-        "unexpected_message",
+        "unexpected_message", 10,
     ),
     "early-data-never-sent": (
         AuthMode.PSK, None,
         rewrite_server_message("encrypted_extensions", lambda ee: set_extension(ee, messages.ext_early_data())),
-        "unexpected_message",
+        "unexpected_message", 10,
     ),
 }
 
@@ -458,7 +462,7 @@ SERVER_HELLO_CHECKS = {
 def test_client_rejects_server_hello_or_extensions_it_did_not_ask_for(case, protocol, monkeypatch):
     # RFC 8446 sections 4.1.3, 4.2.8 and 4.2.10: each is a server answer the
     # client's own offer rules out
-    mode, suites, tamper, alert = SERVER_HELLO_CHECKS[case]
+    mode, suites, tamper, alert, code = SERVER_HELLO_CHECKS[case]
     tamper_on_wire(monkeypatch, "server", tamper)
     client_cfg, server_cfg, _ = make_configs(protocol, mode, seed=67)
     if suites is not None:
@@ -467,6 +471,7 @@ def test_client_rejects_server_hello_or_extensions_it_did_not_ask_for(case, prot
     pair.run(until_ms=5_000)
     assert pair.client.failed and pair.client.failure == alert
     assert not pair.client.connected
+    assert pair.server.failure == "peer_alert" and pair.server.event_log[-1].detail["code"] == code
 
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)
@@ -702,6 +707,41 @@ def prepend_once(pair, sender: str, record_name: str, forge) -> list:
 
     filter_sends(pair.driver, keep)
     return done
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_plaintext_record_over_the_limit(protocol):
+    # a 16,385-byte plaintext record in front of the ServerHello: TLS ends
+    # record_overflow, alert 22, at its header (RFC 8446 section 5.1); DTLS drops
+    # it with the rest of its datagram (RFC 9147 section 4.5.2) and completes from
+    # the retransmitted flight
+    client_cfg, server_cfg, _ = make_configs(protocol, AuthMode.PSK, seed=61)
+    pair = Pair(client_cfg, server_cfg, net=NetConfig(latency_ms=10, mtu=30_000, seed=61), seed=61)
+    junk = bytes(MAX_PLAINTEXT + 1)
+    if protocol == Protocol.TLS:
+        forged = records.encode_tls_plaintext(ContentType.HANDSHAKE, junk)
+    else:
+        forged = records.encode_dtls_plaintext(ContentType.HANDSHAKE, 0, junk)
+    done = prepend_once(pair, "server", "server_hello", lambda: forged)
+    pair.run(until_ms=10_000)
+    assert done
+    if protocol == Protocol.TLS:
+        assert (pair.client.failure, pair.client.failed_from) == ("record_overflow", "wait_sh")
+        assert pair.server.failure == "peer_alert" and pair.server.event_log[-1].detail["code"] == 22
+    else:
+        pair.assert_complete()
+        assert pair.driver.wire["retransmitted_bytes"] > 0
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_unknown_external_psk_identity(protocol):
+    # with no key share there is no certificate to fall back on (RFC 8446 section 6.2)
+    client_cfg, server_cfg, deployment = make_configs(protocol, AuthMode.PSK, seed=76)
+    client_cfg = replace(client_cfg, psk=replace(deployment["psk"], identity=b"someone-else"))
+    pair = Pair(client_cfg, server_cfg, seed=76)
+    pair.run(until_ms=5_000)
+    assert (pair.server.failure, pair.server.failed_from) == ("unknown_psk_identity", "start")
+    assert pair.client.failure == "peer_alert" and pair.client.event_log[-1].detail["code"] == 115
 
 
 def test_malformed_plaintext_fragment_header_dropped():
@@ -1712,41 +1752,73 @@ def test_padded_handshake_records_fit_mtu():
 # --- resumed 0-RTT freshness --------------------------------------------------------
 
 
-def test_resumed_zero_rtt_age_policy():
-    pair = ticketed_pair(Protocol.DTLS, seed=40)
+def aligned_ticket(protocol, seed):
+    """A ticketed pair's listener and its ticket, the issue and receipt times
+    realigned to 0: each Pair restarts the millisecond clock at zero, so ages
+    are computed on one timeline."""
+    pair = ticketed_pair(protocol, seed=seed)
     pair.assert_complete()
-    ticket = pair.client.client_tickets[0]
-    # each Pair restarts the millisecond clock at zero; realign the issue and
-    # receipt timestamps so ages are computed on one timeline
-    pair.listener.ticket_db[ticket.identity] = replace(pair.listener.ticket_db[ticket.identity], issued_at=0)
-    ticket = replace(ticket, issued_at=0)
+    ticket = replace(pair.client.client_tickets[0], issued_at=0)
+    db = pair.listener.ticket_db
+    db[ticket.identity] = replace(db[ticket.identity], issued_at=0)
+    return pair, ticket
+
+
+def resume_with_early_data(pair, ticket, early_payload: bytes, seed: int):
+    cfg = replace(resume_config(pair.client.cfg, ticket), early_payload=early_payload)
+    resumed = Pair(cfg, pair.listener.cfg, seed=seed)
+    resumed.listener.ticket_db = pair.listener.ticket_db
+    resumed.run()
+    return resumed
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_resumed_zero_rtt_age_policy(protocol):
+    pair, ticket = aligned_ticket(protocol, seed=40)
 
     # honest resume with early data: accepted
-    fresh_cfg = replace(
-        resume_config(pair.client.cfg, ticket),
-        early_payload=b"resumed-early-data",
-    )
-    pair2 = Pair(fresh_cfg, pair.listener.cfg, seed=41)
-    pair2.listener.ticket_db = pair.listener.ticket_db
-    pair2.run()
+    pair2 = resume_with_early_data(pair, ticket, b"resumed-early-data", seed=41)
     server2 = pair2.assert_complete()
     assert any(e.kind == EventKind.EARLY_DATA for e in server2.event_log)
     assert server2.early_accepted
 
     # same ticket with the client clock off by 60 s: 0-RTT rejected, PSK still works
-    skewed_ticket = replace(ticket, issued_at=-60_000)
-    skewed_cfg = replace(
-        resume_config(pair.client.cfg, skewed_ticket),
-        early_payload=b"stale-early-data",
-    )
-    pair3 = Pair(skewed_cfg, pair.listener.cfg, seed=42)
-    pair3.listener.ticket_db = pair.listener.ticket_db
-    pair3.run()
+    pair3 = resume_with_early_data(pair, replace(ticket, issued_at=-60_000), b"stale-early-data", seed=42)
     server3 = pair3.assert_complete()  # PSK path still completes
     assert not server3.early_accepted
     assert not any(e.kind == EventKind.EARLY_DATA for e in server3.event_log)
     assert isinstance(server3.psk_in_use, TicketState)
     assert pair3.client.cfg.early_payload and not pair3.client.early_accepted
+    # a declining TLS server skips the early-data records that do not open under
+    # its handshake keys, counting their content (RFC 8446 section 4.2.10); DTLS
+    # drops them, as it holds no early read keys
+    skipped = len(b"stale-early-data") if protocol == Protocol.TLS else 0
+    assert server3.early_left == MAX_EARLY_DATA - skipped
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_accepted_early_data_past_max_early_data_size_is_unexpected_message(protocol):
+    client_cfg, server_cfg, _ = make_configs(
+        protocol, AuthMode.ZERO_RTT, seed=44, early_payload=bytes(MAX_EARLY_DATA + 1)
+    )
+    pair = Pair(client_cfg, server_cfg, seed=44)
+    pair.run(until_ms=5_000)
+    assert pair.server.early_accepted
+    assert (pair.server.failure, pair.server.failed_from) == ("unexpected_message", "wait_finished")
+    assert pair.client.failure == "peer_alert" and pair.client.event_log[-1].detail["code"] == 10
+
+
+@pytest.mark.parametrize("size,failure", [(MAX_EARLY_DATA, None), (MAX_EARLY_DATA + 1, "unexpected_message")])
+def test_declined_tls_early_data_is_skipped_up_to_max_early_data_size(size, failure):
+    pair, ticket = aligned_ticket(Protocol.TLS, seed=45)
+    resumed = resume_with_early_data(pair, replace(ticket, issued_at=-60_000), bytes(size), seed=46)
+    assert not resumed.server.early_accepted
+    if failure is None:
+        resumed.assert_complete()
+        assert resumed.server.early_left == 0
+        return
+    assert (resumed.server.failure, resumed.server.failed_from) == (failure, "wait_finished")
+    assert resumed.client.failure == "peer_alert" and resumed.client.event_log[-1].detail["code"] == 10
 
 
 def test_mid_handshake_rebind_without_cid_stalls():

@@ -109,6 +109,37 @@ def test_tls_record_overflow():
         records.seal_tls(P128, tls_keys(), 23, bytes(1 << 14 + 1))
 
 
+@pytest.mark.parametrize(
+    "content_type,limit", [(ContentType.HANDSHAKE, 1 << 14), (ContentType.APPLICATION_DATA, (1 << 14) + 256)],
+    ids=["plaintext", "protected"],
+)
+def test_tls_record_length_over_the_limit_on_receipt(content_type, limit):
+    # RFC 8446 sections 5.1 and 5.2: the header alone decides, before the body arrives
+    header = bytes([content_type, 0x03, 0x03])
+    assert records.tls_record_length(header + limit.to_bytes(2, "big")) == limit
+    with pytest.raises(RecordOverflow):
+        records.tls_record_length(header + (limit + 1).to_bytes(2, "big"))
+
+
+def test_inner_plaintext_over_the_limit_on_receipt():
+    # 2^14 content bytes, the type and one byte of padding: 2^14 + 2 (RFC 8446 section 5.4)
+    w, r = tls_keys(), tls_keys()
+    inner = bytes(1 << 14) + bytes([ContentType.APPLICATION_DATA, 0])
+    header = bytes([0x17, 0x03, 0x03]) + (len(inner) + 16).to_bytes(2, "big")
+    ct = crypto.aead_seal(w.aead(P128), records.nonce_for(w.iv, 0), header, inner)
+    with pytest.raises(RecordOverflow):
+        records.open_tls(P128, r, header + ct)
+
+
+def test_dtls_records_over_the_limit_on_receipt():
+    plain = records.encode_dtls_plaintext(ContentType.HANDSHAKE, 0, bytes((1 << 14) + 1))
+    with pytest.raises(RecordOverflow):
+        records.parse_dtls_plaintext(plain, 0)
+    # a unified header without a length field: the record runs to the datagram's end
+    with pytest.raises(RecordOverflow):
+        records.parse_unified(b"\x20\x00" + bytes((1 << 14) + 257), 0, 0)
+
+
 def test_dtls_minimal_record_is_19_bytes():
     keys = dtls_keys()
     rec = records.seal_dtls(P128, keys, 3, ContentType.APPLICATION_DATA, b"")

@@ -5,8 +5,11 @@ fresh interpreter makes one warm-up call (iteration ``WARMUP_BASE``), then
 runs iterations 0 .. N-1 at the default seed under cProfile. ``calls`` sums
 the call count of every profiled code object, builtins included;
 ``openssl_verifies`` is the count of OpenSSL's ECDSA verify, the
-``verify`` method of ``cryptography``'s ``ECPublicKey``. Prints one JSON
-object, workload -> {"calls": ..., "openssl_verifies": ...}. The counts
+``verify`` method of ``cryptography``'s ``ECPublicKey``, and
+``openssl_derivations`` the count of OpenSSL EC key derivations from a
+scalar, ``cryptography``'s built-in ``ec.derive_private_key``. Prints one
+JSON object, workload -> {"calls": ..., "openssl_derivations": ...,
+"openssl_verifies": ...}. The counts
 repeat exactly for one checkout on one Python version, so they resolve
 changes too small for wall-clock pairs; compare two checkouts on the same
 interpreter.
@@ -29,6 +32,11 @@ def is_openssl_verify(code) -> bool:
     return isinstance(code, str) and code.startswith("<method 'verify' of ") and code.endswith(".ECPublicKey' objects>")
 
 
+def is_openssl_derivation(code) -> bool:
+    """Whether a cProfile entry's code is the built-in that derives an EC key from its scalar."""
+    return code == "<built-in method ec.derive_private_key>"
+
+
 def count_here(workload: str, iterations: int) -> dict:
     """Run in the checkout's directory: the counts of one workload."""
     import cProfile
@@ -47,6 +55,7 @@ def count_here(workload: str, iterations: int) -> dict:
     entries = profile.getstats()
     return {
         "calls": sum(entry.callcount for entry in entries),
+        "openssl_derivations": sum(entry.callcount for entry in entries if is_openssl_derivation(entry.code)),
         "openssl_verifies": sum(entry.callcount for entry in entries if is_openssl_verify(entry.code)),
     }
 
