@@ -167,7 +167,7 @@ def synthetic_cert(rng: random.Random, cert_size: int) -> bytes:
     return rng.randbytes(cert_size)
 
 
-def make_deployment(seed: int, group, cert_size: int, holders=()) -> dict:
+def make_deployment(seed: int, group, cert_size: int, holders) -> dict:
     """Deterministic credential material for one client/server pair: the PSK, and
     a credential on ``group`` for each role in ``holders`` ("client", "server").
     Once any role holds one, both roles' scalars and certificates are drawn, in
