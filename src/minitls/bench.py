@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 from . import legacy12
 from .connection import (
+    MAX_EARLY_DATA,
     ConnConfig,
     Connection,
     EventKind,
@@ -217,6 +218,8 @@ def build_configs(scenario: Scenario):
         raise IllegalOverride("a connection id needs dtls")
     if scenario.pad_len < 0 or scenario.app_payload < 0 or scenario.early_payload < 0:
         raise IllegalOverride("padding and payload sizes must not be negative")
+    if scenario.early_payload > MAX_EARLY_DATA:
+        raise IllegalOverride(f"early_payload exceeds the {MAX_EARLY_DATA}-byte max_early_data_size")
     net = scenario.net
     if not (0 <= net.loss_rate <= 1 and 0 <= net.dup_rate <= 1 and 0 <= net.reorder_rate <= 1):
         raise IllegalOverride("loss, dup and reorder rates must lie in [0, 1]")

@@ -50,6 +50,9 @@ TICKET_LIFETIME_S = 7200
 TICKET_AGE_TOLERANCE_MS = 10_000
 # max_early_data_size: the 0-RTT bytes a server advertises in its tickets and reads (RFC 8446 section 4.2.10)
 MAX_EARLY_DATA = 1 << 14
+# padding a declining TLS server cannot see in the 0-RTT records it skips: it skips
+# up to this much past MAX_EARLY_DATA, one record's expansion (RFC 8446 section 5.2)
+SKIP_PAD_ALLOWANCE = records.MAX_CIPHERTEXT - records.MAX_PLAINTEXT
 
 EPOCH_PLAIN = 0
 EPOCH_EARLY = 1
@@ -549,8 +552,9 @@ class Connection:
                 except AuthenticationFailure:
                     if not self.skip_early:
                         raise
-                    # 0-RTT data this server declined: skipped (RFC 8446 section 4.2.10)
-                    self._take_early(len(payload) - self.params.tag_len - 1)
+                    # 0-RTT data this server declined: skipped (RFC 8446 section 4.2.10),
+                    # each record counting its body less tag and type, and at least 1
+                    self._take_early(max(1, len(payload) - self.params.tag_len - 1))
                     continue
                 self.skip_early = False
             out.extend(self._read_record(epoch, content_type, payload, None, now))
@@ -842,7 +846,9 @@ class Connection:
         offered_early = messages.find_extension(ch.extensions, ExtensionType.EARLY_DATA) is not None
         psk = self._server_select_psk(ch, raw, now, share is not None, offered_early)
         self.transcript.append(raw)  # after the binder check, which covers the messages before it
-        self.skip_early = offered_early and not self.early_accepted
+        self.skip_early = self.protocol == Protocol.TLS and offered_early and not self.early_accepted
+        if self.skip_early:
+            self.early_left += SKIP_PAD_ALLOWANCE
         if self.early_accepted:
             secret = self.ks.derive_early_traffic(self.transcript.digest(self.params.hash_alg))
             self._install(EPOCH_EARLY, "read", secret)

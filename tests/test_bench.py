@@ -20,6 +20,7 @@ from minitls.bench import (
     paper_reference,
     run_scenario,
 )
+from minitls.connection import MAX_EARLY_DATA
 from minitls.errors import IllegalOverride
 from minitls.profiles import MAX_CERT_SIZE
 from minitls.simnet import NetConfig
@@ -261,6 +262,7 @@ MATRIX = ["matrix", "--config", "{matrix}"]
     (["run", "--protocol", "tls", "--padding", "16384", "--app-payload", "10"], None),
     (["run", "--protocol", "tls", "--padding", "16383"], None),
     (["run", "--profile", "ecdsa128", "--protocol", "tls", "--cert-size", str(MAX_CERT_SIZE + 1)], None),
+    (MATRIX, {"profile": "full", "protocol": "tls", "mode": "zero_rtt", "early_payload": MAX_EARLY_DATA + 1}),
 ], ids=["cid-range", "cid-on-tls", "mode-not-in-profile", "unknown-mode", "unknown-suite", "unknown-profile",
         "matrix-unknown-protocol", "matrix-unknown-key", "matrix-unknown-net-key", "matrix-unknown-override-suite",
         "key-share-mode-without-group", "mtu-20", "mtu-0", "negative-padding", "negative-app-payload",
@@ -269,7 +271,8 @@ MATRIX = ["matrix", "--config", "{matrix}"]
         "matrix-negative-loss-rate", "matrix-dup-rate-above-1", "matrix-negative-reorder-rate",
         "matrix-negative-latency", "matrix-negative-framing", "matrix-ecdhe-without-group",
         "matrix-entry-not-an-object", "cid-16-leaves-no-room-for-app-data", "tls-padding-16384",
-        "tls-padding-16383-leaves-no-room-for-an-alert", "cert-size-over-one-certificate-entry"])
+        "tls-padding-16383-leaves-no-room-for-an-alert", "cert-size-over-one-certificate-entry",
+        "matrix-early-payload-over-max-early-data-size"])
 def test_cli_configuration_error_exit_code(argv, entry, tmp_path, capsys):
     matrix = tmp_path / "matrix.json"
     matrix.write_text(json.dumps({"scenarios": [entry]}))

@@ -12,6 +12,7 @@ from minitls.connection import (
     EPOCH_EARLY,
     EPOCH_HANDSHAKE,
     MAX_EARLY_DATA,
+    SKIP_PAD_ALLOWANCE,
     TICKET_LIFETIME_S,
     Connection,
     EventKind,
@@ -1764,10 +1765,14 @@ def aligned_ticket(protocol, seed):
     return pair, ticket
 
 
-def resume_with_early_data(pair, ticket, early_payload: bytes, seed: int):
-    cfg = replace(resume_config(pair.client.cfg, ticket), early_payload=early_payload)
+def resume_with_early_data(pair, ticket, early_payload: bytes, seed: int, keep=None, **client_over):
+    """``pair``'s client resumes with ``ticket`` and sends ``early_payload`` as
+    0-RTT data; ``keep`` filters the resumed pair's sends (see ``filter_sends``)."""
+    cfg = replace(resume_config(pair.client.cfg, ticket), early_payload=early_payload, **client_over)
     resumed = Pair(cfg, pair.listener.cfg, seed=seed)
     resumed.listener.ticket_db = pair.listener.ticket_db
+    if keep is not None:
+        filter_sends(resumed.driver, keep)
     resumed.run()
     return resumed
 
@@ -1790,10 +1795,13 @@ def test_resumed_zero_rtt_age_policy(protocol):
     assert isinstance(server3.psk_in_use, TicketState)
     assert pair3.client.cfg.early_payload and not pair3.client.early_accepted
     # a declining TLS server skips the early-data records that do not open under
-    # its handshake keys, counting their content (RFC 8446 section 4.2.10); DTLS
-    # drops them, as it holds no early read keys
-    skipped = len(b"stale-early-data") if protocol == Protocol.TLS else 0
-    assert server3.early_left == MAX_EARLY_DATA - skipped
+    # its handshake keys, counting their content and any padding against
+    # max_early_data_size and an allowance for padding (RFC 8446 section 4.2.10);
+    # DTLS drops them, as it holds no early read keys
+    if protocol == Protocol.TLS:
+        assert server3.early_left == MAX_EARLY_DATA + SKIP_PAD_ALLOWANCE - len(b"stale-early-data")
+    else:
+        assert server3.early_left == MAX_EARLY_DATA
 
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)
@@ -1808,14 +1816,38 @@ def test_accepted_early_data_past_max_early_data_size_is_unexpected_message(prot
     assert pair.client.failure == "peer_alert" and pair.client.event_log[-1].detail["code"] == 10
 
 
-@pytest.mark.parametrize("size,failure", [(MAX_EARLY_DATA, None), (MAX_EARLY_DATA + 1, "unexpected_message")])
-def test_declined_tls_early_data_is_skipped_up_to_max_early_data_size(size, failure):
+EMPTY_APP_RECORD = bytes([ContentType.APPLICATION_DATA, 3, 3, 0, 0])
+SKIP_LIMIT = MAX_EARLY_DATA + SKIP_PAD_ALLOWANCE
+
+
+@pytest.mark.parametrize("size,pad,empties,left,failure", [
+    (SKIP_LIMIT, 0, 0, 0, None),
+    (SKIP_LIMIT + 1, 0, 0, None, "unexpected_message"),
+    # within max_early_data_size, padded to two records of 100 padding bytes each
+    (16_300, 100, 0, SKIP_PAD_ALLOWANCE - 200 + MAX_EARLY_DATA - 16_300, None),
+    # records too short to hold a tag fail to open too, and each counts one byte
+    (SKIP_LIMIT - 2, 0, 2, 0, None),
+    (MAX_EARLY_DATA, 0, SKIP_PAD_ALLOWANCE + 1, None, "unexpected_message"),
+], ids=["at-the-limit", "one-past", "padded", "empty-records-at-the-limit", "empty-records-past-the-limit"])
+def test_declined_tls_early_data_is_skipped_up_to_max_early_data_size(size, pad, empties, left, failure):
+    # the server cannot see padding in a record it cannot open, so it counts each
+    # record's body less tag and type (at least one byte) against max_early_data_size
+    # and one record's expansion for padding; past that it ends as an accepting
+    # server does (RFC 8446 section 4.2.10)
+    def prepend_empties(endpoint, rec, now):
+        nonlocal empties
+        if rec.name == "early_data":
+            rec.data, empties = EMPTY_APP_RECORD * empties + rec.data, 0
+        return True
+
     pair, ticket = aligned_ticket(Protocol.TLS, seed=45)
-    resumed = resume_with_early_data(pair, replace(ticket, issued_at=-60_000), bytes(size), seed=46)
+    resumed = resume_with_early_data(
+        pair, replace(ticket, issued_at=-60_000), bytes(size), seed=46, keep=prepend_empties, pad_len=pad
+    )
     assert not resumed.server.early_accepted
     if failure is None:
         resumed.assert_complete()
-        assert resumed.server.early_left == 0
+        assert resumed.server.early_left == left
         return
     assert (resumed.server.failure, resumed.server.failed_from) == (failure, "wait_finished")
     assert resumed.client.failure == "peer_alert" and resumed.client.event_log[-1].detail["code"] == 10
