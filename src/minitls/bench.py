@@ -23,7 +23,7 @@ from .connection import (
     resume_config,
 )
 from .crypto import NamedGroup, Protocol, SuiteId, suite_params
-from .errors import IllegalOverride, UnknownSuite
+from .errors import ConfigError
 from .profiles import (
     ECDHE_FAMILY,
     PK_FAMILY,
@@ -211,28 +211,28 @@ def build_configs(scenario: Scenario):
     try:
         protocol = Protocol(scenario.protocol)
     except ValueError as exc:
-        raise IllegalOverride(str(exc)) from None
+        raise ConfigError(str(exc)) from None
     if scenario.cid is not None and not 0 <= scenario.cid <= 16:
-        raise IllegalOverride("cid length must be 0..16")
+        raise ConfigError("cid length must be 0..16")
     if scenario.cid is not None and protocol != Protocol.DTLS:
-        raise IllegalOverride("a connection id needs dtls")
+        raise ConfigError("a connection id needs dtls")
     if scenario.pad_len < 0 or scenario.app_payload < 0 or scenario.early_payload < 0:
-        raise IllegalOverride("padding and payload sizes must not be negative")
+        raise ConfigError("padding and payload sizes must not be negative")
     if scenario.early_payload > MAX_EARLY_DATA:
-        raise IllegalOverride(f"early_payload exceeds the {MAX_EARLY_DATA}-byte max_early_data_size")
+        raise ConfigError(f"early_payload exceeds the {MAX_EARLY_DATA}-byte max_early_data_size")
     net = scenario.net
     if not (0 <= net.loss_rate <= 1 and 0 <= net.dup_rate <= 1 and 0 <= net.reorder_rate <= 1):
-        raise IllegalOverride("loss, dup and reorder rates must lie in [0, 1]")
+        raise ConfigError("loss, dup and reorder rates must lie in [0, 1]")
     if net.latency_ms < 0 or net.framing_overhead < 0:
-        raise IllegalOverride("latency and framing overhead must not be negative")
+        raise ConfigError("latency and framing overhead must not be negative")
     prof = resolve(scenario.profile, scenario.overrides)
     try:
         mode = AuthMode(scenario.mode)
-        suites = (suite_params(scenario.suite).suite,) if scenario.suite else prof.suites
-    except (ValueError, UnknownSuite) as exc:
-        raise IllegalOverride(str(exc)) from None
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    suites = (suite_params(scenario.suite).suite,) if scenario.suite else prof.suites
     if mode not in prof.modes and mode != AuthMode.PSK_ECDHE:
-        raise IllegalOverride(f"mode {mode.value} not allowed by profile {prof.name}")
+        raise ConfigError(f"mode {mode.value} not allowed by profile {prof.name}")
     groups = prof.groups
     if groups:
         # pair symmetric strength with the matching curve: 128-bit AES with
@@ -246,7 +246,7 @@ def build_configs(scenario: Scenario):
                 (preferred,) + tuple(g for g in groups if g != preferred)
             )
     if mode in ECDHE_FAMILY and not groups:
-        raise IllegalOverride(f"mode {mode.value} sends a key share and needs a named group")
+        raise ConfigError(f"mode {mode.value} sends a key share and needs a named group")
 
     needs_cert = mode in PK_FAMILY
     mutual = mode == AuthMode.PK_MUTUAL

@@ -9,7 +9,7 @@ import json
 import sys
 
 from .bench import Scenario, deviation_pct, emit, paper_reference, run_scenario
-from .errors import ConfigConflict, IllegalOverride, UnknownProfile
+from .errors import ConfigError
 from .profiles import profile_names, resolve
 from .simnet import NetConfig
 
@@ -146,7 +146,7 @@ def main(argv=None) -> int:
                 for s in scenarios:
                     s.compare_paper = True
         reports = [run_scenario(s) for s in scenarios]
-    except (ConfigConflict, IllegalOverride, UnknownProfile) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     return _finish(reports, args)

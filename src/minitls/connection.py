@@ -28,7 +28,7 @@ from .errors import (
     AuthenticationFailure,
     BadSignature,
     CertificateRequired,
-    ConfigConflict,
+    ConfigError,
     DecodeError,
     DecryptError,
     HandshakeFailure,
@@ -144,21 +144,6 @@ class TicketState(PskCredential):
     issued_at: int  # when this side sent (server) or received (client) it, in ms
 
 
-_ALERT_CODES = {
-    "close_notify": 0,
-    "unexpected_message": 10,
-    "bad_record_mac": 20,
-    "record_overflow": 22,
-    "handshake_failure": 40,
-    "illegal_parameter": 47,
-    "decode_error": 50,
-    "decrypt_error": 51,
-    "bad_certificate_verify": 51,  # a CertificateVerify that fails is decrypt_error (RFC 8446 section 4.4.3)
-    "unknown_psk_identity": 115,
-    "certificate_required": 116,
-}
-
-
 @dataclass
 class ConnConfig:
     """What one endpoint holds and allows; ``Connection`` acts on each setting alone.
@@ -220,7 +205,7 @@ class Edge(NamedTuple):
 class Connection:
     def __init__(self, cfg: ConnConfig, role: str, rng: random.Random, conn_id: str = ""):
         if cfg.early_payload and cfg.psk is None and role == "client":
-            raise ConfigConflict("0-RTT requires PSK or resumption material")
+            raise ConfigError("0-RTT requires PSK or resumption material")
         self.cfg = cfg
         self.role = role
         self.peer_role = "server" if role == "client" else "client"
@@ -249,7 +234,7 @@ class Connection:
         # a record holds a DTLS fragment header and a byte of its message, or a 2-byte alert
         least = messages.DTLS_HANDSHAKE_HEADER_LEN + 1 if self.reliability is not None else 2
         if self._record_room(EPOCH_HANDSHAKE) < least:
-            raise ConfigConflict("padding and mtu leave a record too little room")
+            raise ConfigError("padding and mtu leave a record too little room")
 
         self.cid_local = rng.randbytes(cfg.cid) if cfg.cid else None  # peers put this in records they send us
         self.cid_peer: bytes | None = None  # we put this in records we send
@@ -295,7 +280,7 @@ class Connection:
 
     def _fail(self, now: int, exc: ProtocolError) -> list:
         self._teardown(now, exc.alert, fatal=True)
-        return self._emit_alert(_ALERT_CODES.get(exc.alert, 80))
+        return self._emit_alert(exc.code)
 
     def _peer_alert(self, now: int, body: bytes) -> None:
         self._teardown(now, "peer_alert", code=body[1] if len(body) > 1 else -1)
@@ -976,7 +961,7 @@ class Connection:
         ``_record_room`` less the CID the peer asked for."""
         size = self._record_room(epoch) - len(self.cid_peer or b"")
         if size < 1:
-            raise ConfigConflict("padding and mtu leave no room for application data")
+            raise ConfigError("padding and mtu leave no room for application data")
         return [
             OutRecord(self._frame(epoch, ContentType.APPLICATION_DATA, payload[i : i + size])[1], name)
             for i in range(0, len(payload) or 1, size)

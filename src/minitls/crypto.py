@@ -19,7 +19,7 @@ from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 from cryptography.hazmat.primitives.ciphers.aead import AESCCM, AESGCM
 
-from .errors import AuthenticationFailure, LengthOverflow, UnknownSuite
+from .errors import AuthenticationFailure, ConfigError, LengthOverflow
 
 
 class Protocol(str, Enum):
@@ -82,7 +82,7 @@ def suite_params(suite_id: int) -> SuiteParams:
     try:
         return _REGISTRY[SuiteId(suite_id)]
     except (ValueError, KeyError):
-        raise UnknownSuite(f"no such cipher suite: 0x{suite_id:04x}") from None
+        raise ConfigError(f"no such cipher suite: 0x{suite_id:04x}") from None
 
 
 class NamedGroup(IntEnum):

@@ -1,19 +1,32 @@
 """Exception hierarchy shared by all protocol modules.
 
+Each class carries the alert it stands for twice: ``alert``, the short
+classification string that ends up in event logs and reports, and ``code``,
+the byte ``Connection._fail`` sends in the alert record (RFC 8446 section 6).
+Every class is one of three kinds:
+
+- wire: the peer can see it, and ``code`` is the RFC 8446 section 6 number of
+  its alert;
+- internal: a fault of this side that can reach ``_fail``, sent as
+  ``internal_error`` (80), the ``ProtocolError`` default;
+- local: never passed to ``_fail`` (configuration, an API misuse, the link's
+  errors, a DTLS record dropped as a replay).
+
 One class per alert: two classes share an alert only where an ``except``
-clause or a test tells them apart (``WrongStage``, ``BadOuterType``, and
-``BadSignature``, whose wire code is ``DecryptError``'s).  The ``alert``
-attribute is the short classification string that ends up in event logs;
-``connection._ALERT_CODES`` maps it to the code of the alert record.
+clause or a test tells them apart (``WrongStage``, and ``BadSignature``,
+which is sent as ``decrypt_error``).
 """
 
 
 class ProtocolError(Exception):
     alert = "internal_error"
+    code = 80
 
 
-class UnknownSuite(ProtocolError):
-    alert = "unknown_suite"
+class ConfigError(ProtocolError):
+    """A scenario, profile, override or setting this package refuses (``bench`` exit code 4)."""
+
+    alert = "config_error"
 
 
 class LengthOverflow(ProtocolError):
@@ -24,6 +37,7 @@ class AuthenticationFailure(ProtocolError):
     """AEAD tag or MAC mismatch; distinct from decode errors."""
 
     alert = "bad_record_mac"
+    code = 20
 
 
 class IllegalParameter(ProtocolError):
@@ -31,6 +45,7 @@ class IllegalParameter(ProtocolError):
     point, a CertificateVerify scheme this side did not offer."""
 
     alert = "illegal_parameter"
+    code = 47
 
 
 class WrongStage(ProtocolError):
@@ -44,21 +59,16 @@ class SequenceOverflow(ProtocolError):
 
 
 class DecodeError(ProtocolError):
-    """Malformed wire bytes: truncated-message, length-mismatch, unknown-type."""
+    """Malformed wire bytes: truncated-message, length-mismatch, unknown-type,
+    an outer content type no record of this protocol carries."""
 
     alert = "decode_error"
-
-
-class ConfigConflict(ProtocolError):
-    alert = "config_conflict"
+    code = 50
 
 
 class RecordOverflow(ProtocolError):
     alert = "record_overflow"
-
-
-class BadOuterType(ProtocolError):
-    alert = "decode_error"
+    code = 22
 
 
 class ReplayedRecord(ProtocolError):
@@ -73,30 +83,36 @@ class InconsistentDuplicate(ProtocolError):
 
 class UnexpectedMessage(ProtocolError):
     alert = "unexpected_message"
+    code = 10
 
 
 class DecryptError(ProtocolError):
     """A Finished MAC or PSK binder that does not verify."""
 
     alert = "decrypt_error"
+    code = 51
 
 
 class BadSignature(ProtocolError):
-    """A CertificateVerify signature that does not verify; sent as decrypt_error."""
+    """A CertificateVerify signature that does not verify; sent as decrypt_error
+    (RFC 8446 section 4.4.3)."""
 
     alert = "bad_certificate_verify"
+    code = 51
 
 
 class CertificateRequired(ProtocolError):
     """A client answered a CertificateRequest with an empty Certificate."""
 
     alert = "certificate_required"
+    code = 116
 
 
 class HandshakeFailure(ProtocolError):
     """No cipher suite, key-share group or authentication both sides accept."""
 
     alert = "handshake_failure"
+    code = 40
 
 
 class HandshakeTimeout(ProtocolError):
@@ -111,14 +127,7 @@ class UnknownPskIdentity(ProtocolError):
     """An offered PSK identity that is neither the configured one nor a live ticket."""
 
     alert = "unknown_psk_identity"
-
-
-class UnknownProfile(ProtocolError):
-    alert = "unknown_profile"
-
-
-class IllegalOverride(ProtocolError):
-    alert = "illegal_override"
+    code = 115
 
 
 class OversizedDatagram(ProtocolError):

@@ -13,7 +13,7 @@ from enum import Enum
 
 from . import ec
 from .crypto import GROUP_SCHEME, NamedGroup, SignatureScheme, SuiteId
-from .errors import IllegalOverride, UnknownProfile
+from .errors import ConfigError
 
 
 class AuthMode(str, Enum):
@@ -107,12 +107,12 @@ def resolve(name: str, overrides: dict | None = None) -> Profile:
     """Profile table entry with overrides applied and validated."""
     base = _PROFILES.get(name)
     if base is None:
-        raise UnknownProfile(f"unknown profile {name!r}")
+        raise ConfigError(f"unknown profile {name!r}")
     if not overrides:
         return base
     unknown = set(overrides) - _OVERRIDABLE
     if unknown:
-        raise IllegalOverride(f"not override knobs: {sorted(unknown)}")
+        raise ConfigError(f"not override knobs: {sorted(unknown)}")
     merged = dict(overrides)
     try:
         if "modes" in merged:
@@ -122,7 +122,7 @@ def resolve(name: str, overrides: dict | None = None) -> Profile:
         if "groups" in merged:
             merged["groups"] = tuple(NamedGroup(g) for g in merged["groups"])
     except ValueError as exc:
-        raise IllegalOverride(str(exc)) from None
+        raise ConfigError(str(exc)) from None
     prof = replace(base, **merged)
     _validate(base, prof)
     return prof
@@ -130,15 +130,15 @@ def resolve(name: str, overrides: dict | None = None) -> Profile:
 
 def _validate(base: Profile, prof: Profile) -> None:
     if base.name.startswith("psk") and prof.modes & PK_FAMILY:
-        raise IllegalOverride("psk profiles permit no certificate modes")
+        raise ConfigError("psk profiles permit no certificate modes")
     if base.name.startswith("ecdsa") and prof.modes & PSK_FAMILY:
-        raise IllegalOverride("ecdsa profiles permit no PSK modes")
+        raise ConfigError("ecdsa profiles permit no PSK modes")
     if prof.zero_rtt and not (prof.modes & PSK_FAMILY):
-        raise IllegalOverride("0-RTT requires a PSK-capable mode")
+        raise ConfigError("0-RTT requires a PSK-capable mode")
     if prof.modes & ECDHE_FAMILY and not prof.groups:
-        raise IllegalOverride("(EC)DHE modes need at least one named group")
+        raise ConfigError("(EC)DHE modes need at least one named group")
     if type(prof.cert_size) is not int or not 0 <= prof.cert_size <= MAX_CERT_SIZE:
-        raise IllegalOverride(f"cert_size must be a byte count up to {MAX_CERT_SIZE}, not {prof.cert_size!r}")
+        raise ConfigError(f"cert_size must be a byte count up to {MAX_CERT_SIZE}, not {prof.cert_size!r}")
 
 
 # --- credentials -----------------------------------------------------------------

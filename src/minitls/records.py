@@ -17,13 +17,7 @@ from enum import IntEnum
 
 from . import crypto
 from .crypto import SuiteParams
-from .errors import (
-    BadOuterType,
-    DecodeError,
-    RecordOverflow,
-    ReplayedRecord,
-    UnexpectedMessage,
-)
+from .errors import DecodeError, RecordOverflow, ReplayedRecord, UnexpectedMessage
 from .keyschedule import TrafficKeys
 from .messages import TLS_LEGACY_VERSION
 
@@ -89,7 +83,7 @@ def seal_tls(params: SuiteParams, keys: TrafficKeys, true_type: int, payload: by
 def open_tls(params: SuiteParams, keys: TrafficKeys, record: bytes) -> tuple:
     """``record`` is one whole record, header included, as its header's length frames it."""
     if record[0] != ContentType.APPLICATION_DATA:
-        raise BadOuterType(f"outer content type {record[0]}")
+        raise DecodeError(f"outer content type {record[0]}")
     header, body = record[:5], record[5:]
     seq = keys.read_seq
     inner = crypto.aead_open(keys.aead(params), nonce_for(keys.iv, seq), header, body)
@@ -230,7 +224,7 @@ def parse_unified(datagram: bytes, offset: int, cid_len: int) -> ParsedCiphertex
     """The record at ``offset``, which is inside ``datagram``."""
     b0 = datagram[offset]
     if not is_unified_header(b0):
-        raise BadOuterType("not a DTLS 1.3 ciphertext record")
+        raise DecodeError("not a DTLS 1.3 ciphertext record")
     cid_present = bool(b0 & 0x10)
     seq_len = 2 if (b0 & 0x08) else 1
     length_present = bool(b0 & 0x04)

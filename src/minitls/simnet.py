@@ -18,7 +18,7 @@ import random
 import typing
 from dataclasses import dataclass
 
-from .errors import IllegalOverride, OversizedDatagram
+from .errors import ConfigError, OversizedDatagram
 
 CLIENT = "client"
 SERVER = "server"
@@ -47,13 +47,13 @@ def checked_from_dict(cls, d: dict):
     value has the field's declared type: an int passes for a float, a bool only for a bool."""
     accepted = _field_types(cls)
     if type(d) is not dict:
-        raise IllegalOverride(f"{cls.__name__} takes a JSON object, not {d!r}")
+        raise ConfigError(f"{cls.__name__} takes a JSON object, not {d!r}")
     for key in d:
         if key not in accepted:
-            raise IllegalOverride(f"{cls.__name__} has no field {key!r}")
+            raise ConfigError(f"{cls.__name__} has no field {key!r}")
         value, types = d[key], accepted[key]
         if type(value) not in types and (type(value) is bool or not isinstance(value, types)):
-            raise IllegalOverride(f"{cls.__name__}.{key} cannot be {value!r}")
+            raise ConfigError(f"{cls.__name__}.{key} cannot be {value!r}")
     return cls(**d)
 
 

@@ -21,7 +21,7 @@ from minitls.bench import (
     run_scenario,
 )
 from minitls.connection import MAX_EARLY_DATA
-from minitls.errors import IllegalOverride
+from minitls.errors import ConfigError
 from minitls.profiles import MAX_CERT_SIZE
 from minitls.simnet import NetConfig
 
@@ -468,13 +468,13 @@ def test_cid_scenario_through_bench():
 
 @pytest.mark.parametrize("cid", [17, -1])
 def test_cid_length_outside_0_to_16_is_rejected(cid):
-    with pytest.raises(IllegalOverride, match="cid length must be 0..16"):
+    with pytest.raises(ConfigError, match="cid length must be 0..16"):
         run_scenario(scenario(profile="psk128", protocol="dtls", mode="psk", cid=cid))
     assert cli.main(["run", "--cid", str(cid)]) == 4
 
 
 def test_cid_on_tls_is_rejected():
-    with pytest.raises(IllegalOverride, match="dtls"):
+    with pytest.raises(ConfigError, match="dtls"):
         run_scenario(scenario(profile="psk128", protocol="tls", mode="psk", cid=4))
 
 

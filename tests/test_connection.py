@@ -21,7 +21,7 @@ from minitls.connection import (
     resume_config,
 )
 from minitls.crypto import NamedGroup, Protocol, SignatureScheme, SuiteId
-from minitls.errors import ConfigConflict, DecodeError, NotReady
+from minitls.errors import ConfigError, DecodeError, NotReady
 from minitls.keyschedule import TrafficKeys
 from minitls.messages import HandshakeType
 from minitls.profiles import AuthMode
@@ -1677,7 +1677,7 @@ def test_fresh_client_start_guard():
 
 def test_zero_rtt_without_psk_conflicts():
     cfg, _, _ = make_configs(Protocol.DTLS, AuthMode.ZERO_RTT, seed=29)
-    with pytest.raises(ConfigConflict):
+    with pytest.raises(ConfigError):
         Connection(replace(cfg, psk=None), "client", random.Random(1))
 
 

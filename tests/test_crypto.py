@@ -8,7 +8,7 @@ from cryptography.hazmat.primitives.kdf.hkdf import HKDFExpand
 
 from minitls import crypto, messages
 from minitls.crypto import HashAlg, Protocol, SuiteId
-from minitls.errors import AuthenticationFailure, LengthOverflow, UnknownSuite
+from minitls.errors import AuthenticationFailure, ConfigError, LengthOverflow
 
 from .harness import VECTOR_DIR, load_hex_vectors
 from .oracles import raw_expand_label, raw_hkdf_expand, raw_hkdf_extract, raw_hmac
@@ -40,7 +40,7 @@ def test_registry_entries():
 
 
 def test_unknown_suite():
-    with pytest.raises(UnknownSuite):
+    with pytest.raises(ConfigError):
         crypto.suite_params(0x0000)
 
 

@@ -1,7 +1,7 @@
 import pytest
 
 from minitls.crypto import NamedGroup, SuiteId
-from minitls.errors import IllegalOverride, UnknownProfile
+from minitls.errors import ConfigError
 from minitls import ec, profiles
 from minitls.profiles import AuthMode, resolve
 
@@ -45,22 +45,22 @@ def test_resolution_pure():
 
 
 def test_unknown_profile():
-    with pytest.raises(UnknownProfile):
+    with pytest.raises(ConfigError):
         resolve("rsa4096")
 
 
 def test_illegal_overrides():
-    with pytest.raises(IllegalOverride):
+    with pytest.raises(ConfigError):
         resolve("psk128", {"max_key_shares": 2})
-    with pytest.raises(IllegalOverride):
+    with pytest.raises(ConfigError):
         resolve("psk128", {"modes": {AuthMode.PK_MUTUAL}})
-    with pytest.raises(IllegalOverride):
+    with pytest.raises(ConfigError):
         resolve("ecdsa128", {"modes": {AuthMode.PSK}})
-    with pytest.raises(IllegalOverride):
+    with pytest.raises(ConfigError):
         resolve("ecdsa128", {"zero_rtt": True})
-    with pytest.raises(IllegalOverride):
+    with pytest.raises(ConfigError):
         resolve("psk128", {"cid": 40})
-    with pytest.raises(IllegalOverride):
+    with pytest.raises(ConfigError):
         resolve("ecdsa128", {"mutual_auth": False})
 
 

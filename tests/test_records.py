@@ -7,7 +7,6 @@ from minitls import crypto, records
 from minitls.crypto import SuiteId
 from minitls.errors import (
     AuthenticationFailure,
-    BadOuterType,
     DecodeError,
     RecordOverflow,
     ReplayedRecord,
@@ -100,7 +99,7 @@ def test_tls_all_zero_inner():
 
 
 def test_tls_bad_outer_type():
-    with pytest.raises(BadOuterType):
+    with pytest.raises(DecodeError):
         records.open_tls(P128, tls_keys(), b"\x16\x03\x03\x00\x01\x00")
 
 
@@ -265,7 +264,7 @@ def test_dtls_aad_binds_header_bits():
                 p = records.parse_unified(bytes(mutated), 0, 4)
                 with pytest.raises((AuthenticationFailure, UnexpectedMessage, DecodeError)):
                     records.open_dtls(P128, r, p)
-            except (BadOuterType, DecodeError):
+            except DecodeError:
                 pass  # flag bits may make the header unparseable, also a rejection
 
 
