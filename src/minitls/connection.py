@@ -242,6 +242,7 @@ class Connection:
 
         self.dh_priv = None
         self.client_cert_requested = False
+        self.early_offered = False  # client: the ClientHello being answered offers early_data
         self.early_accepted = False
         self.skip_early = False  # TLS server: records that fail to open may be 0-RTT data it declined
         self.early_left = MAX_EARLY_DATA
@@ -457,6 +458,8 @@ class Connection:
         """Extensions in canonical order; pre_shared_key last, its binder zero-filled until computed."""
         cfg = self.cfg
         psk = self._psk_offer(now)
+        # no early data in the ClientHello that answers an HRR (RFC 8446 section 4.2.10)
+        self.early_offered = bool(cfg.early_payload) and not self.hrr_done
         exts = [messages.ext_supported_versions_client()]
         if cfg.groups:
             if self.dh_priv is None:
@@ -475,7 +478,7 @@ class Connection:
             exts.append(messages.ext_cookie(cookie))
         if cfg.groups:
             exts.append(messages.ext_key_share_client([(int(cfg.groups[0]), pub)]))  # exactly one key share
-        if cfg.early_payload:
+        if self.early_offered:
             exts.append(messages.ext_early_data())
         if psk is not None:
             exts.append(messages.ext_psk_modes([PskMode.PSK_DHE_KE if cfg.groups else PskMode.PSK_KE]))
@@ -490,7 +493,7 @@ class Connection:
             ch.extensions[-1] = messages.ext_pre_shared_key_offer(psk.identity, self.obfuscated_age, binder)
         out = self._emit(ch, EPOCH_PLAIN, now)
         self.phase = Phase.WAIT_SH
-        if cfg.early_payload:
+        if self.early_offered:
             out.extend(self._send_early_data())
         return out
 
@@ -734,7 +737,7 @@ class Connection:
         if psk_ext is None and self.psk_in_use is not None:
             # server declined the PSK: continue as a pure (EC)DHE handshake
             self.psk_in_use = None
-            if self.cfg.early_payload:
+            if self.early_offered:
                 raise UnexpectedMessage("0-RTT offer requires PSK acceptance")
             self.ks = None
         if self.ks is None:
@@ -764,7 +767,7 @@ class Connection:
     def _client_handle_ee(self, ee, raw: bytes, now: int) -> list:
         self.transcript.append(raw)
         accepted = messages.find_extension(ee.extensions, ExtensionType.EARLY_DATA) is not None
-        if accepted and not self.cfg.early_payload:
+        if accepted and not self.early_offered:
             raise UnexpectedMessage("server accepted early data we never sent")
         self.early_accepted = accepted
         self.phase = Phase.WAIT_FINISHED if self.psk_in_use is not None else Phase.WAIT_CERT_CR

@@ -388,7 +388,7 @@ GOLDEN_MATRIX = {"scenarios": [
     {"profile": "full", "protocol": "dtls", "mode": "zero_rtt", "resume": True},
     {"profile": "ecdsa128", "protocol": "tls", "mode": "pk_mutual", "pad_len": 3},
 ]}
-GOLDEN_SHA256 = "136b0dcc6d06cc2bd1a2a14ae27c1145dc35a3b908c7380a96e51772bcfdec52"
+GOLDEN_SHA256 = "41e5ada2c25a3ec6fc3a3f04be20d2299234c3293481b212b04d024ccee35795"
 
 
 def test_cli_output_golden(tmp_path):

@@ -1497,6 +1497,48 @@ def test_zero_rtt_early_data_in_first_flight(protocol):
         assert int(HandshakeType.END_OF_EARLY_DATA) in transcript_types(server)
 
 
+def test_no_early_data_after_the_stateless_hello_retry_request():
+    # RFC 8446 section 4.2.10: the ClientHello that answers a HelloRetryRequest
+    # offers no early_data; the listener's stateless HRR drops the first copy
+    client_cfg, server_cfg, _ = make_configs(Protocol.DTLS, AuthMode.ZERO_RTT, seed=19)
+    pair = Pair(client_cfg, replace(server_cfg, dos=True), seed=19)
+    pair.run()
+    server = pair.assert_complete()
+    names = [name for name, _, _, _ in pair.driver.per_message]
+    assert names[:4] == ["client_hello", "early_data", "hello_retry_request", "client_hello"]
+    assert names.count("early_data") == 1
+    assert not any(e.kind == EventKind.EARLY_DATA for e in server.event_log)
+    assert not pair.client.early_accepted and not server.early_accepted
+
+
+def test_no_early_data_after_a_tls_hello_retry_request(monkeypatch):
+    # the server's ServerHello goes out as a HelloRetryRequest and the rest of its
+    # flight is dropped: the retried ClientHello offers no early_data and no early
+    # data follows it (RFC 8446 section 4.2.10)
+    def tamper(name, raw):
+        if name == "server_hello":
+            return messages.tls_form(messages.build_hello_retry_request(int(SuiteId.AES_128_CCM_SHA256), bytes(8)))
+        return None
+
+    tamper_on_wire(monkeypatch, "server", tamper)
+    client_cfg, server_cfg, _ = make_configs(Protocol.TLS, AuthMode.ZERO_RTT, seed=20)
+    pair = Pair(client_cfg, server_cfg, seed=20)
+    sent = []
+
+    def keep(endpoint, rec, now):
+        if endpoint == CLIENT:
+            sent.append(rec.name)
+        return endpoint == CLIENT or rec.name == "server_hello"
+
+    filter_sends(pair.driver, keep)
+    pair.run(until_ms=5_000)
+    assert pair.client.hrr_done
+    assert sent == ["client_hello", "early_data", "client_hello"]
+    retried = messages.decode_handshake(pair.client.transcript.messages[2])
+    assert retried.MSG_TYPE == HandshakeType.CLIENT_HELLO
+    assert messages.find_extension(retried.extensions, messages.ExtensionType.EARLY_DATA) is None
+
+
 def test_duplicated_early_datagram_delivered_once():
     client_cfg, server_cfg, _ = make_configs(
         Protocol.DTLS, AuthMode.ZERO_RTT, seed=20, early_payload=b"once-only"
