@@ -15,6 +15,7 @@ from .crypto import GROUP_PUBKEY_LEN, GROUP_SCHEME, NamedGroup, suite_params
 TLS12_RECORD_HEADER = 5  # type 1 + version 2 + length 2
 DTLS12_RECORD_HEADER = 13  # type 1 + version 2 + epoch 2 + seq 6 + length 2
 TLS_HS_HEADER = 4  # msg_type 1 + length 3
+TLS12_MAX_FRAGMENT = 1 << 14  # the most bytes one record holds (RFC 5246 section 6.2.1)
 DTLS_HS_HEADER = 12  # + message_seq 2 + frag_offset 3 + frag_length 3
 AEAD_EXPLICIT_NONCE = 8  # GenericAEADCipher nonce_explicit
 FINISHED_VERIFY_DATA = 12  # TLS 1.2 Finished body
@@ -43,9 +44,12 @@ EC_POINT_FORMATS_EXT = _ext(1 + 1)  # list length 1 + uncompressed(0)
 
 
 def _plain(protocol: str, body: int) -> int:
-    rec = DTLS12_RECORD_HEADER if protocol == "dtls" else TLS12_RECORD_HEADER
-    hs = DTLS_HS_HEADER if protocol == "dtls" else TLS_HS_HEADER
-    return rec + hs + body
+    """One handshake message in plaintext records: on TLS, one record header per
+    2^14 bytes of the message; on DTLS, one record whatever its size."""
+    if protocol == "dtls":
+        return DTLS12_RECORD_HEADER + DTLS_HS_HEADER + body
+    message = TLS_HS_HEADER + body
+    return -(-message // TLS12_MAX_FRAGMENT) * TLS12_RECORD_HEADER + message
 
 
 def _encrypted(protocol: str, body: int, tag_len: int) -> int:

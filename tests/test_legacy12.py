@@ -60,6 +60,22 @@ def test_cert_size_sensitivity_exact():
     assert grown - base == 2 * 300  # both directions carry one certificate
 
 
+def test_tls_message_over_two_to_the_14_spans_two_records():
+    # a 1.2 record holds at most 2^14 bytes (RFC 5246 section 6.2.1); the
+    # Certificate message is its 4-byte header, two 3-byte lengths and the cert
+    def certificate_row(cert_size):
+        rows = legacy12.model_messages("tls", "pk", cert_size=cert_size, mutual=False)
+        return next(size for name, _, size in rows if name == "certificate")
+
+    fits = (1 << 14) - legacy12.TLS_HS_HEADER - 3 - 3
+    assert certificate_row(fits) == legacy12.TLS12_RECORD_HEADER + (1 << 14)
+    assert certificate_row(fits + 1) == 2 * legacy12.TLS12_RECORD_HEADER + (1 << 14) + 1
+    # DTLS stays one record per message until the model fragments at the MTU
+    rows = legacy12.model_messages("dtls", "pk", cert_size=fits + 1, mutual=False)
+    dtls_cert = next(size for name, _, size in rows if name == "certificate")
+    assert dtls_cert == legacy12.DTLS12_RECORD_HEADER + legacy12.DTLS_HS_HEADER + 3 + 3 + fits + 1
+
+
 def test_finished_record_overhead():
     rows = dict(
         ((n, d), s) for n, d, s in legacy12.model_messages("tls", "psk")
