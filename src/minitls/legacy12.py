@@ -15,8 +15,8 @@ from .crypto import GROUP_PUBKEY_LEN, GROUP_SCHEME, NamedGroup, suite_params
 TLS12_RECORD_HEADER = 5  # type 1 + version 2 + length 2
 DTLS12_RECORD_HEADER = 13  # type 1 + version 2 + epoch 2 + seq 6 + length 2
 TLS_HS_HEADER = 4  # msg_type 1 + length 3
-TLS12_MAX_FRAGMENT = 1 << 14  # the most bytes one record holds (RFC 5246 section 6.2.1)
 DTLS_HS_HEADER = 12  # + message_seq 2 + frag_offset 3 + frag_length 3
+TLS12_MAX_FRAGMENT = 1 << 14  # the most bytes one record holds (RFC 5246 section 6.2.1)
 AEAD_EXPLICIT_NONCE = 8  # GenericAEADCipher nonce_explicit
 FINISHED_VERIFY_DATA = 12  # TLS 1.2 Finished body
 CCS_BODY = 1  # ChangeCipherSpec payload
@@ -49,7 +49,8 @@ def _plain(protocol: str, body: int) -> int:
     if protocol == "dtls":
         return DTLS12_RECORD_HEADER + DTLS_HS_HEADER + body
     message = TLS_HS_HEADER + body
-    return -(-message // TLS12_MAX_FRAGMENT) * TLS12_RECORD_HEADER + message
+    records = (message + TLS12_MAX_FRAGMENT - 1) // TLS12_MAX_FRAGMENT
+    return records * TLS12_RECORD_HEADER + message
 
 
 def _encrypted(protocol: str, body: int, tag_len: int) -> int:
