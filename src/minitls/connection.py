@@ -220,8 +220,7 @@ class Connection:
         self.failure: str | None = None
         self.failed_from: str | None = None
 
-        self.suite = cfg.suites[0]
-        self.params = crypto.suite_params(self.suite)
+        self.params = crypto.suite_params(cfg.suites[0])
         self.ks: KeySchedule | None = None
         self.transcript = Transcript(self.counters)
 
@@ -248,9 +247,7 @@ class Connection:
         self.early_left = MAX_EARLY_DATA
         self.hrr_done = False
         self.psk_in_use: PskCredential | None = None  # external, or a TicketState when resuming
-        self.obfuscated_age = 0
         self.client_tickets: list = []
-        self.ticket_nonce_counter = 0
         self.auth_reads = 0  # records that decrypted successfully
 
         self._stream_buf = b""
@@ -270,6 +267,10 @@ class Connection:
     @property
     def failed(self) -> bool:
         return self.phase == Phase.FAILED
+
+    @property
+    def suite(self) -> SuiteId:
+        return self.params.suite
 
     def _teardown(self, now: int, alert: str, **detail) -> None:
         self.failed_from = self.phase.value
@@ -294,12 +295,9 @@ class Connection:
             return []
 
     def _install(self, epoch: int, direction: str, secret: bytes) -> None:
-        keys = self.ks.traffic_keys(secret)
-        self.epochs.setdefault(epoch, {})[direction] = keys
+        self.epochs.setdefault(epoch, {})[direction] = self.ks.traffic_keys(secret)
         if direction == "write" and epoch != EPOCH_EARLY:
             self.write_epoch = epoch
-        elif direction == "read" and self.protocol == Protocol.DTLS:
-            keys.window = ReplayWindow()
 
     def _new_schedule(self, psk: PskCredential | None = None) -> None:
         kind = PskKind.RESUMPTION if isinstance(psk, TicketState) else PskKind.EXTERNAL
@@ -447,17 +445,11 @@ class Connection:
         self._event(now, EventKind.FLIGHT_READY, flight="client_hello")
         return out
 
-    def _psk_offer(self, now: int):
-        psk = self.cfg.psk
-        if isinstance(psk, TicketState):
-            self.obfuscated_age = (now - psk.issued_at + psk.age_add) & 0xFFFFFFFF
-        self.psk_in_use = psk
-        return psk
-
     def _client_hello_flight(self, now: int, cookie: bytes | None) -> list:
         """Extensions in canonical order; pre_shared_key last, its binder zero-filled until computed."""
         cfg = self.cfg
-        psk = self._psk_offer(now)
+        psk = self.psk_in_use = cfg.psk
+        age = (now - psk.issued_at + psk.age_add) & 0xFFFFFFFF if isinstance(psk, TicketState) else 0
         # no early data in the ClientHello that answers an HRR (RFC 8446 section 4.2.10)
         self.early_offered = bool(cfg.early_payload) and not self.hrr_done
         exts = [messages.ext_supported_versions_client()]
@@ -483,14 +475,14 @@ class Connection:
         if psk is not None:
             exts.append(messages.ext_psk_modes([PskMode.PSK_DHE_KE if cfg.groups else PskMode.PSK_KE]))
             zero_binder = bytes(self.params.hash_len)
-            exts.append(messages.ext_pre_shared_key_offer(psk.identity, self.obfuscated_age, zero_binder))
+            exts.append(messages.ext_pre_shared_key_offer(psk.identity, age, zero_binder))
         ch = messages.ClientHello(self.rng.randbytes(32), b"", [int(s) for s in cfg.suites], exts)
         if cfg.compat and self.protocol == Protocol.TLS:
             ch.legacy_session_id = self.rng.randbytes(32)
         self._new_schedule(psk)
         if psk is not None:
             binder = self.ks.compute_binder(self.transcript.binder_digest(messages.tls_form(ch), self.params))
-            ch.extensions[-1] = messages.ext_pre_shared_key_offer(psk.identity, self.obfuscated_age, binder)
+            ch.extensions[-1] = messages.ext_pre_shared_key_offer(psk.identity, age, binder)
         out = self._emit(ch, EPOCH_PLAIN, now)
         self.phase = Phase.WAIT_SH
         if self.early_offered:
@@ -710,8 +702,7 @@ class Connection:
         cookie = messages.parse_cookie(cookie_ext.data)
         if hrr.cipher_suite not in [int(s) for s in self.cfg.suites]:
             raise IllegalParameter("HelloRetryRequest picked a suite we did not offer")
-        self.suite = SuiteId(hrr.cipher_suite)  # ClientHello1 is hashed with it (RFC 8446 section 4.4.1)
-        self.params = crypto.suite_params(self.suite)
+        self.params = crypto.suite_params(hrr.cipher_suite)  # ClientHello1 is hashed with it (RFC 8446 section 4.4.1)
         self.transcript.restart(self.params.hash_alg, raw)
         self.ks = None
         self.epochs.pop(EPOCH_EARLY, None)  # 0-RTT does not survive an HRR
@@ -730,8 +721,7 @@ class Connection:
         if sh.cipher_suite != int(self.suite):
             if psk_ext is not None:  # RFC 8446 section 4.2.11
                 raise IllegalParameter("PSK acceptance requires the PSK's suite")
-            self.suite = SuiteId(sh.cipher_suite)
-            self.params = crypto.suite_params(self.suite)
+            self.params = crypto.suite_params(sh.cipher_suite)
             self.ks = None
         self.transcript.append(raw)
         if psk_ext is None and self.psk_in_use is not None:
@@ -818,8 +808,7 @@ class Connection:
     def _server_handle_client_hello(self, ch, raw: bytes, now: int) -> list:
         if self.reliability is not None:
             self.reliability.after_client_hello()
-        self.suite = _choose_suite(self.cfg, self.ticket_db, ch, now)
-        self.params = crypto.suite_params(self.suite)
+        self.params = crypto.suite_params(_choose_suite(self.cfg, self.ticket_db, ch, now))
 
         share = None
         share_ext = messages.find_extension(ch.extensions, ExtensionType.KEY_SHARE)
@@ -940,8 +929,7 @@ class Connection:
         return out
 
     def _issue_ticket(self, now: int) -> list:
-        nonce = self.ticket_nonce_counter.to_bytes(8, "big")
-        self.ticket_nonce_counter += 1
+        nonce = bytes(8)  # the one ticket this connection issues
         ticket_id = self.rng.randbytes(16)
         age_add = self.rng.getrandbits(32)
         psk = self.ks.resumption_psk(nonce)

@@ -1,18 +1,19 @@
-"""The TLS/DTLS 1.3 secret tree.
+"""The TLS/DTLS 1.3 secret tree: key derivation only.
 
 One instance per connection.  Stages advance strictly
 fresh -> early -> handshake -> master; reading a secret before its
 stage raises WrongStage.  All transcript inputs are digests computed
 by the caller, so the schedule itself stays byte-oriented and pure.
+``traffic_keys`` returns a ``records.TrafficKeys``, which owns the
+record sequence state of its epoch.
 """
 
 from enum import Enum, IntEnum
 
 from . import crypto
 from .crypto import Protocol
-from .errors import SequenceOverflow, WrongStage
-
-SEQ_LIMIT = 1 << 48
+from .errors import WrongStage
+from .records import TrafficKeys
 
 
 class KsStage(IntEnum):
@@ -25,55 +26,6 @@ class KsStage(IntEnum):
 class PskKind(str, Enum):
     EXTERNAL = "external"
     RESUMPTION = "resumption"
-
-
-class TrafficKeys:
-    """Per-direction AEAD material for one epoch.
-
-    sn_key exists only for DTLS (sequence-number masking).  DTLS read keys
-    own a ``records.ReplayWindow``, their only record of the sequence numbers
-    read; other keys keep read_seq.  Counters never decrease; hitting the
-    2^48 record ceiling is a hard error.  The OpenSSL AEAD object and
-    sequence-number encryptor are built on first use and live as long as
-    these keys.
-    """
-
-    __slots__ = ("key", "iv", "sn_key", "read_seq", "write_seq", "window", "_aead", "_sn_cipher")
-
-    def __init__(self, key: bytes, iv: bytes, sn_key: bytes | None):
-        self.key = key
-        self.iv = iv
-        self.sn_key = sn_key
-        self.read_seq = 0
-        self.write_seq = 0
-        self.window = None
-        self._aead = None
-        self._sn_cipher = None
-
-    def aead(self, params: crypto.SuiteParams):
-        if self._aead is None:
-            self._aead = crypto.aead_cipher(params, self.key)
-        return self._aead
-
-    def sn_cipher(self):
-        if self._sn_cipher is None:
-            self._sn_cipher = crypto.block_cipher(self.sn_key)
-        return self._sn_cipher
-
-    def next_write_seq(self) -> int:
-        if self.write_seq >= SEQ_LIMIT:
-            raise SequenceOverflow("write sequence space exhausted")
-        seq = self.write_seq
-        self.write_seq += 1
-        return seq
-
-    def note_read(self, seq: int) -> None:
-        if seq >= SEQ_LIMIT:
-            raise SequenceOverflow("read sequence space exhausted")
-        if self.window is not None:
-            self.window.add(seq)
-        elif seq + 1 > self.read_seq:
-            self.read_seq = seq + 1
 
 
 # SSLKEYLOGFILE labels (draft-ietf-tls-keylogfile) of the secrets the key

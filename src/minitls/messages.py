@@ -185,8 +185,8 @@ def parse_key_share_server(data: bytes):
     return group, pub
 
 
-def ext_pre_shared_key_offer(identity: bytes, obfuscated_age: int, binder: bytes) -> Extension:
-    identities = _vec(2, _vec(2, identity) + struct.pack("!I", obfuscated_age))
+def ext_pre_shared_key_offer(identity: bytes, obfuscated_ticket_age: int, binder: bytes) -> Extension:
+    identities = _vec(2, _vec(2, identity) + struct.pack("!I", obfuscated_ticket_age))
     binders = _vec(2, _vec(1, binder))
     return Extension(ExtensionType.PRE_SHARED_KEY, identities + binders)
 

@@ -7,9 +7,10 @@ after sealing and removed before opening, so seal/open are exact
 inverses.  Epoch-0 flights use the 13-byte DTLS 1.2-style header since
 no keys exist yet.
 
-The OpenSSL AEAD object and sequence-number ECB encryptor live on the
-``TrafficKeys`` of one epoch, direction and peer, built on first use; so
-does the replay window of a DTLS read epoch.
+``TrafficKeys`` holds everything one epoch, direction and peer needs: the
+key material the key schedule derives, the write sequence counter, the
+replay window every open reads its sequence number from, and the OpenSSL
+AEAD object and sequence-number ECB encryptor, built on first use.
 """
 
 from dataclasses import dataclass
@@ -17,8 +18,7 @@ from enum import IntEnum
 
 from . import crypto
 from .crypto import SuiteParams
-from .errors import DecodeError, RecordOverflow, ReplayedRecord, UnexpectedMessage
-from .keyschedule import TrafficKeys
+from .errors import DecodeError, RecordOverflow, ReplayedRecord, SequenceOverflow, UnexpectedMessage
 from .messages import TLS_LEGACY_VERSION
 
 
@@ -43,6 +43,82 @@ DTLS12_WIRE_VERSION = 0xFEFD
 
 MAX_PLAINTEXT = 1 << 14  # content bytes one record carries (RFC 8446 section 5.1)
 MAX_CIPHERTEXT = MAX_PLAINTEXT + 256  # the body of a protected record (RFC 8446 section 5.2)
+SEQ_LIMIT = 1 << 48
+
+
+class ReplayWindow:
+    """64-entry sliding anti-replay bitmap."""
+
+    SIZE = 64
+
+    def __init__(self):
+        self.max_seq = -1
+        self.bits = 0
+
+    @property
+    def next_expected(self) -> int:
+        return self.max_seq + 1
+
+    def seen(self, seq: int) -> bool:
+        if seq > self.max_seq:
+            return False
+        offset = self.max_seq - seq
+        if offset >= self.SIZE:
+            return True  # too old to track: treated as replayed
+        return bool(self.bits & (1 << offset))
+
+    def add(self, seq: int) -> None:
+        if seq > self.max_seq:
+            shift = seq - self.max_seq
+            self.bits = ((self.bits << shift) | 1) & ((1 << self.SIZE) - 1)
+            self.max_seq = seq
+        else:
+            self.bits |= 1 << (self.max_seq - seq)
+
+
+class TrafficKeys:
+    """Per-direction AEAD material and record sequence state for one epoch.
+
+    sn_key exists only for DTLS (sequence-number masking).  ``window`` is the
+    one record of the sequence numbers read: a TLS open takes its next expected
+    number, a DTLS open reconstructs the full number around it and rejects
+    replays.  Counters never decrease; hitting the 2^48 record ceiling is a
+    hard error.  The OpenSSL AEAD object and sequence-number encryptor are
+    built on first use and live as long as these keys.
+    """
+
+    __slots__ = ("key", "iv", "sn_key", "write_seq", "window", "_aead", "_sn_cipher")
+
+    def __init__(self, key: bytes, iv: bytes, sn_key: bytes | None):
+        self.key = key
+        self.iv = iv
+        self.sn_key = sn_key
+        self.write_seq = 0
+        self.window = ReplayWindow()
+        self._aead = None
+        self._sn_cipher = None
+
+    def aead(self, params: SuiteParams):
+        if self._aead is None:
+            self._aead = crypto.aead_cipher(params, self.key)
+        return self._aead
+
+    def sn_cipher(self):
+        if self._sn_cipher is None:
+            self._sn_cipher = crypto.block_cipher(self.sn_key)
+        return self._sn_cipher
+
+    def next_write_seq(self) -> int:
+        if self.write_seq >= SEQ_LIMIT:
+            raise SequenceOverflow("write sequence space exhausted")
+        seq = self.write_seq
+        self.write_seq += 1
+        return seq
+
+    def note_read(self, seq: int) -> None:
+        if seq >= SEQ_LIMIT:
+            raise SequenceOverflow("read sequence space exhausted")
+        self.window.add(seq)
 
 
 def nonce_for(iv: bytes, seq64: int) -> bytes:
@@ -85,7 +161,7 @@ def open_tls(params: SuiteParams, keys: TrafficKeys, record: bytes) -> tuple:
     if record[0] != ContentType.APPLICATION_DATA:
         raise DecodeError(f"outer content type {record[0]}")
     header, body = record[:5], record[5:]
-    seq = keys.read_seq
+    seq = keys.window.next_expected
     inner = crypto.aead_open(keys.aead(params), nonce_for(keys.iv, seq), header, body)
     keys.note_read(seq)
     true_type, payload = _strip_inner(inner)
@@ -147,36 +223,6 @@ def seal_dtls(
     for i in range(seq_len):
         wire[seq_off + i] ^= mask[i]
     return bytes(wire) + ct
-
-
-class ReplayWindow:
-    """64-entry sliding anti-replay bitmap."""
-
-    SIZE = 64
-
-    def __init__(self):
-        self.max_seq = -1
-        self.bits = 0
-
-    @property
-    def next_expected(self) -> int:
-        return self.max_seq + 1
-
-    def seen(self, seq: int) -> bool:
-        if seq > self.max_seq:
-            return False
-        offset = self.max_seq - seq
-        if offset >= self.SIZE:
-            return True  # too old to track: treated as replayed
-        return bool(self.bits & (1 << offset))
-
-    def add(self, seq: int) -> None:
-        if seq > self.max_seq:
-            shift = seq - self.max_seq
-            self.bits = ((self.bits << shift) | 1) & ((1 << self.SIZE) - 1)
-            self.max_seq = seq
-        else:
-            self.bits |= 1 << (self.max_seq - seq)
 
 
 def reconstruct_seq(seq_low: int, seq_len: int, expected: int) -> int:

@@ -26,8 +26,7 @@ class DtlsReliability:
         self.recv_flight: set = set()  # record numbers of the inbound flight
         self.stale_records: set = set()  # resent records we had already processed
         self.sent_unacked: dict = {}  # (epoch, rec_seq) -> (msg_seq, name, fragment bytes)
-        self.rto_ms = RTO_INITIAL_MS
-        self.retries = 0
+        self.retries = 0  # the timeout doubles with each: RTO_INITIAL_MS << retries
         self.retransmit_at: int | None = None
         self.ack_at: int | None = None
 
@@ -44,7 +43,7 @@ class DtlsReliability:
         rec_seq, data = frame(epoch, ContentType.HANDSHAKE, frag)
         self.sent_unacked[(epoch, rec_seq)] = (msg_seq, name, frag)
         if self.retransmit_at is None:
-            self.retransmit_at = now + self.rto_ms
+            self.retransmit_at = now + (RTO_INITIAL_MS << self.retries)
         return OutRecord(data, name, retransmit=retransmit)
 
     def _send_ack(self, frame, write_epoch: int, record_numbers: set) -> list:
@@ -121,7 +120,6 @@ class DtlsReliability:
             self.sent_unacked.pop(rn, None)  # unknown numbers ignored
         if not self.sent_unacked:
             self.retransmit_at = None
-            self.rto_ms = RTO_INITIAL_MS
             self.retries = 0
 
     def next_timeout(self):
@@ -137,8 +135,7 @@ class DtlsReliability:
         if self.retries >= RTO_MAX_RETRIES:
             raise HandshakeTimeout("retransmission cap reached")
         self.retries += 1
-        self.rto_ms *= 2
-        self.retransmit_at = now + self.rto_ms
+        self.retransmit_at = now + (RTO_INITIAL_MS << self.retries)
         pending = sorted(self.sent_unacked.items(), key=lambda kv: kv[1][0])
         self.sent_unacked.clear()
         return [

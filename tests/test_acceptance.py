@@ -13,9 +13,8 @@ from minitls import crypto, records
 from minitls.bench import Scenario, paper_reference, run_scenario
 from minitls.connection import Connection, EventKind
 from minitls.crypto import HashAlg, Protocol, SuiteId
-from minitls.keyschedule import TrafficKeys
 from minitls.profiles import AuthMode
-from minitls.records import ContentType
+from minitls.records import ContentType, TrafficKeys
 from minitls.simnet import CLIENT, NetConfig
 
 from .harness import Pair, filter_sends, make_configs, run_handshake, secrets_of, tamper_on_wire

@@ -22,10 +22,9 @@ from minitls.connection import (
 )
 from minitls.crypto import NamedGroup, Protocol, SignatureScheme, SuiteId
 from minitls.errors import ConfigError, DecodeError, NotReady
-from minitls.keyschedule import TrafficKeys
 from minitls.messages import HandshakeType
 from minitls.profiles import AuthMode
-from minitls.records import MAX_PLAINTEXT, ContentType
+from minitls.records import MAX_PLAINTEXT, ContentType, TrafficKeys
 from minitls.reliability import RECV_WINDOW_MSGS
 from minitls.simnet import CLIENT, NetConfig
 

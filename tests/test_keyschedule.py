@@ -7,7 +7,8 @@ import pytest
 from minitls.connection import OpCounters
 from minitls.crypto import Protocol, SuiteId, hash_data, HashAlg
 from minitls.errors import SequenceOverflow, WrongStage
-from minitls.keyschedule import SEQ_LIMIT, KeySchedule, KsStage, PskKind, TrafficKeys
+from minitls.keyschedule import KeySchedule, KsStage, PskKind
+from minitls.records import SEQ_LIMIT, TrafficKeys
 
 from .oracles import (
     raw_derive_secret,
@@ -123,7 +124,7 @@ def test_sequence_counters():
         keys.next_write_seq()
     keys.note_read(5)
     keys.note_read(3)
-    assert keys.read_seq == 6
+    assert keys.window.next_expected == 6
     with pytest.raises(SequenceOverflow):
         keys.note_read(SEQ_LIMIT)
 
