@@ -329,7 +329,7 @@ def run_scenario(scenario: Scenario) -> Report:
     if warm_failed:
         failure, failed_phase = failure or "no-ticket", f"warm:{failed_phase}"
     rtt = None
-    if scenario.mode == AuthMode.ZERO_RTT.value:
+    if client.early_accepted:  # the application data went out with the ClientHello
         rtt = 0
     else:
         for ev in client.event_log:

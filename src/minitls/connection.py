@@ -34,8 +34,10 @@ from .errors import (
     HandshakeFailure,
     HandshakeTimeout,
     IllegalParameter,
+    MissingExtension,
     NotReady,
     ProtocolError,
+    ProtocolVersion,
     RecordOverflow,
     UnexpectedMessage,
     UnknownPskIdentity,
@@ -247,6 +249,7 @@ class Connection:
         self.early_left = MAX_EARLY_DATA
         self.hrr_done = False
         self.psk_in_use: PskCredential | None = None  # external, or a TicketState when resuming
+        self.legacy_session_id = b""  # client: sent in both ClientHellos (RFC 8446 section 4.1.2)
         self.client_tickets: list = []
         self.auth_reads = 0  # records that decrypted successfully
 
@@ -476,9 +479,9 @@ class Connection:
             exts.append(messages.ext_psk_modes([PskMode.PSK_DHE_KE if cfg.groups else PskMode.PSK_KE]))
             zero_binder = bytes(self.params.hash_len)
             exts.append(messages.ext_pre_shared_key_offer(psk.identity, age, zero_binder))
-        ch = messages.ClientHello(self.rng.randbytes(32), b"", [int(s) for s in cfg.suites], exts)
-        if cfg.compat and self.protocol == Protocol.TLS:
-            ch.legacy_session_id = self.rng.randbytes(32)
+        ch = messages.ClientHello(self.rng.randbytes(32), self.legacy_session_id, [int(s) for s in cfg.suites], exts)
+        if cfg.compat and self.protocol == Protocol.TLS and not self.hrr_done:
+            ch.legacy_session_id = self.legacy_session_id = self.rng.randbytes(32)
         self._new_schedule(psk)
         if psk is not None:
             binder = self.ks.compute_binder(self.transcript.binder_digest(messages.tls_form(ch), self.params))
@@ -713,6 +716,14 @@ class Connection:
         return out
 
     def _client_handle_sh(self, sh, raw: bytes, now: int) -> list:
+        # a HelloRetryRequest too: RFC 8446 sections 4.1.3 and 4.2.1
+        versions = messages.find_extension(sh.extensions, ExtensionType.SUPPORTED_VERSIONS)
+        if versions is None:
+            raise ProtocolVersion("ServerHello without supported_versions")
+        if messages.parse_supported_versions_server(versions.data) != messages.TLS13_VERSION:
+            raise IllegalParameter("ServerHello selects a version we did not offer")
+        if sh.legacy_session_id_echo != self.legacy_session_id:
+            raise IllegalParameter("ServerHello echoes another legacy_session_id")
         if messages.is_hello_retry_request(sh):
             return self._client_handle_hrr(sh, raw, now)
         if sh.cipher_suite not in [int(s) for s in self.cfg.suites]:  # RFC 8446 section 4.1.3
@@ -808,6 +819,9 @@ class Connection:
     def _server_handle_client_hello(self, ch, raw: bytes, now: int) -> list:
         if self.reliability is not None:
             self.reliability.after_client_hello()
+        versions = messages.find_extension(ch.extensions, ExtensionType.SUPPORTED_VERSIONS)
+        if versions is None or messages.TLS13_VERSION not in messages.parse_supported_versions_client(versions.data):
+            raise ProtocolVersion("ClientHello does not offer this version")  # RFC 8446 section 4.2.1
         self.params = crypto.suite_params(_choose_suite(self.cfg, self.ticket_db, ch, now))
 
         share = None
@@ -821,7 +835,7 @@ class Connection:
                 raise HandshakeFailure("no offered key-share group is enabled here")
 
         offered_early = messages.find_extension(ch.extensions, ExtensionType.EARLY_DATA) is not None
-        psk = self._server_select_psk(ch, raw, now, share is not None, offered_early)
+        psk, share = self._server_select_psk(ch, raw, now, share, offered_early)
         self.transcript.append(raw)  # after the binder check, which covers the messages before it
         self.skip_early = self.protocol == Protocol.TLS and offered_early and not self.early_accepted
         if self.skip_early:
@@ -876,13 +890,22 @@ class Connection:
         self._event(now, EventKind.FLIGHT_READY, flight="server_first")
         return out
 
-    def _server_select_psk(self, ch, raw_ch: bytes, now: int, fallback_possible: bool, offered_early: bool):
+    def _server_select_psk(self, ch, raw_ch: bytes, now: int, share, offered_early: bool):
+        """The PSK this server uses, or None, and the client key share the handshake
+        uses: none under a PSK in psk_ke mode (RFC 8446 section 4.2.9)."""
         ext = messages.find_extension(ch.extensions, ExtensionType.PRE_SHARED_KEY)
         if ext is None:
-            return None
+            return None, share
+        modes_ext = messages.find_extension(ch.extensions, ExtensionType.PSK_KEY_EXCHANGE_MODES)
+        if modes_ext is None:
+            raise MissingExtension("pre_shared_key without psk_key_exchange_modes")  # RFC 8446 section 4.2.9
+        modes = messages.parse_psk_modes(modes_ext.data)
+        dhe = share is not None and PskMode.PSK_DHE_KE in modes
+        if not dhe and PskMode.PSK_KE not in modes:
+            return None, share  # no mode the client allows fits its offer
         identity, obf_age, binder = messages.parse_pre_shared_key_offer(ext.data)
         if len(binder) != self.params.hash_len:
-            return None  # keyed for another hash: not selectable with this suite (RFC 8446 section 4.2.11)
+            return None, share  # keyed for another hash: not selectable with this suite (RFC 8446 section 4.2.11)
         psk = self.ticket_db.get(identity)
         if psk is not None and _expired(psk, now):
             del self.ticket_db[identity]
@@ -890,8 +913,8 @@ class Connection:
         if psk is None and self.cfg.psk is not None and identity == self.cfg.psk.identity:
             psk = self.cfg.psk
         if psk is None:
-            if fallback_possible and self.cfg.local_ec is not None:
-                return None  # fall back to the certificate path
+            if share is not None and self.cfg.local_ec is not None:
+                return None, share  # fall back to the certificate path
             raise UnknownPskIdentity("psk identity is neither configured nor a live ticket")  # RFC 8446 section 6.2
 
         self._new_schedule(psk)
@@ -903,7 +926,7 @@ class Connection:
             if isinstance(psk, TicketState):
                 real_age = (obf_age - psk.age_add) & 0xFFFFFFFF
                 self.early_accepted = abs(real_age - (now - psk.issued_at)) <= TICKET_AGE_TOLERANCE_MS
-        return psk
+        return psk, share if dhe else None
 
     def _server_handle_eoed(self, eoed, raw: bytes, now: int) -> list:
         # DTLS 1.3 omits EndOfEarlyData (RFC 9147 section 5.6); only a server that

@@ -115,6 +115,20 @@ class HandshakeFailure(ProtocolError):
     code = 40
 
 
+class ProtocolVersion(ProtocolError):
+    """A hello that offers or selects no version this side speaks (RFC 8446 section 4.2.1)."""
+
+    alert = "protocol_version"
+    code = 70
+
+
+class MissingExtension(ProtocolError):
+    """A pre_shared_key offer without psk_key_exchange_modes (RFC 8446 section 4.2.9)."""
+
+    alert = "missing_extension"
+    code = 109
+
+
 class HandshakeTimeout(ProtocolError):
     alert = "handshake_timeout"
 

@@ -136,8 +136,25 @@ def ext_supported_versions_client() -> Extension:
     return Extension(ExtensionType.SUPPORTED_VERSIONS, _vec(1, struct.pack("!H", TLS13_VERSION)))
 
 
+def parse_supported_versions_client(data: bytes) -> list:
+    r = Reader(data)
+    body = Reader(r.vec(1))
+    r.expect_end("supported_versions")
+    versions = []
+    while body.remaining:
+        versions.append(body.uint(2))
+    return versions
+
+
 def ext_supported_versions_server() -> Extension:
     return Extension(ExtensionType.SUPPORTED_VERSIONS, struct.pack("!H", TLS13_VERSION))
+
+
+def parse_supported_versions_server(data: bytes) -> int:
+    r = Reader(data)
+    version = r.uint(2)
+    r.expect_end("supported_versions")
+    return version
 
 
 def ext_server_name(host: str) -> Extension:
@@ -155,6 +172,13 @@ def ext_signature_algorithms(schemes) -> Extension:
 
 def ext_psk_modes(modes) -> Extension:
     return Extension(ExtensionType.PSK_KEY_EXCHANGE_MODES, _vec(1, bytes(modes)))
+
+
+def parse_psk_modes(data: bytes) -> bytes:
+    r = Reader(data)
+    modes = r.vec(1)
+    r.expect_end("psk_key_exchange_modes")
+    return modes
 
 
 def ext_key_share_client(entries) -> Extension:

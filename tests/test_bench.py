@@ -132,6 +132,14 @@ def test_zero_rtt_rtt_is_zero():
     assert other.rtt_to_first_appdata_ms > 0
 
 
+def test_retried_zero_rtt_rtt_is_the_handshake_time():
+    # the HelloRetryRequest of a --dos server ends the 0-RTT offer (RFC 8446 section
+    # 4.2.10), so the first application data waits for the handshake, as in every other mode
+    r = run_scenario(scenario(profile="full", protocol="dtls", mode="zero_rtt", dos=True))
+    assert r.ok and not any("early_data" in line for line in r.events)
+    assert r.rtt_to_first_appdata_ms == 40
+
+
 def test_compat_flag_costs_session_id_plus_ccs():
     base = run_scenario(scenario(profile="psk128", protocol="tls", mode="psk"))
     compat = run_scenario(scenario(profile="psk128", protocol="tls", mode="psk",

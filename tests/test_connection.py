@@ -1,4 +1,5 @@
 import gc
+import itertools
 import random
 import tracemalloc
 import weakref
@@ -22,10 +23,10 @@ from minitls.connection import (
 )
 from minitls.crypto import NamedGroup, Protocol, SignatureScheme, SuiteId
 from minitls.errors import ConfigError, DecodeError, NotReady
-from minitls.messages import HandshakeType
+from minitls.messages import HandshakeType, PskMode
 from minitls.profiles import AuthMode
 from minitls.records import MAX_PLAINTEXT, ContentType, TrafficKeys
-from minitls.reliability import RECV_WINDOW_MSGS
+from minitls.reliability import RECV_WINDOW_MSGS, DtlsReliability
 from minitls.simnet import CLIENT, NetConfig
 
 from .harness import (
@@ -520,6 +521,137 @@ def test_hello_retry_request_with_a_suite_not_offered_rejected(protocol, monkeyp
     tamper_on_wire(monkeypatch, "server", tamper)
     pair = run_handshake(protocol, AuthMode.PSK, seed=72)
     assert (pair.client.failure, pair.client.failed_from) == ("illegal_parameter", "wait_sh")
+
+
+def supported_versions(*versions):
+    """A ClientHello's supported_versions (RFC 8446 section 4.2.1) listing ``versions``."""
+    body = b"".join(v.to_bytes(2, "big") for v in versions)
+    return messages.Extension(messages.ExtensionType.SUPPORTED_VERSIONS, bytes([len(body)]) + body)
+
+
+# (the edit of the server's hello, the alert the client ends with, the code the server reads)
+SERVER_VERSION_CHECKS = {
+    "no-supported-versions": (  # RFC 8446 section 4.2.1
+        lambda hello: drop_extension(hello, messages.ExtensionType.SUPPORTED_VERSIONS),
+        "protocol_version", 70,
+    ),
+    "version-not-offered": (  # RFC 8446 section 4.2.1
+        lambda hello: set_extension(
+            hello, messages.Extension(messages.ExtensionType.SUPPORTED_VERSIONS, (0x0303).to_bytes(2, "big"))
+        ),
+        "illegal_parameter", 47,
+    ),
+    "another-session-id": (  # RFC 8446 section 4.1.3
+        lambda hello: setattr(hello, "legacy_session_id_echo", bytes(range(32))),
+        "illegal_parameter", 47,
+    ),
+}
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+@pytest.mark.parametrize("hrr", [False, True], ids=["server_hello", "hello_retry_request"])
+@pytest.mark.parametrize("case", sorted(SERVER_VERSION_CHECKS))
+def test_client_refuses_a_hello_of_a_version_or_session_it_did_not_offer(case, hrr, protocol, monkeypatch):
+    # a TLS client in compatibility mode sends a 32-byte legacy_session_id to be echoed
+    edit, alert, code = SERVER_VERSION_CHECKS[case]
+
+    def tamper(name, raw):
+        if name != "server_hello":
+            return None
+        hello = messages.decode_handshake(raw)
+        if hrr:
+            hello = messages.build_hello_retry_request(hello.cipher_suite, bytes(8), hello.legacy_session_id_echo)
+        edit(hello)
+        return messages.tls_form(hello)
+
+    tamper_on_wire(monkeypatch, "server", tamper)
+    pair = run_handshake(protocol, AuthMode.PSK, seed=75, compat=protocol == Protocol.TLS)
+    assert (pair.client.failure, pair.client.failed_from) == (alert, "wait_sh")
+    assert pair.server.failure == "peer_alert" and pair.server.event_log[-1].detail["code"] == code
+
+
+# (the edit of the client's ClientHello, the alert the server ends with, the code the client reads)
+CLIENT_HELLO_CHECKS = {
+    "no-supported-versions": (  # RFC 8446 section 4.2.1
+        lambda ch: drop_extension(ch, messages.ExtensionType.SUPPORTED_VERSIONS),
+        "protocol_version", 70,
+    ),
+    "lacks-this-version": (  # RFC 8446 section 4.2.1
+        lambda ch: set_extension(ch, supported_versions(0x0303, 0x0302)),
+        "protocol_version", 70,
+    ),
+    "psk-without-psk-modes": (  # RFC 8446 sections 4.2.9 and 9.2
+        lambda ch: drop_extension(ch, messages.ExtensionType.PSK_KEY_EXCHANGE_MODES),
+        "missing_extension", 109,
+    ),
+}
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+@pytest.mark.parametrize("case", sorted(CLIENT_HELLO_CHECKS))
+def test_server_refuses_a_client_hello_without_this_version_or_psk_modes(case, protocol, monkeypatch):
+    edit, alert, code = CLIENT_HELLO_CHECKS[case]
+
+    def tamper(name, raw):
+        if name != "client_hello":
+            return None
+        ch = messages.decode_handshake(raw)
+        psk = ch.extensions.pop()  # pre_shared_key stays last
+        edit(ch)
+        ch.extensions.append(psk)
+        return messages.tls_form(ch)
+
+    tamper_on_wire(monkeypatch, "client", tamper)
+    pair = run_handshake(protocol, AuthMode.PSK, seed=76)
+    assert (pair.server.failure, pair.server.failed_from) == (alert, "start")
+    assert pair.client.failure == "peer_alert" and pair.client.event_log[-1].detail["code"] == code
+
+
+def test_retried_client_hello_keeps_its_legacy_session_id():
+    # RFC 8446 section 4.1.2: the ClientHello that answers a HelloRetryRequest
+    # changes only the key share, early_data, cookie, pre_shared_key and padding
+    client_cfg, _, _ = make_configs(Protocol.TLS, AuthMode.PSK, seed=77, compat=True)
+    client = Connection(client_cfg, "client", random.Random(77))
+    first = messages.decode_handshake(client.start(0)[0].data[5:])
+    hrr = messages.build_hello_retry_request(int(client.suite), bytes(8), first.legacy_session_id)
+    retry = client.handle(records.encode_tls_plaintext(ContentType.HANDSHAKE, messages.tls_form(hrr)), 10)
+    second = messages.decode_handshake(retry[0].data[5:])
+    assert client.hrr_done and len(first.legacy_session_id) == 32
+    assert second.legacy_session_id == first.legacy_session_id
+
+
+# (client mode, the psk_key_exchange_modes it lists, whether the server selects the PSK,
+# the key exchanges the server makes)
+PSK_MODE_CASES = {
+    "psk_ke-ignores-the-key-share": (AuthMode.PSK_ECDHE, [PskMode.PSK_KE], True, 0),
+    "psk_dhe_ke-needs-a-key-share": (AuthMode.PSK, [PskMode.PSK_DHE_KE], False, 0),
+    "no-known-mode-takes-the-certificate": (AuthMode.PSK_ECDHE, [7], False, 2),
+}
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+@pytest.mark.parametrize("case", sorted(PSK_MODE_CASES))
+def test_server_uses_a_psk_only_in_a_mode_the_client_lists(case, protocol, monkeypatch):
+    # RFC 8446 section 4.2.9: under psk_ke the server ignores the key share,
+    # psk_dhe_ke needs one; a PSK in no listed mode is not selected, so the
+    # certificate path (the client pins the server's key) or handshake_failure follows
+    mode, listed, selected, dh_ops = PSK_MODE_CASES[case]
+    build = messages.ext_psk_modes
+    monkeypatch.setattr(messages, "ext_psk_modes", lambda modes: build(listed))
+    client_cfg, server_cfg, deployment = make_configs(protocol, mode, seed=78)
+    client_cfg = replace(client_cfg, peer_ec=deployment["server_ec"].public_point)
+    pair = Pair(client_cfg, server_cfg, seed=78)
+    pair.run(until_ms=5_000)
+    server = pair.server
+    assert (server.psk_in_use is not None) == selected
+    assert server.counters.dh_ops == dh_ops
+    if case == "psk_ke-ignores-the-key-share":  # the client offered no psk_ke of its own
+        assert pair.client.failure == "unexpected_message" and server.failure == "peer_alert"
+    elif mode == AuthMode.PSK:
+        assert server.failure == "handshake_failure" and pair.client.failure == "peer_alert"
+    else:
+        pair.assert_complete()
+        assert server.counters.sign_ops == 1
 
 
 def test_client_hello1_hashed_with_the_hello_retry_request_suite():
@@ -1250,6 +1382,40 @@ def test_total_loss_fails_after_backoff_cap():
     assert pair.client.failed
     assert pair.client.failure == "handshake_timeout"
     assert pair.client.reliability.retries == 8
+
+
+def test_total_loss_resends_the_client_hello_on_a_doubling_timer():
+    # RFC 9147 section 5.8.2: the first timeout is 400 ms and each resend doubles it
+    client_cfg, server_cfg, _ = make_configs(Protocol.DTLS, AuthMode.PSK, seed=10)
+    pair = Pair(client_cfg, server_cfg, seed=10)
+    sent = []
+
+    def drop(endpoint, rec, now):
+        if endpoint == CLIENT and rec.name == "client_hello":
+            sent.append(now)
+        return False
+
+    filter_sends(pair.driver, drop)
+    pair.run(until_ms=600_000)
+    assert sent == [0, 400, 1_200, 2_800, 6_000, 12_400, 25_200, 50_800, 102_000]
+    assert pair.client.failure == "handshake_timeout"
+
+
+def test_ack_that_empties_the_sent_table_restarts_the_timer_at_400_ms():
+    rel = DtlsReliability()
+    seqs = itertools.count()
+
+    def frame(epoch, true_type, payload):
+        return next(seqs), payload
+
+    rel.send(frame, HandshakeType.FINISHED, bytes(8), "finished", 2, 100, now=0)
+    rel.retransmit(400, frame)
+    rel.retransmit(1_200, frame)
+    assert (rel.retries, rel.next_timeout()) == (2, 2_800)
+    rel.process_ack(list(rel.sent_unacked))
+    assert rel.next_timeout() is None
+    rel.send(frame, HandshakeType.FINISHED, bytes(8), "finished", 2, 100, now=3_000)
+    assert rel.next_timeout() == 3_400
 
 
 @pytest.mark.parametrize("seed", range(10))

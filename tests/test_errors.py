@@ -55,6 +55,8 @@ WIRE = {
     errors.BadSignature: "decrypt_error",  # a CertificateVerify that fails (RFC 8446 section 4.4.3)
     errors.UnknownPskIdentity: "unknown_psk_identity",
     errors.CertificateRequired: "certificate_required",
+    errors.ProtocolVersion: "protocol_version",
+    errors.MissingExtension: "missing_extension",
 }
 INTERNAL = [
     errors.ProtocolError,
