@@ -43,7 +43,7 @@ class DtlsReliability:
         rec_seq, data = frame(epoch, ContentType.HANDSHAKE, frag)
         self.sent_unacked[(epoch, rec_seq)] = (msg_seq, name, frag)
         if self.retransmit_at is None:
-            self.retransmit_at = now + (RTO_INITIAL_MS << self.retries)
+            self.retransmit_at = now + RTO_INITIAL_MS  # a new flight: retries is 0
         return OutRecord(data, name, retransmit=retransmit)
 
     def _send_ack(self, frame, write_epoch: int, record_numbers: set) -> list:
