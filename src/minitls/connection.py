@@ -172,30 +172,59 @@ class ConnConfig:
     packing: bool = False
 
 
-def _expired(ticket: TicketState, now: int) -> bool:
-    return now - ticket.issued_at > TICKET_LIFETIME_S * 1000
+class Decision(NamedTuple):
+    """A server's answer to one ClientHello (``negotiate``)."""
+
+    suite: SuiteId
+    share: tuple | None  # the (NamedGroup, client public point) used: none under psk_ke (RFC 8446 section 4.2.9)
+    psk: PskCredential | TicketState | None = None  # to try, with the binder and ticket age offered for it
+    binder: bytes = b""
+    obfuscated_age: int = 0
 
 
-def _choose_suite(cfg: ConnConfig, ticket_db: dict, ch, now: int) -> SuiteId:
-    """The server's most-preferred suite that the client offers. When the
-    ClientHello offers a PSK this server accepts (its external PSK or a live
-    ticket), the most-preferred such suite with the hash the binder is keyed
-    with, if there is one (RFC 8446 section 4.2.11)."""
+def negotiate(cfg: ConnConfig, ticket_db: dict, ch, now: int) -> Decision:
+    """Every rule of a server with ``cfg`` and ``ticket_db`` on a ClientHello ``ch`` that
+    needs no key, in order: version, suite, key share, PSK modes and identity, certificate
+    fallback.  Raises the refusal.  An accepted PSK takes the most-preferred shared suite of
+    its binder's hash (RFC 8446 section 4.2.11).  Its one write drops an expired ticket."""
+    versions = messages.find_extension(ch.extensions, ExtensionType.SUPPORTED_VERSIONS)
+    if versions is None or messages.TLS13_VERSION not in messages.parse_supported_versions_client(versions.data):
+        raise ProtocolVersion("ClientHello does not offer this version")  # RFC 8446 section 4.2.1
     shared = [suite for suite in cfg.suites if suite in ch.cipher_suites]
     if not shared:
         raise HandshakeFailure("no common cipher suite")
-    ext = messages.find_extension(ch.extensions, ExtensionType.PRE_SHARED_KEY)
-    if ext is not None and len(shared) > 1:
-        identity, _, binder = messages.parse_pre_shared_key_offer(ext.data)
-        ticket = ticket_db.get(identity)
-        if ticket is None:
-            accepted = cfg.psk is not None and identity == cfg.psk.identity
-        else:
-            accepted = not _expired(ticket, now)
-        keyed = [suite for suite in shared if crypto.suite_params(suite).hash_len == len(binder)]
-        if accepted and keyed:
-            return SuiteId(keyed[0])
-    return SuiteId(shared[0])
+    share = None
+    share_ext = messages.find_extension(ch.extensions, ExtensionType.KEY_SHARE)
+    if share_ext is not None:
+        entries = messages.parse_key_share_client(share_ext.data)
+        share = next(((crypto.NamedGroup(g), pub) for g, pub in entries if g in cfg.groups), None)
+        if share is None:
+            raise HandshakeFailure("no offered key-share group is enabled here")
+    psk, dhe, age, binder = None, False, 0, b""
+    offer = messages.find_extension(ch.extensions, ExtensionType.PRE_SHARED_KEY)
+    if offer is not None:
+        modes_ext = messages.find_extension(ch.extensions, ExtensionType.PSK_KEY_EXCHANGE_MODES)
+        if modes_ext is None:
+            raise MissingExtension("pre_shared_key without psk_key_exchange_modes")  # RFC 8446 section 4.2.9
+        modes = messages.parse_psk_modes(modes_ext.data)
+        dhe = share is not None and PskMode.PSK_DHE_KE in modes
+        if dhe or PskMode.PSK_KE in modes:  # else no mode the client allows fits its offer
+            identity, age, binder = messages.parse_pre_shared_key_offer(offer.data)
+            psk = ticket_db.get(identity)
+            if psk is not None and now - psk.issued_at > TICKET_LIFETIME_S * 1000:
+                del ticket_db[identity]
+                psk = None
+            if psk is None and cfg.psk is not None and identity == cfg.psk.identity:
+                psk = cfg.psk
+    keyed = [suite for suite in shared if crypto.suite_params(suite).hash_len == len(binder)]
+    suite = keyed[0] if psk is not None and keyed else shared[0]
+    if suite not in keyed:
+        psk = None  # none offered, or keyed for another hash than every shared suite's
+    if psk is None and (share is None or cfg.local_ec is None):
+        if suite in keyed:  # offered for this suite's hash, yet neither configured nor live
+            raise UnknownPskIdentity("psk identity is neither configured nor a live ticket")  # RFC 8446 section 6.2
+        raise HandshakeFailure("no PSK accepted, and no certificate with a client key share to fall back on")
+    return Decision(SuiteId(suite), share if psk is None or dhe else None, psk, binder, age)
 
 
 class Edge(NamedTuple):
@@ -240,6 +269,7 @@ class Connection:
         self.cid_local = rng.randbytes(cfg.cid) if cfg.cid else None  # peers put this in records they send us
         self.cid_peer: bytes | None = None  # we put this in records we send
         self.ticket_db: dict = {}  # server: the listener's resumption ticket table
+        self.ch1_digest: bytes | None = None  # server: Hash(ClientHello1) from a stateless HelloRetryRequest's cookie
 
         self.dh_priv = None
         self.client_cert_requested = False
@@ -808,10 +838,10 @@ class Connection:
 
     # ---------------------------------------------------------------- server side
 
-    def after_stateless_hrr(self, ch1_digest: bytes, hrr_raw: bytes) -> None:
-        """Take up a DTLS handshake after the listener's stateless HelloRetryRequest ``hrr_raw``
-        (record 0 and message_seq 0 each way), its cookie carrying ClientHello1's ``ch1_digest``."""
-        self.transcript.restart(self.params.hash_alg, hrr_raw, ch1_digest)
+    def after_stateless_hrr(self, ch1_digest: bytes) -> None:
+        """Take up a DTLS handshake after the listener's stateless HelloRetryRequest (record 0
+        and message_seq 0 each way), its cookie carrying ClientHello1's ``ch1_digest``."""
+        self.ch1_digest = ch1_digest
         self.plain_write_seq = 1
         self.plain_window.add(0)
         self.reliability.next_send_msg_seq = self.reliability.next_recv_msg_seq = 1
@@ -819,23 +849,26 @@ class Connection:
     def _server_handle_client_hello(self, ch, raw: bytes, now: int) -> list:
         if self.reliability is not None:
             self.reliability.after_client_hello()
-        versions = messages.find_extension(ch.extensions, ExtensionType.SUPPORTED_VERSIONS)
-        if versions is None or messages.TLS13_VERSION not in messages.parse_supported_versions_client(versions.data):
-            raise ProtocolVersion("ClientHello does not offer this version")  # RFC 8446 section 4.2.1
-        self.params = crypto.suite_params(_choose_suite(self.cfg, self.ticket_db, ch, now))
-
-        share = None
-        share_ext = messages.find_extension(ch.extensions, ExtensionType.KEY_SHARE)
-        if share_ext is not None:
-            for group, pub in messages.parse_key_share_client(share_ext.data):
-                if group in [int(g) for g in self.cfg.groups]:
-                    share = (crypto.NamedGroup(group), pub)
-                    break
-            if share is None:
-                raise HandshakeFailure("no offered key-share group is enabled here")
-
+        decision = negotiate(self.cfg, self.ticket_db, ch, now)
+        self.params = crypto.suite_params(decision.suite)
+        if self.ch1_digest is not None:  # the retry answers the listener's HelloRetryRequest, rebuilt here
+            if len(self.ch1_digest) != self.params.hash_len:  # RFC 8446 section 4.1.4
+                raise IllegalParameter("retried ClientHello gets a suite of another hash than its cookie's")
+            cookie = messages.parse_cookie(messages.find_extension(ch.extensions, ExtensionType.COOKIE).data)
+            hrr = messages.build_hello_retry_request(int(self.suite), cookie, ch.legacy_session_id)
+            self.transcript.restart(self.params.hash_alg, messages.tls_form(hrr), self.ch1_digest)
+        psk, share = decision.psk, decision.share
         offered_early = messages.find_extension(ch.extensions, ExtensionType.EARLY_DATA) is not None
-        psk, share = self._server_select_psk(ch, raw, now, share, offered_early)
+        if psk is not None:
+            self._new_schedule(psk)
+            binder = self.ks.compute_binder(self.transcript.binder_digest(raw, self.params))
+            if not hmac.compare_digest(binder, decision.binder):
+                raise DecryptError("psk binder mismatch")
+            self.psk_in_use = psk
+            self.early_accepted = offered_early
+            if offered_early and isinstance(psk, TicketState):
+                real_age = (decision.obfuscated_age - psk.age_add) & 0xFFFFFFFF
+                self.early_accepted = abs(real_age - (now - psk.issued_at)) <= TICKET_AGE_TOLERANCE_MS
         self.transcript.append(raw)  # after the binder check, which covers the messages before it
         self.skip_early = self.protocol == Protocol.TLS and offered_early and not self.early_accepted
         if self.skip_early:
@@ -843,8 +876,6 @@ class Connection:
         if self.early_accepted:
             secret = self.ks.derive_early_traffic(self.transcript.digest(self.params.hash_alg))
             self._install(EPOCH_EARLY, "read", secret)
-        if psk is None and (self.cfg.local_ec is None or share is None):
-            raise HandshakeFailure("no PSK accepted, and no certificate with a client key share to fall back on")
         request_cert = psk is None and self.cfg.peer_ec is not None
 
         exts = [messages.ext_supported_versions_server()]
@@ -889,44 +920,6 @@ class Connection:
         self.phase = Phase.WAIT_CERT_CR if request_cert else Phase.WAIT_FINISHED
         self._event(now, EventKind.FLIGHT_READY, flight="server_first")
         return out
-
-    def _server_select_psk(self, ch, raw_ch: bytes, now: int, share, offered_early: bool):
-        """The PSK this server uses, or None, and the client key share the handshake
-        uses: none under a PSK in psk_ke mode (RFC 8446 section 4.2.9)."""
-        ext = messages.find_extension(ch.extensions, ExtensionType.PRE_SHARED_KEY)
-        if ext is None:
-            return None, share
-        modes_ext = messages.find_extension(ch.extensions, ExtensionType.PSK_KEY_EXCHANGE_MODES)
-        if modes_ext is None:
-            raise MissingExtension("pre_shared_key without psk_key_exchange_modes")  # RFC 8446 section 4.2.9
-        modes = messages.parse_psk_modes(modes_ext.data)
-        dhe = share is not None and PskMode.PSK_DHE_KE in modes
-        if not dhe and PskMode.PSK_KE not in modes:
-            return None, share  # no mode the client allows fits its offer
-        identity, obf_age, binder = messages.parse_pre_shared_key_offer(ext.data)
-        if len(binder) != self.params.hash_len:
-            return None, share  # keyed for another hash: not selectable with this suite (RFC 8446 section 4.2.11)
-        psk = self.ticket_db.get(identity)
-        if psk is not None and _expired(psk, now):
-            del self.ticket_db[identity]
-            psk = None
-        if psk is None and self.cfg.psk is not None and identity == self.cfg.psk.identity:
-            psk = self.cfg.psk
-        if psk is None:
-            if share is not None and self.cfg.local_ec is not None:
-                return None, share  # fall back to the certificate path
-            raise UnknownPskIdentity("psk identity is neither configured nor a live ticket")  # RFC 8446 section 6.2
-
-        self._new_schedule(psk)
-        if not hmac.compare_digest(self.ks.compute_binder(self.transcript.binder_digest(raw_ch, self.params)), binder):
-            raise DecryptError("psk binder mismatch")
-        self.psk_in_use = psk
-        if offered_early:
-            self.early_accepted = True
-            if isinstance(psk, TicketState):
-                real_age = (obf_age - psk.age_add) & 0xFFFFFFFF
-                self.early_accepted = abs(real_age - (now - psk.issued_at)) <= TICKET_AGE_TOLERANCE_MS
-        return psk, share if dhe else None
 
     def _server_handle_eoed(self, eoed, raw: bytes, now: int) -> list:
         # DTLS 1.3 omits EndOfEarlyData (RFC 9147 section 5.6); only a server that
@@ -1037,11 +1030,12 @@ class ServerListener:
 
     # -- cookie machinery ------------------------------------------------------
 
-    def check_cookie(self, cookie: bytes, address: str, hash_len: int):
-        """Returns the embedded Hash(ClientHello1) when valid, else None."""
-        if len(cookie) != 1 + hash_len + 32 or cookie[0] != 0:
+    def check_cookie(self, cookie: bytes, address: str):
+        """The Hash(ClientHello1) that ``cookie`` (0x00, the hash, a 32-byte MAC) carries
+        when this listener made it for ``address``, else None."""
+        ch_hash, mac = cookie[1:-32], cookie[-32:]
+        if cookie[:1] != b"\x00" or not ch_hash:
             return None
-        ch_hash, mac = cookie[1 : 1 + hash_len], cookie[1 + hash_len :]
         ok = crypto.hmac_verify(crypto.HashAlg.SHA256, self.cookie_secret, address.encode() + ch_hash, mac)
         return ch_hash if ok else None
 
@@ -1096,7 +1090,8 @@ class ServerListener:
         """DTLS datagram from an unknown address: a connection is allocated only when
         the first record carries a ClientHello fragment with message_seq 0, or with
         ``dos`` a whole ClientHello with message_seq 1 whose cookie checks out
-        (RFC 9147 section 5.1).  The connection then reads the datagram itself."""
+        (RFC 9147 section 5.1).  The connection then reads the datagram itself.  With
+        ``dos``, a whole cookieless ClientHello gets the answer of ``_stateless_hrr``."""
         try:
             ctype, _, payload, _ = records.parse_dtls_plaintext(data, 0)
             frag, _ = messages.parse_dtls_fragment(payload)
@@ -1108,22 +1103,26 @@ class ServerListener:
                 return []
             raw = frag.to_tls_form()
             ch = messages.decode_handshake(raw)
-            suite = crypto.suite_params(_choose_suite(self.cfg, self.ticket_db, ch, now))
             cookie_ext = messages.find_extension(ch.extensions, ExtensionType.COOKIE)
             cookie = None if cookie_ext is None else messages.parse_cookie(cookie_ext.data)
         except ProtocolError:
-            return []  # not a plausible first flight, or no common suite: silently dropped
+            return []  # not a plausible first flight: silently dropped
         if cookie is None:
-            return [self._stateless_hrr(raw, ch, suite, source)]
-        ch1_hash = self.check_cookie(cookie, source, suite.hash_len)
+            return [self._stateless_hrr(raw, ch, source, now)]
+        ch1_hash = self.check_cookie(cookie, source)
         if ch1_hash is None or frag.message_seq != 1:
             return []  # bad cookie, or not the retry's message_seq: silently dropped, nothing allocated
-        hrr = messages.build_hello_retry_request(int(suite.suite), cookie, ch.legacy_session_id)
         conn = self._fresh_connection(source)
-        conn.after_stateless_hrr(ch1_hash, messages.tls_form(hrr))
+        conn.after_stateless_hrr(ch1_hash)
         return conn.handle(data, now)
 
-    def _stateless_hrr(self, raw_ch: bytes, ch, suite, source: str) -> OutRecord:
+    def _stateless_hrr(self, raw_ch: bytes, ch, source: str, now: int) -> OutRecord:
+        """Epoch-0 record 0 that answers a cookieless ClientHello: the HelloRetryRequest of
+        its ``negotiate`` decision, or the alert of its refusal."""
+        try:
+            suite = crypto.suite_params(negotiate(self.cfg, self.ticket_db, ch, now).suite)
+        except ProtocolError as exc:
+            return OutRecord(records.encode_dtls_plaintext(ContentType.ALERT, 0, bytes([2, exc.code])), "alert")
         # cookie: 0x00 + Hash(ClientHello1) + MAC(address || Hash(ClientHello1)); embedding the
         # hash keeps the retry transcript reconstructible with zero server-side state
         ch_hash = crypto.hash_data(suite.hash_alg, raw_ch)
