@@ -24,7 +24,7 @@ from minitls.connection import (
 from minitls.crypto import NamedGroup, Protocol, SignatureScheme, SuiteId
 from minitls.errors import ConfigError, DecodeError, NotReady
 from minitls.messages import HandshakeType, PskMode
-from minitls.profiles import AuthMode
+from minitls.profiles import AuthMode, PskCredential
 from minitls.records import MAX_PLAINTEXT, ContentType, TrafficKeys
 from minitls.reliability import RECV_WINDOW_MSGS, DtlsReliability
 from minitls.simnet import CLIENT, NetConfig
@@ -1531,6 +1531,48 @@ def test_misnumbered_or_malformed_cookie_retry_dropped_without_allocation(case):
         retry[at : at + 2] = int(case[-1]).to_bytes(2, "big")
     assert listener.receive(bytes(retry), "client:0", 20) == []
     assert listener.allocated == 0
+
+
+# (mode, the server's settings, the alert code the client reads)
+REFUSED_HELLOS = {
+    "no-common-suite": (AuthMode.PK_SERVER_ONLY, {"suites": (SuiteId.AES_256_CCM_SHA384,)}, 40),
+    "unknown-psk-identity": (AuthMode.PSK, {"psk": PskCredential(b"another", bytes(32)), "local_ec": None}, 115),
+}
+
+
+@pytest.mark.parametrize("dos", [False, True], ids=["open", "dos"])
+@pytest.mark.parametrize("case", sorted(REFUSED_HELLOS))
+def test_a_refused_client_hello_gets_the_same_alert_with_or_without_dos(case, dos):
+    # with dos on, the listener sends the refusal's alert statelessly: nothing is allocated
+    mode, server_over, code = REFUSED_HELLOS[case]
+    pair = run_handshake(Protocol.DTLS, mode, seed=16, server_over=dict(server_over, dos=dos))
+    assert (pair.client.failure, pair.client.failed_from) == ("peer_alert", "wait_sh")
+    assert pair.client.event_log[-1].detail["code"] == code
+    assert pair.listener.allocated == (0 if dos else 1)
+
+
+def test_a_retry_whose_suite_hashes_otherwise_than_its_cookie_is_illegal(monkeypatch):
+    # the stateless HelloRetryRequest picks the server's SHA-384 suite; the retry then
+    # offers only the SHA-256 suite, which the cookie's 48-byte hash cannot have
+    # come from (RFC 8446 section 4.1.4)
+    hellos = []
+
+    def tamper(name, raw):
+        if name != "client_hello":
+            return None
+        hellos.append(raw)
+        ch = messages.decode_handshake(raw)
+        ch.cipher_suites = [int(SuiteId.AES_128_CCM_SHA256)]
+        return messages.tls_form(ch) if len(hellos) == 2 else None
+
+    tamper_on_wire(monkeypatch, "client", tamper)
+    suites = (SuiteId.AES_128_CCM_SHA256, SuiteId.AES_256_CCM_SHA384)
+    client_cfg, server_cfg, _ = make_configs(Protocol.DTLS, AuthMode.PK_SERVER_ONLY, seed=17)
+    pair = Pair(replace(client_cfg, suites=suites), replace(server_cfg, suites=suites[::-1], dos=True), seed=17)
+    pair.run(until_ms=5_000)
+    assert pair.client.hrr_done and len(hellos) == 2
+    assert (pair.server.failure, pair.server.failed_from) == ("illegal_parameter", "start")
+    assert pair.client.failure == "peer_alert" and pair.client.event_log[-1].detail["code"] == 47
 
 
 def test_client_forgets_hrr_record_after_retry():
