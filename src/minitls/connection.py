@@ -41,6 +41,7 @@ from .errors import (
     RecordOverflow,
     UnexpectedMessage,
     UnknownPskIdentity,
+    UnsupportedExtension,
 )
 from .keyschedule import KeySchedule, PskKind
 from .messages import ExtensionType, HandshakeType, PskMode
@@ -279,7 +280,9 @@ class Connection:
         self.early_left = MAX_EARLY_DATA
         self.hrr_done = False
         self.psk_in_use: PskCredential | None = None  # external, or a TicketState when resuming
-        self.legacy_session_id = b""  # client: sent in both ClientHellos (RFC 8446 section 4.1.2)
+        # client: the random and legacy_session_id both ClientHellos send (RFC 8446 section 4.1.2)
+        self.client_random = b""
+        self.legacy_session_id = b""
         self.client_tickets: list = []
         self.auth_reads = 0  # records that decrypted successfully
 
@@ -509,9 +512,11 @@ class Connection:
             exts.append(messages.ext_psk_modes([PskMode.PSK_DHE_KE if cfg.groups else PskMode.PSK_KE]))
             zero_binder = bytes(self.params.hash_len)
             exts.append(messages.ext_pre_shared_key_offer(psk.identity, age, zero_binder))
-        ch = messages.ClientHello(self.rng.randbytes(32), self.legacy_session_id, [int(s) for s in cfg.suites], exts)
-        if cfg.compat and self.protocol == Protocol.TLS and not self.hrr_done:
-            ch.legacy_session_id = self.legacy_session_id = self.rng.randbytes(32)
+        if not self.hrr_done:
+            self.client_random = self.rng.randbytes(32)
+            if cfg.compat and self.protocol == Protocol.TLS:
+                self.legacy_session_id = self.rng.randbytes(32)
+        ch = messages.ClientHello(self.client_random, self.legacy_session_id, [int(s) for s in cfg.suites], exts)
         self._new_schedule(psk)
         if psk is not None:
             binder = self.ks.compute_binder(self.transcript.binder_digest(messages.tls_form(ch), self.params))
@@ -759,6 +764,11 @@ class Connection:
         if sh.cipher_suite not in [int(s) for s in self.cfg.suites]:  # RFC 8446 section 4.1.3
             raise IllegalParameter("server picked a suite we did not offer")
         psk_ext = messages.find_extension(sh.extensions, ExtensionType.PRE_SHARED_KEY)
+        if psk_ext is not None:
+            if self.psk_in_use is None:
+                raise UnsupportedExtension("pre_shared_key in a ServerHello to a ClientHello without one")
+            if messages.parse_pre_shared_key_server(psk_ext.data) != 0:  # RFC 8446 section 4.2.11
+                raise IllegalParameter("server selected a PSK identity we did not offer")
         if sh.cipher_suite != int(self.suite):
             if psk_ext is not None:  # RFC 8446 section 4.2.11
                 raise IllegalParameter("PSK acceptance requires the PSK's suite")

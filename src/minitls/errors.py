@@ -129,6 +129,13 @@ class MissingExtension(ProtocolError):
     code = 109
 
 
+class UnsupportedExtension(ProtocolError):
+    """An extension response to no request of this side's (RFC 8446 section 4.2)."""
+
+    alert = "unsupported_extension"
+    code = 110
+
+
 class HandshakeTimeout(ProtocolError):
     alert = "handshake_timeout"
 

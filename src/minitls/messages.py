@@ -239,6 +239,13 @@ def ext_pre_shared_key_server(selected_identity: int) -> Extension:
     return Extension(ExtensionType.PRE_SHARED_KEY, struct.pack("!H", selected_identity))
 
 
+def parse_pre_shared_key_server(data: bytes) -> int:
+    r = Reader(data)
+    selected_identity = r.uint(2)
+    r.expect_end("pre_shared_key")
+    return selected_identity
+
+
 def ext_early_data() -> Extension:
     return Extension(ExtensionType.EARLY_DATA, b"")
 

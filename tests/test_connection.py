@@ -27,7 +27,7 @@ from minitls.messages import HandshakeType, PskMode
 from minitls.profiles import AuthMode, PskCredential
 from minitls.records import MAX_PLAINTEXT, ContentType, TrafficKeys
 from minitls.reliability import RECV_WINDOW_MSGS, DtlsReliability
-from minitls.simnet import CLIENT, NetConfig
+from minitls.simnet import CLIENT, SERVER, NetConfig
 
 from .harness import (
     Pair,
@@ -450,6 +450,16 @@ SERVER_HELLO_CHECKS = {
         rewrite_server_message("server_hello", lambda sh: drop_extension(sh, messages.ExtensionType.KEY_SHARE)),
         "unexpected_message", 10,
     ),
+    "psk-identity-not-offered": (  # RFC 8446 section 4.2.11: the client offered one identity
+        AuthMode.PSK, None,
+        rewrite_server_message("server_hello", lambda sh: set_extension(sh, messages.ext_pre_shared_key_server(1))),
+        "illegal_parameter", 47,
+    ),
+    "psk-never-offered": (  # RFC 8446 section 4.2
+        AuthMode.PK_SERVER_ONLY, None,
+        rewrite_server_message("server_hello", lambda sh: set_extension(sh, messages.ext_pre_shared_key_server(0))),
+        "unsupported_extension", 110,
+    ),
     "early-data-never-sent": (
         AuthMode.PSK, None,
         rewrite_server_message("encrypted_extensions", lambda ee: set_extension(ee, messages.ext_early_data())),
@@ -607,17 +617,33 @@ def test_server_refuses_a_client_hello_without_this_version_or_psk_modes(case, p
     assert pair.client.failure == "peer_alert" and pair.client.event_log[-1].detail["code"] == code
 
 
-def test_retried_client_hello_keeps_its_legacy_session_id():
+def dtls_client_hello(datagram):
+    """The ClientHello in the first record of ``datagram``, whole in one fragment."""
+    _, _, payload, _ = records.parse_dtls_plaintext(bytes(datagram), 0)
+    return messages.decode_handshake(messages.parse_dtls_fragment(payload)[0].to_tls_form())
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS, ids=["tls-compat", "dtls-dos"])
+def test_retried_client_hello_keeps_its_legacy_session_id(protocol):
     # RFC 8446 section 4.1.2: the ClientHello that answers a HelloRetryRequest
-    # changes only the key share, early_data, cookie, pre_shared_key and padding
-    client_cfg, _, _ = make_configs(Protocol.TLS, AuthMode.PSK, seed=77, compat=True)
-    client = Connection(client_cfg, "client", random.Random(77))
-    first = messages.decode_handshake(client.start(0)[0].data[5:])
-    hrr = messages.build_hello_retry_request(int(client.suite), bytes(8), first.legacy_session_id)
-    retry = client.handle(records.encode_tls_plaintext(ContentType.HANDSHAKE, messages.tls_form(hrr)), 10)
-    second = messages.decode_handshake(retry[0].data[5:])
-    assert client.hrr_done and len(first.legacy_session_id) == 32
+    # changes only the key share, early_data, cookie, pre_shared_key and padding;
+    # a TLS client in compatibility mode sends a 32-byte legacy_session_id
+    if protocol == Protocol.TLS:
+        client_cfg, _, _ = make_configs(Protocol.TLS, AuthMode.PSK, seed=77, compat=True)
+        client = Connection(client_cfg, "client", random.Random(77))
+        first = messages.decode_handshake(client.start(0)[0].data[5:])
+        hrr = messages.build_hello_retry_request(int(client.suite), bytes(8), first.legacy_session_id)
+        retry = client.handle(records.encode_tls_plaintext(ContentType.HANDSHAKE, messages.tls_form(hrr)), 10)
+        second = messages.decode_handshake(retry[0].data[5:])
+    else:  # the listener's stateless HelloRetryRequest
+        pair = dos_pair(seed=77)
+        client = pair.client
+        sent = client.start(0)[0].data
+        [hrr_rec] = pair.listener.receive(sent, "client:0", 0)
+        first, second = dtls_client_hello(sent), dtls_client_hello(client.handle(hrr_rec.data, 10)[0].data)
+    assert client.hrr_done and len(first.legacy_session_id) == (32 if protocol == Protocol.TLS else 0)
     assert second.legacy_session_id == first.legacy_session_id
+    assert second.random == first.random
 
 
 # (client mode, the psk_key_exchange_modes it lists, whether the server selects the PSK,
@@ -1509,8 +1535,7 @@ def test_flipped_cookie_dropped_without_allocation():
 
 def ch_cookie(datagram) -> bytes:
     """The cookie echoed by the ClientHello in the first record of ``datagram``."""
-    _, _, payload, _ = records.parse_dtls_plaintext(bytes(datagram), 0)
-    ch = messages.decode_handshake(messages.parse_dtls_fragment(payload)[0].to_tls_form())
+    ch = dtls_client_hello(datagram)
     return messages.parse_cookie(messages.find_extension(ch.extensions, messages.ExtensionType.COOKIE).data)
 
 
@@ -1531,6 +1556,23 @@ def test_misnumbered_or_malformed_cookie_retry_dropped_without_allocation(case):
         retry[at : at + 2] = int(case[-1]).to_bytes(2, "big")
     assert listener.receive(bytes(retry), "client:0", 20) == []
     assert listener.allocated == 0
+
+
+def test_dos_handshake_numbers_epoch_0_records_0_then_1_each_way():
+    # the cookieless ClientHello and the stateless HelloRetryRequest are record 0 of
+    # epoch 0, the retry and the ServerHello record 1 (after_stateless_hrr)
+    pair = dos_pair(seed=18)
+    plain = {CLIENT: [], SERVER: []}
+
+    def keep(endpoint, rec, now):
+        if rec.data[0] in (ContentType.HANDSHAKE, ContentType.ALERT):
+            plain[endpoint].append(records.parse_dtls_plaintext(rec.data, 0)[1])
+        return True
+
+    filter_sends(pair.driver, keep)
+    pair.run()
+    pair.assert_complete()
+    assert plain == {CLIENT: [0, 1], SERVER: [0, 1]}
 
 
 # (mode, the server's settings, the alert code the client reads)

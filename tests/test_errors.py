@@ -57,6 +57,7 @@ WIRE = {
     errors.CertificateRequired: "certificate_required",
     errors.ProtocolVersion: "protocol_version",
     errors.MissingExtension: "missing_extension",
+    errors.UnsupportedExtension: "unsupported_extension",
 }
 INTERNAL = [
     errors.ProtocolError,

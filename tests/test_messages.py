@@ -9,8 +9,34 @@ from minitls.connection import Connection
 from minitls.crypto import NamedGroup, Protocol, SignatureScheme, SuiteId
 from minitls.errors import DecodeError, InconsistentDuplicate
 from minitls.profiles import AuthMode
+from minitls.records import ContentType
 
 from .harness import make_configs
+
+# Every codepoint this package sends, from the registries: RFC 8446 section 4 and
+# appendix B.3, RFC 9146 (connection_id) and RFC 9147 (the ACK content type).  Both
+# sides share each constant, so only a table written from the RFCs catches a wrong one.
+CODEPOINTS = {
+    ContentType: {"CHANGE_CIPHER_SPEC": 20, "ALERT": 21, "HANDSHAKE": 22, "APPLICATION_DATA": 23, "ACK": 26},
+    m.HandshakeType: {
+        "CLIENT_HELLO": 1, "SERVER_HELLO": 2, "NEW_SESSION_TICKET": 4, "END_OF_EARLY_DATA": 5,
+        "ENCRYPTED_EXTENSIONS": 8, "CERTIFICATE": 11, "CERTIFICATE_REQUEST": 13, "CERTIFICATE_VERIFY": 15,
+        "FINISHED": 20, "MESSAGE_HASH": 254,
+    },
+    m.ExtensionType: {
+        "SERVER_NAME": 0, "SUPPORTED_GROUPS": 10, "SIGNATURE_ALGORITHMS": 13, "PRE_SHARED_KEY": 41,
+        "EARLY_DATA": 42, "SUPPORTED_VERSIONS": 43, "COOKIE": 44, "PSK_KEY_EXCHANGE_MODES": 45,
+        "KEY_SHARE": 51, "CONNECTION_ID": 54,
+    },
+    SignatureScheme: {"ECDSA_SECP256R1_SHA256": 0x0403, "ECDSA_SECP521R1_SHA512": 0x0603},
+    NamedGroup: {"SECP256R1": 0x0017, "SECP521R1": 0x0019},
+    m.PskMode: {"PSK_KE": 0, "PSK_DHE_KE": 1},
+}
+
+
+@pytest.mark.parametrize("registry", list(CODEPOINTS), ids=lambda registry: registry.__name__)
+def test_each_codepoint_is_the_rfcs(registry):
+    assert {member.name: member.value for member in registry} == CODEPOINTS[registry]
 
 
 def psk_client_hello(rng, binder_len: int = 32) -> m.ClientHello:
