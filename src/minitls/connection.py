@@ -862,9 +862,10 @@ class Connection:
         decision = negotiate(self.cfg, self.ticket_db, ch, now)
         self.params = crypto.suite_params(decision.suite)
         if self.ch1_digest is not None:  # the retry answers the listener's HelloRetryRequest, rebuilt here
-            if len(self.ch1_digest) != self.params.hash_len:  # RFC 8446 section 4.1.4
-                raise IllegalParameter("retried ClientHello gets a suite of another hash than its cookie's")
-            cookie = messages.parse_cookie(messages.find_extension(ch.extensions, ExtensionType.COOKIE).data)
+            cookie_ext = messages.find_extension(ch.extensions, ExtensionType.COOKIE)
+            if cookie_ext is None or len(self.ch1_digest) != self.params.hash_len:  # RFC 8446 sections 4.1.4, 4.2.2
+                raise IllegalParameter("retried ClientHello without its cookie, or of a suite of another hash")
+            cookie = messages.parse_cookie(cookie_ext.data)
             hrr = messages.build_hello_retry_request(int(self.suite), cookie, ch.legacy_session_id)
             self.transcript.restart(self.params.hash_alg, messages.tls_form(hrr), self.ch1_digest)
         psk, share = decision.psk, decision.share
@@ -1097,11 +1098,10 @@ class ServerListener:
         return conn
 
     def _accept_datagram(self, data: bytes, source: str, now: int) -> list:
-        """DTLS datagram from an unknown address: a connection is allocated only when
-        the first record carries a ClientHello fragment with message_seq 0, or with
-        ``dos`` a whole ClientHello with message_seq 1 whose cookie checks out
-        (RFC 9147 section 5.1).  The connection then reads the datagram itself.  With
-        ``dos``, a whole cookieless ClientHello gets the answer of ``_stateless_hrr``."""
+        """DTLS datagram from an unknown address.  Without ``dos`` a ClientHello fragment with
+        message_seq 0 gets a connection; with it a whole cookieless ClientHello gets the
+        answer of ``_stateless_hrr``, and one with message_seq 1 whose cookie checks out a
+        connection (RFC 9147 section 5.1).  The connection then reads the datagram itself."""
         try:
             ctype, _, payload, _ = records.parse_dtls_plaintext(data, 0)
             frag, _ = messages.parse_dtls_fragment(payload)

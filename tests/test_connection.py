@@ -1617,6 +1617,27 @@ def test_a_retry_whose_suite_hashes_otherwise_than_its_cookie_is_illegal(monkeyp
     assert pair.client.failure == "peer_alert" and pair.client.event_log[-1].detail["code"] == 47
 
 
+def test_a_cookieless_client_hello_to_an_allocated_connection_is_illegal():
+    # the retry that allocates the connection comes in epoch-0 record 0, which the
+    # stateless exchange used up, so the connection drops it; the cookieless
+    # ClientHello that follows cannot be the retry (RFC 8446 section 4.2.2)
+    pair = dos_pair(seed=21)
+    client, listener = pair.client, pair.listener
+    first = client.start(0)[0].data
+    [hrr_rec] = listener.receive(first, "client:0", 0)
+    retry = bytearray(client.handle(hrr_rec.data, 10)[0].data)
+    retry[5:11] = bytes(6)  # the record sequence number
+    listener.receive(bytes(retry), "client:0", 20)
+    [server] = listener.connections()
+    assert listener.allocated == 1 and not server.failed
+    cookieless = bytearray(first)
+    cookieless[5:11] = (2).to_bytes(6, "big")
+    at = records.DTLS12_RECORD_HEADER_LEN + 4  # the fragment's message_seq
+    cookieless[at : at + 2] = (1).to_bytes(2, "big")
+    listener.receive(bytes(cookieless), "client:0", 30)
+    assert (server.failure, server.failed_from) == ("illegal_parameter", "start")
+
+
 def test_client_forgets_hrr_record_after_retry():
     # the retried ClientHello answers the HelloRetryRequest, so no later
     # client ACK lists the stateless HRR's record
