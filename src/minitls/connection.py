@@ -188,29 +188,29 @@ def negotiate(cfg: ConnConfig, ticket_db: dict, ch, now: int) -> Decision:
     needs no key, in order: version, suite, key share, PSK modes and identity, certificate
     fallback.  Raises the refusal.  An accepted PSK takes the most-preferred shared suite of
     its binder's hash (RFC 8446 section 4.2.11).  Its one write drops an expired ticket."""
-    versions = messages.find_extension(ch.extensions, ExtensionType.SUPPORTED_VERSIONS)
-    if versions is None or messages.TLS13_VERSION not in messages.parse_supported_versions_client(versions.data):
+    versions = ch.extensions.get(ExtensionType.SUPPORTED_VERSIONS)
+    if versions is None or messages.TLS13_VERSION not in messages.parse_supported_versions_client(versions):
         raise ProtocolVersion("ClientHello does not offer this version")  # RFC 8446 section 4.2.1
     shared = [suite for suite in cfg.suites if suite in ch.cipher_suites]
     if not shared:
         raise HandshakeFailure("no common cipher suite")
     share = None
-    share_ext = messages.find_extension(ch.extensions, ExtensionType.KEY_SHARE)
+    share_ext = ch.extensions.get(ExtensionType.KEY_SHARE)
     if share_ext is not None:
-        entries = messages.parse_key_share_client(share_ext.data)
+        entries = messages.parse_key_share_client(share_ext)
         share = next(((crypto.NamedGroup(g), pub) for g, pub in entries if g in cfg.groups), None)
         if share is None:
             raise HandshakeFailure("no offered key-share group is enabled here")
     psk, dhe, age, binder = None, False, 0, b""
-    offer = messages.find_extension(ch.extensions, ExtensionType.PRE_SHARED_KEY)
+    offer = ch.extensions.get(ExtensionType.PRE_SHARED_KEY)
     if offer is not None:
-        modes_ext = messages.find_extension(ch.extensions, ExtensionType.PSK_KEY_EXCHANGE_MODES)
+        modes_ext = ch.extensions.get(ExtensionType.PSK_KEY_EXCHANGE_MODES)
         if modes_ext is None:
             raise MissingExtension("pre_shared_key without psk_key_exchange_modes")  # RFC 8446 section 4.2.9
-        modes = messages.parse_psk_modes(modes_ext.data)
+        modes = messages.parse_psk_modes(modes_ext)
         dhe = share is not None and PskMode.PSK_DHE_KE in modes
         if dhe or PskMode.PSK_KE in modes:  # else no mode the client allows fits its offer
-            identity, age, binder = messages.parse_pre_shared_key_offer(offer.data)
+            identity, age, binder = messages.parse_pre_shared_key_offer(offer)
             psk = ticket_db.get(identity)
             if psk is not None and now - psk.issued_at > TICKET_LIFETIME_S * 1000:
                 del ticket_db[identity]
@@ -516,11 +516,11 @@ class Connection:
             self.client_random = self.rng.randbytes(32)
             if cfg.compat and self.protocol == Protocol.TLS:
                 self.legacy_session_id = self.rng.randbytes(32)
-        ch = messages.ClientHello(self.client_random, self.legacy_session_id, [int(s) for s in cfg.suites], exts)
+        ch = messages.ClientHello(self.client_random, self.legacy_session_id, [int(s) for s in cfg.suites], dict(exts))
         self._new_schedule(psk)
         if psk is not None:
             binder = self.ks.compute_binder(self.transcript.binder_digest(messages.tls_form(ch), self.params))
-            ch.extensions[-1] = messages.ext_pre_shared_key_offer(psk.identity, age, binder)
+            ch.extensions.update([messages.ext_pre_shared_key_offer(psk.identity, age, binder)])
         out = self._emit(ch, EPOCH_PLAIN, now)
         self.phase = Phase.WAIT_SH
         if self.early_offered:
@@ -734,10 +734,10 @@ class Connection:
         if self.hrr_done:
             raise UnexpectedMessage("second HelloRetryRequest")
         self.hrr_done = True
-        cookie_ext = messages.find_extension(hrr.extensions, ExtensionType.COOKIE)
+        cookie_ext = hrr.extensions.get(ExtensionType.COOKIE)
         if cookie_ext is None:
             raise UnexpectedMessage("HelloRetryRequest without a cookie")
-        cookie = messages.parse_cookie(cookie_ext.data)
+        cookie = messages.parse_cookie(cookie_ext)
         if hrr.cipher_suite not in [int(s) for s in self.cfg.suites]:
             raise IllegalParameter("HelloRetryRequest picked a suite we did not offer")
         self.params = crypto.suite_params(hrr.cipher_suite)  # ClientHello1 is hashed with it (RFC 8446 section 4.4.1)
@@ -752,10 +752,10 @@ class Connection:
 
     def _client_handle_sh(self, sh, raw: bytes, now: int) -> list:
         # a HelloRetryRequest too: RFC 8446 sections 4.1.3 and 4.2.1
-        versions = messages.find_extension(sh.extensions, ExtensionType.SUPPORTED_VERSIONS)
+        versions = sh.extensions.get(ExtensionType.SUPPORTED_VERSIONS)
         if versions is None:
             raise ProtocolVersion("ServerHello without supported_versions")
-        if messages.parse_supported_versions_server(versions.data) != messages.TLS13_VERSION:
+        if messages.parse_supported_versions_server(versions) != messages.TLS13_VERSION:
             raise IllegalParameter("ServerHello selects a version we did not offer")
         if sh.legacy_session_id_echo != self.legacy_session_id:
             raise IllegalParameter("ServerHello echoes another legacy_session_id")
@@ -763,11 +763,11 @@ class Connection:
             return self._client_handle_hrr(sh, raw, now)
         if sh.cipher_suite not in [int(s) for s in self.cfg.suites]:  # RFC 8446 section 4.1.3
             raise IllegalParameter("server picked a suite we did not offer")
-        psk_ext = messages.find_extension(sh.extensions, ExtensionType.PRE_SHARED_KEY)
+        psk_ext = sh.extensions.get(ExtensionType.PRE_SHARED_KEY)
         if psk_ext is not None:
             if self.psk_in_use is None:
                 raise UnsupportedExtension("pre_shared_key in a ServerHello to a ClientHello without one")
-            if messages.parse_pre_shared_key_server(psk_ext.data) != 0:  # RFC 8446 section 4.2.11
+            if messages.parse_pre_shared_key_server(psk_ext) != 0:  # RFC 8446 section 4.2.11
                 raise IllegalParameter("server selected a PSK identity we did not offer")
         if sh.cipher_suite != int(self.suite):
             if psk_ext is not None:  # RFC 8446 section 4.2.11
@@ -785,18 +785,18 @@ class Connection:
             self._new_schedule()
 
         dh = None
-        share_ext = messages.find_extension(sh.extensions, ExtensionType.KEY_SHARE)
+        share_ext = sh.extensions.get(ExtensionType.KEY_SHARE)
         if share_ext is not None:
-            group, server_pub = messages.parse_key_share_server(share_ext.data)
+            group, server_pub = messages.parse_key_share_server(share_ext)
             if self.dh_priv is None or group != int(self.cfg.groups[0]):
                 raise HandshakeFailure("server share for a group we did not offer")
             dh = self._shared(self.dh_priv, server_pub)
         elif self.dh_priv is not None:
             raise UnexpectedMessage("expected a key_share in ServerHello")
 
-        cid_ext = messages.find_extension(sh.extensions, ExtensionType.CONNECTION_ID)
+        cid_ext = sh.extensions.get(ExtensionType.CONNECTION_ID)
         if cid_ext is not None:
-            self.cid_peer = messages.parse_connection_id(cid_ext.data) or None
+            self.cid_peer = messages.parse_connection_id(cid_ext) or None
 
         self.ks.advance_handshake(dh, self.transcript.digest(self.params.hash_alg))
         self._install(EPOCH_HANDSHAKE, "read", self.ks.secret("s_hs"))
@@ -807,7 +807,7 @@ class Connection:
 
     def _client_handle_ee(self, ee, raw: bytes, now: int) -> list:
         self.transcript.append(raw)
-        accepted = messages.find_extension(ee.extensions, ExtensionType.EARLY_DATA) is not None
+        accepted = ExtensionType.EARLY_DATA in ee.extensions
         if accepted and not self.early_offered:
             raise UnexpectedMessage("server accepted early data we never sent")
         self.early_accepted = accepted
@@ -862,14 +862,14 @@ class Connection:
         decision = negotiate(self.cfg, self.ticket_db, ch, now)
         self.params = crypto.suite_params(decision.suite)
         if self.ch1_digest is not None:  # the retry answers the listener's HelloRetryRequest, rebuilt here
-            cookie_ext = messages.find_extension(ch.extensions, ExtensionType.COOKIE)
+            cookie_ext = ch.extensions.get(ExtensionType.COOKIE)
             if cookie_ext is None or len(self.ch1_digest) != self.params.hash_len:  # RFC 8446 sections 4.1.4, 4.2.2
                 raise IllegalParameter("retried ClientHello without its cookie, or of a suite of another hash")
-            cookie = messages.parse_cookie(cookie_ext.data)
+            cookie = messages.parse_cookie(cookie_ext)
             hrr = messages.build_hello_retry_request(int(self.suite), cookie, ch.legacy_session_id)
             self.transcript.restart(self.params.hash_alg, messages.tls_form(hrr), self.ch1_digest)
         psk, share = decision.psk, decision.share
-        offered_early = messages.find_extension(ch.extensions, ExtensionType.EARLY_DATA) is not None
+        offered_early = ExtensionType.EARLY_DATA in ch.extensions
         if psk is not None:
             self._new_schedule(psk)
             binder = self.ks.compute_binder(self.transcript.binder_digest(raw, self.params))
@@ -890,9 +890,9 @@ class Connection:
         request_cert = psk is None and self.cfg.peer_ec is not None
 
         exts = [messages.ext_supported_versions_server()]
-        cid_ext = messages.find_extension(ch.extensions, ExtensionType.CONNECTION_ID)
+        cid_ext = ch.extensions.get(ExtensionType.CONNECTION_ID)
         if cid_ext is not None:
-            self.cid_peer = messages.parse_connection_id(cid_ext.data) or None
+            self.cid_peer = messages.parse_connection_id(cid_ext) or None
             cid = self._advertised_cid()
             if cid is not None:
                 exts.append(messages.ext_connection_id(cid))
@@ -909,17 +909,17 @@ class Connection:
         else:
             exts.append(messages.ext_pre_shared_key_server(0))
 
-        sh = messages.ServerHello(self.rng.randbytes(32), ch.legacy_session_id, int(self.suite), exts)
+        sh = messages.ServerHello(self.rng.randbytes(32), ch.legacy_session_id, int(self.suite), dict(exts))
         out = self._emit(sh, EPOCH_PLAIN, now)
         self.ks.advance_handshake(dh, self.transcript.digest(self.params.hash_alg))
         self._install(EPOCH_HANDSHAKE, "write", self.ks.secret("s_hs"))
         self._install(EPOCH_HANDSHAKE, "read", self.ks.secret("c_hs"))
         out += self._fake_ccs()
         ee_exts = [messages.ext_early_data()] if self.early_accepted else []
-        out += self._emit(messages.EncryptedExtensions(ee_exts), EPOCH_HANDSHAKE, now)
+        out += self._emit(messages.EncryptedExtensions(dict(ee_exts)), EPOCH_HANDSHAKE, now)
         if request_cert:
             sig_algs = messages.ext_signature_algorithms([int(s) for s in self._scheme_list()])
-            out += self._emit(messages.CertificateRequest(b"", [sig_algs]), EPOCH_HANDSHAKE, now)
+            out += self._emit(messages.CertificateRequest(b"", dict([sig_algs])), EPOCH_HANDSHAKE, now)
         out += self._own_flight(with_cert=psk is None, now=now)
 
         self.ks.advance_master(self.transcript.digest(self.params.hash_alg))
@@ -962,7 +962,7 @@ class Connection:
         psk = self.ks.resumption_psk(nonce)
         self.ticket_db[ticket_id] = TicketState(ticket_id, psk, self.suite, age_add, now)
         nst = messages.NewSessionTicket(
-            TICKET_LIFETIME_S, age_add, nonce, ticket_id, [messages.ext_early_data_ticket(MAX_EARLY_DATA)]
+            TICKET_LIFETIME_S, age_add, nonce, ticket_id, dict([messages.ext_early_data_ticket(MAX_EARLY_DATA)])
         )
         self._event(now, EventKind.TICKET, ticket=ticket_id.hex())
         return self._emit(nst, EPOCH_APP, now)
@@ -1113,8 +1113,8 @@ class ServerListener:
                 return []
             raw = frag.to_tls_form()
             ch = messages.decode_handshake(raw)
-            cookie_ext = messages.find_extension(ch.extensions, ExtensionType.COOKIE)
-            cookie = None if cookie_ext is None else messages.parse_cookie(cookie_ext.data)
+            cookie_ext = ch.extensions.get(ExtensionType.COOKIE)
+            cookie = None if cookie_ext is None else messages.parse_cookie(cookie_ext)
         except ProtocolError:
             return []  # not a plausible first flight: silently dropped
         if cookie is None:

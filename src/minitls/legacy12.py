@@ -105,7 +105,7 @@ def model_messages(
         ]
         if sni:
             shared.append(messages.ext_server_name(sni))
-        ch_exts = EC_POINT_FORMATS_EXT + sum(len(ext.encode()) for ext in shared)
+        ch_exts = EC_POINT_FORMATS_EXT + sum(_ext(len(data)) for _, data in shared)
 
     def add(name, direction, size):
         rows.append((name, direction, size))

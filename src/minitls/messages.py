@@ -98,42 +98,24 @@ def _u16list(values) -> bytes:
 # --- extensions ---------------------------------------------------------------
 
 
-@dataclass
-class Extension:
-    ext_type: int
-    data: bytes
-
-    def encode(self) -> bytes:
-        return struct.pack("!H", self.ext_type) + _vec(2, self.data)
-
-
-def _decode_extensions(r: Reader) -> list:
-    exts = []
-    seen = set()
+def _decode_extensions(r: Reader) -> dict:
+    """An extension block as ``{type: data}`` in wire order; each type at most once (RFC 8446 section 4.2)."""
+    exts = {}
     block = Reader(r.vec(2))
     while block.remaining:
-        ext_type = block.uint(2)
-        data = block.vec(2)
-        if ext_type in seen:
+        ext_type, data = block.uint(2), block.vec(2)
+        if ext_type in exts:
             raise DecodeError(f"duplicate extension {ext_type}")
-        seen.add(ext_type)
-        exts.append(Extension(ext_type, data))
+        exts[ext_type] = data
     return exts
 
 
-def _encode_extensions(exts) -> bytes:
-    return _vec(2, b"".join(e.encode() for e in exts))
+def _encode_extensions(exts: dict) -> bytes:
+    return _vec(2, b"".join(struct.pack("!H", t) + _vec(2, data) for t, data in exts.items()))
 
 
-def find_extension(exts, ext_type):
-    for e in exts:
-        if e.ext_type == ext_type:
-            return e
-    return None
-
-
-def ext_supported_versions_client() -> Extension:
-    return Extension(ExtensionType.SUPPORTED_VERSIONS, _vec(1, struct.pack("!H", TLS13_VERSION)))
+def ext_supported_versions_client() -> tuple:
+    return ExtensionType.SUPPORTED_VERSIONS, _vec(1, struct.pack("!H", TLS13_VERSION))
 
 
 def parse_supported_versions_client(data: bytes) -> list:
@@ -146,8 +128,8 @@ def parse_supported_versions_client(data: bytes) -> list:
     return versions
 
 
-def ext_supported_versions_server() -> Extension:
-    return Extension(ExtensionType.SUPPORTED_VERSIONS, struct.pack("!H", TLS13_VERSION))
+def ext_supported_versions_server() -> tuple:
+    return ExtensionType.SUPPORTED_VERSIONS, struct.pack("!H", TLS13_VERSION)
 
 
 def parse_supported_versions_server(data: bytes) -> int:
@@ -157,21 +139,21 @@ def parse_supported_versions_server(data: bytes) -> int:
     return version
 
 
-def ext_server_name(host: str) -> Extension:
+def ext_server_name(host: str) -> tuple:
     entry = b"\x00" + _vec(2, host.encode("ascii"))
-    return Extension(ExtensionType.SERVER_NAME, _vec(2, entry))
+    return ExtensionType.SERVER_NAME, _vec(2, entry)
 
 
-def ext_supported_groups(groups) -> Extension:
-    return Extension(ExtensionType.SUPPORTED_GROUPS, _vec(2, _u16list(groups)))
+def ext_supported_groups(groups) -> tuple:
+    return ExtensionType.SUPPORTED_GROUPS, _vec(2, _u16list(groups))
 
 
-def ext_signature_algorithms(schemes) -> Extension:
-    return Extension(ExtensionType.SIGNATURE_ALGORITHMS, _vec(2, _u16list(schemes)))
+def ext_signature_algorithms(schemes) -> tuple:
+    return ExtensionType.SIGNATURE_ALGORITHMS, _vec(2, _u16list(schemes))
 
 
-def ext_psk_modes(modes) -> Extension:
-    return Extension(ExtensionType.PSK_KEY_EXCHANGE_MODES, _vec(1, bytes(modes)))
+def ext_psk_modes(modes) -> tuple:
+    return ExtensionType.PSK_KEY_EXCHANGE_MODES, _vec(1, bytes(modes))
 
 
 def parse_psk_modes(data: bytes) -> bytes:
@@ -181,9 +163,9 @@ def parse_psk_modes(data: bytes) -> bytes:
     return modes
 
 
-def ext_key_share_client(entries) -> Extension:
+def ext_key_share_client(entries) -> tuple:
     body = b"".join(struct.pack("!H", g) + _vec(2, pub) for g, pub in entries)
-    return Extension(ExtensionType.KEY_SHARE, _vec(2, body))
+    return ExtensionType.KEY_SHARE, _vec(2, body)
 
 
 def parse_key_share_client(data: bytes) -> list:
@@ -197,8 +179,8 @@ def parse_key_share_client(data: bytes) -> list:
     return entries
 
 
-def ext_key_share_server(group: int, pub: bytes) -> Extension:
-    return Extension(ExtensionType.KEY_SHARE, struct.pack("!H", group) + _vec(2, pub))
+def ext_key_share_server(group: int, pub: bytes) -> tuple:
+    return ExtensionType.KEY_SHARE, struct.pack("!H", group) + _vec(2, pub)
 
 
 def parse_key_share_server(data: bytes):
@@ -209,10 +191,10 @@ def parse_key_share_server(data: bytes):
     return group, pub
 
 
-def ext_pre_shared_key_offer(identity: bytes, obfuscated_ticket_age: int, binder: bytes) -> Extension:
+def ext_pre_shared_key_offer(identity: bytes, obfuscated_ticket_age: int, binder: bytes) -> tuple:
     identities = _vec(2, _vec(2, identity) + struct.pack("!I", obfuscated_ticket_age))
     binders = _vec(2, _vec(1, binder))
-    return Extension(ExtensionType.PRE_SHARED_KEY, identities + binders)
+    return ExtensionType.PRE_SHARED_KEY, identities + binders
 
 
 def parse_pre_shared_key_offer(data: bytes):
@@ -235,8 +217,8 @@ def binder_prefix(raw_tls_form: bytes, hash_len: int) -> bytes:
     return raw_tls_form[: len(raw_tls_form) - (2 + 1 + hash_len)]
 
 
-def ext_pre_shared_key_server(selected_identity: int) -> Extension:
-    return Extension(ExtensionType.PRE_SHARED_KEY, struct.pack("!H", selected_identity))
+def ext_pre_shared_key_server(selected_identity: int) -> tuple:
+    return ExtensionType.PRE_SHARED_KEY, struct.pack("!H", selected_identity)
 
 
 def parse_pre_shared_key_server(data: bytes) -> int:
@@ -246,16 +228,16 @@ def parse_pre_shared_key_server(data: bytes) -> int:
     return selected_identity
 
 
-def ext_early_data() -> Extension:
-    return Extension(ExtensionType.EARLY_DATA, b"")
+def ext_early_data() -> tuple:
+    return ExtensionType.EARLY_DATA, b""
 
 
-def ext_early_data_ticket(max_early_data: int) -> Extension:
-    return Extension(ExtensionType.EARLY_DATA, struct.pack("!I", max_early_data))
+def ext_early_data_ticket(max_early_data: int) -> tuple:
+    return ExtensionType.EARLY_DATA, struct.pack("!I", max_early_data)
 
 
-def ext_cookie(cookie: bytes) -> Extension:
-    return Extension(ExtensionType.COOKIE, _vec(2, cookie))
+def ext_cookie(cookie: bytes) -> tuple:
+    return ExtensionType.COOKIE, _vec(2, cookie)
 
 
 def parse_cookie(data: bytes) -> bytes:
@@ -265,8 +247,8 @@ def parse_cookie(data: bytes) -> bytes:
     return cookie
 
 
-def ext_connection_id(cid: bytes) -> Extension:
-    return Extension(ExtensionType.CONNECTION_ID, _vec(1, cid))
+def ext_connection_id(cid: bytes) -> tuple:
+    return ExtensionType.CONNECTION_ID, _vec(1, cid)
 
 
 def parse_connection_id(data: bytes) -> bytes:
@@ -285,7 +267,7 @@ class ClientHello:
     random: bytes
     legacy_session_id: bytes
     cipher_suites: list
-    extensions: list = field(default_factory=list)
+    extensions: dict = field(default_factory=dict)
 
     def encode_body(self) -> bytes:
         return (
@@ -312,9 +294,8 @@ class ClientHello:
             raise DecodeError("unsupported compression methods")
         exts = _decode_extensions(r)
         r.expect_end("ClientHello")
-        for i, e in enumerate(exts):
-            if e.ext_type == ExtensionType.PRE_SHARED_KEY and i != len(exts) - 1:
-                raise DecodeError("pre_shared_key is not the final extension")
+        if ExtensionType.PRE_SHARED_KEY in exts and next(reversed(exts)) != ExtensionType.PRE_SHARED_KEY:
+            raise DecodeError("pre_shared_key is not the final extension")
         return cls(random, session_id, suites, exts)
 
 
@@ -324,7 +305,7 @@ class ServerHello:
     random: bytes
     legacy_session_id_echo: bytes
     cipher_suite: int
-    extensions: list = field(default_factory=list)
+    extensions: dict = field(default_factory=dict)
 
     def encode_body(self) -> bytes:
         return (
@@ -354,7 +335,7 @@ class ServerHello:
 @dataclass
 class EncryptedExtensions:
     MSG_TYPE = HandshakeType.ENCRYPTED_EXTENSIONS
-    extensions: list = field(default_factory=list)
+    extensions: dict = field(default_factory=dict)
 
     def encode_body(self) -> bytes:
         return _encode_extensions(self.extensions)
@@ -393,7 +374,7 @@ class Certificate:
 class CertificateRequest:
     MSG_TYPE = HandshakeType.CERTIFICATE_REQUEST
     request_context: bytes = b""
-    extensions: list = field(default_factory=list)
+    extensions: dict = field(default_factory=dict)
 
     def encode_body(self) -> bytes:
         return _vec(1, self.request_context) + _encode_extensions(self.extensions)
@@ -445,7 +426,7 @@ class NewSessionTicket:
     age_add: int
     nonce: bytes
     ticket: bytes
-    extensions: list = field(default_factory=list)
+    extensions: dict = field(default_factory=dict)
 
     def encode_body(self) -> bytes:
         return (
@@ -629,8 +610,7 @@ class FragmentBuffer:
 
 
 def build_hello_retry_request(suite: int, cookie: bytes, session_id_echo: bytes = b"") -> ServerHello:
-    exts = [ext_supported_versions_server(), ext_cookie(cookie)]
-    return ServerHello(HRR_RANDOM, session_id_echo, suite, exts)
+    return ServerHello(HRR_RANDOM, session_id_echo, suite, dict([ext_supported_versions_server(), ext_cookie(cookie)]))
 
 
 def is_hello_retry_request(sh: ServerHello) -> bool:

@@ -101,7 +101,7 @@ def sent_hellos(conn) -> list:
 
 
 def extension_types(msg) -> list:
-    return [ext.ext_type for ext in msg.extensions]
+    return list(msg.extensions)
 
 
 @pytest.mark.parametrize("compat", [False, True], ids=["plain", "compat"])
@@ -116,9 +116,9 @@ def test_hellos_each_side_sends(mode, protocol, compat):
     assert len(ch.legacy_session_id) == (32 if compat and protocol == Protocol.TLS else 0)
     assert sh.legacy_session_id_echo == ch.legacy_session_id
     if mode in (AuthMode.PK_SERVER_ONLY, AuthMode.PK_MUTUAL):
-        [(_, share)] = messages.parse_key_share_client(messages.find_extension(ch.extensions, SHARE).data)
+        [(_, share)] = messages.parse_key_share_client(ch.extensions[SHARE])
         assert len(share) == 65
-        sni = messages.find_extension(ch.extensions, SNI).data
+        sni = ch.extensions[SNI]
         assert sni == b"\x00\x0e" + b"\x00" + b"\x00\x0b" + b"iot.example"  # one host_name entry
 
 
@@ -132,8 +132,8 @@ def test_hellos_with_connection_ids_after_a_cookie_exchange():
     assert extension_types(hrr) == [SV, COOKIE]
     assert extension_types(ch) == [SV, GROUPS, SIG_ALGS, SNI, CID, COOKIE, SHARE]
     assert extension_types(sh) == [SV, CID, SHARE]
-    assert messages.parse_connection_id(messages.find_extension(ch.extensions, CID).data) == b""
-    assert len(messages.parse_connection_id(messages.find_extension(sh.extensions, CID).data)) == 4
+    assert messages.parse_connection_id(ch.extensions[CID]) == b""
+    assert len(messages.parse_connection_id(sh.extensions[CID])) == 4
 
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)
@@ -417,11 +417,13 @@ def rewrite_server_message(target, edit):
 
 
 def set_extension(msg, ext):
-    msg.extensions = [e for e in msg.extensions if e.ext_type != ext.ext_type] + [ext]
+    """Put the ``(type, data)`` pair ``ext`` last in ``msg``'s extensions, in place of any of its type."""
+    drop_extension(msg, ext[0])
+    msg.extensions.update([ext])
 
 
 def drop_extension(msg, ext_type):
-    msg.extensions = [e for e in msg.extensions if e.ext_type != ext_type]
+    msg.extensions.pop(ext_type, None)
 
 
 TWO_SUITES = (SuiteId.AES_128_CCM_SHA256, SuiteId.AES_256_CCM_SHA384)
@@ -536,7 +538,7 @@ def test_hello_retry_request_with_a_suite_not_offered_rejected(protocol, monkeyp
 def supported_versions(*versions):
     """A ClientHello's supported_versions (RFC 8446 section 4.2.1) listing ``versions``."""
     body = b"".join(v.to_bytes(2, "big") for v in versions)
-    return messages.Extension(messages.ExtensionType.SUPPORTED_VERSIONS, bytes([len(body)]) + body)
+    return messages.ExtensionType.SUPPORTED_VERSIONS, bytes([len(body)]) + body
 
 
 # (the edit of the server's hello, the alert the client ends with, the code the server reads)
@@ -546,9 +548,7 @@ SERVER_VERSION_CHECKS = {
         "protocol_version", 70,
     ),
     "version-not-offered": (  # RFC 8446 section 4.2.1
-        lambda hello: set_extension(
-            hello, messages.Extension(messages.ExtensionType.SUPPORTED_VERSIONS, (0x0303).to_bytes(2, "big"))
-        ),
+        lambda hello: set_extension(hello, (messages.ExtensionType.SUPPORTED_VERSIONS, (0x0303).to_bytes(2, "big"))),
         "illegal_parameter", 47,
     ),
     "another-session-id": (  # RFC 8446 section 4.1.3
@@ -606,9 +606,9 @@ def test_server_refuses_a_client_hello_without_this_version_or_psk_modes(case, p
         if name != "client_hello":
             return None
         ch = messages.decode_handshake(raw)
-        psk = ch.extensions.pop()  # pre_shared_key stays last
+        psk = ch.extensions.popitem()  # pre_shared_key stays last
         edit(ch)
-        ch.extensions.append(psk)
+        ch.extensions.update([psk])
         return messages.tls_form(ch)
 
     tamper_on_wire(monkeypatch, "client", tamper)
@@ -1517,7 +1517,7 @@ def test_flipped_cookie_dropped_without_allocation():
     assert listener.allocated == 0
     _, _, payload, _ = parse_dtls_plaintext(hrr_rec.data, 0)
     hrr = m.decode_handshake(m.parse_dtls_fragment(payload)[0].to_tls_form())
-    cookie = m.parse_cookie(m.find_extension(hrr.extensions, m.ExtensionType.COOKIE).data)
+    cookie = m.parse_cookie(hrr.extensions[m.ExtensionType.COOKIE])
 
     retry = client.handle(hrr_rec.data, 10)
     data = bytearray(retry[0].data)
@@ -1536,7 +1536,7 @@ def test_flipped_cookie_dropped_without_allocation():
 def ch_cookie(datagram) -> bytes:
     """The cookie echoed by the ClientHello in the first record of ``datagram``."""
     ch = dtls_client_hello(datagram)
-    return messages.parse_cookie(messages.find_extension(ch.extensions, messages.ExtensionType.COOKIE).data)
+    return messages.parse_cookie(ch.extensions[messages.ExtensionType.COOKIE])
 
 
 @pytest.mark.parametrize("case", ["malformed_cookie_body", "message_seq_0", "message_seq_3"])
@@ -1806,7 +1806,7 @@ def test_no_early_data_after_a_tls_hello_retry_request(monkeypatch):
     assert sent == ["client_hello", "early_data", "client_hello"]
     retried = messages.decode_handshake(pair.client.transcript.messages[2])
     assert retried.MSG_TYPE == HandshakeType.CLIENT_HELLO
-    assert messages.find_extension(retried.extensions, messages.ExtensionType.EARLY_DATA) is None
+    assert messages.ExtensionType.EARLY_DATA not in retried.extensions
 
 
 def test_duplicated_early_datagram_delivered_once():

@@ -105,7 +105,7 @@ def test_client_hello_fields_shared_with_1_3_are_priced_as_the_1_3_client_sends_
     pair = run_handshake(Protocol.TLS, AuthMode.PK_SERVER_ONLY, seed=1)
     ch = messages.decode_handshake(pair.client.transcript.messages[0])
     kinds = (ExtensionType.SERVER_NAME, ExtensionType.SUPPORTED_GROUPS, ExtensionType.SIGNATURE_ALGORITHMS)
-    sent = sum(len(ext.encode()) for ext in ch.extensions if ext.ext_type in kinds)
+    sent = sum(2 + 2 + len(data) for ext_type, data in ch.extensions.items() if ext_type in kinds)  # type, length, body
 
     def client_hello(mode, **kw):
         return legacy12.model_messages("tls", mode, **kw)[0][2]

@@ -46,7 +46,7 @@ def psk_client_hello(rng, binder_len: int = 32) -> m.ClientHello:
         m.ext_psk_modes([m.PskMode.PSK_KE]),
         m.ext_pre_shared_key_offer(b"id", 0, bytes(binder_len)),
     ]
-    return m.ClientHello(rng.randbytes(32), b"", [SuiteId.AES_128_CCM_SHA256], exts)
+    return m.ClientHello(rng.randbytes(32), b"", [SuiteId.AES_128_CCM_SHA256], dict(exts))
 
 
 def certificate(der: bytes) -> m.Certificate:
@@ -59,47 +59,47 @@ def sample_messages():
         rng.randbytes(32),
         b"",
         [SuiteId.AES_128_CCM_SHA256],
-        [
+        dict([
             m.ext_supported_versions_client(),
             m.ext_psk_modes([m.PskMode.PSK_KE]),
             m.ext_pre_shared_key_offer(b"client-psk-1", 0x11223344, bytes(32)),
-        ],
+        ]),
     )
     ch_pk = m.ClientHello(
         rng.randbytes(32),
         rng.randbytes(32),
         [SuiteId.AES_128_CCM_SHA256, SuiteId.AES_256_CCM_SHA384],
-        [
+        dict([
             m.ext_supported_versions_client(),
             m.ext_supported_groups([NamedGroup.SECP256R1]),
             m.ext_signature_algorithms([SignatureScheme.ECDSA_SECP256R1_SHA256]),
             m.ext_server_name("iot.example"),
             m.ext_connection_id(b"\xca\xfe\x00\x01"),
             m.ext_key_share_client([(NamedGroup.SECP256R1, b"\x04" + bytes(64))]),
-        ],
+        ]),
     )
     sh = m.ServerHello(
         rng.randbytes(32),
         b"",
         SuiteId.AES_128_CCM_SHA256,
-        [
+        dict([
             m.ext_supported_versions_server(),
             m.ext_key_share_server(NamedGroup.SECP256R1, b"\x04" + bytes(64)),
             m.ext_pre_shared_key_server(0),
-        ],
+        ]),
     )
     return [
         ch_psk,
         ch_pk,
         sh,
         m.build_hello_retry_request(SuiteId.AES_128_CCM_SHA256, b"cookie-bytes"),
-        m.EncryptedExtensions([m.ext_early_data()]),
-        m.EncryptedExtensions([]),
+        m.EncryptedExtensions(dict([m.ext_early_data()])),
+        m.EncryptedExtensions({}),
         certificate(b"\x30\x82" + bytes(500)),
-        m.CertificateRequest(b"", [m.ext_signature_algorithms([SignatureScheme.ECDSA_SECP256R1_SHA256])]),
+        m.CertificateRequest(b"", dict([m.ext_signature_algorithms([SignatureScheme.ECDSA_SECP256R1_SHA256])])),
         m.CertificateVerify(SignatureScheme.ECDSA_SECP256R1_SHA256, b"\x30\x44" + bytes(68)),
         m.Finished(bytes(range(32))),
-        m.NewSessionTicket(7200, 0xDEADBEEF, b"\x00", b"ticket-id-16byte", [m.ext_early_data_ticket(1024)]),
+        m.NewSessionTicket(7200, 0xDEADBEEF, b"\x00", b"ticket-id-16byte", dict([m.ext_early_data_ticket(1024)])),
         m.EndOfEarlyData(),
     ]
 
@@ -180,17 +180,22 @@ def test_decoder_total_on_random_bytes(data):
 
 def test_psk_extension_must_be_last():
     ch = psk_client_hello(random.Random(0))
-    ch.extensions.append(m.ext_early_data())
+    ch.extensions.update([m.ext_early_data()])  # after pre_shared_key
     with pytest.raises(DecodeError):
         m.decode_handshake(m.tls_form(ch))
 
 
 def test_duplicate_extension_rejected():
+    # a dict holds each type once, so the repeat is spliced into the encoded block
     rng = random.Random(0)
-    ch = m.ClientHello(rng.randbytes(32), b"", [SuiteId.AES_128_CCM_SHA256], [m.ext_supported_versions_client()])
-    ch.extensions.append(m.ext_supported_versions_client())
+    ch = m.ClientHello(rng.randbytes(32), b"", [SuiteId.AES_128_CCM_SHA256], dict([m.ext_supported_versions_client()]))
+    body = ch.encode_body()
+    ext_type, data = m.ext_supported_versions_client()
+    one = ext_type.to_bytes(2, "big") + len(data).to_bytes(2, "big") + data
+    assert body.endswith(len(one).to_bytes(2, "big") + one)
+    body = body[: -2 - len(one)] + (2 * len(one)).to_bytes(2, "big") + one + one
     with pytest.raises(DecodeError):
-        m.decode_handshake(m.tls_form(ch))
+        m.decode_handshake(bytes([m.HandshakeType.CLIENT_HELLO]) + len(body).to_bytes(3, "big") + body)
 
 
 def test_client_hello_deterministic_from_seed():
@@ -213,17 +218,16 @@ def test_binder_prefix():
 def test_hrr_sentinel_detection():
     hrr = m.build_hello_retry_request(SuiteId.AES_128_CCM_SHA256, b"c" * 33)
     assert m.is_hello_retry_request(hrr)
-    assert m.parse_cookie(m.find_extension(hrr.extensions, m.ExtensionType.COOKIE).data) == b"c" * 33
-    exts = [m.ext_supported_versions_server(), m.ext_pre_shared_key_server(0)]
+    assert m.parse_cookie(hrr.extensions[m.ExtensionType.COOKIE]) == b"c" * 33
+    exts = dict([m.ext_supported_versions_server(), m.ext_pre_shared_key_server(0)])
     sh = m.ServerHello(bytes(32), b"", SuiteId.AES_128_CCM_SHA256, exts)
     assert not m.is_hello_retry_request(sh)
 
 
 def test_server_hello_psk_selection_zero():
-    exts = [m.ext_supported_versions_server(), m.ext_pre_shared_key_server(0)]
+    exts = dict([m.ext_supported_versions_server(), m.ext_pre_shared_key_server(0)])
     sh = m.ServerHello(bytes(32), b"sid", SuiteId.AES_128_CCM_SHA256, exts)
-    ext = m.find_extension(sh.extensions, m.ExtensionType.PRE_SHARED_KEY)
-    assert ext.data == b"\x00\x00"
+    assert sh.extensions[m.ExtensionType.PRE_SHARED_KEY] == b"\x00\x00"
     assert sh.legacy_session_id_echo == b"sid"
 
 

@@ -30,8 +30,8 @@ def first_client_hello(client_cfg, modes=None):
     client = Connection(client_cfg, "client", random.Random(90))
     ch = messages.decode_handshake(client.start(0)[0].data[records.TLS_RECORD_HEADER_LEN :])
     if modes is not None:
-        at = [ext.ext_type for ext in ch.extensions].index(ExtensionType.PSK_KEY_EXCHANGE_MODES)
-        ch.extensions[at] = messages.ext_psk_modes(modes)
+        assert ExtensionType.PSK_KEY_EXCHANGE_MODES in ch.extensions
+        ch.extensions.update([messages.ext_psk_modes(modes)])  # in its place: pre_shared_key stays last
     return ch
 
 
@@ -130,7 +130,7 @@ def test_each_client_hello_is_negotiated_once(protocol, dos, calls, monkeypatch)
     decide = connection.negotiate
 
     def counting(cfg, ticket_db, ch, now):
-        negotiated.append(messages.find_extension(ch.extensions, ExtensionType.COOKIE) is not None)
+        negotiated.append(ExtensionType.COOKIE in ch.extensions)
         return decide(cfg, ticket_db, ch, now)
 
     monkeypatch.setattr(connection, "negotiate", counting)

@@ -30,14 +30,14 @@ def sample_messages() -> dict:
     """handshake type -> one well-formed message of that type, in TLS form."""
     built = [
         messages.ClientHello(
-            random.Random(0).randbytes(32), b"", [int(DEFAULT_SUITE)], [messages.ext_supported_versions_client()]
+            random.Random(0).randbytes(32), b"", [int(DEFAULT_SUITE)], dict([messages.ext_supported_versions_client()])
         ),
-        messages.ServerHello(bytes(32), b"", int(DEFAULT_SUITE), [messages.ext_supported_versions_server()]),
+        messages.ServerHello(bytes(32), b"", int(DEFAULT_SUITE), dict([messages.ext_supported_versions_server()])),
         messages.NewSessionTicket(7200, 0, bytes(8), bytes(16)),
         messages.EndOfEarlyData(),
-        messages.EncryptedExtensions([]),
+        messages.EncryptedExtensions({}),
         messages.Certificate(b"", [(bytes(8), b"")]),
-        messages.CertificateRequest(b"", [messages.ext_signature_algorithms([SCHEME])]),
+        messages.CertificateRequest(b"", dict([messages.ext_signature_algorithms([SCHEME])])),
         messages.CertificateVerify(SCHEME, bytes(8)),
         messages.Finished(bytes(32)),
     ]
