@@ -139,9 +139,15 @@ def main(argv=None) -> int:
         if args.command == "run":
             scenarios = [_scenario_from_args(args)]
         else:
-            with open(args.config) as fh:
-                config = json.load(fh)
-            scenarios = [Scenario.from_dict(d) for d in config["scenarios"]]
+            try:
+                with open(args.config) as fh:
+                    config = json.load(fh)
+            except (OSError, ValueError) as exc:  # unreadable, or not JSON
+                raise ConfigError(f"matrix {args.config}: {exc}") from None
+            entries = config.get("scenarios") if isinstance(config, dict) else None
+            if not isinstance(entries, list):
+                raise ConfigError(f'matrix {args.config}: not a {{"scenarios": [...]}} object')
+            scenarios = [Scenario.from_dict(d) for d in entries]
             if args.compare_paper:
                 for s in scenarios:
                     s.compare_paper = True

@@ -88,13 +88,10 @@ _PROFILES = {
 MAX_CERT_SIZE = (1 << 24) - 1 - 9
 
 _OVERRIDABLE = {
-    "suites",
     "modes",
     "groups",
     "compat_mode",
     "zero_rtt",
-    "tickets",
-    "sni_hostname",
     "cert_size",
 }
 
@@ -117,8 +114,6 @@ def resolve(name: str, overrides: dict | None = None) -> Profile:
     try:
         if "modes" in merged:
             merged["modes"] = frozenset(AuthMode(m) for m in merged["modes"])
-        if "suites" in merged:
-            merged["suites"] = tuple(SuiteId(s) for s in merged["suites"])
         if "groups" in merged:
             merged["groups"] = tuple(NamedGroup(g) for g in merged["groups"])
     except ValueError as exc:

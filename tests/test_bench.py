@@ -243,6 +243,7 @@ MATRIX = ["matrix", "--config", "{matrix}"]
     (MATRIX, {"protocl": "dtls"}),
     (MATRIX, {"net": {"mtux": 400}}),
     (MATRIX, {"overrides": {"suites": [0x9999]}}),
+    (MATRIX, {"profile": "ecdsa128", "overrides": {"groups": [0x9999]}}),
     (["run", "--profile", "psk128", "--mode", "psk_ecdhe"], None),
     (["run", "--mtu", "20"], None),
     (["run", "--mtu", "0"], None),
@@ -272,7 +273,8 @@ MATRIX = ["matrix", "--config", "{matrix}"]
     (["run", "--profile", "ecdsa128", "--protocol", "tls", "--cert-size", str(MAX_CERT_SIZE + 1)], None),
     (MATRIX, {"profile": "full", "protocol": "tls", "mode": "zero_rtt", "early_payload": MAX_EARLY_DATA + 1}),
 ], ids=["cid-range", "cid-on-tls", "mode-not-in-profile", "unknown-mode", "unknown-suite", "unknown-profile",
-        "matrix-unknown-protocol", "matrix-unknown-key", "matrix-unknown-net-key", "matrix-unknown-override-suite",
+        "matrix-unknown-protocol", "matrix-unknown-key", "matrix-unknown-net-key", "matrix-suites-not-an-override-knob",
+        "matrix-unknown-override-group",
         "key-share-mode-without-group", "mtu-20", "mtu-0", "negative-padding", "negative-app-payload",
         "negative-cert-size", "matrix-str-mtu", "matrix-str-cid", "matrix-str-loss-rate", "matrix-bool-mtu",
         "padding-300-mtu-200", "loss-1.5", "dup-minus-1", "reorder-2", "negative-latency", "negative-framing",
@@ -285,6 +287,20 @@ def test_cli_configuration_error_exit_code(argv, entry, tmp_path, capsys):
     matrix = tmp_path / "matrix.json"
     matrix.write_text(json.dumps({"scenarios": [entry]}))
     code = cli.main([a.format(matrix=matrix) for a in argv])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_CONFIG == 4
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: ")
+
+
+@pytest.mark.parametrize("body", [None, "not json", "{}", '{"scenarios": 5}', "[]"],
+                         ids=["missing-file", "not-json", "no-scenarios", "scenarios-not-a-list", "not-an-object"])
+def test_cli_matrix_file_not_a_scenario_list_is_a_configuration_error(body, tmp_path, capsys):
+    matrix = tmp_path / "matrix.json"
+    if body is not None:
+        matrix.write_text(body)
+    code = cli.main(["matrix", "--config", str(matrix)])
     captured = capsys.readouterr()
     assert code == cli.EXIT_CONFIG == 4
     assert captured.out == ""

@@ -44,9 +44,7 @@ FIELDS = {
     ],
 }
 
-OVERRIDABLE = [
-    "cert_size", "compat_mode", "groups", "modes", "sni_hostname", "suites", "tickets", "zero_rtt",
-]
+OVERRIDABLE = ["cert_size", "compat_mode", "groups", "modes", "zero_rtt"]
 
 _REPORT_OPTIONS = ["--compare-paper", "--format", "--out", "--strict"]
 OPTIONS = {
