@@ -1993,6 +1993,21 @@ def test_zero_rtt_without_psk_conflicts():
         Connection(replace(cfg, psk=None), "client", random.Random(1))
 
 
+def test_record_room_check_at_its_exact_bounds():
+    # a DTLS handshake-epoch record holds the MTU less its 2-byte unified header, inner
+    # content type and 16-byte tag, and must fit a fragment header and one message byte
+    dtls, _, _ = make_configs(Protocol.DTLS, AuthMode.PSK, seed=31)
+    exact = messages.DTLS_HANDSHAKE_HEADER_LEN + 1 + 2 + 1 + 16
+    Connection(replace(dtls, mtu=exact), "client", random.Random(1))
+    with pytest.raises(ConfigError):
+        Connection(replace(dtls, mtu=exact - 1), "client", random.Random(1))
+    # a TLS record holds 2^14 bytes less the padding, and must fit a 2-byte alert
+    tls, _, _ = make_configs(Protocol.TLS, AuthMode.PSK, seed=31)
+    Connection(replace(tls, pad_len=(1 << 14) - 2), "client", random.Random(1))
+    with pytest.raises(ConfigError):
+        Connection(replace(tls, pad_len=(1 << 14) - 1), "client", random.Random(1))
+
+
 def test_fragmentation_under_small_mtu():
     pair = run_handshake(
         Protocol.DTLS,

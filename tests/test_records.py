@@ -171,6 +171,7 @@ def test_dtls_round_trip_all_flag_combos(cid, seq16, lenp):
         )
         parsed = records.parse_unified(rec, 0, len(cid))
         assert parsed.cid == cid
+        assert len(rec) - len(parsed.ciphertext) == records.unified_header_size(len(cid), seq16, lenp)
         seq, true_type, got = records.open_dtls(P128, r, parsed)
         assert (true_type, got) == (ContentType.APPLICATION_DATA, payload)
         assert parsed.consumed == len(rec)
