@@ -1,5 +1,6 @@
-"""``tools/call_counts.py`` on this checkout: the counts repeat exactly.  The
-tool is a script, so it is loaded by path."""
+"""``tools/call_counts.py`` on this checkout: the counts repeat exactly, and
+the parent -> change lines it prints.  The tool is a script, so it is loaded
+by path."""
 
 import importlib.util
 import pathlib
@@ -27,3 +28,24 @@ def test_counts_repeat_exactly_per_workload():
     assert first["ecdhe_clean"]["openssl_verifies"] >= 3
     assert first["ecdhe_clean"]["openssl_derivations"] >= 6
     assert first == second
+
+
+def test_difference_lines_parent_to_change():
+    call_counts = load_tool()
+    parent = {
+        "dtls_lossy": {"calls": 259_008, "openssl_verifies": 60},
+        "psk_clean": {"calls": 233_483, "openssl_verifies": 0},
+    }
+    change = {
+        "psk_clean": {"calls": 230_703, "openssl_verifies": 0},
+        "dtls_lossy": {"calls": 259_010, "openssl_verifies": 60},
+        "new_workload": {"calls": 5},
+    }
+    assert call_counts.difference(parent, change, (4_056, 4_036)) == [
+        "dtls_lossy calls: 259,008 -> 259,010 (+2)",
+        "dtls_lossy openssl_verifies: 60 -> 60 (+0)",
+        "new_workload calls: 0 -> 5 (+5)",
+        "psk_clean calls: 233,483 -> 230,703 (-2,780)",
+        "psk_clean openssl_verifies: 0 -> 0 (+0)",
+        "src/minitls lines: 4,056 -> 4,036 (-20)",
+    ]

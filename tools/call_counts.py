@@ -12,9 +12,11 @@ JSON object, workload -> {"calls": ..., "openssl_derivations": ...,
 "openssl_verifies": ...}. The counts
 repeat exactly for one checkout on one Python version, so they resolve
 changes too small for wall-clock pairs; compare two checkouts on the same
-interpreter.
+interpreter. With ``--parent PARENT`` it counts both checkouts and prints,
+in place of the JSON, one ``workload count: before -> after (delta)`` line
+per workload and count, then the ``src/minitls`` line count the same way.
 
-    python3 tools/call_counts.py [CHECKOUT] [--iterations N]
+    python3 tools/call_counts.py [CHECKOUT] [--parent PARENT] [--iterations N]
 
 Standard library only; like ``bench_pairs.py`` it imports nothing from the
 checkout in this process, so a parent checkout can be counted too.
@@ -78,15 +80,37 @@ def count_calls(checkout: Path, iterations: int) -> dict:
     return {w["name"]: count_in(checkout, w["name"], iterations) for w in spec["workloads"]}
 
 
+def src_lines(checkout: Path) -> int:
+    return sum(len(path.read_text().splitlines()) for path in (checkout / "src" / "minitls").glob("*.py"))
+
+
+def difference(parent: dict, change: dict, lines: tuple) -> list:
+    """The parent -> change lines of two ``count_calls`` results and of ``lines``,
+    the (parent, change) ``src/minitls`` line counts."""
+    out = []
+    for name, counts in sorted(change.items()):
+        for count, after in sorted(counts.items()):
+            before = parent.get(name, {}).get(count, 0)
+            out.append(f"{name} {count}: {before:,} -> {after:,} ({after - before:+,})")
+    before, after = lines
+    out.append(f"src/minitls lines: {before:,} -> {after:,} ({after - before:+,})")
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("checkout", type=Path, nargs="?", default=Path("."), help="checkout to count")
+    parser.add_argument("--parent", type=Path, help="parent checkout: print parent -> CHECKOUT lines, not JSON")
     parser.add_argument("--iterations", type=int, default=60, help="profiled iterations per workload")
     parser.add_argument("--workload", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
 
     if args.workload:
         print(json.dumps(count_here(args.workload, args.iterations)))
+    elif args.parent:
+        checkouts = (args.parent.resolve(), args.checkout.resolve())
+        parent, change = (count_calls(checkout, args.iterations) for checkout in checkouts)
+        print("\n".join(difference(parent, change, tuple(src_lines(checkout) for checkout in checkouts))))
     else:
         print(json.dumps(count_calls(args.checkout.resolve(), args.iterations), sort_keys=True))
     return 0
