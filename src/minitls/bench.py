@@ -113,19 +113,17 @@ class Driver:
         self.link = link
         # only DTLS packs records into datagrams; a TLS stream sends each record
         self.packing = client.cfg.packing and client.protocol == Protocol.DTLS
-        self.mtu = link.config.mtu
         # one row per datagram sent: (direction, size, ((name, size, retransmit), ...),
         # copies the link queued, any record retransmitted); wire and per_message fold it
         self.ledger: list = []
-        self.app_payload = b""
-        self._app_sent = False
+        self.app_payload = b""  # sent once the client connects, then cleared
 
     def send(self, endpoint: str, outs, now: int) -> None:
         """Pack ``outs`` into datagrams (one record each unless packing) and book each."""
         records, data, retransmit = (), b"", False
         for rec in outs:
             size = len(rec.data)
-            if records and (not self.packing or len(data) + size > self.mtu):
+            if records and (not self.packing or len(data) + size > self.link.config.mtu):
                 self._book(endpoint, records, data, retransmit, now)
                 records, data, retransmit = (), b"", False
             records += ((rec.name, size, rec.retransmit),)
@@ -195,9 +193,9 @@ class Driver:
                 t = endpoint.next_timeout()
                 if t is not None and t <= now:
                     self.send(CLIENT if endpoint is self.client else SERVER, endpoint.on_timeout(now), now)
-            if self.app_payload and not self._app_sent and self.client.connected:
-                self._app_sent = True
+            if self.app_payload and self.client.connected:
                 self.send(CLIENT, self.client.send_app_data(self.app_payload, now), now)
+                self.app_payload = b""
             if self.client.failed:
                 server_active = any(not c.failed for c in self.listener.connections())
                 if not server_active or self.link.next_time() is None:

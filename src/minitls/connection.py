@@ -188,29 +188,26 @@ def negotiate(cfg: ConnConfig, ticket_db: dict, ch, now: int) -> Decision:
     needs no key, in order: version, suite, key share, PSK modes and identity, certificate
     fallback.  Raises the refusal.  An accepted PSK takes the most-preferred shared suite of
     its binder's hash (RFC 8446 section 4.2.11).  Its one write drops an expired ticket."""
-    versions = ch.extensions.get(ExtensionType.SUPPORTED_VERSIONS)
-    if versions is None or messages.TLS13_VERSION not in messages.parse_supported_versions_client(versions):
+    versions = messages.extension(ch, ExtensionType.SUPPORTED_VERSIONS, messages.read_supported_versions_client)
+    if versions is None or messages.TLS13_VERSION not in versions:
         raise ProtocolVersion("ClientHello does not offer this version")  # RFC 8446 section 4.2.1
     shared = [suite for suite in cfg.suites if suite in ch.cipher_suites]
     if not shared:
         raise HandshakeFailure("no common cipher suite")
     share = None
-    share_ext = ch.extensions.get(ExtensionType.KEY_SHARE)
-    if share_ext is not None:
-        entries = messages.parse_key_share_client(share_ext)
+    entries = messages.extension(ch, ExtensionType.KEY_SHARE, messages.read_key_share_client)
+    if entries is not None:
         share = next(((crypto.NamedGroup(g), pub) for g, pub in entries if g in cfg.groups), None)
         if share is None:
             raise HandshakeFailure("no offered key-share group is enabled here")
     psk, dhe, age, binder = None, False, 0, b""
-    offer = ch.extensions.get(ExtensionType.PRE_SHARED_KEY)
-    if offer is not None:
-        modes_ext = ch.extensions.get(ExtensionType.PSK_KEY_EXCHANGE_MODES)
-        if modes_ext is None:
+    if ExtensionType.PRE_SHARED_KEY in ch.extensions:
+        modes = messages.extension(ch, ExtensionType.PSK_KEY_EXCHANGE_MODES, messages.read_psk_modes)
+        if modes is None:
             raise MissingExtension("pre_shared_key without psk_key_exchange_modes")  # RFC 8446 section 4.2.9
-        modes = messages.parse_psk_modes(modes_ext)
         dhe = share is not None and PskMode.PSK_DHE_KE in modes
         if dhe or PskMode.PSK_KE in modes:  # else no mode the client allows fits its offer
-            identity, age, binder = messages.parse_pre_shared_key_offer(offer)
+            identity, age, binder = messages.extension(ch, ExtensionType.PRE_SHARED_KEY, messages.read_pre_shared_key_offer)
             psk = ticket_db.get(identity)
             if psk is not None and now - psk.issued_at > TICKET_LIFETIME_S * 1000:
                 del ticket_db[identity]
@@ -289,7 +286,6 @@ class Connection:
         self._stream_buf = b""
         self._hs_buf = b""  # reassembly buffer for the TLS handshake stream
         self._tls_read_epoch = EPOCH_PLAIN
-        self._ccs_sent = False
 
     # ------------------------------------------------------------------ util
 
@@ -332,8 +328,11 @@ class Connection:
 
     def _install(self, epoch: int, direction: str, secret: bytes) -> None:
         self.epochs.setdefault(epoch, {})[direction] = self.ks.traffic_keys(secret)
-        if direction == "write" and epoch != EPOCH_EARLY:
-            self.write_epoch = epoch
+        if epoch != EPOCH_EARLY:  # 0-RTT keys move neither; a TLS server that takes 0-RTT reads epoch 1 first
+            if direction == "write":
+                self.write_epoch = epoch
+            else:
+                self._tls_read_epoch = epoch
 
     def _new_schedule(self, psk: PskCredential | None = None) -> None:
         kind = PskKind.RESUMPTION if isinstance(psk, TicketState) else PskKind.EXTERNAL
@@ -395,13 +394,9 @@ class Connection:
         if msg.MSG_TYPE != HandshakeType.NEW_SESSION_TICKET:
             self.transcript.append(raw)
         name = HandshakeType(raw[0]).name.lower()
-        room = self._record_room(epoch)
         if self.protocol == Protocol.TLS:  # a message longer than one record spans several (RFC 8446 section 5.1)
-            return [
-                OutRecord(self._frame(epoch, ContentType.HANDSHAKE, raw[i : i + room])[1], name)
-                for i in range(0, len(raw), room)
-            ]
-        return self.reliability.send(self._frame, raw[0], raw[4:], name, epoch, room, now)
+            return self._records(epoch, ContentType.HANDSHAKE, raw, name)
+        return self.reliability.send(self._frame, raw[0], raw[4:], name, epoch, self._record_room(epoch), now)
 
     def _record_room(self, epoch: int) -> int:
         """Content bytes one record of ``epoch`` carries: 2^14 less the padding (RFC 8446
@@ -419,9 +414,8 @@ class Connection:
 
     def _fake_ccs(self) -> list:
         # compat mode artifact: legacy type 20, body 0x01, sent once, ignored on receipt
-        if self.protocol != Protocol.TLS or not self.cfg.compat or self._ccs_sent:
+        if self.protocol != Protocol.TLS or not self.cfg.compat:
             return []
-        self._ccs_sent = True
         return [OutRecord(self._frame(EPOCH_PLAIN, ContentType.CHANGE_CIPHER_SPEC, b"\x01")[1], "ccs")]
 
     # ------------------------------------------ authentication (RFC 8446 §4.4)
@@ -538,7 +532,7 @@ class Connection:
     def _send_early_data(self) -> list:
         secret = self.ks.derive_early_traffic(self.transcript.digest(self.params.hash_alg))
         self._install(EPOCH_EARLY, "write", secret)
-        return self._app_records(EPOCH_EARLY, self.cfg.early_payload, "early_data")
+        return self._records(EPOCH_EARLY, ContentType.APPLICATION_DATA, self.cfg.early_payload, "early_data")
 
     # -------------------------------------------------------------- receive path
 
@@ -734,10 +728,9 @@ class Connection:
         if self.hrr_done:
             raise UnexpectedMessage("second HelloRetryRequest")
         self.hrr_done = True
-        cookie_ext = hrr.extensions.get(ExtensionType.COOKIE)
-        if cookie_ext is None:
-            raise UnexpectedMessage("HelloRetryRequest without a cookie")
-        cookie = messages.parse_cookie(cookie_ext)
+        cookie = messages.extension(hrr, ExtensionType.COOKIE, messages.read_cookie)
+        if cookie is None:  # the only change this client makes to a retried ClientHello (RFC 8446 section 4.1.4)
+            raise IllegalParameter("HelloRetryRequest without a cookie would not change the ClientHello")
         if hrr.cipher_suite not in [int(s) for s in self.cfg.suites]:
             raise IllegalParameter("HelloRetryRequest picked a suite we did not offer")
         self.params = crypto.suite_params(hrr.cipher_suite)  # ClientHello1 is hashed with it (RFC 8446 section 4.4.1)
@@ -752,10 +745,10 @@ class Connection:
 
     def _client_handle_sh(self, sh, raw: bytes, now: int) -> list:
         # a HelloRetryRequest too: RFC 8446 sections 4.1.3 and 4.2.1
-        versions = sh.extensions.get(ExtensionType.SUPPORTED_VERSIONS)
-        if versions is None:
+        version = messages.extension(sh, ExtensionType.SUPPORTED_VERSIONS, messages.read_supported_versions_server)
+        if version is None:
             raise ProtocolVersion("ServerHello without supported_versions")
-        if messages.parse_supported_versions_server(versions) != messages.TLS13_VERSION:
+        if version != messages.TLS13_VERSION:
             raise IllegalParameter("ServerHello selects a version we did not offer")
         if sh.legacy_session_id_echo != self.legacy_session_id:
             raise IllegalParameter("ServerHello echoes another legacy_session_id")
@@ -763,19 +756,19 @@ class Connection:
             return self._client_handle_hrr(sh, raw, now)
         if sh.cipher_suite not in [int(s) for s in self.cfg.suites]:  # RFC 8446 section 4.1.3
             raise IllegalParameter("server picked a suite we did not offer")
-        psk_ext = sh.extensions.get(ExtensionType.PRE_SHARED_KEY)
-        if psk_ext is not None:
+        selected = messages.extension(sh, ExtensionType.PRE_SHARED_KEY, messages.read_pre_shared_key_server)
+        if selected is not None:
             if self.psk_in_use is None:
                 raise UnsupportedExtension("pre_shared_key in a ServerHello to a ClientHello without one")
-            if messages.parse_pre_shared_key_server(psk_ext) != 0:  # RFC 8446 section 4.2.11
+            if selected != 0:  # RFC 8446 section 4.2.11
                 raise IllegalParameter("server selected a PSK identity we did not offer")
         if sh.cipher_suite != int(self.suite):
-            if psk_ext is not None:  # RFC 8446 section 4.2.11
+            if selected is not None:  # RFC 8446 section 4.2.11
                 raise IllegalParameter("PSK acceptance requires the PSK's suite")
             self.params = crypto.suite_params(sh.cipher_suite)
             self.ks = None
         self.transcript.append(raw)
-        if psk_ext is None and self.psk_in_use is not None:
+        if selected is None and self.psk_in_use is not None:
             # server declined the PSK: continue as a pure (EC)DHE handshake
             self.psk_in_use = None
             if self.early_offered:
@@ -785,23 +778,20 @@ class Connection:
             self._new_schedule()
 
         dh = None
-        share_ext = sh.extensions.get(ExtensionType.KEY_SHARE)
-        if share_ext is not None:
-            group, server_pub = messages.parse_key_share_server(share_ext)
+        share = messages.extension(sh, ExtensionType.KEY_SHARE, messages.read_key_share_server)
+        if share is not None:
+            group, server_pub = share
             if self.dh_priv is None or group != int(self.cfg.groups[0]):
                 raise HandshakeFailure("server share for a group we did not offer")
             dh = self._shared(self.dh_priv, server_pub)
         elif self.dh_priv is not None:
             raise UnexpectedMessage("expected a key_share in ServerHello")
 
-        cid_ext = sh.extensions.get(ExtensionType.CONNECTION_ID)
-        if cid_ext is not None:
-            self.cid_peer = messages.parse_connection_id(cid_ext) or None
+        self.cid_peer = messages.extension(sh, ExtensionType.CONNECTION_ID, messages.read_connection_id) or None
 
         self.ks.advance_handshake(dh, self.transcript.digest(self.params.hash_alg))
         self._install(EPOCH_HANDSHAKE, "read", self.ks.secret("s_hs"))
         self._install(EPOCH_HANDSHAKE, "write", self.ks.secret("c_hs"))
-        self._tls_read_epoch = EPOCH_HANDSHAKE
         self.phase = Phase.WAIT_EE
         return []
 
@@ -830,7 +820,6 @@ class Connection:
         out += self._own_flight(with_cert=self.client_cert_requested, now=now)
         self._install(EPOCH_APP, "write", self.ks.secret("c_ap"))
         self.ks.derive_resumption(self.transcript.digest(self.params.hash_alg))
-        self._tls_read_epoch = EPOCH_APP
         if self.reliability is not None:
             self.reliability.end_flight()
         self.phase = Phase.CONNECTED
@@ -862,10 +851,9 @@ class Connection:
         decision = negotiate(self.cfg, self.ticket_db, ch, now)
         self.params = crypto.suite_params(decision.suite)
         if self.ch1_digest is not None:  # the retry answers the listener's HelloRetryRequest, rebuilt here
-            cookie_ext = ch.extensions.get(ExtensionType.COOKIE)
-            if cookie_ext is None or len(self.ch1_digest) != self.params.hash_len:  # RFC 8446 sections 4.1.4, 4.2.2
+            cookie = messages.extension(ch, ExtensionType.COOKIE, messages.read_cookie)
+            if cookie is None or len(self.ch1_digest) != self.params.hash_len:  # RFC 8446 sections 4.1.4, 4.2.2
                 raise IllegalParameter("retried ClientHello without its cookie, or of a suite of another hash")
-            cookie = messages.parse_cookie(cookie_ext)
             hrr = messages.build_hello_retry_request(int(self.suite), cookie, ch.legacy_session_id)
             self.transcript.restart(self.params.hash_alg, messages.tls_form(hrr), self.ch1_digest)
         psk, share = decision.psk, decision.share
@@ -890,9 +878,9 @@ class Connection:
         request_cert = psk is None and self.cfg.peer_ec is not None
 
         exts = [messages.ext_supported_versions_server()]
-        cid_ext = ch.extensions.get(ExtensionType.CONNECTION_ID)
-        if cid_ext is not None:
-            self.cid_peer = messages.parse_connection_id(cid_ext) or None
+        peer_cid = messages.extension(ch, ExtensionType.CONNECTION_ID, messages.read_connection_id)
+        if peer_cid is not None:
+            self.cid_peer = peer_cid or None
             cid = self._advertised_cid()
             if cid is not None:
                 exts.append(messages.ext_connection_id(cid))
@@ -925,9 +913,7 @@ class Connection:
         self.ks.advance_master(self.transcript.digest(self.params.hash_alg))
         self._install(EPOCH_APP, "write", self.ks.secret("s_ap"))
         if self.early_accepted and self.protocol == Protocol.TLS:
-            self._tls_read_epoch = EPOCH_EARLY
-        else:
-            self._tls_read_epoch = EPOCH_HANDSHAKE
+            self._tls_read_epoch = EPOCH_EARLY  # the client's 0-RTT records come before its handshake records
         self.phase = Phase.WAIT_CERT_CR if request_cert else Phase.WAIT_FINISHED
         self._event(now, EventKind.FLIGHT_READY, flight="server_first")
         return out
@@ -945,7 +931,6 @@ class Connection:
         self._peer_finished(fin, raw)
         self._install(EPOCH_APP, "read", self.ks.secret("c_ap"))
         self.ks.derive_resumption(self.transcript.digest(self.params.hash_alg))
-        self._tls_read_epoch = EPOCH_APP
         self.phase = Phase.CONNECTED
         self._event(now, EventKind.HANDSHAKE_COMPLETE)
         out = []
@@ -972,17 +957,17 @@ class Connection:
     def send_app_data(self, payload: bytes, now: int) -> list:
         if not self.connected:
             raise NotReady("application data before the handshake allows it")
-        return self._app_records(EPOCH_APP, payload, "app_data")
+        return self._records(EPOCH_APP, ContentType.APPLICATION_DATA, payload, "app_data")
 
-    def _app_records(self, epoch: int, payload: bytes, name: str) -> list:
-        """``payload`` split into application-data records of ``epoch`` that fit: each
+    def _records(self, epoch: int, content_type: int, data: bytes, name: str) -> list:
+        """``data`` split into records of ``epoch`` that fit, at least one: each
         ``_record_room`` less the CID the peer asked for."""
         size = self._record_room(epoch) - len(self.cid_peer or b"")
         if size < 1:
             raise ConfigError("padding and mtu leave no room for application data")
         return [
-            OutRecord(self._frame(epoch, ContentType.APPLICATION_DATA, payload[i : i + size])[1], name)
-            for i in range(0, len(payload) or 1, size)
+            OutRecord(self._frame(epoch, content_type, data[i : i + size])[1], name)
+            for i in range(0, len(data) or 1, size)
         ]
 
     # ------------------------------------------------------- transition tables
@@ -1113,8 +1098,7 @@ class ServerListener:
                 return []
             raw = frag.to_tls_form()
             ch = messages.decode_handshake(raw)
-            cookie_ext = ch.extensions.get(ExtensionType.COOKIE)
-            cookie = None if cookie_ext is None else messages.parse_cookie(cookie_ext)
+            cookie = messages.extension(ch, ExtensionType.COOKIE, messages.read_cookie)
         except ProtocolError:
             return []  # not a plausible first flight: silently dropped
         if cookie is None:

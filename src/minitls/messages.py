@@ -2,8 +2,10 @@
 
 decode(encode(m)) == m for every valid message and the decoders reject
 truncations and trailing garbage, so the same bytes that feed the
-transcript hash are the bytes on the wire.  DTLS messages use the
-12-byte fragment header even when unfragmented; ``to_tls_form``
+transcript hash are the bytes on the wire.  Each decoder reads the fields
+of one structure from a ``Reader`` it is given, and ``read_whole`` is the
+one check that a structure's bytes were read to the end.  DTLS messages
+use the 12-byte fragment header even when unfragmented; ``to_tls_form``
 rewrites it to the 4-byte TLS header for transcript hashing.
 """
 
@@ -78,13 +80,32 @@ class Reader:
     def vec(self, len_width: int) -> bytes:
         return self.take(self.uint(len_width))
 
+    def items(self, len_width: int, read_item) -> list:
+        """The items of one vector with a ``len_width``-byte length, each read by
+        ``read_item(reader)`` until the vector's bytes end."""
+        vector = Reader(self.vec(len_width))
+        out = []
+        while vector.remaining:
+            out.append(read_item(vector))
+        return out
+
     @property
     def remaining(self) -> int:
         return len(self.data) - self.pos
 
-    def expect_end(self, what: str) -> None:
-        if self.remaining:
-            raise DecodeError(f"length-mismatch: trailing bytes after {what}")
+
+def read_whole(data: bytes, read, what: str):
+    """``read(reader)`` over ``data``, which must read every byte of it: the one
+    check that a structure is not followed by trailing bytes."""
+    r = Reader(data)
+    value = read(r)
+    if r.remaining:
+        raise DecodeError(f"length-mismatch: trailing bytes after {what}")
+    return value
+
+
+def _read_u16(r: Reader) -> int:
+    return r.uint(2)
 
 
 def _vec(len_width: int, payload: bytes) -> bytes:
@@ -114,29 +135,30 @@ def _encode_extensions(exts: dict) -> bytes:
     return _vec(2, b"".join(struct.pack("!H", t) + _vec(2, data) for t, data in exts.items()))
 
 
+def extension(msg, ext_type: ExtensionType, read):
+    """``read(reader)`` over the data of ``msg``'s ``ext_type`` extension, read whole;
+    None when ``msg`` carries no such extension."""
+    data = msg.extensions.get(ext_type)
+    return None if data is None else read_whole(data, read, ext_type._name_)
+
+
+# Each ``read_*`` below reads one extension's data for ``extension``.
+
+
 def ext_supported_versions_client() -> tuple:
     return ExtensionType.SUPPORTED_VERSIONS, _vec(1, struct.pack("!H", TLS13_VERSION))
 
 
-def parse_supported_versions_client(data: bytes) -> list:
-    r = Reader(data)
-    body = Reader(r.vec(1))
-    r.expect_end("supported_versions")
-    versions = []
-    while body.remaining:
-        versions.append(body.uint(2))
-    return versions
+def read_supported_versions_client(r: Reader) -> list:
+    return r.items(1, _read_u16)
 
 
 def ext_supported_versions_server() -> tuple:
     return ExtensionType.SUPPORTED_VERSIONS, struct.pack("!H", TLS13_VERSION)
 
 
-def parse_supported_versions_server(data: bytes) -> int:
-    r = Reader(data)
-    version = r.uint(2)
-    r.expect_end("supported_versions")
-    return version
+def read_supported_versions_server(r: Reader) -> int:
+    return r.uint(2)
 
 
 def ext_server_name(host: str) -> tuple:
@@ -156,11 +178,8 @@ def ext_psk_modes(modes) -> tuple:
     return ExtensionType.PSK_KEY_EXCHANGE_MODES, _vec(1, bytes(modes))
 
 
-def parse_psk_modes(data: bytes) -> bytes:
-    r = Reader(data)
-    modes = r.vec(1)
-    r.expect_end("psk_key_exchange_modes")
-    return modes
+def read_psk_modes(r: Reader) -> bytes:
+    return r.vec(1)
 
 
 def ext_key_share_client(entries) -> tuple:
@@ -168,27 +187,17 @@ def ext_key_share_client(entries) -> tuple:
     return ExtensionType.KEY_SHARE, _vec(2, body)
 
 
-def parse_key_share_client(data: bytes) -> list:
-    r = Reader(data)
-    body = Reader(r.vec(2))
-    r.expect_end("key_share")
-    entries = []
-    while body.remaining:
-        group = body.uint(2)
-        entries.append((group, body.vec(2)))
-    return entries
+def read_key_share_client(r: Reader) -> list:
+    return r.items(2, read_key_share_server)
 
 
 def ext_key_share_server(group: int, pub: bytes) -> tuple:
     return ExtensionType.KEY_SHARE, struct.pack("!H", group) + _vec(2, pub)
 
 
-def parse_key_share_server(data: bytes):
-    r = Reader(data)
-    group = r.uint(2)
-    pub = r.vec(2)
-    r.expect_end("key_share")
-    return group, pub
+def read_key_share_server(r: Reader) -> tuple:
+    """One KeyShareEntry, (group, key_exchange); a client's key_share lists them."""
+    return r.uint(2), r.vec(2)
 
 
 def ext_pre_shared_key_offer(identity: bytes, obfuscated_ticket_age: int, binder: bytes) -> tuple:
@@ -197,17 +206,10 @@ def ext_pre_shared_key_offer(identity: bytes, obfuscated_ticket_age: int, binder
     return ExtensionType.PRE_SHARED_KEY, identities + binders
 
 
-def parse_pre_shared_key_offer(data: bytes):
-    r = Reader(data)
-    ids = Reader(r.vec(2))
-    identity = ids.vec(2)
-    age = ids.uint(4)
-    ids.expect_end("psk identity list")  # single PSK identity per hello
-    binders = Reader(r.vec(2))
-    binder = binders.vec(1)
-    binders.expect_end("psk binder list")
-    r.expect_end("pre_shared_key")
-    return identity, age, binder
+def read_pre_shared_key_offer(r: Reader) -> tuple:
+    """(identity, obfuscated_ticket_age, binder) of the single PSK a hello offers."""
+    identity, age = read_whole(r.vec(2), lambda ids: (ids.vec(2), ids.uint(4)), "psk identity list")
+    return identity, age, read_whole(r.vec(2), lambda binders: binders.vec(1), "psk binder list")
 
 
 def binder_prefix(raw_tls_form: bytes, hash_len: int) -> bytes:
@@ -221,11 +223,8 @@ def ext_pre_shared_key_server(selected_identity: int) -> tuple:
     return ExtensionType.PRE_SHARED_KEY, struct.pack("!H", selected_identity)
 
 
-def parse_pre_shared_key_server(data: bytes) -> int:
-    r = Reader(data)
-    selected_identity = r.uint(2)
-    r.expect_end("pre_shared_key")
-    return selected_identity
+def read_pre_shared_key_server(r: Reader) -> int:
+    return r.uint(2)
 
 
 def ext_early_data() -> tuple:
@@ -240,22 +239,16 @@ def ext_cookie(cookie: bytes) -> tuple:
     return ExtensionType.COOKIE, _vec(2, cookie)
 
 
-def parse_cookie(data: bytes) -> bytes:
-    r = Reader(data)
-    cookie = r.vec(2)
-    r.expect_end("cookie")
-    return cookie
+def read_cookie(r: Reader) -> bytes:
+    return r.vec(2)
 
 
 def ext_connection_id(cid: bytes) -> tuple:
     return ExtensionType.CONNECTION_ID, _vec(1, cid)
 
 
-def parse_connection_id(data: bytes) -> bytes:
-    r = Reader(data)
-    cid = r.vec(1)
-    r.expect_end("connection_id")
-    return cid
+def read_connection_id(r: Reader) -> bytes:
+    return r.vec(1)
 
 
 # --- handshake messages --------------------------------------------------------
@@ -280,20 +273,15 @@ class ClientHello:
         )
 
     @classmethod
-    def decode_body(cls, body: bytes):
-        r = Reader(body)
+    def decode_body(cls, r: Reader):
         if r.uint(2) != TLS_LEGACY_VERSION:
             raise DecodeError("bad legacy_version")
         random = r.take(32)
         session_id = r.vec(1)
-        suites = []
-        sv = Reader(r.vec(2))
-        while sv.remaining:
-            suites.append(sv.uint(2))
+        suites = r.items(2, _read_u16)
         if r.vec(1) != b"\x00":
             raise DecodeError("unsupported compression methods")
         exts = _decode_extensions(r)
-        r.expect_end("ClientHello")
         if ExtensionType.PRE_SHARED_KEY in exts and next(reversed(exts)) != ExtensionType.PRE_SHARED_KEY:
             raise DecodeError("pre_shared_key is not the final extension")
         return cls(random, session_id, suites, exts)
@@ -318,8 +306,7 @@ class ServerHello:
         )
 
     @classmethod
-    def decode_body(cls, body: bytes):
-        r = Reader(body)
+    def decode_body(cls, r: Reader):
         if r.uint(2) != TLS_LEGACY_VERSION:
             raise DecodeError("bad legacy_version")
         random = r.take(32)
@@ -328,7 +315,6 @@ class ServerHello:
         if r.uint(1) != 0:
             raise DecodeError("bad compression method")
         exts = _decode_extensions(r)
-        r.expect_end("ServerHello")
         return cls(random, sid, suite, exts)
 
 
@@ -341,11 +327,8 @@ class EncryptedExtensions:
         return _encode_extensions(self.extensions)
 
     @classmethod
-    def decode_body(cls, body: bytes):
-        r = Reader(body)
-        exts = _decode_extensions(r)
-        r.expect_end("EncryptedExtensions")
-        return cls(exts)
+    def decode_body(cls, r: Reader):
+        return cls(_decode_extensions(r))
 
 
 @dataclass
@@ -359,15 +342,8 @@ class Certificate:
         return _vec(1, self.request_context) + _vec(3, body)
 
     @classmethod
-    def decode_body(cls, body: bytes):
-        r = Reader(body)
-        ctx = r.vec(1)
-        lst = Reader(r.vec(3))
-        r.expect_end("Certificate")
-        entries = []
-        while lst.remaining:
-            entries.append((lst.vec(3), lst.vec(2)))
-        return cls(ctx, entries)
+    def decode_body(cls, r: Reader):
+        return cls(r.vec(1), r.items(3, lambda entry: (entry.vec(3), entry.vec(2))))
 
 
 @dataclass
@@ -380,12 +356,8 @@ class CertificateRequest:
         return _vec(1, self.request_context) + _encode_extensions(self.extensions)
 
     @classmethod
-    def decode_body(cls, body: bytes):
-        r = Reader(body)
-        ctx = r.vec(1)
-        exts = _decode_extensions(r)
-        r.expect_end("CertificateRequest")
-        return cls(ctx, exts)
+    def decode_body(cls, r: Reader):
+        return cls(r.vec(1), _decode_extensions(r))
 
 
 @dataclass
@@ -398,12 +370,8 @@ class CertificateVerify:
         return struct.pack("!H", self.scheme) + _vec(2, self.signature)
 
     @classmethod
-    def decode_body(cls, body: bytes):
-        r = Reader(body)
-        scheme = r.uint(2)
-        sig = r.vec(2)
-        r.expect_end("CertificateVerify")
-        return cls(scheme, sig)
+    def decode_body(cls, r: Reader):
+        return cls(r.uint(2), r.vec(2))
 
 
 @dataclass
@@ -415,8 +383,8 @@ class Finished:
         return self.verify_data
 
     @classmethod
-    def decode_body(cls, body: bytes):
-        return cls(body)
+    def decode_body(cls, r: Reader):
+        return cls(r.take(r.remaining))
 
 
 @dataclass
@@ -437,15 +405,8 @@ class NewSessionTicket:
         )
 
     @classmethod
-    def decode_body(cls, body: bytes):
-        r = Reader(body)
-        lifetime = r.uint(4)
-        age_add = r.uint(4)
-        nonce = r.vec(1)
-        ticket = r.vec(2)
-        exts = _decode_extensions(r)
-        r.expect_end("NewSessionTicket")
-        return cls(lifetime, age_add, nonce, ticket, exts)
+    def decode_body(cls, r: Reader):
+        return cls(r.uint(4), r.uint(4), r.vec(1), r.vec(2), _decode_extensions(r))
 
 
 @dataclass
@@ -456,9 +417,7 @@ class EndOfEarlyData:
         return b""
 
     @classmethod
-    def decode_body(cls, body: bytes):
-        if body:
-            raise DecodeError("EndOfEarlyData carries no body")
+    def decode_body(cls, r: Reader):
         return cls()
 
 
@@ -490,15 +449,12 @@ def message_hash(digest: bytes) -> bytes:
 
 
 def decode_handshake(data: bytes):
-    """Decode one TLS-form handshake message (4-byte header)."""
-    r = Reader(data)
-    msg_type = r.uint(1)
-    body = r.vec(3)
-    r.expect_end("handshake message")
+    """Decode one TLS-form handshake message (4-byte header), its body read whole."""
+    msg_type, body = read_whole(data, lambda r: (r.uint(1), r.vec(3)), "handshake message")
     cls = _MESSAGE_TYPES.get(msg_type)
     if cls is None:
         raise DecodeError(f"unknown-type: handshake type {msg_type}")
-    return cls.decode_body(body)
+    return read_whole(body, cls.decode_body, cls.__name__)
 
 
 # --- DTLS fragmentation ---------------------------------------------------------
@@ -637,15 +593,8 @@ def build_ack(record_numbers) -> bytes:
 
 
 def parse_ack(data: bytes) -> list:
-    r = Reader(data)
-    body = Reader(r.vec(2))
-    r.expect_end("ack")
-    if body.remaining % 16:
-        raise DecodeError("ack entries must be 16 bytes each")
-    out = []
-    while body.remaining:
-        out.append((body.uint(8), body.uint(8)))
-    return out
+    """The (epoch, sequence number) record numbers an ACK lists (RFC 9147 section 7)."""
+    return read_whole(data, lambda r: r.items(2, lambda rn: (rn.uint(8), rn.uint(8))), "ack")
 
 
 def dump_line(direction: str, raw_tls_form: bytes) -> str:

@@ -116,7 +116,7 @@ def test_hellos_each_side_sends(mode, protocol, compat):
     assert len(ch.legacy_session_id) == (32 if compat and protocol == Protocol.TLS else 0)
     assert sh.legacy_session_id_echo == ch.legacy_session_id
     if mode in (AuthMode.PK_SERVER_ONLY, AuthMode.PK_MUTUAL):
-        [(_, share)] = messages.parse_key_share_client(ch.extensions[SHARE])
+        [(_, share)] = messages.extension(ch, SHARE, messages.read_key_share_client)
         assert len(share) == 65
         sni = ch.extensions[SNI]
         assert sni == b"\x00\x0e" + b"\x00" + b"\x00\x0b" + b"iot.example"  # one host_name entry
@@ -132,8 +132,8 @@ def test_hellos_with_connection_ids_after_a_cookie_exchange():
     assert extension_types(hrr) == [SV, COOKIE]
     assert extension_types(ch) == [SV, GROUPS, SIG_ALGS, SNI, CID, COOKIE, SHARE]
     assert extension_types(sh) == [SV, CID, SHARE]
-    assert messages.parse_connection_id(ch.extensions[CID]) == b""
-    assert len(messages.parse_connection_id(sh.extensions[CID])) == 4
+    assert messages.extension(ch, CID, messages.read_connection_id) == b""
+    assert len(messages.extension(sh, CID, messages.read_connection_id)) == 4
 
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)
@@ -621,6 +621,27 @@ def dtls_client_hello(datagram):
     """The ClientHello in the first record of ``datagram``, whole in one fragment."""
     _, _, payload, _ = records.parse_dtls_plaintext(bytes(datagram), 0)
     return messages.decode_handshake(messages.parse_dtls_fragment(payload)[0].to_tls_form())
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_hello_retry_request_without_a_cookie_is_illegal_parameter(protocol):
+    # a cookie is the one thing this client changes its ClientHello for, so a
+    # HelloRetryRequest without one would not change it (RFC 8446 section 4.1.4)
+    client_cfg, _, _ = make_configs(protocol, AuthMode.PSK, seed=77)
+    client = Connection(client_cfg, "client", random.Random(77))
+    client.start(0)
+    hrr = messages.build_hello_retry_request(int(client.suite), bytes(8))
+    del hrr.extensions[messages.ExtensionType.COOKIE]
+    raw = messages.tls_form(hrr)
+    if protocol == Protocol.TLS:
+        [alert] = client.handle(records.encode_tls_plaintext(ContentType.HANDSHAKE, raw), 10)
+        body = alert.data[5:]
+    else:
+        frag = messages.DtlsFragment(raw[0], len(raw) - 4, 0, 0, raw[4:]).encode()
+        [alert] = client.handle(records.encode_dtls_plaintext(ContentType.HANDSHAKE, 0, frag), 10)
+        _, _, body, _ = records.parse_dtls_plaintext(alert.data, 0)
+    assert (client.failure, client.failed_from) == ("illegal_parameter", "wait_sh")
+    assert alert.name == "alert" and body == bytes([2, 47])
 
 
 @pytest.mark.parametrize("protocol", PROTOCOLS, ids=["tls-compat", "dtls-dos"])
@@ -1517,7 +1538,7 @@ def test_flipped_cookie_dropped_without_allocation():
     assert listener.allocated == 0
     _, _, payload, _ = parse_dtls_plaintext(hrr_rec.data, 0)
     hrr = m.decode_handshake(m.parse_dtls_fragment(payload)[0].to_tls_form())
-    cookie = m.parse_cookie(hrr.extensions[m.ExtensionType.COOKIE])
+    cookie = m.extension(hrr, m.ExtensionType.COOKIE, m.read_cookie)
 
     retry = client.handle(hrr_rec.data, 10)
     data = bytearray(retry[0].data)
@@ -1536,7 +1557,7 @@ def test_flipped_cookie_dropped_without_allocation():
 def ch_cookie(datagram) -> bytes:
     """The cookie echoed by the ClientHello in the first record of ``datagram``."""
     ch = dtls_client_hello(datagram)
-    return messages.parse_cookie(ch.extensions[messages.ExtensionType.COOKIE])
+    return messages.extension(ch, messages.ExtensionType.COOKIE, messages.read_cookie)
 
 
 @pytest.mark.parametrize("case", ["malformed_cookie_body", "message_seq_0", "message_seq_3"])

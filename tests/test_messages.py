@@ -163,6 +163,49 @@ def test_decode_rejects_trailing_garbage():
         m.decode_handshake(wire + b"\x00")
 
 
+# (extension, the read_* reader of its data, the value it reads)
+EXTENSION_READERS = [
+    (m.ext_supported_versions_client(), m.read_supported_versions_client, [m.TLS13_VERSION]),
+    (m.ext_supported_versions_server(), m.read_supported_versions_server, m.TLS13_VERSION),
+    (m.ext_psk_modes([m.PskMode.PSK_DHE_KE]), m.read_psk_modes, b"\x01"),
+    (m.ext_key_share_client([(NamedGroup.SECP256R1, b"\x04" * 65)]), m.read_key_share_client, [(0x17, b"\x04" * 65)]),
+    (m.ext_key_share_server(NamedGroup.SECP256R1, b"\x04" * 65), m.read_key_share_server, (0x17, b"\x04" * 65)),
+    (m.ext_pre_shared_key_offer(b"id", 7, bytes(32)), m.read_pre_shared_key_offer, (b"id", 7, bytes(32))),
+    (m.ext_pre_shared_key_server(0), m.read_pre_shared_key_server, 0),
+    (m.ext_cookie(b"c" * 33), m.read_cookie, b"c" * 33),
+    (m.ext_connection_id(b"\xca\xfe"), m.read_connection_id, b"\xca\xfe"),
+]
+
+
+def test_each_structure_is_read_whole():
+    # one byte more inside a structure's own length: every message body but
+    # Finished's, whose verify_data is the whole body, and every extension's data
+    samples = [msg for msg in sample_messages() if not isinstance(msg, m.Finished)]
+    assert {msg.MSG_TYPE for msg in samples} == set(m.HandshakeType) - {m.HandshakeType.FINISHED, m.HandshakeType.MESSAGE_HASH}
+    for msg in samples:
+        body = msg.encode_body() + b"\x00"
+        with pytest.raises(DecodeError, match="length-mismatch"):
+            m.decode_handshake(bytes([msg.MSG_TYPE]) + len(body).to_bytes(3, "big") + body)
+    readers = {name for name in dir(m) if name.startswith("read_") and name != "read_whole"}
+    assert {read.__name__ for _, read, _ in EXTENSION_READERS} == readers
+    for (ext_type, data), read, value in EXTENSION_READERS:
+        assert m.extension(m.EncryptedExtensions({ext_type: data}), ext_type, read) == value
+        with pytest.raises(DecodeError, match="length-mismatch"):
+            m.extension(m.EncryptedExtensions({ext_type: data + b"\x00"}), ext_type, read)
+    assert m.extension(m.EncryptedExtensions({}), m.ExtensionType.COOKIE, m.read_cookie) is None
+
+
+@pytest.mark.parametrize("inner", ["identity", "binder"])
+def test_each_psk_offer_list_is_read_whole(inner):
+    # a hello offers one PSK: a byte after its identity, or binder, inside that list's length
+    lists = {"identity": b"\x00\x02id" + bytes(4), "binder": b"\x20" + bytes(32)}
+    lists[inner] += b"\x00"
+    data = b"".join(len(body).to_bytes(2, "big") + body for body in lists.values())
+    psk = m.ExtensionType.PRE_SHARED_KEY
+    with pytest.raises(DecodeError, match=f"psk {inner} list"):
+        m.extension(m.EncryptedExtensions({psk: data}), psk, m.read_pre_shared_key_offer)
+
+
 def test_decode_unknown_type():
     with pytest.raises(DecodeError):
         m.decode_handshake(b"\x63\x00\x00\x00")
@@ -218,7 +261,7 @@ def test_binder_prefix():
 def test_hrr_sentinel_detection():
     hrr = m.build_hello_retry_request(SuiteId.AES_128_CCM_SHA256, b"c" * 33)
     assert m.is_hello_retry_request(hrr)
-    assert m.parse_cookie(hrr.extensions[m.ExtensionType.COOKIE]) == b"c" * 33
+    assert m.extension(hrr, m.ExtensionType.COOKIE, m.read_cookie) == b"c" * 33
     exts = dict([m.ext_supported_versions_server(), m.ext_pre_shared_key_server(0)])
     sh = m.ServerHello(bytes(32), b"", SuiteId.AES_128_CCM_SHA256, exts)
     assert not m.is_hello_retry_request(sh)
@@ -358,6 +401,8 @@ def test_ack_codec():
     assert m.parse_ack(body) == [(2, 5), (3, 0)]
     with pytest.raises(DecodeError):
         m.parse_ack(body + b"\x00")
+    with pytest.raises(DecodeError, match="truncated"):  # one and a half record numbers
+        m.parse_ack(b"\x00\x18" + bytes(24))
 
 
 def test_certificate_verify_content_shape():
