@@ -6,11 +6,10 @@ renders text/CSV/JSON comparisons including the published reference
 totals the implementation is benchmarked against.
 """
 
-import dataclasses
 import io
 import json
 import random
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import legacy12
 from .connection import (
@@ -50,14 +49,13 @@ REFERENCE_TABLE = [
 CSV_HEADER = "scenario,protocol,mode,suite,bytes_c2s,bytes_s2c,total,datagrams,retrans,paper_ref,deviation_pct"
 
 
-@dataclass
-class Scenario:
+class Scenario(NamedTuple):
     profile: str = "psk128"
     protocol: str = "dtls"
     mode: str = "psk"
     suite: int | None = None
-    net: NetConfig = field(default_factory=NetConfig)
-    overrides: dict = field(default_factory=dict)
+    net: NetConfig = NetConfig()
+    overrides: dict = {}
     app_payload: int = 0  # bytes each way after the handshake (0 = handshake only)
     early_payload: int = 16  # 0-RTT first-flight bytes (zero_rtt mode only)
     cid: int | None = None
@@ -70,6 +68,9 @@ class Scenario:
     def key(self) -> str:
         return f"{self.profile}-{self.protocol}-{self.mode}-s{self.net.seed}"
 
+    def to_dict(self) -> dict:
+        return dict(self._asdict(), net=self.net.to_dict())
+
     @classmethod
     def from_dict(cls, d: dict):
         if isinstance(d, dict) and isinstance(d.get("net"), dict):
@@ -77,8 +78,7 @@ class Scenario:
         return checked_from_dict(cls, d)
 
 
-@dataclass
-class Report:
+class Report(NamedTuple):
     scenario: Scenario
     ok: bool
     failure: str | None
@@ -98,7 +98,7 @@ class Report:
         return self.wire["bytes_c2s"] + self.wire["bytes_s2c"]
 
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        return dict(self._asdict(), scenario=self.scenario.to_dict())
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
@@ -295,7 +295,7 @@ def run_scenario(scenario: Scenario) -> Report:
     warm_failed = False
     if scenario.resume:
         # warm leg issues a ticket; the measured leg resumes with it
-        warm_server_cfg = dataclasses.replace(server_cfg, tickets=True)
+        warm_server_cfg = server_cfg._replace(tickets=True)
         listener = ServerListener(warm_server_cfg, server_rng)
         driver = Driver(client, listener, link_cls(scenario.net))
         finished_at = driver.run()
@@ -348,7 +348,7 @@ def run_scenario(scenario: Scenario) -> Report:
 
     legacy_kwargs = dict(
         cert_size=prof.cert_size,
-        psk_id_len=len(client_cfg.psk.identity) if client_cfg.psk else 16,
+        psk_id_len=len(client_cfg.psk.identity) if client_cfg.psk is not None else 16,
         sni=client_cfg.sni,
         n_suites=len(client_cfg.suites),
         group=client_cfg.groups[0] if client_cfg.groups else legacy12.NamedGroup.SECP256R1,

@@ -149,8 +149,7 @@ def main(argv=None) -> int:
                 raise ConfigError(f'matrix {args.config}: not a {{"scenarios": [...]}} object')
             scenarios = [Scenario.from_dict(d) for d in entries]
             if args.compare_paper:
-                for s in scenarios:
-                    s.compare_paper = True
+                scenarios = [s._replace(compare_paper=True) for s in scenarios]
         reports = [run_scenario(s) for s in scenarios]
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

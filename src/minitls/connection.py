@@ -18,7 +18,6 @@ unauthenticated, so it is dropped silently.
 
 import hmac
 import random
-from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import NamedTuple
 
@@ -85,19 +84,20 @@ class EventKind(str, Enum):
     ADDRESS_MIGRATED = "address_migrated"
 
 
-@dataclass
-class Event:
+class Event(NamedTuple):
     t: int
     kind: EventKind
-    detail: dict = field(default_factory=dict)
+    detail: dict = {}
 
     def line(self, conn_id: str) -> str:
         detail = ",".join(f"{k}={v}" for k, v in sorted(self.detail.items()))
         return f"{self.t} {conn_id} {self.kind.value} {detail}"
 
 
-@dataclass
 class OpCounters:
+    """One connection's operation counts.  Each starts at the class's 0; the first
+    ``+= 1`` gives the instance its own."""
+
     aead_seal: int = 0
     aead_open: int = 0
     hash_blocks: int = 0
@@ -107,7 +107,7 @@ class OpCounters:
     hkdf_ops: int = 0
 
     def to_dict(self) -> dict:
-        return dict(self.__dict__)
+        return {name: getattr(self, name) for name in self.__annotations__}
 
 
 class Transcript:
@@ -137,18 +137,19 @@ class Transcript:
         self.messages = [messages.message_hash(ch1_digest), hrr_raw]
 
 
-@dataclass(frozen=True)
-class TicketState(PskCredential):
+class TicketState(NamedTuple):
     """A resumption PSK from one NewSessionTicket, as the server that issued it and the
-    client that received it each hold it: ``identity`` is the ticket, ``secret`` the PSK."""
+    client that received it each hold it: ``identity`` is the ticket, ``secret`` the PSK.
+    It reads as a ``PskCredential`` but is not one, so ``isinstance`` tells the two apart."""
 
+    identity: bytes
+    secret: bytes
     suite: SuiteId
     age_add: int
     issued_at: int  # when this side sent (server) or received (client) it, in ms
 
 
-@dataclass
-class ConnConfig:
+class ConnConfig(NamedTuple):
     """What one endpoint holds and allows; ``Connection`` acts on each setting alone.
     A client offers a key share iff ``groups``, a PSK iff ``psk`` (an external
     credential, or the ticket ``resume_config`` puts there), early data iff
@@ -336,7 +337,8 @@ class Connection:
 
     def _new_schedule(self, psk: PskCredential | None = None) -> None:
         kind = PskKind.RESUMPTION if isinstance(psk, TicketState) else PskKind.EXTERNAL
-        self.ks = KeySchedule(self.suite, self.protocol, self.counters).init_early(psk.secret if psk else None, kind)
+        secret = psk.secret if psk is not None else None
+        self.ks = KeySchedule(self.suite, self.protocol, self.counters).init_early(secret, kind)
 
     # ------------------------------------------------------------- crypto ops
 
@@ -393,7 +395,7 @@ class Connection:
         raw = messages.tls_form(msg)
         if msg.MSG_TYPE != HandshakeType.NEW_SESSION_TICKET:
             self.transcript.append(raw)
-        name = HandshakeType(raw[0]).name.lower()
+        name = messages.HANDSHAKE_NAMES[msg.MSG_TYPE]
         if self.protocol == Protocol.TLS:  # a message longer than one record spans several (RFC 8446 section 5.1)
             return self._records(epoch, ContentType.HANDSHAKE, raw, name)
         return self.reliability.send(self._frame, raw[0], raw[4:], name, epoch, self._record_room(epoch), now)
@@ -431,7 +433,8 @@ class Connection:
             # a client asked for a certificate it lacks sends an empty Certificate
             # and no CertificateVerify (RFC 8446 section 4.4.2)
             cred = self.cfg.local_ec
-            out += self._emit(messages.Certificate(b"", [(cred.cert_der, b"")] if cred else []), EPOCH_HANDSHAKE, now)
+            entries = [(cred.cert_der, b"")] if cred is not None else []
+            out += self._emit(messages.Certificate(b"", entries), EPOCH_HANDSHAKE, now)
             if cred is not None:
                 content = messages.certificate_verify_content(self.role, self.transcript.digest(self.params.hash_alg))
                 cv = messages.CertificateVerify(int(cred.scheme), self._sign(cred, content))
@@ -1003,7 +1006,7 @@ class Connection:
 
 def resume_config(cfg: ConnConfig, ticket: TicketState) -> ConnConfig:
     """Client config for a resumed handshake using a stored ticket."""
-    return replace(cfg, psk=ticket, suites=(ticket.suite,))
+    return cfg._replace(psk=ticket, suites=(ticket.suite,))
 
 
 class ServerListener:

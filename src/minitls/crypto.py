@@ -12,8 +12,8 @@ cost a context per derivation that two hash objects do not.
 import hashlib
 import hmac as _hmac
 import struct
-from dataclasses import dataclass
 from enum import Enum, IntEnum
+from typing import NamedTuple
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
@@ -53,8 +53,7 @@ _IPAD = bytes(b ^ 0x36 for b in range(256))
 _OPAD = bytes(b ^ 0x5C for b in range(256))
 
 
-@dataclass(frozen=True)
-class SuiteParams:
+class SuiteParams(NamedTuple):
     suite: SuiteId
     key_len: int
     iv_len: int

@@ -10,8 +10,8 @@ rewrites it to the 4-byte TLS header for transcript hashing.
 """
 
 import struct
-from dataclasses import dataclass, field
 from enum import IntEnum
+from typing import NamedTuple
 
 from .errors import DecodeError, InconsistentDuplicate
 
@@ -37,6 +37,10 @@ class HandshakeType(IntEnum):
     CERTIFICATE_VERIFY = 15
     FINISHED = 20
     MESSAGE_HASH = 254
+
+
+# handshake type -> the message's name in reports and events, built once
+HANDSHAKE_NAMES = {t: t.name.lower() for t in HandshakeType}
 
 
 class ExtensionType(IntEnum):
@@ -254,13 +258,12 @@ def read_connection_id(r: Reader) -> bytes:
 # --- handshake messages --------------------------------------------------------
 
 
-@dataclass
-class ClientHello:
+class ClientHello(NamedTuple):
     MSG_TYPE = HandshakeType.CLIENT_HELLO
     random: bytes
     legacy_session_id: bytes
     cipher_suites: list
-    extensions: dict = field(default_factory=dict)
+    extensions: dict = {}
 
     def encode_body(self) -> bytes:
         return (
@@ -287,13 +290,12 @@ class ClientHello:
         return cls(random, session_id, suites, exts)
 
 
-@dataclass
-class ServerHello:
+class ServerHello(NamedTuple):
     MSG_TYPE = HandshakeType.SERVER_HELLO
     random: bytes
     legacy_session_id_echo: bytes
     cipher_suite: int
-    extensions: dict = field(default_factory=dict)
+    extensions: dict = {}
 
     def encode_body(self) -> bytes:
         return (
@@ -318,10 +320,9 @@ class ServerHello:
         return cls(random, sid, suite, exts)
 
 
-@dataclass
-class EncryptedExtensions:
+class EncryptedExtensions(NamedTuple):
     MSG_TYPE = HandshakeType.ENCRYPTED_EXTENSIONS
-    extensions: dict = field(default_factory=dict)
+    extensions: dict = {}
 
     def encode_body(self) -> bytes:
         return _encode_extensions(self.extensions)
@@ -331,11 +332,10 @@ class EncryptedExtensions:
         return cls(_decode_extensions(r))
 
 
-@dataclass
-class Certificate:
+class Certificate(NamedTuple):
     MSG_TYPE = HandshakeType.CERTIFICATE
     request_context: bytes = b""
-    entries: list = field(default_factory=list)  # (cert_data, extensions bytes)
+    entries: list = []  # (cert_data, extensions bytes)
 
     def encode_body(self) -> bytes:
         body = b"".join(_vec(3, data) + _vec(2, exts) for data, exts in self.entries)
@@ -346,11 +346,10 @@ class Certificate:
         return cls(r.vec(1), r.items(3, lambda entry: (entry.vec(3), entry.vec(2))))
 
 
-@dataclass
-class CertificateRequest:
+class CertificateRequest(NamedTuple):
     MSG_TYPE = HandshakeType.CERTIFICATE_REQUEST
     request_context: bytes = b""
-    extensions: dict = field(default_factory=dict)
+    extensions: dict = {}
 
     def encode_body(self) -> bytes:
         return _vec(1, self.request_context) + _encode_extensions(self.extensions)
@@ -360,8 +359,7 @@ class CertificateRequest:
         return cls(r.vec(1), _decode_extensions(r))
 
 
-@dataclass
-class CertificateVerify:
+class CertificateVerify(NamedTuple):
     MSG_TYPE = HandshakeType.CERTIFICATE_VERIFY
     scheme: int
     signature: bytes
@@ -374,8 +372,7 @@ class CertificateVerify:
         return cls(r.uint(2), r.vec(2))
 
 
-@dataclass
-class Finished:
+class Finished(NamedTuple):
     MSG_TYPE = HandshakeType.FINISHED
     verify_data: bytes
 
@@ -387,14 +384,13 @@ class Finished:
         return cls(r.take(r.remaining))
 
 
-@dataclass
-class NewSessionTicket:
+class NewSessionTicket(NamedTuple):
     MSG_TYPE = HandshakeType.NEW_SESSION_TICKET
     lifetime: int
     age_add: int
     nonce: bytes
     ticket: bytes
-    extensions: dict = field(default_factory=dict)
+    extensions: dict = {}
 
     def encode_body(self) -> bytes:
         return (
@@ -409,8 +405,7 @@ class NewSessionTicket:
         return cls(r.uint(4), r.uint(4), r.vec(1), r.vec(2), _decode_extensions(r))
 
 
-@dataclass
-class EndOfEarlyData:
+class EndOfEarlyData(NamedTuple):
     MSG_TYPE = HandshakeType.END_OF_EARLY_DATA
 
     def encode_body(self) -> bytes:
@@ -460,8 +455,7 @@ def decode_handshake(data: bytes):
 # --- DTLS fragmentation ---------------------------------------------------------
 
 
-@dataclass
-class DtlsFragment:
+class DtlsFragment(NamedTuple):
     msg_type: int
     length: int
     message_seq: int
@@ -599,8 +593,5 @@ def parse_ack(data: bytes) -> list:
 
 def dump_line(direction: str, raw_tls_form: bytes) -> str:
     """One transcript-dump line: direction, message name, length, hex."""
-    try:
-        name = HandshakeType(raw_tls_form[0]).name.lower()
-    except ValueError:
-        name = f"type_{raw_tls_form[0]}"
+    name = HANDSHAKE_NAMES.get(raw_tls_form[0], f"type_{raw_tls_form[0]}")
     return f"{direction} {name} {len(raw_tls_form)} {raw_tls_form.hex()}"

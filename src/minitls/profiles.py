@@ -8,8 +8,8 @@ keys, so no ASN.1 parsing exists anywhere.
 """
 
 import random
-from dataclasses import dataclass, field, replace
 from enum import Enum
+from typing import NamedTuple
 
 from . import ec
 from .crypto import GROUP_SCHEME, NamedGroup, SignatureScheme, SuiteId
@@ -28,8 +28,7 @@ PSK_FAMILY = {AuthMode.PSK, AuthMode.PSK_ECDHE, AuthMode.ZERO_RTT}
 PK_FAMILY = {AuthMode.PK_MUTUAL, AuthMode.PK_SERVER_ONLY}
 ECDHE_FAMILY = PK_FAMILY | {AuthMode.PSK_ECDHE}  # the modes that send a key share
 
-@dataclass(frozen=True)
-class Profile:
+class Profile(NamedTuple):
     name: str
     suites: tuple
     modes: frozenset
@@ -118,7 +117,7 @@ def resolve(name: str, overrides: dict | None = None) -> Profile:
             merged["groups"] = tuple(NamedGroup(g) for g in merged["groups"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    prof = replace(base, **merged)
+    prof = base._replace(**merged)
     _validate(base, prof)
     return prof
 
@@ -139,22 +138,38 @@ def _validate(base: Profile, prof: Profile) -> None:
 # --- credentials -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PskCredential:
+class PskCredential(NamedTuple):
     identity: bytes
     secret: bytes
 
 
-@dataclass(frozen=True)
-class EcCredential:
+class EcCredential(NamedTuple):
+    """A key pair and its certificate.  It compares, hashes and prints without
+    ``private``: OpenSSL keys compare by identity, and ``public_point`` determines it."""
+
     group: NamedGroup
-    private: ec.PrivateKey = field(repr=False, compare=False)  # public_point determines it
+    private: ec.PrivateKey
     public_point: bytes
     cert_der: bytes = b""
 
     @property
     def scheme(self) -> SignatureScheme:
         return GROUP_SCHEME[self.group]
+
+    def _public(self) -> tuple:
+        return self.group, self.public_point, self.cert_der
+
+    def __eq__(self, other):
+        return self._public() == other._public() if isinstance(other, EcCredential) else NotImplemented
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        return hash(self._public())
+
+    def __repr__(self):
+        return f"EcCredential(group={self.group!r}, public_point={self.public_point!r}, cert_der={self.cert_der!r})"
 
 
 def synthetic_cert(rng: random.Random, cert_size: int) -> bytes:

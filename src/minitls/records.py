@@ -13,8 +13,8 @@ replay window every open reads its sequence number from, and the OpenSSL
 AEAD object and sequence-number ECB encryptor, built on first use.
 """
 
-from dataclasses import dataclass
 from enum import IntEnum
+from typing import NamedTuple
 
 from . import crypto
 from .crypto import SuiteParams
@@ -30,8 +30,7 @@ class ContentType(IntEnum):
     ACK = 26
 
 
-@dataclass
-class OutRecord:
+class OutRecord(NamedTuple):
     data: bytes
     name: str
     retransmit: bool = False
@@ -239,8 +238,7 @@ def reconstruct_seq(seq_low: int, seq_len: int, expected: int) -> int:
     return best
 
 
-@dataclass
-class ParsedCiphertext:
+class ParsedCiphertext(NamedTuple):
     header: bytearray  # wire header bytes (sequence still masked)
     cid: bytes
     epoch_low: int

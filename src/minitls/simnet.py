@@ -11,12 +11,10 @@ is an integer millisecond clock advanced by the caller; nothing here reads
 a wall clock.
 """
 
-import dataclasses
 import functools
 import heapq
 import random
 import typing
-from dataclasses import dataclass
 
 from .errors import ConfigError, OversizedDatagram
 
@@ -24,8 +22,7 @@ CLIENT = "client"
 SERVER = "server"
 
 
-@dataclass
-class NetConfig:
+class NetConfig(typing.NamedTuple):
     loss_rate: float = 0.0
     dup_rate: float = 0.0
     reorder_rate: float = 0.0
@@ -35,7 +32,7 @@ class NetConfig:
     framing_overhead: int = 0  # constant per-datagram encapsulation cost
 
     def to_dict(self) -> dict:
-        return dict(self.__dict__)
+        return self._asdict()
 
     @classmethod
     def from_dict(cls, d: dict):
@@ -43,7 +40,7 @@ class NetConfig:
 
 
 def checked_from_dict(cls, d: dict):
-    """``cls(**d)`` once each key of ``d`` names a field of the dataclass ``cls`` and its
+    """``cls(**d)`` once each key of ``d`` names a field of the NamedTuple ``cls`` and its
     value has the field's declared type: an int passes for a float, a bool only for a bool."""
     accepted = _field_types(cls)
     if type(d) is not dict:
@@ -59,8 +56,8 @@ def checked_from_dict(cls, d: dict):
 
 @functools.cache
 def _field_types(cls) -> dict:
-    """Field name -> the value types that field of the dataclass ``cls`` takes."""
-    declared = {f.name: typing.get_args(f.type) or (f.type,) for f in dataclasses.fields(cls)}
+    """Field name -> the value types that field of the NamedTuple ``cls`` takes."""
+    declared = {name: typing.get_args(t) or (t,) for name, t in cls.__annotations__.items()}
     return {name: types + (int,) if float in types else types for name, types in declared.items()}
 
 

@@ -2,7 +2,6 @@
 
 import pathlib
 import random
-from dataclasses import replace
 
 from minitls import ec
 from minitls.bench import Driver
@@ -110,9 +109,9 @@ class Pair:
 def run_handshake(protocol, mode, *, seed=0, net=None, client_over=None, server_over=None, **kw):
     client_cfg, server_cfg, deployment = make_configs(protocol, mode, seed=seed, **kw)
     if client_over:
-        client_cfg = replace(client_cfg, **client_over)
+        client_cfg = client_cfg._replace(**client_over)
     if server_over:
-        server_cfg = replace(server_cfg, **server_over)
+        server_cfg = server_cfg._replace(**server_over)
     pair = Pair(client_cfg, server_cfg, net=net, seed=seed)
     pair.run()
     return pair
@@ -156,10 +155,15 @@ def tamper_on_wire(monkeypatch, role: str, tamper) -> None:
 
 def filter_sends(driver: Driver, keep) -> None:
     """Wrap ``driver.send`` on this one driver: ``keep(endpoint, OutRecord, now)``
-    sees every record before it is packed into a datagram, may rewrite its
-    ``data``, and drops it by returning False."""
+    sees every record before it is packed into a datagram and returns True to
+    send it, False to drop it, or the ``OutRecord`` to send in its place."""
     send = driver.send
-    driver.send = lambda endpoint, outs, now: send(endpoint, [r for r in outs if keep(endpoint, r, now)], now)
+
+    def filtered(endpoint, outs, now):
+        verdicts = [(rec, keep(endpoint, rec, now)) for rec in outs]
+        return send(endpoint, [rec if verdict is True else verdict for rec, verdict in verdicts if verdict], now)
+
+    driver.send = filtered
 
 
 def count_backend_keys(monkeypatch) -> list:

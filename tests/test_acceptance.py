@@ -7,7 +7,6 @@ import itertools
 import json
 import random
 import time
-from dataclasses import asdict, replace
 
 from minitls import crypto, records
 from minitls.bench import Scenario, paper_reference, run_scenario
@@ -261,7 +260,7 @@ def test_07_retransmission_granularity():
 def test_08_dos_statelessness():
     t0 = time.perf_counter()
     client_cfg, server_cfg, _ = make_configs(Protocol.DTLS, AuthMode.PSK, seed=77)
-    server_cfg = replace(server_cfg, dos=True)
+    server_cfg = server_cfg._replace(dos=True)
     pair = Pair(client_cfg, server_cfg, seed=77)
 
     probe = Connection(client_cfg, "client", random.Random(123), conn_id="P")
@@ -282,7 +281,7 @@ def test_08_dos_statelessness():
 
 def test_09_cid_continuity():
     client_cfg, server_cfg, _ = make_configs(Protocol.DTLS, AuthMode.PSK, seed=88)
-    pair = Pair(replace(client_cfg, cid=0), replace(server_cfg, cid=4), seed=88)
+    pair = Pair(client_cfg._replace(cid=0), server_cfg._replace(cid=4), seed=88)
     pair.run()
     server = pair.assert_complete()
     hs_bytes_before = sum(
@@ -326,8 +325,8 @@ def test_10_asymmetric_op_proxy():
 def test_11_scenario_determinism(tmp_path):
     s = Scenario(profile="ecdsa128", protocol="dtls", mode="pk_mutual",
                  net=NetConfig(seed=31, loss_rate=0.1))
-    blob1 = run_scenario(Scenario.from_dict(json.loads(json.dumps(asdict(s))))).to_json().encode()
-    blob2 = run_scenario(Scenario.from_dict(json.loads(json.dumps(asdict(s))))).to_json().encode()
+    blob1 = run_scenario(Scenario.from_dict(json.loads(json.dumps(s.to_dict())))).to_json().encode()
+    blob2 = run_scenario(Scenario.from_dict(json.loads(json.dumps(s.to_dict())))).to_json().encode()
     (tmp_path / "r1.json").write_bytes(blob1)
     (tmp_path / "r2.json").write_bytes(blob2)
     assert (tmp_path / "r1.json").read_bytes() == (tmp_path / "r2.json").read_bytes()

@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import hashlib
 import io
 import json
@@ -40,7 +39,7 @@ def test_scenario_json_round_trip():
         packing=True,
         overrides={"cert_size": 640},
     )
-    assert Scenario.from_dict(json.loads(json.dumps(dataclasses.asdict(s)))) == s
+    assert Scenario.from_dict(json.loads(json.dumps(s.to_dict()))) == s
 
 
 def test_reference_table_values_frozen():
@@ -238,7 +237,7 @@ MATRIX = ["matrix", "--config", "{matrix}"]
     (["run", "--profile", "psk128", "--mode", "pk_mutual"], None),
     (["run", "--mode", "bogus"], None),
     (["run", "--suite", "0x9999"], None),
-    (MATRIX, dataclasses.asdict(scenario(profile="nosuch"))),
+    (MATRIX, scenario(profile="nosuch").to_dict()),
     (MATRIX, {"protocol": "quic"}),
     (MATRIX, {"protocl": "dtls"}),
     (MATRIX, {"net": {"mtux": 400}}),
@@ -347,8 +346,8 @@ def test_cli_matrix_takes_a_json_int_for_a_float(tmp_path):
 def test_cli_matrix(tmp_path, capsys):
     config = {
         "scenarios": [
-            dataclasses.asdict(scenario(profile="psk128", protocol="dtls", mode="psk")),
-            dataclasses.asdict(scenario(profile="psk128", protocol="tls", mode="psk")),
+            scenario(profile="psk128", protocol="dtls", mode="psk").to_dict(),
+            scenario(profile="psk128", protocol="tls", mode="psk").to_dict(),
         ]
     }
     path = tmp_path / "matrix.json"

@@ -41,11 +41,18 @@ def test_difference_lines_parent_to_change():
         "dtls_lossy": {"calls": 259_010, "openssl_verifies": 60},
         "new_workload": {"calls": 5},
     }
-    assert call_counts.difference(parent, change, (4_056, 4_036)) == [
+    totals = {"src/minitls lines": (4_056, 4_036), "import minitls.bench modules": (68, 60)}
+    assert call_counts.difference(parent, change, totals) == [
         "dtls_lossy calls: 259,008 -> 259,010 (+2)",
         "dtls_lossy openssl_verifies: 60 -> 60 (+0)",
         "new_workload calls: 0 -> 5 (+5)",
         "psk_clean calls: 233,483 -> 230,703 (-2,780)",
         "psk_clean openssl_verifies: 0 -> 0 (+0)",
         "src/minitls lines: 4,056 -> 4,036 (-20)",
+        "import minitls.bench modules: 68 -> 60 (-8)",
     ]
+
+
+def test_import_modules_repeat_exactly():
+    call_counts = load_tool()
+    assert call_counts.import_modules(ROOT) == call_counts.import_modules(ROOT) > 0

@@ -3,7 +3,6 @@ import itertools
 import random
 import tracemalloc
 import weakref
-from dataclasses import replace
 
 import pytest
 
@@ -323,7 +322,7 @@ def client_hello_message_seq(seq):
     def keep(endpoint, rec, now):
         if endpoint == CLIENT and rec.name == "client_hello":
             at = records.DTLS12_RECORD_HEADER_LEN + 4  # the fragment's message_seq
-            rec.data = rec.data[:at] + seq.to_bytes(2, "big") + rec.data[at + 2 :]
+            return rec._replace(data=rec.data[:at] + seq.to_bytes(2, "big") + rec.data[at + 2 :])
         return True
 
     return keep
@@ -346,9 +345,9 @@ def test_first_client_hello_outcome_does_not_depend_on_fragmentation(case, alert
     # undecodable body decode_error, and a first fragment past message_seq 0 is
     # not a first flight, so nothing is allocated
     client_cfg, server_cfg, _ = make_configs(Protocol.DTLS, AuthMode.PSK, seed=65)
-    client_cfg = replace(client_cfg, mtu=120 if split else 1280)
+    client_cfg = client_cfg._replace(mtu=120 if split else 1280)
     if case == "no_common_suite":
-        server_cfg = replace(server_cfg, suites=(SuiteId.AES_256_GCM_SHA384,))
+        server_cfg = server_cfg._replace(suites=(SuiteId.AES_256_GCM_SHA384,))
     if case == "bad_legacy_version":
         tamper_on_wire(monkeypatch, "client", flip_legacy_version("client_hello"))
     pair = Pair(client_cfg, server_cfg, seed=65)
@@ -371,7 +370,7 @@ def test_failed_server_connection_gives_up_its_address():
     # the server's one fatal alert is lost; the client's retransmitted
     # ClientHello reaches a fresh connection, whose alert ends the handshake
     client_cfg, server_cfg, _ = make_configs(Protocol.DTLS, AuthMode.PSK, seed=67, suite=SuiteId.AES_256_CCM_SHA384)
-    server_cfg = replace(server_cfg, suites=(SuiteId.AES_128_CCM_SHA256,))
+    server_cfg = server_cfg._replace(suites=(SuiteId.AES_128_CCM_SHA256,))
     pair = Pair(client_cfg, server_cfg, seed=67)
     dropped = []
 
@@ -404,14 +403,12 @@ def test_undecodable_server_hello_is_decode_error(protocol, monkeypatch):
 
 
 def rewrite_server_message(target, edit):
-    """A ``tamper_on_wire`` tamper: decode the ``target`` message, let ``edit`` change
-    it in place, and send it re-encoded."""
+    """A ``tamper_on_wire`` tamper: decode the ``target`` message, and send the one
+    ``edit`` returns for it, encoded."""
     def tamper(name, raw):
         if name != target:
             return None
-        msg = messages.decode_handshake(raw)
-        edit(msg)
-        return messages.tls_form(msg)
+        return messages.tls_form(edit(messages.decode_handshake(raw)))
 
     return tamper
 
@@ -420,10 +417,12 @@ def set_extension(msg, ext):
     """Put the ``(type, data)`` pair ``ext`` last in ``msg``'s extensions, in place of any of its type."""
     drop_extension(msg, ext[0])
     msg.extensions.update([ext])
+    return msg
 
 
 def drop_extension(msg, ext_type):
     msg.extensions.pop(ext_type, None)
+    return msg
 
 
 TWO_SUITES = (SuiteId.AES_128_CCM_SHA256, SuiteId.AES_256_CCM_SHA384)
@@ -433,12 +432,12 @@ TWO_SUITES = (SuiteId.AES_128_CCM_SHA256, SuiteId.AES_256_CCM_SHA384)
 SERVER_HELLO_CHECKS = {
     "suite-not-offered": (  # RFC 8446 section 4.1.3
         AuthMode.PK_SERVER_ONLY, None,
-        rewrite_server_message("server_hello", lambda sh: setattr(sh, "cipher_suite", 0x1301)),
+        rewrite_server_message("server_hello", lambda sh: sh._replace(cipher_suite=0x1301)),
         "illegal_parameter", 47,
     ),
     "psk-accepted-with-another-suite": (  # RFC 8446 section 4.2.11
         AuthMode.PSK, TWO_SUITES,
-        rewrite_server_message("server_hello", lambda sh: setattr(sh, "cipher_suite", 0x13A4)),
+        rewrite_server_message("server_hello", lambda sh: sh._replace(cipher_suite=0x13A4)),
         "illegal_parameter", 47,
     ),
     "share-for-a-group-not-offered": (
@@ -479,7 +478,7 @@ def test_client_rejects_server_hello_or_extensions_it_did_not_ask_for(case, prot
     tamper_on_wire(monkeypatch, "server", tamper)
     client_cfg, server_cfg, _ = make_configs(protocol, mode, seed=67)
     if suites is not None:
-        client_cfg = replace(client_cfg, suites=suites)
+        client_cfg = client_cfg._replace(suites=suites)
     pair = Pair(client_cfg, server_cfg, seed=67)
     pair.run(until_ms=5_000)
     assert pair.client.failed and pair.client.failure == alert
@@ -552,7 +551,7 @@ SERVER_VERSION_CHECKS = {
         "illegal_parameter", 47,
     ),
     "another-session-id": (  # RFC 8446 section 4.1.3
-        lambda hello: setattr(hello, "legacy_session_id_echo", bytes(range(32))),
+        lambda hello: hello._replace(legacy_session_id_echo=bytes(range(32))),
         "illegal_parameter", 47,
     ),
 }
@@ -571,8 +570,7 @@ def test_client_refuses_a_hello_of_a_version_or_session_it_did_not_offer(case, h
         hello = messages.decode_handshake(raw)
         if hrr:
             hello = messages.build_hello_retry_request(hello.cipher_suite, bytes(8), hello.legacy_session_id_echo)
-        edit(hello)
-        return messages.tls_form(hello)
+        return messages.tls_form(edit(hello))
 
     tamper_on_wire(monkeypatch, "server", tamper)
     pair = run_handshake(protocol, AuthMode.PSK, seed=75, compat=protocol == Protocol.TLS)
@@ -607,7 +605,7 @@ def test_server_refuses_a_client_hello_without_this_version_or_psk_modes(case, p
             return None
         ch = messages.decode_handshake(raw)
         psk = ch.extensions.popitem()  # pre_shared_key stays last
-        edit(ch)
+        ch = edit(ch)
         ch.extensions.update([psk])
         return messages.tls_form(ch)
 
@@ -686,7 +684,7 @@ def test_server_uses_a_psk_only_in_a_mode_the_client_lists(case, protocol, monke
     build = messages.ext_psk_modes
     monkeypatch.setattr(messages, "ext_psk_modes", lambda modes: build(listed))
     client_cfg, server_cfg, deployment = make_configs(protocol, mode, seed=78)
-    client_cfg = replace(client_cfg, peer_ec=deployment["server_ec"].public_point)
+    client_cfg = client_cfg._replace(peer_ec=deployment["server_ec"].public_point)
     pair = Pair(client_cfg, server_cfg, seed=78)
     pair.run(until_ms=5_000)
     server = pair.server
@@ -707,8 +705,8 @@ def test_client_hello1_hashed_with_the_hello_retry_request_suite():
     # message_hash with SHA-384 (RFC 8446 section 4.4.1)
     suites = (SuiteId.AES_128_CCM_SHA256, SuiteId.AES_256_CCM_SHA384)
     client_cfg, server_cfg, _ = make_configs(Protocol.DTLS, AuthMode.PK_SERVER_ONLY, seed=74)
-    client_cfg = replace(client_cfg, suites=suites)
-    server_cfg = replace(server_cfg, suites=suites[::-1], dos=True)
+    client_cfg = client_cfg._replace(suites=suites)
+    server_cfg = server_cfg._replace(suites=suites[::-1], dos=True)
     pair = Pair(client_cfg, server_cfg, seed=74)
     pair.run(until_ms=10_000)
     server = pair.assert_complete()
@@ -761,10 +759,8 @@ def test_psk_keyed_for_another_hash_picks_a_suite_of_its_hash(protocol, mode, se
     # picks its most-preferred shared suite of the binder's hash (RFC 8446
     # section 4.2.11); with no PSK offered its preference stands
     client_cfg, server_cfg, _ = make_configs(protocol, mode, seed=68)
-    client_cfg = replace(client_cfg, suites=TWO_SUITES)
-    server_cfg = replace(
-        server_cfg, suites=TWO_SUITES[::-1], local_ec=server_cfg.local_ec if server_cert else None
-    )
+    client_cfg = client_cfg._replace(suites=TWO_SUITES)
+    server_cfg = server_cfg._replace(suites=TWO_SUITES[::-1], local_ec=server_cfg.local_ec if server_cert else None)
     pair = Pair(client_cfg, server_cfg, seed=68)
     pair.run(until_ms=5_000)
     server = pair.assert_complete()
@@ -784,8 +780,8 @@ def test_psk_keyed_for_a_hash_the_server_lacks_is_not_selected(protocol, mode, a
     # SHA-256 cannot serve: it takes the certificate path, which the client's
     # pin of the server key accepts, or fails
     client_cfg, server_cfg, deployment = make_configs(protocol, mode, seed=68)
-    client_cfg = replace(client_cfg, suites=TWO_SUITES, peer_ec=deployment["server_ec"].public_point)
-    server_cfg = replace(server_cfg, suites=TWO_SUITES[1:])
+    client_cfg = client_cfg._replace(suites=TWO_SUITES, peer_ec=deployment["server_ec"].public_point)
+    server_cfg = server_cfg._replace(suites=TWO_SUITES[1:])
     pair = Pair(client_cfg, server_cfg, seed=68)
     pair.run(until_ms=5_000)
     if alert is not None:
@@ -804,8 +800,8 @@ def test_ticket_keyed_for_another_hash_picks_a_suite_of_its_hash(protocol):
     first = ticketed_pair(protocol)
     first.assert_complete()
     ticket = first.client.client_tickets[0]
-    resumed_cfg = replace(resume_config(first.client.cfg, ticket), suites=TWO_SUITES)
-    pair = Pair(resumed_cfg, replace(first.listener.cfg, suites=TWO_SUITES[::-1]), seed=17)
+    resumed_cfg = resume_config(first.client.cfg, ticket)._replace(suites=TWO_SUITES)
+    pair = Pair(resumed_cfg, first.listener.cfg._replace(suites=TWO_SUITES[::-1]), seed=17)
     pair.listener.ticket_db = first.listener.ticket_db
     pair.run(until_ms=5_000)
     server = pair.assert_complete()
@@ -838,7 +834,8 @@ def test_plaintext_handshake_record_carries_only_hellos(protocol):
     def unprotect_ee(endpoint, rec, now):
         if endpoint != CLIENT and rec.name == "encrypted_extensions" and not swapped:
             swapped.append(rec.data)
-            rec.data = plaintext_handshake(protocol, server_message(pair, HandshakeType.ENCRYPTED_EXTENSIONS))
+            forged = plaintext_handshake(protocol, server_message(pair, HandshakeType.ENCRYPTED_EXTENSIONS))
+            return rec._replace(data=forged)
         return True
 
     filter_sends(pair.driver, unprotect_ee)
@@ -852,9 +849,10 @@ def test_plaintext_handshake_record_carries_only_hellos(protocol):
         assert any(d == "s2c" and rt for _, d, _, rt in pair.driver.per_message)
 
 
-def test_tls_handshake_message_spanning_key_change_rejected():
-    # ServerHello and EncryptedExtensions in one plaintext record: EE would
-    # span the switch to handshake keys (RFC 8446 section 5.1)
+@pytest.mark.parametrize("ee_bytes", [None, 3], ids=["whole-ee", "part-of-the-ee-header"])
+def test_tls_handshake_message_spanning_key_change_rejected(ee_bytes):
+    # ServerHello and EncryptedExtensions, whole or its first bytes, in one
+    # plaintext record: EE would span the switch to handshake keys (RFC 8446 section 5.1)
     client_cfg, server_cfg, _ = make_configs(Protocol.TLS, AuthMode.PSK, seed=62)
     pair = Pair(client_cfg, server_cfg, seed=62)
 
@@ -862,8 +860,9 @@ def test_tls_handshake_message_spanning_key_change_rejected():
         if endpoint == CLIENT:
             return True
         if rec.name == "server_hello":
-            raws = [server_message(pair, t) for t in (HandshakeType.SERVER_HELLO, HandshakeType.ENCRYPTED_EXTENSIONS)]
-            rec.data = plaintext_handshake(Protocol.TLS, b"".join(raws))
+            ee = server_message(pair, HandshakeType.ENCRYPTED_EXTENSIONS)[:ee_bytes]
+            sh = server_message(pair, HandshakeType.SERVER_HELLO)
+            return rec._replace(data=plaintext_handshake(Protocol.TLS, sh + ee))
         return rec.name != "encrypted_extensions"
 
     filter_sends(pair.driver, coalesce)
@@ -881,7 +880,7 @@ def prepend_once(pair, sender: str, record_name: str, forge) -> list:
     def keep(endpoint, rec, now):
         if (endpoint == CLIENT) == (sender == "client") and rec.name == record_name and not done:
             done.append(now)
-            rec.data = forge() + rec.data
+            return rec._replace(data=forge() + rec.data)
         return True
 
     filter_sends(pair.driver, keep)
@@ -916,7 +915,7 @@ def test_plaintext_record_over_the_limit(protocol):
 def test_unknown_external_psk_identity(protocol):
     # with no key share there is no certificate to fall back on (RFC 8446 section 6.2)
     client_cfg, server_cfg, deployment = make_configs(protocol, AuthMode.PSK, seed=76)
-    client_cfg = replace(client_cfg, psk=replace(deployment["psk"], identity=b"someone-else"))
+    client_cfg = client_cfg._replace(psk=deployment["psk"]._replace(identity=b"someone-else"))
     pair = Pair(client_cfg, server_cfg, seed=76)
     pair.run(until_ms=5_000)
     assert (pair.server.failure, pair.server.failed_from) == ("unknown_psk_identity", "start")
@@ -1239,7 +1238,7 @@ def test_truncated_unified_header_at_the_end_of_a_datagram_dropped(tail, reason)
     def append_tail(endpoint, rec, now):
         if endpoint != CLIENT and rec.name == "finished" and not done:
             done.append(now)
-            rec.data += tail
+            return rec._replace(data=rec.data + tail)
         return True
 
     filter_sends(pair.driver, append_tail)
@@ -1263,7 +1262,7 @@ def test_dtls_new_session_ticket_outside_application_epoch_rejected(monkeypatch)
 
     monkeypatch.setattr(Connection, "_emit", ticket_in_handshake_epoch)
     client_cfg, server_cfg, _ = make_configs(Protocol.DTLS, AuthMode.PSK, seed=63)
-    pair = Pair(client_cfg, replace(server_cfg, tickets=True), seed=63)
+    pair = Pair(client_cfg, server_cfg._replace(tickets=True), seed=63)
     pair.run(until_ms=10_000)
     assert pair.client.failure == "unexpected_message"
     assert pair.client.failed_from == "connected"
@@ -1342,7 +1341,7 @@ def binder_case(case: str):
         return pair, ticket.secret, b"res binder", "sha256"
     protocol = Protocol.TLS if case == "tls" else Protocol.DTLS
     client_cfg, server_cfg, _ = make_configs(protocol, AuthMode.PSK, seed=8)
-    pair = Pair(client_cfg, replace(server_cfg, dos=case == "dtls-dos"), seed=8)
+    pair = Pair(client_cfg, server_cfg._replace(dos=case == "dtls-dos"), seed=8)
     pair.run()
     return pair, client_cfg.psk.secret, b"ext binder", "sha256"
 
@@ -1367,8 +1366,8 @@ def test_binder_on_the_wire_matches_oracle(case):
 
 def test_wrong_psk_rejected():
     client_cfg, server_cfg, _ = make_configs(Protocol.DTLS, AuthMode.PSK, seed=7)
-    bad_psk = replace(client_cfg.psk, secret=b"\x00" * 32)
-    client_cfg = replace(client_cfg, psk=bad_psk)
+    bad_psk = client_cfg.psk._replace(secret=b"\x00" * 32)
+    client_cfg = client_cfg._replace(psk=bad_psk)
     pair = Pair(client_cfg, server_cfg, seed=7)
     pair.run(until_ms=5_000)
     assert pair.server.failed and pair.server.failure == "decrypt_error"
@@ -1494,7 +1493,7 @@ def test_duplicate_ack_idempotent_and_unknown_ignored():
 
 def dos_pair(seed=12):
     client_cfg, server_cfg, _ = make_configs(Protocol.DTLS, AuthMode.PSK, seed=seed)
-    server_cfg = replace(server_cfg, dos=True)
+    server_cfg = server_cfg._replace(dos=True)
     return Pair(client_cfg, server_cfg, seed=seed)
 
 
@@ -1624,14 +1623,13 @@ def test_a_retry_whose_suite_hashes_otherwise_than_its_cookie_is_illegal(monkeyp
         if name != "client_hello":
             return None
         hellos.append(raw)
-        ch = messages.decode_handshake(raw)
-        ch.cipher_suites = [int(SuiteId.AES_128_CCM_SHA256)]
+        ch = messages.decode_handshake(raw)._replace(cipher_suites=[int(SuiteId.AES_128_CCM_SHA256)])
         return messages.tls_form(ch) if len(hellos) == 2 else None
 
     tamper_on_wire(monkeypatch, "client", tamper)
     suites = (SuiteId.AES_128_CCM_SHA256, SuiteId.AES_256_CCM_SHA384)
     client_cfg, server_cfg, _ = make_configs(Protocol.DTLS, AuthMode.PK_SERVER_ONLY, seed=17)
-    pair = Pair(replace(client_cfg, suites=suites), replace(server_cfg, suites=suites[::-1], dos=True), seed=17)
+    pair = Pair(client_cfg._replace(suites=suites), server_cfg._replace(suites=suites[::-1], dos=True), seed=17)
     pair.run(until_ms=5_000)
     assert pair.client.hrr_done and len(hellos) == 2
     assert (pair.server.failure, pair.server.failed_from) == ("illegal_parameter", "start")
@@ -1724,7 +1722,7 @@ def test_forged_fragment_lengths_allocate_nothing_they_claim(case, datagram_len)
 
 def ticketed_pair(protocol, seed=16):
     client_cfg, server_cfg, _ = make_configs(protocol, AuthMode.PSK, seed=seed)
-    server_cfg = replace(server_cfg, tickets=True)
+    server_cfg = server_cfg._replace(tickets=True)
     pair = Pair(client_cfg, server_cfg, seed=seed)
     pair.run()
     return pair
@@ -1738,7 +1736,7 @@ def test_ticket_issue_and_resume(protocol):
     ticket = pair.client.client_tickets[0]
     # the server keeps the ticket as the client does, but for the time it was sent
     issued = pair.listener.ticket_db[ticket.identity]
-    assert replace(issued, issued_at=ticket.issued_at) == ticket
+    assert issued._replace(issued_at=ticket.issued_at) == ticket
 
     resumed_cfg = resume_config(pair.client.cfg, ticket)
     pair2 = Pair(resumed_cfg, pair.listener.cfg, seed=99)
@@ -1755,7 +1753,7 @@ def test_expired_ticket_falls_back_or_fails():
     pair.assert_complete()
     ticket = pair.client.client_tickets[0]
     entry = pair.listener.ticket_db[ticket.identity]
-    pair.listener.ticket_db[ticket.identity] = replace(entry, issued_at=-(TICKET_LIFETIME_S * 1000 + 60_000))  # long expired
+    pair.listener.ticket_db[ticket.identity] = entry._replace(issued_at=-(TICKET_LIFETIME_S * 1000 + 60_000))  # long expired
 
     resumed_cfg = resume_config(pair.client.cfg, ticket)
     pair2 = Pair(resumed_cfg, pair.listener.cfg, seed=100)
@@ -1792,7 +1790,7 @@ def test_no_early_data_after_the_stateless_hello_retry_request():
     # RFC 8446 section 4.2.10: the ClientHello that answers a HelloRetryRequest
     # offers no early_data; the listener's stateless HRR drops the first copy
     client_cfg, server_cfg, _ = make_configs(Protocol.DTLS, AuthMode.ZERO_RTT, seed=19)
-    pair = Pair(client_cfg, replace(server_cfg, dos=True), seed=19)
+    pair = Pair(client_cfg, server_cfg._replace(dos=True), seed=19)
     pair.run()
     server = pair.assert_complete()
     names = [name for name, _, _, _ in pair.driver.per_message]
@@ -1861,8 +1859,8 @@ def test_app_record_sizes():
 
 def test_app_record_with_cid():
     client_cfg, server_cfg, _ = make_configs(Protocol.DTLS, AuthMode.PSK, seed=22)
-    client_cfg = replace(client_cfg, cid=0)
-    server_cfg = replace(server_cfg, cid=4)
+    client_cfg = client_cfg._replace(cid=0)
+    server_cfg = server_cfg._replace(cid=4)
     pair = Pair(client_cfg, server_cfg, seed=22)
     pair.run()
     server = pair.assert_complete()
@@ -1906,8 +1904,8 @@ def test_app_payload_split_into_records_that_fit(kw, records_sent):
 
 def cid_session(seed=23):
     client_cfg, server_cfg, _ = make_configs(Protocol.DTLS, AuthMode.PSK, seed=seed)
-    client_cfg = replace(client_cfg, cid=0)
-    server_cfg = replace(server_cfg, cid=4)
+    client_cfg = client_cfg._replace(cid=0)
+    server_cfg = server_cfg._replace(cid=4)
     pair = Pair(client_cfg, server_cfg, seed=seed)
     pair.run()
     pair.assert_complete()
@@ -1933,7 +1931,7 @@ def test_record_with_another_connections_cid_dropped():
     # the client reads only records carrying its own CID; one naming another
     # connection is dropped before any decryption
     client_cfg, server_cfg, _ = make_configs(Protocol.DTLS, AuthMode.PSK, seed=75)
-    pair = Pair(replace(client_cfg, cid=4), replace(server_cfg, cid=4), seed=75)
+    pair = Pair(client_cfg._replace(cid=4), server_cfg._replace(cid=4), seed=75)
     pair.run()
     server = pair.assert_complete()
     [rec] = server.send_app_data(b"not yours", now=10_000)
@@ -2011,7 +2009,7 @@ def test_fresh_client_start_guard():
 def test_zero_rtt_without_psk_conflicts():
     cfg, _, _ = make_configs(Protocol.DTLS, AuthMode.ZERO_RTT, seed=29)
     with pytest.raises(ConfigError):
-        Connection(replace(cfg, psk=None), "client", random.Random(1))
+        Connection(cfg._replace(psk=None), "client", random.Random(1))
 
 
 def test_record_room_check_at_its_exact_bounds():
@@ -2019,13 +2017,13 @@ def test_record_room_check_at_its_exact_bounds():
     # content type and 16-byte tag, and must fit a fragment header and one message byte
     dtls, _, _ = make_configs(Protocol.DTLS, AuthMode.PSK, seed=31)
     exact = messages.DTLS_HANDSHAKE_HEADER_LEN + 1 + 2 + 1 + 16
-    Connection(replace(dtls, mtu=exact), "client", random.Random(1))
+    Connection(dtls._replace(mtu=exact), "client", random.Random(1))
     with pytest.raises(ConfigError):
-        Connection(replace(dtls, mtu=exact - 1), "client", random.Random(1))
+        Connection(dtls._replace(mtu=exact - 1), "client", random.Random(1))
     # a TLS record holds 2^14 bytes less the padding, and must fit a 2-byte alert; the
     # tls-padding-16383 row of test_cli_configuration_error_exit_code refuses one byte less
     tls, _, _ = make_configs(Protocol.TLS, AuthMode.PSK, seed=31)
-    Connection(replace(tls, pad_len=(1 << 14) - 2), "client", random.Random(1))
+    Connection(tls._replace(pad_len=(1 << 14) - 2), "client", random.Random(1))
 
 
 def test_fragmentation_under_small_mtu():
@@ -2065,7 +2063,7 @@ def test_clean_link_sweep(mode, suite, group, mtu, dos, monkeypatch):
 
     monkeypatch.setattr(messages, "build_ack", recording_build_ack)
     client_cfg, server_cfg, _ = make_configs(Protocol.DTLS, mode, seed=5, suite=suite, group=group, mtu=mtu)
-    pair = Pair(client_cfg, replace(server_cfg, dos=dos), net=NetConfig(mtu=mtu, seed=5), seed=5)
+    pair = Pair(client_cfg, server_cfg._replace(dos=dos), net=NetConfig(mtu=mtu, seed=5), seed=5)
     pair.run(until_ms=600_000)
     if dos and not pair.client.connected:
         assert pair.client.failure == "handshake_timeout"
@@ -2106,16 +2104,16 @@ def aligned_ticket(protocol, seed):
     are computed on one timeline."""
     pair = ticketed_pair(protocol, seed=seed)
     pair.assert_complete()
-    ticket = replace(pair.client.client_tickets[0], issued_at=0)
+    ticket = pair.client.client_tickets[0]._replace(issued_at=0)
     db = pair.listener.ticket_db
-    db[ticket.identity] = replace(db[ticket.identity], issued_at=0)
+    db[ticket.identity] = db[ticket.identity]._replace(issued_at=0)
     return pair, ticket
 
 
 def resume_with_early_data(pair, ticket, early_payload: bytes, seed: int, keep=None, **client_over):
     """``pair``'s client resumes with ``ticket`` and sends ``early_payload`` as
     0-RTT data; ``keep`` filters the resumed pair's sends (see ``filter_sends``)."""
-    cfg = replace(resume_config(pair.client.cfg, ticket), early_payload=early_payload, **client_over)
+    cfg = resume_config(pair.client.cfg, ticket)._replace(early_payload=early_payload, **client_over)
     resumed = Pair(cfg, pair.listener.cfg, seed=seed)
     resumed.listener.ticket_db = pair.listener.ticket_db
     if keep is not None:
@@ -2135,7 +2133,7 @@ def test_resumed_zero_rtt_age_policy(protocol):
     assert server2.early_accepted
 
     # same ticket with the client clock off by 60 s: 0-RTT rejected, PSK still works
-    pair3 = resume_with_early_data(pair, replace(ticket, issued_at=-60_000), b"stale-early-data", seed=42)
+    pair3 = resume_with_early_data(pair, ticket._replace(issued_at=-60_000), b"stale-early-data", seed=42)
     server3 = pair3.assert_complete()  # PSK path still completes
     assert not server3.early_accepted
     assert not any(e.kind == EventKind.EARLY_DATA for e in server3.event_log)
@@ -2184,12 +2182,12 @@ def test_declined_tls_early_data_is_skipped_up_to_max_early_data_size(size, pad,
     def prepend_empties(endpoint, rec, now):
         nonlocal empties
         if rec.name == "early_data":
-            rec.data, empties = EMPTY_APP_RECORD * empties + rec.data, 0
-        return True
+            rec, empties = rec._replace(data=EMPTY_APP_RECORD * empties + rec.data), 0
+        return rec
 
     pair, ticket = aligned_ticket(Protocol.TLS, seed=45)
     resumed = resume_with_early_data(
-        pair, replace(ticket, issued_at=-60_000), bytes(size), seed=46, keep=prepend_empties, pad_len=pad
+        pair, ticket._replace(issued_at=-60_000), bytes(size), seed=46, keep=prepend_empties, pad_len=pad
     )
     assert not resumed.server.early_accepted
     if failure is None:

@@ -2,7 +2,6 @@
 the one call each ClientHello gets on both accept paths."""
 
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -38,8 +37,8 @@ def first_client_hello(client_cfg, modes=None):
 @pytest.mark.parametrize("server_suites", [(SHA256_SUITE, SHA384_SUITE), (SHA384_SUITE, SHA256_SUITE)])
 def test_the_server_preference_picks_the_suite(server_suites):
     client_cfg, server_cfg = configs(AuthMode.PK_SERVER_ONLY)
-    ch = first_client_hello(replace(client_cfg, suites=(SHA256_SUITE, SHA384_SUITE)))
-    decision = negotiate(replace(server_cfg, suites=server_suites), {}, ch, 0)
+    ch = first_client_hello(client_cfg._replace(suites=(SHA256_SUITE, SHA384_SUITE)))
+    decision = negotiate(server_cfg._replace(suites=server_suites), {}, ch, 0)
     assert decision.suite == server_suites[0] and decision.psk is None
     assert decision.share[0] == NamedGroup.SECP256R1
 
@@ -48,13 +47,13 @@ def test_an_accepted_psk_takes_a_suite_of_its_binder_hash():
     # the client keys its binder with its first suite's hash, SHA-256, and the
     # server prefers its SHA-384 suite (RFC 8446 section 4.2.11)
     client_cfg, server_cfg = configs(AuthMode.PSK)
-    ch = first_client_hello(replace(client_cfg, suites=(SHA256_SUITE, SHA384_SUITE)))
-    decision = negotiate(replace(server_cfg, suites=(SHA384_SUITE, SHA256_SUITE)), {}, ch, 0)
+    ch = first_client_hello(client_cfg._replace(suites=(SHA256_SUITE, SHA384_SUITE)))
+    decision = negotiate(server_cfg._replace(suites=(SHA384_SUITE, SHA256_SUITE)), {}, ch, 0)
     assert (decision.suite, decision.psk) == (SHA256_SUITE, server_cfg.psk)
     assert len(decision.binder) == 32
     # with no shared suite of that hash the PSK goes unused, and a PSK-only hello has no fallback
     with pytest.raises(HandshakeFailure, match="no PSK accepted"):
-        negotiate(replace(server_cfg, suites=(SHA384_SUITE,)), {}, ch, 0)
+        negotiate(server_cfg._replace(suites=(SHA384_SUITE,)), {}, ch, 0)
 
 
 # (client mode, the psk_key_exchange_modes it lists, the PSK is used, the client share is used)
@@ -83,7 +82,7 @@ def test_a_psk_is_used_only_in_a_listed_mode_that_fits(case):
 def test_no_shared_key_share_group_is_refused():
     client_cfg, server_cfg = configs(AuthMode.PK_SERVER_ONLY)
     with pytest.raises(HandshakeFailure, match="key-share group"):
-        negotiate(replace(server_cfg, groups=(NamedGroup.SECP521R1,)), {}, first_client_hello(client_cfg), 0)
+        negotiate(server_cfg._replace(groups=(NamedGroup.SECP521R1,)), {}, first_client_hello(client_cfg), 0)
 
 
 TICKET = TicketState(b"ticket-identity!", bytes(32), SHA256_SUITE, age_add=0, issued_at=0)
@@ -93,7 +92,7 @@ EXPIRED_AT = TICKET_LIFETIME_S * 1000 + 1
 @pytest.mark.parametrize("mode", [AuthMode.PSK, AuthMode.PSK_ECDHE])
 def test_a_live_ticket_is_used_and_an_expired_one_dropped(mode):
     client_cfg, server_cfg = configs(mode)
-    ch = first_client_hello(replace(client_cfg, psk=TICKET))
+    ch = first_client_hello(client_cfg._replace(psk=TICKET))
     ticket_db = {TICKET.identity: TICKET}
     assert negotiate(server_cfg, ticket_db, ch, EXPIRED_AT - 1).psk == TICKET
     if mode == AuthMode.PSK_ECDHE:  # the client's key share and the server's certificate
@@ -110,8 +109,8 @@ def test_a_live_ticket_is_used_and_an_expired_one_dropped(mode):
 def test_an_unknown_identity_falls_back_to_a_certificate_or_is_refused(mode, certificate):
     # RFC 8446 section 6.2; the fallback needs the client's key share too
     client_cfg, server_cfg = configs(mode)
-    ch = first_client_hello(replace(client_cfg, psk=PskCredential(b"unknown", bytes(32))))
-    server_cfg = replace(server_cfg, local_ec=server_cfg.local_ec if certificate else None)
+    ch = first_client_hello(client_cfg._replace(psk=PskCredential(b"unknown", bytes(32))))
+    server_cfg = server_cfg._replace(local_ec=server_cfg.local_ec if certificate else None)
     if certificate and mode == AuthMode.PSK_ECDHE:
         decision = negotiate(server_cfg, {}, ch, 0)
         assert decision.psk is None and decision.share is not None
@@ -135,7 +134,7 @@ def test_each_client_hello_is_negotiated_once(protocol, dos, calls, monkeypatch)
 
     monkeypatch.setattr(connection, "negotiate", counting)
     client_cfg, server_cfg, _ = make_configs(protocol, AuthMode.PSK_ECDHE, seed=91)
-    pair = Pair(client_cfg, replace(server_cfg, dos=dos), seed=91)
+    pair = Pair(client_cfg, server_cfg._replace(dos=dos), seed=91)
     pair.run()
     pair.assert_complete()
     assert negotiated == [False, True][:calls]

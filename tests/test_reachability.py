@@ -1,7 +1,7 @@
 """Every public name in ``src/minitls`` is reached from some line of
 ``src/minitls``: module-level functions and classes, methods and
-properties, attributes a class stores on ``self``, and dataclass fields
-that have a default.
+properties, attributes a class stores on ``self``, and the fields of a
+dataclass or ``NamedTuple`` that have a default.
 
 What neither the ``bench`` command nor the protocol reaches gets wired
 in or deleted; tests exercise the production path, not helpers kept for
@@ -18,14 +18,15 @@ them.  References are resolved with ``ast``, not matched by word.
 - An attribute that ``__init__`` sets to a constant counts as set when
   some other line stores an attribute of that name; otherwise it is a
   constant in disguise, or a knob only tests turn.
-- A dataclass field with a default counts as reached when some line
-  gives it a value: a keyword argument of that name whose expression
-  differs from the default, a positional argument in a call to the
-  class, a store to an attribute of that name, or the name as a string
-  constant (as in ``profiles._OVERRIDABLE``).
-- A dataclass field counts as read when some line loads an attribute of
-  that name, or when its class serialises itself whole, through
-  ``dataclasses.asdict(self)`` or ``self.__dict__``.
+- A field of a dataclass or ``NamedTuple`` with a default counts as
+  reached when some line gives it a value: a keyword argument of that
+  name whose expression differs from the default (as in ``_replace``), a
+  positional argument in a call to the class, a store to an attribute
+  of that name, or the name as a string constant (as in
+  ``profiles._OVERRIDABLE``).
+- A field counts as read when some line loads an attribute of that name,
+  or when its class serialises itself whole, through
+  ``dataclasses.asdict(self)``, ``self._asdict()`` or ``self.__dict__``.
 
 The last five axes match attribute names, not types: the receiver of
 ``x.name`` is not resolved.
@@ -146,18 +147,18 @@ def _constant_attributes(trees: dict) -> set:
     }
 
 
+def _name(node):
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+
 def _is_dataclass(cls: ast.ClassDef) -> bool:
-    for dec in cls.decorator_list:
-        target = dec.func if isinstance(dec, ast.Call) else dec
-        name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
-        if name == "dataclass":
-            return True
-    return False
+    """A ``@dataclass`` or a ``NamedTuple``: a class whose annotated names are its fields."""
+    decorators = [dec.func if isinstance(dec, ast.Call) else dec for dec in cls.decorator_list]
+    return any(_name(dec) == "dataclass" for dec in decorators) or any(_name(base) == "NamedTuple" for base in cls.bases)
 
 
 def _called_name(call: ast.Call):
-    func = call.func
-    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    return _name(call.func)
 
 
 def _fields(cls: ast.ClassDef) -> list:
@@ -169,9 +170,11 @@ def _is_self(node) -> bool:
 
 
 def _serialises_whole(cls: ast.ClassDef) -> bool:
-    """The class hands all its fields on at once: ``asdict(self)`` or ``self.__dict__``."""
+    """The class hands all its fields on at once: ``asdict(self)``, ``self._asdict()`` or ``self.__dict__``."""
     return any(
         (isinstance(node, ast.Call) and _called_name(node) == "asdict" and node.args and _is_self(node.args[0]))
+        or (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "_asdict"
+            and _is_self(node.func.value))
         or (isinstance(node, ast.Attribute) and node.attr == "__dict__" and _is_self(node.value))
         for node in ast.walk(cls)
     )

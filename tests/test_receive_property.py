@@ -57,9 +57,9 @@ def test_one_mutated_record_ends_connected_failed_or_waiting(protocol, mode, vic
 
     def mutate_one(endpoint, rec, now):
         if sent[0] == victim:
-            rec.data = mutate(rec.data, mutation)
+            rec = rec._replace(data=mutate(rec.data, mutation))
         sent[0] += 1
-        return True
+        return rec
 
     filter_sends(pair.driver, mutate_one)
     pair.run()

@@ -14,7 +14,9 @@ repeat exactly for one checkout on one Python version, so they resolve
 changes too small for wall-clock pairs; compare two checkouts on the same
 interpreter. With ``--parent PARENT`` it counts both checkouts and prints,
 in place of the JSON, one ``workload count: before -> after (delta)`` line
-per workload and count, then the ``src/minitls`` line count the same way.
+per workload and count, then the same way the ``src/minitls`` line count
+and the number of modules ``import minitls.bench`` adds to a bare
+interpreter.
 
     python3 tools/call_counts.py [CHECKOUT] [--parent PARENT] [--iterations N]
 
@@ -24,6 +26,7 @@ checkout in this process, so a parent checkout can be counted too.
 
 import argparse
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -53,7 +56,7 @@ def count_here(workload: str, iterations: int) -> dict:
         workloads.run_one(workloads.scenario(workload, workloads.DEFAULT_SEED, i))
     profile.disable()
     # one entry per code object: pstats keys functions by (file, line, name), so
-    # it keeps one of the dataclass __init__s that all read ("<string>", 2)
+    # it would merge every NamedTuple __new__, each eval-compiled as ("<string>", 1, "<lambda>")
     entries = profile.getstats()
     return {
         "calls": sum(entry.callcount for entry in entries),
@@ -84,16 +87,27 @@ def src_lines(checkout: Path) -> int:
     return sum(len(path.read_text().splitlines()) for path in (checkout / "src" / "minitls").glob("*.py"))
 
 
-def difference(parent: dict, change: dict, lines: tuple) -> list:
-    """The parent -> change lines of two ``count_calls`` results and of ``lines``,
-    the (parent, change) ``src/minitls`` line counts."""
+def import_modules(checkout: Path) -> int:
+    """The modules ``import minitls.bench`` adds to ``sys.modules`` in a fresh interpreter,
+    importing from the checkout's ``src``."""
+    code = "import sys; before = len(sys.modules); import minitls.bench; print(len(sys.modules) - before)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=checkout, env=dict(os.environ, PYTHONPATH=str(checkout / "src")),
+        capture_output=True, text=True, check=True,
+    )
+    return int(proc.stdout)
+
+
+def difference(parent: dict, change: dict, totals: dict) -> list:
+    """The parent -> change lines of two ``count_calls`` results, then of ``totals``,
+    label -> its (parent, change) values."""
     out = []
     for name, counts in sorted(change.items()):
         for count, after in sorted(counts.items()):
             before = parent.get(name, {}).get(count, 0)
             out.append(f"{name} {count}: {before:,} -> {after:,} ({after - before:+,})")
-    before, after = lines
-    out.append(f"src/minitls lines: {before:,} -> {after:,} ({after - before:+,})")
+    for label, (before, after) in totals.items():
+        out.append(f"{label}: {before:,} -> {after:,} ({after - before:+,})")
     return out
 
 
@@ -110,7 +124,11 @@ def main(argv=None) -> int:
     elif args.parent:
         checkouts = (args.parent.resolve(), args.checkout.resolve())
         parent, change = (count_calls(checkout, args.iterations) for checkout in checkouts)
-        print("\n".join(difference(parent, change, tuple(src_lines(checkout) for checkout in checkouts))))
+        totals = {
+            "src/minitls lines": tuple(src_lines(checkout) for checkout in checkouts),
+            "import minitls.bench modules": tuple(import_modules(checkout) for checkout in checkouts),
+        }
+        print("\n".join(difference(parent, change, totals)))
     else:
         print(json.dumps(count_calls(args.checkout.resolve(), args.iterations), sort_keys=True))
     return 0
