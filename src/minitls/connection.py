@@ -186,12 +186,20 @@ class Decision(NamedTuple):
 
 def negotiate(cfg: ConnConfig, ticket_db: dict, ch, now: int) -> Decision:
     """Every rule of a server with ``cfg`` and ``ticket_db`` on a ClientHello ``ch`` that
-    needs no key, in order: version, suite, key share, PSK modes and identity, certificate
-    fallback.  Raises the refusal.  An accepted PSK takes the most-preferred shared suite of
-    its binder's hash (RFC 8446 section 4.2.11).  Its one write drops an expired ticket."""
+    needs no key, in order: version, mandatory extensions, suite, key share, PSK modes and
+    identity, certificate fallback.  Raises the refusal.  An accepted PSK takes the
+    most-preferred shared suite of its binder's hash (RFC 8446 section 4.2.11).  Its one
+    write drops an expired ticket."""
     versions = messages.extension(ch, ExtensionType.SUPPORTED_VERSIONS, messages.read_supported_versions_client)
     if versions is None or messages.TLS13_VERSION not in versions:
         raise ProtocolVersion("ClientHello does not offer this version")  # RFC 8446 section 4.2.1
+    exts = ch.extensions  # RFC 8446 section 9.2
+    if ExtensionType.PRE_SHARED_KEY not in exts and not (
+        ExtensionType.SUPPORTED_GROUPS in exts and ExtensionType.SIGNATURE_ALGORITHMS in exts
+    ):
+        raise MissingExtension("ClientHello without pre_shared_key lacks supported_groups or signature_algorithms")
+    if (ExtensionType.SUPPORTED_GROUPS in exts) != (ExtensionType.KEY_SHARE in exts):
+        raise MissingExtension("ClientHello has one of supported_groups and key_share without the other")
     shared = [suite for suite in cfg.suites if suite in ch.cipher_suites]
     if not shared:
         raise HandshakeFailure("no common cipher suite")
@@ -271,16 +279,12 @@ class Connection:
         self.ch1_digest: bytes | None = None  # server: Hash(ClientHello1) from a stateless HelloRetryRequest's cookie
 
         self.dh_priv = None
+        self.hello = None  # client: the ClientHello it sent last, binder filled in: its one record of its offer
         self.client_cert_requested = False
-        self.early_offered = False  # client: the ClientHello being answered offers early_data
         self.early_accepted = False
         self.skip_early = False  # TLS server: records that fail to open may be 0-RTT data it declined
         self.early_left = MAX_EARLY_DATA
-        self.hrr_done = False
-        self.psk_in_use: PskCredential | None = None  # external, or a TicketState when resuming
-        # client: the random and legacy_session_id both ClientHellos send (RFC 8446 section 4.1.2)
-        self.client_random = b""
-        self.legacy_session_id = b""
+        self.psk_in_use: PskCredential | None = None  # the PSK the handshake uses: external, or a TicketState
         self.client_tickets: list = []
         self.auth_reads = 0  # records that decrypted successfully
 
@@ -480,11 +484,10 @@ class Connection:
 
     def _client_hello_flight(self, now: int, cookie: bytes | None) -> list:
         """Extensions in canonical order; pre_shared_key last, its binder zero-filled until computed."""
-        cfg = self.cfg
-        psk = self.psk_in_use = cfg.psk
+        cfg, psk = self.cfg, self.cfg.psk
         age = (now - psk.issued_at + psk.age_add) & 0xFFFFFFFF if isinstance(psk, TicketState) else 0
         # no early data in the ClientHello that answers an HRR (RFC 8446 section 4.2.10)
-        self.early_offered = bool(cfg.early_payload) and not self.hrr_done
+        early = bool(cfg.early_payload) and cookie is None
         exts = [messages.ext_supported_versions_client()]
         if cfg.groups:
             if self.dh_priv is None:
@@ -503,24 +506,25 @@ class Connection:
             exts.append(messages.ext_cookie(cookie))
         if cfg.groups:
             exts.append(messages.ext_key_share_client([(int(cfg.groups[0]), pub)]))  # exactly one key share
-        if self.early_offered:
+        if early:
             exts.append(messages.ext_early_data())
         if psk is not None:
             exts.append(messages.ext_psk_modes([PskMode.PSK_DHE_KE if cfg.groups else PskMode.PSK_KE]))
             zero_binder = bytes(self.params.hash_len)
             exts.append(messages.ext_pre_shared_key_offer(psk.identity, age, zero_binder))
-        if not self.hrr_done:
-            self.client_random = self.rng.randbytes(32)
-            if cfg.compat and self.protocol == Protocol.TLS:
-                self.legacy_session_id = self.rng.randbytes(32)
-        ch = messages.ClientHello(self.client_random, self.legacy_session_id, [int(s) for s in cfg.suites], dict(exts))
+        if self.hello is None:
+            client_random = self.rng.randbytes(32)
+            session_id = self.rng.randbytes(32) if cfg.compat and self.protocol == Protocol.TLS else b""
+        else:  # the retry keeps both (RFC 8446 section 4.1.2)
+            client_random, session_id = self.hello.random, self.hello.legacy_session_id
+        ch = self.hello = messages.ClientHello(client_random, session_id, [int(s) for s in cfg.suites], dict(exts))
         self._new_schedule(psk)
         if psk is not None:
             binder = self.ks.compute_binder(self.transcript.binder_digest(messages.tls_form(ch), self.params))
             ch.extensions.update([messages.ext_pre_shared_key_offer(psk.identity, age, binder)])
         out = self._emit(ch, EPOCH_PLAIN, now)
         self.phase = Phase.WAIT_SH
-        if self.early_offered:
+        if early:
             out.extend(self._send_early_data())
         return out
 
@@ -728,13 +732,12 @@ class Connection:
     # -- client message handling ------------------------------------------------
 
     def _client_handle_hrr(self, hrr, raw: bytes, now: int) -> list:
-        if self.hrr_done:
+        if ExtensionType.COOKIE in self.hello.extensions:  # it answered one already
             raise UnexpectedMessage("second HelloRetryRequest")
-        self.hrr_done = True
         cookie = messages.extension(hrr, ExtensionType.COOKIE, messages.read_cookie)
         if cookie is None:  # the only change this client makes to a retried ClientHello (RFC 8446 section 4.1.4)
             raise IllegalParameter("HelloRetryRequest without a cookie would not change the ClientHello")
-        if hrr.cipher_suite not in [int(s) for s in self.cfg.suites]:
+        if hrr.cipher_suite not in self.hello.cipher_suites:
             raise IllegalParameter("HelloRetryRequest picked a suite we did not offer")
         self.params = crypto.suite_params(hrr.cipher_suite)  # ClientHello1 is hashed with it (RFC 8446 section 4.4.1)
         self.transcript.restart(self.params.hash_alg, raw)
@@ -753,41 +756,44 @@ class Connection:
             raise ProtocolVersion("ServerHello without supported_versions")
         if version != messages.TLS13_VERSION:
             raise IllegalParameter("ServerHello selects a version we did not offer")
-        if sh.legacy_session_id_echo != self.legacy_session_id:
+        hello = self.hello
+        if sh.legacy_session_id_echo != hello.legacy_session_id:
             raise IllegalParameter("ServerHello echoes another legacy_session_id")
         if messages.is_hello_retry_request(sh):
             return self._client_handle_hrr(sh, raw, now)
-        if sh.cipher_suite not in [int(s) for s in self.cfg.suites]:  # RFC 8446 section 4.1.3
+        if sh.cipher_suite not in hello.cipher_suites:  # RFC 8446 section 4.1.3
             raise IllegalParameter("server picked a suite we did not offer")
         selected = messages.extension(sh, ExtensionType.PRE_SHARED_KEY, messages.read_pre_shared_key_server)
+        psk_offered = ExtensionType.PRE_SHARED_KEY in hello.extensions
         if selected is not None:
-            if self.psk_in_use is None:
+            if not psk_offered:
                 raise UnsupportedExtension("pre_shared_key in a ServerHello to a ClientHello without one")
             if selected != 0:  # RFC 8446 section 4.2.11
                 raise IllegalParameter("server selected a PSK identity we did not offer")
+            self.psk_in_use = self.cfg.psk
         if sh.cipher_suite != int(self.suite):
             if selected is not None:  # RFC 8446 section 4.2.11
                 raise IllegalParameter("PSK acceptance requires the PSK's suite")
             self.params = crypto.suite_params(sh.cipher_suite)
             self.ks = None
         self.transcript.append(raw)
-        if selected is None and self.psk_in_use is not None:
+        if selected is None and psk_offered:
             # server declined the PSK: continue as a pure (EC)DHE handshake
-            self.psk_in_use = None
-            if self.early_offered:
+            if ExtensionType.EARLY_DATA in hello.extensions:
                 raise UnexpectedMessage("0-RTT offer requires PSK acceptance")
             self.ks = None
         if self.ks is None:
             self._new_schedule()
 
         dh = None
+        offered = messages.extension(hello, ExtensionType.KEY_SHARE, messages.read_key_share_client)
         share = messages.extension(sh, ExtensionType.KEY_SHARE, messages.read_key_share_server)
         if share is not None:
             group, server_pub = share
-            if self.dh_priv is None or group != int(self.cfg.groups[0]):
+            if offered is None or group != offered[0][0]:
                 raise HandshakeFailure("server share for a group we did not offer")
             dh = self._shared(self.dh_priv, server_pub)
-        elif self.dh_priv is not None:
+        elif offered is not None:
             raise UnexpectedMessage("expected a key_share in ServerHello")
 
         self.cid_peer = messages.extension(sh, ExtensionType.CONNECTION_ID, messages.read_connection_id) or None
@@ -801,7 +807,7 @@ class Connection:
     def _client_handle_ee(self, ee, raw: bytes, now: int) -> list:
         self.transcript.append(raw)
         accepted = ExtensionType.EARLY_DATA in ee.extensions
-        if accepted and not self.early_offered:
+        if accepted and ExtensionType.EARLY_DATA not in self.hello.extensions:
             raise UnexpectedMessage("server accepted early data we never sent")
         self.early_accepted = accepted
         self.phase = Phase.WAIT_FINISHED if self.psk_in_use is not None else Phase.WAIT_CERT_CR

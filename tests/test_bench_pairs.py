@@ -95,19 +95,24 @@ def test_wide_parent_spread_resolved_when_every_change_run_wins(better, sign):
 
 
 def test_every_benchmark_process_runs_without_a_bytecode_cache(monkeypatch, tmp_path):
-    # each run writes no bytecode and reads it only from its own empty directory,
-    # so a __pycache__ left in one checkout cannot favour that side
+    # each run writes no bytecode and takes the standard library's from the
+    # interpreter's own cache, as the benchmark does, and starts with no
+    # __pycache__ under the checkout's src/ and perfbench/, so a cache planted in
+    # one checkout cannot be read to favour that side
+    planted = [tmp_path / "src" / "minitls" / "__pycache__", tmp_path / "perfbench" / "__pycache__"]
     seen = []
     stdout = '# workload w\n{"correct": true, "attempted": 1, "failed": 0, "metrics": {}}\n'
 
     def fake_run(argv, **kwargs):
         env = kwargs["env"]
-        cache = pathlib.Path(env["PYTHONPYCACHEPREFIX"])
-        seen.append((env["PYTHONDONTWRITEBYTECODE"], cache, cache.is_dir() and not any(cache.iterdir())))
+        seen.append((env["PYTHONDONTWRITEBYTECODE"], "PYTHONPYCACHEPREFIX" in env, list(tmp_path.rglob("__pycache__"))))
         return subprocess.CompletedProcess(argv, 0, stdout=stdout, stderr="")
 
     monkeypatch.setattr(subprocess, "run", fake_run)
+    monkeypatch.setenv("PYTHONPYCACHEPREFIX", str(tmp_path / "prefix"))
     for _ in range(3):
+        for cache in planted:
+            cache.mkdir(parents=True, exist_ok=True)
+            (cache / "stale.cpython-311.pyc").write_bytes(b"stale")
         assert bench_pairs.run_once(tmp_path, seed=1)["w"]["correct"]
-    assert [(flag, empty) for flag, _, empty in seen] == [("1", True)] * 3
-    assert len({cache for _, cache, _ in seen}) == 3
+    assert seen == [("1", False, [])] * 3

@@ -517,7 +517,7 @@ def test_second_hello_retry_request_is_unexpected(monkeypatch):
     tamper_on_wire(monkeypatch, "server", tamper)
     pair = dos_pair(seed=72)
     pair.run(until_ms=5_000)
-    assert pair.client.hrr_done
+    assert COOKIE in pair.client.hello.extensions
     assert (pair.client.failure, pair.client.failed_from) == ("unexpected_message", "wait_sh")
 
 
@@ -615,6 +615,22 @@ def test_server_refuses_a_client_hello_without_this_version_or_psk_modes(case, p
     assert pair.client.failure == "peer_alert" and pair.client.event_log[-1].detail["code"] == code
 
 
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_server_refuses_a_certificate_client_hello_without_groups_and_schemes(protocol, monkeypatch):
+    # RFC 8446 section 9.2: a ClientHello without pre_shared_key carries
+    # supported_groups and signature_algorithms
+    def tamper(name, raw):
+        if name != "client_hello":
+            return None
+        ch = drop_extension(messages.decode_handshake(raw), messages.ExtensionType.SUPPORTED_GROUPS)
+        return messages.tls_form(drop_extension(ch, messages.ExtensionType.SIGNATURE_ALGORITHMS))
+
+    tamper_on_wire(monkeypatch, "client", tamper)
+    pair = run_handshake(protocol, AuthMode.PK_SERVER_ONLY, seed=76)
+    assert (pair.server.failure, pair.server.failed_from) == ("missing_extension", "start")
+    assert pair.client.failure == "peer_alert" and pair.client.event_log[-1].detail["code"] == 109
+
+
 def dtls_client_hello(datagram):
     """The ClientHello in the first record of ``datagram``, whole in one fragment."""
     _, _, payload, _ = records.parse_dtls_plaintext(bytes(datagram), 0)
@@ -660,7 +676,7 @@ def test_retried_client_hello_keeps_its_legacy_session_id(protocol):
         sent = client.start(0)[0].data
         [hrr_rec] = pair.listener.receive(sent, "client:0", 0)
         first, second = dtls_client_hello(sent), dtls_client_hello(client.handle(hrr_rec.data, 10)[0].data)
-    assert client.hrr_done and len(first.legacy_session_id) == (32 if protocol == Protocol.TLS else 0)
+    assert COOKIE in client.hello.extensions and len(first.legacy_session_id) == (32 if protocol == Protocol.TLS else 0)
     assert second.legacy_session_id == first.legacy_session_id
     assert second.random == first.random
 
@@ -710,7 +726,7 @@ def test_client_hello1_hashed_with_the_hello_retry_request_suite():
     pair = Pair(client_cfg, server_cfg, seed=74)
     pair.run(until_ms=10_000)
     server = pair.assert_complete()
-    assert pair.client.hrr_done and pair.client.suite == SuiteId.AES_256_CCM_SHA384
+    assert COOKIE in pair.client.hello.extensions and pair.client.suite == SuiteId.AES_256_CCM_SHA384
     message_hash = pair.client.transcript.messages[0]
     assert message_hash[0] == HandshakeType.MESSAGE_HASH and len(message_hash) == 4 + 48
     assert pair.client.transcript.messages == server.transcript.messages
@@ -1505,7 +1521,7 @@ def test_dos_cookie_round_trip():
     assert pair.listener.allocated == 1  # only the cookie'd retry allocates
     names = [name for name, d, _, _ in pair.driver.per_message if d == "c2s"]
     assert names.count("client_hello") == 2
-    assert pair.client.hrr_done
+    assert COOKIE in pair.client.hello.extensions
     # both sides agree on keys despite the transcript restart
     assert secrets_of(pair.client) == secrets_of(server)
 
@@ -1631,7 +1647,7 @@ def test_a_retry_whose_suite_hashes_otherwise_than_its_cookie_is_illegal(monkeyp
     client_cfg, server_cfg, _ = make_configs(Protocol.DTLS, AuthMode.PK_SERVER_ONLY, seed=17)
     pair = Pair(client_cfg._replace(suites=suites), server_cfg._replace(suites=suites[::-1], dos=True), seed=17)
     pair.run(until_ms=5_000)
-    assert pair.client.hrr_done and len(hellos) == 2
+    assert COOKIE in pair.client.hello.extensions and len(hellos) == 2
     assert (pair.server.failure, pair.server.failed_from) == ("illegal_parameter", "start")
     assert pair.client.failure == "peer_alert" and pair.client.event_log[-1].detail["code"] == 47
 
@@ -1664,7 +1680,7 @@ def test_client_forgets_hrr_record_after_retry():
     client = pair.client
     [hrr_rec] = pair.listener.receive(client.start(0)[0].data, "client:0", 0)
     assert client.handle(hrr_rec.data, 10)
-    assert client.hrr_done
+    assert COOKIE in client.hello.extensions
     assert client.reliability.recv_flight == set()
 
 
@@ -1821,7 +1837,7 @@ def test_no_early_data_after_a_tls_hello_retry_request(monkeypatch):
 
     filter_sends(pair.driver, keep)
     pair.run(until_ms=5_000)
-    assert pair.client.hrr_done
+    assert COOKIE in pair.client.hello.extensions
     assert sent == ["client_hello", "early_data", "client_hello"]
     retried = messages.decode_handshake(pair.client.transcript.messages[2])
     assert retried.MSG_TYPE == HandshakeType.CLIENT_HELLO

@@ -1,16 +1,17 @@
 """``connection.negotiate``: each server rule on a ClientHello, one at a time, and
-the one call each ClientHello gets on both accept paths."""
+the one call each ClientHello gets on both accept paths; then each rule by which a
+client builds its ClientHello, read from ``Connection.hello`` after ``start()``."""
 
 import random
 
 import pytest
 
-from minitls import connection, messages, records
+from minitls import bench, connection, messages, records
 from minitls.connection import TICKET_LIFETIME_S, Connection, TicketState, negotiate
 from minitls.crypto import NamedGroup, Protocol, SuiteId
-from minitls.errors import HandshakeFailure, UnknownPskIdentity
+from minitls.errors import HandshakeFailure, MissingExtension, UnknownPskIdentity
 from minitls.messages import ExtensionType, PskMode
-from minitls.profiles import AuthMode, PskCredential
+from minitls.profiles import PSK_FAMILY, AuthMode, PskCredential, profile_names, resolve
 
 from .harness import Pair, make_configs
 
@@ -79,6 +80,36 @@ def test_a_psk_is_used_only_in_a_listed_mode_that_fits(case):
     assert (decision.psk is not None, decision.share is not None) == (with_psk, with_share)
 
 
+# (client mode, the extensions taken out of its ClientHello)
+MANDATORY_EXTENSION_RULES = {
+    "no-psk-without-groups-or-schemes": (
+        AuthMode.PK_SERVER_ONLY, [ExtensionType.SUPPORTED_GROUPS, ExtensionType.SIGNATURE_ALGORITHMS],
+    ),
+    "no-psk-without-supported_groups": (
+        AuthMode.PK_SERVER_ONLY, [ExtensionType.SUPPORTED_GROUPS, ExtensionType.KEY_SHARE],
+    ),
+    "no-psk-without-signature_algorithms": (AuthMode.PK_SERVER_ONLY, [ExtensionType.SIGNATURE_ALGORITHMS]),
+    "key_share-without-supported_groups": (AuthMode.PSK_ECDHE, [ExtensionType.SUPPORTED_GROUPS]),
+    "supported_groups-without-key_share": (AuthMode.PSK_ECDHE, [ExtensionType.KEY_SHARE]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MANDATORY_EXTENSION_RULES))
+def test_a_client_hello_without_a_mandatory_extension_is_refused(case):
+    # RFC 8446 section 9.2: a ClientHello without pre_shared_key carries
+    # supported_groups and signature_algorithms, and supported_groups comes
+    # with key_share; a server aborts any other with missing_extension
+    mode, removed = MANDATORY_EXTENSION_RULES[case]
+    client_cfg, server_cfg = configs(mode)
+    ch = first_client_hello(client_cfg)
+    negotiate(server_cfg, {}, ch, 0)  # whole, it is accepted
+    for ext_type in removed:
+        del ch.extensions[ext_type]
+    with pytest.raises(MissingExtension) as refused:
+        negotiate(server_cfg, {}, ch, 0)
+    assert refused.value.code == 109
+
+
 def test_no_shared_key_share_group_is_refused():
     client_cfg, server_cfg = configs(AuthMode.PK_SERVER_ONLY)
     with pytest.raises(HandshakeFailure, match="key-share group"):
@@ -138,3 +169,71 @@ def test_each_client_hello_is_negotiated_once(protocol, dos, calls, monkeypatch)
     pair.run()
     pair.assert_complete()
     assert negotiated == [False, True][:calls]
+
+
+# -- the client's ClientHello -----------------------------------------------------
+
+
+def sent_hello(client_cfg, now=0):
+    """The ClientHello a client with ``client_cfg`` records when it starts at ``now``."""
+    client = Connection(client_cfg, "client", random.Random(92))
+    client.start(now)
+    return client.hello
+
+
+@pytest.mark.parametrize(
+    "groups", [(), (NamedGroup.SECP256R1,), (NamedGroup.SECP521R1, NamedGroup.SECP256R1)], ids=["none", "one", "two"]
+)
+def test_a_client_shares_a_key_iff_it_has_groups_for_its_first_group(groups):
+    client_cfg, _ = configs(AuthMode.PSK_ECDHE)
+    hello = sent_hello(client_cfg._replace(groups=groups))
+    offered = messages.extension(hello, ExtensionType.KEY_SHARE, messages.read_key_share_client)
+    if not groups:
+        assert offered is None and ExtensionType.SUPPORTED_GROUPS not in hello.extensions
+        return
+    [(group, _)] = offered  # exactly one key share
+    assert group == groups[0]
+    assert hello.extensions[ExtensionType.SUPPORTED_GROUPS] == messages.ext_supported_groups(groups)[1]
+
+
+# (client mode, ticket or external PSK, the psk_key_exchange_modes it lists, the obfuscated age)
+CLIENT_PSK_RULES = {
+    "external-psk_ke": (AuthMode.PSK, None, PskMode.PSK_KE, 0),
+    "external-psk_dhe_ke": (AuthMode.PSK_ECDHE, None, PskMode.PSK_DHE_KE, 0),
+    # sent at 5,000 ms: (4,900 + 2^32 - 256) mod 2^32
+    "ticket-psk_ke": (AuthMode.PSK, TICKET._replace(age_add=0xFFFFFF00, issued_at=100), PskMode.PSK_KE, 4_644),
+    "no-psk": (AuthMode.PK_SERVER_ONLY, None, None, None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLIENT_PSK_RULES))
+def test_a_client_offers_a_psk_iff_it_has_one_in_the_mode_its_groups_allow(case):
+    # RFC 8446 sections 4.2.9 and 4.2.11.1: psk_dhe_ke iff it sends a key share, else
+    # psk_ke; a ticket's age is the milliseconds since issue plus its age_add, mod 2^32,
+    # and an external PSK's is 0
+    mode, ticket, psk_mode, age = CLIENT_PSK_RULES[case]
+    client_cfg, _ = configs(mode)
+    if ticket is not None:
+        client_cfg = client_cfg._replace(psk=ticket)
+    hello = sent_hello(client_cfg, now=5_000)
+    offer = messages.extension(hello, ExtensionType.PRE_SHARED_KEY, messages.read_pre_shared_key_offer)
+    modes = messages.extension(hello, ExtensionType.PSK_KEY_EXCHANGE_MODES, messages.read_psk_modes)
+    if psk_mode is None:
+        assert offer is None and modes is None
+        return
+    identity, obfuscated_age, binder = offer
+    assert (identity, obfuscated_age, list(modes)) == (client_cfg.psk.identity, age, [psk_mode])
+    assert binder != bytes(len(binder))  # the recorded hello carries its computed binder
+
+
+@pytest.mark.parametrize("protocol", [Protocol.TLS, Protocol.DTLS])
+def test_every_bench_client_hello_is_accepted(protocol):
+    # each profile's modes, and psk_ecdhe where it has groups, as bench builds them
+    for name in profile_names():
+        prof = resolve(name)
+        modes = prof.modes | ({AuthMode.PSK_ECDHE} if prof.groups else set())
+        for mode in sorted(modes):
+            scenario = bench.Scenario(profile=name, protocol=protocol.value, mode=mode.value)
+            _, client_cfg, server_cfg = bench.build_configs(scenario)
+            decision = negotiate(server_cfg, {}, sent_hello(client_cfg), 0)
+            assert (decision.psk is not None) == (mode in PSK_FAMILY), (name, mode)
