@@ -592,6 +592,10 @@ CLIENT_HELLO_CHECKS = {
         lambda ch: drop_extension(ch, messages.ExtensionType.PSK_KEY_EXCHANGE_MODES),
         "missing_extension", 109,
     ),
+    "supported-groups-without-key-share": (  # RFC 8446 section 9.2
+        lambda ch: set_extension(ch, messages.ext_supported_groups([int(NamedGroup.SECP256R1)])),
+        "missing_extension", 109,
+    ),
 }
 
 
@@ -613,22 +617,6 @@ def test_server_refuses_a_client_hello_without_this_version_or_psk_modes(case, p
     pair = run_handshake(protocol, AuthMode.PSK, seed=76)
     assert (pair.server.failure, pair.server.failed_from) == (alert, "start")
     assert pair.client.failure == "peer_alert" and pair.client.event_log[-1].detail["code"] == code
-
-
-@pytest.mark.parametrize("protocol", PROTOCOLS)
-def test_server_refuses_a_certificate_client_hello_without_groups_and_schemes(protocol, monkeypatch):
-    # RFC 8446 section 9.2: a ClientHello without pre_shared_key carries
-    # supported_groups and signature_algorithms
-    def tamper(name, raw):
-        if name != "client_hello":
-            return None
-        ch = drop_extension(messages.decode_handshake(raw), messages.ExtensionType.SUPPORTED_GROUPS)
-        return messages.tls_form(drop_extension(ch, messages.ExtensionType.SIGNATURE_ALGORITHMS))
-
-    tamper_on_wire(monkeypatch, "client", tamper)
-    pair = run_handshake(protocol, AuthMode.PK_SERVER_ONLY, seed=76)
-    assert (pair.server.failure, pair.server.failed_from) == ("missing_extension", "start")
-    assert pair.client.failure == "peer_alert" and pair.client.event_log[-1].detail["code"] == 109
 
 
 def dtls_client_hello(datagram):
@@ -1081,6 +1069,22 @@ def test_record_content_type_classification(protocol, protected, content_type, b
     if outcome == "peer_alert":
         [alert] = [e for e in pair.client.event_log if e.kind == EventKind.ALERT]
         assert alert.detail["code"] == 40
+
+
+def test_tls_record_that_does_not_open_is_bad_record_mac():
+    # a TLS server that declined no early data ends on a record that does not
+    # open (RFC 8446 section 5.2); here the client's Finished has a flipped tag bit
+    client_cfg, server_cfg, _ = make_configs(Protocol.TLS, AuthMode.PSK, seed=68)
+    pair = Pair(client_cfg, server_cfg, seed=68)
+
+    def flip_tag(endpoint, rec, now):
+        if endpoint == CLIENT and rec.data[0] == ContentType.APPLICATION_DATA:
+            return rec._replace(data=rec.data[:-1] + bytes([rec.data[-1] ^ 1]))
+        return True
+
+    filter_sends(pair.driver, flip_tag)
+    pair.run(until_ms=5_000)
+    assert (pair.server.failure, pair.server.failed_from) == ("bad_record_mac", "wait_finished")
 
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)

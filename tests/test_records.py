@@ -318,6 +318,8 @@ def test_dtls_plaintext_records():
     assert (ctype2, seq2, payload2) == (ContentType.ALERT, 8, b"\x02\x28")
     with pytest.raises(DecodeError, match="only exist in epoch 0"):
         records.parse_dtls_plaintext(rec[:3] + (1).to_bytes(2, "big") + rec[5:], 0)
+    with pytest.raises(DecodeError, match="record length mismatch"):
+        records.parse_dtls_plaintext(rec[:-1], 0)
 
 
 def test_dtls_epoch_builds_one_aead_and_one_sn_encryptor(monkeypatch):
