@@ -16,14 +16,13 @@ interpreter's own cache (``PYTHONPYCACHEPREFIX`` is unset) and runs with
 ``PYTHONDONTWRITEBYTECODE=1``. Before each run, every ``__pycache__`` under the
 checkout's ``src/`` and ``perfbench/`` is removed, so both sides compile their
 own modules from source and a cache left in one checkout cannot favour it.
-``claim_holds`` is the
-gain rule: wins in at least nine tenths of the pairs, and medians further
-apart than the parent's interquartile range. The two no-regression verdicts
-use the metric's ``bound``, a fraction of the parent's median:
-``within_bound`` holds when the change's median is no worse than the
-parent's by more than that, and ``resolved`` when the parent's
-interquartile range is at most that, or every change run beats every
-parent run.
+``claim_holds`` is the gain rule: wins in at least nine tenths of the pairs,
+and medians further apart than the parent's interquartile range. The two
+no-regression verdicts use the metric's ``bound``, a fraction of the
+parent's median: ``within_bound`` holds when the change's median is no
+worse than the parent's by more than that, and ``resolved`` when the
+parent's interquartile range is at most that, or every change run beats
+every parent run.
 """
 
 import argparse
