@@ -8,7 +8,7 @@ import shlex
 
 import pytest
 
-from minitls import cli, crypto
+from minitls import bench, cli, crypto
 from minitls.bench import (
     CSV_HEADER,
     REFERENCE_TABLE,
@@ -22,7 +22,7 @@ from minitls.bench import (
 from minitls.connection import MAX_EARLY_DATA
 from minitls.errors import ConfigError
 from minitls.profiles import MAX_CERT_SIZE
-from minitls.simnet import NetConfig
+from minitls.simnet import CLIENT, NetConfig
 
 
 def scenario(**kw):
@@ -426,6 +426,41 @@ def test_cli_output_golden(tmp_path):
             code = cli.main([a.format(matrix=matrix) for a in argv])
         digest.update(f"{code}\n{out.getvalue()}\n{err.getvalue()}\n".encode())
     assert digest.hexdigest() == GOLDEN_SHA256
+
+
+# The six REFERENCE_TABLE rows as `bench run ... --compare-paper` runs them.
+REFERENCE_COMMANDS = [
+    ["run", "--protocol", protocol, *row, "--compare-paper"]
+    for protocol in ("tls", "dtls")
+    for row in (["--profile", "psk128", "--mode", "psk"],
+                ["--profile", "ecdsa128", "--mode", "pk_mutual"],
+                ["--profile", "ecdsa128_256", "--mode", "pk_mutual", "--suite", "0x13A4"])
+]
+# SHA-256 over the direction, length and bytes of every datagram the driver
+# books, in send order, for the GOLDEN_COMMANDS and REFERENCE_COMMANDS: where
+# GOLDEN_SHA256 pins sizes and events, this pins the bytes themselves.
+WIRE_SHA256 = "5e77354ecd354cfa9691291308e19890d3b2a485fc72aed197c0ec4e0be688c5"
+
+
+def test_wire_bytes_golden(tmp_path, monkeypatch):
+    matrix = tmp_path / "matrix.json"
+    matrix.write_text(json.dumps(GOLDEN_MATRIX))
+    digest = hashlib.sha256()
+    book = bench.Driver._book
+
+    def hashing_book(driver, endpoint, records, data, retransmit, now):
+        digest.update(f"{'c2s' if endpoint == CLIENT else 's2c'} {len(data)}\n".encode() + data)
+        book(driver, endpoint, records, data, retransmit, now)
+
+    monkeypatch.setattr(bench.Driver, "_book", hashing_book)
+    reports = []
+    monkeypatch.setattr(cli, "run_scenario", lambda s: reports.append(run_scenario(s)) or reports[-1])
+    for argv in GOLDEN_COMMANDS + REFERENCE_COMMANDS:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            cli.main([a.format(matrix=matrix) for a in argv])
+    rows = [paper_reference(r)[0] for r in reports[-len(REFERENCE_COMMANDS):]]
+    assert sorted(rows) == sorted(label for label, *_ in REFERENCE_TABLE)
+    assert digest.hexdigest() == WIRE_SHA256
 
 
 @pytest.mark.parametrize("protocol", ["dtls", "tls"])
