@@ -25,7 +25,7 @@ def _add_scenario_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--profile", default="psk128", choices=profile_names())
     p.add_argument("--protocol", default="dtls", choices=["tls", "dtls"])
     p.add_argument("--mode", default=None,
-                   help="auth mode (default: psk for psk profiles, pk_mutual otherwise)")
+                   help="auth mode (default: psk for psk profiles and full, pk_mutual otherwise)")
     p.add_argument("--suite", type=lambda s: int(s, 0), default=None,
                    help="pin one cipher suite by wire code, e.g. 0x1304")
     p.add_argument("--cid", type=int, default=None, metavar="N")

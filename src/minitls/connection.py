@@ -45,7 +45,7 @@ from .errors import (
 from .keyschedule import KeySchedule, PskKind
 from .messages import ExtensionType, HandshakeType, PskMode
 from .profiles import EcCredential, PskCredential
-from .records import ContentType, OutRecord, ReplayWindow
+from .records import ContentType, OutRecord
 from .reliability import DtlsReliability
 
 TICKET_LIFETIME_S = 7200
@@ -265,7 +265,6 @@ class Connection:
         self.epochs: dict = {}  # epoch -> {"read": TrafficKeys, "write": TrafficKeys}
         self.write_epoch = EPOCH_PLAIN  # the latest non-early write keys: alerts and ACKs go out in it
         self.plain_write_seq = 0
-        self.plain_window = ReplayWindow()
 
         self.reliability = DtlsReliability() if self.protocol == Protocol.DTLS else None
         # a record holds a DTLS fragment header and a byte of its message, or a 2-byte alert
@@ -627,24 +626,20 @@ class Connection:
         return opened
 
     def _read_record(self, epoch: int, content_type: int, payload: bytes, rec_num, now: int) -> list:
-        """The content of one record read in ``epoch``, plaintext in epoch 0 and deprotected
-        after; ``rec_num`` is its DTLS record number (None on TLS)."""
+        """The content of one record read in ``epoch``, plaintext in epoch 0 (no replay window:
+        ``message_seq`` drops a repeat) and deprotected after; ``rec_num`` is its DTLS record number or None."""
         if content_type == ContentType.ALERT:
             self._peer_alert(now, payload)
             return []
         if content_type == ContentType.HANDSHAKE:
             if self.reliability is None:
                 return self._feed_handshake_stream(payload, epoch, now)
-            if epoch != EPOCH_PLAIN:
-                return self.reliability.receive(self._fragments(payload, epoch), rec_num, now, self._dispatch_message)
             try:
-                frags = self._fragments(payload, EPOCH_PLAIN)
+                frags = self._fragments(payload, epoch)
             except ProtocolError:
+                if epoch != EPOCH_PLAIN:
+                    raise
                 return []  # invalid and unauthenticated: dropped silently (RFC 9147 section 4.5.2)
-            if self.plain_window.seen(rec_num[1]):
-                self.reliability.ack_now(now, rec_num)
-                return []
-            self.plain_window.add(rec_num[1])
             return self.reliability.receive(frags, rec_num, now, self._dispatch_message)
         if epoch == EPOCH_PLAIN:
             if content_type == ContentType.CHANGE_CIPHER_SPEC:
@@ -848,7 +843,6 @@ class Connection:
         and message_seq 0 each way), its cookie carrying ClientHello1's ``ch1_digest``."""
         self.ch1_digest = ch1_digest
         self.plain_write_seq = 1
-        self.plain_window.add(0)
         self.reliability.next_send_msg_seq = self.reliability.next_recv_msg_seq = 1
 
     def _server_handle_client_hello(self, ch, raw: bytes, now: int) -> list:

@@ -46,7 +46,7 @@ SEQ_LIMIT = 1 << 48
 
 
 class ReplayWindow:
-    """64-entry sliding anti-replay bitmap."""
+    """64-entry sliding anti-replay bitmap; only a record that deprotected moves it (RFC 9147 section 4.5.1)."""
 
     SIZE = 64
 
@@ -68,7 +68,7 @@ class ReplayWindow:
 
     def add(self, seq: int) -> None:
         if seq > self.max_seq:
-            shift = seq - self.max_seq  # up to 2^48 on an unauthenticated record: never shift that far
+            shift = seq - self.max_seq  # a jump of SIZE or more leaves only seq set: never shift that far
             self.bits = ((self.bits << shift) | 1) & ((1 << self.SIZE) - 1) if shift < self.SIZE else 1
             self.max_seq = seq
         else:
@@ -225,21 +225,15 @@ def seal_dtls(
 
 
 def reconstruct_seq(seq_low: int, seq_len: int, expected: int) -> int:
-    """Full 64-bit sequence: the value with the given low bits closest to
-    the next expected sequence number."""
+    """Full 64-bit sequence: the non-negative value with the given low bits
+    nearest the next expected sequence number, the lower one on a tie."""
     mod = 1 << (8 * seq_len)
-    base = expected - (expected % mod)
-    best = None
-    for cand in (base - mod + seq_low, base + seq_low, base + mod + seq_low):
-        if cand < 0:
-            continue
-        if best is None or abs(cand - expected) < abs(best - expected):
-            best = cand
-    return best
+    seq = expected + (seq_low - expected + mod // 2) % mod - mod // 2
+    return seq if seq >= 0 else seq + mod
 
 
 class ParsedCiphertext(NamedTuple):
-    header: bytearray  # wire header bytes (sequence still masked)
+    header: bytes  # wire header bytes (sequence still masked)
     cid: bytes
     epoch_low: int
     seq_len: int
@@ -292,10 +286,8 @@ def parse_unified(datagram: bytes, offset: int, cid_len: int) -> ParsedCiphertex
             raise DecodeError("record length mismatch")
     else:
         ct = datagram[pos:]  # record extends to end of datagram
+    header = datagram[offset:pos]
     pos += len(ct)
-    header = bytearray(datagram[offset : offset + seq_off + seq_len])
-    if length_present:
-        header += len(ct).to_bytes(2, "big")
     if len(ct) < 16:
         raise DecodeError("short-ciphertext: sequence mask needs 16 bytes")
     if len(ct) > MAX_CIPHERTEXT:

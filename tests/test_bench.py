@@ -454,7 +454,12 @@ def test_wire_bytes_golden(tmp_path, monkeypatch):
 
     monkeypatch.setattr(bench.Driver, "_book", hashing_book)
     reports = []
-    monkeypatch.setattr(cli, "run_scenario", lambda s: reports.append(run_scenario(s)) or reports[-1])
+
+    def recording_run(s):
+        reports.append(run_scenario(s))
+        return reports[-1]
+
+    monkeypatch.setattr(cli, "run_scenario", recording_run)
     for argv in GOLDEN_COMMANDS + REFERENCE_COMMANDS:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             cli.main([a.format(matrix=matrix) for a in argv])

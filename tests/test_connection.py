@@ -928,8 +928,8 @@ def test_unknown_external_psk_identity(protocol):
 
 def test_malformed_plaintext_fragment_header_dropped():
     # an epoch-0 record whose fragment header claims 50 bytes and carries 1 is
-    # unauthenticated: it is dropped before the replay window sees its record
-    # number, and the ServerHello behind it in the datagram is still read
+    # unauthenticated: it is dropped whole before reassembly sees its fragment,
+    # and the ServerHello behind it in the datagram is still read
     client_cfg, server_cfg, _ = make_configs(Protocol.DTLS, AuthMode.PSK, seed=61)
     pair = Pair(client_cfg, server_cfg, seed=61)
     header = bytes([HandshakeType.SERVER_HELLO]) + (50).to_bytes(3, "big") + bytes(5) + (50).to_bytes(3, "big")
@@ -941,21 +941,23 @@ def test_malformed_plaintext_fragment_header_dropped():
     assert pair.driver.wire["retransmitted_bytes"] == 0
 
 
-def test_plaintext_record_far_ahead_moves_the_window_in_64_bits():
-    # a forged epoch-0 record numbered 2^47 that carries a parseable ClientHello
-    # fragment header: the server that holds the first ClientHello moves its
-    # plaintext window to it in 64 bits, not by a 2^47-bit shift
+def test_forged_server_hello_fragment_header_far_ahead_does_not_derail_the_client():
+    # an unauthenticated epoch-0 record numbered 2^47 that carries only a 12-byte
+    # fragment header of a ServerHello as long as the real one, in front of the real
+    # ServerHello: no record number of epoch 0 moves a replay window, so the real
+    # ServerHello (record 0) is still read
     client_cfg, server_cfg, _ = make_configs(Protocol.DTLS, AuthMode.PSK, seed=61)
     pair = Pair(client_cfg, server_cfg, seed=61)
-    pair.listener.receive(pair.client.start(0)[0].data, "client:0", 0)
-    server = pair.server
-    assert (server.plain_window.max_seq, server.plain_window.bits) == (0, 1)
-    header = messages.DtlsFragment(HandshakeType.CLIENT_HELLO, 100, 0, 0, b"").encode()
-    forged = records.encode_dtls_plaintext(ContentType.HANDSHAKE, 2**47, header)
-    assert len(forged) == 25
-    server.handle(forged, 10)
-    assert not server.failed
-    assert (server.plain_window.max_seq, server.plain_window.bits) == (2**47, 1)
+
+    def forge():
+        length = len(server_message(pair, HandshakeType.SERVER_HELLO)) - 4
+        header = messages.DtlsFragment(HandshakeType.SERVER_HELLO, length, 0, 0, b"").encode()
+        return records.encode_dtls_plaintext(ContentType.HANDSHAKE, 2**47, header)
+
+    done = prepend_once(pair, "server", "server_hello", forge)
+    pair.run(until_ms=60_000)
+    assert done
+    pair.assert_complete()
 
 
 @pytest.mark.parametrize(
@@ -1331,6 +1333,35 @@ def test_retransmitted_client_hello_acked_by_server_connection():
     assert len(pair.listener.connections()) == 1
 
 
+def test_duplicated_server_hello_datagram_acked_by_client():
+    # an exact copy of the datagram that carries the ServerHello reaches the client
+    # after it has read the ServerHello: its message_seq is stale, so the client
+    # ACKs the record the copy came in, epoch 0 record 0 (RFC 9147 section 7.1)
+    client_cfg, server_cfg, _ = make_configs(Protocol.DTLS, AuthMode.PSK, seed=64)
+    pair = Pair(client_cfg, server_cfg, seed=64)
+    send, duplicated = pair.link.send, []
+    hello = (ContentType.HANDSHAKE, HandshakeType.SERVER_HELLO)  # record type, then fragment type
+
+    def duplicate_server_hello(endpoint, data, now):
+        if endpoint == SERVER and (data[0], data[records.DTLS12_RECORD_HEADER_LEN]) == hello and not duplicated:
+            duplicated.append(send(endpoint, data, now))  # the copy
+        return send(endpoint, data, now)
+
+    pair.link.send = duplicate_server_hello
+    acks, send_ack = [], pair.client.reliability._send_ack
+
+    def recording_send_ack(frame, write_epoch, record_numbers):
+        out = send_ack(frame, write_epoch, record_numbers)
+        acks.extend(sorted(record_numbers) for _ in out)
+        return out
+
+    pair.client.reliability._send_ack = recording_send_ack
+    pair.run()
+    assert duplicated
+    pair.assert_complete()
+    assert acks == [[(0, 0)]]
+
+
 def test_client_finished_corruption_detected(monkeypatch):
     def tamper(name, raw):
         if name == "finished":
@@ -1674,15 +1705,16 @@ def test_a_retry_whose_suite_hashes_otherwise_than_its_cookie_is_illegal(monkeyp
 
 
 def test_a_cookieless_client_hello_to_an_allocated_connection_is_illegal():
-    # the retry that allocates the connection comes in epoch-0 record 0, which the
-    # stateless exchange used up, so the connection drops it; the cookieless
-    # ClientHello that follows cannot be the retry (RFC 8446 section 4.2.2)
+    # the retry that allocates the connection carries a truncated second fragment
+    # header: the listener reads only its first fragment, the connection drops the
+    # whole record; the cookieless ClientHello that follows cannot be the retry
+    # (RFC 8446 section 4.2.2)
     pair = dos_pair(seed=21)
     client, listener = pair.client, pair.listener
     first = client.start(0)[0].data
     [hrr_rec] = listener.receive(first, "client:0", 0)
-    retry = bytearray(client.handle(hrr_rec.data, 10)[0].data)
-    retry[5:11] = bytes(6)  # the record sequence number
+    retry = bytearray(client.handle(hrr_rec.data, 10)[0].data) + b"\x01"
+    retry[11:13] = (len(retry) - records.DTLS12_RECORD_HEADER_LEN).to_bytes(2, "big")
     listener.receive(bytes(retry), "client:0", 20)
     [server] = listener.connections()
     assert listener.allocated == 1 and not server.failed

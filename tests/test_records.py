@@ -199,6 +199,24 @@ def test_dtls_seq_reconstruction():
     assert records.reconstruct_seq(5, 1, 0) == 5
 
 
+def nearest_seq(seq_low: int, seq_len: int, expected: int) -> int:
+    """Brute force: of the non-negative values with these low bits from two or three
+    periods below ``expected`` to two above, the nearest, the lower one on a tie."""
+    mod = 1 << (8 * seq_len)
+    start = max(0, expected - 2 * mod) // mod * mod + seq_low
+    return min(range(start, expected + 2 * mod, mod), key=lambda v: (abs(v - expected), v))
+
+
+def test_dtls_seq_reconstruction_matches_brute_force():
+    for expected in range(1024):
+        for seq_low in range(256):
+            assert records.reconstruct_seq(seq_low, 1, expected) == nearest_seq(seq_low, 1, expected)
+    rng = random.Random(9147)
+    for expected in [0, 1, 32767, 32768, 32769, 65535, 65536, 2**47] + rng.sample(range(1 << 20), 200):
+        for seq_low in [0, 1, 0x7FFF, 0x8000, 0xFFFF] + rng.sample(range(1 << 16), 20):
+            assert records.reconstruct_seq(seq_low, 2, expected) == nearest_seq(seq_low, 2, expected)
+
+
 def test_dtls_replay_rejected():
     w, r = dtls_keys(), dtls_read_keys()
     rec = records.seal_dtls(P128, w, 3, ContentType.APPLICATION_DATA, b"x")
@@ -245,6 +263,15 @@ def test_replay_window_permutation_invariant():
             window.add(s)
             accepted.append(s)
     assert sorted(accepted) == list(range(1000))
+
+
+def test_replay_window_jumps_far_ahead_in_64_bits():
+    # a jump of 2^47 leaves one bit set, not a 2^47-bit shift
+    window = ReplayWindow()
+    window.add(0)
+    window.add(2**47)
+    assert (window.max_seq, window.bits) == (2**47, 1)
+    assert window.seen(2**47) and window.seen(0)
 
 
 def test_dtls_aad_binds_header_bits():

@@ -5,8 +5,8 @@ gives it read keys for every epoch, and feeds it one complete, in-order
 message of each handshake type under each epoch for which the table has no
 edge.  TLS fails with ``unexpected_message``, and so does DTLS under a
 protected epoch.  DTLS drops a plaintext (epoch 0) record silently: before
-its replay window sees it when no phase takes the type in epoch 0, after
-reassembly when only the phase is wrong.
+reassembly when no phase takes the type in epoch 0, so its message_seq is
+never taken, and after reassembly when only the phase is wrong.
 """
 
 import random
@@ -98,8 +98,9 @@ def test_message_outside_table_is_classified(role, protocol):
     for phase, msg_type, epoch in combos:
         conn, out = feed(cfg, role, phase, epoch, sample[msg_type])
         if protocol == Protocol.DTLS and epoch == EPOCH_PLAIN:
-            before_window = msg_type not in Connection.ACCEPTS[role][EPOCH_PLAIN]
-            ok = not conn.failed and out == [] and conn.plain_window.seen(0) != before_window
+            before_reassembly = msg_type not in Connection.ACCEPTS[role][EPOCH_PLAIN]
+            reassembled = conn.reliability.next_recv_msg_seq == 1
+            ok = not conn.failed and out == [] and reassembled != before_reassembly
         else:
             ok = conn.failure == "unexpected_message"
         if not ok:
